@@ -14,7 +14,6 @@ import (
 	"permcell/internal/balance"
 	"permcell/internal/comm"
 	"permcell/internal/core"
-	"permcell/internal/corestatic"
 	"permcell/internal/decomp"
 	"permcell/internal/dlb"
 	"permcell/internal/experiments"
@@ -330,7 +329,7 @@ func BenchmarkAblationPickStrategy(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				cfg.DLBPick = s.pick
+				cfg.Balancer = balance.PermanentCell{Hysteresis: spec.Hysteresis, Pick: s.pick}
 				res, err := core.Run(cfg, sys, spec.Steps)
 				if err != nil {
 					b.Fatal(err)
@@ -368,12 +367,16 @@ func BenchmarkShapeEngines(b *testing.B) {
 	_ = p
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			cfg := corestatic.Config{
-				Shape: c.shape, P: c.p, Grid: grid,
+			d, err := decomp.New(c.shape, grid, c.p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := core.Config{
+				P: c.p, Grid: grid, Decomp: d,
 				Pair: potential.NewPaperLJ(), Dt: units.PaperTimeStep,
 				Tref: units.PaperTref, RescaleEvery: units.PaperRescaleInterval,
 			}
-			res, err := corestatic.Run(cfg, sys, b.N)
+			res, err := core.Run(cfg, sys, b.N)
 			if err != nil {
 				b.Fatal(err)
 			}

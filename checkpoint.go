@@ -6,10 +6,6 @@ import (
 
 	"permcell/internal/balance"
 	"permcell/internal/checkpoint"
-	"permcell/internal/core"
-	"permcell/internal/corestatic"
-	"permcell/internal/decomp"
-	"permcell/internal/experiments"
 	"permcell/internal/mdserial"
 	"permcell/internal/potential"
 	"permcell/internal/units"
@@ -33,14 +29,6 @@ func CheckpointNow(eng Engine) error {
 	return c.Checkpoint()
 }
 
-// snapEngine is the backend surface the checkpoint writer drives: both
-// parallel cores expose it.
-type snapEngine interface {
-	Step(n int) error
-	AbsStep() int
-	Snapshot() (*checkpoint.EngineState, error)
-}
-
 // ckptWriter holds a facade engine's checkpoint policy: the cadence, the
 // target directory, and the Meta template carrying the run identity. The
 // zero value is inert (no checkpointing).
@@ -59,7 +47,7 @@ func (w *ckptWriter) active() bool { return w.dir != "" }
 // stepWithCheckpoints advances eng by n steps, pausing at every absolute
 // multiple of w.every to snapshot and write a checkpoint. With no cadence
 // configured it degrades to a plain Step.
-func (w *ckptWriter) stepWithCheckpoints(eng snapEngine, n int) error {
+func (w *ckptWriter) stepWithCheckpoints(eng coreEngine, n int) error {
 	if w.every <= 0 || !w.active() {
 		return eng.Step(n)
 	}
@@ -82,7 +70,7 @@ func (w *ckptWriter) stepWithCheckpoints(eng snapEngine, n int) error {
 }
 
 // write snapshots eng and saves the checkpoint.
-func (w *ckptWriter) write(eng snapEngine) error {
+func (w *ckptWriter) write(eng coreEngine) error {
 	if !w.active() {
 		return fmt.Errorf("permcell: no checkpoint directory configured (use WithCheckpoint)")
 	}
@@ -195,7 +183,6 @@ func restoreState(meta *checkpoint.Meta, frames []checkpoint.Frame, o Options) (
 			BalancerName(fileB), BalancerName(o.balancer))
 	}
 	o.balancer = fileB
-	o.dlb = fileB != nil
 	o.wells = meta.Wells
 	o.wellK = meta.WellK
 	o.hysteresis = meta.Hysteresis
@@ -214,9 +201,9 @@ func restoreState(meta *checkpoint.Meta, frames []checkpoint.Frame, o Options) (
 	}
 	switch meta.Kind {
 	case checkpoint.KindDLB:
-		return restoreParallel(meta, st, o)
+		return startParallel(metaTemplate(meta), st, o)
 	case checkpoint.KindStatic:
-		return restoreStatic(meta, st, o)
+		return startStatic(metaTemplate(meta), st, o)
 	case checkpoint.KindSerial:
 		return restoreSerial(meta, st, o)
 	default:
@@ -235,66 +222,6 @@ func loadCheckpoint(path string) (*checkpoint.Meta, []checkpoint.Frame, error) {
 	}
 	meta, frames, err := checkpoint.Load(path)
 	return meta, frames, err
-}
-
-func restoreParallel(meta *checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine, error) {
-	spec := experiments.RunSpec{
-		M: meta.M, P: meta.P, Rho: meta.Rho, DLB: o.dlb, Balancer: o.balancer,
-		Seed: meta.Seed, Dt: meta.Dt,
-		Wells: meta.Wells, WellK: meta.WellK, Hysteresis: meta.Hysteresis,
-		StatsEvery: o.statsEvery, Shards: meta.Shards, Metrics: o.metrics,
-	}
-	// Restoring on the tcp transport is the elastic-rescale path: the
-	// checkpoint fixes the logical rank count P, while the worker-process
-	// count comes from the Transport — so a run checkpointed at one
-	// process count resumes at another (or moves between transports)
-	// with a bit-identical continuation.
-	if o.transport.Kind == TransportTCP {
-		eng, err := newDistributed(spec, st, o)
-		if err != nil {
-			return nil, err
-		}
-		return &parallelEngine{eng: eng, ckpt: newCkptWriter(o, metaTemplate(meta))}, nil
-	}
-	// The regenerated system supplies the box, grid and potentials only:
-	// the restore path repopulates every PE from its frame instead of
-	// redistributing the initial condition.
-	cfg, sys, _, err := spec.Build()
-	if err != nil {
-		return nil, fmt.Errorf("permcell: %w", err)
-	}
-	cfg.OnStep = o.onStep
-	cfg.DiscardStats = o.discard
-	cfg.Faults = o.faults
-	cfg.Watchdog = o.watchdog
-	cfg.Guard = o.guard
-	cfg.Sabotage = o.sabotage
-	cfg.Restore = st
-	eng, err := core.NewEngine(cfg, sys)
-	if err != nil {
-		return nil, fmt.Errorf("permcell: %w", err)
-	}
-	return &parallelEngine{eng: eng, ckpt: newCkptWriter(o, metaTemplate(meta))}, nil
-}
-
-func restoreStatic(meta *checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine, error) {
-	sys, g, ext, err := buildSystem(meta.NC, meta.Rho, o)
-	if err != nil {
-		return nil, err
-	}
-	cfg := corestatic.Config{
-		Shape: decomp.Shape(meta.Shape), P: meta.P, Grid: g,
-		Pair: potential.NewPaperLJ(), Ext: ext,
-		Dt: o.dtOrDefault(), Tref: units.PaperTref, RescaleEvery: units.PaperRescaleInterval,
-		Shards: meta.Shards, Metrics: o.metrics, Faults: o.faults, Watchdog: o.watchdog,
-		Guard: o.guard, Sabotage: o.sabotage,
-		Restore: st,
-	}
-	eng, err := corestatic.NewEngine(cfg, sys)
-	if err != nil {
-		return nil, fmt.Errorf("permcell: %w", err)
-	}
-	return &staticEngine{eng: eng, o: o, ckpt: newCkptWriter(o, metaTemplate(meta))}, nil
 }
 
 func restoreSerial(meta *checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine, error) {

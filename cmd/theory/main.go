@@ -54,7 +54,7 @@ func main() {
 		fmt.Printf("%8d %12d %12.3f\n", m, cp, float64(cp)/float64(m*m))
 	}
 
-	fmt.Println("\nCube-domain extension (this repository's generalization, internal/dlb3):")
+	fmt.Println("\nCube-domain extension (this repository's generalization, theory.FCube):")
 	fmt.Printf("%8s", "n")
 	for _, m := range mvals {
 		fmt.Printf(" %12s", fmt.Sprintf("fcube(%d,n)", m))

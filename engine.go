@@ -9,7 +9,6 @@ import (
 	"permcell/internal/checkpoint"
 	"permcell/internal/conc"
 	"permcell/internal/core"
-	"permcell/internal/corestatic"
 	"permcell/internal/decomp"
 	"permcell/internal/distrib"
 	"permcell/internal/experiments"
@@ -63,12 +62,18 @@ func New(m, p int, rho float64, opts ...Option) (Engine, error) {
 	if err := checkTransport(o, true); err != nil {
 		return nil, err
 	}
-	if o.supervisor != nil {
-		return supervised(o, 0, func(oin Options) (Engine, error) {
-			return newParallel(m, p, rho, oin)
-		})
+	start := func(oin Options) (Engine, error) {
+		return startParallel(checkpoint.Meta{
+			Kind: checkpoint.KindDLB, M: m, P: p, Rho: rho,
+			DLB: oin.balancer != nil, Balancer: balance.Encode(oin.balancer),
+			Wells: oin.wells, WellK: oin.wellK, Hysteresis: oin.hysteresis,
+			Seed: oin.seed, Dt: oin.dtOrDefault(), Shards: oin.shards, StatsEvery: oin.statsEvery,
+		}, nil, oin)
 	}
-	return newParallel(m, p, rho, o)
+	if o.supervisor != nil {
+		return supervised(o, 0, start)
+	}
+	return start(o)
 }
 
 // checkTransport validates the WithTransport selection against the engine
@@ -99,68 +104,64 @@ func checkTransport(o Options, parallel bool) error {
 	}
 }
 
-// newDistributed builds the multi-process engine: an in-process
-// coordinator dealing rank blocks to TCP-connected worker processes (or
-// goroutine-hosted workers), each running a core.Partial. st, when
-// non-nil, resumes from a checkpoint — possibly at a different worker
-// count than the one that wrote it (elastic rescaling: the logical rank
-// count P is fixed by the run identity; only the hosting changes).
-func newDistributed(spec experiments.RunSpec, st *checkpoint.EngineState, o Options) (coreEngine, error) {
-	ws := distrib.WireSpec{
-		M: spec.M, P: spec.P, Rho: spec.Rho,
-		Balancer: balance.Encode(spec.Balancer),
-		Seed:     spec.Seed, Dt: spec.Dt,
-		Wells: spec.Wells, WellK: spec.WellK, Hysteresis: spec.Hysteresis,
-		StatsEvery: spec.StatsEvery, Shards: spec.Shards, Metrics: spec.Metrics,
-		Watchdog: o.watchdog, Faults: o.faults, Guard: o.guard,
-		Restore: st,
-	}
-	eng, err := distrib.Start(ws, distrib.Config{
-		Procs: o.transport.Procs, Worker: o.transport.Worker, Addr: o.transport.Addr,
-		OnStep: o.onStep, DiscardStats: o.discard,
-		HandshakeTimeout: o.transport.HandshakeTimeout,
-		HeartbeatEvery:   o.transport.HeartbeatEvery,
-		HeartbeatMisses:  o.transport.HeartbeatMisses,
-		Chaos:            o.transport.Chaos,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("permcell: %w", err)
-	}
-	return eng, nil
-}
-
-// newParallel builds the parallel engine from a resolved Options value (the
-// supervisor rebuilds engines through it across rollbacks).
-func newParallel(m, p int, rho float64, o Options) (Engine, error) {
-	spec := experiments.RunSpec{
-		M: m, P: p, Rho: rho, DLB: o.dlb, Balancer: o.balancer, Seed: o.seed, Dt: o.dt,
-		Wells: o.wells, WellK: o.wellK, Hysteresis: o.hysteresis,
-		StatsEvery: o.statsEvery, Shards: o.shards, Metrics: o.metrics,
-	}
-	meta := checkpoint.Meta{
-		Kind: checkpoint.KindDLB, M: m, P: p, Rho: rho,
-		DLB: o.dlb, Balancer: balance.Encode(o.balancer),
-		Wells: o.wells, WellK: o.wellK, Hysteresis: o.hysteresis,
-		Seed: o.seed, Dt: o.dtOrDefault(), Shards: o.shards, StatsEvery: o.statsEvery,
-	}
-	if o.transport.Kind == TransportTCP {
-		eng, err := newDistributed(spec, nil, o)
-		if err != nil {
-			return nil, err
-		}
-		return &parallelEngine{eng: eng, ckpt: newCkptWriter(o, meta)}, nil
-	}
-	cfg, sys, _, err := spec.Build()
-	if err != nil {
-		return nil, fmt.Errorf("permcell: %w", err)
-	}
+// applyRuntime copies the options that do not alter the physics onto an
+// engine configuration.
+func (o Options) applyRuntime(cfg *core.Config) {
 	cfg.OnStep = o.onStep
 	cfg.DiscardStats = o.discard
 	cfg.Faults = o.faults
 	cfg.Watchdog = o.watchdog
 	cfg.Guard = o.guard
 	cfg.Sabotage = o.sabotage
-	eng, err := core.NewEngine(cfg, sys)
+}
+
+// startParallel builds the DLB/DDM engine for the run identity in meta from
+// a resolved Options value (the supervisor rebuilds engines through it
+// across rollbacks): fresh when st is nil, else resumed from the snapshot.
+// On the tcp transport an in-process coordinator deals rank blocks to
+// TCP-connected worker processes (or goroutine-hosted workers), each
+// driving its block through core.NewPartial; a resume there may run at a
+// different worker count than the one that wrote the checkpoint (elastic
+// rescaling: the logical rank count P is fixed by the run identity, only
+// the hosting changes), or move between transports, with a bit-identical
+// continuation.
+func startParallel(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine, error) {
+	spec := experiments.RunSpec{
+		M: meta.M, P: meta.P, Rho: meta.Rho, Balancer: o.balancer, Seed: o.seed, Dt: o.dt,
+		Wells: o.wells, WellK: o.wellK,
+		StatsEvery: o.statsEvery, Shards: o.shards, Metrics: o.metrics,
+	}
+	var eng coreEngine
+	var err error
+	if o.transport.Kind == TransportTCP {
+		eng, err = distrib.Start(distrib.WireSpec{
+			M: spec.M, P: spec.P, Rho: spec.Rho,
+			Balancer: balance.Encode(spec.Balancer),
+			Seed:     spec.Seed, Dt: spec.Dt,
+			Wells: spec.Wells, WellK: spec.WellK,
+			StatsEvery: spec.StatsEvery, Shards: spec.Shards, Metrics: spec.Metrics,
+			Watchdog: o.watchdog, Faults: o.faults, Guard: o.guard,
+			Restore: st,
+		}, distrib.Config{
+			Procs: o.transport.Procs, Worker: o.transport.Worker, Addr: o.transport.Addr,
+			OnStep: o.onStep, DiscardStats: o.discard,
+			HandshakeTimeout: o.transport.HandshakeTimeout,
+			HeartbeatEvery:   o.transport.HeartbeatEvery,
+			HeartbeatMisses:  o.transport.HeartbeatMisses,
+			Chaos:            o.transport.Chaos,
+		})
+	} else {
+		// On a resume the regenerated system supplies the box, grid and
+		// potentials only: every PE is repopulated from its frame instead
+		// of the initial condition.
+		cfg, sys, _, berr := spec.Build()
+		if berr != nil {
+			return nil, fmt.Errorf("permcell: %w", berr)
+		}
+		o.applyRuntime(&cfg)
+		cfg.Restore = st
+		eng, err = core.NewEngine(cfg, sys)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("permcell: %w", err)
 	}
@@ -202,8 +203,8 @@ func RunEngine(ctx context.Context, eng Engine, steps int) (*Result, error) {
 	return eng.Result()
 }
 
-// guardStep is the facade-wide Step argument contract shared by all three
-// engines, so misuse reports identically regardless of backend.
+// guardStep is the facade-wide Step argument contract shared by every
+// engine, so misuse reports identically regardless of backend.
 func guardStep(finished bool, n int) error {
 	if finished {
 		return fmt.Errorf("permcell: Step after Result")
@@ -217,7 +218,7 @@ func guardStep(finished bool, n int) error {
 // coreEngine is the stepwise backend surface shared by the in-process
 // core.Engine and the multi-process distrib.Engine; parallelEngine adapts
 // either to the facade interface without knowing which transport hosts
-// the ranks.
+// the ranks or which ownership map they step over.
 type coreEngine interface {
 	Step(n int) error
 	AbsStep() int
@@ -320,123 +321,51 @@ func (o Options) dtOrDefault() float64 {
 
 // NewStatic starts the static-decomposition engine: the box is nc cells of
 // side r_c per dimension, partitioned over p PEs in the given shape with
-// no load balancing. Work and ghost-surface statistics land in the shared
-// StepStats fields; DLB-only fields stay zero.
+// no load balancing. It is the parallel engine's step loop over a fixed
+// ownership map, so every StepStats field is filled as for New; Moved stays
+// zero and Balancer reads "none".
 func NewStatic(shape Shape, nc, p int, rho float64, opts ...Option) (Engine, error) {
 	o := buildOptions(opts)
 	if err := checkTransport(o, false); err != nil {
 		return nil, err
 	}
-	if o.supervisor != nil {
-		return supervised(o, 0, func(oin Options) (Engine, error) {
-			return newStatic(shape, nc, p, rho, oin)
-		})
+	start := func(oin Options) (Engine, error) {
+		return startStatic(checkpoint.Meta{
+			Kind: checkpoint.KindStatic, Shape: int(shape), NC: nc, P: p, Rho: rho,
+			Wells: oin.wells, WellK: oin.wellK,
+			Seed: oin.seed, Dt: oin.dtOrDefault(), Shards: oin.shards, StatsEvery: oin.statsEvery,
+		}, nil, oin)
 	}
-	return newStatic(shape, nc, p, rho, o)
+	if o.supervisor != nil {
+		return supervised(o, 0, start)
+	}
+	return start(o)
 }
 
-func newStatic(shape Shape, nc, p int, rho float64, o Options) (Engine, error) {
-	sys, g, ext, err := buildSystem(nc, rho, o)
+// startStatic builds the static-decomposition engine for the run identity
+// in meta, fresh when st is nil, else resumed from the snapshot.
+func startStatic(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine, error) {
+	sys, g, ext, err := buildSystem(meta.NC, meta.Rho, o)
 	if err != nil {
 		return nil, err
 	}
-	cfg := corestatic.Config{
-		Shape: shape, P: p, Grid: g,
-		Pair: potential.NewPaperLJ(), Ext: ext,
-		Dt: o.dtOrDefault(), Tref: units.PaperTref, RescaleEvery: units.PaperRescaleInterval,
-		Shards: o.shards, Metrics: o.metrics, Faults: o.faults, Watchdog: o.watchdog,
-		Guard: o.guard, Sabotage: o.sabotage,
-	}
-	eng, err := corestatic.NewEngine(cfg, sys)
+	d, err := decomp.New(decomp.Shape(meta.Shape), g, meta.P)
 	if err != nil {
 		return nil, fmt.Errorf("permcell: %w", err)
 	}
-	meta := checkpoint.Meta{
-		Kind: checkpoint.KindStatic, Shape: int(shape), NC: nc, P: p, Rho: rho,
-		Wells: o.wells, WellK: o.wellK,
-		Seed: o.seed, Dt: o.dtOrDefault(), Shards: o.shards, StatsEvery: o.statsEvery,
+	cfg := core.Config{
+		P: meta.P, Grid: g, Decomp: d,
+		Pair: potential.NewPaperLJ(), Ext: ext,
+		Dt: o.dtOrDefault(), Tref: units.PaperTref, RescaleEvery: units.PaperRescaleInterval,
+		Shards: o.shards, StatsEvery: o.statsEvery, Metrics: o.metrics,
+		Restore: st,
 	}
-	return &staticEngine{eng: eng, o: o, ckpt: newCkptWriter(o, meta)}, nil
-}
-
-// staticEngine adapts corestatic.Engine, folding its narrower per-step
-// records into the shared StepStats shape as they appear. The static
-// backend computes no temperature or concentration census, so those shared
-// fields stay zero (see DESIGN.md "Observability").
-type staticEngine struct {
-	eng      *corestatic.Engine
-	o        Options
-	ckpt     ckptWriter
-	stats    []StepStats
-	seen     int
-	finished bool
-	res      *Result
-	err      error
-}
-
-func (e *staticEngine) Step(n int) error {
-	if err := guardStep(e.finished, n); err != nil {
-		return err
+	o.applyRuntime(&cfg)
+	eng, err := core.NewEngine(cfg, sys)
+	if err != nil {
+		return nil, fmt.Errorf("permcell: %w", err)
 	}
-	if err := e.ckpt.stepWithCheckpoints(e.eng, n); err != nil {
-		return err
-	}
-	e.drain()
-	return nil
-}
-
-// Checkpoint writes an immediate checkpoint at the current step boundary.
-func (e *staticEngine) Checkpoint() error {
-	if e.finished {
-		return fmt.Errorf("permcell: Checkpoint after Result")
-	}
-	return e.ckpt.write(e.eng)
-}
-
-func (e *staticEngine) drain() {
-	raw := e.eng.Stats()
-	for _, r := range raw[e.seen:] {
-		if r.Step%e.o.statsEvery != 0 {
-			continue
-		}
-		st := StepStats{
-			Step:    r.Step,
-			WorkMax: r.WorkMax, WorkAve: r.WorkAve, WorkMin: r.WorkMin,
-			StepWallMax: r.StepWallMax, StepWallAve: r.StepWallAve,
-			Phases:      r.Phases,
-			TotalEnergy: r.TotalEnergy,
-		}
-		if !e.o.discard {
-			e.stats = append(e.stats, st)
-		}
-		if e.o.onStep != nil {
-			e.o.onStep(st)
-		}
-	}
-	e.seen = len(raw)
-}
-
-// Stats returns a copy (see the Engine interface contract): e.stats keeps
-// growing with each drain, so the internal slice must not escape.
-func (e *staticEngine) Stats() []StepStats { return copyStats(e.stats) }
-
-func (e *staticEngine) Result() (*Result, error) {
-	if e.finished {
-		return e.res, e.err
-	}
-	e.finished = true
-	raw, err := e.eng.Finish()
-	e.err = err
-	if raw == nil {
-		return nil, err
-	}
-	e.drain()
-	e.res = &Result{
-		Stats: e.stats, Final: raw.Final,
-		CommMsgs: raw.CommMsgs, CommBytes: raw.CommBytes,
-		Faults: raw.Faults,
-	}
-	return e.res, e.err
+	return &parallelEngine{eng: eng, ckpt: newCkptWriter(o, meta)}, nil
 }
 
 // NewSerial starts the serial reference engine on a box of nc cells of

@@ -8,15 +8,12 @@ import (
 	"permcell/internal/experiments"
 )
 
-// TestSimShimTraceParity pins the deprecated Sim facade to the path it
-// shims: the equivalent experiments.RunSpec run must produce bit-identical
-// per-step statistics and final state.
-func TestSimShimTraceParity(t *testing.T) {
-	sim := permcell.Sim{
-		M: 2, P: 4, Rho: 0.256, Steps: 20, DLB: true,
-		Seed: 7, Wells: 3, Hysteresis: 0.1,
-	}
-	got, err := sim.Run()
+// TestRunTraceParity pins the facade's Run to the experiments path the
+// figures are generated through: the equivalent experiments.RunSpec run
+// must produce bit-identical per-step statistics and final state.
+func TestRunTraceParity(t *testing.T) {
+	got, err := permcell.Run(context.Background(), 2, 4, 0.256, 20,
+		permcell.WithDLB(), permcell.WithSeed(7), permcell.WithWells(3, 1.5), permcell.WithHysteresis(0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,12 +33,12 @@ func TestSimShimTraceParity(t *testing.T) {
 			a.WorkMin != b.WorkMin || a.Moved != b.Moved ||
 			a.TotalEnergy != b.TotalEnergy || a.Temperature != b.Temperature ||
 			a.Conc != b.Conc {
-			t.Fatalf("step %d stats diverged between shim and spec", b.Step)
+			t.Fatalf("step %d stats diverged between facade and spec", b.Step)
 		}
 	}
 	for i := range ref.Final.Pos {
 		if got.Final.Pos[i] != ref.Final.Pos[i] || got.Final.Vel[i] != ref.Final.Vel[i] {
-			t.Fatalf("particle %d state differs between shim and spec", ref.Final.ID[i])
+			t.Fatalf("particle %d state differs between facade and spec", ref.Final.ID[i])
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package checkpoint is the distributed checkpoint/restart layer shared by
-// all three engines (internal/core, internal/corestatic, internal/mdserial
-// via the facade). A checkpoint is one file holding a Meta section — the
+// every engine (internal/core over the column ledger or a static
+// decomposition, internal/mdserial via the facade). A checkpoint is one file holding a Meta section — the
 // run's identity: engine kind, paper coordinates, physics options, step
 // counter, cumulative communication counters — followed by one Frame per
 // PE: that PE's particle arrays *in their live in-memory order* plus the
@@ -25,7 +25,7 @@ import (
 // Engine kinds recorded in Meta.Kind.
 const (
 	KindDLB    = "dlb"    // internal/core: DDM / DLB-DDM parallel engine
-	KindStatic = "static" // internal/corestatic: static-decomposition engine
+	KindStatic = "static" // internal/core over a static decomposition (core.Config.Decomp)
 	KindSerial = "serial" // internal/mdserial: serial reference engine
 )
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"permcell/internal/balance"
 	"permcell/internal/checkpoint"
 	"permcell/internal/space"
 	"permcell/internal/workload"
@@ -14,7 +15,7 @@ import (
 func stepsEqualDeterministic(a, b StepStats) bool {
 	return a.Step == b.Step &&
 		a.WorkMax == b.WorkMax && a.WorkAve == b.WorkAve && a.WorkMin == b.WorkMin &&
-		a.Moved == b.Moved &&
+		a.Moved == b.Moved && a.GhostCellsMax == b.GhostCellsMax &&
 		a.TotalEnergy == b.TotalEnergy && a.Temperature == b.Temperature &&
 		a.Conc == b.Conc
 }
@@ -40,7 +41,7 @@ func blobSystem(t *testing.T, nc int) (workload.System, space.Grid) {
 func TestSnapshotResumeBitIdenticalDLB(t *testing.T) {
 	sys, g := blobSystem(t, 6)
 	cfg := baseConfig(g, 4)
-	cfg.DLB = true
+	cfg.Balancer = balance.PermanentCell{}
 	cfg.Verify = true
 	const b = 10 // snapshot point; total run is 2b
 
@@ -145,7 +146,7 @@ func TestSnapshotResumeOneShotRun(t *testing.T) {
 	// Config.Restore also works through the one-shot Run path.
 	sys, g := blobSystem(t, 6)
 	cfg := baseConfig(g, 4)
-	cfg.DLB = true
+	cfg.Balancer = balance.PermanentCell{}
 	const b = 8
 
 	gRes, err := Run(cfg, sys, 2*b)
@@ -190,7 +191,7 @@ func TestSnapshotResumeOneShotRun(t *testing.T) {
 func TestRestoreValidation(t *testing.T) {
 	sys, g := blobSystem(t, 6)
 	cfg := baseConfig(g, 4)
-	cfg.DLB = true
+	cfg.Balancer = balance.PermanentCell{}
 
 	eng, err := NewEngine(cfg, sys)
 	if err != nil {

@@ -4,7 +4,9 @@
 // (DLB-DDM). Each PE runs as a goroutine over the message-passing substrate
 // in internal/comm; every per-step exchange (loads, DLB decisions, cell
 // transfers, particle migration, halo pull) involves only the PE's 8 torus
-// neighbors, exactly as on the T3E.
+// neighbors, exactly as on the T3E. The same step loop also runs the static
+// plane / pillar / cube decompositions of Fig. 2 (Config.Decomp): only the
+// cell-ownership map behind the loop differs.
 //
 // Per time step each PE executes:
 //
@@ -34,6 +36,7 @@ import (
 	"permcell/internal/checkpoint"
 	"permcell/internal/comm"
 	"permcell/internal/conc"
+	"permcell/internal/decomp"
 	"permcell/internal/dlb"
 	"permcell/internal/metrics"
 	"permcell/internal/particle"
@@ -60,10 +63,17 @@ const (
 
 // Config describes one parallel run.
 type Config struct {
-	// P is the PE count; must be a perfect square >= 4.
+	// P is the PE count; must be a perfect square >= 4 (under Decomp, any
+	// count the decomposition accepts).
 	P int
 	// Grid is the cell grid; Nx and Ny must equal m*sqrt(P) for integer m.
 	Grid space.Grid
+	// Decomp, when non-nil, fixes cell ownership to a static plane, pillar
+	// or cube decomposition of the same P and Grid instead of the
+	// permanent-cell column ledger: the run is the same step loop with no
+	// balancer (Balancer must be nil), and checkpoint frames carry no
+	// column sets because ownership never changes.
+	Decomp *decomp.Decomposition
 	// Pair is the interaction potential; cells must be at least as large as
 	// its cut-off.
 	Pair potential.Pair
@@ -76,32 +86,14 @@ type Config struct {
 	Tref         float64
 	RescaleEvery int
 	// Balancer is the pluggable load-balancing strategy driven at the DLB
-	// cadence (nil = static DDM, unless the legacy DLB flag below selects
-	// the permanent-cell reference balancer). All strategies execute their
-	// moves through the same ledger/colTransfer machinery, so the
-	// 8-neighbor exchange pattern and the transfer invariants (forces
-	// carried, conservation, C' bound) hold for every implementation.
+	// cadence (nil = static DDM). All strategies execute their moves
+	// through the same ledger/colTransfer machinery, so the 8-neighbor
+	// exchange pattern and the transfer invariants (forces carried,
+	// conservation, C' bound) hold for every implementation.
 	Balancer balance.Balancer
-	// DLB enables the permanent-cell dynamic load balancing.
-	//
-	// Deprecated: legacy switch, equivalent to setting Balancer to
-	// balance.PermanentCell{Hysteresis: DLBHysteresis, Pick: DLBPick}.
-	// Ignored when Balancer is set explicitly.
-	DLB bool
 	// DLBEvery runs the balancer exchange every k-th step (default 1 — the
 	// paper's "every time step"; larger values are the frequency ablation).
 	DLBEvery int
-	// DLBHysteresis is the relative load gap required to move a column
-	// (0 = paper-literal).
-	//
-	// Deprecated: folded into the permanent-cell balancer's config; only
-	// consulted by the legacy DLB switch above.
-	DLBHysteresis float64
-	// DLBPick selects which candidate column moves.
-	//
-	// Deprecated: folded into the permanent-cell balancer's config; only
-	// consulted by the legacy DLB switch above.
-	DLBPick dlb.Strategy
 	// Metric selects the DLB decision load metric.
 	Metric LoadMetric
 	// Shards is the per-PE force-kernel worker count (<= 1 = serial
@@ -199,6 +191,11 @@ type StepStats struct {
 	// Conc is the concentration census (C_0/C and n, Section 4).
 	Conc conc.Stats
 
+	// GhostCellsMax is the largest per-PE count of imported halo cells this
+	// step: the communication surface the shape analysis of Section 2.2
+	// predicts (internal/decomp.AnalyzeSurface).
+	GhostCellsMax int
+
 	// SentFrames, SentBytes and ResendCount are the cumulative transport
 	// traffic counters at this step: messages/bytes that crossed the
 	// transport boundary plus fault-layer resends. On the in-process
@@ -246,24 +243,13 @@ type Result struct {
 	// FaultEvents is the recorded fault log (only when the plan sets
 	// Record).
 	FaultEvents []trace.FaultEvent
-	// M is the derived square-pillar cross-section size.
+	// M is the derived square-pillar cross-section size (0 under
+	// Config.Decomp).
 	M int
 }
 
 // guardOn reports whether the runtime physics guards are armed.
 func (cfg *Config) guardOn() bool { return cfg.Guard != nil && !cfg.Guard.Disabled }
-
-// normalize resolves the deprecated DLB/DLBHysteresis/DLBPick switches into
-// the pluggable Balancer, so both configuration styles drive the identical
-// engine path (which is what keeps legacy WithDLB traces bit-identical to
-// WithBalancer(PermanentCell) ones). An explicit Balancer wins; the legacy
-// mirror flag is kept in sync for code that still reads it.
-func (cfg *Config) normalize() {
-	if cfg.Balancer == nil && cfg.DLB {
-		cfg.Balancer = balance.PermanentCell{Hysteresis: cfg.DLBHysteresis, Pick: cfg.DLBPick}
-	}
-	cfg.DLB = cfg.Balancer != nil
-}
 
 // BalancerName returns the active strategy's name, "none" for static DDM.
 func (cfg *Config) BalancerName() string {
@@ -318,16 +304,26 @@ func (cfg *Config) validate() error {
 	if cfg.Shards < 0 {
 		return fmt.Errorf("core: Shards must be >= 0, got %d", cfg.Shards)
 	}
-	if cfg.DLBHysteresis < 0 {
-		return fmt.Errorf("core: DLBHysteresis must be >= 0, got %g", cfg.DLBHysteresis)
-	}
-	layout, err := cfg.Layout()
-	if err != nil {
-		return err
-	}
-	if cfg.Balancer != nil {
-		if err := cfg.Balancer.Validate(layout); err != nil {
-			return fmt.Errorf("core: %w", err)
+	if d := cfg.Decomp; d != nil {
+		if cfg.Balancer != nil {
+			return fmt.Errorf("core: a static decomposition takes no balancer (got %q)", cfg.Balancer.Name())
+		}
+		if cfg.Verify {
+			return fmt.Errorf("core: Verify checks the column ledger, which a static decomposition does not have")
+		}
+		if d.P != cfg.P || d.Grid != cfg.Grid {
+			return fmt.Errorf("core: decomposition is over P=%d and a %dx%dx%d grid, config over P=%d and %dx%dx%d",
+				d.P, d.Grid.Nx, d.Grid.Ny, d.Grid.Nz, cfg.P, cfg.Grid.Nx, cfg.Grid.Ny, cfg.Grid.Nz)
+		}
+	} else {
+		layout, err := cfg.Layout()
+		if err != nil {
+			return err
+		}
+		if cfg.Balancer != nil {
+			if err := cfg.Balancer.Validate(layout); err != nil {
+				return fmt.Errorf("core: %w", err)
+			}
 		}
 	}
 	if cfg.Restore != nil {
@@ -369,66 +365,16 @@ func restoreHosts(layout dlb.Layout, st *checkpoint.EngineState) (map[int]int, e
 }
 
 // Run executes steps time steps of the configured parallel simulation on
-// the given system and returns the per-step statistics and final state.
-// The input system is not modified.
+// the given system and returns the per-step statistics and final state: one
+// Engine batch, torn down on failure. The input system is not modified.
 func Run(cfg Config, sys workload.System, steps int) (*Result, error) {
-	cfg.normalize()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Ext == nil {
-		cfg.Ext = potential.NoField{}
-	}
-	if cfg.StatsEvery <= 0 {
-		cfg.StatsEvery = 1
-	}
-	layout, err := cfg.Layout()
+	e, err := NewEngine(cfg, sys)
 	if err != nil {
 		return nil, err
 	}
-	var opts []comm.Option
-	if cfg.InboxCap > 0 {
-		opts = append(opts, comm.WithInboxCapacity(cfg.InboxCap))
-	}
-	if cfg.Faults != nil {
-		opts = append(opts, comm.WithFaults(*cfg.Faults))
-	}
-	if cfg.Watchdog > 0 {
-		opts = append(opts, comm.WithTracking())
-	}
-	world, err := comm.NewWorld(cfg.P, opts...)
-	if err != nil {
+	if err := e.Step(steps); err != nil {
+		e.Finish() // best-effort release of the ranks; the Step error is the outcome
 		return nil, err
 	}
-
-	hosts, err := restoreHosts(layout, cfg.Restore)
-	if err != nil {
-		return nil, err
-	}
-
-	// Internal protocol violations and guard violations panic inside the
-	// PE goroutines; the trap converts them into typed errors instead of
-	// taking down the process. On a failure the surviving ranks are
-	// abandoned wherever they block, the MPI_Abort analogue.
-	res := &Result{M: layout.M}
-	trap := supervise.NewTrap()
-	runDone := make(chan struct{})
-	go func() {
-		defer close(runDone)
-		world.Run(func(c *comm.Comm) {
-			defer trap.Catch(c.Rank())
-			newPE(c, &cfg, layout, sys, hosts).run(steps, res)
-		})
-	}()
-	if err := awaitBatch(world, cfg.Watchdog, runDone, trap); err != nil {
-		return nil, err
-	}
-	res.CommMsgs, res.CommBytes = world.Stats()
-	res.Faults = world.FaultStats()
-	res.FaultEvents = world.FaultEvents()
-	if cfg.Restore != nil {
-		res.CommMsgs += cfg.Restore.CommMsgs
-		res.CommBytes += cfg.Restore.CommBytes
-	}
-	return res, nil
+	return e.Finish()
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"permcell/internal/balance"
 	"permcell/internal/mdserial"
 	"permcell/internal/potential"
 	"permcell/internal/space"
@@ -124,8 +125,7 @@ func TestParallelMatchesSerialWithDLB(t *testing.T) {
 	ser := serialRun(t, sys, g, steps)
 
 	cfg := baseConfig(g, 9)
-	cfg.DLB = true
-	cfg.DLBHysteresis = 0 // maximum movement
+	cfg.Balancer = balance.PermanentCell{}
 	res, err := Run(cfg, sys, steps)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestDLBMovesColumnsUnderImbalance(t *testing.T) {
 	}
 	g, _ := space.NewGridWithDims(sys.Box, nc, nc, nc)
 	cfg := baseConfig(g, 9)
-	cfg.DLB = true
+	cfg.Balancer = balance.PermanentCell{}
 	cfg.Ext = potential.HarmonicWell{Center: sys.Box.L.Scale(0.5), K: 1, L: sys.Box.L}
 	res, err := Run(cfg, sys, 30)
 	if err != nil {
@@ -176,7 +176,7 @@ func TestDLBMovesColumnsUnderImbalance(t *testing.T) {
 func TestParticleConservationLongRun(t *testing.T) {
 	sys, g := testSystem(t, 6, 0.256, 24)
 	cfg := baseConfig(g, 9)
-	cfg.DLB = true
+	cfg.Balancer = balance.PermanentCell{}
 	cfg.Ext = potential.HarmonicWell{Center: sys.Box.L.Scale(0.5), K: 0.5, L: sys.Box.L}
 	res, err := Run(cfg, sys, 200)
 	if err != nil {
@@ -198,7 +198,7 @@ func TestParticleConservationLongRun(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	sys, g := testSystem(t, 4, 0.256, 25)
 	cfg := baseConfig(g, 4)
-	cfg.DLB = true
+	cfg.Balancer = balance.PermanentCell{}
 	r1, err := Run(cfg, sys, 20)
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +308,7 @@ func TestCommStatsRecorded(t *testing.T) {
 func TestDLBEveryInterval(t *testing.T) {
 	sys, g := testSystem(t, 6, 0.4, 32)
 	cfg := baseConfig(g, 9)
-	cfg.DLB = true
+	cfg.Balancer = balance.PermanentCell{}
 	cfg.DLBEvery = 5
 	res, err := Run(cfg, sys, 12)
 	if err != nil {
@@ -330,7 +330,7 @@ func TestWallTimeMetricRuns(t *testing.T) {
 	// and conserve particles.
 	sys, g := testSystem(t, 6, 0.4, 33)
 	cfg := baseConfig(g, 9)
-	cfg.DLB = true
+	cfg.Balancer = balance.PermanentCell{}
 	cfg.Metric = WallTime
 	res, err := Run(cfg, sys, 30)
 	if err != nil {
@@ -349,7 +349,7 @@ func TestLargerTorus(t *testing.T) {
 	// whole torus, unlike the P=4/P=9 cases.
 	sys, g := testSystem(t, 8, 0.3, 34)
 	cfg := baseConfig(g, 16)
-	cfg.DLB = true
+	cfg.Balancer = balance.PermanentCell{}
 	cfg.Ext = potential.HarmonicWell{Center: sys.Box.L.Scale(0.5), K: 1, L: sys.Box.L}
 	res, err := Run(cfg, sys, 60)
 	if err != nil {
@@ -384,7 +384,7 @@ func TestHeadlineDLBBeatsDDM(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgDLB := cfgDDM
-	cfgDLB.DLB = true
+	cfgDLB.Balancer = balance.PermanentCell{}
 	resDLB, err := Run(cfgDLB, mk(), 100)
 	if err != nil {
 		t.Fatal(err)

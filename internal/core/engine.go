@@ -6,29 +6,36 @@ import (
 
 	"permcell/internal/checkpoint"
 	"permcell/internal/comm"
+	"permcell/internal/dlb"
 	"permcell/internal/potential"
 	"permcell/internal/supervise"
 	"permcell/internal/workload"
 )
 
-// Engine is the stepwise form of Run: the PE goroutines are spawned once
-// and then advanced in caller-controlled batches, so a driver can stream
-// statistics, checkpoint, or stop early. The physics is identical to Run —
-// the same per-PE loop body executes, commanded over per-rank channels
-// instead of a fixed step count — so a given Config, system and total step
-// count produce bit-identical results either way.
+// Engine drives one block of PE ranks through the step loop: the rank
+// goroutines are spawned once and then advanced in caller-controlled
+// batches over per-rank command channels, so a driver can stream
+// statistics, checkpoint, or stop early. NewEngine hosts every rank
+// in-process; NewPartial hosts one worker process's share of a
+// multi-process run, with messages to the other blocks flowing through a
+// comm.Remote and messages from them fed in with World().Inject. Every rank
+// of every block receives the same command sequence, so the collectives
+// inside a batch stay aligned and a split run reproduces the all-ranks run
+// bit for bit.
 //
-// An Engine is not safe for concurrent use. Finish must be called exactly
-// once to release the PE goroutines, even when abandoning the run early.
+// An Engine is not safe for concurrent use. Finish must be called to
+// release the PE goroutines, even when abandoning the run early.
 type Engine struct {
 	cfg     Config
 	world   *comm.World
 	res     *Result
-	cmd     []chan int
+	local   []int      // ranks hosted by this block, ascending
+	cmd     []chan int // per-rank command channels (nil for ranks hosted elsewhere)
 	ack     chan struct{}
 	runDone chan struct{}
-	batch   chan struct{} // in-flight batch completion (kept for salvage)
+	batch   chan struct{} // in-flight command completion (kept for salvage)
 	stepped int
+	taken   int // stats records already handed out by TakeStats
 	err     error
 	done    bool
 	finRes  *Result
@@ -48,11 +55,23 @@ type Engine struct {
 	baseMsgs, baseBytes int64
 }
 
-// NewEngine validates cfg, distributes sys and starts the PE goroutines.
-// They compute the step-0 forces and then idle awaiting the first Step.
-// The input system is not modified.
+// NewEngine validates cfg, distributes sys and starts the PE goroutines of
+// all P ranks. They compute the step-0 forces and then idle awaiting the
+// first Step. The input system is not modified.
 func NewEngine(cfg Config, sys workload.System) (*Engine, error) {
-	cfg.normalize()
+	return newEngine(cfg, sys, nil, nil)
+}
+
+// NewPartial is NewEngine for one worker process's rank block: only the
+// local ranks are spawned, over a partial comm world whose other ranks are
+// reached through remote. The step-0 force computation already communicates
+// across blocks. Final is gathered on the block hosting rank 0, which is
+// also the only block whose TakeStats returns records.
+func NewPartial(cfg Config, sys workload.System, local []int, remote comm.Remote) (*Engine, error) {
+	return newEngine(cfg, sys, local, remote)
+}
+
+func newEngine(cfg Config, sys workload.System, local []int, remote comm.Remote) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -62,9 +81,16 @@ func NewEngine(cfg Config, sys workload.System) (*Engine, error) {
 	if cfg.StatsEvery <= 0 {
 		cfg.StatsEvery = 1
 	}
-	layout, err := cfg.Layout()
-	if err != nil {
-		return nil, err
+	var layout dlb.Layout
+	var hosts map[int]int
+	if cfg.Decomp == nil {
+		var err error
+		if layout, err = cfg.Layout(); err != nil {
+			return nil, err
+		}
+		if hosts, err = restoreHosts(layout, cfg.Restore); err != nil {
+			return nil, err
+		}
 	}
 	var opts []comm.Option
 	if cfg.InboxCap > 0 {
@@ -74,26 +100,29 @@ func NewEngine(cfg Config, sys workload.System) (*Engine, error) {
 		opts = append(opts, comm.WithFaults(*cfg.Faults))
 	}
 	if cfg.Watchdog > 0 {
-		// Batch-scoped watching: the whole-run watchdog of Run would see
-		// the idle gaps between Step calls as stalls.
+		// Command-scoped watching: a whole-run watchdog would see the idle
+		// gaps between commands as stalls.
 		opts = append(opts, comm.WithTracking())
 	}
-	world, err := comm.NewWorld(cfg.P, opts...)
+	var world *comm.World
+	var err error
+	if remote == nil {
+		world, err = comm.NewWorld(cfg.P, opts...)
+	} else {
+		world, err = comm.NewPartialWorld(cfg.P, local, remote, opts...)
+	}
 	if err != nil {
 		return nil, err
 	}
 
-	hosts, err := restoreHosts(layout, cfg.Restore)
-	if err != nil {
-		return nil, err
-	}
-
+	ranks := world.Local()
 	e := &Engine{
 		cfg:     cfg,
 		world:   world,
 		res:     &Result{M: layout.M},
+		local:   ranks,
 		cmd:     make([]chan int, cfg.P),
-		ack:     make(chan struct{}, cfg.P),
+		ack:     make(chan struct{}, len(ranks)),
 		runDone: make(chan struct{}),
 		trap:    supervise.NewTrap(),
 		snap:    make([]checkpoint.Frame, cfg.P),
@@ -103,9 +132,12 @@ func NewEngine(cfg Config, sys workload.System) (*Engine, error) {
 		e.baseMsgs = cfg.Restore.CommMsgs
 		e.baseBytes = cfg.Restore.CommBytes
 	}
-	for i := range e.cmd {
-		e.cmd[i] = make(chan int, 1)
+	for _, r := range e.local {
+		e.cmd[r] = make(chan int, 1)
 	}
+	// The step-0 force computation communicates, but nothing waits for it
+	// here: the PEs only touch cmd after init, so the first command queues
+	// behind it and its watch covers a hang there too.
 	go func() {
 		defer close(e.runDone)
 		world.Run(func(c *comm.Comm) {
@@ -113,13 +145,12 @@ func NewEngine(cfg Config, sys workload.System) (*Engine, error) {
 			newPE(c, &e.cfg, layout, sys, hosts).runStepwise(e.cmd[c.Rank()], e.ack, e.res, e.snap)
 		})
 	}()
-
-	// The step-0 force computation (init) involves communication; watch it
-	// like a batch so a hang there is reported, not waited out. The PEs
-	// signal readiness implicitly: they only touch cmd after init, so the
-	// first Step would queue behind it anyway. Nothing to wait for here.
 	return e, nil
 }
+
+// World exposes the comm world for message injection and traffic accounting
+// by the transport layer.
+func (e *Engine) World() *comm.World { return e.world }
 
 // awaitBatch waits for one batch of PE work under both failure detectors:
 // the comm watchdog (timeout without progress) and the panic trap (a rank
@@ -142,38 +173,33 @@ func awaitBatch(w *comm.World, timeout time.Duration, done <-chan struct{}, trap
 	return err
 }
 
-// Step advances the simulation by n time steps and blocks until every PE
-// has completed the batch. Under a positive cfg.Watchdog a communication
-// stall inside the batch returns a *DeadlockError instead of hanging; a PE
-// panic or guard violation returns the typed *supervise.RankFailure /
-// *supervise.GuardViolation promptly. Either way the engine is then
-// unusable (its surviving ranks are left blocked, as after a real
-// deadlock); under a supervisor the run is rolled back to a checkpoint.
-func (e *Engine) Step(n int) error {
+// ready is the guard every Step and Snapshot passes (op names the caller): a
+// failed engine keeps returning its failure, a rank that died during init or
+// a prior command's tail fails fast instead of queueing commands to a dead
+// world, and a finished engine rejects.
+func (e *Engine) ready(op string) error {
 	if e.err != nil {
 		return e.err
 	}
 	if terr := e.trap.Err(); terr != nil {
-		// A rank died during init or a prior batch's tail: fail fast
-		// instead of queueing commands to a dead world.
 		e.err = terr
 		return terr
 	}
 	if e.done {
-		return fmt.Errorf("core: Step after Finish")
+		return fmt.Errorf("core: %s after Finish", op)
 	}
-	if n < 0 {
-		return fmt.Errorf("core: negative step count %d", n)
-	}
-	if n == 0 {
-		return nil
-	}
-	for _, ch := range e.cmd {
-		ch <- n
+	return nil
+}
+
+// command pushes v (a batch size or cmdSnapshot) to every local rank and
+// awaits their acks under the watchdog and the panic trap.
+func (e *Engine) command(v int) error {
+	for _, r := range e.local {
+		e.cmd[r] <- v
 	}
 	done := make(chan struct{})
 	go func() {
-		for range e.cmd {
+		for range e.local {
 			<-e.ack
 		}
 		close(done)
@@ -181,6 +207,29 @@ func (e *Engine) Step(n int) error {
 	e.batch = done
 	if err := awaitBatch(e.world, e.cfg.Watchdog, done, e.trap); err != nil {
 		e.err = err
+		return err
+	}
+	return nil
+}
+
+// Step advances the simulation by n time steps and blocks until every local
+// PE has completed the batch. Under a positive cfg.Watchdog a communication
+// stall inside the batch returns a *DeadlockError instead of hanging; a PE
+// panic or guard violation returns the typed *supervise.RankFailure /
+// *supervise.GuardViolation promptly. Either way the engine is then
+// unusable (its surviving ranks are left blocked, as after a real
+// deadlock); under a supervisor the run is rolled back to a checkpoint.
+func (e *Engine) Step(n int) error {
+	if err := e.ready("Step"); err != nil {
+		return err
+	}
+	if n < 0 {
+		return fmt.Errorf("core: negative step count %d", n)
+	}
+	if n == 0 {
+		return nil
+	}
+	if err := e.command(n); err != nil {
 		return err
 	}
 	e.stepped += n
@@ -195,36 +244,19 @@ func (e *Engine) Stepped() int { return e.stepped }
 // steps advanced this session.
 func (e *Engine) AbsStep() int { return e.base + e.stepped }
 
-// Snapshot takes a coordinated distributed snapshot at the current batch
-// boundary: every PE receives the snapshot command, asserts its own
+// SnapshotLocal captures the local ranks' checkpoint frames at the current
+// batch boundary: every PE receives the snapshot command, asserts its own
 // communication state is quiesced, serializes its shard — particle arrays
 // in live in-memory order plus its hosted-column set — and acknowledges;
-// the driver then asserts no message is in flight anywhere and assembles
-// the frames. The engine remains usable: Snapshot does not advance time
-// and a following Step continues exactly as if no snapshot was taken.
-func (e *Engine) Snapshot() (*checkpoint.EngineState, error) {
-	if e.err != nil {
-		return nil, e.err
+// the driver then asserts no message is in flight in any local inbox. The
+// engine remains usable: a snapshot does not advance time and a following
+// Step continues exactly as if none was taken. A multi-process coordinator
+// assembles the blocks' frame sets into one EngineState itself.
+func (e *Engine) SnapshotLocal() ([]checkpoint.Frame, error) {
+	if err := e.ready("Snapshot"); err != nil {
+		return nil, err
 	}
-	if terr := e.trap.Err(); terr != nil {
-		e.err = terr
-		return nil, terr
-	}
-	if e.done {
-		return nil, fmt.Errorf("core: Snapshot after Finish")
-	}
-	for _, ch := range e.cmd {
-		ch <- cmdSnapshot
-	}
-	done := make(chan struct{})
-	go func() {
-		for range e.cmd {
-			<-e.ack
-		}
-		close(done)
-	}()
-	if err := awaitBatch(e.world, e.cfg.Watchdog, done, e.trap); err != nil {
-		e.err = err
+	if err := e.command(cmdSnapshot); err != nil {
 		return nil, err
 	}
 	// All acks received: every PE passed its own quiesce check and wrote
@@ -233,14 +265,27 @@ func (e *Engine) Snapshot() (*checkpoint.EngineState, error) {
 	if err := e.world.Quiesced(); err != nil {
 		return nil, err
 	}
+	out := make([]checkpoint.Frame, len(e.local))
+	for i, r := range e.local {
+		out[i] = e.snap[r]
+	}
+	return out, nil
+}
+
+// Snapshot is SnapshotLocal for an all-ranks engine, assembled into the
+// coordinated distributed snapshot a restore starts from.
+func (e *Engine) Snapshot() (*checkpoint.EngineState, error) {
+	frames, err := e.SnapshotLocal()
+	if err != nil {
+		return nil, err
+	}
 	msgs, bytes := e.world.Stats()
 	st := &checkpoint.EngineState{
-		Step:      e.base + e.stepped,
-		Frames:    make([]checkpoint.Frame, len(e.snap)),
+		Step:      e.AbsStep(),
+		Frames:    frames,
 		CommMsgs:  e.baseMsgs + msgs,
 		CommBytes: e.baseBytes + bytes,
 	}
-	copy(st.Frames, e.snap)
 	if err := st.Validate(e.cfg.P); err != nil {
 		return nil, err
 	}
@@ -251,6 +296,16 @@ func (e *Engine) Snapshot() (*checkpoint.EngineState, error) {
 // cfg.DiscardStats is set). The slice is live: it must only be read
 // between Step calls, while the PEs are idle, and grows with each batch.
 func (e *Engine) Stats() []StepStats { return e.res.Stats }
+
+// TakeStats returns a copy of the step records appended since the last
+// call. Only the block hosting rank 0 ever returns records (rank 0 folds
+// the census); a multi-process coordinator stitches them into the global
+// trace.
+func (e *Engine) TakeStats() []StepStats {
+	out := append([]StepStats(nil), e.res.Stats[e.taken:]...)
+	e.taken = len(e.res.Stats)
+	return out
+}
 
 // Finish releases the PE goroutines, gathers the final global state and
 // returns the completed Result. Finish is idempotent: repeated calls return
@@ -295,8 +350,8 @@ func (e *Engine) finish() (*Result, error) {
 			}
 		}
 	}
-	for _, ch := range e.cmd {
-		ch <- cmdFinish
+	for _, r := range e.local {
+		e.cmd[r] <- cmdFinish
 	}
 	if werr := e.world.WatchSection(watch, e.runDone); werr != nil {
 		if e.err != nil {

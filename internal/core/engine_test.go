@@ -3,63 +3,68 @@ package core
 import (
 	"testing"
 	"time"
+
+	"permcell/internal/balance"
 )
 
-// TestEngineMatchesRun drives the stepwise engine over uneven batches and
-// demands the exact Result that the one-shot Run produces for the same
-// total step count: bit-identical final state and per-step stats.
+// TestEngineMatchesRun drives every instantiation over uneven batches and
+// demands the exact Result that Run — all ranks in one block, one batch —
+// produces for the same configuration and total step count: bit-identical
+// final state and per-step stats. Batching and the dealing of ranks to
+// blocks change how the loop is commanded, never what it computes.
 func TestEngineMatchesRun(t *testing.T) {
-	sys, g := testSystem(t, 6, 0.4, 41)
-	cfg := baseConfig(g, 9)
-	cfg.DLB = true
-	const steps = 12
+	for _, in := range instantiations {
+		t.Run(in.name, func(t *testing.T) {
+			sys, g := testSystem(t, 4, 0.4, 41)
+			cfg := in.config(t, g)
+			if !in.static {
+				cfg.Balancer = balance.PermanentCell{}
+			}
+			const steps = 12
 
-	ref, err := Run(cfg, sys, steps)
-	if err != nil {
-		t.Fatal(err)
-	}
+			ref, err := Run(cfg, sys, steps)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	eng, err := NewEngine(cfg, sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, batch := range []int{1, 0, 4, 7} { // 12 total, with a no-op batch
-		if err := eng.Step(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if eng.Stepped() != steps {
-		t.Fatalf("Stepped() = %d, want %d", eng.Stepped(), steps)
-	}
-	res, err := eng.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
+			r := in.start(t, cfg, sys)
+			for _, batch := range []int{1, 0, 4, 7} { // 12 total, with a no-op batch
+				if err := r.Step(batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, e := range r.blocks {
+				if e.Stepped() != steps {
+					t.Fatalf("Stepped() = %d, want %d", e.Stepped(), steps)
+				}
+			}
+			res, err := r.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	if len(res.Stats) != len(ref.Stats) {
-		t.Fatalf("stats length %d vs %d", len(res.Stats), len(ref.Stats))
-	}
-	for i := range ref.Stats {
-		a, b := res.Stats[i], ref.Stats[i]
-		// Wall-clock fields are nondeterministic; everything else must be
-		// bit-identical.
-		if a.Step != b.Step || a.WorkMax != b.WorkMax || a.WorkAve != b.WorkAve ||
-			a.WorkMin != b.WorkMin || a.Moved != b.Moved ||
-			a.TotalEnergy != b.TotalEnergy || a.Temperature != b.Temperature ||
-			a.Conc != b.Conc {
-			t.Fatalf("step %d stats diverged: stepwise %+v vs run %+v", b.Step, a, b)
-		}
-	}
-	if res.Final.Len() != ref.Final.Len() {
-		t.Fatalf("N %d vs %d", res.Final.Len(), ref.Final.Len())
-	}
-	for i := range ref.Final.Pos {
-		if res.Final.Pos[i] != ref.Final.Pos[i] || res.Final.Vel[i] != ref.Final.Vel[i] {
-			t.Fatalf("particle %d state differs between stepwise and Run", ref.Final.ID[i])
-		}
-	}
-	if res.CommMsgs == 0 {
-		t.Error("no comm stats collected")
+			if len(res.Stats) != len(ref.Stats) {
+				t.Fatalf("stats length %d vs %d", len(res.Stats), len(ref.Stats))
+			}
+			for i := range ref.Stats {
+				// Wall-clock fields are nondeterministic; everything else
+				// must be bit-identical.
+				if a, b := res.Stats[i], ref.Stats[i]; !stepsEqualDeterministic(a, b) {
+					t.Fatalf("step %d stats diverged: stepwise %+v vs run %+v", b.Step, a, b)
+				}
+			}
+			if res.Final.Len() != ref.Final.Len() {
+				t.Fatalf("N %d vs %d", res.Final.Len(), ref.Final.Len())
+			}
+			for i := range ref.Final.Pos {
+				if res.Final.Pos[i] != ref.Final.Pos[i] || res.Final.Vel[i] != ref.Final.Vel[i] {
+					t.Fatalf("particle %d state differs between stepwise and Run", ref.Final.ID[i])
+				}
+			}
+			if res.CommMsgs == 0 {
+				t.Error("no comm stats collected")
+			}
+		})
 	}
 }
 

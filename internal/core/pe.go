@@ -54,6 +54,7 @@ type peRecord struct {
 	Empty      int
 	Moved      int
 	MovedBytes int64
+	Ghosts     int // imported halo cells
 	PotE       float64
 	KinE       float64
 	N          int
@@ -64,16 +65,17 @@ type peRecord struct {
 type pe struct {
 	c      *comm.Comm
 	cfg    *Config
-	layout dlb.Layout
-	lg     *dlb.Ledger
+	layout dlb.Layout      // zero under cfg.Decomp
+	own    ownership       // which rank hosts which cell
+	lg     *dlb.Ledger     // the ledger behind own; nil under cfg.Decomp
 	dec    balance.Decider // nil when no balancer is configured
 	nbs    []int           // unique neighbor ranks, ascending
 
 	set    particle.Set
 	cl     *kernel.CellLists // flat cell lists + force kernel scratch
-	dirty  bool              // hosted column set changed; refresh cl topology
+	dirty  bool              // hosted cell set changed; refresh cl topology
 	cells  []int             // scratch for the hosted cell list
-	colPop map[int]int       // hosted column -> particle count
+	colPop map[int]int       // hosted column -> particle count (balancer runs only)
 
 	lastWork   float64 // pair evaluations of last force computation
 	lastWall   float64 // wall seconds of last force computation
@@ -104,12 +106,13 @@ func (p *pe) send(ph metrics.Phase, dst, tag int, data any, size int64) {
 	p.tm.Count(ph, 1, size)
 }
 
-// newPE builds one PE. With a nil hosts map the particles come from the
-// initial distribution of sys (each PE takes its own columns); with a
-// restore in cfg, hosts is the pre-validated global column→host map and the
-// PE instead takes its checkpoint frame's particles in their recorded order
-// — array order drives force summation order, so preserving it is what
-// makes the resumed trajectory bit-identical.
+// newPE builds one PE. Ownership is the fixed cfg.Decomp when set, else
+// this rank's column ledger — fresh, or rebuilt from hosts, the pre-validated
+// global column→host map of a restore. The particles come from the initial
+// distribution of sys (each PE takes those in its own cells) or, with a
+// restore in cfg, from the PE's checkpoint frame in their recorded order —
+// array order drives force summation order, so preserving it is what makes
+// the resumed trajectory bit-identical.
 func newPE(c *comm.Comm, cfg *Config, layout dlb.Layout, sys workload.System, hosts map[int]int) *pe {
 	p := &pe{
 		c:      c,
@@ -117,39 +120,44 @@ func newPE(c *comm.Comm, cfg *Config, layout dlb.Layout, sys workload.System, ho
 		layout: layout,
 		cl:     kernel.NewCellLists(cfg.Grid, cfg.Shards),
 		dirty:  true,
-		colPop: make(map[int]int),
 	}
-	p.nbs = append(p.nbs, layout.T.UniqueNeighbors(c.Rank())...)
-	sort.Ints(p.nbs)
 	if cfg.Metrics {
 		p.tm = &metrics.Timer{}
 	}
 	if cfg.Balancer != nil {
 		p.dec = cfg.Balancer.NewDecider(layout, c.Rank())
+		p.colPop = make(map[int]int)
 	}
-
-	if cfg.Restore != nil {
-		p.step0 = cfg.Restore.Step
+	if cfg.Decomp != nil {
+		p.own = fixedOwner{d: cfg.Decomp, rank: c.Rank()}
+	} else {
 		lg, err := dlb.RestoreLedger(layout, c.Rank(), hosts)
 		if err != nil {
 			// Pre-validated by restoreHosts; reaching this is an engine bug.
 			panic(fmt.Sprintf("core: rank %d: %v", c.Rank(), err))
 		}
 		p.lg = lg
+		p.own = &ledgerOwner{g: cfg.Grid, lg: lg}
+	}
+	p.nbs = p.own.neighbors()
+
+	if cfg.Restore != nil {
+		p.step0 = cfg.Restore.Step
 		fr := &cfg.Restore.Frames[c.Rank()]
 		for i := range fr.ID {
 			p.set.Add(fr.ID[i], fr.Pos[i], fr.Vel[i])
 		}
 		return p
 	}
-
-	p.lg = dlb.NewLedger(layout, c.Rank())
-	// Initial distribution: each PE takes the particles in its own columns.
-	// The shared input system is only read, never written.
+	// Initial distribution: each PE takes the particles in the cells it
+	// hosts. The shared input system is only read, never written.
 	g := cfg.Grid
+	hosted := make([]bool, g.NumCells())
+	for _, cell := range p.own.hostedCells(nil) {
+		hosted[cell] = true
+	}
 	for i := range sys.Set.Pos {
-		col := g.ColumnOf(g.CellOf(sys.Set.Pos[i]))
-		if layout.OwnerOf(col) == c.Rank() {
+		if hosted[g.CellOf(sys.Set.Pos[i])] {
 			p.set.Add(sys.Set.ID[i], sys.Set.Pos[i], sys.Set.Vel[i])
 		}
 	}
@@ -221,23 +229,12 @@ func (p *pe) oneStep(step int, res *Result) {
 	}
 }
 
-// run executes the whole simulation on this PE. Step numbering continues
-// from the restore point (step0 = 0 on a fresh start).
-func (p *pe) run(steps int, res *Result) {
-	defer p.cl.Close()
-	p.init()
-	for i := 1; i <= steps; i++ {
-		p.oneStep(p.step0+i, res)
-	}
-	p.gatherFinal(res)
-}
-
 // runStepwise executes the simulation in driver-commanded batches: each
 // value received on cmd is a batch size to advance by (cmdFinish ends the
 // run, cmdSnapshot serializes this PE's shard into snap); after each
 // command the PE reports on ack and goes idle. All ranks receive the same
-// command sequence, so the collectives inside a batch stay aligned exactly
-// as in run.
+// command sequence, so the collectives inside a batch stay aligned. Step
+// numbering continues from the restore point (step0 = 0 on a fresh start).
 func (p *pe) runStepwise(cmd <-chan int, ack chan<- struct{}, res *Result, snap []checkpoint.Frame) {
 	defer p.cl.Close()
 	p.init()
@@ -274,7 +271,11 @@ func (p *pe) snapshot(snap []checkpoint.Frame) {
 	if err := p.c.Quiesced(); err != nil {
 		panic(fmt.Sprintf("core: rank %d snapshot: %v", p.c.Rank(), err))
 	}
-	checkpoint.CaptureFrame(&snap[p.c.Rank()], p.c.Rank(), &p.set, p.lg.HostedColumns())
+	var cols []int // ownership under cfg.Decomp is static: nothing to record
+	if p.lg != nil {
+		cols = p.lg.HostedColumns()
+	}
+	checkpoint.CaptureFrame(&snap[p.c.Rank()], p.c.Rank(), &p.set, cols)
 }
 
 // verifyStep asserts the DESIGN.md section 6 protocol invariants at the end
@@ -498,14 +499,14 @@ func (s byID) Swap(a, b int) {
 
 // migrate sends particles whose cell is hosted by another PE to that host.
 // One drift moves a particle at most into a neighboring cell, whose host is
-// always within the 8-neighborhood (the permanent-cell closure invariant);
-// anything farther means the time step is too large for the cell size.
+// always a neighbor rank (on the ledger path, the permanent-cell closure
+// invariant); anything farther means the time step is too large for the cell
+// size.
 func (p *pe) migrate() {
 	g := p.cfg.Grid
 	out := make(map[int][]particle.One)
 	for i := 0; i < p.set.Len(); {
-		col := g.ColumnOf(g.CellOf(p.set.Pos[i]))
-		host, err := p.lg.HostOf(col)
+		host, err := p.own.hostOf(g.CellOf(p.set.Pos[i]))
 		if err != nil {
 			panic(fmt.Sprintf("core: rank %d migrate: %v (time step too large for cell size?)", p.c.Rank(), err))
 		}
@@ -532,16 +533,13 @@ func (p *pe) migrate() {
 	}
 }
 
-// rebuild re-bins the particles into the flat cell lists and recomputes the
-// per-column census; the cell-list topology (hosted set, stencils, ghost
+// rebuild re-bins the particles into the flat cell lists and, for the
+// balancer, recomputes the per-column census; the cell-list topology (hosted set, stencils, ghost
 // slots) is only rebuilt when a DLB transfer changed the hosted columns.
 func (p *pe) rebuild() {
 	g := p.cfg.Grid
 	if p.dirty {
-		p.cells = p.cells[:0]
-		for _, col := range p.lg.HostedColumns() {
-			p.cells = g.CellsInColumn(col, p.cells)
-		}
+		p.cells = p.own.hostedCells(p.cells[:0])
 		p.cl.SetHosted(p.cells)
 		p.dirty = false
 	}
@@ -549,9 +547,11 @@ func (p *pe) rebuild() {
 		panic(fmt.Sprintf("core: rank %d holds particle %d in unhosted cell %d",
 			p.c.Rank(), p.set.ID[bad], g.CellOf(p.set.Pos[bad])))
 	}
-	clear(p.colPop)
-	for s := 0; s < p.cl.NumHosted(); s++ {
-		p.colPop[g.ColumnOf(p.cl.SlotCell(s))] += p.cl.SlotLen(s)
+	if p.dec != nil {
+		clear(p.colPop)
+		for s := 0; s < p.cl.NumHosted(); s++ {
+			p.colPop[g.ColumnOf(p.cl.SlotCell(s))] += p.cl.SlotLen(s)
+		}
 	}
 }
 
@@ -560,10 +560,9 @@ func (p *pe) rebuild() {
 // and one response message per neighbor) and stages them into the kernel's
 // ghost arena.
 func (p *pe) haloExchange() {
-	g := p.cfg.Grid
 	need := make(map[int][]int) // host -> cells (ascending: ghost list order)
 	for _, nc := range p.cl.GhostCells() {
-		host, err := p.lg.HostOf(g.ColumnOf(nc))
+		host, err := p.own.hostOf(nc)
 		if err != nil {
 			panic(fmt.Sprintf("core: rank %d halo: %v", p.c.Rank(), err))
 		}
@@ -649,6 +648,7 @@ func (p *pe) collectStats(step int, stepWall float64, res *Result) {
 		Empty:      empty,
 		Moved:      p.moved,
 		MovedBytes: p.movedBytes,
+		Ghosts:     len(p.cl.GhostCells()),
 		PotE:       p.potE,
 		KinE:       p.set.KineticEnergy(),
 		N:          p.set.Len(),
@@ -677,6 +677,7 @@ func (p *pe) collectStats(step int, stepWall float64, res *Result) {
 		st.StepWallAve += r.Step
 		st.Moved += r.Moved
 		st.MovedBytes += r.MovedBytes
+		st.GhostCellsMax = max(st.GhostCellsMax, r.Ghosts)
 		st.TotalEnergy += r.PotE + r.KinE
 		totalN += r.N
 		pes[i] = conc.PE{Cells: r.Cells, Empty: r.Empty}

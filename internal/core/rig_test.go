@@ -1,0 +1,169 @@
+package core
+
+import (
+	"errors"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"permcell/internal/checkpoint"
+	"permcell/internal/comm"
+	"permcell/internal/decomp"
+	"permcell/internal/space"
+	"permcell/internal/workload"
+)
+
+// instantiation is one way of standing the step runtime up. The lifecycle,
+// sabotage and batching tests run once over every entry: the runtime is one
+// loop, so its contract may not depend on which ownership map it steps over
+// or on how its ranks are dealt to blocks.
+type instantiation struct {
+	name string
+	p    int
+	// split > 0 deals the ranks to two blocks, [0,split) and [split,p),
+	// joined by in-memory remotes.
+	split int
+	// static selects a fixed decomposition of the given shape instead of
+	// the column ledger.
+	static bool
+	shape  decomp.Shape
+}
+
+var instantiations = []instantiation{
+	{name: "all-ranks", p: 4},
+	{name: "split", p: 4, split: 2},
+	{name: "plane", p: 4, static: true, shape: decomp.Plane},
+	{name: "pillar", p: 4, static: true, shape: decomp.SquarePillar},
+	{name: "cube", p: 8, static: true, shape: decomp.Cube},
+}
+
+// config returns the instantiation's engine configuration over g.
+func (in instantiation) config(t *testing.T, g space.Grid) Config {
+	t.Helper()
+	cfg := baseConfig(g, in.p)
+	if in.static {
+		d, err := decomp.New(in.shape, g, in.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Decomp = d
+	}
+	return cfg
+}
+
+// memRemote bridges two rank blocks in memory: everything delivered to it
+// is injected into the peer block's world. The PEs already exchange halos
+// while the second block is still being constructed, so delivery waits for
+// the peer to be attached.
+type memRemote struct {
+	attached chan struct{}
+	mu       sync.Mutex
+	peer     *comm.World
+	frames   atomic.Int64
+}
+
+func (r *memRemote) Deliver(src, dst, tag int, data any, size int64) error {
+	<-r.attached
+	r.frames.Add(1)
+	// Serialize concurrent senders like a connection write mutex would.
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.peer.Inject(src, dst, tag, data, size)
+}
+
+func (r *memRemote) Stats() (frames, bytes int64) { return r.frames.Load(), 0 }
+
+// rig drives the blocks of one instantiation in lockstep, as the distrib
+// coordinator drives its workers.
+type rig struct{ blocks []*Engine }
+
+// start stands the instantiation up on sys.
+func (in instantiation) start(t *testing.T, cfg Config, sys workload.System) *rig {
+	t.Helper()
+	if in.split == 0 {
+		e, err := NewEngine(cfg, sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &rig{blocks: []*Engine{e}}
+	}
+	var lo, hi []int
+	for r := 0; r < in.p; r++ {
+		if r < in.split {
+			lo = append(lo, r)
+		} else {
+			hi = append(hi, r)
+		}
+	}
+	ra, rb := &memRemote{attached: make(chan struct{})}, &memRemote{attached: make(chan struct{})}
+	a, err := NewPartial(cfg, sys, lo, ra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewPartial(cfg, sys, hi, rb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ra.peer, rb.peer = b.World(), a.World()
+	close(ra.attached)
+	close(rb.attached)
+	return &rig{blocks: []*Engine{a, b}}
+}
+
+// each runs fn on every block concurrently — the blocks of a split run wait
+// on each other inside a command — and joins their errors.
+func (r *rig) each(fn func(i int, e *Engine) error) error {
+	errs := make([]error, len(r.blocks))
+	var wg sync.WaitGroup
+	for i, e := range r.blocks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i, e)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+func (r *rig) Step(n int) error {
+	return r.each(func(_ int, e *Engine) error { return e.Step(n) })
+}
+
+// Snapshot assembles the blocks' frames into one state in rank order.
+func (r *rig) Snapshot() (*checkpoint.EngineState, error) {
+	if len(r.blocks) == 1 {
+		return r.blocks[0].Snapshot()
+	}
+	parts := make([][]checkpoint.Frame, len(r.blocks))
+	err := r.each(func(i int, e *Engine) (err error) {
+		parts[i], err = e.SnapshotLocal()
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	st := &checkpoint.EngineState{Step: r.blocks[0].AbsStep()}
+	for i, e := range r.blocks {
+		st.Frames = append(st.Frames, parts[i]...)
+		msgs, bytes := e.World().Stats()
+		st.CommMsgs += msgs
+		st.CommBytes += bytes
+	}
+	sort.Slice(st.Frames, func(a, b int) bool { return st.Frames[a].Rank < st.Frames[b].Rank })
+	return st, nil
+}
+
+// Stats returns the records of the block hosting rank 0.
+func (r *rig) Stats() []StepStats { return r.blocks[0].Stats() }
+
+// Finish finishes every block and returns the rank-0 block's Result.
+func (r *rig) Finish() (*Result, error) {
+	results := make([]*Result, len(r.blocks))
+	err := r.each(func(i int, e *Engine) (err error) {
+		results[i], err = e.Finish()
+		return err
+	})
+	return results[0], err
+}

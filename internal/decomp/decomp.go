@@ -44,6 +44,20 @@ type Decomposition struct {
 	owner []int // cell -> rank
 }
 
+// New builds the decomposition of the given shape over grid g and p PEs.
+func New(shape Shape, g space.Grid, p int) (*Decomposition, error) {
+	switch shape {
+	case Plane:
+		return NewPlane(g, p)
+	case SquarePillar:
+		return NewSquarePillar(g, p)
+	case Cube:
+		return NewCube(g, p)
+	default:
+		return nil, fmt.Errorf("decomp: unknown shape %v", shape)
+	}
+}
+
 // NewPlane slices the grid into P slabs along x; PEs form a virtual ring.
 // Grid.Nx must be divisible by P.
 func NewPlane(g space.Grid, p int) (*Decomposition, error) {

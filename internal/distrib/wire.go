@@ -2,7 +2,7 @@
 // coordinator (inside mdrun, or any facade caller using the tcp
 // transport) listens on loopback TCP, spawns worker processes
 // (cmd/mdrank) or goroutine-hosted workers, deals each a contiguous
-// block of ranks, and drives their core.Partial engines in lockstep over
+// block of ranks, and drives their core.NewPartial engines in lockstep over
 // the stepwise protocol. Rank-to-rank messages travel as length-prefixed
 // gob frames (internal/transport) through a star topology: every worker
 // holds one connection to the coordinator, which forwards data frames by
@@ -45,7 +45,6 @@ type WireSpec struct {
 	Seed       uint64
 	WellK      float64
 	Wells      int
-	Hysteresis float64
 	StatsEvery int
 	Shards     int
 	Metrics    bool
@@ -88,9 +87,9 @@ func (s *WireSpec) buildConfig() (core.Config, workload.System, error) {
 		return core.Config{}, workload.System{}, fmt.Errorf("distrib: %w", err)
 	}
 	rs := experiments.RunSpec{
-		M: s.M, P: s.P, Rho: s.Rho, Balancer: b, DLB: b != nil,
+		M: s.M, P: s.P, Rho: s.Rho, Balancer: b,
 		Seed: s.Seed, Dt: s.Dt,
-		Wells: s.Wells, WellK: s.WellK, Hysteresis: s.Hysteresis,
+		Wells: s.Wells, WellK: s.WellK,
 		StatsEvery: s.StatsEvery, Shards: s.Shards, Metrics: s.Metrics,
 	}
 	cfg, sys, _, err := rs.Build()

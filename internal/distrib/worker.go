@@ -220,18 +220,18 @@ func RunWorkerWith(conn net.Conn, opts WorkerOptions) error {
 				ack := StepAck{
 					Proc:      spec.Proc,
 					Stats:     part.TakeStats(),
-					Transport: part.TransportStats(),
+					Transport: world.TransportStats(),
 					Failure:   wireFailure(serr),
 					Err:       errString(serr),
 				}
-				ack.Msgs, ack.Bytes = part.Stats()
+				ack.Msgs, ack.Bytes = world.Stats()
 				if err := sendAck(transport.KindStepAck, ack); err != nil {
 					return err
 				}
 			case transport.KindSnapshot:
 				frames, serr := part.SnapshotLocal()
 				ack := SnapAck{Proc: spec.Proc, Frames: frames, Err: errString(serr)}
-				ack.Msgs, ack.Bytes = part.Stats()
+				ack.Msgs, ack.Bytes = world.Stats()
 				if err := sendAck(transport.KindSnapAck, ack); err != nil {
 					return err
 				}
@@ -239,8 +239,10 @@ func RunWorkerWith(conn net.Conn, opts WorkerOptions) error {
 				res, ferr := part.Finish()
 				ack := ResultAck{Proc: spec.Proc, Err: errString(ferr)}
 				if res != nil {
+					// This block's own traffic: the coordinator owns the
+					// restored run's counter continuation.
 					ack.Final = res.Final
-					ack.Msgs, ack.Bytes = res.CommMsgs, res.CommBytes
+					ack.Msgs, ack.Bytes = world.Stats()
 					ack.Faults = res.Faults
 				}
 				if err := sendAck(transport.KindResultAck, ack); err != nil {
@@ -294,7 +296,7 @@ func fireChaos(c *WorkerChaos, conn net.Conn, peer *transport.Peer, hbPause *ato
 // remote must exist before NewPartial so the spawned PEs can send during
 // step-0 force construction; incoming frames buffer in the kernel until
 // the caller's reader goroutine starts draining, moments later.
-func newPartialFromSpec(spec *WireSpec, peer *transport.Peer) (*core.Partial, error) {
+func newPartialFromSpec(spec *WireSpec, peer *transport.Peer) (*core.Engine, error) {
 	cfg, sys, err := spec.buildConfig()
 	if err != nil {
 		return nil, err

@@ -18,7 +18,6 @@ import (
 
 	"permcell/internal/balance"
 	"permcell/internal/core"
-	"permcell/internal/dlb"
 	"permcell/internal/potential"
 	"permcell/internal/rng"
 	"permcell/internal/space"
@@ -35,9 +34,9 @@ type RunSpec struct {
 	M, P  int
 	Rho   float64
 	Steps int
-	// DLB selects the permanent-cell balancer (the paper's method);
-	// Balancer, when non-nil, selects an explicit strategy instead and
-	// wins over DLB.
+	// DLB selects the permanent-cell balancer (the paper's method) with
+	// the Hysteresis below; Balancer, when non-nil, selects an explicit
+	// strategy instead and wins over DLB.
 	DLB      bool
 	Balancer balance.Balancer
 	Seed     uint64
@@ -47,7 +46,8 @@ type RunSpec struct {
 	// Wells is the number of attractor sites scattered through the box
 	// (the droplet nuclei). 0 or 1 places a single central well.
 	Wells int
-	// Hysteresis is the DLB trigger threshold (relative load gap).
+	// Hysteresis is the DLB trigger threshold (relative load gap); it
+	// parameterizes the DLB switch only.
 	Hysteresis float64
 	// StatsEvery thins the per-step statistics (default 1).
 	StatsEvery int
@@ -113,20 +113,20 @@ func (s RunSpec) Build() (core.Config, workload.System, SysInfo, error) {
 		dt = 0.005
 	}
 	cfg := core.Config{
-		P:             s.P,
-		Grid:          grid,
-		Pair:          potential.NewPaperLJ(),
-		Dt:            dt,
-		Tref:          units.PaperTref,
-		RescaleEvery:  units.PaperRescaleInterval,
-		Balancer:      s.Balancer,
-		DLB:           s.DLB,
-		DLBHysteresis: s.Hysteresis,
-		DLBPick:       dlb.PickMostLoaded,
-		Metric:        core.WorkCount,
-		Shards:        s.Shards,
-		StatsEvery:    s.StatsEvery,
-		Metrics:       s.Metrics,
+		P:            s.P,
+		Grid:         grid,
+		Pair:         potential.NewPaperLJ(),
+		Dt:           dt,
+		Tref:         units.PaperTref,
+		RescaleEvery: units.PaperRescaleInterval,
+		Balancer:     s.Balancer,
+		Metric:       core.WorkCount,
+		Shards:       s.Shards,
+		StatsEvery:   s.StatsEvery,
+		Metrics:      s.Metrics,
+	}
+	if cfg.Balancer == nil && s.DLB {
+		cfg.Balancer = balance.PermanentCell{Hysteresis: s.Hysteresis}
 	}
 	if s.WellK > 0 {
 		if s.Wells <= 1 {

@@ -1,7 +1,7 @@
 // Package kernel holds the cell-list pair-force kernel shared by the MD
-// engines (internal/mdserial's serial engine, internal/core's DLB-capable
-// engine and internal/corestatic's static-shape engine). The kernel works
-// over flat, reusable CellLists scratch (see its type comment for the data
+// engines (internal/mdserial's serial engine and internal/core's parallel
+// engine, under every ownership map it steps over). The kernel works over
+// flat, reusable CellLists scratch (see its type comment for the data
 // layout and the determinism contract); the historical map-based kernel is
 // retained in kernel_map_test.go as a cross-check oracle only.
 //

@@ -1,11 +1,10 @@
 // Package supervise is the failure taxonomy and recovery policy shared by
-// the self-healing run layer: the parallel engines (internal/core,
-// internal/corestatic) convert PE crashes and physics-guard violations into
-// the typed errors defined here, and the facade supervisor
-// (permcell.WithSupervisor) consumes them to decide when to roll back to a
-// checkpoint and retry. The package is a leaf — it imports only the
-// standard library — so both engines and the comm substrate can use its
-// types without import cycles.
+// the self-healing run layer: the parallel engine (internal/core) converts
+// PE crashes and physics-guard violations into the typed errors defined
+// here, and the facade supervisor (permcell.WithSupervisor) consumes them to
+// decide when to roll back to a checkpoint and retry. The package is a leaf
+// — it imports only the standard library — so the engine and the comm
+// substrate can use its types without import cycles.
 package supervise
 
 import (

@@ -67,7 +67,7 @@ func CPrimeColumns(m int) int { return m*m + 3*(m-1)*(m-1) }
 func CPrimeCells(m, ncPerSide int) int { return CPrimeColumns(m) * ncPerSide }
 
 // FCube returns the cube-domain analogue of eq. 8, derived in this
-// repository as the paper's future-work extension (see internal/dlb3): with
+// repository as the paper's future-work extension: with
 // cube domains of m^3 cells on a 3-D torus, the permanent shell is the
 // three high faces, a PE can host at most Q = m^3 + 7(m-1)^3 cells, and the
 // same derivation yields

@@ -175,47 +175,6 @@ func (t Torus3D) Neighbors26(r int) []int {
 	return out
 }
 
-// Offset3 is a relative coordinate step on a 3-D torus.
-type Offset3 struct{ DI, DJ, DK int }
-
-// Offsets26 are the 26 neighbor offsets of a 3-D torus in scan order. The
-// cube-domain DLB protocol (internal/dlb3) partitions them:
-//
-//	Case 1 (may receive my movable cells):  all components <= 0  (7 offsets)
-//	Case 3 (may get their own cells back):  all components >= 0  (7 offsets)
-//	Case 2 (nothing can be exchanged):      mixed signs         (12 offsets)
-var (
-	Offsets26  []Offset3
-	UpLeft3    []Offset3
-	DownRight3 []Offset3
-)
-
-func init() {
-	for di := -1; di <= 1; di++ {
-		for dj := -1; dj <= 1; dj++ {
-			for dk := -1; dk <= 1; dk++ {
-				if di == 0 && dj == 0 && dk == 0 {
-					continue
-				}
-				o := Offset3{di, dj, dk}
-				Offsets26 = append(Offsets26, o)
-				if di <= 0 && dj <= 0 && dk <= 0 {
-					UpLeft3 = append(UpLeft3, o)
-				}
-				if di >= 0 && dj >= 0 && dk >= 0 {
-					DownRight3 = append(DownRight3, o)
-				}
-			}
-		}
-	}
-}
-
-// Shift returns the rank at offset (di, dj, dk) from r.
-func (t Torus3D) Shift(r, di, dj, dk int) int {
-	i, j, k := t.Coords(r)
-	return t.Rank(i+di, j+dj, k+dk)
-}
-
 func mod(a, n int) int {
 	a %= n
 	if a < 0 {

@@ -186,7 +186,6 @@ func buildOptions(opts []Option) Options {
 	if o.balancer == nil && o.dlb {
 		o.balancer = PermanentCell(PermanentCellConfig{Hysteresis: o.hysteresis})
 	}
-	o.dlb = o.balancer != nil
 	return o
 }
 

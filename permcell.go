@@ -6,49 +6,10 @@ package permcell
 // reaching into internal/.
 
 import (
-	"context"
-	"fmt"
-
 	"permcell/internal/core"
-	"permcell/internal/dlb"
-	"permcell/internal/experiments"
 	"permcell/internal/theory"
 	"permcell/internal/units"
 )
-
-// Sim describes one parallel MD simulation in the paper's coordinates.
-//
-// Deprecated: Sim is the original config-struct facade, kept as a thin
-// shim over the Options API. New code should call New or Run with Option
-// values; Sim.Run produces bit-identical results to the equivalent
-// Run(ctx, m, p, rho, steps, opts...) call.
-type Sim struct {
-	// M is the square-pillar cross-section size (columns per PE side),
-	// m >= 2.
-	M int
-	// P is the PE count; must be a perfect square >= 4. The cell grid has
-	// (M*sqrt(P))^3 cells of side r_c = 2.5 sigma.
-	P int
-	// Rho is the reduced density; N = Rho * volume.
-	Rho float64
-	// Steps is the number of velocity-Verlet time steps.
-	Steps int
-	// DLB enables permanent-cell dynamic load balancing (plain DDM
-	// otherwise).
-	DLB bool
-	// Seed makes the run reproducible.
-	Seed uint64
-	// Dt overrides the time step (0 = 0.005 reduced units; the paper's
-	// literal value is units.PaperTimeStep = 1e-4).
-	Dt float64
-	// Wells > 0 adds that many harmonic attractor sites to drive
-	// condensation quickly (0 = pure supercooled-gas physics).
-	Wells int
-	// WellK is the attractor strength (used when Wells > 0).
-	WellK float64
-	// Hysteresis is the DLB trigger threshold (relative load gap).
-	Hysteresis float64
-}
 
 // StepStats re-exports the per-step record (Tt, Fmax/Fave/Fmin, moves,
 // concentration state).
@@ -57,26 +18,6 @@ type StepStats = core.StepStats
 // Result re-exports the run outcome (per-step stats, final particle state,
 // message counts).
 type Result = core.Result
-
-// Run executes the simulation and returns its statistics and final state.
-func (s Sim) Run() (*Result, error) {
-	return Run(context.Background(), s.M, s.P, s.Rho, s.Steps, s.options()...)
-}
-
-// options translates the legacy struct fields to the Options API,
-// preserving the historical defaults (WellK 1.5 when wells are requested
-// without a strength).
-func (s Sim) options() []Option {
-	wellK := s.WellK
-	if s.Wells > 0 && wellK == 0 {
-		wellK = 1.5
-	}
-	opts := []Option{WithSeed(s.Seed), WithDt(s.Dt), WithHysteresis(s.Hysteresis), WithWells(s.Wells, wellK)}
-	if s.DLB {
-		opts = append(opts, WithDLB())
-	}
-	return opts
-}
 
 // Bound returns the paper's theoretical upper bound f(m, n) on the particle
 // concentration ratio C_0/C up to which permanent-cell DLB balances
@@ -87,23 +28,6 @@ func Bound(m int, n float64) (float64, error) { return theory.F(m, n) }
 // one PE can ever host.
 func MaxDomainColumns(m int) int { return theory.CPrimeColumns(m) }
 
-// PickStrategy selects which candidate column a PE hands over.
-//
-// Deprecated: the column-pick strategy is a parameter of the permanent-cell
-// balancer, not a global knob. Use the Pick alias and set it through
-// PermanentCellConfig.Pick on WithBalancer(PermanentCell(...)).
-type PickStrategy = dlb.Strategy
-
-// Column-pick strategies.
-//
-// Deprecated: set PermanentCellConfig.Pick instead; these constants remain
-// valid values for it.
-const (
-	PickMostLoaded  = dlb.PickMostLoaded
-	PickLeastLoaded = dlb.PickLeastLoaded
-	PickLowestIndex = dlb.PickLowestIndex
-)
-
 // Paper constants (Section 3.2) in reduced LJ units.
 const (
 	PaperTref            = units.PaperTref
@@ -112,14 +36,3 @@ const (
 	PaperTimeStep        = units.PaperTimeStep
 	PaperRescaleInterval = units.PaperRescaleInterval
 )
-
-// Validate reports configuration problems without running.
-func (s Sim) Validate() error {
-	spec := experiments.RunSpec{
-		M: s.M, P: s.P, Rho: s.Rho, Steps: s.Steps, Seed: s.Seed,
-	}
-	if _, _, _, err := spec.Build(); err != nil {
-		return fmt.Errorf("permcell: %w", err)
-	}
-	return nil
-}

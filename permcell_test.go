@@ -1,29 +1,32 @@
 package permcell_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"permcell"
 )
 
-func TestSimValidate(t *testing.T) {
-	if err := (permcell.Sim{M: 2, P: 4, Rho: 0.256, Steps: 1}).Validate(); err != nil {
-		t.Errorf("valid sim rejected: %v", err)
+func TestNewValidatesCoordinates(t *testing.T) {
+	eng, err := permcell.New(2, 4, 0.256)
+	if err != nil {
+		t.Fatalf("valid coordinates rejected: %v", err)
 	}
-	if err := (permcell.Sim{M: 2, P: 5, Rho: 0.256, Steps: 1}).Validate(); err == nil {
+	if _, err := eng.Result(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := permcell.New(2, 5, 0.256); err == nil {
 		t.Error("non-square P accepted")
 	}
-	if err := (permcell.Sim{M: 1, P: 4, Rho: 0.256, Steps: 1}).Validate(); err == nil {
+	if _, err := permcell.New(1, 4, 0.256); err == nil {
 		t.Error("m=1 accepted")
 	}
 }
 
-func TestSimRunFacade(t *testing.T) {
-	res, err := permcell.Sim{
-		M: 2, P: 4, Rho: 0.256, Steps: 50, DLB: true,
-		Seed: 1, Wells: 3, Hysteresis: 0.1,
-	}.Run()
+func TestRunFacade(t *testing.T) {
+	res, err := permcell.Run(context.Background(), 2, 4, 0.256, 50,
+		permcell.WithDLB(), permcell.WithSeed(1), permcell.WithWells(3, 1.5), permcell.WithHysteresis(0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
