@@ -161,8 +161,11 @@ func BenchmarkParallelStepDLB(b *testing.B) { benchParallelStep(b, true) }
 
 func benchParallelStep(b *testing.B, dlbOn bool) {
 	spec := experiments.RunSpec{
-		M: 3, P: 4, Rho: 0.256, Steps: b.N, DLB: dlbOn,
-		Seed: 1, WellK: 1.5, Wells: 3, Hysteresis: 0.1, StatsEvery: 1 << 30,
+		M: 3, P: 4, Rho: 0.256, Steps: b.N,
+		Seed: 1, WellK: 1.5, Wells: 3, StatsEvery: 1 << 30,
+	}
+	if dlbOn {
+		spec.Balancer = balance.PermanentCell{Hysteresis: 0.1}
 	}
 	b.ResetTimer()
 	if _, _, err := spec.Run(); err != nil {
@@ -178,8 +181,8 @@ func BenchmarkParallelStepMetricsOn(b *testing.B)  { benchParallelStepMetrics(b,
 
 func benchParallelStepMetrics(b *testing.B, on bool) {
 	spec := experiments.RunSpec{
-		M: 3, P: 4, Rho: 0.256, Steps: b.N, DLB: true,
-		Seed: 1, WellK: 1.5, Wells: 3, Hysteresis: 0.1, StatsEvery: 1 << 30,
+		M: 3, P: 4, Rho: 0.256, Steps: b.N, Balancer: balance.PermanentCell{Hysteresis: 0.1},
+		Seed: 1, WellK: 1.5, Wells: 3, StatsEvery: 1 << 30,
 		Metrics: on,
 	}
 	b.ResetTimer()
@@ -265,8 +268,8 @@ func BenchmarkAblationLoadMetric(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				spec := experiments.RunSpec{
-					M: 2, P: 4, Rho: 0.256, Steps: 150, DLB: true,
-					Seed: 1, WellK: 1.5, Wells: 3, Hysteresis: 0.1, StatsEvery: 1,
+					M: 2, P: 4, Rho: 0.256, Steps: 150, Balancer: balance.PermanentCell{Hysteresis: 0.1},
+					Seed: 1, WellK: 1.5, Wells: 3, StatsEvery: 1,
 				}
 				cfg, sys, _, err := spec.Build()
 				if err != nil {
@@ -290,8 +293,8 @@ func BenchmarkAblationDLBInterval(b *testing.B) {
 		b.Run(fmt.Sprintf("every%d", every), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				spec := experiments.RunSpec{
-					M: 2, P: 4, Rho: 0.256, Steps: 150, DLB: true,
-					Seed: 1, WellK: 1.5, Wells: 3, Hysteresis: 0.1, StatsEvery: 1,
+					M: 2, P: 4, Rho: 0.256, Steps: 150, Balancer: balance.PermanentCell{Hysteresis: 0.1},
+					Seed: 1, WellK: 1.5, Wells: 3, StatsEvery: 1,
 				}
 				cfg, sys, _, err := spec.Build()
 				if err != nil {
@@ -322,14 +325,14 @@ func BenchmarkAblationPickStrategy(b *testing.B) {
 		b.Run(s.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				spec := experiments.RunSpec{
-					M: 3, P: 4, Rho: 0.256, Steps: 150, DLB: true,
-					Seed: 1, WellK: 1.5, Wells: 3, Hysteresis: 0.1, StatsEvery: 1,
+					M: 3, P: 4, Rho: 0.256, Steps: 150, Balancer: balance.PermanentCell{Hysteresis: 0.1},
+					Seed: 1, WellK: 1.5, Wells: 3, StatsEvery: 1,
 				}
 				cfg, sys, _, err := spec.Build()
 				if err != nil {
 					b.Fatal(err)
 				}
-				cfg.Balancer = balance.PermanentCell{Hysteresis: spec.Hysteresis, Pick: s.pick}
+				cfg.Balancer = balance.PermanentCell{Hysteresis: 0.1, Pick: s.pick}
 				res, err := core.Run(cfg, sys, spec.Steps)
 				if err != nil {
 					b.Fatal(err)

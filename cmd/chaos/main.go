@@ -51,6 +51,7 @@ import (
 	"time"
 
 	"permcell"
+	"permcell/internal/balance"
 	"permcell/internal/comm"
 	"permcell/internal/experiments"
 	"permcell/internal/trace"
@@ -112,7 +113,7 @@ func main() {
 	}
 	spec := experiments.ChaosSpec{
 		RunSpec: experiments.RunSpec{
-			M: *m, P: *p, Rho: *rho, Steps: *steps, DLB: true, Seed: *seed,
+			M: *m, P: *p, Rho: *rho, Steps: *steps, Balancer: balance.PermanentCell{}, Seed: *seed,
 			WellK: 1.5, BlobFrac: 0.5, Shards: *shards,
 		},
 		Plan:     plan,

@@ -79,6 +79,7 @@ import (
 	"permcell"
 	"permcell/internal/checkpoint"
 	"permcell/internal/metrics"
+	"permcell/internal/runspec"
 )
 
 // artifact is a buffered, mutex-guarded file writer for the streaming
@@ -125,49 +126,59 @@ func (a *artifact) Close() error {
 	return err
 }
 
-func main() {
-	m := flag.Int("m", 3, "square-pillar cross-section size m")
-	p := flag.Int("p", 16, "PE count (perfect square)")
-	rho := flag.Float64("rho", 0.256, "reduced density")
-	steps := flag.Int("steps", 600, "time steps")
-	dlbOn := flag.Bool("dlb", false, "enable permanent-cell dynamic load balancing (sugar for -balancer permcell)")
-	balancerSpec := flag.String("balancer", "", `load balancer: permcell|sfc|diffusive|none, optionally parameterized, e.g. "sfc(h=0,moves=2)" (default none; -dlb implies permcell)`)
-	wells := flag.Int("wells", 12, "condensation driver attractor count (0 = pure physics)")
-	wellK := flag.Float64("wellk", 1.5, "attractor strength")
-	dt := flag.Float64("dt", 0.005, "time step (reduced units; paper uses 1e-4)")
-	hyst := flag.Float64("hyst", 0.1, "DLB hysteresis")
-	seed := flag.Uint64("seed", 1, "RNG seed")
-	shards := flag.Int("shards", 1, "per-PE force-kernel worker count")
-	out := flag.String("o", "", "CSV output path (default stdout)")
-	metricsOut := flag.String("metrics", "", "per-phase JSONL output path (enables the observability layer; \"-\" = stdout)")
-	promOut := flag.String("prom", "", "Prometheus text snapshot path, written at exit (implies -metrics collection)")
-	ckptEvery := flag.Int("checkpoint-every", 0, "write a checkpoint every N steps (0 = only at interrupt)")
-	ckptDir := flag.String("checkpoint-dir", "", "checkpoint directory (enables checkpointing)")
-	resume := flag.String("resume", "", "resume from a checkpoint file or directory")
-	maxRetries := flag.Int("max-retries", -1, "enable the self-healing supervisor with this retry budget (requires -checkpoint-dir; -1 = off)")
-	backoff := flag.Duration("backoff", 0, "initial supervisor retry backoff, doubling per attempt (0 = default 50ms)")
-	transportKind := flag.String("transport", "chan", `rank transport: "chan" (in-process goroutines) or "tcp" (multi-process workers)`)
-	ranks := flag.Int("ranks", 0, "worker-process count for -transport=tcp (0 = one per PE)")
-	mdrank := flag.String("mdrank", "auto", `mdrank worker binary for -transport=tcp ("auto" = sibling of mdrun, falling back to in-process workers; "" = in-process workers)`)
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	traceOut := flag.String("trace", "", "write a runtime execution trace to this file")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is mdrun behind a testable seam: it parses args, drives the run,
+// writes the CSV to stdout (unless -o) and diagnostics to stderr, and
+// returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mdrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fail := func(msg ...any) int {
+		fmt.Fprintln(stderr, append([]any{"mdrun:"}, msg...)...)
+		return 1
+	}
+	m := fs.Int("m", 3, "square-pillar cross-section size m")
+	p := fs.Int("p", 16, "PE count (perfect square)")
+	rho := fs.Float64("rho", 0.256, "reduced density")
+	steps := fs.Int("steps", 600, "time steps")
+	dlbOn := fs.Bool("dlb", false, "enable permanent-cell dynamic load balancing (sugar for -balancer permcell)")
+	balancerSpec := fs.String("balancer", "", `load balancer: permcell|sfc|diffusive|none, optionally parameterized, e.g. "sfc(h=0,moves=2)" (default none; -dlb implies permcell)`)
+	wells := fs.Int("wells", 12, "condensation driver attractor count (0 = pure physics)")
+	wellK := fs.Float64("wellk", 1.5, "attractor strength")
+	dt := fs.Float64("dt", 0.005, "time step (reduced units; paper uses 1e-4)")
+	hyst := fs.Float64("hyst", 0.1, "DLB hysteresis")
+	seed := fs.Uint64("seed", 1, "RNG seed")
+	shards := fs.Int("shards", 1, "per-PE force-kernel worker count")
+	out := fs.String("o", "", "CSV output path (default stdout)")
+	metricsOut := fs.String("metrics", "", "per-phase JSONL output path (enables the observability layer; \"-\" = stdout)")
+	promOut := fs.String("prom", "", "Prometheus text snapshot path, written at exit (implies -metrics collection)")
+	ckptEvery := fs.Int("checkpoint-every", 0, "write a checkpoint every N steps (0 = only at interrupt)")
+	ckptDir := fs.String("checkpoint-dir", "", "checkpoint directory (enables checkpointing)")
+	resume := fs.String("resume", "", "resume from a checkpoint file or directory")
+	maxRetries := fs.Int("max-retries", -1, "enable the self-healing supervisor with this retry budget (requires -checkpoint-dir; -1 = off)")
+	backoff := fs.Duration("backoff", 0, "initial supervisor retry backoff, doubling per attempt (0 = default 50ms)")
+	transportKind := fs.String("transport", "chan", `rank transport: "chan" (in-process goroutines) or "tcp" (multi-process workers)`)
+	ranks := fs.Int("ranks", 0, "worker-process count for -transport=tcp (0 = one per PE)")
+	mdrank := fs.String("mdrank", "auto", `mdrank worker binary for -transport=tcp ("auto" = sibling of mdrun, falling back to in-process workers; "" = in-process workers)`)
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	traceOut := fs.String("trace", "", "write a runtime execution trace to this file")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *ckptEvery > 0 && *ckptDir == "" {
-		fmt.Fprintln(os.Stderr, "mdrun: -checkpoint-every requires -checkpoint-dir")
-		os.Exit(1)
+		return fail("-checkpoint-every requires -checkpoint-dir")
 	}
 	if *maxRetries >= 0 && *ckptDir == "" {
-		fmt.Fprintln(os.Stderr, "mdrun: -max-retries requires -checkpoint-dir (the supervisor rolls back to checkpoints)")
-		os.Exit(1)
+		return fail("-max-retries requires -checkpoint-dir (the supervisor rolls back to checkpoints)")
 	}
 
 	var bal permcell.Balancer
 	if *balancerSpec != "" {
 		b, berr := permcell.BalancerByName(*balancerSpec)
 		if berr != nil {
-			fmt.Fprintln(os.Stderr, "mdrun:", berr)
-			os.Exit(1)
+			return fail(berr)
 		}
 		bal = b
 		// The bare form folds in -hyst, matching the -dlb sugar; a
@@ -196,53 +207,56 @@ func main() {
 	}
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
+	finished := make(chan struct{})
+	defer close(finished)
 	go func() {
-		<-sigc
-		<-sigc
-		fmt.Fprintln(os.Stderr, "mdrun: second interrupt; forcing exit")
+		for i := 0; i < 2; i++ {
+			select {
+			case <-sigc:
+			case <-finished:
+				return
+			}
+		}
+		fmt.Fprintln(stderr, "mdrun: second interrupt; forcing exit")
 		flushMu.Lock()
 		for _, a := range flushers {
 			if err := a.Sync(); err != nil {
-				fmt.Fprintln(os.Stderr, "mdrun:", err)
+				fmt.Fprintln(stderr, "mdrun:", err)
 			}
 		}
 		flushMu.Unlock()
-		os.Exit(130)
+		os.Exit(130) // the signal path has no caller to return to
 	}()
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mdrun:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "mdrun:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mdrun:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer f.Close()
 		if err := trace.Start(f); err != nil {
-			fmt.Fprintln(os.Stderr, "mdrun:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer trace.Stop()
 	}
 
-	var w io.Writer = os.Stdout
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mdrun:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		a := newArtifact(f)
 		defer a.Close()
@@ -252,12 +266,11 @@ func main() {
 	collect := *metricsOut != "" || *promOut != ""
 	var jsonl *metrics.JSONLWriter
 	if *metricsOut != "" {
-		var mw io.Writer = os.Stdout
+		mw := stdout
 		if *metricsOut != "-" {
 			f, err := os.Create(*metricsOut)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "mdrun:", err)
-				os.Exit(1)
+				return fail(err)
 			}
 			a := newArtifact(f)
 			defer a.Close()
@@ -356,8 +369,7 @@ func main() {
 			Worker: resolveWorker(*mdrank),
 		}))
 	default:
-		fmt.Fprintf(os.Stderr, "mdrun: unknown -transport %q (want chan or tcp)\n", *transportKind)
-		os.Exit(1)
+		return fail(fmt.Sprintf("unknown -transport %q (want chan or tcp)", *transportKind))
 	}
 	if *maxRetries >= 0 {
 		opts = append(opts, permcell.WithSupervisor(permcell.SupervisorPolicy{
@@ -366,38 +378,48 @@ func main() {
 			OnEvent: func(ev permcell.SupervisorEvent) {
 				switch ev.Kind {
 				case "rollback":
-					fmt.Fprintf(os.Stderr, "mdrun: supervisor: rollback to step %d from %s (attempt %d)\n",
+					fmt.Fprintf(stderr, "mdrun: supervisor: rollback to step %d from %s (attempt %d)\n",
 						ev.RestoredStep, ev.Checkpoint, ev.Attempt)
 				default:
-					fmt.Fprintf(os.Stderr, "mdrun: supervisor: %s at step %d: %s\n", ev.Kind, ev.Step, ev.Err)
+					fmt.Fprintf(stderr, "mdrun: supervisor: %s at step %d: %s\n", ev.Kind, ev.Step, ev.Err)
 				}
 			},
 		}))
 	}
 
+	// balSpec, with m, seed and shards, is the identity the header, the
+	// f(m, n) bound and the closing summary report: the flags' for a fresh
+	// run, the checkpoint's on -resume.
+	balSpec := permcell.BalancerSpec(bal)
 	var eng permcell.Engine
 	var err error
 	if *resume != "" {
 		// Physics flags are ignored: the run identity travels in the file.
-		eng, err = permcell.Restore(*resume, opts...)
+		var meta *checkpoint.Meta
+		if meta, _, err = checkpoint.LoadPath(*resume); err == nil {
+			*m, *seed, *shards = meta.M, meta.Seed, meta.Shards
+			if b, berr := runspec.Balancer(meta); berr == nil {
+				balSpec = permcell.BalancerSpec(b)
+			}
+			eng, err = permcell.Restore(*resume, opts...)
+		}
 		if err == nil {
-			fmt.Fprintf(os.Stderr, "mdrun: resumed from %s\n", *resume)
+			fmt.Fprintf(stderr, "mdrun: resumed from %s\n", *resume)
 		}
 	} else {
 		eng, err = permcell.New(*m, *p, *rho, opts...)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mdrun:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 
-	res, err := drive(ctx, eng, *steps, *ckptDir != "")
+	res, err := drive(ctx, eng, *steps, *ckptDir != "", stderr)
 	// A zero-row run (steps=0, or stats thinned past the horizon) still gets
-	// a well-formed CSV: header from the flag-derived identity.
-	emitHeader(permcell.BalancerSpec(bal))
+	// a well-formed CSV header.
+	emitHeader(balSpec)
 	if rep := permcell.SupervisionReport(eng); rep != nil {
 		if len(rep.Events) > 0 {
-			fmt.Fprintf(os.Stderr, "mdrun: supervisor: %d rollbacks, %d retries, %d steps replayed (panics=%d guards=%d deadlocks=%d exhausted=%v)\n",
+			fmt.Fprintf(stderr, "mdrun: supervisor: %d rollbacks, %d retries, %d steps replayed (panics=%d guards=%d deadlocks=%d exhausted=%v)\n",
 				rep.Rollbacks, rep.Retries, rep.StepsReplayed,
 				rep.RankFailures, rep.GuardViolations, rep.Deadlocks, rep.Exhausted)
 		}
@@ -414,7 +436,7 @@ func main() {
 		}
 	}
 	if errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "mdrun: interrupted; partial run flushed")
+		fmt.Fprintln(stderr, "mdrun: interrupted; partial run flushed")
 		err = nil
 	}
 	if err == nil {
@@ -430,18 +452,18 @@ func main() {
 			return cum.WritePrometheus(pw)
 		})
 		if perr != nil {
-			fmt.Fprintln(os.Stderr, "mdrun:", perr)
+			fmt.Fprintln(stderr, "mdrun:", perr)
 			if err == nil {
 				err = perr
 			}
 		}
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mdrun:", err)
-		os.Exit(1)
+		return fail(err)
 	}
-	fmt.Fprintf(os.Stderr, "mdrun: N=%d balancer=%s shards=%d msgs=%d bytes=%d\n",
-		res.Final.Len(), permcell.BalancerSpec(bal), *shards, res.CommMsgs, res.CommBytes)
+	fmt.Fprintf(stderr, "mdrun: N=%d balancer=%s shards=%d msgs=%d bytes=%d\n",
+		res.Final.Len(), balSpec, *shards, res.CommMsgs, res.CommBytes)
+	return 0
 }
 
 // resolveWorker maps the -mdrank flag to a Transport.Worker path. "auto"
@@ -468,14 +490,14 @@ func resolveWorker(spec string) string {
 // writes a final checkpoint (when checkpointing is configured) before
 // finalizing the engine, so an interrupted run can resume from the exact
 // step it stopped at rather than the last cadence boundary.
-func drive(ctx context.Context, eng permcell.Engine, steps int, ckpt bool) (*permcell.Result, error) {
+func drive(ctx context.Context, eng permcell.Engine, steps int, ckpt bool, stderr io.Writer) (*permcell.Result, error) {
 	for i := 0; i < steps; i++ {
 		if ctx.Err() != nil {
 			if ckpt {
 				if cerr := permcell.CheckpointNow(eng); cerr != nil {
-					fmt.Fprintln(os.Stderr, "mdrun: final checkpoint failed:", cerr)
+					fmt.Fprintln(stderr, "mdrun: final checkpoint failed:", cerr)
 				} else {
-					fmt.Fprintln(os.Stderr, "mdrun: final checkpoint written")
+					fmt.Fprintln(stderr, "mdrun: final checkpoint written")
 				}
 			}
 			res, rerr := eng.Result()

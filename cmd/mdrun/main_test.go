@@ -1,0 +1,95 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"permcell/internal/theory"
+)
+
+// TestResumeReportsRestoredIdentity checkpoints a run whose m, seed, shard
+// count and balancer all differ from the flag defaults, resumes it with none
+// of those flags, and demands that everything mdrun reports — the CSV run
+// header, the JSONL f(m, n) bound and the closing summary — describes the
+// restored run rather than the defaults.
+func TestResumeReportsRestoredIdentity(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "ckpt")
+	var out, errb bytes.Buffer
+	if code := run([]string{
+		"-m", "2", "-p", "4", "-steps", "6", "-seed", "9", "-shards", "2",
+		"-balancer", "sfc(h=0,moves=2)", "-wells", "3",
+		"-checkpoint-dir", ckpt, "-checkpoint-every", "6",
+	}, &out, &errb); code != 0 {
+		t.Fatalf("first session exited %d: %s", code, errb.String())
+	}
+
+	jsonl := filepath.Join(dir, "resumed.jsonl")
+	out.Reset()
+	errb.Reset()
+	if code := run([]string{"-resume", ckpt, "-steps", "4", "-metrics", jsonl}, &out, &errb); code != 0 {
+		t.Fatalf("resumed session exited %d: %s", code, errb.String())
+	}
+
+	header, _, _ := strings.Cut(out.String(), "\n")
+	for _, want := range []string{"seed=9", "shards=2", "balancer=sfc"} {
+		if !strings.Contains(header, want) {
+			t.Errorf("resume header %q lacks %q", header, want)
+		}
+	}
+	if want := "balancer=sfc(h=0,moves=2) shards=2"; !strings.Contains(errb.String(), want) {
+		t.Errorf("closing summary %q lacks %q", errb.String(), want)
+	}
+
+	f, err := os.Open(jsonl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	records := 0
+	for sc := bufio.NewScanner(f); sc.Scan(); records++ {
+		var rec struct {
+			Step    int      `json:"step"`
+			NFactor float64  `json:"n_factor"`
+			Bound   *float64 `json:"bound"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatal(err)
+		}
+		want, err := theory.F(2, rec.NFactor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Step != 7+records {
+			t.Fatalf("record %d is step %d, want %d", records, rec.Step, 7+records)
+		}
+		if rec.Bound == nil || *rec.Bound != want {
+			t.Fatalf("step %d: bound %v, want f(2, %g) = %g", rec.Step, rec.Bound, rec.NFactor, want)
+		}
+	}
+	if records != 4 {
+		t.Fatalf("%d JSONL records, want 4", records)
+	}
+}
+
+// TestFlagErrorsExitNonZero covers the argument guards that never reach an
+// engine.
+func TestFlagErrorsExitNonZero(t *testing.T) {
+	for _, args := range [][]string{
+		{"-no-such-flag"},
+		{"-checkpoint-every", "5"},
+		{"-max-retries", "1"},
+		{"-balancer", "roundrobin"},
+		{"-transport", "carrier-pigeon", "-steps", "1"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code == 0 {
+			t.Errorf("mdrun %v exited 0", args)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package permcell
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"permcell/internal/balance"
 	"permcell/internal/checkpoint"
@@ -11,14 +10,8 @@ import (
 	"permcell/internal/core"
 	"permcell/internal/decomp"
 	"permcell/internal/distrib"
-	"permcell/internal/experiments"
 	"permcell/internal/mdserial"
-	"permcell/internal/potential"
-	"permcell/internal/rng"
-	"permcell/internal/space"
-	"permcell/internal/units"
-	"permcell/internal/vec"
-	"permcell/internal/workload"
+	"permcell/internal/runspec"
 )
 
 // Engine is a stepwise MD simulation: the DLB/DDM parallel engine (New),
@@ -59,32 +52,52 @@ const (
 // goroutines idle awaiting the first Step.
 func New(m, p int, rho float64, opts ...Option) (Engine, error) {
 	o := buildOptions(opts)
-	if err := checkTransport(o, true); err != nil {
+	meta := o.identity(checkpoint.KindDLB)
+	meta.M, meta.P, meta.Rho = m, p, rho
+	meta.DLB, meta.Balancer, meta.Hysteresis = o.balancer != nil, balance.Encode(o.balancer), o.hysteresis
+	return launch(meta, nil, o)
+}
+
+// identity writes down the physics options as the run identity of a fresh
+// engine of the given kind; the constructor adds its coordinates. From here
+// on the Meta is the spec: start reads physics from it alone, every
+// checkpoint carries it, and Restore hands the loaded one straight back.
+// The time step is recorded resolved, so a file keeps pinning the step it
+// ran at even if the default ever moves.
+func (o Options) identity(kind string) checkpoint.Meta {
+	dt := o.dt
+	if dt == 0 {
+		dt = runspec.DefaultDt
+	}
+	return checkpoint.Meta{
+		Kind: kind, Wells: o.wells, WellK: o.wellK,
+		Seed: o.seed, Dt: dt, Shards: o.shards, StatsEvery: o.statsEvery,
+	}
+}
+
+// launch is the one way an engine comes up, fresh (st == nil) or resumed
+// from a snapshot: validate the transport against the identity's engine
+// kind — only known here for a Restore — then start it, under the
+// supervisor when one is configured.
+func launch(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine, error) {
+	if err := checkTransport(meta.Kind, o); err != nil {
 		return nil, err
 	}
-	start := func(oin Options) (Engine, error) {
-		return startParallel(checkpoint.Meta{
-			Kind: checkpoint.KindDLB, M: m, P: p, Rho: rho,
-			DLB: oin.balancer != nil, Balancer: balance.Encode(oin.balancer),
-			Wells: oin.wells, WellK: oin.wellK, Hysteresis: oin.hysteresis,
-			Seed: oin.seed, Dt: oin.dtOrDefault(), Shards: oin.shards, StatsEvery: oin.statsEvery,
-		}, nil, oin)
-	}
 	if o.supervisor != nil {
-		return supervised(o, 0, start)
+		return supervised(meta, st, o)
 	}
-	return start(o)
+	return start(meta, st, o)
 }
 
 // checkTransport validates the WithTransport selection against the engine
 // kind and option set at construction time, so an unsupported combination
 // fails loudly instead of silently running in-process.
-func checkTransport(o Options, parallel bool) error {
+func checkTransport(kind string, o Options) error {
 	switch o.transport.Kind {
 	case "", TransportChan:
 		return nil
 	case TransportTCP:
-		if !parallel {
+		if kind != checkpoint.KindDLB {
 			return fmt.Errorf("permcell: the tcp transport supports only the parallel engine (New)")
 		}
 		if o.sabotage != nil {
@@ -104,42 +117,39 @@ func checkTransport(o Options, parallel bool) error {
 	}
 }
 
-// applyRuntime copies the options that do not alter the physics onto an
-// engine configuration.
-func (o Options) applyRuntime(cfg *core.Config) {
-	cfg.OnStep = o.onStep
-	cfg.DiscardStats = o.discard
-	cfg.Faults = o.faults
-	cfg.Watchdog = o.watchdog
-	cfg.Guard = o.guard
-	cfg.Sabotage = o.sabotage
-}
-
-// startParallel builds the DLB/DDM engine for the run identity in meta from
-// a resolved Options value (the supervisor rebuilds engines through it
-// across rollbacks): fresh when st is nil, else resumed from the snapshot.
+// start builds the engine for the run identity in meta (the supervisor
+// rebuilds engines through it across rollbacks): fresh when st is nil, else
+// resumed from the snapshot. Physics comes from meta alone, through the one
+// builder in internal/runspec; o contributes only runtime policy — hooks,
+// metrics, fault plan, watchdog, guards, sabotage, transport and the
+// checkpoint cadence.
+//
 // On the tcp transport an in-process coordinator deals rank blocks to
 // TCP-connected worker processes (or goroutine-hosted workers), each
-// driving its block through core.NewPartial; a resume there may run at a
+// building its block from the same Meta; a resume there may run at a
 // different worker count than the one that wrote the checkpoint (elastic
 // rescaling: the logical rank count P is fixed by the run identity, only
 // the hosting changes), or move between transports, with a bit-identical
 // continuation.
-func startParallel(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine, error) {
-	spec := experiments.RunSpec{
-		M: meta.M, P: meta.P, Rho: meta.Rho, Balancer: o.balancer, Seed: o.seed, Dt: o.dt,
-		Wells: o.wells, WellK: o.wellK,
-		StatsEvery: o.statsEvery, Shards: o.shards, Metrics: o.metrics,
-	}
+func start(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine, error) {
+	ckpt := ckptWriter{every: o.ckptEvery, dir: o.ckptDir, meta: meta}
 	var eng coreEngine
 	var err error
-	if o.transport.Kind == TransportTCP {
+	switch {
+	case meta.Kind == checkpoint.KindSerial:
+		cfg, set, berr := runspec.Serial(&meta, st)
+		if berr != nil {
+			return nil, fmt.Errorf("permcell: %w", berr)
+		}
+		cfg.Metrics = o.metrics
+		ser, serr := mdserial.New(cfg, set)
+		if serr != nil {
+			return nil, fmt.Errorf("permcell: %w", serr)
+		}
+		return &serialEngine{eng: ser, o: o, statsEvery: max(meta.StatsEvery, 1), ckpt: ckpt}, nil
+	case o.transport.Kind == TransportTCP: // launch admitted KindDLB only
 		eng, err = distrib.Start(distrib.WireSpec{
-			M: spec.M, P: spec.P, Rho: spec.Rho,
-			Balancer: balance.Encode(spec.Balancer),
-			Seed:     spec.Seed, Dt: spec.Dt,
-			Wells: spec.Wells, WellK: spec.WellK,
-			StatsEvery: spec.StatsEvery, Shards: spec.Shards, Metrics: spec.Metrics,
+			Meta: meta, Metrics: o.metrics,
 			Watchdog: o.watchdog, Faults: o.faults, Guard: o.guard,
 			Restore: st,
 		}, distrib.Config{
@@ -150,22 +160,24 @@ func startParallel(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) 
 			HeartbeatMisses:  o.transport.HeartbeatMisses,
 			Chaos:            o.transport.Chaos,
 		})
-	} else {
-		// On a resume the regenerated system supplies the box, grid and
-		// potentials only: every PE is repopulated from its frame instead
-		// of the initial condition.
-		cfg, sys, _, berr := spec.Build()
+	default:
+		cfg, sys, _, berr := runspec.Parallel(&meta, st)
 		if berr != nil {
 			return nil, fmt.Errorf("permcell: %w", berr)
 		}
-		o.applyRuntime(&cfg)
-		cfg.Restore = st
+		cfg.OnStep = o.onStep
+		cfg.DiscardStats = o.discard
+		cfg.Metrics = o.metrics
+		cfg.Faults = o.faults
+		cfg.Watchdog = o.watchdog
+		cfg.Guard = o.guard
+		cfg.Sabotage = o.sabotage
 		eng, err = core.NewEngine(cfg, sys)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("permcell: %w", err)
 	}
-	return &parallelEngine{eng: eng, ckpt: newCkptWriter(o, meta)}, nil
+	return &parallelEngine{eng: eng, ckpt: ckpt}, nil
 }
 
 // Run executes steps time steps of the parallel engine and returns the
@@ -277,48 +289,6 @@ func (e *parallelEngine) Checkpoint() error {
 	return e.ckpt.write(e.eng)
 }
 
-// buildSystem constructs the shared serial/static setup: a box of nc cells
-// of side r_c per dimension at reduced density rho, the paper's LJ fluid
-// at the paper's temperature, plus the optional condensation wells.
-func buildSystem(nc int, rho float64, o Options) (workload.System, space.Grid, potential.External, error) {
-	if nc < 1 {
-		return workload.System{}, space.Grid{}, nil, fmt.Errorf("permcell: grid side %d", nc)
-	}
-	l := float64(nc) * units.PaperCutoff
-	n := int(math.Round(rho * l * l * l))
-	sys, err := workload.LatticeGas(n, float64(n)/(l*l*l), units.PaperTref, o.seed)
-	if err != nil {
-		return workload.System{}, space.Grid{}, nil, err
-	}
-	g, err := space.NewGridWithDims(sys.Box, nc, nc, nc)
-	if err != nil {
-		return workload.System{}, space.Grid{}, nil, err
-	}
-	var ext potential.External
-	if o.wellK > 0 {
-		if o.wells <= 1 {
-			ext = potential.HarmonicWell{Center: sys.Box.L.Scale(0.5), K: o.wellK, L: sys.Box.L}
-		} else {
-			// Same seed derivation as the experiments package, so facade
-			// runs and experiment runs place identical wells.
-			r := rng.New(o.seed ^ 0xA5A5A5A5)
-			centers := make([]vec.V, o.wells)
-			for i := range centers {
-				centers[i] = r.InBox(sys.Box.L)
-			}
-			ext = potential.MultiWell{Centers: centers, K: o.wellK, L: sys.Box.L}
-		}
-	}
-	return sys, g, ext, nil
-}
-
-func (o Options) dtOrDefault() float64 {
-	if o.dt == 0 {
-		return 0.005
-	}
-	return o.dt
-}
-
 // NewStatic starts the static-decomposition engine: the box is nc cells of
 // side r_c per dimension, partitioned over p PEs in the given shape with
 // no load balancing. It is the parallel engine's step loop over a fixed
@@ -326,46 +296,9 @@ func (o Options) dtOrDefault() float64 {
 // zero and Balancer reads "none".
 func NewStatic(shape Shape, nc, p int, rho float64, opts ...Option) (Engine, error) {
 	o := buildOptions(opts)
-	if err := checkTransport(o, false); err != nil {
-		return nil, err
-	}
-	start := func(oin Options) (Engine, error) {
-		return startStatic(checkpoint.Meta{
-			Kind: checkpoint.KindStatic, Shape: int(shape), NC: nc, P: p, Rho: rho,
-			Wells: oin.wells, WellK: oin.wellK,
-			Seed: oin.seed, Dt: oin.dtOrDefault(), Shards: oin.shards, StatsEvery: oin.statsEvery,
-		}, nil, oin)
-	}
-	if o.supervisor != nil {
-		return supervised(o, 0, start)
-	}
-	return start(o)
-}
-
-// startStatic builds the static-decomposition engine for the run identity
-// in meta, fresh when st is nil, else resumed from the snapshot.
-func startStatic(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine, error) {
-	sys, g, ext, err := buildSystem(meta.NC, meta.Rho, o)
-	if err != nil {
-		return nil, err
-	}
-	d, err := decomp.New(decomp.Shape(meta.Shape), g, meta.P)
-	if err != nil {
-		return nil, fmt.Errorf("permcell: %w", err)
-	}
-	cfg := core.Config{
-		P: meta.P, Grid: g, Decomp: d,
-		Pair: potential.NewPaperLJ(), Ext: ext,
-		Dt: o.dtOrDefault(), Tref: units.PaperTref, RescaleEvery: units.PaperRescaleInterval,
-		Shards: o.shards, StatsEvery: o.statsEvery, Metrics: o.metrics,
-		Restore: st,
-	}
-	o.applyRuntime(&cfg)
-	eng, err := core.NewEngine(cfg, sys)
-	if err != nil {
-		return nil, fmt.Errorf("permcell: %w", err)
-	}
-	return &parallelEngine{eng: eng, ckpt: newCkptWriter(o, meta)}, nil
+	meta := o.identity(checkpoint.KindStatic)
+	meta.Shape, meta.NC, meta.P, meta.Rho = int(shape), nc, p, rho
+	return launch(meta, nil, o)
 }
 
 // NewSerial starts the serial reference engine on a box of nc cells of
@@ -377,49 +310,20 @@ func startStatic(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) (E
 // are ignored.
 func NewSerial(nc int, rho float64, opts ...Option) (Engine, error) {
 	o := buildOptions(opts)
-	if err := checkTransport(o, false); err != nil {
-		return nil, err
-	}
-	if o.supervisor != nil {
-		return supervised(o, 0, func(oin Options) (Engine, error) {
-			return newSerial(nc, rho, oin)
-		})
-	}
-	return newSerial(nc, rho, o)
-}
-
-func newSerial(nc int, rho float64, o Options) (Engine, error) {
-	sys, g, ext, err := buildSystem(nc, rho, o)
-	if err != nil {
-		return nil, err
-	}
-	lj, err := potential.NewLJ(1, 1, units.PaperCutoff, true)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := mdserial.New(mdserial.Config{
-		Box: sys.Box, Pair: lj, Ext: ext,
-		Dt: o.dtOrDefault(), Grid: g, Shards: o.shards, Metrics: o.metrics,
-	}, sys.Set)
-	if err != nil {
-		return nil, fmt.Errorf("permcell: %w", err)
-	}
-	meta := checkpoint.Meta{
-		Kind: checkpoint.KindSerial, NC: nc, Rho: rho,
-		Wells: o.wells, WellK: o.wellK,
-		Seed: o.seed, Dt: o.dtOrDefault(), Shards: o.shards, StatsEvery: o.statsEvery,
-	}
-	return &serialEngine{eng: eng, o: o, ckpt: newCkptWriter(o, meta)}, nil
+	meta := o.identity(checkpoint.KindSerial)
+	meta.NC, meta.Rho = nc, rho
+	return launch(meta, nil, o)
 }
 
 // serialEngine adapts mdserial.Engine, synthesizing the one-PE census.
 type serialEngine struct {
-	eng   *mdserial.Engine
-	o     Options
-	ckpt  ckptWriter
-	stats []StepStats
-	res   *Result
-	err   error
+	eng        *mdserial.Engine
+	o          Options // runtime policy only: onStep, discard
+	statsEvery int
+	ckpt       ckptWriter
+	stats      []StepStats
+	res        *Result
+	err        error
 }
 
 func (e *serialEngine) Step(n int) error {
@@ -440,7 +344,7 @@ func (e *serialEngine) Step(n int) error {
 		// Drain the phase accumulator every step so each emitted record
 		// describes only its own step, matching the parallel engines.
 		sample := e.eng.TakePhaseSample()
-		if step%e.o.statsEvery != 0 {
+		if step%e.statsEvery != 0 {
 			continue
 		}
 		occ := e.eng.CellOccupancy()

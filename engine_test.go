@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"permcell"
+	"permcell/internal/balance"
 	"permcell/internal/experiments"
 )
 
@@ -18,8 +19,8 @@ func TestRunTraceParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref, _, err := experiments.RunSpec{
-		M: 2, P: 4, Rho: 0.256, Steps: 20, DLB: true,
-		Seed: 7, Wells: 3, WellK: 1.5, Hysteresis: 0.1, StatsEvery: 1,
+		M: 2, P: 4, Rho: 0.256, Steps: 20, Balancer: balance.PermanentCell{Hysteresis: 0.1},
+		Seed: 7, Wells: 3, WellK: 1.5, StatsEvery: 1,
 	}.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -29,10 +29,12 @@ const (
 	KindSerial = "serial" // internal/mdserial: serial reference engine
 )
 
-// Meta is the checkpoint header: everything needed to rebuild the engine
-// configuration exactly (the run identity) plus the counters that carry
-// across a restart. New fields may be appended in later versions; gob
-// decodes older frames with the new fields zero-valued.
+// Meta is the run identity — and therefore the checkpoint header. It is the
+// one spec every engine is built from (internal/runspec reads it, the facade
+// constructors and experiments.RunSpec write it, the TCP WireSpec ships it),
+// so a file does not describe its run, it carries the run's own spec, plus
+// the counters that continue across a restart. New fields may be appended in
+// later versions; gob decodes older frames with the new fields zero-valued.
 type Meta struct {
 	// Version is the frame-format version (see FormatVersion).
 	Version int
@@ -143,6 +145,12 @@ type EngineState struct {
 	Step                int
 	Frames              []Frame
 	CommMsgs, CommBytes int64
+}
+
+// State pairs a loaded header with its frames: the snapshot a restore starts
+// from, carrying the header's per-snapshot fields.
+func (m *Meta) State(frames []Frame) *EngineState {
+	return &EngineState{Step: m.Step, Frames: frames, CommMsgs: m.CommMsgs, CommBytes: m.CommBytes}
 }
 
 // Validate checks the state's structural invariants: one frame per rank in

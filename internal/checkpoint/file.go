@@ -262,6 +262,20 @@ func Load(path string) (*Meta, []Frame, error) {
 	return Decode(f)
 }
 
+// LoadPath loads a checkpoint named either way a caller may hold one: the
+// file itself, or its directory (LoadDir's latest-then-previous choice).
+func LoadPath(path string) (*Meta, []Frame, error) {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	if fi.IsDir() {
+		meta, frames, _, err := LoadDir(path)
+		return meta, frames, err
+	}
+	return Load(path)
+}
+
 // LoadDir loads the newest loadable checkpoint in dir: latest.ckpt first,
 // falling back to previous.ckpt when latest is missing or corrupt (the
 // retained-pair policy's whole point). The returned path says which file

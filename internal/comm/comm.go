@@ -522,22 +522,3 @@ func (b *barrier) wait() {
 	}
 	b.mu.Unlock()
 }
-
-// CostModel estimates communication time from message statistics with the
-// classic alpha-beta model: time = msgs*Latency + bytes*SecPerByte. Used for
-// the analysis in DESIGN.md section 5 (the T3E interconnect is simulated,
-// so comparative — not absolute — costs are what matter).
-type CostModel struct {
-	Latency    float64 // seconds per message
-	SecPerByte float64 // seconds per payload byte
-}
-
-// T3E approximates the paper's machine: ~14 us MPI latency and ~300 MB/s
-// sustained MPI bandwidth (the 2.8 GB/s figure in the paper is the raw link
-// rate).
-var T3E = CostModel{Latency: 14e-6, SecPerByte: 1.0 / 300e6}
-
-// Time returns the modeled total communication time.
-func (m CostModel) Time(msgs, bytes int64) float64 {
-	return float64(msgs)*m.Latency + float64(bytes)*m.SecPerByte
-}

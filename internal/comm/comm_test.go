@@ -285,16 +285,6 @@ func TestWtimeMonotonic(t *testing.T) {
 	}
 }
 
-func TestCostModel(t *testing.T) {
-	m := CostModel{Latency: 1e-6, SecPerByte: 1e-9}
-	if got := m.Time(1000, 1e6); got != 1000*1e-6+1e6*1e-9 {
-		t.Errorf("Time = %v", got)
-	}
-	if T3E.Latency <= 0 || T3E.SecPerByte <= 0 {
-		t.Error("T3E model not positive")
-	}
-}
-
 func TestCommRankPanics(t *testing.T) {
 	w, _ := NewWorld(2)
 	defer func() {

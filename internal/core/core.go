@@ -125,8 +125,6 @@ type Config struct {
 	// hang returns an error with a per-rank state dump after this much
 	// progress-less time instead of blocking forever.
 	Watchdog time.Duration
-	// InboxCap overrides the comm inbox capacity (0 = comm default).
-	InboxCap int
 	// Verify enables per-step protocol invariant checks: per-PE ledger
 	// invariants (permanent columns at home, hosts within the up-left
 	// set, C' bound) plus the global checks — every column hosted exactly

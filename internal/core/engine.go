@@ -93,9 +93,6 @@ func newEngine(cfg Config, sys workload.System, local []int, remote comm.Remote)
 		}
 	}
 	var opts []comm.Option
-	if cfg.InboxCap > 0 {
-		opts = append(opts, comm.WithInboxCapacity(cfg.InboxCap))
-	}
 	if cfg.Faults != nil {
 		opts = append(opts, comm.WithFaults(*cfg.Faults))
 	}
@@ -235,10 +232,6 @@ func (e *Engine) Step(n int) error {
 	e.stepped += n
 	return nil
 }
-
-// Stepped returns the number of time steps advanced so far (this session
-// only; a restored engine's absolute step is AbsStep).
-func (e *Engine) Stepped() int { return e.stepped }
 
 // AbsStep returns the absolute simulation step: the restore point plus the
 // steps advanced this session.

@@ -34,8 +34,8 @@ func TestEngineMatchesRun(t *testing.T) {
 				}
 			}
 			for _, e := range r.blocks {
-				if e.Stepped() != steps {
-					t.Fatalf("Stepped() = %d, want %d", e.Stepped(), steps)
+				if e.AbsStep() != steps {
+					t.Fatalf("AbsStep() = %d, want %d", e.AbsStep(), steps)
 				}
 			}
 			res, err := r.Finish()

@@ -111,12 +111,13 @@ type ctrlFrame struct {
 // spec.Ranks are assigned per worker here; spec.Restore, when set,
 // seeds the absolute step and comm counter continuations.
 func Start(spec WireSpec, cfg Config) (*Engine, error) {
+	p := spec.Meta.P
 	w := cfg.Procs
 	if w <= 0 {
-		w = spec.P
+		w = p
 	}
-	if w > spec.P {
-		return nil, fmt.Errorf("distrib: %d worker processes for %d ranks", w, spec.P)
+	if w > p {
+		return nil, fmt.Errorf("distrib: %d worker processes for %d ranks", w, p)
 	}
 	handshake := cfg.HandshakeTimeout
 	if handshake <= 0 {
@@ -143,7 +144,7 @@ func Start(spec WireSpec, cfg Config) (*Engine, error) {
 	e := &Engine{
 		spec:    spec,
 		peers:   make([]*transport.Peer, w),
-		procOf:  make([]int, spec.P),
+		procOf:  make([]int, p),
 		ranks:   make([][]int, w),
 		last:    make([]frameLog, w),
 		ctrl:    make(chan ctrlFrame, 4*w),
@@ -237,7 +238,7 @@ func Start(spec WireSpec, cfg Config) (*Engine, error) {
 
 		ws := spec
 		ws.Proc = i
-		ws.Ranks = RanksOf(spec.P, w, i)
+		ws.Ranks = RanksOf(p, w, i)
 		e.ranks[i] = ws.Ranks
 		for _, r := range ws.Ranks {
 			e.procOf[r] = i
@@ -492,7 +493,7 @@ func (e *Engine) Snapshot() (*checkpoint.EngineState, error) {
 	}
 	st := &checkpoint.EngineState{
 		Step:   e.base + e.stepped,
-		Frames: make([]checkpoint.Frame, e.spec.P),
+		Frames: make([]checkpoint.Frame, e.spec.Meta.P),
 	}
 	var msgs, bytes int64
 	for _, v := range acks {
@@ -508,7 +509,7 @@ func (e *Engine) Snapshot() (*checkpoint.EngineState, error) {
 		msgs += ack.Msgs
 		bytes += ack.Bytes
 		for _, f := range ack.Frames {
-			if f.Rank < 0 || f.Rank >= e.spec.P {
+			if f.Rank < 0 || f.Rank >= e.spec.Meta.P {
 				e.err = fmt.Errorf("distrib: snapshot frame for rank %d out of range", f.Rank)
 				return nil, e.err
 			}
@@ -517,7 +518,7 @@ func (e *Engine) Snapshot() (*checkpoint.EngineState, error) {
 	}
 	st.CommMsgs = e.baseMsgs + msgs
 	st.CommBytes = e.baseBytes + bytes
-	if err := st.Validate(e.spec.P); err != nil {
+	if err := st.Validate(e.spec.Meta.P); err != nil {
 		e.err = err
 		return nil, err
 	}
@@ -546,7 +547,7 @@ func (e *Engine) Finish() (*core.Result, error) {
 		e.finErr = err
 		return nil, err
 	}
-	res := &core.Result{M: e.spec.M, Stats: e.stats}
+	res := &core.Result{M: e.spec.Meta.M, Stats: e.stats}
 	res.CommMsgs, res.CommBytes = e.baseMsgs, e.baseBytes
 	for _, v := range acks {
 		ack, ok := v.(ResultAck)
@@ -574,7 +575,7 @@ func (e *Engine) Finish() (*core.Result, error) {
 }
 
 // shutdown closes every connection and reaps worker processes. Closing a
-// connection unblocks the worker's reader, which exits RunWorker; a worker
+// connection unblocks the worker's reader, which exits RunWorkerWith; a worker
 // that does not exit within the grace window (wedged, SIGSTOP'd) is
 // SIGKILLed — recovery must never wait on a stuck process. Idempotent.
 func (e *Engine) shutdown() {

@@ -22,37 +22,26 @@ import (
 	"fmt"
 	"time"
 
-	"permcell/internal/balance"
 	"permcell/internal/checkpoint"
 	"permcell/internal/comm"
 	"permcell/internal/core"
-	"permcell/internal/experiments"
 	"permcell/internal/particle"
 	"permcell/internal/supervise"
-	"permcell/internal/workload"
 )
 
-// WireSpec is the run configuration a coordinator ships to each worker.
-// It carries only scalars plus the optional restore state: the worker
-// reconstructs the system deterministically through experiments.RunSpec
-// exactly as the facade does in-process, so both transports build
-// bit-identical initial conditions from the same seed.
+// WireSpec is what a coordinator ships to each worker: the run identity —
+// the same checkpoint.Meta the facade starts from and every checkpoint
+// carries — plus the runtime policy and the optional restore state. The
+// worker builds its system from the Meta through internal/runspec exactly
+// as the facade does in-process, so both transports start from
+// bit-identical initial conditions.
 type WireSpec struct {
-	// Paper coordinates + run identity (experiments.RunSpec scalars).
-	M, P       int
-	Rho        float64
-	Balancer   string // balance.Encode form; "none" selects static DDM
-	Seed       uint64
-	WellK      float64
-	Wells      int
-	StatsEvery int
-	Shards     int
-	Metrics    bool
-	Dt         float64
+	// Meta is the run identity (its per-snapshot fields are unused here:
+	// the restore point travels in Restore).
+	Meta checkpoint.Meta
 
-	// Engine knobs threaded through core.Config.
-	Verify   bool
-	InboxCap int
+	// Runtime policy threaded through core.Config.
+	Metrics  bool
 	Watchdog time.Duration
 	Faults   *comm.FaultPlan
 	Guard    *supervise.GuardConfig
@@ -75,34 +64,6 @@ type WireSpec struct {
 	// Proc is this worker's index; Ranks the block of ranks it hosts.
 	Proc  int
 	Ranks []int
-}
-
-// buildConfig reconstructs the engine configuration and system on the
-// worker. OnStep and DiscardStats stay unset: step records accumulate in
-// the rank-0 process's Result and are shipped to the coordinator, which
-// owns the streaming hooks.
-func (s *WireSpec) buildConfig() (core.Config, workload.System, error) {
-	b, err := balance.Decode(s.Balancer)
-	if err != nil {
-		return core.Config{}, workload.System{}, fmt.Errorf("distrib: %w", err)
-	}
-	rs := experiments.RunSpec{
-		M: s.M, P: s.P, Rho: s.Rho, Balancer: b,
-		Seed: s.Seed, Dt: s.Dt,
-		Wells: s.Wells, WellK: s.WellK,
-		StatsEvery: s.StatsEvery, Shards: s.Shards, Metrics: s.Metrics,
-	}
-	cfg, sys, _, err := rs.Build()
-	if err != nil {
-		return core.Config{}, workload.System{}, fmt.Errorf("distrib: %w", err)
-	}
-	cfg.Verify = s.Verify
-	cfg.InboxCap = s.InboxCap
-	cfg.Watchdog = s.Watchdog
-	cfg.Faults = s.Faults
-	cfg.Guard = s.Guard
-	cfg.Restore = s.Restore
-	return cfg, sys, nil
 }
 
 // StepAck is a worker's reply to a Step command (and, with zero stats,

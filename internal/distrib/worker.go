@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"permcell/internal/comm"
 	"permcell/internal/core"
+	"permcell/internal/runspec"
 	"permcell/internal/transport"
 )
 
@@ -50,13 +50,8 @@ type WorkerOptions struct {
 	HandshakeTimeout time.Duration
 }
 
-// RunWorker services one worker process (or goroutine-hosted worker) on
-// an established coordinator connection with default options.
-func RunWorker(conn net.Conn) error {
-	return RunWorkerWith(conn, WorkerOptions{})
-}
-
-// RunWorkerWith services one worker connection: handshake, build the
+// RunWorkerWith services one worker process (or goroutine-hosted worker)
+// on an established coordinator connection: handshake, build the
 // partial engine from the wire spec, then serve Step/Snapshot/Finish
 // commands until the final ResultAck. Returns on protocol completion
 // (nil) or the first connection/engine fault.
@@ -292,15 +287,22 @@ func fireChaos(c *WorkerChaos, conn net.Conn, peer *transport.Peer, hbPause *ato
 	}
 }
 
-// newPartialFromSpec builds this process's share of the engine. The
-// remote must exist before NewPartial so the spawned PEs can send during
-// step-0 force construction; incoming frames buffer in the kernel until
-// the caller's reader goroutine starts draining, moments later.
+// newPartialFromSpec builds this process's share of the engine from the
+// shipped run identity, through the same builder the in-process path uses.
+// OnStep and DiscardStats stay unset: step records accumulate in the rank-0
+// process's Result and are shipped to the coordinator, which owns the
+// streaming hooks. The remote must exist before NewPartial so the spawned
+// PEs can send during step-0 force construction; incoming frames buffer in
+// the kernel until the caller's reader goroutine starts draining, moments
+// later.
 func newPartialFromSpec(spec *WireSpec, peer *transport.Peer) (*core.Engine, error) {
-	cfg, sys, err := spec.buildConfig()
+	cfg, sys, _, err := runspec.Parallel(&spec.Meta, spec.Restore)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("distrib: %w", err)
 	}
-	var remote comm.Remote = &peerRemote{peer: peer}
-	return core.NewPartial(cfg, sys, spec.Ranks, remote)
+	cfg.Metrics = spec.Metrics
+	cfg.Watchdog = spec.Watchdog
+	cfg.Faults = spec.Faults
+	cfg.Guard = spec.Guard
+	return core.NewPartial(cfg, sys, spec.Ranks, &peerRemote{peer: peer})
 }

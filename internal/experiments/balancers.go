@@ -85,9 +85,7 @@ func Balancers(pr Preset, m int, seed uint64) (*BalancersResult, error) {
 	const rho = 0.256
 	r := &BalancersResult{M: m, P: pr.P, Epochs: pr.FigSteps}
 	for _, cand := range balancerZoo(pr) {
-		spec := pr.spec(m, pr.P, rho, pr.FigSteps, false, seed)
-		spec.Balancer = cand.B
-		res, info, err := spec.Run()
+		res, info, err := pr.spec(m, pr.P, rho, pr.FigSteps, cand.B, seed).Run()
 		if err != nil {
 			return nil, fmt.Errorf("balancers: %s: %w", cand.Name, err)
 		}

@@ -9,6 +9,7 @@ import (
 	"permcell/internal/checkpoint"
 	"permcell/internal/comm"
 	"permcell/internal/core"
+	"permcell/internal/runspec"
 )
 
 // ChaosSpec runs one condensing DLB-DDM simulation under a comm
@@ -35,17 +36,25 @@ type ChaosResult struct {
 	TraceHash uint64
 }
 
+// arm threads the spec's runtime through a built configuration: a private
+// copy of the fault plan, the watchdog, the metrics switch, and Verify
+// asserting the DESIGN.md Section 6 invariants after every step.
+func (s ChaosSpec) arm(cfg *core.Config) {
+	plan := s.Plan
+	cfg.Metrics = s.Metrics
+	cfg.Faults = &plan
+	cfg.Watchdog = s.Watchdog
+	cfg.Verify = true
+}
+
 // Run executes the chaos spec: the full parallel engine with the fault
-// plan threaded through the comm substrate and Verify asserting the
-// DESIGN.md Section 6 invariants after every step.
+// plan threaded through the comm substrate and every step verified.
 func (s ChaosSpec) Run() (*ChaosResult, error) {
 	cfg, sys, info, err := s.Build()
 	if err != nil {
 		return nil, err
 	}
-	cfg.Faults = &s.Plan
-	cfg.Watchdog = s.Watchdog
-	cfg.Verify = true
+	s.arm(&cfg)
 	res, err := core.Run(cfg, sys, s.Steps)
 	if err != nil {
 		return nil, err
@@ -130,10 +139,7 @@ func (s ChaosSpec) KillResume(killAt int, dir string) (*KillResumeResult, error)
 	if err != nil {
 		return nil, err
 	}
-	plan := s.Plan
-	cfg.Faults = &plan
-	cfg.Watchdog = s.Watchdog
-	cfg.Verify = true
+	s.arm(&cfg)
 	eng, err := core.NewEngine(cfg, sys)
 	if err != nil {
 		return nil, err
@@ -148,13 +154,8 @@ func (s ChaosSpec) KillResume(killAt int, dir string) (*KillResumeResult, error)
 		return nil, fmt.Errorf("experiments: snapshot: %w", err)
 	}
 	prefix := append([]core.StepStats(nil), eng.Stats()...)
-	meta := checkpoint.Meta{
-		Version: checkpoint.FormatVersion, Kind: checkpoint.KindDLB, Step: st.Step,
-		M: s.M, P: s.P, Rho: s.Rho,
-		DLB: s.DLB, Wells: s.Wells, WellK: s.WellK, Hysteresis: s.Hysteresis,
-		Seed: s.Seed, Dt: s.Dt, Shards: s.Shards, StatsEvery: s.StatsEvery,
-		CommMsgs: st.CommMsgs, CommBytes: st.CommBytes,
-	}
+	meta := s.Meta()
+	meta.Step, meta.CommMsgs, meta.CommBytes = st.Step, st.CommMsgs, st.CommBytes
 	path, err := checkpoint.Save(dir, &meta, st.Frames)
 	if err != nil {
 		eng.Finish()
@@ -165,23 +166,18 @@ func (s ChaosSpec) KillResume(killAt int, dir string) (*KillResumeResult, error)
 		return nil, fmt.Errorf("experiments: interrupted teardown: %w", err)
 	}
 
-	// Recovery: everything the resumed session knows comes from the file.
+	// Recovery: everything the resumed session knows about the run comes
+	// from the file — the identity in its header, the state in its frames.
+	// Only the chaos runtime (plan, watchdog, Verify) is the spec's.
 	meta2, frames, err := checkpoint.Load(path)
 	if err != nil {
 		return nil, err
 	}
-	cfg2, sys2, _, err := s.Build()
+	cfg2, sys2, _, err := runspec.Parallel(meta2, meta2.State(frames))
 	if err != nil {
 		return nil, err
 	}
-	plan2 := s.Plan
-	cfg2.Faults = &plan2
-	cfg2.Watchdog = s.Watchdog
-	cfg2.Verify = true
-	cfg2.Restore = &checkpoint.EngineState{
-		Step: meta2.Step, Frames: frames,
-		CommMsgs: meta2.CommMsgs, CommBytes: meta2.CommBytes,
-	}
+	s.arm(&cfg2)
 	res2, err := core.Run(cfg2, sys2, s.Steps-killAt)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: recovered run: %w", err)

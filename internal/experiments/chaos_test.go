@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"permcell/internal/balance"
 	"permcell/internal/comm"
 	"permcell/internal/core"
 )
@@ -11,7 +12,7 @@ import (
 func tinyChaosSpec() ChaosSpec {
 	return ChaosSpec{
 		RunSpec: RunSpec{
-			M: 2, P: 4, Rho: 0.256, Steps: 30, DLB: true, Seed: 1,
+			M: 2, P: 4, Rho: 0.256, Steps: 30, Balancer: balance.PermanentCell{}, Seed: 1,
 			WellK: 1.5, BlobFrac: 0.5,
 		},
 		Plan: comm.FaultPlan{

@@ -38,7 +38,7 @@ type Fig10Result struct {
 // boundaryOnce runs one DLB condensing run and returns the boundary
 // concentration state, or ok=false if the run never crossed the limit.
 func boundaryOnce(pr Preset, m, p int, rho float64, seed uint64) (n, c0c float64, step int, ok bool) {
-	res, _, err := pr.spec(m, p, rho, pr.BoundarySteps, true, seed).Run()
+	res, _, err := pr.spec(m, p, rho, pr.BoundarySteps, pr.dlb(), seed).Run()
 	if err != nil {
 		return 0, 0, 0, false
 	}

@@ -25,11 +25,11 @@ type Fig5Result struct {
 // condensePair runs the same condensing system once without and once with
 // DLB.
 func condensePair(pr Preset, m, p int, rho float64, steps int, seed uint64) (ddm, dlbRes *core.Result, info SysInfo, err error) {
-	ddm, info, err = pr.spec(m, p, rho, steps, false, seed).Run()
+	ddm, info, err = pr.spec(m, p, rho, steps, nil, seed).Run()
 	if err != nil {
 		return nil, nil, info, err
 	}
-	dlbRes, _, err = pr.spec(m, p, rho, steps, true, seed).Run()
+	dlbRes, _, err = pr.spec(m, p, rho, steps, pr.dlb(), seed).Run()
 	if err != nil {
 		return nil, nil, info, err
 	}

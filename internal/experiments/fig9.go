@@ -45,7 +45,7 @@ func Fig9(pr Preset, seed uint64) (*Fig9Result, error) {
 		m = pr.Ms[len(pr.Ms)/2]
 	}
 	const rho = 0.256
-	res, info, err := pr.spec(m, pr.P, rho, pr.FigSteps, true, seed).Run()
+	res, info, err := pr.spec(m, pr.P, rho, pr.FigSteps, pr.dlb(), seed).Run()
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"permcell/internal/balance"
 	"permcell/internal/core"
 	"permcell/internal/metrics"
 	"permcell/internal/trace"
@@ -35,16 +36,16 @@ type PhasesResult struct {
 // imbalance curves and phase breakdowns.
 func Phases(pr Preset, m int, seed uint64) (*PhasesResult, error) {
 	const rho = 0.256
-	run := func(dlbOn bool) (*core.Result, SysInfo, error) {
-		spec := pr.spec(m, pr.P, rho, pr.FigSteps, dlbOn, seed)
+	run := func(b balance.Balancer) (*core.Result, SysInfo, error) {
+		spec := pr.spec(m, pr.P, rho, pr.FigSteps, b, seed)
 		spec.Metrics = true
 		return spec.Run()
 	}
-	ddm, info, err := run(false)
+	ddm, info, err := run(nil)
 	if err != nil {
 		return nil, err
 	}
-	dlbRes, _, err := run(true)
+	dlbRes, _, err := run(pr.dlb())
 	if err != nil {
 		return nil, err
 	}

@@ -1,5 +1,7 @@
 package experiments
 
+import "permcell/internal/balance"
+
 // Preset bundles the run sizes for one reproduction scale. The paper's
 // exact sizes (Full) need hours on a laptop-class machine; Small keeps the
 // same structure at P=16 in minutes; Tiny drives the identical code paths
@@ -111,11 +113,16 @@ func (pr Preset) wells(p int) int {
 	return w
 }
 
-// spec builds the common condensing RunSpec.
-func (pr Preset) spec(m, p int, rho float64, steps int, dlbOn bool, seed uint64) RunSpec {
+// dlb is the paper's permanent-cell balancer at the preset's hysteresis.
+func (pr Preset) dlb() balance.Balancer {
+	return balance.PermanentCell{Hysteresis: pr.Hysteresis}
+}
+
+// spec builds the common condensing RunSpec under balancer b (nil = DDM).
+func (pr Preset) spec(m, p int, rho float64, steps int, b balance.Balancer, seed uint64) RunSpec {
 	return RunSpec{
-		M: m, P: p, Rho: rho, Steps: steps, DLB: dlbOn, Seed: seed,
-		WellK: pr.WellK, Wells: pr.wells(p), Hysteresis: pr.Hysteresis,
+		M: m, P: p, Rho: rho, Steps: steps, Balancer: b, Seed: seed,
+		WellK: pr.WellK, Wells: pr.wells(p),
 		StatsEvery: 1,
 	}
 }

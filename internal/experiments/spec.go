@@ -13,16 +13,11 @@
 package experiments
 
 import (
-	"fmt"
-	"math"
-
 	"permcell/internal/balance"
+	"permcell/internal/checkpoint"
 	"permcell/internal/core"
-	"permcell/internal/potential"
-	"permcell/internal/rng"
-	"permcell/internal/space"
+	"permcell/internal/runspec"
 	"permcell/internal/units"
-	"permcell/internal/vec"
 	"permcell/internal/workload"
 )
 
@@ -34,10 +29,8 @@ type RunSpec struct {
 	M, P  int
 	Rho   float64
 	Steps int
-	// DLB selects the permanent-cell balancer (the paper's method) with
-	// the Hysteresis below; Balancer, when non-nil, selects an explicit
-	// strategy instead and wins over DLB.
-	DLB      bool
+	// Balancer is the load-balancing strategy (nil = plain DDM;
+	// balance.PermanentCell is the paper's method).
 	Balancer balance.Balancer
 	Seed     uint64
 	// WellK is the harmonic well strength driving concentration
@@ -46,9 +39,6 @@ type RunSpec struct {
 	// Wells is the number of attractor sites scattered through the box
 	// (the droplet nuclei). 0 or 1 places a single central well.
 	Wells int
-	// Hysteresis is the DLB trigger threshold (relative load gap); it
-	// parameterizes the DLB switch only.
-	Hysteresis float64
 	// StatsEvery thins the per-step statistics (default 1).
 	StatsEvery int
 	// Shards is the per-PE force-kernel worker count (<= 1 = serial
@@ -56,11 +46,8 @@ type RunSpec struct {
 	Shards int
 	// Metrics enables the per-phase timing layer (core.Config.Metrics).
 	Metrics bool
-	// Dt overrides the integration time step. Zero selects the experiment
-	// default of 0.005 reduced time units — a standard (stable) LJ step
-	// that reaches the paper's physical time span in ~50x fewer steps than
-	// the paper's very conservative 1e-4. Set to units.PaperTimeStep for
-	// the literal setup.
+	// Dt overrides the integration time step. Zero selects
+	// runspec.DefaultDt; set to units.PaperTimeStep for the literal setup.
 	Dt float64
 	// Start optionally pre-concentrates a fraction of the particles in a
 	// central blob (0 = uniform lattice start).
@@ -69,78 +56,40 @@ type RunSpec struct {
 }
 
 // SysInfo reports the concrete sizes a spec resolved to.
-type SysInfo struct {
-	N, C, NC int
-	Box      float64
-	RhoUsed  float64
+type SysInfo = runspec.Info
+
+// Meta writes the spec down as the run identity every engine path builds
+// from and every checkpoint of the run carries. The blob start is not part
+// of it: an identity names the system, not where the particles began.
+func (s RunSpec) Meta() checkpoint.Meta {
+	return checkpoint.Meta{
+		Kind: checkpoint.KindDLB, M: s.M, P: s.P, Rho: s.Rho,
+		DLB: s.Balancer != nil, Balancer: balance.Encode(s.Balancer),
+		Wells: s.Wells, WellK: s.WellK,
+		Seed: s.Seed, Dt: s.Dt, Shards: s.Shards, StatsEvery: s.StatsEvery,
+	}
 }
 
-// Build constructs the system and engine configuration for the spec.
+// Build constructs the system and engine configuration for the spec: the
+// shared builder's, with the lattice start swapped for the pre-concentrated
+// blob when the spec asks for one.
 func (s RunSpec) Build() (core.Config, workload.System, SysInfo, error) {
-	sq := int(math.Round(math.Sqrt(float64(s.P))))
-	if sq*sq != s.P || sq < 2 {
-		return core.Config{}, workload.System{}, SysInfo{}, fmt.Errorf("experiments: P=%d is not a perfect square >= 4", s.P)
+	meta := s.Meta()
+	cfg, sys, info, err := runspec.Parallel(&meta, nil)
+	if err != nil {
+		return core.Config{}, workload.System{}, SysInfo{}, err
 	}
-	if s.M < 2 {
-		return core.Config{}, workload.System{}, SysInfo{}, fmt.Errorf("experiments: m=%d leaves no movable cells", s.M)
-	}
-	nc := s.M * sq
-	l := float64(nc) * units.PaperCutoff
-	n := int(math.Round(s.Rho * l * l * l))
-	rho := float64(n) / (l * l * l)
-
-	var sys workload.System
-	var err error
+	cfg.Metrics = s.Metrics
 	if s.BlobFrac > 0 {
 		sigma := s.BlobSigma
 		if sigma == 0 {
-			sigma = l / 6
+			sigma = info.Box / 6
 		}
-		sys, err = workload.BlobGas(n, rho, units.PaperTref, s.BlobFrac, sigma, s.Seed)
-	} else {
-		sys, err = workload.LatticeGas(n, rho, units.PaperTref, s.Seed)
-	}
-	if err != nil {
-		return core.Config{}, workload.System{}, SysInfo{}, err
-	}
-	grid, err := space.NewGridWithDims(sys.Box, nc, nc, nc)
-	if err != nil {
-		return core.Config{}, workload.System{}, SysInfo{}, err
-	}
-
-	dt := s.Dt
-	if dt == 0 {
-		dt = 0.005
-	}
-	cfg := core.Config{
-		P:            s.P,
-		Grid:         grid,
-		Pair:         potential.NewPaperLJ(),
-		Dt:           dt,
-		Tref:         units.PaperTref,
-		RescaleEvery: units.PaperRescaleInterval,
-		Balancer:     s.Balancer,
-		Metric:       core.WorkCount,
-		Shards:       s.Shards,
-		StatsEvery:   s.StatsEvery,
-		Metrics:      s.Metrics,
-	}
-	if cfg.Balancer == nil && s.DLB {
-		cfg.Balancer = balance.PermanentCell{Hysteresis: s.Hysteresis}
-	}
-	if s.WellK > 0 {
-		if s.Wells <= 1 {
-			cfg.Ext = potential.HarmonicWell{Center: sys.Box.L.Scale(0.5), K: s.WellK, L: sys.Box.L}
-		} else {
-			r := rng.New(s.Seed ^ 0xA5A5A5A5)
-			centers := make([]vec.V, s.Wells)
-			for i := range centers {
-				centers[i] = r.InBox(sys.Box.L)
-			}
-			cfg.Ext = potential.MultiWell{Centers: centers, K: s.WellK, L: sys.Box.L}
+		sys, err = workload.BlobGas(info.N, info.RhoUsed, units.PaperTref, s.BlobFrac, sigma, s.Seed)
+		if err != nil {
+			return core.Config{}, workload.System{}, SysInfo{}, err
 		}
 	}
-	info := SysInfo{N: n, C: nc * nc * nc, NC: nc, Box: l, RhoUsed: rho}
 	return cfg, sys, info, nil
 }
 

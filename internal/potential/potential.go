@@ -1,13 +1,12 @@
 // Package potential implements the interaction models used by the
 // simulators: the truncated Lennard-Jones pair potential of the paper (plain
-// and energy-shifted), the WCA purely repulsive variant used in tests, and
-// external one-body fields (a central harmonic well used to drive particle
-// concentration quickly in the accelerated experiments).
+// and energy-shifted) and external one-body fields (a central harmonic well
+// used to drive particle concentration quickly in the accelerated
+// experiments).
 package potential
 
 import (
 	"fmt"
-	"math"
 
 	"permcell/internal/vec"
 )
@@ -73,27 +72,6 @@ func (lj *LJ) EnergyForce(r2 float64) (e, f float64) {
 	e, f = lj.raw(r2)
 	return e - lj.shiftE, f
 }
-
-// WCA is the Weeks-Chandler-Andersen potential: LJ truncated at its minimum
-// 2^(1/6) sigma and shifted so it is purely repulsive. Handy in tests where
-// clustering must not occur.
-type WCA struct{ lj *LJ }
-
-// NewWCA returns a WCA potential with the given eps and sigma.
-func NewWCA(eps, sigma float64) (*WCA, error) {
-	cut := sigma * math.Pow(2, 1.0/6.0)
-	lj, err := NewLJ(eps, sigma, cut, true)
-	if err != nil {
-		return nil, err
-	}
-	return &WCA{lj: lj}, nil
-}
-
-// Cutoff implements Pair.
-func (w *WCA) Cutoff() float64 { return w.lj.Cut }
-
-// EnergyForce implements Pair.
-func (w *WCA) EnergyForce(r2 float64) (e, f float64) { return w.lj.EnergyForce(r2) }
 
 // External is a one-body field. Implementations must be safe for concurrent
 // use.

@@ -94,25 +94,6 @@ func TestLJShifted(t *testing.T) {
 	}
 }
 
-func TestWCARepulsiveOnly(t *testing.T) {
-	w, err := NewWCA(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(w.Cutoff()-math.Pow(2, 1.0/6.0)) > 1e-12 {
-		t.Errorf("WCA cutoff = %v", w.Cutoff())
-	}
-	for r := 0.8; r < w.Cutoff(); r += 0.01 {
-		e, f := w.EnergyForce(r * r)
-		if e < -1e-12 {
-			t.Fatalf("WCA energy %v < 0 at r=%v", e, r)
-		}
-		if f < -1e-12 {
-			t.Fatalf("WCA force factor %v < 0 at r=%v", f, r)
-		}
-	}
-}
-
 func TestHarmonicWell(t *testing.T) {
 	l := vec.New(10, 10, 10)
 	w := HarmonicWell{Center: vec.New(5, 5, 5), K: 2, L: l}

@@ -10,11 +10,10 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"permcell"
-	"permcell/internal/units"
+	"permcell/internal/runspec"
 )
 
 // Engine kinds a RunSpec can request.
@@ -94,20 +93,19 @@ func (s *RunSpec) kind() string {
 	return s.Kind
 }
 
-// Particles estimates the run's particle count N = round(rho * volume),
-// the admission-control memory proxy: per-run state is O(N), so the
+// Particles is the particle count N the run's engine will hold, resolved by
+// the same builder that constructs it (0 for coordinates no engine accepts).
+// It is the admission-control memory proxy: per-run state is O(N), so the
 // service caps N rather than guessing at bytes.
 func (s *RunSpec) Particles() int {
-	var side int
-	switch s.kind() {
-	case KindParallel:
-		root := int(math.Round(math.Sqrt(float64(s.P))))
-		side = s.M * root
-	default:
-		side = s.NC
+	side := s.NC
+	if s.kind() == KindParallel {
+		var err error
+		if side, err = runspec.Side(s.M, s.P); err != nil {
+			return 0
+		}
 	}
-	l := float64(side) * units.PaperCutoff
-	return int(math.Round(s.Rho * l * l * l))
+	return runspec.Sizes(side, s.Rho).N
 }
 
 // Validate rejects specs that cannot construct an engine, before any queue
@@ -116,12 +114,8 @@ func (s *RunSpec) Particles() int {
 func (s *RunSpec) Validate() error {
 	switch s.kind() {
 	case KindParallel:
-		if s.M < 2 {
-			return fmt.Errorf("serve: m must be >= 2, got %d", s.M)
-		}
-		root := int(math.Round(math.Sqrt(float64(s.P))))
-		if s.P < 4 || root*root != s.P {
-			return fmt.Errorf("serve: p must be a perfect square >= 4, got %d", s.P)
+		if _, err := runspec.Side(s.M, s.P); err != nil {
+			return fmt.Errorf("serve: %w", err)
 		}
 	case KindStatic:
 		if s.NC < 1 {

@@ -1,7 +1,6 @@
 // Package topology maps processing-element ranks onto the virtual
-// interconnects of the paper: a ring (plane domains), a 2-D torus with
-// 8-neighbor relationships (square-pillar domains, the DLB substrate), and a
-// 3-D torus (cube domains).
+// interconnects of the paper: a 2-D torus with 8-neighbor relationships
+// (square-pillar domains, the DLB substrate) and a 3-D torus (cube domains).
 package topology
 
 import (
@@ -31,24 +30,6 @@ var (
 	// DownRight is the Case-3 offset set.
 	DownRight = []Offset{{0, 1}, {1, 0}, {1, 1}}
 )
-
-// Ring is a 1-D periodic chain of P ranks (the virtual interconnect of
-// plane-domain DDM, Fig. 1).
-type Ring struct{ P int }
-
-// NewRing returns a ring of p ranks.
-func NewRing(p int) (Ring, error) {
-	if p < 1 {
-		return Ring{}, fmt.Errorf("topology: ring needs p >= 1, got %d", p)
-	}
-	return Ring{P: p}, nil
-}
-
-// Next returns the rank after r.
-func (t Ring) Next(r int) int { return mod(r+1, t.P) }
-
-// Prev returns the rank before r.
-func (t Ring) Prev(r int) int { return mod(r-1, t.P) }
 
 // Torus2D is a Px x Py periodic grid of ranks; rank = i*Py + j for
 // coordinates (i, j) with 0 <= i < Px, 0 <= j < Py. Square-pillar DDM uses

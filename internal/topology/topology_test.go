@@ -5,22 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestRing(t *testing.T) {
-	r, err := NewRing(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Next(4) != 0 || r.Prev(0) != 4 {
-		t.Error("ring wrap broken")
-	}
-	if r.Next(2) != 3 || r.Prev(2) != 1 {
-		t.Error("ring step broken")
-	}
-	if _, err := NewRing(0); err == nil {
-		t.Error("p=0 accepted")
-	}
-}
-
 func TestSquareTorus(t *testing.T) {
 	for _, p := range []int{16, 36, 64} {
 		tor, err := NewSquareTorus(p)

@@ -54,22 +54,6 @@ func LatticeGas(n int, rho, tref float64, seed uint64) (System, error) {
 	return System{Box: box, Set: set}, nil
 }
 
-// UniformGas places n particles uniformly at random (no overlap guarantee;
-// use with soft potentials or analysis-only workloads).
-func UniformGas(n int, rho, tref float64, seed uint64) (System, error) {
-	box, err := space.CubicBoxForDensity(n, rho)
-	if err != nil {
-		return System{}, err
-	}
-	set := &particle.Set{}
-	r := rng.New(seed)
-	for i := 0; i < n; i++ {
-		set.Add(int64(i), r.InBox(box.L), r.MaxwellVelocity(tref, 1))
-	}
-	integrator.RemoveDrift(set)
-	return System{Box: box, Set: set}, nil
-}
-
 // BlobGas places a fraction concFrac of the n particles in a Gaussian blob
 // of standard deviation sigma around the box center and the rest uniformly.
 // Overlapping-core positions are resolved by resampling blob positions onto
@@ -160,10 +144,4 @@ func BlobGas(n int, rho, tref, concFrac, sigma float64, seed uint64) (System, er
 	}
 	integrator.RemoveDrift(set)
 	return System{Box: box, Set: set}, nil
-}
-
-// PaperSystem returns the lattice gas at the paper's headline conditions
-// for the given particle count and density (Tref = 0.722).
-func PaperSystem(n int, rho float64, seed uint64) (System, error) {
-	return LatticeGas(n, rho, 0.722, seed)
 }

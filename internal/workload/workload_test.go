@@ -65,19 +65,6 @@ func TestLatticeGasRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestUniformGasCount(t *testing.T) {
-	sys, err := UniformGas(100, 0.1, 0.722, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.Set.Len() != 100 {
-		t.Fatalf("N = %d", sys.Set.Len())
-	}
-	if p := sys.Set.Momentum(); p.Norm() > 1e-9 {
-		t.Errorf("momentum = %v", p)
-	}
-}
-
 func TestBlobGasConcentration(t *testing.T) {
 	sys, err := BlobGas(512, 0.256, 0.722, 0.5, 3.0, 5)
 	if err != nil {
@@ -146,15 +133,5 @@ func TestDeterministicAcrossSeeds(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical velocities")
-	}
-}
-
-func TestPaperSystem(t *testing.T) {
-	sys, err := PaperSystem(125, 0.256, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sys.Set.Temperature()-0.722) > 1e-9 {
-		t.Errorf("T = %v", sys.Set.Temperature())
 	}
 }

@@ -64,10 +64,10 @@ type supervisedEngine struct {
 	resErr   error
 }
 
-// supervised wraps build under the supervision policy in o. startStep is the
-// absolute step the run begins at (0 fresh, the checkpoint's step for
-// Restore).
-func supervised(o Options, startStep int, build func(Options) (Engine, error)) (Engine, error) {
+// supervised starts the run identified by meta under the supervision policy
+// in o: fresh when st is nil, else from the snapshot (Restore), whose step
+// the authoritative counter continues from.
+func supervised(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine, error) {
 	if o.ckptDir == "" {
 		return nil, fmt.Errorf("permcell: WithSupervisor requires a checkpoint directory (use WithCheckpoint)")
 	}
@@ -77,12 +77,16 @@ func supervised(o Options, startStep int, build func(Options) (Engine, error)) (
 		return nil, fmt.Errorf("permcell: unknown worker recovery policy %q (want %q or %q)",
 			o.supervisor.WorkerRecovery, supervise.RecoverRespawn, supervise.RecoverRescale)
 	}
+	startStep := 0
+	if st != nil {
+		startStep = st.Step
+	}
 	s := &supervisedEngine{
 		pol: *o.supervisor, base: o, dir: o.ckptDir,
 		abs: startStep, innerAbs: startStep, high: startStep,
 		lastRollbackAbs: -1,
 	}
-	inner, err := build(s.innerOptions(0))
+	inner, err := start(meta, st, s.innerOptions(0))
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package permcell_test
 
 import (
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -195,5 +196,14 @@ func TestTransportRejections(t *testing.T) {
 	}
 	if _, err := permcell.New(2, 4, 0.3, tcp(5)); err == nil {
 		t.Error("more processes than ranks accepted")
+	}
+	// Restore learns the engine kind from the file, so the same rejections
+	// must fire there instead of the run silently coming up in-process.
+	for _, name := range []string{"static", "serial"} {
+		eng, err := permcell.Restore(filepath.Join("testdata", "ckpt", name+".ckpt"), tcp(2))
+		if err == nil {
+			eng.Result()
+			t.Errorf("restored %s checkpoint accepted the tcp transport", name)
+		}
 	}
 }
