@@ -18,8 +18,11 @@ import (
 // FIFO matching contract depends on it.
 type Remote interface {
 	Deliver(src, dst, tag int, data any, size int64) error
-	// Stats returns cumulative frames and wire bytes sent through this
-	// remote (the source for the transport counters in StepStats).
+	// Stats returns the cumulative count of messages delivered through
+	// this remote and the bytes they occupied on the wire, framing
+	// included (the source for the transport counters in StepStats). Only
+	// Deliver's traffic counts — a link's keep-alives and control
+	// protocol do not — so the numbers repeat exactly for a seed.
 	Stats() (frames, bytes int64)
 }
 

@@ -462,8 +462,8 @@ func (p *pe) balanceStep() {
 // forces from the last evaluation, which the first half kick of the move
 // step still needs (particle.One deliberately omits forces — every other
 // transfer happens at points where they are about to be recomputed).
-// Fields are exported because the payload crosses process boundaries on
-// the TCP transport (gob only encodes exported fields).
+// On the TCP transport it crosses process boundaries through the codec in
+// wire.go.
 type colTransfer struct {
 	Ps  []particle.One
 	Frc []vec.V

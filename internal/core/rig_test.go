@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"permcell/internal/comm"
 	"permcell/internal/decomp"
 	"permcell/internal/space"
+	"permcell/internal/transport"
 	"permcell/internal/workload"
 )
 
@@ -53,30 +55,50 @@ func (in instantiation) config(t *testing.T, g space.Grid) Config {
 }
 
 // memRemote bridges two rank blocks in memory: everything delivered to it
-// is injected into the peer block's world. The PEs already exchange halos
-// while the second block is still being constructed, so delivery waits for
-// the peer to be attached.
+// crosses the boundary the way the tcp transport carries it — through the
+// payload codec, encode on this side and decode on the other — and is
+// injected into the peer block's world. Every split run thereby holds the
+// codec to the bit-identical traces the lifecycle tests compare, and a
+// payload type without a codec fails the send. The PEs already exchange
+// halos while the second block is still being constructed, so delivery
+// waits for the peer to be attached.
 type memRemote struct {
 	attached chan struct{}
 	mu       sync.Mutex
 	peer     *comm.World
+	sent     map[reflect.Type]bool // dynamic types delivered so far
 	frames   atomic.Int64
 }
 
 func (r *memRemote) Deliver(src, dst, tag int, data any, size int64) error {
 	<-r.attached
 	r.frames.Add(1)
+	wire, err := transport.EncodePayload(data)
+	if err != nil {
+		return err
+	}
+	got, err := transport.DecodePayload(wire)
+	if err != nil {
+		return err
+	}
 	// Serialize concurrent senders like a connection write mutex would.
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.peer.Inject(src, dst, tag, data, size)
+	if r.sent == nil {
+		r.sent = make(map[reflect.Type]bool)
+	}
+	r.sent[reflect.TypeOf(data)] = true
+	return r.peer.Inject(src, dst, tag, got, size)
 }
 
 func (r *memRemote) Stats() (frames, bytes int64) { return r.frames.Load(), 0 }
 
 // rig drives the blocks of one instantiation in lockstep, as the distrib
 // coordinator drives its workers.
-type rig struct{ blocks []*Engine }
+type rig struct {
+	blocks  []*Engine
+	remotes []*memRemote // one per block of a split run
+}
 
 // start stands the instantiation up on sys.
 func (in instantiation) start(t *testing.T, cfg Config, sys workload.System) *rig {
@@ -108,7 +130,7 @@ func (in instantiation) start(t *testing.T, cfg Config, sys workload.System) *ri
 	ra.peer, rb.peer = b.World(), a.World()
 	close(ra.attached)
 	close(rb.attached)
-	return &rig{blocks: []*Engine{a, b}}
+	return &rig{blocks: []*Engine{a, b}, remotes: []*memRemote{ra, rb}}
 }
 
 // each runs fn on every block concurrently — the blocks of a split run wait

@@ -248,10 +248,10 @@ func Start(spec WireSpec, cfg Config) (*Engine, error) {
 		} else {
 			ws.Chaos = nil
 		}
-		payload, perr := transport.EncodePayload(ws)
+		payload, perr := encodeControl(ws)
 		if perr != nil {
 			e.shutdown()
-			return nil, fmt.Errorf("distrib: encode spec: %w", perr)
+			return nil, perr
 		}
 		if serr := peer.Send(transport.Frame{Kind: transport.KindSpec, Payload: payload}); serr != nil {
 			e.shutdown()
@@ -341,6 +341,9 @@ func (e *Engine) route(proc int) {
 					fmt.Errorf("data frame for rank %d out of range", dst)))
 				return
 			}
+			// The payload is on loan from this link's read buffer and
+			// goes out undecoded: Send copies it into the destination
+			// link's write buffer before the next Recv takes it back.
 			to := e.procOf[dst]
 			if err := e.peers[to].Send(fr); err != nil {
 				if e.peers[to].Closed() || errors.Is(err, transport.ErrPeerClosed) {
@@ -381,7 +384,7 @@ func (e *Engine) collect(kind byte) ([]any, error) {
 				return nil, e.linkFailure(cf.proc, FailProtocol,
 					fmt.Errorf("sent frame kind %d, want %d", cf.frame.Kind, kind))
 			}
-			v, err := transport.DecodePayload(cf.frame.Payload)
+			v, err := decodeControl(cf.frame.Payload)
 			if err != nil {
 				return nil, e.linkFailure(cf.proc, FailFrameDecode,
 					fmt.Errorf("decode ack: %w", err))

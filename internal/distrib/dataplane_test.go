@@ -1,0 +1,289 @@
+package distrib
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"strings"
+	"testing"
+	"time"
+
+	"permcell/internal/checkpoint"
+	"permcell/internal/transport"
+)
+
+// The data-plane tests run the hub, the worker and the remote over
+// net.Pipe: real Peers and the real protocol, no sockets, no processes.
+
+// pipeHub stands up a coordinator's routers over in-memory links, rank i
+// on proc i, and returns the workers' ends.
+func pipeHub(t *testing.T, procs int) (*Engine, []*transport.Peer) {
+	t.Helper()
+	e := &Engine{
+		peers:  make([]*transport.Peer, procs),
+		procOf: make([]int, procs),
+		ranks:  make([][]int, procs),
+		last:   make([]frameLog, procs),
+		ctrl:   make(chan ctrlFrame, 4*procs),
+		fatal:  make(chan error, procs),
+		hbStop: make(chan struct{}),
+	}
+	far := make([]*transport.Peer, procs)
+	for i := range far {
+		hubEnd, workerEnd := net.Pipe()
+		e.peers[i], far[i] = transport.NewPeer(hubEnd), transport.NewPeer(workerEnd)
+		e.procOf[i], e.ranks[i] = i, []int{i}
+	}
+	for i := range far {
+		go e.route(i)
+	}
+	t.Cleanup(func() {
+		e.shutdown()
+		for _, p := range far {
+			p.Close()
+		}
+	})
+	return e, far
+}
+
+// TestHubForwardsDataFramesOpaque: the coordinator routes a data frame by
+// its header and forwards header and payload byte for byte — a payload no
+// codec would accept crosses as well as a typed one, so nothing decoded it
+// — keeps each source's frames in the order they were sent, and hands
+// control frames to the collector instead of forwarding them.
+func TestHubForwardsDataFramesOpaque(t *testing.T) {
+	e, far := pipeHub(t, 3)
+	const perSource = 150
+	payload := func(src, seq int) []byte {
+		switch seq % 5 {
+		case 0:
+			b, err := transport.EncodePayload([]int{src, seq})
+			if err != nil {
+				t.Error(err)
+			}
+			return b
+		case 1:
+			return nil
+		case 2: // larger than a Peer's read buffer: the owned-payload path
+			return bytes.Repeat([]byte{byte(src), byte(seq)}, 40<<10)
+		default: // no type id a codec knows, lying counts and all
+			return append([]byte{0xEE, 0xFF, 0xFF, 0xFF, 0xFF}, fmt.Sprintf("opaque %d/%d", src, seq)...)
+		}
+	}
+	sendErr := make(chan error, 2)
+	for _, src := range []int{0, 2} {
+		go func() {
+			for seq := 0; seq < perSource; seq++ {
+				f := transport.Frame{Kind: transport.KindData, Src: int32(src), Dst: 1, Tag: int32(seq), Payload: payload(src, seq)}
+				if err := far[src].Send(f); err != nil {
+					sendErr <- err
+					return
+				}
+			}
+			sendErr <- far[src].Send(transport.Frame{Kind: transport.KindStepAck, Src: int32(src), Dst: -1, Payload: []byte("ack")})
+		}()
+	}
+	next := map[int32]int{0: 0, 2: 0}
+	for i := 0; i < 2*perSource; i++ {
+		f, err := far[1].Recv()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		seq, ok := next[f.Src]
+		if !ok || f.Kind != transport.KindData || f.Dst != 1 {
+			t.Fatalf("frame %d: unexpected header %+v", i, f)
+		}
+		if int(f.Tag) != seq {
+			t.Fatalf("source %d: frame %d arrived where %d was due", f.Src, f.Tag, seq)
+		}
+		if want := payload(int(f.Src), seq); !bytes.Equal(f.Payload, want) {
+			t.Fatalf("source %d frame %d: payload changed in transit (%d bytes, want %d)", f.Src, seq, len(f.Payload), len(want))
+		}
+		next[f.Src]++
+	}
+	for range 2 {
+		if err := <-sendErr; err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case cf := <-e.ctrl:
+			if cf.frame.Kind != transport.KindStepAck || string(cf.frame.Payload) != "ack" || int(cf.frame.Src) != cf.proc {
+				t.Fatalf("collector got %+v from proc %d", cf.frame, cf.proc)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a control frame never reached the collector")
+		}
+	}
+	select {
+	case err := <-e.fatal:
+		t.Fatalf("routing opaque payloads failed a link: %v", err)
+	default:
+	}
+
+	// A destination outside the world is a protocol failure of the sender.
+	if err := far[0].Send(transport.Frame{Kind: transport.KindData, Src: 0, Dst: 7}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-e.fatal:
+		var wf *WorkerFailure
+		if !errors.As(err, &wf) || wf.Kind != FailProtocol || wf.Proc != 0 {
+			t.Fatalf("out-of-range destination: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("out-of-range destination went unnoticed")
+	}
+}
+
+// TestWorkerCorruptPayloadPoisons: a worker whose ranks are blocked in a
+// step on data that will never come, fed a data frame no codec accepts,
+// poisons its world — the ranks unwind, the step is acked as failed — and
+// RunWorkerWith returns the decode error instead of hanging.
+func TestWorkerCorruptPayloadPoisons(t *testing.T) {
+	coordEnd, workerEnd := net.Pipe()
+	done := make(chan error, 1)
+	go func() { done <- RunWorkerWith(workerEnd, WorkerOptions{HandshakeTimeout: 10 * time.Second}) }()
+
+	coord := transport.NewPeer(coordEnd)
+	defer coord.Close()
+	if f, err := coord.Recv(); err != nil || f.Kind != transport.KindHello {
+		t.Fatalf("hello: %+v, %v", f, err)
+	}
+	// Ranks 0 and 1 of 4 live in the worker; 2 and 3 are this test, which
+	// never answers, so the worker's ranks block in their first halo.
+	spec, err := encodeControl(WireSpec{
+		Meta:  checkpoint.Meta{Kind: checkpoint.KindDLB, M: 2, P: 4, Rho: 0.256, DLB: true, Seed: 1, StatsEvery: 1},
+		Ranks: []int{0, 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Send(transport.Frame{Kind: transport.KindSpec, Payload: spec}); err != nil {
+		t.Fatal(err)
+	}
+	// Drain what the worker writes (net.Pipe has no buffer): its ranks'
+	// data frames for ranks 2 and 3, the ready ack, then the failed step's.
+	acks := make(chan StepAck, 2)
+	go func() {
+		for {
+			f, err := coord.Recv()
+			if err != nil {
+				close(acks)
+				return
+			}
+			if f.Kind == transport.KindStepAck {
+				if v, err := decodeControl(f.Payload); err == nil {
+					acks <- v.(StepAck)
+				}
+			}
+		}
+	}()
+	awaitAck := func(what string) StepAck {
+		t.Helper()
+		select {
+		case ack, ok := <-acks:
+			if !ok {
+				t.Fatalf("%s: link closed first", what)
+			}
+			return ack
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: timed out", what)
+		}
+		panic("unreachable")
+	}
+	if ack := awaitAck("ready ack"); ack.Err != "" {
+		t.Fatalf("worker failed to build its engine: %s", ack.Err)
+	}
+	if err := coord.Send(transport.Frame{Kind: transport.KindStep, Tag: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// A []int whose count promises four billion elements.
+	corrupt := []byte{3, 0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3}
+	if err := coord.Send(transport.Frame{Kind: transport.KindData, Src: 2, Dst: 0, Tag: 5, Payload: corrupt}); err != nil {
+		t.Fatal(err)
+	}
+	if ack := awaitAck("failed step's ack"); ack.Failure == nil && ack.Err == "" {
+		t.Error("the step the corrupt frame interrupted was acked as a success")
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, transport.ErrMalformedPayload) {
+			t.Fatalf("RunWorkerWith returned %v, want the payload decode error", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("RunWorkerWith still running: the corrupt frame left its ranks blocked")
+	}
+}
+
+// TestRemoteStatsCountWireBytes holds comm.Remote's "wire bytes" to the
+// wire: Stats equals the bytes the far end reads for the data frames —
+// length prefix and header included — while heartbeats and control frames
+// on the same link stay out of the count.
+func TestRemoteStatsCountWireBytes(t *testing.T) {
+	near, far := net.Pipe()
+	peer := transport.NewPeer(near)
+	r := &peerRemote{peer: peer}
+
+	read := make(chan int64, 1)
+	go func() {
+		n, _ := io.Copy(io.Discard, far)
+		read <- n
+	}()
+
+	control := []byte("some control payload")
+	vals := []any{1.5, int64(7), []int{1, 2, 3}, []int(nil), []any{2.5, []int{4}}}
+	var want int64
+	for i, v := range vals {
+		if err := r.Deliver(0, 5, i, v, 999); err != nil {
+			t.Fatalf("deliver %T: %v", v, err)
+		}
+		b, _ := transport.EncodePayload(v)
+		want += 17 + int64(len(b))
+		if i == 2 {
+			if err := peer.Send(transport.Frame{Kind: transport.KindHeartbeat, Dst: -1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := peer.Send(transport.Frame{Kind: transport.KindStepAck, Payload: control}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	err := r.Deliver(0, 5, 1, struct{ Secret string }{"x"}, 0)
+	if err == nil || !strings.Contains(err.Error(), "struct { Secret string }") {
+		t.Fatalf("unregistered payload type: error %v does not name it", err)
+	}
+	peer.Close()
+
+	frames, wire := r.Stats()
+	if frames != int64(len(vals)) || wire != want {
+		t.Fatalf("Stats() = %d frames, %d bytes; want %d, %d", frames, wire, len(vals), want)
+	}
+	if got, other := <-read, int64(17+17+len(control)); got != wire+other {
+		t.Fatalf("far end read %d bytes; Stats says %d of data frames, plus %d of heartbeat and control", got, wire, other)
+	}
+}
+
+// TestControlPlaneStaysGob: specs and acks round-trip through the gob
+// envelope, and the data plane's codec wants nothing to do with them.
+func TestControlPlaneStaysGob(t *testing.T) {
+	ack := StepAck{Proc: 3, Msgs: 10, Bytes: 20, Failure: &WireFailure{Class: "rank", Rank: 2, Value: "boom"}}
+	b, err := encodeControl(ack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := decodeControl(b)
+	if got, ok := v.(StepAck); err != nil || !ok || got.Proc != 3 || got.Failure == nil || got.Failure.Value != "boom" {
+		t.Fatalf("control round trip: %#v, %v", v, err)
+	}
+	if _, err := decodeControl([]byte("not gob")); err == nil {
+		t.Error("garbage control payload decoded")
+	}
+	if _, err := transport.EncodePayload(ack); err == nil {
+		t.Error("the data-plane codec encoded a control type")
+	}
+	if _, err := transport.DecodePayload(b); !errors.Is(err, transport.ErrMalformedPayload) {
+		t.Errorf("the data-plane codec took a gob payload: %v", err)
+	}
+}

@@ -3,10 +3,18 @@
 // transport) listens on loopback TCP, spawns worker processes
 // (cmd/mdrank) or goroutine-hosted workers, deals each a contiguous
 // block of ranks, and drives their core.NewPartial engines in lockstep over
-// the stepwise protocol. Rank-to-rank messages travel as length-prefixed
-// gob frames (internal/transport) through a star topology: every worker
-// holds one connection to the coordinator, which forwards data frames by
-// header only — payloads are never decoded in transit.
+// the stepwise protocol. Everything travels as length-prefixed frames
+// (internal/transport: uint32 length, kind, src, dst, tag, payload) through
+// a star topology: every worker holds one connection to the coordinator.
+//
+// Two planes share the links. The data plane is the per-step rank-to-rank
+// traffic: KindData frames whose payload is a type byte plus a fixed
+// little-endian layout (the table is in internal/core/wire.go), encoded
+// into a buffer the sending link reuses, forwarded by the coordinator by
+// header only — payloads are never decoded in transit — and decoded once,
+// by the destination worker's reader. The control plane is the spec and
+// the acks (Spec, StepAck, SnapAck, ResultAck): a few frames per command,
+// gob-encoded here (encodeControl) because their types are deep and cold.
 //
 // Determinism contract: the per-(src,tag) FIFO delivery order is
 // preserved end to end (sender goroutine order -> connection write mutex
@@ -17,6 +25,7 @@
 package distrib
 
 import (
+	"bytes"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -162,6 +171,30 @@ func init() {
 	gob.Register(StepAck{})
 	gob.Register(SnapAck{})
 	gob.Register(ResultAck{})
+}
+
+// envelope gives every control payload the same gob shape; the concrete
+// types inside V are the four registered above.
+type envelope struct{ V any }
+
+// encodeControl gob-encodes a control-plane value (spec or ack) into a
+// frame payload. A fresh encoder per payload keeps frames self-contained.
+// Data frames never come here: their payloads are transport's typed codec.
+func encodeControl(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&envelope{V: v}); err != nil {
+		return nil, fmt.Errorf("distrib: encode control payload: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeControl reverses encodeControl.
+func decodeControl(b []byte) (any, error) {
+	var env envelope
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&env); err != nil {
+		return nil, fmt.Errorf("distrib: decode control payload: %w", err)
+	}
+	return env.V, nil
 }
 
 // errString flattens an error for the wire.

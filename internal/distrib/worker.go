@@ -12,10 +12,12 @@ import (
 )
 
 // peerRemote adapts the coordinator connection to comm.Remote: every
-// cross-process send is gob-encoded and framed onto the single peer. The
-// Peer's write mutex serializes concurrent senders, preserving each
-// goroutine's program-order send sequence — the per-(src,tag) FIFO the
-// delivery contract requires. Counters track encoded payload bytes so
+// cross-process send is encoded by its payload codec and framed onto the
+// single peer. The Peer's write mutex serializes concurrent senders,
+// preserving each goroutine's program-order send sequence — the
+// per-(src,tag) FIFO the delivery contract requires. The counters are wire
+// bytes of data frames only, length prefix and header included; heartbeats
+// and control frames stay out, so the count is a function of the seed and
 // per-process transport stats sum to placement-independent totals.
 type peerRemote struct {
 	peer   *transport.Peer
@@ -24,17 +26,13 @@ type peerRemote struct {
 }
 
 func (r *peerRemote) Deliver(src, dst, tag int, data any, size int64) error {
-	payload, err := transport.EncodePayload(data)
+	wire, err := r.peer.SendData(src, dst, tag, data)
 	if err != nil {
-		return fmt.Errorf("distrib: encode payload (src %d dst %d tag %d): %w", src, dst, tag, err)
+		return fmt.Errorf("distrib: data frame (src %d dst %d tag %d): %w", src, dst, tag, err)
 	}
 	r.frames.Add(1)
-	r.bytes.Add(int64(len(payload)))
-	return r.peer.Send(transport.Frame{
-		Kind: transport.KindData,
-		Src:  int32(src), Dst: int32(dst), Tag: int32(tag),
-		Payload: payload,
-	})
+	r.bytes.Add(int64(wire))
+	return nil
 }
 
 func (r *peerRemote) Stats() (frames, bytes int64) {
@@ -81,7 +79,7 @@ func RunWorkerWith(conn net.Conn, opts WorkerOptions) error {
 	if fr.Kind != transport.KindSpec {
 		return fmt.Errorf("distrib: expected spec frame, got kind %d", fr.Kind)
 	}
-	v, err := transport.DecodePayload(fr.Payload)
+	v, err := decodeControl(fr.Payload)
 	if err != nil {
 		return fmt.Errorf("distrib: decode spec: %w", err)
 	}
@@ -125,9 +123,9 @@ func RunWorkerWith(conn net.Conn, opts WorkerOptions) error {
 	}
 
 	sendAck := func(kind byte, ack any) error {
-		payload, perr := transport.EncodePayload(ack)
+		payload, perr := encodeControl(ack)
 		if perr != nil {
-			return fmt.Errorf("distrib: encode ack: %w", perr)
+			return perr
 		}
 		return peer.Send(transport.Frame{Kind: kind, Payload: payload})
 	}
@@ -144,10 +142,12 @@ func RunWorkerWith(conn net.Conn, opts WorkerOptions) error {
 	}
 
 	// Reader goroutine: the only consumer of the connection from here on.
-	// Data frames are injected into the partial world immediately (PEs
-	// block on them mid-batch); heartbeats are dropped after proving
-	// liveness (arming the read deadline happens per Recv); control
-	// frames queue for the serve loop.
+	// Data frames are decoded by their payload codec and injected into the
+	// partial world immediately (PEs block on them mid-batch; the decoded
+	// value is a copy, so the peer may take its read buffer back at the
+	// next Recv); heartbeats are dropped after proving liveness (arming the
+	// read deadline happens per Recv); control frames own their payload
+	// and queue for the serve loop.
 	world := part.World()
 	ctrl := make(chan transport.Frame, 4)
 	readErr := make(chan error, 1)

@@ -1,26 +1,32 @@
 // Package transport implements the wire layer for multi-process runs:
-// a length-prefixed binary frame codec and a connection wrapper used by
-// the TCP backend (coordinator hub + mdrank workers).
+// a length-prefixed binary frame codec, the typed payload codecs of the
+// per-step data plane, and a connection wrapper used by the TCP backend
+// (coordinator hub + mdrank workers).
 //
-// Frame layout (all integers big-endian):
+// Frame layout (header integers big-endian):
 //
 //	uint32  length   // bytes after this field: 13 + len(payload)
 //	byte    kind     // one of the Kind* constants
 //	int32   src      // source rank (data frames) or proc id (control)
 //	int32   dst      // destination rank, -1 for control frames
 //	int32   tag      // protocol tag; negative tags are collectives
-//	[]byte  payload  // gob-encoded envelope, may be empty
+//	[]byte  payload  // may be empty
 //
-// The codec is deliberately paranoid on the read side: a lying length
-// prefix can never allocate more than the bytes actually present on the
-// stream, unknown kinds and undersized lengths are errors, and no input
-// can panic the decoder (fuzzed by FuzzFrameDecode).
+// The payload of a KindData frame is a typed value: one type byte, then
+// that type's fixed little-endian layout (codec.go; the table of ids is in
+// internal/core/wire.go and DESIGN.md). Control frames carry whatever
+// their protocol puts there — internal/distrib gob-encodes its spec and
+// acks — and this package never looks inside them.
+//
+// Both codecs are deliberately paranoid on the read side: a lying length
+// prefix or element count can never allocate more than the bytes actually
+// present, unknown kinds, unknown type ids and undersized lengths are
+// errors, and no input can panic a decoder (fuzzed by FuzzFrameDecode and
+// FuzzPayloadDecode).
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -72,21 +78,31 @@ var ErrFrameTooLarge = errors.New("transport: frame exceeds max payload")
 // past a corrupt header.
 var ErrMalformedFrame = errors.New("transport: malformed frame")
 
-// EncodeFrame writes f to w in wire format.
-func EncodeFrame(w io.Writer, f Frame) error {
+// frameOverhead is what a frame costs on the wire beyond its payload.
+const frameOverhead = 4 + headerLen
+
+// appendHeader appends f's length prefix and header to b.
+func appendHeader(b []byte, f Frame) ([]byte, error) {
 	if f.Kind == 0 || f.Kind > maxKind {
-		return fmt.Errorf("transport: encode: invalid frame kind %d", f.Kind)
+		return b, fmt.Errorf("transport: encode: invalid frame kind %d", f.Kind)
 	}
 	if len(f.Payload) > MaxPayload {
-		return ErrFrameTooLarge
+		return b, ErrFrameTooLarge
 	}
-	var hdr [4 + headerLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(headerLen+len(f.Payload)))
-	hdr[4] = f.Kind
-	binary.BigEndian.PutUint32(hdr[5:9], uint32(f.Src))
-	binary.BigEndian.PutUint32(hdr[9:13], uint32(f.Dst))
-	binary.BigEndian.PutUint32(hdr[13:17], uint32(f.Tag))
-	if _, err := w.Write(hdr[:]); err != nil {
+	b = binary.BigEndian.AppendUint32(b, uint32(headerLen+len(f.Payload)))
+	b = append(b, f.Kind)
+	b = binary.BigEndian.AppendUint32(b, uint32(f.Src))
+	b = binary.BigEndian.AppendUint32(b, uint32(f.Dst))
+	return binary.BigEndian.AppendUint32(b, uint32(f.Tag)), nil
+}
+
+// EncodeFrame writes f to w in wire format.
+func EncodeFrame(w io.Writer, f Frame) error {
+	hdr, err := appendHeader(make([]byte, 0, frameOverhead), f)
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	if len(f.Payload) > 0 {
@@ -101,44 +117,68 @@ func EncodeFrame(w io.Writer, f Frame) error {
 // stream ends cleanly at a frame boundary; a frame cut mid-way yields
 // io.ErrUnexpectedEOF. A length prefix larger than MaxPayload is
 // rejected before any payload allocation, and a truncated stream never
-// allocates more than the bytes it actually carries.
+// allocates more than twice the bytes it actually carries (plus one
+// readChunk). The returned payload is the caller's.
 func DecodeFrame(r io.Reader) (Frame, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return Frame{}, err // io.EOF at a clean boundary
+	var hdr [frameOverhead]byte
+	f, n, err := readHeader(r, &hdr)
+	if err != nil || n == 0 {
+		return f, err
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n < headerLen {
-		return Frame{}, fmt.Errorf("%w: length %d below header size", ErrMalformedFrame, n)
-	}
-	if n > headerLen+MaxPayload {
-		return Frame{}, ErrFrameTooLarge
-	}
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, unexpectedEOF(err)
-	}
-	f := Frame{
-		Kind: hdr[0],
-		Src:  int32(binary.BigEndian.Uint32(hdr[1:5])),
-		Dst:  int32(binary.BigEndian.Uint32(hdr[5:9])),
-		Tag:  int32(binary.BigEndian.Uint32(hdr[9:13])),
-	}
-	if f.Kind == 0 || f.Kind > maxKind {
-		return Frame{}, fmt.Errorf("%w: unknown kind %d", ErrMalformedFrame, f.Kind)
-	}
-	if pl := int64(n) - headerLen; pl > 0 {
-		// CopyN into a growable buffer: the buffer only ever holds bytes
-		// that were really read, so a lying length prefix on a short
-		// stream cannot force a large allocation.
-		var buf bytes.Buffer
-		if m, err := io.CopyN(&buf, r, pl); err != nil {
-			_ = m
-			return Frame{}, unexpectedEOF(err)
-		}
-		f.Payload = buf.Bytes()
+	if f.Payload, err = readPayload(r, n); err != nil {
+		return Frame{}, err
 	}
 	return f, nil
+}
+
+// readHeader reads the length prefix and the fixed header through hdr (the
+// caller's scratch: a local escapes through the io.Reader), validates them,
+// and returns the frame without its payload plus the payload's length.
+func readHeader(r io.Reader, hdr *[frameOverhead]byte) (Frame, int, error) {
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+		return Frame{}, 0, err // io.EOF at a clean boundary
+	}
+	n := binary.BigEndian.Uint32(hdr[:4])
+	if n < headerLen {
+		return Frame{}, 0, fmt.Errorf("%w: length %d below header size", ErrMalformedFrame, n)
+	}
+	if n > headerLen+MaxPayload {
+		return Frame{}, 0, ErrFrameTooLarge
+	}
+	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
+		return Frame{}, 0, unexpectedEOF(err)
+	}
+	f := Frame{
+		Kind: hdr[4],
+		Src:  int32(binary.BigEndian.Uint32(hdr[5:9])),
+		Dst:  int32(binary.BigEndian.Uint32(hdr[9:13])),
+		Tag:  int32(binary.BigEndian.Uint32(hdr[13:17])),
+	}
+	if f.Kind == 0 || f.Kind > maxKind {
+		return Frame{}, 0, fmt.Errorf("%w: unknown kind %d", ErrMalformedFrame, f.Kind)
+	}
+	return f, int(n - headerLen), nil
+}
+
+// readChunk is the most readPayload allocates on the length prefix's word
+// alone; beyond it the buffer only grows by as much as has really arrived.
+const readChunk = 64 << 10
+
+// readPayload reads an n-byte payload into a slice of its own: one exact
+// allocation for the common small frame, doubling behind the bytes
+// actually read for a large one, so a lying length prefix on a short
+// stream cannot force a large allocation.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, readChunk))
+	for got := 0; ; {
+		if _, err := io.ReadFull(r, buf[got:]); err != nil {
+			return nil, unexpectedEOF(err)
+		}
+		if got = len(buf); got == n {
+			return buf, nil
+		}
+		buf = append(buf, make([]byte, min(got, n-got))...)
+	}
 }
 
 func unexpectedEOF(err error) error {
@@ -146,29 +186,4 @@ func unexpectedEOF(err error) error {
 		return io.ErrUnexpectedEOF
 	}
 	return err
-}
-
-// envelope wraps a dynamically-typed payload for gob. Encoding through a
-// single wrapper struct gives every message the same wire shape; the
-// concrete types inside V must be gob.Register'd by their packages.
-type envelope struct{ V any }
-
-// EncodePayload gob-encodes v (wrapped in an envelope) into a byte slice
-// suitable for Frame.Payload. A fresh encoder per payload keeps frames
-// self-contained: any frame can be decoded without stream context.
-func EncodePayload(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&envelope{V: v}); err != nil {
-		return nil, fmt.Errorf("transport: encode payload: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodePayload reverses EncodePayload.
-func DecodePayload(b []byte) (any, error) {
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&env); err != nil {
-		return nil, fmt.Errorf("transport: decode payload: %w", err)
-	}
-	return env.V, nil
 }

@@ -105,32 +105,6 @@ func TestEncodeFrameRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestPayloadEnvelope(t *testing.T) {
-	for _, v := range []any{nil, 42, 3.14, "text", []byte{1, 2, 3}} {
-		b, err := EncodePayload(v)
-		if err != nil {
-			t.Fatalf("encode %v: %v", v, err)
-		}
-		got, err := DecodePayload(b)
-		if err != nil {
-			t.Fatalf("decode %v: %v", v, err)
-		}
-		switch want := v.(type) {
-		case []byte:
-			if !bytes.Equal(got.([]byte), want) {
-				t.Fatalf("payload mismatch: got %v want %v", got, want)
-			}
-		default:
-			if got != v {
-				t.Fatalf("payload mismatch: got %v want %v", got, v)
-			}
-		}
-	}
-	if _, err := DecodePayload([]byte("not gob")); err == nil {
-		t.Fatal("garbage payload must error")
-	}
-}
-
 func TestPeerOverPipe(t *testing.T) {
 	a, b := net.Pipe()
 	pa, pb := NewPeer(a), NewPeer(b)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -34,8 +35,12 @@ type deadliner interface {
 // Recv is NOT locked: the protocol dedicates exactly one reader
 // goroutine per connection.
 type Peer struct {
-	c  io.ReadWriteCloser
-	br *bufio.Reader
+	c   io.ReadWriteCloser
+	br  *bufio.Reader
+	hdr [frameOverhead]byte // Recv's header scratch
+	// lent is the length of the data payload the previous Recv handed out
+	// as a window into br; the next Recv consumes it first.
+	lent int
 
 	mu sync.Mutex
 	bw *bufio.Writer
@@ -75,23 +80,62 @@ func (p *Peer) SetTimeouts(read, write time.Duration) {
 func (p *Peer) Send(f Frame) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	hdr, err := appendHeader(p.bw.AvailableBuffer(), f)
+	if err != nil {
+		return err
+	}
+	_, err = p.write(f.Kind, hdr, f.Payload)
+	return err
+}
+
+// SendData encodes v with its registered payload codec (AppendPayload)
+// straight into the write buffer, sends it as one KindData frame and
+// returns the frame's size on the wire, length prefix and header included.
+func (p *Peer) SendData(src, dst, tag int, v any) (int, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	// The header goes first with an empty payload's length; the real one
+	// is patched in once the payload has been appended behind it.
+	buf, _ := appendHeader(p.bw.AvailableBuffer(), Frame{Kind: KindData, Src: int32(src), Dst: int32(dst), Tag: int32(tag)})
+	buf, err := AppendPayload(buf, v)
+	if err != nil {
+		return 0, err
+	}
+	if len(buf)-frameOverhead > MaxPayload {
+		return 0, ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
+	return p.write(KindData, buf, nil)
+}
+
+// write is the one path onto the connection: head (a frame's header, built
+// in the buffered writer's own spare room, with or without its payload
+// behind it) and then tail go through the buffered writer and leave in a
+// single flush. Callers hold mu.
+func (p *Peer) write(kind byte, head, tail []byte) (int, error) {
 	if p.closed.Load() {
-		return fmt.Errorf("transport: send frame kind %d: %w", f.Kind, ErrPeerClosed)
+		return 0, fmt.Errorf("transport: send frame kind %d: %w", kind, ErrPeerClosed)
 	}
 	if d := time.Duration(p.writeTimeout.Load()); d > 0 {
 		if dl, ok := p.c.(deadliner); ok {
 			dl.SetWriteDeadline(time.Now().Add(d))
 		}
 	}
-	if err := EncodeFrame(p.bw, f); err != nil {
-		return p.sendErr(err)
+	if _, err := p.bw.Write(head); err != nil {
+		return 0, p.sendErr(err)
+	}
+	if len(tail) > 0 {
+		if _, err := p.bw.Write(tail); err != nil {
+			return 0, p.sendErr(err)
+		}
 	}
 	if err := p.bw.Flush(); err != nil {
-		return p.sendErr(err)
+		return 0, p.sendErr(err)
 	}
+	wire := len(head) + len(tail)
 	p.sentFrames.Add(1)
-	p.sentBytes.Add(int64(4 + headerLen + len(f.Payload)))
-	return nil
+	p.sentBytes.Add(int64(wire))
+	return wire, nil
 }
 
 // sendErr maps a write error on a concurrently-closed peer to the typed
@@ -104,17 +148,47 @@ func (p *Peer) sendErr(err error) error {
 }
 
 // Recv reads the next frame. Single-reader only.
+//
+// The Payload of a KindData frame is lent, not given: it is a window into
+// the peer's read buffer and stays valid only until the next Recv, which
+// is all a reader needs that decodes or forwards each data frame before it
+// reads on. Frames of every other kind (and data frames too large for the
+// buffer) own their payload, so control frames can be queued.
 func (p *Peer) Recv() (Frame, error) {
 	if d := time.Duration(p.readTimeout.Load()); d > 0 {
 		if dl, ok := p.c.(deadliner); ok {
 			dl.SetReadDeadline(time.Now().Add(d))
 		}
 	}
-	f, err := DecodeFrame(p.br)
+	f, err := p.recv()
 	if err != nil && p.closed.Load() {
 		return f, fmt.Errorf("%v: %w", err, ErrPeerClosed)
 	}
 	return f, err
+}
+
+func (p *Peer) recv() (Frame, error) {
+	if p.lent > 0 {
+		p.br.Discard(p.lent) // buffered by the Peek that lent it: cannot fail
+		p.lent = 0
+	}
+	f, n, err := readHeader(p.br, &p.hdr)
+	if err != nil || n == 0 {
+		return f, err
+	}
+	if f.Kind == KindData && n <= p.br.Size() {
+		// Peek blocks until all n bytes are buffered and allocates
+		// nothing, so a lying length prefix costs no memory here either.
+		if f.Payload, err = p.br.Peek(n); err != nil {
+			return Frame{}, unexpectedEOF(err)
+		}
+		p.lent = n
+		return f, nil
+	}
+	if f.Payload, err = readPayload(p.br, n); err != nil {
+		return Frame{}, err
+	}
+	return f, nil
 }
 
 // Close closes the underlying connection. Idempotent: the shutdown path

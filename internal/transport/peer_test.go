@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -127,5 +130,148 @@ func TestPeerReadDeadline(t *testing.T) {
 	}
 	if elapsed > 2*time.Second {
 		t.Fatalf("deadline took %v to fire with a 50ms window", elapsed)
+	}
+}
+
+// TestPeerSendData checks the typed send: the frame on the far end carries
+// the value's payload encoding under the given header, and the size
+// SendData reports is the frame's whole footprint on the wire.
+func TestPeerSendData(t *testing.T) {
+	a, b := net.Pipe()
+	pa, pb := NewPeer(a), NewPeer(b)
+	defer pa.Close()
+	defer pb.Close()
+
+	vals := []any{2.5, []int{7, 8, 9}, []any{int64(1), []float64{2}}}
+	type sent struct {
+		wire int
+		err  error
+	}
+	done := make(chan sent, len(vals))
+	go func() {
+		for i, v := range vals {
+			n, err := pa.SendData(3, 11, -i, v)
+			done <- sent{n, err}
+		}
+	}()
+	var total int64
+	for i, v := range vals {
+		f, err := pb.Recv()
+		if err != nil {
+			t.Fatalf("recv %d: %v", i, err)
+		}
+		s := <-done
+		if s.err != nil {
+			t.Fatalf("send %d: %v", i, s.err)
+		}
+		want, _ := EncodePayload(v)
+		if f.Kind != KindData || f.Src != 3 || f.Dst != 11 || f.Tag != int32(-i) || !bytes.Equal(f.Payload, want) {
+			t.Fatalf("frame %d: %+v, want payload % x", i, f, want)
+		}
+		if s.wire != frameOverhead+len(want) {
+			t.Fatalf("frame %d: SendData reports %d wire bytes, want %d", i, s.wire, frameOverhead+len(want))
+		}
+		total += int64(s.wire)
+	}
+	if frames, sentBytes := pa.Sent(); frames != int64(len(vals)) || sentBytes != total {
+		t.Fatalf("Sent() = %d frames, %d bytes; want %d, %d", frames, sentBytes, len(vals), total)
+	}
+
+	// An unregistered type writes nothing and names itself.
+	if _, err := pa.SendData(0, 1, 2, struct{ X int }{1}); err == nil || !strings.Contains(err.Error(), "struct { X int }") {
+		t.Fatalf("unregistered type: %v", err)
+	}
+	if frames, _ := pa.Sent(); frames != int64(len(vals)) {
+		t.Fatalf("a failed SendData counted as a frame (%d)", frames)
+	}
+}
+
+// TestPeerRecvLendsDataPayload pins Recv's ownership rule: a data frame's
+// payload is a window into the read buffer that the next Recv reclaims,
+// while control frames — and data frames larger than the buffer — own
+// theirs and survive being queued.
+func TestPeerRecvLendsDataPayload(t *testing.T) {
+	a, b := net.Pipe()
+	pa, pb := NewPeer(a), NewPeer(b)
+	defer pa.Close()
+	defer pb.Close()
+
+	big := bytes.Repeat([]byte{0xC3}, pb.br.Size()+1)
+	frames := []Frame{
+		{Kind: KindStepAck, Payload: []byte("control one")},
+		{Kind: KindData, Src: 1, Dst: 2, Tag: 3, Payload: []byte("data one")},
+		{Kind: KindData, Src: 1, Dst: 2, Tag: 3, Payload: big},
+		{Kind: KindData, Src: 1, Dst: 2, Tag: 4, Payload: []byte("data two")},
+		{Kind: KindData, Src: 1, Dst: 2, Tag: 5},
+		{Kind: KindSnapAck, Payload: []byte("control two")},
+	}
+	errc := make(chan error, 1)
+	go func() {
+		for _, f := range frames {
+			if err := pa.Send(f); err != nil {
+				errc <- err
+				return
+			}
+		}
+		errc <- nil
+	}()
+	got := make([]Frame, len(frames))
+	for i, want := range frames {
+		f, err := pb.Recv()
+		if err != nil {
+			t.Fatalf("recv %d: %v", i, err)
+		}
+		if f.Kind != want.Kind || f.Tag != want.Tag || !bytes.Equal(f.Payload, want.Payload) {
+			t.Fatalf("frame %d arrived as kind %d tag %d with %d payload bytes", i, f.Kind, f.Tag, len(f.Payload))
+		}
+		onLoan := 0
+		if want.Kind == KindData && len(want.Payload) <= pb.br.Size() {
+			onLoan = len(want.Payload)
+		}
+		if pb.lent != onLoan {
+			t.Errorf("frame %d: %d bytes on loan, want %d", i, pb.lent, onLoan)
+		}
+		got[i] = f
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 2, 5} {
+		if !bytes.Equal(got[i].Payload, frames[i].Payload) {
+			t.Errorf("frame %d owns its payload but later Recvs changed it", i)
+		}
+	}
+}
+
+// TestDecodeFrameLargePayload drives the chunked read: a payload of several
+// chunks arrives whole, and a length prefix that promises more than the
+// stream holds fails without allocating what it promised.
+func TestDecodeFrameLargePayload(t *testing.T) {
+	payload := make([]byte, 5*readChunk+123)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	var wire bytes.Buffer
+	if err := EncodeFrame(&wire, Frame{Kind: KindSnapAck, Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	raw := append([]byte(nil), wire.Bytes()...)
+	f, err := DecodeFrame(&wire)
+	if err != nil || !bytes.Equal(f.Payload, payload) {
+		t.Fatalf("large frame: err %v, %d payload bytes", err, len(f.Payload))
+	}
+
+	binary.BigEndian.PutUint32(raw[0:4], headerLen+MaxPayload)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = DecodeFrame(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("lying length: want ErrUnexpectedEOF, got %v", err)
+	}
+	// Doubling behind the bytes read: every buffer it went through sums to
+	// a small multiple of the stream, nowhere near the 64 MiB claimed.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(8*len(raw)) {
+		t.Fatalf("a %d-byte stream claiming %d allocated %d bytes", len(raw), MaxPayload, grew)
 	}
 }

@@ -124,11 +124,11 @@ type Options struct {
 // value (or Kind "chan") is the in-process reference transport: all ranks
 // are goroutines of this process exchanging messages over channels. Kind
 // "tcp" hosts the ranks in worker processes connected to an in-process
-// coordinator over loopback TCP (length-prefixed gob frames through a
-// star topology; see internal/distrib). Both transports honor the same
-// delivery contract, so a given seed produces bit-identical step traces
-// on either — the transport changes where ranks run, never what they
-// compute.
+// coordinator over loopback TCP (length-prefixed frames with fixed-layout
+// binary payloads through a star topology; see internal/distrib). Both
+// transports honor the same delivery contract, so a given seed produces
+// bit-identical step traces on either — the transport changes where ranks
+// run, never what they compute.
 type Transport struct {
 	// Kind is "" or "chan" for in-process, "tcp" for multi-process.
 	Kind string
