@@ -1,98 +1,149 @@
-// Command chaos runs the full DLB-DDM engine under seeded communication
-// fault injection and proves the replay property: it executes the run
-// twice from the same seeds and demands the identical deterministic
-// per-step trace, with the DESIGN.md Section 6 protocol invariants checked
-// after every step of both runs.
+// Command chaos proves the trace-identity contract under injected faults.
+// Every scenario runs the full DLB-DDM engine from -seed and exits non-zero
+// unless the faulty run's deterministic per-step trace equals the clean
+// one's; a deadlock does not hang, the watchdog aborts with a per-rank dump.
 //
-// Usage:
+//	chaos -seed 1 -p 36 -steps 200                 replay
+//	chaos -seed 1 -p 36 -steps 200 -kill-at 80     kill and recover
+//	chaos -p 4 -steps 40 -sabotage panic@17        heal, in-process
+//	chaos -p 4 -steps 40 -tcp-procs 2 -sabotage worker-exit@17 -recover rescale
 //
-//	chaos -seed 1 -p 36 -steps 200
-//	chaos -seed 1 -p 36 -steps 200 -kill-at 80
+// Replay (the default) executes the run twice under a seeded communication
+// fault plan — latency jitter, bounded reordering, transient send failures
+// absorbed by retry/backoff, mid-run PE stalls — with the DESIGN.md Section 6
+// protocol invariants checked after every step, and demands the same trace.
 //
-// The default plan injects latency jitter, bounded message reordering,
-// transient send failures (absorbed by retry/backoff) and one mid-run PE
-// stall. Every fault is drawn from RNG streams derived from -seed, so any
-// failure reported here is replayable bit for bit by re-running the same
-// command line. A deadlock does not hang: the watchdog aborts with a
-// per-rank state dump. Exit status is non-zero if the replay diverges.
+// -kill-at hard-stops the faulty run after that many steps, keeping nothing
+// but the checkpoint file, recovers strictly from the file and finishes; the
+// combined trace must equal the uninterrupted run's.
 //
-// -kill-at selects the kill-and-recover scenario instead: the faulty run is
-// hard-stopped after that many steps, keeping nothing but the checkpoint
-// file, then recovered strictly from the file and finished; the combined
-// trace must be identical to the uninterrupted run's. Exit status is
-// non-zero if recovery diverges.
-//
-// -panic-at / -corrupt-at select the self-healing scenario: one run is
-// sabotaged at the given step (a PE panic, or a NaN velocity that the
-// physics guards must catch) while running under the supervisor
-// (-max-retries, -retry-backoff); the supervisor must roll back to the
-// latest checkpoint, resume, and finish with a trace identical to an
-// unsabotaged golden run. Exit status is non-zero if recovery diverges or
-// the supervisor gives up.
-//
-// -tcp-procs with one of -worker-kill-at / -worker-stall-at /
-// -worker-garbage-at selects the distributed self-healing scenario: the
-// golden run executes on the in-process transport, then the same run
-// executes on the tcp transport under the supervisor while one worker
-// process is killed, stalled past the heartbeat window, or made to write a
-// garbage frame at the given step. The supervisor must classify the typed
-// WorkerFailure, roll back, heal by respawning the worker (or rescaling
-// onto the survivors with -recover rescale), and converge to the golden
-// trace. -mdrank points at a real worker binary; empty hosts the workers
-// as goroutines. Exit status is non-zero if no worker failure was
-// detected, recovery diverges, or the supervisor gives up.
+// -sabotage kind@step is the heal scenario: a clean golden run on the
+// in-process transport, then the same run under the supervisor (-max-retries,
+// -retry-backoff, -checkpoint-every) with one scripted fault. Kinds panic and
+// nan fail rank -sabotage-rank (the physics guards must catch the NaN); with
+// -tcp-procs N the supervised run is spread over N workers (-mdrank names a
+// real worker binary, empty hosts them as goroutines) and the kinds
+// worker-exit, worker-stall (-sabotage-stall, pick it past the heartbeat
+// window) and worker-garbage fail the worker hosting that rank instead. The
+// supervisor must classify the typed failure, roll back, heal — respawning
+// the worker or, with -recover rescale, shedding it — and converge to the
+// golden trace. Exit status 1 if the shot never fired, nothing rolled back,
+// recovery diverges or the supervisor gives up; 2 on contradictory flags.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strconv"
+	"strings"
 	"time"
 
 	"permcell"
 	"permcell/internal/balance"
+	"permcell/internal/checkpoint"
 	"permcell/internal/comm"
 	"permcell/internal/experiments"
 	"permcell/internal/trace"
 )
 
-func main() {
-	seed := flag.Uint64("seed", 1, "seed for both the physics and the fault plan")
-	p := flag.Int("p", 36, "PE count (perfect square)")
-	m := flag.Int("m", 2, "square-pillar cross-section size")
-	steps := flag.Int("steps", 200, "time steps per run")
-	rho := flag.Float64("rho", 0.256, "reduced density")
-	shards := flag.Int("shards", 1, "per-PE force-kernel worker count")
-	delayProb := flag.Float64("delay-prob", 0.1, "per-send latency jitter probability")
-	maxDelay := flag.Duration("max-delay", 200*time.Microsecond, "jitter upper bound")
-	reorderProb := flag.Float64("reorder-prob", 0.2, "per-send reorder (hold-back) probability")
-	reorderDepth := flag.Int("reorder-depth", 2, "max messages a held message may be overtaken by")
-	failProb := flag.Float64("fail-prob", 0.01, "transient send-failure probability")
-	stalls := flag.Int("stalls", 1, "number of injected PE stalls")
-	stallDur := flag.Duration("stall-dur", 5*time.Millisecond, "duration of each stall")
-	watchdog := flag.Duration("watchdog", 2*time.Minute, "deadlock watchdog timeout (0 disables)")
-	eventsOut := flag.String("events", "", "write the replay run's fault-event CSV to this file")
-	killAt := flag.Int("kill-at", 0, "kill-and-recover scenario: hard-stop after this many steps, recover from the checkpoint, diff against the uninterrupted trace (0 = replay scenario)")
-	ckptDir := flag.String("checkpoint-dir", "", "checkpoint directory for -kill-at and the self-heal scenarios (default: a temporary directory)")
-	panicAt := flag.Int("panic-at", 0, "self-heal scenario: inject a PE panic at this step and demand supervised recovery to the golden trace (0 = off)")
-	corruptAt := flag.Int("corrupt-at", 0, "self-heal scenario: inject a NaN velocity at this step; the physics guard must catch it and recovery must reach the golden trace (0 = off)")
-	sabotageRank := flag.Int("sabotage-rank", 1, "rank the -panic-at/-corrupt-at sabotage fires on")
-	maxRetries := flag.Int("max-retries", 3, "supervisor retry budget for the self-heal scenarios")
-	retryBackoff := flag.Duration("retry-backoff", time.Millisecond, "initial supervisor retry backoff for the self-heal scenarios")
-	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint cadence for the self-heal scenarios (0 = steps/4)")
-	tcpProcs := flag.Int("tcp-procs", 0, "distributed self-heal: worker-process count for the supervised tcp run (0 = in-process scenarios)")
-	mdrank := flag.String("mdrank", "", "mdrank binary for the tcp scenarios (empty = goroutine-hosted workers)")
-	workerKillAt := flag.Int("worker-kill-at", 0, "distributed self-heal: kill one worker before this step (0 = off)")
-	workerStallAt := flag.Int("worker-stall-at", 0, "distributed self-heal: stall one worker past the heartbeat window before this step (0 = off)")
-	workerGarbageAt := flag.Int("worker-garbage-at", 0, "distributed self-heal: make one worker write a garbage frame before this step (0 = off)")
-	workerProc := flag.Int("worker-proc", 1, "worker process the -worker-*-at chaos fires on")
-	workerStallDur := flag.Duration("worker-stall-dur", 2*time.Second, "stall length for -worker-stall-at (pick it past heartbeat-every x heartbeat-misses)")
-	recoverPolicy := flag.String("recover", "respawn", "worker recovery policy for the tcp scenarios: respawn or rescale")
-	hbEvery := flag.Duration("heartbeat-every", 50*time.Millisecond, "heartbeat interval for the tcp scenarios")
-	hbMisses := flag.Int("heartbeat-misses", 5, "heartbeat miss budget for the tcp scenarios")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	flag.Parse()
+// run is main behind a seam the tests can call: it parses args, executes the
+// selected scenario and returns the process exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Uint64("seed", 1, "seed for both the physics and the fault plan")
+	p := fs.Int("p", 36, "PE count (perfect square)")
+	m := fs.Int("m", 2, "square-pillar cross-section size")
+	steps := fs.Int("steps", 200, "time steps per run")
+	rho := fs.Float64("rho", 0.256, "reduced density")
+	shards := fs.Int("shards", 1, "per-PE force-kernel worker count")
+	delayProb := fs.Float64("delay-prob", 0.1, "per-send latency jitter probability")
+	maxDelay := fs.Duration("max-delay", 200*time.Microsecond, "jitter upper bound")
+	reorderProb := fs.Float64("reorder-prob", 0.2, "per-send reorder (hold-back) probability")
+	reorderDepth := fs.Int("reorder-depth", 2, "max messages a held message may be overtaken by")
+	failProb := fs.Float64("fail-prob", 0.01, "transient send-failure probability")
+	stalls := fs.Int("stalls", 1, "number of injected PE stalls")
+	stallDur := fs.Duration("stall-dur", 5*time.Millisecond, "duration of each stall")
+	watchdog := fs.Duration("watchdog", 2*time.Minute, "deadlock watchdog timeout (0 disables)")
+	eventsOut := fs.String("events", "", "write the replay run's fault-event CSV to this file")
+	killAt := fs.Int("kill-at", 0, "kill-and-recover scenario: hard-stop after this many steps, recover from the checkpoint, diff against the uninterrupted trace")
+	ckptDir := fs.String("checkpoint-dir", "", "checkpoint directory for -kill-at and -sabotage (default: a temporary directory)")
+	sabotage := fs.String("sabotage", "", "heal scenario: inject one fault as kind@step (panic, nan; with -tcp-procs also worker-exit, worker-stall, worker-garbage) and demand supervised recovery to the golden trace")
+	sabotageRank := fs.Int("sabotage-rank", 1, "rank -sabotage fires on (worker kinds: the rank whose hosting worker fails)")
+	sabotageStall := fs.Duration("sabotage-stall", 2*time.Second, "stall length for -sabotage worker-stall@step (pick it past heartbeat-every x heartbeat-misses)")
+	maxRetries := fs.Int("max-retries", 3, "supervisor retry budget for the heal scenario")
+	retryBackoff := fs.Duration("retry-backoff", time.Millisecond, "initial supervisor retry backoff for the heal scenario")
+	ckptEvery := fs.Int("checkpoint-every", 0, "checkpoint cadence for the heal scenario (0 = steps/4)")
+	tcpProcs := fs.Int("tcp-procs", 0, "heal scenario: run the supervised side over this many tcp workers (0 = in-process)")
+	mdrank := fs.String("mdrank", "", "mdrank binary for -tcp-procs (empty = goroutine-hosted workers)")
+	recoverPolicy := fs.String("recover", "respawn", "worker recovery policy under -tcp-procs: respawn or rescale")
+	hbEvery := fs.Duration("heartbeat-every", 50*time.Millisecond, "heartbeat interval under -tcp-procs")
+	hbMisses := fs.Int("heartbeat-misses", 5, "heartbeat miss budget under -tcp-procs")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "chaos: "+format+"\n", a...)
+		return 2
+	}
+	switch {
+	case *sabotage != "" && *killAt > 0:
+		return usage("-sabotage and -kill-at select different scenarios")
+	case *sabotage == "" && *tcpProcs > 0:
+		return usage("-tcp-procs needs -sabotage kind@step")
+	}
+
+	fmt.Fprintf(stdout, "chaos: P=%d m=%d rho=%g steps=%d seed=%d shards=%d\n", *p, *m, *rho, *steps, *seed, *shards)
+	if *sabotage != "" {
+		kind, at, ok := strings.Cut(*sabotage, "@")
+		step, err := strconv.Atoi(at)
+		if !ok || err != nil {
+			return usage("-sabotage %q is not kind@step", *sabotage)
+		}
+		sab := &permcell.Sabotage{Kind: kind, Step: step, Rank: *sabotageRank}
+		if kind == permcell.SabotageWorkerStall {
+			sab.Stall = *sabotageStall
+		}
+		if err := sab.Validate(*p, *tcpProcs > 0); err != nil {
+			return usage("%v", err)
+		}
+		dir, cleanup, err := dirOrTemp(*ckptDir)
+		if err != nil {
+			return failed(stderr, err)
+		}
+		defer cleanup()
+		every := *ckptEvery
+		if every <= 0 {
+			every = max(1, *steps/4)
+		}
+		faulty := []permcell.Option{
+			permcell.WithSabotage(sab),
+			permcell.WithCheckpoint(every, dir),
+			permcell.WithSupervisor(permcell.SupervisorPolicy{
+				MaxRetries: *maxRetries, Backoff: *retryBackoff, WorkerRecovery: *recoverPolicy,
+				OnEvent: func(ev permcell.SupervisorEvent) { fmt.Fprintf(stdout, "  supervisor: %v\n", ev) },
+			}),
+		}
+		fmt.Fprintf(stdout, "heal: sabotage %s at step %d rank %d; checkpoints every %d, budget %d\n",
+			kind, step, *sabotageRank, every, *maxRetries)
+		if *tcpProcs > 0 {
+			fmt.Fprintf(stdout, "  %d tcp workers (mdrank %q), heartbeat %v x %d, recover=%s\n",
+				*tcpProcs, *mdrank, *hbEvery, *hbMisses, *recoverPolicy)
+			faulty = append(faulty, permcell.WithTransport(permcell.Transport{
+				Kind: permcell.TransportTCP, Procs: *tcpProcs, Worker: *mdrank,
+				HeartbeatEvery: *hbEvery, HeartbeatMisses: *hbMisses,
+			}))
+		}
+		return heal(stdout, stderr, *m, *p, *rho, *steps, sab, []permcell.Option{
+			permcell.WithDLB(), permcell.WithSeed(*seed),
+			permcell.WithWells(1, 1.5), permcell.WithShards(*shards),
+		}, faulty)
+	}
 
 	plan := comm.FaultPlan{
 		Seed:         *seed,
@@ -119,338 +170,122 @@ func main() {
 		Plan:     plan,
 		Watchdog: *watchdog,
 	}
-
-	fmt.Printf("chaos: P=%d m=%d rho=%g steps=%d seed=%d shards=%d\n", *p, *m, *rho, *steps, *seed, *shards)
-	fmt.Printf("plan: delay %.2g<=%v reorder %.2g(depth %d) fail %.2g stalls %d x %v watchdog %v\n",
+	fmt.Fprintf(stdout, "plan: delay %.2g<=%v reorder %.2g(depth %d) fail %.2g stalls %d x %v watchdog %v\n",
 		*delayProb, *maxDelay, *reorderProb, *reorderDepth, *failProb, *stalls, *stallDur, *watchdog)
-
-	if *tcpProcs > 0 {
-		kind, at := "", 0
-		switch {
-		case *workerKillAt > 0:
-			kind, at = permcell.ChaosWorkerExit, *workerKillAt
-		case *workerStallAt > 0:
-			kind, at = permcell.ChaosWorkerStall, *workerStallAt
-		case *workerGarbageAt > 0:
-			kind, at = permcell.ChaosWorkerGarbage, *workerGarbageAt
-		default:
-			fmt.Fprintln(os.Stderr, "chaos: -tcp-procs needs one of -worker-kill-at, -worker-stall-at, -worker-garbage-at")
-			os.Exit(2)
-		}
-		distributedHeal(distributedHealSpec{
-			m: *m, p: *p, rho: *rho, steps: *steps, seed: *seed, shards: *shards,
-			procs: *tcpProcs, mdrank: *mdrank,
-			kind: kind, at: at, proc: *workerProc, stall: *workerStallDur,
-			policy:  *recoverPolicy,
-			hbEvery: *hbEvery, hbMisses: *hbMisses,
-			retries: *maxRetries, backoff: *retryBackoff,
-			every: *ckptEvery, dir: *ckptDir,
-		})
-		return
-	}
-
-	if *panicAt > 0 || *corruptAt > 0 {
-		kind, at := permcell.SabotagePanic, *panicAt
-		if *corruptAt > 0 {
-			kind, at = permcell.SabotageNaN, *corruptAt
-		}
-		selfHeal(selfHealSpec{
-			m: *m, p: *p, rho: *rho, steps: *steps, seed: *seed, shards: *shards,
-			kind: kind, at: at, rank: *sabotageRank,
-			retries: *maxRetries, backoff: *retryBackoff,
-			every: *ckptEvery, dir: *ckptDir,
-		})
-		return
-	}
-
 	if *killAt > 0 {
-		killResume(spec, *killAt, *ckptDir)
-		return
+		return killResume(stdout, stderr, spec, *killAt, *ckptDir)
 	}
 
 	var hashes [2]uint64
-	for run := 0; run < 2; run++ {
+	for i, label := range []string{"run", "replay"} {
 		t0 := time.Now()
 		r, err := spec.Run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaos: run %d: %v\n", run, err)
-			os.Exit(1)
+			return failed(stderr, label+":", err)
 		}
-		hashes[run] = r.TraceHash
-		label := "run"
-		if run == 1 {
-			label = "replay"
-		}
-		fmt.Printf("%s: N=%d C=%d trace %016x in %v; invariants ok every step\n",
+		hashes[i] = r.TraceHash
+		fmt.Fprintf(stdout, "%s: N=%d C=%d trace %016x in %v; invariants ok every step\n",
 			label, r.Info.N, r.Info.C, r.TraceHash, time.Since(t0).Round(time.Millisecond))
-		fmt.Printf("  faults: %d delays, %d reorders, %d failures (%d retries), %d stalls\n",
-			r.Faults.Delays, r.Faults.Reorders, r.Faults.Failures, r.Faults.Retries, r.Faults.Stalls)
-		if run == 1 && *eventsOut != "" {
-			f, err := os.Create(*eventsOut)
-			if err == nil {
-				err = trace.WriteFaultCSV(f, r.Res.FaultEvents)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
+		fmt.Fprintf(stdout, "  faults: %s\n", faultLine(r.Faults))
+		if i == 1 && *eventsOut != "" {
+			err := checkpoint.WriteAtomic(*eventsOut, func(w io.Writer) error {
+				return trace.WriteFaultCSV(w, r.Res.FaultEvents)
+			})
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "chaos: writing %s: %v\n", *eventsOut, err)
-				os.Exit(1)
+				return failed(stderr, "writing", *eventsOut+":", err)
 			}
-			fmt.Printf("  fault events written to %s\n", *eventsOut)
+			fmt.Fprintf(stdout, "  fault events written to %s\n", *eventsOut)
 		}
 	}
-
 	if hashes[0] != hashes[1] {
-		fmt.Fprintf(os.Stderr, "chaos: REPLAY DIVERGED: %016x vs %016x\n", hashes[0], hashes[1])
-		os.Exit(1)
+		return failed(stderr, fmt.Sprintf("REPLAY DIVERGED: %016x vs %016x", hashes[0], hashes[1]))
 	}
-	fmt.Println("replay identical: same seed, same trace")
+	fmt.Fprintln(stdout, "replay identical: same seed, same trace")
+	return 0
 }
 
-// killResume runs the kill-and-recover scenario and exits non-zero when the
-// recovered trace diverges from the uninterrupted one.
-func killResume(spec experiments.ChaosSpec, killAt int, dir string) {
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "chaos-ckpt-")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chaos:", err)
-			os.Exit(1)
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
+// failed reports a scenario's failure and returns its exit status.
+func failed(stderr io.Writer, a ...any) int {
+	fmt.Fprintln(stderr, append([]any{"chaos:"}, a...)...)
+	return 1
+}
+
+func faultLine(f comm.FaultStats) string {
+	return fmt.Sprintf("%d delays, %d reorders, %d failures (%d retries), %d stalls",
+		f.Delays, f.Reorders, f.Failures, f.Retries, f.Stalls)
+}
+
+// dirOrTemp returns dir, or a fresh temporary directory with its remover
+// when dir is empty.
+func dirOrTemp(dir string) (string, func(), error) {
+	if dir != "" {
+		return dir, func() {}, nil
 	}
+	tmp, err := os.MkdirTemp("", "chaos-ckpt-")
+	return tmp, func() { os.RemoveAll(tmp) }, err
+}
+
+// killResume runs the kill-and-recover scenario; status 1 when the recovered
+// trace diverges from the uninterrupted one.
+func killResume(stdout, stderr io.Writer, spec experiments.ChaosSpec, killAt int, ckptDir string) int {
+	dir, cleanup, err := dirOrTemp(ckptDir)
+	if err != nil {
+		return failed(stderr, err)
+	}
+	defer cleanup()
 	t0 := time.Now()
 	r, err := spec.KillResume(killAt, dir)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaos:", err)
-		os.Exit(1)
+		return failed(stderr, err)
 	}
-	fmt.Printf("kill-resume: N=%d C=%d killed at step %d, recovered from %s in %v\n",
+	fmt.Fprintf(stdout, "kill-resume: N=%d C=%d killed at step %d, recovered from %s in %v\n",
 		r.Info.N, r.Info.C, r.KillAt, r.CkptPath, time.Since(t0).Round(time.Millisecond))
-	fmt.Printf("  golden faults: %d delays, %d reorders, %d failures (%d retries), %d stalls\n",
-		r.GoldenFaults.Delays, r.GoldenFaults.Reorders, r.GoldenFaults.Failures,
-		r.GoldenFaults.Retries, r.GoldenFaults.Stalls)
-	fmt.Printf("  resumed faults: %d delays, %d reorders, %d failures (%d retries), %d stalls\n",
-		r.ResumedFaults.Delays, r.ResumedFaults.Reorders, r.ResumedFaults.Failures,
-		r.ResumedFaults.Retries, r.ResumedFaults.Stalls)
+	fmt.Fprintf(stdout, "  golden faults: %s\n", faultLine(r.GoldenFaults))
+	fmt.Fprintf(stdout, "  resumed faults: %s\n", faultLine(r.ResumedFaults))
 	if !r.Match() {
-		fmt.Fprintf(os.Stderr, "chaos: RECOVERY DIVERGED: golden %016x vs resumed %016x\n",
-			r.GoldenHash, r.ResumedHash)
-		os.Exit(1)
+		return failed(stderr, fmt.Sprintf("RECOVERY DIVERGED: golden %016x vs resumed %016x", r.GoldenHash, r.ResumedHash))
 	}
-	fmt.Printf("recovery identical: golden trace %016x reproduced across kill and restore\n", r.GoldenHash)
+	fmt.Fprintf(stdout, "recovery identical: golden trace %016x reproduced across kill and restore\n", r.GoldenHash)
+	return 0
 }
 
-type distributedHealSpec struct {
-	m, p     int
-	rho      float64
-	steps    int
-	seed     uint64
-	shards   int
-	procs    int    // tcp worker-process count
-	mdrank   string // worker binary ("" = goroutine-hosted)
-	kind     string // permcell.ChaosWorker* kind
-	at       int    // chaos step
-	proc     int    // chaos target proc
-	stall    time.Duration
-	policy   string // respawn or rescale
-	hbEvery  time.Duration
-	hbMisses int
-	retries  int
-	backoff  time.Duration
-	every    int    // checkpoint cadence (0 = steps/4)
-	dir      string // checkpoint directory ("" = temporary)
-}
-
-// distributedHeal runs the distributed self-healing scenario: a golden run
-// on the in-process transport, then the identical run on the tcp transport
-// under the supervisor while one worker is killed, stalled or corrupted.
-// The supervisor must detect a typed WorkerFailure within the heartbeat
-// window, roll back, heal under the selected policy, and converge to the
-// golden trace — proving the cross-transport determinism contract holds
-// straight through a worker death. Exits non-zero on any miss.
-func distributedHeal(s distributedHealSpec) {
-	if s.dir == "" {
-		tmp, err := os.MkdirTemp("", "chaos-distrib-")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chaos:", err)
-			os.Exit(1)
-		}
-		defer os.RemoveAll(tmp)
-		s.dir = tmp
-	}
-	if s.every <= 0 {
-		s.every = max(1, s.steps/4)
-	}
-	if s.proc >= s.procs {
-		s.proc = s.procs - 1
-	}
-	base := []permcell.Option{
-		permcell.WithDLB(), permcell.WithSeed(s.seed),
-		permcell.WithWells(1, 1.5), permcell.WithShards(s.shards),
-	}
-	workers := "goroutine-hosted workers"
-	if s.mdrank != "" {
-		workers = "mdrank processes (" + s.mdrank + ")"
-	}
-	fmt.Printf("distributed self-heal: %s on proc %d before step %d, %d %s, recover=%s\n",
-		s.kind, s.proc, s.at, s.procs, workers, s.policy)
-	fmt.Printf("  heartbeat %v x %d (window %v), checkpoints every %d, budget %d\n",
-		s.hbEvery, s.hbMisses, s.hbEvery*time.Duration(s.hbMisses), s.every, s.retries)
-
+// heal runs the self-healing scenario: a golden run of base on the
+// in-process transport, then base plus faulty — the sabotage, the supervisor
+// and whichever transport hosts the ranks — which must fire the shot, roll
+// back and converge to the golden trace. On tcp that also proves the
+// cross-transport determinism contract straight through a failure.
+func heal(stdout, stderr io.Writer, m, p int, rho float64, steps int, sab *permcell.Sabotage, base, faulty []permcell.Option) int {
 	t0 := time.Now()
-	golden, err := permcell.Run(context.Background(), s.m, s.p, s.rho, s.steps, base...)
+	golden, err := permcell.Run(context.Background(), m, p, rho, steps, base...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaos: golden run:", err)
-		os.Exit(1)
+		return failed(stderr, "golden run:", err)
 	}
 	goldenHash := experiments.TraceHash(golden.Stats)
-	fmt.Printf("golden (chan): N=%d trace %016x in %v\n",
+	fmt.Fprintf(stdout, "golden: N=%d trace %016x in %v\n",
 		golden.Final.Len(), goldenHash, time.Since(t0).Round(time.Millisecond))
 
 	t0 = time.Now()
-	eng, err := permcell.New(s.m, s.p, s.rho, append(base,
-		permcell.WithTransport(permcell.Transport{
-			Kind:            permcell.TransportTCP,
-			Procs:           s.procs,
-			Worker:          s.mdrank,
-			HeartbeatEvery:  s.hbEvery,
-			HeartbeatMisses: s.hbMisses,
-			Chaos:           &permcell.WorkerChaos{Proc: s.proc, Step: s.at, Kind: s.kind, Stall: s.stall},
-		}),
-		permcell.WithCheckpoint(s.every, s.dir),
-		permcell.WithSupervisor(permcell.SupervisorPolicy{
-			MaxRetries:     s.retries,
-			Backoff:        s.backoff,
-			WorkerRecovery: s.policy,
-			OnEvent: func(ev permcell.SupervisorEvent) {
-				if ev.Kind == "rollback" {
-					fmt.Printf("  supervisor: rollback to step %d from %s\n", ev.RestoredStep, ev.Checkpoint)
-				} else {
-					fmt.Printf("  supervisor: %s at step %d: %s\n", ev.Kind, ev.Step, ev.Err)
-				}
-			},
-		}),
-	)...)
+	eng, err := permcell.New(m, p, rho, append(base, faulty...)...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaos: supervised tcp run:", err)
-		os.Exit(1)
+		return failed(stderr, "supervised run:", err)
 	}
-	res, err := permcell.RunEngine(context.Background(), eng, s.steps)
+	res, err := permcell.RunEngine(context.Background(), eng, steps)
+	if err != nil {
+		return failed(stderr, "SUPERVISED RUN FAILED:", err)
+	}
 	rep := permcell.SupervisionReport(eng)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chaos: SUPERVISED TCP RUN FAILED: %v\n", err)
-		os.Exit(1)
-	}
 	healedHash := experiments.TraceHash(res.Stats)
-	fmt.Printf("healed (tcp): trace %016x in %v; %d worker failures, %d rollbacks, %d retries, %d steps replayed\n",
+	fmt.Fprintf(stdout, "healed: trace %016x in %v; %d rank, %d guard, %d worker failures; %d rollbacks, %d retries, %d steps replayed\n",
 		healedHash, time.Since(t0).Round(time.Millisecond),
-		rep.WorkerFailures, rep.Rollbacks, rep.Retries, rep.StepsReplayed)
-	if rep.WorkerFailures == 0 {
-		fmt.Fprintln(os.Stderr, "chaos: WORKER CHAOS DID NOT FIRE: no worker failure recorded")
-		os.Exit(1)
+		rep.RankFailures, rep.GuardViolations, rep.WorkerFailures, rep.Rollbacks, rep.Retries, rep.StepsReplayed)
+	switch {
+	case !sab.Fired():
+		return failed(stderr, fmt.Sprintf("SABOTAGE DID NOT FIRE: step %d was never reached", sab.Step))
+	case rep.Rollbacks == 0:
+		return failed(stderr, "NO ROLLBACK: the fault did not trigger recovery")
+	case healedHash != goldenHash:
+		return failed(stderr, fmt.Sprintf("RECOVERY DIVERGED: golden %016x vs healed %016x", goldenHash, healedHash))
 	}
-	if rep.Rollbacks == 0 {
-		fmt.Fprintln(os.Stderr, "chaos: NO ROLLBACK: the worker failure did not trigger recovery")
-		os.Exit(1)
-	}
-	if healedHash != goldenHash {
-		fmt.Fprintf(os.Stderr, "chaos: RECOVERY DIVERGED: golden %016x vs healed %016x\n",
-			goldenHash, healedHash)
-		os.Exit(1)
-	}
-	fmt.Printf("recovery identical: golden trace %016x reproduced across worker %s and %s\n",
-		goldenHash, s.kind, s.policy)
-}
-
-type selfHealSpec struct {
-	m, p    int
-	rho     float64
-	steps   int
-	seed    uint64
-	shards  int
-	kind    string // permcell.SabotagePanic or permcell.SabotageNaN
-	at      int    // sabotage step
-	rank    int    // sabotage rank
-	retries int
-	backoff time.Duration
-	every   int    // checkpoint cadence (0 = steps/4)
-	dir     string // checkpoint directory ("" = temporary)
-}
-
-// selfHeal runs the self-healing scenario: a golden uninterrupted run, then
-// the same run sabotaged mid-flight under the supervisor, which must roll
-// back to a checkpoint, resume, and converge to the identical trace. Exits
-// non-zero on divergence or when the supervisor gives up.
-func selfHeal(s selfHealSpec) {
-	if s.dir == "" {
-		tmp, err := os.MkdirTemp("", "chaos-heal-")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chaos:", err)
-			os.Exit(1)
-		}
-		defer os.RemoveAll(tmp)
-		s.dir = tmp
-	}
-	if s.every <= 0 {
-		s.every = max(1, s.steps/4)
-	}
-	base := []permcell.Option{
-		permcell.WithDLB(), permcell.WithSeed(s.seed),
-		permcell.WithWells(1, 1.5), permcell.WithShards(s.shards),
-	}
-	fmt.Printf("self-heal: sabotage %s at step %d rank %d, checkpoints every %d, budget %d\n",
-		s.kind, s.at, s.rank, s.every, s.retries)
-
-	t0 := time.Now()
-	golden, err := permcell.Run(context.Background(), s.m, s.p, s.rho, s.steps, base...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaos: golden run:", err)
-		os.Exit(1)
-	}
-	goldenHash := experiments.TraceHash(golden.Stats)
-	fmt.Printf("golden: N=%d trace %016x in %v\n",
-		golden.Final.Len(), goldenHash, time.Since(t0).Round(time.Millisecond))
-
-	t0 = time.Now()
-	eng, err := permcell.New(s.m, s.p, s.rho, append(base,
-		permcell.WithCheckpoint(s.every, s.dir),
-		permcell.WithSupervisor(permcell.SupervisorPolicy{
-			MaxRetries: s.retries,
-			Backoff:    s.backoff,
-			OnEvent: func(ev permcell.SupervisorEvent) {
-				if ev.Kind == "rollback" {
-					fmt.Printf("  supervisor: rollback to step %d from %s\n", ev.RestoredStep, ev.Checkpoint)
-				} else {
-					fmt.Printf("  supervisor: %s at step %d: %s\n", ev.Kind, ev.Step, ev.Err)
-				}
-			},
-		}),
-		permcell.WithSabotage(&permcell.Sabotage{Kind: s.kind, Step: s.at, Rank: s.rank}),
-	)...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaos: supervised run:", err)
-		os.Exit(1)
-	}
-	res, err := permcell.RunEngine(context.Background(), eng, s.steps)
-	rep := permcell.SupervisionReport(eng)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chaos: SUPERVISED RUN FAILED: %v\n", err)
-		os.Exit(1)
-	}
-	healedHash := experiments.TraceHash(res.Stats)
-	fmt.Printf("healed: trace %016x in %v; %d rollbacks, %d retries, %d steps replayed\n",
-		healedHash, time.Since(t0).Round(time.Millisecond),
-		rep.Rollbacks, rep.Retries, rep.StepsReplayed)
-	if rep.Rollbacks == 0 {
-		fmt.Fprintln(os.Stderr, "chaos: SABOTAGE DID NOT FIRE: no rollback recorded")
-		os.Exit(1)
-	}
-	if healedHash != goldenHash {
-		fmt.Fprintf(os.Stderr, "chaos: RECOVERY DIVERGED: golden %016x vs healed %016x\n",
-			goldenHash, healedHash)
-		os.Exit(1)
-	}
-	fmt.Printf("recovery identical: golden trace %016x reproduced across sabotage and rollback\n", goldenHash)
+	fmt.Fprintf(stdout, "recovery identical: golden trace %016x reproduced across %s and rollback\n", goldenHash, sab.Kind)
+	return 0
 }

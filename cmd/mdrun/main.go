@@ -324,17 +324,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			cum.ObserveTransport(st.SentFrames, st.SentBytes, st.ResendCount)
 		}
 		if jsonl != nil {
-			rec := metrics.NewStepRecord(st.Step, st.Phases,
-				st.StepWallMax, st.StepWallAve,
-				st.WorkMax, st.WorkAve, st.WorkMin,
-				st.Balancer, st.Moved, st.MovedBytes,
-				st.Conc.C0OverC, st.Conc.NFactor, *m)
-			rec.TotalEnergy = st.TotalEnergy
-			rec.Temperature = st.Temperature
-			rec.SentFrames = st.SentFrames
-			rec.SentBytes = st.SentBytes
-			rec.ResendCount = st.ResendCount
-			if err := jsonl.Write(rec); err != nil && writeErr == nil {
+			if err := jsonl.Write(st.Record(*m)); err != nil && writeErr == nil {
 				writeErr = err
 			}
 		}
@@ -375,15 +365,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts = append(opts, permcell.WithSupervisor(permcell.SupervisorPolicy{
 			MaxRetries: *maxRetries,
 			Backoff:    *backoff,
-			OnEvent: func(ev permcell.SupervisorEvent) {
-				switch ev.Kind {
-				case "rollback":
-					fmt.Fprintf(stderr, "mdrun: supervisor: rollback to step %d from %s (attempt %d)\n",
-						ev.RestoredStep, ev.Checkpoint, ev.Attempt)
-				default:
-					fmt.Fprintf(stderr, "mdrun: supervisor: %s at step %d: %s\n", ev.Kind, ev.Step, ev.Err)
-				}
-			},
+			OnEvent:    func(ev permcell.SupervisorEvent) { fmt.Fprintf(stderr, "mdrun: supervisor: %v\n", ev) },
 		}))
 	}
 
@@ -424,15 +406,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 				rep.RankFailures, rep.GuardViolations, rep.Deadlocks, rep.Exhausted)
 		}
 		if collect {
-			cum.Recovery = &metrics.Recovery{
-				Panics:          int64(rep.RankFailures),
-				GuardViolations: int64(rep.GuardViolations),
-				Deadlocks:       int64(rep.Deadlocks),
-				WorkerFailures:  int64(rep.WorkerFailures),
-				Rollbacks:       int64(rep.Rollbacks),
-				Retries:         int64(rep.Retries),
-				StepsReplayed:   int64(rep.StepsReplayed),
-			}
+			cum.Recovery = &metrics.Recovery{}
+			cum.Recovery.Add(rep)
 		}
 	}
 	if errors.Is(err, context.Canceled) {

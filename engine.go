@@ -76,12 +76,17 @@ func (o Options) identity(kind string) checkpoint.Meta {
 }
 
 // launch is the one way an engine comes up, fresh (st == nil) or resumed
-// from a snapshot: validate the transport against the identity's engine
-// kind — only known here for a Restore — then start it, under the
-// supervisor when one is configured.
+// from a snapshot: validate the transport and the sabotage script against
+// the identity — engine kind and rank count are only known here for a
+// Restore — then start it, under the supervisor when one is configured.
 func launch(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine, error) {
 	if err := checkTransport(meta.Kind, o); err != nil {
 		return nil, err
+	}
+	if s := o.sabotage; s != nil && meta.Kind != checkpoint.KindSerial { // serial engines ignore it
+		if err := s.Validate(meta.P, o.transport.Kind == TransportTCP); err != nil {
+			return nil, fmt.Errorf("permcell: %w", err)
+		}
 	}
 	if o.supervisor != nil {
 		return supervised(meta, st, o)
@@ -90,8 +95,8 @@ func launch(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine
 }
 
 // checkTransport validates the WithTransport selection against the engine
-// kind and option set at construction time, so an unsupported combination
-// fails loudly instead of silently running in-process.
+// kind at construction time, so an unsupported combination fails loudly
+// instead of silently running in-process.
 func checkTransport(kind string, o Options) error {
 	switch o.transport.Kind {
 	case "", TransportChan:
@@ -99,16 +104,6 @@ func checkTransport(kind string, o Options) error {
 	case TransportTCP:
 		if kind != checkpoint.KindDLB {
 			return fmt.Errorf("permcell: the tcp transport supports only the parallel engine (New)")
-		}
-		if o.sabotage != nil {
-			return fmt.Errorf("permcell: WithSabotage is not supported on the tcp transport")
-		}
-		if c := o.transport.Chaos; c != nil {
-			switch c.Kind {
-			case ChaosWorkerExit, ChaosWorkerStall, ChaosWorkerGarbage:
-			default:
-				return fmt.Errorf("permcell: unknown worker chaos kind %q", c.Kind)
-			}
 		}
 		return nil
 	default:
@@ -151,14 +146,13 @@ func start(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine,
 		eng, err = distrib.Start(distrib.WireSpec{
 			Meta: meta, Metrics: o.metrics,
 			Watchdog: o.watchdog, Faults: o.faults, Guard: o.guard,
-			Restore: st,
+			Sabotage: o.sabotage, Restore: st,
 		}, distrib.Config{
 			Procs: o.transport.Procs, Worker: o.transport.Worker, Addr: o.transport.Addr,
 			OnStep: o.onStep, DiscardStats: o.discard,
 			HandshakeTimeout: o.transport.HandshakeTimeout,
 			HeartbeatEvery:   o.transport.HeartbeatEvery,
 			HeartbeatMisses:  o.transport.HeartbeatMisses,
-			Chaos:            o.transport.Chaos,
 		})
 	default:
 		cfg, sys, _, berr := runspec.Parallel(&meta, st)

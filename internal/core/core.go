@@ -205,6 +205,23 @@ type StepStats struct {
 	ResendCount int64
 }
 
+// Record is the one translation of a step's statistics into the record
+// mdrun's JSONL stream and the run service both emit. m is the square-pillar
+// cross-section (0 when unknown: the bound fields are then omitted).
+func (st StepStats) Record(m int) metrics.StepRecord {
+	rec := metrics.NewStepRecord(st.Step, st.Phases,
+		st.StepWallMax, st.StepWallAve,
+		st.WorkMax, st.WorkAve, st.WorkMin,
+		st.Balancer, st.Moved, st.MovedBytes,
+		st.Conc.C0OverC, st.Conc.NFactor, m)
+	rec.TotalEnergy = st.TotalEnergy
+	rec.Temperature = st.Temperature
+	rec.SentFrames = st.SentFrames
+	rec.SentBytes = st.SentBytes
+	rec.ResendCount = st.ResendCount
+	return rec
+}
+
 // Imbalance returns (Fmax-Fmin)/Fave on the work metric, the quantity whose
 // growth marks the experimental DLB boundary.
 func (s StepStats) Imbalance() float64 {

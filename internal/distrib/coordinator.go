@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -46,11 +47,6 @@ type Config struct {
 	// pre-liveness behavior, kept for debugging).
 	HeartbeatEvery  time.Duration
 	HeartbeatMisses int
-
-	// Chaos, when non-nil, injects one deterministic worker failure; see
-	// WorkerChaos. One-shot: spent when first shipped, so supervised
-	// restarts do not re-fire it.
-	Chaos *WorkerChaos
 }
 
 // Liveness defaults: a second between beats with a five-miss budget keeps
@@ -243,10 +239,8 @@ func Start(spec WireSpec, cfg Config) (*Engine, error) {
 		for _, r := range ws.Ranks {
 			e.procOf[r] = i
 		}
-		if cfg.Chaos != nil && cfg.Chaos.Proc == i && cfg.Chaos.take() {
-			ws.Chaos = cfg.Chaos.shipCopy()
-		} else {
-			ws.Chaos = nil
+		if sab := spec.Sabotage; sab == nil || sab.Fired() || !slices.Contains(ws.Ranks, sab.Rank) {
+			ws.Sabotage = nil
 		}
 		payload, perr := encodeControl(ws)
 		if perr != nil {
@@ -274,7 +268,7 @@ func Start(spec WireSpec, cfg Config) (*Engine, error) {
 	}
 
 	// Every worker reports construction (an empty StepAck).
-	if _, err := e.collect(transport.KindStepAck); err != nil {
+	if err := collect(e, transport.KindStepAck, (*StepAck).failure); err != nil {
 		e.shutdown()
 		return nil, fmt.Errorf("distrib: worker startup: %w", err)
 	}
@@ -369,30 +363,38 @@ func (e *Engine) broadcast(f transport.Frame) error {
 	return nil
 }
 
-// collect gathers one control ack of the given kind from every worker
-// and returns the decoded payloads indexed by arrival. Any link failure,
-// mismatched frame kind or undecodable payload aborts the batch with a
-// typed WorkerFailure.
-func (e *Engine) collect(kind byte) ([]any, error) {
-	out := make([]any, 0, len(e.peers))
-	for len(out) < len(e.peers) {
+// collect gathers one control ack of the given kind, with payload type A,
+// from every worker, handing each to fold as it arrives. A link failure,
+// wrong frame kind, undecodable or mistyped payload or error from fold
+// aborts the batch at once: a worker whose ranks failed acks promptly, but
+// its healthy peers are parked on receives from those ranks and will never
+// ack. Finish then closes the links, which poisons the parked workers'
+// worlds and lets them exit.
+func collect[A any](e *Engine, kind byte, fold func(*A) error) error {
+	for got := 0; got < len(e.peers); got++ {
 		select {
 		case err := <-e.fatal:
-			return nil, err
+			return err
 		case cf := <-e.ctrl:
 			if cf.frame.Kind != kind {
-				return nil, e.linkFailure(cf.proc, FailProtocol,
+				return e.linkFailure(cf.proc, FailProtocol,
 					fmt.Errorf("sent frame kind %d, want %d", cf.frame.Kind, kind))
 			}
 			v, err := decodeControl(cf.frame.Payload)
 			if err != nil {
-				return nil, e.linkFailure(cf.proc, FailFrameDecode,
+				return e.linkFailure(cf.proc, FailFrameDecode,
 					fmt.Errorf("decode ack: %w", err))
 			}
-			out = append(out, v)
+			ack, ok := v.(A)
+			if !ok {
+				return fmt.Errorf("distrib: ack payload is %T, want %T", v, ack)
+			}
+			if err := fold(&ack); err != nil {
+				return err
+			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // Step advances every worker by n steps in lockstep, stitches the new
@@ -413,37 +415,26 @@ func (e *Engine) Step(n int) error {
 	if n == 0 {
 		return nil
 	}
+	// The batch that contains the scripted step is the one the armed worker
+	// fires in: spend the caller's script as that batch is issued.
+	e.spec.Sabotage.FireIn(e.AbsStep(), n)
 	if err := e.broadcast(transport.Frame{Kind: transport.KindStep, Tag: int32(n)}); err != nil {
-		e.err = err
-		return err
-	}
-	acks, err := e.collect(transport.KindStepAck)
-	if err != nil {
 		e.err = err
 		return err
 	}
 	var sum comm.TransportStats
 	var records []core.StepStats
-	for _, v := range acks {
-		ack, ok := v.(StepAck)
-		if !ok {
-			e.err = fmt.Errorf("distrib: step ack payload is %T", v)
-			return e.err
-		}
-		if ack.Failure != nil {
-			e.err = ack.Failure.rebuild(ack.Proc)
-			return e.err
-		}
-		if ack.Err != "" {
-			e.err = fmt.Errorf("distrib: worker %d: %s", ack.Proc, ack.Err)
-			return e.err
-		}
+	e.err = collect(e, transport.KindStepAck, func(ack *StepAck) error {
 		sum.Frames += ack.Transport.Frames
 		sum.Bytes += ack.Transport.Bytes
 		sum.Resends += ack.Transport.Resends
 		if len(ack.Stats) > 0 {
 			records = ack.Stats
 		}
+		return ack.failure()
+	})
+	if e.err != nil {
+		return e.err
 	}
 	for _, st := range records {
 		st.SentFrames = sum.Frames
@@ -489,35 +480,27 @@ func (e *Engine) Snapshot() (*checkpoint.EngineState, error) {
 		e.err = err
 		return nil, err
 	}
-	acks, err := e.collect(transport.KindSnapAck)
-	if err != nil {
-		e.err = err
-		return nil, err
-	}
 	st := &checkpoint.EngineState{
 		Step:   e.base + e.stepped,
 		Frames: make([]checkpoint.Frame, e.spec.Meta.P),
 	}
 	var msgs, bytes int64
-	for _, v := range acks {
-		ack, ok := v.(SnapAck)
-		if !ok {
-			e.err = fmt.Errorf("distrib: snapshot ack payload is %T", v)
-			return nil, e.err
-		}
+	e.err = collect(e, transport.KindSnapAck, func(ack *SnapAck) error {
 		if ack.Err != "" {
-			e.err = fmt.Errorf("distrib: worker %d: %s", ack.Proc, ack.Err)
-			return nil, e.err
+			return fmt.Errorf("distrib: worker %d: %s", ack.Proc, ack.Err)
 		}
 		msgs += ack.Msgs
 		bytes += ack.Bytes
 		for _, f := range ack.Frames {
 			if f.Rank < 0 || f.Rank >= e.spec.Meta.P {
-				e.err = fmt.Errorf("distrib: snapshot frame for rank %d out of range", f.Rank)
-				return nil, e.err
+				return fmt.Errorf("distrib: snapshot frame for rank %d out of range", f.Rank)
 			}
 			st.Frames[f.Rank] = f
 		}
+		return nil
+	})
+	if e.err != nil {
+		return nil, e.err
 	}
 	st.CommMsgs = e.baseMsgs + msgs
 	st.CommBytes = e.baseBytes + bytes
@@ -545,22 +528,11 @@ func (e *Engine) Finish() (*core.Result, error) {
 		e.finErr = err
 		return nil, err
 	}
-	acks, err := e.collect(transport.KindResultAck)
-	if err != nil {
-		e.finErr = err
-		return nil, err
-	}
 	res := &core.Result{M: e.spec.Meta.M, Stats: e.stats}
 	res.CommMsgs, res.CommBytes = e.baseMsgs, e.baseBytes
-	for _, v := range acks {
-		ack, ok := v.(ResultAck)
-		if !ok {
-			e.finErr = fmt.Errorf("distrib: result ack payload is %T", v)
-			return nil, e.finErr
-		}
+	e.finErr = collect(e, transport.KindResultAck, func(ack *ResultAck) error {
 		if ack.Err != "" {
-			e.finErr = fmt.Errorf("distrib: worker %d: %s", ack.Proc, ack.Err)
-			return nil, e.finErr
+			return fmt.Errorf("distrib: worker %d: %s", ack.Proc, ack.Err)
 		}
 		if ack.Final != nil {
 			res.Final = ack.Final
@@ -572,6 +544,10 @@ func (e *Engine) Finish() (*core.Result, error) {
 		res.Faults.Failures += ack.Faults.Failures
 		res.Faults.Retries += ack.Faults.Retries
 		res.Faults.Stalls += ack.Faults.Stalls
+		return nil
+	})
+	if e.finErr != nil {
+		return nil, e.finErr
 	}
 	e.finRes = res
 	return res, nil

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"syscall"
 	"testing"
-	"time"
 
 	"permcell/internal/transport"
 )
@@ -21,10 +20,10 @@ func TestRanksOf(t *testing.T) {
 		p, w, i int
 		want    []int
 	}{
-		{4, 1, 0, []int{0, 1, 2, 3}},   // W=1: one proc hosts the world
-		{4, 4, 0, []int{0}},            // P=W: singleton blocks
+		{4, 1, 0, []int{0, 1, 2, 3}}, // W=1: one proc hosts the world
+		{4, 4, 0, []int{0}},          // P=W: singleton blocks
 		{4, 4, 3, []int{3}},
-		{7, 3, 0, []int{0, 1}},         // uneven: 2,2,3
+		{7, 3, 0, []int{0, 1}}, // uneven: 2,2,3
 		{7, 3, 1, []int{2, 3}},
 		{7, 3, 2, []int{4, 5, 6}},
 		{1, 1, 0, []int{0}},
@@ -126,27 +125,6 @@ func containsStr(s, sub string) bool {
 		}
 	}
 	return false
-}
-
-// TestWorkerChaosOneShot pins the one-shot trigger semantics: only the
-// first take() wins (a supervised restart must not re-fire the injected
-// failure), and shipCopy produces an unspent, value-equal copy for the
-// wire.
-func TestWorkerChaosOneShot(t *testing.T) {
-	c := &WorkerChaos{Proc: 1, Step: 17, Kind: ChaosStall, Stall: time.Second}
-	if !c.take() {
-		t.Fatal("first take() lost")
-	}
-	if c.take() {
-		t.Fatal("second take() won: trigger is not one-shot")
-	}
-	cp := c.shipCopy()
-	if cp.Proc != 1 || cp.Step != 17 || cp.Kind != ChaosStall || cp.Stall != time.Second {
-		t.Fatalf("shipCopy dropped fields: %+v", cp)
-	}
-	if !cp.take() {
-		t.Error("shipped copy inherited the spent mark")
-	}
 }
 
 // TestFrameLogForensics checks the per-proc forensics line: empty before

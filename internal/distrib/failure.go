@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -68,55 +67,6 @@ func (f *WorkerFailure) Error() string {
 }
 
 func (f *WorkerFailure) Unwrap() error { return f.Err }
-
-// Worker chaos kinds, fired deterministically at a configured step.
-const (
-	// ChaosExit closes the worker's coordinator connection and exits the
-	// worker mid-run — the deterministic twin of kill -9.
-	ChaosExit = "exit"
-	// ChaosStall suspends the worker's heartbeats and event loop for the
-	// configured duration — the deterministic twin of SIGSTOP.
-	ChaosStall = "stall"
-	// ChaosGarbage writes a lying length prefix (0xFFFFFFFF) onto the
-	// wire, desynchronizing the stream.
-	ChaosGarbage = "garbage"
-)
-
-// WorkerChaos injects one deterministic worker failure: proc Proc fires
-// Kind immediately before executing absolute step Step. Shipping the
-// trigger inside the wire spec (rather than sending real signals) keeps
-// the scenarios deterministic, race-clean, and equally applicable to
-// goroutine-hosted and exec'd workers; cmd/chaos and tcp_smoke.sh replay
-// the same kinds against real mdrank processes.
-//
-// The trigger is one-shot across restarts: the coordinator marks it spent
-// when it first ships, so a supervised run that heals past the failure
-// step does not re-fire it on the respawned worker.
-type WorkerChaos struct {
-	// Proc is the worker process index to sabotage.
-	Proc int
-	// Step is the absolute step before which the failure fires.
-	Step int
-	// Kind is one of ChaosExit, ChaosStall, ChaosGarbage.
-	Kind string
-	// Stall is the suspension length for ChaosStall; pick it longer than
-	// the heartbeat window to trigger detection, shorter to prove a brief
-	// stall heals without intervention.
-	Stall time.Duration
-
-	// spent flips when the coordinator ships the trigger. Unexported: gob
-	// ignores it, so a decoded worker-side copy is always unspent.
-	spent atomic.Bool
-}
-
-// take claims the one-shot trigger; only the first caller wins.
-func (c *WorkerChaos) take() bool { return c.spent.CompareAndSwap(false, true) }
-
-// shipCopy builds the field-by-field copy sent to the worker (copying the
-// struct whole would copy the atomic).
-func (c *WorkerChaos) shipCopy() *WorkerChaos {
-	return &WorkerChaos{Proc: c.Proc, Step: c.Step, Kind: c.Kind, Stall: c.Stall}
-}
 
 // frameLog records the last frame seen from one proc, for failure
 // forensics. One writer (the proc's router goroutine); failure paths on

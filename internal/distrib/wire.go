@@ -60,9 +60,10 @@ type WireSpec struct {
 	HeartbeatEvery  time.Duration
 	HeartbeatMisses int
 
-	// Chaos, when non-nil, is this worker's deterministic failure
-	// injection (the coordinator ships it only to the target proc).
-	Chaos *WorkerChaos
+	// Sabotage, when non-nil, is the scripted one-shot fault: Start takes
+	// the caller's pointer and ships it to the worker hosting Sabotage.Rank
+	// only, and only while unspent; the decoded copy starts armed.
+	Sabotage *supervise.Sabotage
 
 	// Restore, when non-nil, resumes from a distributed snapshot. Every
 	// worker receives the full state: rebuilding the global column->host
@@ -88,6 +89,17 @@ type StepAck struct {
 	Bytes     int64
 	Failure   *WireFailure
 	Err       string
+}
+
+// failure rebuilds the error a StepAck reports (nil for a clean ack).
+func (a *StepAck) failure() error {
+	switch {
+	case a.Failure != nil:
+		return a.Failure.rebuild(a.Proc)
+	case a.Err != "":
+		return fmt.Errorf("distrib: worker %d: %s", a.Proc, a.Err)
+	}
+	return nil
 }
 
 // WireFailure carries a supervised failure class across the process

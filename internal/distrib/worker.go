@@ -8,6 +8,7 @@ import (
 
 	"permcell/internal/core"
 	"permcell/internal/runspec"
+	"permcell/internal/supervise"
 	"permcell/internal/transport"
 )
 
@@ -91,8 +92,8 @@ func RunWorkerWith(conn net.Conn, opts WorkerOptions) error {
 	// Arm liveness before engine construction: the coordinator's read
 	// window is already ticking, so heartbeats must flow while NewPartial
 	// builds (which can be slow for large systems). hbPause models a
-	// stalled process for ChaosStall — a SIGSTOP'd worker's heartbeat
-	// goroutine stops too.
+	// stalled process for SabotageWorkerStall — a SIGSTOP'd worker's
+	// heartbeat goroutine stops too.
 	var hbPause atomic.Bool
 	hbStop := make(chan struct{})
 	defer close(hbStop)
@@ -185,14 +186,12 @@ func RunWorkerWith(conn net.Conn, opts WorkerOptions) error {
 		}
 	}()
 
-	// Absolute-step tracking for deterministic chaos: the trigger fires
-	// immediately before the batch that would execute its step.
-	base := 0
+	// Absolute-step tracking for the scripted fault: a process-level shot
+	// fires immediately before the batch that would execute its step.
+	done := 0
 	if spec.Restore != nil {
-		base = spec.Restore.Step
+		done = spec.Restore.Step
 	}
-	stepped := 0
-	chaos := spec.Chaos
 
 	for {
 		select {
@@ -202,15 +201,14 @@ func RunWorkerWith(conn net.Conn, opts WorkerOptions) error {
 			switch f.Kind {
 			case transport.KindStep:
 				n := int(f.Tag)
-				if chaos != nil && chaos.Step > base+stepped && chaos.Step <= base+stepped+n {
-					if err := fireChaos(chaos, conn, peer, &hbPause); err != nil {
+				if sab := spec.Sabotage; sab.ProcessLevel() && sab.FireIn(done, n) {
+					if err := fireProcessFault(sab, spec.Proc, conn, peer, &hbPause); err != nil {
 						return err
 					}
-					chaos = nil
 				}
 				serr := part.Step(n)
 				if serr == nil {
-					stepped += n
+					done += n
 				}
 				ack := StepAck{
 					Proc:      spec.Proc,
@@ -256,22 +254,21 @@ func RunWorkerWith(conn net.Conn, opts WorkerOptions) error {
 	}
 }
 
-// fireChaos executes one injected failure. Exit and garbage return an
-// error (the worker dies, as the real fault would); a stall returns nil
-// and the worker resumes — whether the run survives depends on whether
-// the stall outlasted the coordinator's heartbeat window, exactly like a
-// real SIGSTOP/SIGCONT pair.
-func fireChaos(c *WorkerChaos, conn net.Conn, peer *transport.Peer, hbPause *atomic.Bool) error {
-	switch c.Kind {
-	case ChaosExit:
+// fireProcessFault executes a process-level sabotage in worker proc. Exit
+// and garbage return an error (the worker dies, as the real fault would); a
+// stall returns nil and the worker resumes — whether the run survives
+// depends on whether the stall outlasted the coordinator's heartbeat window,
+// exactly like a real SIGSTOP/SIGCONT pair.
+func fireProcessFault(s *supervise.Sabotage, proc int, conn net.Conn, peer *transport.Peer, hbPause *atomic.Bool) error {
+	switch s.Kind {
+	case supervise.SabotageWorkerExit:
 		peer.Close()
-		return fmt.Errorf("distrib: chaos: worker %d exiting before step %d", c.Proc, c.Step)
-	case ChaosStall:
+	case supervise.SabotageWorkerStall:
 		hbPause.Store(true)
-		time.Sleep(c.Stall)
+		time.Sleep(s.Stall)
 		hbPause.Store(false)
 		return nil
-	case ChaosGarbage:
+	case supervise.SabotageWorkerGarbage:
 		// A lying length prefix: 0xFFFFFFFF decodes as a frame far over
 		// MaxPayload, desynchronizing the stream. Raw conn writes are
 		// stream-atomic per call, so this lands between frames, not
@@ -281,10 +278,8 @@ func fireChaos(c *WorkerChaos, conn net.Conn, peer *transport.Peer, hbPause *ato
 		hbPause.Store(true)
 		conn.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 		time.Sleep(time.Second)
-		return fmt.Errorf("distrib: chaos: worker %d wrote garbage before step %d", c.Proc, c.Step)
-	default:
-		return fmt.Errorf("distrib: chaos: unknown kind %q", c.Kind)
 	}
+	return fmt.Errorf("distrib: sabotage %s: worker %d failing before step %d", s.Kind, proc, s.Step)
 }
 
 // newPartialFromSpec builds this process's share of the engine from the
@@ -304,5 +299,6 @@ func newPartialFromSpec(spec *WireSpec, peer *transport.Peer) (*core.Engine, err
 	cfg.Watchdog = spec.Watchdog
 	cfg.Faults = spec.Faults
 	cfg.Guard = spec.Guard
+	cfg.Sabotage = spec.Sabotage
 	return core.NewPartial(cfg, sys, spec.Ranks, &peerRemote{peer: peer})
 }

@@ -30,6 +30,7 @@ import (
 	"strings"
 	"time"
 
+	"permcell/internal/supervise"
 	"permcell/internal/theory"
 )
 
@@ -365,6 +366,18 @@ type Recovery struct {
 	Rollbacks       int64
 	Retries         int64
 	StepsReplayed   int64
+}
+
+// Add folds one engine incarnation's supervision report into the totals;
+// every incarnation reports from zero, so summation is exact.
+func (r *Recovery) Add(rep *supervise.Report) {
+	r.Panics += int64(rep.RankFailures)
+	r.GuardViolations += int64(rep.GuardViolations)
+	r.Deadlocks += int64(rep.Deadlocks)
+	r.WorkerFailures += int64(rep.WorkerFailures)
+	r.Rollbacks += int64(rep.Rollbacks)
+	r.Retries += int64(rep.Retries)
+	r.StepsReplayed += int64(rep.StepsReplayed)
 }
 
 // Cumulative accumulates per-step breakdowns into run-total counters for

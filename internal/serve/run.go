@@ -77,7 +77,7 @@ func newRun(id string, spec RunSpec, dir string, parent context.Context) *Run {
 		changed: make(chan struct{}),
 	}
 	if sb := spec.Sabotage; sb != nil {
-		r.sab = &permcell.Sabotage{Kind: sb.Kind, Step: sb.Step, Rank: sb.Rank}
+		r.sab = sb.script()
 	}
 	return r
 }
@@ -123,26 +123,15 @@ func (r *Run) onStep(st permcell.StepStats) {
 	r.notify()
 }
 
-// stepRecord translates one StepStats into the service's streamed record
-// shape. It is the single definition of that mapping: the soak test builds
-// its solo reference traces through the same function, so a served run and
-// a direct facade run of the same spec compare bit-for-bit.
+// stepRecord is the service's streamed record for one step: the shared
+// StepStats.Record mapping with the spec's pillar cross-section. The soak
+// test builds its solo reference traces through the same function, so a
+// served run and a direct facade run of the same spec compare bit-for-bit.
 func stepRecord(spec *RunSpec, st permcell.StepStats) metrics.StepRecord {
-	m := 0
 	if spec.kind() == KindParallel {
-		m = spec.M
+		return st.Record(spec.M)
 	}
-	rec := metrics.NewStepRecord(st.Step, st.Phases,
-		st.StepWallMax, st.StepWallAve,
-		st.WorkMax, st.WorkAve, st.WorkMin,
-		st.Balancer, st.Moved, st.MovedBytes,
-		st.Conc.C0OverC, st.Conc.NFactor, m)
-	rec.TotalEnergy = st.TotalEnergy
-	rec.Temperature = st.Temperature
-	rec.SentFrames = st.SentFrames
-	rec.SentBytes = st.SentBytes
-	rec.ResendCount = st.ResendCount
-	return rec
+	return st.Record(0)
 }
 
 // snapshot returns the fields the status endpoint reports.

@@ -180,7 +180,7 @@ func soloTrace(t *testing.T, spec RunSpec, dir string) []metrics.StepRecord {
 	onStep := func(st permcell.StepStats) { recs = append(recs, stepRecord(&spec, st)) }
 	var sab *permcell.Sabotage
 	if sb := spec.Sabotage; sb != nil {
-		sab = &permcell.Sabotage{Kind: sb.Kind, Step: sb.Step, Rank: sb.Rank}
+		sab = sb.script()
 	}
 	opts, err := spec.options(dir, sab, onStep, nil)
 	if err != nil {

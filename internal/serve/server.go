@@ -480,12 +480,5 @@ func (r *Run) recordSupervision(rep *permcell.SupervisorReport) {
 	if r.cum.Recovery == nil {
 		r.cum.Recovery = &metrics.Recovery{}
 	}
-	rec := r.cum.Recovery
-	rec.Panics += int64(rep.RankFailures)
-	rec.GuardViolations += int64(rep.GuardViolations)
-	rec.Deadlocks += int64(rep.Deadlocks)
-	rec.WorkerFailures += int64(rep.WorkerFailures)
-	rec.Rollbacks += int64(rep.Rollbacks)
-	rec.Retries += int64(rep.Retries)
-	rec.StepsReplayed += int64(rep.StepsReplayed)
+	r.cum.Recovery.Add(rep)
 }

@@ -25,7 +25,8 @@ const (
 
 // SabotageSpec scripts a one-shot injected fault (a PE panic or a NaN
 // velocity) for chaos-testing a run's isolation and recovery. Serial
-// engines ignore it.
+// engines ignore it. Served runs are in-process, so the worker-process
+// kinds of permcell.Sabotage are refused at admission.
 type SabotageSpec struct {
 	// Kind is "panic" or "nan".
 	Kind string `json:"kind"`
@@ -33,6 +34,11 @@ type SabotageSpec struct {
 	Step int `json:"step"`
 	// Rank is the PE to fire on.
 	Rank int `json:"rank"`
+}
+
+// script is the facade form of the spec: a fresh, unspent Sabotage.
+func (sb *SabotageSpec) script() *permcell.Sabotage {
+	return &permcell.Sabotage{Kind: sb.Kind, Step: sb.Step, Rank: sb.Rank}
 }
 
 // RunSpec is the JSON body of POST /runs: one simulation in the paper's
@@ -151,9 +157,9 @@ func (s *RunSpec) Validate() error {
 	if s.MaxRetries != nil && *s.MaxRetries < 0 {
 		return fmt.Errorf("serve: max_retries must be >= 0, got %d", *s.MaxRetries)
 	}
-	if sb := s.Sabotage; sb != nil {
-		if sb.Kind != permcell.SabotagePanic && sb.Kind != permcell.SabotageNaN {
-			return fmt.Errorf("serve: unknown sabotage kind %q", sb.Kind)
+	if sb := s.Sabotage; sb != nil && s.kind() != KindSerial {
+		if err := sb.script().Validate(s.P, false); err != nil {
+			return fmt.Errorf("serve: %w", err)
 		}
 	}
 	return nil

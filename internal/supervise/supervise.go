@@ -173,6 +173,14 @@ type Event struct {
 	RestoredStep int
 }
 
+// String renders the event for a run log.
+func (e Event) String() string {
+	if e.Kind == EventRollback {
+		return fmt.Sprintf("rollback to step %d from %s (attempt %d)", e.RestoredStep, e.Checkpoint, e.Attempt)
+	}
+	return fmt.Sprintf("%s at step %d: %s", e.Kind, e.Step, e.Err)
+}
+
 // Report is the structured supervision outcome: the full event log plus
 // recovery counters. A healthy run that never failed has all-zero counters.
 type Report struct {
@@ -272,39 +280,94 @@ func (t *Trap) All() []error {
 	return append([]error(nil), t.failures...)
 }
 
-// Sabotage kinds.
+// Sabotage kinds. The rank-level kinds fire inside the step loop of the
+// target rank, on whichever process hosts it; the process-level kinds fail
+// the worker process hosting the target rank, so they need the tcp transport.
 const (
 	// SabotagePanic crashes the target rank's goroutine at the target step.
 	SabotagePanic = "panic"
 	// SabotageNaN corrupts one velocity component on the target rank to NaN
 	// at the target step, exercising the finite guard.
 	SabotageNaN = "nan"
+	// SabotageWorkerExit closes the worker's link and ends it: kill -9.
+	SabotageWorkerExit = "worker-exit"
+	// SabotageWorkerStall suspends the worker's heartbeats and event loop
+	// for Stall: SIGSTOP/SIGCONT. Past the heartbeat window the link is
+	// declared dead; under it the stall must ride through unnoticed.
+	SabotageWorkerStall = "worker-stall"
+	// SabotageWorkerGarbage writes a lying length prefix (0xFFFFFFFF) onto
+	// the worker's link, desynchronizing the frame stream.
+	SabotageWorkerGarbage = "worker-garbage"
 )
 
-// Sabotage is a scripted one-shot fault for chaos-testing the recovery
-// path: it fires exactly once per process, on the first incarnation of the
-// engine that reaches (Step, Rank) — replays after a rollback see it
-// already spent, so a recovered run converges to the golden trace. The
-// same Sabotage pointer must be shared across engine incarnations (the
-// facade supervisor threads it through rollbacks automatically).
+// Sabotage is the scripted one-shot fault for chaos-testing the recovery
+// path. It fires exactly once, on the first engine incarnation that reaches
+// Step: rank-level kinds at (Step, Rank) in the step loop, process-level
+// kinds in the worker hosting Rank before the batch that contains Step. The
+// caller's pointer is the one record of whether the shot is spent, and it
+// flips when the shot fires (over tcp: when the coordinator issues that
+// batch), never when the script ships: a replay after a rollback sees it
+// spent and converges to the golden trace, an incarnation that ends before
+// Step leaves it armed. Share one pointer across incarnations (the facade
+// supervisor does). Only the exported fields cross the wire, so a worker's
+// copy starts unspent.
 type Sabotage struct {
-	// Kind is SabotagePanic or SabotageNaN.
+	// Kind is one of the Sabotage* kinds.
 	Kind string
-	// Step is the absolute time step to fire at.
+	// Step is the absolute time step to fire at (>= 1).
 	Step int
-	// Rank is the PE to fire on.
+	// Rank is the PE to fire on, or whose hosting worker to fire in.
 	Rank int
+	// Stall is how long SabotageWorkerStall suspends; zero otherwise.
+	Stall time.Duration
 
 	spent atomic.Bool
 }
 
-// TryFire reports whether the sabotage fires now: true exactly once, when
-// step and rank match the script. Nil-safe.
-func (s *Sabotage) TryFire(step, rank int) bool {
-	if s == nil || step != s.Step || rank != s.Rank {
+// processLevel lists every sabotage kind, and whether it fails a whole worker
+// process rather than one rank.
+var processLevel = map[string]bool{
+	SabotagePanic: false, SabotageNaN: false,
+	SabotageWorkerExit: true, SabotageWorkerStall: true, SabotageWorkerGarbage: true,
+}
+
+// ProcessLevel reports whether the script fails a whole worker process
+// rather than one rank. Nil-safe.
+func (s *Sabotage) ProcessLevel() bool { return s != nil && processLevel[s.Kind] }
+
+// Validate is the one check of a script against the run it is aimed at — p
+// ranks, on the tcp transport or not — so that one which could never fire is
+// refused instead of silently running clean.
+func (s *Sabotage) Validate(p int, tcp bool) error {
+	_, known := processLevel[s.Kind]
+	switch {
+	case !known:
+		return fmt.Errorf("unknown sabotage kind %q", s.Kind)
+	case s.Step < 1:
+		return fmt.Errorf("sabotage step must be >= 1, got %d", s.Step)
+	case s.Rank < 0 || s.Rank >= p:
+		return fmt.Errorf("sabotage rank %d outside the run's ranks 0..%d", s.Rank, p-1)
+	case s.ProcessLevel() && !tcp:
+		return fmt.Errorf("sabotage kind %q fails a worker process and needs the tcp transport", s.Kind)
+	case s.Stall != 0 && s.Kind != SabotageWorkerStall:
+		return fmt.Errorf("sabotage stall %v is only meaningful with kind %q, got %q", s.Stall, SabotageWorkerStall, s.Kind)
+	}
+	return nil
+}
+
+// FireIn reports whether the shot falls in the batch of n steps that follows
+// absolute step done, and spends it: true exactly once. Nil-safe.
+func (s *Sabotage) FireIn(done, n int) bool {
+	if s == nil || s.Step <= done || s.Step > done+n {
 		return false
 	}
 	return s.spent.CompareAndSwap(false, true)
+}
+
+// TryFire reports whether a rank-level shot fires now: true exactly once,
+// when step and rank match the script. Nil-safe.
+func (s *Sabotage) TryFire(step, rank int) bool {
+	return s != nil && rank == s.Rank && s.FireIn(step-1, 1)
 }
 
 // Fired reports whether the sabotage already went off.

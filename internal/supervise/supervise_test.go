@@ -132,8 +132,16 @@ func TestSabotageFiresExactlyOnce(t *testing.T) {
 		t.Fatal("Fired() false after firing")
 	}
 	var nilSab *Sabotage
-	if nilSab.TryFire(10, 2) || nilSab.Fired() {
+	if nilSab.TryFire(10, 2) || nilSab.FireIn(0, 99) || nilSab.Fired() || nilSab.ProcessLevel() {
 		t.Fatal("nil sabotage fired")
+	}
+	// The batch form: (done, done+n] must contain the step.
+	b := &Sabotage{Kind: SabotageWorkerExit, Step: 10, Rank: 2}
+	if b.FireIn(10, 5) || b.FireIn(4, 5) || b.Fired() {
+		t.Fatal("fired in a batch that does not contain the step")
+	}
+	if !b.FireIn(9, 1) || b.FireIn(5, 5) {
+		t.Fatal("the batch containing the step must fire, once")
 	}
 }
 

@@ -41,15 +41,19 @@ type (
 	// RetryBudgetError is returned when the supervisor's retry budget is
 	// exhausted; the run degrades to a partial Result alongside it.
 	RetryBudgetError = supervise.RetryBudgetError
-	// Sabotage scripts a one-shot injected fault for chaos-testing the
-	// recovery path (WithSabotage).
+	// Sabotage scripts the one-shot injected fault for chaos-testing the
+	// recovery path (WithSabotage; DESIGN.md "Fault injection").
 	Sabotage = supervise.Sabotage
 )
 
-// Sabotage kinds.
+// Sabotage kinds: panic and nan fail one rank, on either transport; the
+// worker kinds fail the tcp worker process hosting the rank.
 const (
-	SabotagePanic = supervise.SabotagePanic
-	SabotageNaN   = supervise.SabotageNaN
+	SabotagePanic         = supervise.SabotagePanic
+	SabotageNaN           = supervise.SabotageNaN
+	SabotageWorkerExit    = supervise.SabotageWorkerExit
+	SabotageWorkerStall   = supervise.SabotageWorkerStall
+	SabotageWorkerGarbage = supervise.SabotageWorkerGarbage
 )
 
 // Distributed failure types, re-exported from internal/distrib (see
@@ -62,9 +66,6 @@ type (
 	WorkerFailure = distrib.WorkerFailure
 	// WorkerFailureKind classifies a WorkerFailure.
 	WorkerFailureKind = distrib.FailureKind
-	// WorkerChaos injects one deterministic worker failure on the tcp
-	// transport (Transport.Chaos), for chaos-testing distributed recovery.
-	WorkerChaos = distrib.WorkerChaos
 )
 
 // WorkerFailure kinds.
@@ -73,13 +74,6 @@ const (
 	WorkerHeartbeatTimeout = distrib.FailHeartbeat
 	WorkerFrameDecode      = distrib.FailFrameDecode
 	WorkerProtocolError    = distrib.FailProtocol
-)
-
-// WorkerChaos kinds.
-const (
-	ChaosWorkerExit    = distrib.ChaosExit
-	ChaosWorkerStall   = distrib.ChaosStall
-	ChaosWorkerGarbage = distrib.ChaosGarbage
 )
 
 // Worker-recovery policies for SupervisorPolicy.WorkerRecovery: respawn
@@ -152,11 +146,6 @@ type Transport struct {
 	// defaults (1s x 5); HeartbeatEvery < 0 disables liveness.
 	HeartbeatEvery  time.Duration
 	HeartbeatMisses int
-	// Chaos injects one deterministic worker failure (exit, stall or
-	// garbage frame) at a configured step, for chaos-testing distributed
-	// recovery. One-shot: a supervised run that heals past the step does
-	// not re-fire it.
-	Chaos *WorkerChaos
 }
 
 // Transport kinds.
@@ -279,22 +268,24 @@ func WithSupervisor(p SupervisorPolicy) Option {
 	return func(o *Options) { pp := p; o.supervisor = &pp }
 }
 
-// WithSabotage injects one scripted fault (a PE panic or a NaN velocity) at
-// an absolute (step, rank), for chaos-testing the supervisor's recovery
-// path. The Sabotage fires exactly once per process: replays after a
-// rollback see it spent, so a recovered run converges to the golden trace.
-// Serial engines ignore it.
+// WithSabotage injects the run's one scripted fault, for chaos-testing the
+// recovery path: a PE panic or a NaN velocity at an absolute (step, rank) on
+// either transport, or — on tcp — the exit, stall or garbage frame of the
+// worker hosting the rank, before the batch containing the step. The script
+// is validated at construction (Sabotage.Validate). It fires exactly once
+// and s is spent when it fires, not when an engine is built around it: a
+// replay after a rollback converges to the golden trace, and an incarnation
+// that ends before the step leaves s armed for the Restore handed the same
+// pointer. Serial engines ignore it.
 func WithSabotage(s *Sabotage) Option { return func(o *Options) { o.sabotage = s } }
 
 // WithTransport selects the parallel engine's transport (see Transport).
 // The serial and static engines support only the in-process transport.
-// On the tcp transport WithSabotage is rejected at construction (its
-// injection point is in-process PE state), and WithOnStep runs on the
-// coordinator's Step path instead of rank 0's goroutine. WithSupervisor
-// composes with the tcp transport: worker failures (see WorkerFailure)
-// join panics, guard violations and deadlocks as recoverable classes,
-// healed by rollback plus respawn or rescale
-// (SupervisorPolicy.WorkerRecovery).
+// On the tcp transport WithOnStep runs on the coordinator's Step path
+// instead of rank 0's goroutine. WithSupervisor composes with the tcp
+// transport: worker failures (see WorkerFailure) join panics, guard
+// violations and deadlocks as recoverable classes, healed by rollback plus
+// respawn or rescale (SupervisorPolicy.WorkerRecovery).
 func WithTransport(t Transport) Option { return func(o *Options) { o.transport = t } }
 
 // WithCheckpoint writes a coordinated checkpoint into dir every `every`

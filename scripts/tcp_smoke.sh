@@ -62,31 +62,39 @@ diff "$DATA/spliced.csv" "$DATA/golden.csv" \
     || die "rescaled trace diverges from the uninterrupted run"
 
 # Self-healing under real process failure: the chaos harness runs the same
-# system supervised over mdrank workers, kills one mid-run, and asserts the
+# system supervised over mdrank workers, fails one mid-run, and asserts the
 # healed trace matches the in-process golden bit for bit. Tight heartbeat
-# so detection fits in a smoke-test budget.
+# so detection fits in a smoke-test budget. Rank 3 lives on worker 1 of 2.
 go build -o "$DATA/bin/" ./cmd/chaos
 CHAOS=(-p 4 -m 2 -rho 0.3 -steps 40 -tcp-procs 2 -mdrank "$DATA/bin/mdrank" \
-    -heartbeat-every 50ms -heartbeat-misses 5)
+    -heartbeat-every 50ms -heartbeat-misses 5 -sabotage-rank 3)
 
-"$DATA/bin/chaos" "${CHAOS[@]}" -worker-kill-at 17 \
-    >"$DATA/kill.log" 2>&1 || die "worker-kill recovery failed: $(cat "$DATA/kill.log")"
+"$DATA/bin/chaos" "${CHAOS[@]}" -sabotage worker-exit@17 \
+    >"$DATA/kill.log" 2>&1 || die "worker-exit recovery failed: $(cat "$DATA/kill.log")"
 grep -q "recovery identical" "$DATA/kill.log" \
-    || die "worker-kill run did not converge: $(cat "$DATA/kill.log")"
+    || die "worker-exit run did not converge: $(cat "$DATA/kill.log")"
 
 # A stall longer than the heartbeat window (250ms) must surface as a
 # heartbeat-timeout and heal by rescaling to fewer worker processes.
-"$DATA/bin/chaos" "${CHAOS[@]}" -tcp-procs 3 -worker-stall-at 20 \
-    -worker-stall-dur 1s -recover rescale \
+"$DATA/bin/chaos" "${CHAOS[@]}" -tcp-procs 3 -sabotage-rank 1 -sabotage worker-stall@20 \
+    -sabotage-stall 1s -recover rescale \
     >"$DATA/stall.log" 2>&1 || die "worker-stall recovery failed: $(cat "$DATA/stall.log")"
 grep -q "heartbeat-timeout" "$DATA/stall.log" \
     || die "stall was not classified as heartbeat-timeout: $(cat "$DATA/stall.log")"
 
 # A corrupted frame stream must surface as a typed frame-decode failure.
-"$DATA/bin/chaos" "${CHAOS[@]}" -worker-garbage-at 23 \
+"$DATA/bin/chaos" "${CHAOS[@]}" -sabotage worker-garbage@23 \
     >"$DATA/garbage.log" 2>&1 || die "garbage-frame recovery failed: $(cat "$DATA/garbage.log")"
 grep -q "frame-decode" "$DATA/garbage.log" \
     || die "garbage was not classified as frame-decode: $(cat "$DATA/garbage.log")"
+
+# A rank panic inside one worker process leaves the other parked on its
+# halo receives: the coordinator must surface the typed rank failure (not
+# hang on the ack that never comes) and the supervisor must heal it.
+"$DATA/bin/chaos" "${CHAOS[@]}" -sabotage panic@17 \
+    >"$DATA/panic.log" 2>&1 || die "in-worker rank panic recovery failed: $(cat "$DATA/panic.log")"
+grep -q "rank-failure" "$DATA/panic.log" \
+    || die "panic was not classified as rank-failure: $(cat "$DATA/panic.log")"
 
 # No recovery may strand worker processes: everything spawned from this
 # smoke's private bindir must be gone once the runs complete.

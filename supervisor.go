@@ -168,14 +168,15 @@ func (s *supervisedEngine) stepOne() error {
 		if err == nil {
 			return nil
 		}
-		kind := classifyFailure(err)
-		if kind == "" {
+		kind, count := s.classify(err)
+		if count == nil {
 			// Not a supervised failure class (e.g. a checkpoint-write error):
 			// surface it unhealed.
 			s.dead = err
 			return err
 		}
-		s.recordFailure(kind, err)
+		*count++
+		s.event(kind, err.Error(), "", 0)
 		if kind == supervise.EventWorkerFailure && s.pol.WorkerRecovery == supervise.RecoverRescale {
 			// Shed the dead worker's slot: restart on one fewer process
 			// (never below one). TransportProcs reads the failed
@@ -240,38 +241,25 @@ func (s *supervisedEngine) safeStep(n int) (err error) {
 	return s.inner.Step(n)
 }
 
-// classifyFailure maps an error to its supervision event kind, or "" when
-// the error is not a recoverable failure class.
-func classifyFailure(err error) string {
+// classify maps an error to its supervision event kind and the report counter
+// that class ticks, or ("", nil) when the error is not a recoverable failure
+// class.
+func (s *supervisedEngine) classify(err error) (string, *int) {
 	var gv *supervise.GuardViolation
 	var rf *supervise.RankFailure
 	var de *comm.DeadlockError
 	var wf *distrib.WorkerFailure
 	switch {
 	case errors.As(err, &gv):
-		return supervise.EventGuardViolation
+		return supervise.EventGuardViolation, &s.report.GuardViolations
 	case errors.As(err, &rf):
-		return supervise.EventRankFailure
+		return supervise.EventRankFailure, &s.report.RankFailures
 	case errors.As(err, &de):
-		return supervise.EventDeadlock
+		return supervise.EventDeadlock, &s.report.Deadlocks
 	case errors.As(err, &wf):
-		return supervise.EventWorkerFailure
+		return supervise.EventWorkerFailure, &s.report.WorkerFailures
 	}
-	return ""
-}
-
-func (s *supervisedEngine) recordFailure(kind string, err error) {
-	switch kind {
-	case supervise.EventGuardViolation:
-		s.report.GuardViolations++
-	case supervise.EventRankFailure:
-		s.report.RankFailures++
-	case supervise.EventDeadlock:
-		s.report.Deadlocks++
-	case supervise.EventWorkerFailure:
-		s.report.WorkerFailures++
-	}
-	s.event(kind, err.Error(), "", 0)
+	return "", nil
 }
 
 // event appends to the report log and notifies the policy's sink. Step is

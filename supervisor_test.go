@@ -35,83 +35,6 @@ func goldenTrace(t *testing.T, mk func(opts ...Option) (Engine, error), steps in
 	return experiments.TraceHash(res.Stats)
 }
 
-// TestSupervisorRecoversFromPanic is the tentpole acceptance test: an
-// injected PE panic mid-run must roll back to the latest checkpoint, resume,
-// and produce a final trace bit-identical to the uninterrupted golden run.
-func TestSupervisorRecoversFromPanic(t *testing.T) {
-	const steps = 24
-	mk := func(opts ...Option) (Engine, error) {
-		return New(2, 4, 0.3, append([]Option{WithDLB(), WithSeed(5)}, opts...)...)
-	}
-	golden := goldenTrace(t, mk, steps)
-
-	eng, err := mk(
-		WithCheckpoint(8, t.TempDir()),
-		WithSupervisor(fastPolicy(3)),
-		WithSabotage(&Sabotage{Kind: SabotagePanic, Step: 13, Rank: 1}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Step(steps); err != nil {
-		t.Fatalf("supervised Step: %v", err)
-	}
-	res, err := eng.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := experiments.TraceHash(res.Stats); got != golden {
-		t.Fatalf("recovered trace hash %#x != golden %#x", got, golden)
-	}
-	rep := SupervisionReport(eng)
-	if rep == nil {
-		t.Fatal("SupervisionReport returned nil for a supervised engine")
-	}
-	if rep.RankFailures < 1 || rep.Rollbacks < 1 || rep.Retries < 1 {
-		t.Fatalf("report did not record the recovery: %+v", rep)
-	}
-	if rep.StepsReplayed == 0 {
-		t.Error("no replayed steps recorded (rollback should re-execute steps)")
-	}
-	if rep.Exhausted {
-		t.Error("budget marked exhausted on a recovered run")
-	}
-}
-
-// TestSupervisorRecoversFromNaN: an injected NaN velocity must trip the
-// finite guard before the poisoned step is emitted, then recover to the
-// golden trace exactly like the panic case.
-func TestSupervisorRecoversFromNaN(t *testing.T) {
-	const steps = 24
-	mk := func(opts ...Option) (Engine, error) {
-		return New(2, 4, 0.3, append([]Option{WithDLB(), WithSeed(5)}, opts...)...)
-	}
-	golden := goldenTrace(t, mk, steps)
-
-	eng, err := mk(
-		WithCheckpoint(8, t.TempDir()),
-		WithSupervisor(fastPolicy(3)),
-		WithSabotage(&Sabotage{Kind: SabotageNaN, Step: 13, Rank: 2}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Step(steps); err != nil {
-		t.Fatalf("supervised Step: %v", err)
-	}
-	res, err := eng.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := experiments.TraceHash(res.Stats); got != golden {
-		t.Fatalf("recovered trace hash %#x != golden %#x", got, golden)
-	}
-	rep := SupervisionReport(eng)
-	if rep.GuardViolations < 1 || rep.Rollbacks < 1 {
-		t.Fatalf("report did not record the guard recovery: %+v", rep)
-	}
-}
-
 // TestSupervisorStaticEngine exercises the same recovery path through the
 // static-decomposition backend.
 func TestSupervisorStaticEngine(t *testing.T) {

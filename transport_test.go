@@ -190,10 +190,6 @@ func TestTransportRejections(t *testing.T) {
 	if _, err := permcell.NewStatic(permcell.ShapeCube, 4, 8, 0.3, tcp(2)); err == nil {
 		t.Error("static engine accepted the tcp transport")
 	}
-	sab := permcell.Sabotage{Kind: permcell.SabotagePanic, Step: 1}
-	if _, err := permcell.New(2, 4, 0.3, tcp(2), permcell.WithSabotage(&sab)); err == nil {
-		t.Error("sabotage accepted on the tcp transport")
-	}
 	if _, err := permcell.New(2, 4, 0.3, tcp(5)); err == nil {
 		t.Error("more processes than ranks accepted")
 	}
