@@ -100,6 +100,7 @@ func (f *Frame) SetOf() (*particle.Set, error) {
 			f.Rank, len(f.ID), len(f.Pos), len(f.Vel))
 	}
 	s := &particle.Set{}
+	s.Grow(len(f.ID))
 	for i := range f.ID {
 		s.Add(f.ID[i], f.Pos[i], f.Vel[i])
 	}

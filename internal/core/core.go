@@ -3,7 +3,7 @@
 // PEs, optionally with the permanent-cell dynamic load balancing method
 // (DLB-DDM). Each PE runs as a goroutine over the message-passing substrate
 // in internal/comm; every per-step exchange (loads, DLB decisions, cell
-// transfers, particle migration, halo pull) involves only the PE's 8 torus
+// transfers, particle migration, halo) involves only the PE's 8 torus
 // neighbors, exactly as on the T3E. The same step loop also runs the static
 // plane / pillar / cube decompositions of Fig. 2 (Config.Decomp): only the
 // cell-ownership map behind the loop differs.
@@ -16,8 +16,10 @@
 //  2. Velocity-Verlet half kick and drift.
 //  3. Migration: particles that drifted into cells hosted elsewhere are
 //     sent to their new host.
-//  4. Halo pull: request the 26-neighborhood cell contents this PE does not
-//     host, answer the neighbors' requests, compute forces.
+//  4. Halo: send every neighbor the positions of the hosted cells it
+//     imports, stage the neighbors' replies, compute forces. Nobody asks:
+//     both sides derive the cell lists from the ownership map, once per
+//     ownership epoch (plan.go).
 //  5. Second half kick; velocity rescaling to Tref every RescaleEvery steps.
 //
 // The force-computation load that drives both the DLB decisions and the

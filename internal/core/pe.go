@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -29,7 +31,6 @@ const (
 	tagDecision
 	tagTransfer
 	tagMigrate
-	tagNeed
 	tagHalo
 )
 
@@ -39,7 +40,7 @@ const (
 	cmdSnapshot = -2
 )
 
-// cellBlock is one cell's particle positions in a halo response.
+// cellBlock is one cell's particle positions in a halo reply.
 type cellBlock struct {
 	Cell int
 	Pos  []vec.V
@@ -70,12 +71,20 @@ type pe struct {
 	lg     *dlb.Ledger     // the ledger behind own; nil under cfg.Decomp
 	dec    balance.Decider // nil when no balancer is configured
 	nbs    []int           // unique neighbor ranks, ascending
+	off8   [8]int32        // topology.Offsets8 slot -> position in nbs (balancer runs only)
 
-	set    particle.Set
-	cl     *kernel.CellLists // flat cell lists + force kernel scratch
-	dirty  bool              // hosted cell set changed; refresh cl topology
-	cells  []int             // scratch for the hosted cell list
-	colPop map[int]int       // hosted column -> particle count (balancer runs only)
+	set   particle.Set
+	cl    *kernel.CellLists // flat cell lists + force kernel scratch
+	plan  *plan             // halo and migration lists of the current ownership epoch
+	dirty bool              // ownership changed since cl and plan were built
+	cells []int             // scratch for the hosted cell list
+
+	// Balancer epoch state (balancer runs only), indexed by column and by
+	// neighbor position: nothing here is looked up by rank.
+	colPop      []int             // per column: hosted particle count, 0 elsewhere
+	colLoad     func(int) float64 // colPop as the Observation's column census
+	nbLoad      []float64
+	nbDecisions [][]dlb.Decision
 
 	lastWork   float64 // pair evaluations of last force computation
 	lastWall   float64 // wall seconds of last force computation
@@ -124,10 +133,6 @@ func newPE(c *comm.Comm, cfg *Config, layout dlb.Layout, sys workload.System, ho
 	if cfg.Metrics {
 		p.tm = &metrics.Timer{}
 	}
-	if cfg.Balancer != nil {
-		p.dec = cfg.Balancer.NewDecider(layout, c.Rank())
-		p.colPop = make(map[int]int)
-	}
 	if cfg.Decomp != nil {
 		p.own = fixedOwner{d: cfg.Decomp, rank: c.Rank()}
 	} else {
@@ -140,18 +145,33 @@ func newPE(c *comm.Comm, cfg *Config, layout dlb.Layout, sys workload.System, ho
 		p.own = &ledgerOwner{g: cfg.Grid, lg: lg}
 	}
 	p.nbs = p.own.neighbors()
+	p.plan = newPlan(cfg.Grid.NumCells(), cfg.P, p.nbs)
+	if cfg.Balancer != nil {
+		p.dec = cfg.Balancer.NewDecider(layout, c.Rank())
+		p.colPop = make([]int, layout.NumColumns())
+		p.colLoad = func(col int) float64 { return float64(p.colPop[col]) }
+		p.nbLoad = make([]float64, len(p.nbs))
+		p.nbDecisions = make([][]dlb.Decision, len(p.nbs))
+		pi, pj := layout.T.Coords(c.Rank())
+		for k, off := range topology.Offsets8 {
+			p.off8[k] = p.plan.nbPos[layout.T.Rank(pi+off.DI, pj+off.DJ)]
+		}
+	}
 
 	if cfg.Restore != nil {
 		p.step0 = cfg.Restore.Step
 		fr := &cfg.Restore.Frames[c.Rank()]
+		p.set.Grow(len(fr.ID))
 		for i := range fr.ID {
 			p.set.Add(fr.ID[i], fr.Pos[i], fr.Vel[i])
 		}
 		return p
 	}
 	// Initial distribution: each PE takes the particles in the cells it
-	// hosts. The shared input system is only read, never written.
+	// hosts. The shared input system is only read, never written. The set
+	// is sized for an even share, which is what a lattice start deals.
 	g := cfg.Grid
+	p.set.Grow(sys.Set.Len()/cfg.P + 1)
 	hosted := make([]bool, g.NumCells())
 	for _, cell := range p.own.hostedCells(nil) {
 		hosted[cell] = true
@@ -168,6 +188,7 @@ func newPE(c *comm.Comm, cfg *Config, layout dlb.Layout, sys workload.System, ho
 // the first half kick has them, and (under Verify) record the global
 // particle count for conservation checks.
 func (p *pe) init() {
+	p.refreshTopology()
 	p.rebuild()
 	p.haloExchange()
 	p.computeForces()
@@ -202,6 +223,7 @@ func (p *pe) oneStep(step int, res *Result) {
 	integrator.Drift(&p.set, p.cfg.Dt, p.cfg.Grid.Box)
 	p.tm.Stop(metrics.PhaseIntegrate, ti)
 	tm := p.tm.Start()
+	p.refreshTopology()
 	p.migrate()
 	p.rebuild()
 	p.tm.Stop(metrics.PhaseMigrate, tm)
@@ -339,7 +361,6 @@ type loadCensus struct {
 // column census.
 func (p *pe) observe() balance.Observation {
 	obs := balance.Observation{Self: p.load()}
-	pi, pj := p.layout.T.Coords(p.c.Rank())
 
 	if p.cfg.Balancer.Scope() == balance.ScopeGlobal {
 		mine := loadCensus{Load: p.load(), Cols: p.lg.HostedColumns()}
@@ -358,8 +379,8 @@ func (p *pe) observe() balance.Observation {
 			}
 		}
 		obs.PELoad = peLoad
-		for k, off := range topology.Offsets8 {
-			obs.Neighbor[k] = peLoad[p.layout.T.Rank(pi+off.DI, pj+off.DJ)]
+		for k, pos := range p.off8 {
+			obs.Neighbor[k] = peLoad[p.nbs[pos]]
 		}
 		obs.ColLoad = func(col int) float64 { return colLoad[col] }
 		return obs
@@ -369,14 +390,13 @@ func (p *pe) observe() balance.Observation {
 	for _, nb := range p.nbs {
 		p.send(metrics.PhaseDLBDecide, nb, tagLoad, p.load(), 0)
 	}
-	nbLoad := make(map[int]float64, len(p.nbs))
-	for _, nb := range p.nbs {
-		nbLoad[nb] = p.c.Recv(nb, tagLoad).(float64)
+	for k, nb := range p.nbs {
+		p.nbLoad[k] = p.c.Recv(nb, tagLoad).(float64)
 	}
-	for k, off := range topology.Offsets8 {
-		obs.Neighbor[k] = nbLoad[p.layout.T.Rank(pi+off.DI, pj+off.DJ)]
+	for k, pos := range p.off8 {
+		obs.Neighbor[k] = p.nbLoad[pos]
 	}
-	obs.ColLoad = func(col int) float64 { return float64(p.colPop[col]) }
+	obs.ColLoad = p.colLoad
 	return obs
 }
 
@@ -409,10 +429,14 @@ func (p *pe) balanceStep() {
 			panic(fmt.Sprintf("core: rank %d self-apply: %v", p.c.Rank(), err))
 		}
 	}
-	nbDecisions := make(map[int][]dlb.Decision, len(p.nbs))
-	for _, nb := range p.nbs {
+	// Any applied decision, a neighbor's included, starts a new ownership
+	// epoch: a column passing between two neighbors leaves this PE's cells
+	// alone and still changes who it trades them with.
+	p.dirty = p.dirty || len(ds) > 0
+	for k, nb := range p.nbs {
 		nds := p.c.Recv(nb, tagDecision).([]dlb.Decision)
-		nbDecisions[nb] = nds
+		p.nbDecisions[k] = nds
+		p.dirty = p.dirty || len(nds) > 0
 		for _, nd := range nds {
 			if err := p.lg.Apply(nb, nd); err != nil {
 				panic(fmt.Sprintf("core: rank %d applying decision of %d: %v", p.c.Rank(), nb, err))
@@ -433,7 +457,6 @@ func (p *pe) balanceStep() {
 	tt := p.tm.Start()
 	for _, d := range ds {
 		p.moved++
-		p.dirty = true
 		out := p.extractColumn(d.Col)
 		size := int64(len(out.Ps)) * 72
 		p.movedBytes += size
@@ -442,12 +465,11 @@ func (p *pe) balanceStep() {
 	// Per-(source, tag) FIFO ordering matches the sender's loop order, so
 	// multiple inbound transfers from one neighbor arrive in its decision
 	// order.
-	for _, nb := range p.nbs {
-		for _, nd := range nbDecisions[nb] {
+	for k, nb := range p.nbs {
+		for _, nd := range p.nbDecisions[k] {
 			if nd.Dest != p.c.Rank() {
 				continue
 			}
-			p.dirty = true
 			in := p.c.Recv(nb, tagTransfer).(colTransfer)
 			for k, one := range in.Ps {
 				idx := p.set.AddOne(one)
@@ -497,32 +519,48 @@ func (s byID) Swap(a, b int) {
 	s.Frc[a], s.Frc[b] = s.Frc[b], s.Frc[a]
 }
 
+// refreshTopology rebuilds what depends on the ownership map alone — the
+// kernel's hosted topology and the halo / migration plan derived from it —
+// when a balancer epoch changed the map (or nothing was built yet). It runs
+// before migrate, which already routes by the new owners.
+func (p *pe) refreshTopology() {
+	if !p.dirty {
+		return
+	}
+	p.cells = p.own.hostedCells(p.cells[:0])
+	p.cl.SetHosted(p.cells)
+	p.plan.rebuild(p.c.Rank(), p.own, p.cl)
+	p.dirty = false
+}
+
 // migrate sends particles whose cell is hosted by another PE to that host.
-// One drift moves a particle at most into a neighboring cell, whose host is
-// always a neighbor rank (on the ledger path, the permanent-cell closure
-// invariant); anything farther means the time step is too large for the cell
-// size.
+// One drift moves a particle at most into a neighboring cell — a hosted cell
+// or a ghost cell, whose host is always a neighbor rank (on the ledger path,
+// the permanent-cell closure invariant); anything farther means the time
+// step is too large for the cell size.
 func (p *pe) migrate() {
 	g := p.cfg.Grid
-	out := make(map[int][]particle.One)
+	out := p.plan.out
+	for k := range out {
+		out[k] = out[k][:0]
+	}
 	for i := 0; i < p.set.Len(); {
-		host, err := p.own.hostOf(g.CellOf(p.set.Pos[i]))
-		if err != nil {
-			panic(fmt.Sprintf("core: rank %d migrate: %v (time step too large for cell size?)", p.c.Rank(), err))
-		}
-		if host != p.c.Rank() {
-			if !containsInt(p.nbs, host) {
-				panic(fmt.Sprintf("core: rank %d: particle migrating to non-neighbor %d", p.c.Rank(), host))
-			}
-			out[host] = append(out[host], p.set.Extract(i))
-			p.set.RemoveSwap(i)
+		cell := g.CellOf(p.set.Pos[i])
+		k := p.plan.cellNb[cell]
+		if k == nbSelf {
+			i++
 			continue
 		}
-		i++
+		if k == nbUnknown {
+			panic(fmt.Sprintf("core: rank %d migrate: particle %d in cell %d, beyond the cells bordering this domain (time step too large for cell size?)",
+				p.c.Rank(), p.set.ID[i], cell))
+		}
+		out[k] = append(out[k], p.set.Extract(i))
+		p.set.RemoveSwap(i)
 	}
-	for _, nb := range p.nbs {
-		msg := out[nb]
-		sort.Slice(msg, func(a, b int) bool { return msg[a].ID < msg[b].ID })
+	for k, nb := range p.nbs {
+		msg := out[k]
+		slices.SortFunc(msg, func(a, b particle.One) int { return cmp.Compare(a.ID, b.ID) })
 		p.send(metrics.PhaseMigrate, nb, tagMigrate, msg, int64(len(msg))*48)
 	}
 	for _, nb := range p.nbs {
@@ -534,15 +572,9 @@ func (p *pe) migrate() {
 }
 
 // rebuild re-bins the particles into the flat cell lists and, for the
-// balancer, recomputes the per-column census; the cell-list topology (hosted set, stencils, ghost
-// slots) is only rebuilt when a DLB transfer changed the hosted columns.
+// balancer, recomputes the per-column census.
 func (p *pe) rebuild() {
 	g := p.cfg.Grid
-	if p.dirty {
-		p.cells = p.own.hostedCells(p.cells[:0])
-		p.cl.SetHosted(p.cells)
-		p.dirty = false
-	}
 	if bad := p.cl.Bin(p.set.Pos); bad >= 0 {
 		panic(fmt.Sprintf("core: rank %d holds particle %d in unhosted cell %d",
 			p.c.Rank(), p.set.ID[bad], g.CellOf(p.set.Pos[bad])))
@@ -555,49 +587,18 @@ func (p *pe) rebuild() {
 	}
 }
 
-// haloExchange pulls the particle positions of every unhosted cell adjacent
-// to a hosted cell from its current host (need-list protocol: one request
-// and one response message per neighbor) and stages them into the kernel's
-// ghost arena.
+// haloExchange sends every neighbor the positions of the hosted cells it
+// imports and stages the replies — one message per neighbor each way, no
+// request: both sides know the cell lists from the plan, and a reply that
+// departs from it is a panic (see plan.stage), never a silently empty cell.
 func (p *pe) haloExchange() {
-	need := make(map[int][]int) // host -> cells (ascending: ghost list order)
-	for _, nc := range p.cl.GhostCells() {
-		host, err := p.own.hostOf(nc)
-		if err != nil {
-			panic(fmt.Sprintf("core: rank %d halo: %v", p.c.Rank(), err))
-		}
-		if !containsInt(p.nbs, host) {
-			panic(fmt.Sprintf("core: rank %d: halo cell %d hosted by non-neighbor %d", p.c.Rank(), nc, host))
-		}
-		need[host] = append(need[host], nc)
-	}
-	for _, nb := range p.nbs {
-		p.send(metrics.PhaseHalo, nb, tagNeed, need[nb], 0)
-	}
-	// Answer the neighbors' requests.
-	for _, nb := range p.nbs {
-		req := p.c.Recv(nb, tagNeed).([]int)
-		resp := make([]cellBlock, 0, len(req))
-		var bytes int64
-		for _, cell := range req {
-			idx, ok := p.cl.CellParticles(cell)
-			if !ok {
-				panic(fmt.Sprintf("core: rank %d asked for cell %d it does not host (by %d)", p.c.Rank(), cell, nb))
-			}
-			blk := cellBlock{Cell: cell, Pos: make([]vec.V, len(idx))}
-			for k, i := range idx {
-				blk.Pos[k] = p.set.Pos[i]
-			}
-			bytes += int64(len(idx)) * 24
-			resp = append(resp, blk)
-		}
-		p.send(metrics.PhaseHalo, nb, tagHalo, resp, bytes)
+	for k, nb := range p.nbs {
+		reply, bytes := p.plan.pack(k, p.cl, p.set.Pos)
+		p.send(metrics.PhaseHalo, nb, tagHalo, reply, bytes)
 	}
 	p.cl.ClearGhosts()
-	for _, nb := range p.nbs {
-		for _, blk := range p.c.Recv(nb, tagHalo).([]cellBlock) {
-			p.cl.StageGhost(blk.Cell, blk.Pos)
-		}
+	for k, nb := range p.nbs {
+		p.plan.stage(p.c.Rank(), nb, k, p.c.Recv(nb, tagHalo).([]cellBlock), p.cl)
 	}
 	p.cl.SealGhosts()
 }
@@ -771,6 +772,11 @@ func (p *pe) gatherFinal(res *Result) {
 		return
 	}
 	final := &particle.Set{}
+	total := 0
+	for _, a := range all {
+		total += len(a.([]particle.One))
+	}
+	final.Grow(total)
 	for _, a := range all {
 		for _, one := range a.([]particle.One) {
 			final.AddOne(one)
@@ -778,9 +784,4 @@ func (p *pe) gatherFinal(res *Result) {
 	}
 	final.SortByID()
 	res.Final = final
-}
-
-func containsInt(sorted []int, v int) bool {
-	i := sort.SearchInts(sorted, v)
-	return i < len(sorted) && sorted[i] == v
 }

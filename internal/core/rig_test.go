@@ -30,6 +30,8 @@ type instantiation struct {
 	// the column ledger.
 	static bool
 	shape  decomp.Shape
+	// tamper is handed to the remotes of a split run (see memRemote).
+	tamper func(src, dst, tag int, data any) any
 }
 
 var instantiations = []instantiation{
@@ -68,6 +70,9 @@ type memRemote struct {
 	peer     *comm.World
 	sent     map[reflect.Type]bool // dynamic types delivered so far
 	frames   atomic.Int64
+	// tamper, when set, may replace a decoded payload before it is
+	// injected: the protocol-violation tests corrupt one message with it.
+	tamper func(src, dst, tag int, data any) any
 }
 
 func (r *memRemote) Deliver(src, dst, tag int, data any, size int64) error {
@@ -88,6 +93,9 @@ func (r *memRemote) Deliver(src, dst, tag int, data any, size int64) error {
 		r.sent = make(map[reflect.Type]bool)
 	}
 	r.sent[reflect.TypeOf(data)] = true
+	if r.tamper != nil {
+		got = r.tamper(src, dst, tag, got)
+	}
 	return r.peer.Inject(src, dst, tag, got, size)
 }
 
@@ -118,7 +126,8 @@ func (in instantiation) start(t *testing.T, cfg Config, sys workload.System) *ri
 			hi = append(hi, r)
 		}
 	}
-	ra, rb := &memRemote{attached: make(chan struct{})}, &memRemote{attached: make(chan struct{})}
+	ra := &memRemote{attached: make(chan struct{}), tamper: in.tamper}
+	rb := &memRemote{attached: make(chan struct{}), tamper: in.tamper}
 	a, err := NewPartial(cfg, sys, lo, ra)
 	if err != nil {
 		t.Fatal(err)

@@ -26,7 +26,7 @@ import (
 //	id  type             carried by                        layout                               bytes
 //	 1  float64          tagLoad, AllreduceFloat64         bits                                 8
 //	 2  int64            AllreduceInt64                    value                                8
-//	 3  []int            tagNeed, verifyStep's Allgather   n, n x int                           4 + 8n
+//	 3  []int            verifyStep's Allgather            n, n x int                           4 + 8n
 //	 4  []float64        (registered, unused per step)     n, n x bits                          4 + 8n
 //	 5  []any            Allgather's broadcast leg         n, n x (id + body), nested           4 + ...
 //	16  []dlb.Decision   tagDecision                       n, n x {Col, Dest}                   4 + 16n

@@ -137,30 +137,37 @@ func (d *Decomposition) CellsOf(rank int) []int {
 // GhostCells returns the number of remote cells whose particle data rank
 // must import every step (its communication surface).
 func (d *Decomposition) GhostCells(rank int) int {
-	seen := map[int]bool{}
+	seen := make([]bool, len(d.owner))
+	n := 0
+	var nbs []int // one Neighbors26 buffer for the whole walk
 	for c, o := range d.owner {
 		if o != rank {
 			continue
 		}
-		for _, nb := range d.Grid.Neighbors26(c, nil) {
+		nbs = d.Grid.Neighbors26(c, nbs[:0])
+		for _, nb := range nbs {
 			if d.owner[nb] != rank && !seen[nb] {
 				seen[nb] = true
+				n++
 			}
 		}
 	}
-	return len(seen)
+	return n
 }
 
 // NeighborRanks returns the distinct ranks whose cells border rank's
 // domain — the PEs rank must exchange messages with.
 func (d *Decomposition) NeighborRanks(rank int) []int {
-	seen := map[int]bool{rank: true}
+	seen := make([]bool, d.P)
+	seen[rank] = true
 	var out []int
+	var nbs []int // one Neighbors26 buffer for the whole walk
 	for c, o := range d.owner {
 		if o != rank {
 			continue
 		}
-		for _, nb := range d.Grid.Neighbors26(c, nil) {
+		nbs = d.Grid.Neighbors26(c, nbs[:0])
+		for _, nb := range nbs {
 			if r := d.owner[nb]; !seen[r] {
 				seen[r] = true
 				out = append(out, r)

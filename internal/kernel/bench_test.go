@@ -120,3 +120,33 @@ func BenchmarkKernelPresets(b *testing.B) {
 }
 
 var ljBench = potential.NewPaperLJ()
+
+// BenchmarkKernelSetHosted times what an engine constructor pays for its
+// topology: a fresh CellLists and the SetHosted walk over every cell of the
+// grid, at the tiny and 50k presets' geometries (6^3 and 24^3 cells). A
+// rebuild into a used CellLists — a DLB column move — allocates nothing at
+// all; the allocations reported here are the constructor's own, and there
+// are a handful of them whatever the cell count.
+func BenchmarkKernelSetHosted(b *testing.B) {
+	for _, name := range []string{"tiny", "50k"} {
+		pr, err := workload.KernelPresetByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := gridOf(b, pr.NC, pr.NC, pr.NC)
+		cells := make([]int, g.NumCells())
+		for c := range cells {
+			cells[c] = c
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				cl := NewCellLists(g, 1)
+				cl.SetHosted(cells)
+				setHostedSink = cl
+			}
+		})
+	}
+}
+
+var setHostedSink *CellLists

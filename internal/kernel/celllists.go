@@ -23,10 +23,13 @@ import (
 //     hosted-cell slot — kept only for the ~13 higher-id cells, so every
 //     hosted-hosted pair is computed exactly once and scattered to both
 //     particles (Newton's third law) — or a ghost-cell slot (one-sided),
-//     rebuilt only when the hosted set changes (a DLB column move), not
-//     every step;
-//   - a flat ghost arena (StageGhost/SealGhosts): all imported positions in
-//     one slice, CSR-indexed by ghost slot;
+//     plus a one-byte code per entry naming its min-image round term in a
+//     27-entry table; built in one map-free pass over the hosted cells and
+//     only when the hosted set changes (a DLB column move), not every step;
+//   - a flat ghost arena (StageGhost/SealGhosts): every ghost cell's
+//     imported positions are staged at the cell's own slot, in whatever
+//     order the halo replies arrive, and sealed into one slice, CSR-indexed
+//     by ghost slot, by a linear copy;
 //   - per-shard slot lists (CSR over the shard partition): each worker
 //     walks exactly its own cells instead of filtering the full hosted
 //     list every step, and the shard-local force buffers are zeroed and
@@ -49,34 +52,38 @@ type CellLists struct {
 	g      space.Grid
 	shards int
 
-	// Hosted topology, rebuilt by SetHosted only.
-	cells      []int   // hosted cell ids, ascending
-	slotOf     []int32 // per grid cell: hosted slot s >= 0, ghost -2-gs, else -1
-	stencil    []int32 // >= 0: hosted slot (higher cell id); < 0: -1-ghostSlot
-	stShift    []vec.V // per stencil entry: the min-image round term (0 or +-L)
-	stStart    []int32 // CSR offsets into stencil, len(cells)+1
-	ghostCells []int   // unhosted neighbor cell ids, ascending
-	shardOf    []int32 // per hosted slot: worker shard
-	shardSlot  []int32 // hosted slots grouped by shard (CSR), ascending per shard
-	shardStart []int32 // CSR offsets into shardSlot, len shards+1
-	nbBuf      []int   // Neighbors26 scratch
-	useShift   bool    // all grid dims >= 4: stShift is exact, skip per-pair rounding
+	// Hosted topology, rebuilt by SetHosted only. The per-slot int32 arrays
+	// (stStart, shardSlot, shardStart, count, start) are windows of
+	// slotBlock, so a rebuild sizes them with one allocation at most.
+	cells      []int     // hosted cell ids, ascending
+	slotOf     []int32   // per grid cell: hosted slot s >= 0, ghost -2-gs, else -1
+	stencil    []int32   // >= 0: hosted slot (higher cell id); < 0: -1-ghostSlot
+	stCode     []uint8   // per stencil entry: index of its round term in shift
+	stStart    []int32   // CSR offsets into stencil, len(cells)+1
+	ghostCells []int     // unhosted neighbor cell ids, ascending
+	shardSlot  []int32   // hosted slots grouped by shard (CSR), ascending per shard
+	shardStart []int32   // CSR offsets into shardSlot, len shards+1
+	slotBlock  []int32   // backing store of the per-slot arrays
+	colRank    []int32   // per column scratch of the shard partition (shards > 1)
+	shift      [27]vec.V // min-image round terms by code: cx + 3*cy + 9*cz
+	useShift   bool      // all grid dims >= 4: shift is exact, skip per-pair rounding
 
 	// Per-step particle CSR, rebuilt by Bin.
 	count []int32 // per-slot particle count; doubles as fill cursor
 	start []int32 // CSR offsets into part, len(cells)+1
+	pslot []int32 // per particle: its hosted slot, from Bin's counting pass
 	part  []int32 // particle indices grouped by hosted cell
 	ppos  []vec.V // positions in part order (cache-friendly inner loops)
 
 	// Ghost arena, rebuilt by StageGhost/SealGhosts each step.
-	stage      []ghostStage
+	ghostIn    [][]vec.V // per ghost slot: the positions staged for it
+	staged     []bool    // per ghost slot: staged since ClearGhosts
+	nStaged    int
 	ghostStart []int32 // CSR offsets into ghostPos, len(ghostCells)+1
 	ghostPos   []vec.V
 
 	// Per-shard accumulators, reduced in fixed shard order.
-	pot  []float64
-	vir  []float64
-	prs  []int64
+	acc  []shardAcc
 	ffrc [][]vec.V // shard-local force buffers, used only when shards > 1
 
 	// Bounded worker pool (started lazily, only when shards > 1).
@@ -97,24 +104,38 @@ const (
 	phaseReduce
 )
 
-type ghostStage struct {
-	slot int32
-	pos  []vec.V
+// shardAcc is one shard's share of the scalars Compute returns.
+type shardAcc struct {
+	pot, vir float64
+	prs      int64
 }
 
-// wrapTerm returns the min-image round term Round(d/l)*l for displacements
-// from a particle in cell coordinate u (possibly out of [0, n)) to one in a
-// wrapped-adjacent cell: -l when the neighbor wrapped below zero, +l above,
-// else exactly +0.0. Valid when n >= 4 (see useShift).
-func wrapTerm(u, n int, l float64) float64 {
+// Codes of the min-image round term along one axis: none, -L (the neighbor
+// wrapped below zero) and +L (above). A stencil entry's code is
+// cx + 3*cy + 9*cz.
+const (
+	wrapNone uint8 = iota
+	wrapBelow
+	wrapAbove
+)
+
+// wrapCoord maps the cell coordinate u of a neighbor offset (so u is in
+// [-1, n]) into [0, n) and names the min-image round term Round(d/l)*l for
+// displacements from a particle in the offset's origin cell to one in the
+// wrapped cell: -l when the neighbor wrapped below zero, +l above, else
+// exactly +0.0. The term is valid when n >= 4 (see useShift).
+func wrapCoord(u, n int) (int, uint8) {
 	switch {
 	case u < 0:
-		return -l
+		return u + n, wrapBelow
 	case u >= n:
-		return l
+		return u - n, wrapAbove
 	}
-	return 0
+	return u, wrapNone
 }
+
+// wrapTerms are one axis's three round terms, indexed by wrap code.
+func wrapTerms(l float64) [3]float64 { return [3]float64{wrapNone: 0, wrapBelow: -l, wrapAbove: l} }
 
 // NewCellLists returns scratch state for grids of g's size using the given
 // worker shard count (values < 1 mean 1: the serial kernel). Call Close
@@ -128,17 +149,21 @@ func NewCellLists(g space.Grid, shards int) *CellLists {
 	// around the box — and so the min-image round term Round(d/L)*L, exactly
 	// 0 or +-L — is fixed by the cell pair alone (particles live in half-open
 	// cells, so every |d| comparison against L/2 is strict). The stencil then
-	// carries the term and the kernel skips the per-pair divide-and-round,
+	// names the term and the kernel skips the per-pair divide-and-round,
 	// with bit-identical results.
 	cl.useShift = g.Nx >= 4 && g.Ny >= 4 && g.Nz >= 4
+	tx, ty, tz := wrapTerms(g.Box.L.X), wrapTerms(g.Box.L.Y), wrapTerms(g.Box.L.Z)
+	for code := range cl.shift {
+		cl.shift[code] = vec.V{X: tx[code%3], Y: ty[code/3%3], Z: tz[code/9]}
+	}
 	cl.slotOf = make([]int32, g.NumCells())
 	for i := range cl.slotOf {
 		cl.slotOf[i] = -1
 	}
-	cl.pot = make([]float64, shards)
-	cl.vir = make([]float64, shards)
-	cl.prs = make([]int64, shards)
-	cl.ffrc = make([][]vec.V, shards)
+	cl.acc = make([]shardAcc, shards)
+	if shards > 1 {
+		cl.ffrc = make([][]vec.V, shards)
+	}
 	return cl
 }
 
@@ -151,7 +176,10 @@ func (cl *CellLists) Grid() space.Grid { return cl.g }
 // SetHosted rebuilds the hosted topology: the ascending hosted cell list,
 // the per-cell neighbor stencils, the ghost slot assignment and the shard
 // partition. Call it only when the hosted set changes (initialization or a
-// DLB column move); Bin and Compute reuse the result every step.
+// DLB column move); Bin and Compute reuse the result every step. It is one
+// pass over the hosted cells that looks nothing up in a map, and it sizes
+// its storage before the pass, so a rebuild into a CellLists that has seen
+// a topology this large allocates nothing.
 func (cl *CellLists) SetHosted(cells []int) {
 	// Reset the previous topology in slotOf.
 	for _, c := range cl.cells {
@@ -168,111 +196,140 @@ func (cl *CellLists) SetHosted(cells []int) {
 		}
 		cl.slotOf[c] = int32(s)
 	}
+	g, n := cl.g, len(cl.cells)
 
-	// Ghost cells: every unhosted neighbor of a hosted cell, ascending.
-	cl.ghostCells = cl.ghostCells[:0]
-	for _, c := range cl.cells {
-		cl.nbBuf = cl.g.Neighbors26(c, cl.nbBuf[:0])
-		for _, nc := range cl.nbBuf {
-			if cl.slotOf[nc] == -1 {
-				cl.slotOf[nc] = -2 // mark seen; slot assigned below
-				cl.ghostCells = append(cl.ghostCells, nc)
-			}
-		}
+	// Sized once: a cell has at most 26 stencil entries, and a ghost cell is
+	// an unhosted neighbor of a hosted one.
+	cl.stencil = slices.Grow(cl.stencil[:0], 26*n)
+	cl.stCode = slices.Grow(cl.stCode[:0], 26*n)
+	cl.ghostCells = slices.Grow(cl.ghostCells[:0], min(26*n, g.NumCells()-n))
+	if need := 5*n + 2 + 2*cl.shards + 1; cap(cl.slotBlock) < need {
+		cl.slotBlock = make([]int32, need)
 	}
-	slices.Sort(cl.ghostCells)
-	for gs, c := range cl.ghostCells {
-		cl.slotOf[c] = -2 - int32(gs)
+	block := cl.slotBlock[:cap(cl.slotBlock)]
+	clear(block)
+	carve := func(k int) []int32 {
+		w := block[:k:k]
+		block = block[k:]
+		return w
 	}
+	cl.stStart, cl.start = carve(n+1), carve(n+1)
+	cl.count, cl.shardSlot = carve(n), carve(n)
+	cl.shardStart = carve(cl.shards + 1)
+	// Scratch of the shard partition below: each slot's shard, and the
+	// cursor of the per-shard list fill.
+	shardOf, fill := carve(n), carve(cl.shards)
 
-	// Stencils: the Neighbors26 walk per hosted cell, each neighbor encoded
-	// as a hosted slot (kept only for higher cell ids — the pair is owned by
-	// the lower cell) or a ghost slot. Order within a cell is the
-	// Neighbors26 order (dz, dy, dx ascending, first occurrence kept), which
-	// fixes the summation order. The walk is replicated inline rather than
-	// taken from Neighbors26 so the wrap direction of each neighbor — and so
-	// its min-image round term — is known.
-	cl.stencil = cl.stencil[:0]
-	cl.stShift = cl.stShift[:0]
-	cl.stStart = append(cl.stStart[:0], 0)
-	g := cl.g
-	seen := make(map[int]bool, 27)
-	for _, c := range cl.cells {
+	// Stencils and ghost cells in one walk: the 26 offsets of every hosted
+	// cell in dz, dy, dx ascending order, each neighbor encoded as a hosted
+	// slot (kept only for higher cell ids — the pair is owned by the lower
+	// cell) or a ghost. That is the Neighbors26 order with the first
+	// occurrence kept, which fixes the summation order; the walk is inline
+	// because it also needs the wrap direction of each offset — the code of
+	// its min-image round term. Offsets collide only on a grid with a
+	// dimension below 3, and are then found by scanning the cell's own few
+	// neighbors so far. A ghost's slot is its rank among the ghost cells in
+	// ascending order, unknown until the walk ends: entries hold the ghost's
+	// cell id (-1-cell) until then.
+	const ghostSeen = -2
+	dedupe := g.Nx < 3 || g.Ny < 3 || g.Nz < 3
+	var seen [26]int
+	for s, c := range cl.cells {
+		cl.stStart[s] = int32(len(cl.stencil))
 		ix, iy, iz := g.Coords(c)
-		clear(seen)
-		seen[c] = true
+		nSeen := 0
 		for dz := -1; dz <= 1; dz++ {
+			z, cz := wrapCoord(iz+dz, g.Nz)
 			for dy := -1; dy <= 1; dy++ {
+				y, cy := wrapCoord(iy+dy, g.Ny)
+				row := g.Nx * (y + g.Ny*z)
 				for dx := -1; dx <= 1; dx++ {
 					if dx == 0 && dy == 0 && dz == 0 {
 						continue
 					}
-					nc := g.CellOfCoords(ix+dx, iy+dy, iz+dz)
-					if seen[nc] {
-						continue
+					x, cx := wrapCoord(ix+dx, g.Nx)
+					nc := row + x
+					if dedupe {
+						if nc == c || slices.Contains(seen[:nSeen], nc) {
+							continue
+						}
+						seen[nSeen] = nc
+						nSeen++
 					}
-					seen[nc] = true
 					v := cl.slotOf[nc]
-					if v >= 0 && nc <= c {
-						continue // hosted-hosted pair owned by the lower cell
-					}
-					if v < 0 {
-						v = -1 - (-2 - v) // ghost slot gs encoded as -1-gs
+					if v >= 0 {
+						if nc <= c {
+							continue // hosted-hosted pair owned by the lower cell
+						}
+					} else {
+						if v == -1 {
+							cl.slotOf[nc] = ghostSeen
+							cl.ghostCells = append(cl.ghostCells, nc)
+						}
+						v = -1 - int32(nc)
 					}
 					cl.stencil = append(cl.stencil, v)
-					cl.stShift = append(cl.stShift, vec.V{
-						X: wrapTerm(ix+dx, g.Nx, g.Box.L.X),
-						Y: wrapTerm(iy+dy, g.Ny, g.Box.L.Y),
-						Z: wrapTerm(iz+dz, g.Nz, g.Box.L.Z),
-					})
+					cl.stCode = append(cl.stCode, cx+3*cy+9*cz)
 				}
 			}
 		}
-		cl.stStart = append(cl.stStart, int32(len(cl.stencil)))
+	}
+	cl.stStart[n] = int32(len(cl.stencil))
+	if len(cl.ghostCells) > 0 {
+		slices.Sort(cl.ghostCells)
+		for gs, c := range cl.ghostCells {
+			cl.slotOf[c] = -2 - int32(gs)
+		}
+		for k, e := range cl.stencil {
+			if e < 0 {
+				cl.stencil[k] = -1 - (-2 - cl.slotOf[-1-e]) // ghost slot gs encoded as -1-gs
+			}
+		}
 	}
 
 	// Shard partition: hosted columns ascending, dealt round-robin. All
 	// cells of a column land on the same shard so a shard's work tracks the
-	// DLB's unit of transfer.
-	cl.shardOf = append(cl.shardOf[:0], make([]int32, len(cl.cells))...)
+	// DLB's unit of transfer. A column's shard is its rank among the hosted
+	// columns, found by marking them in a per-column array and counting up.
 	if cl.shards > 1 {
-		cols := cl.nbBuf[:0] // reuse as column scratch
+		if cl.colRank == nil {
+			cl.colRank = make([]int32, g.NumColumns())
+		}
+		clear(cl.colRank)
 		for _, c := range cl.cells {
-			cols = append(cols, cl.g.ColumnOf(c))
+			cl.colRank[g.ColumnOf(c)] = 1
 		}
-		uniq := append([]int(nil), cols...)
-		slices.Sort(uniq)
-		uniq = slices.Compact(uniq)
+		rank := int32(0)
+		for col, hosted := range cl.colRank {
+			cl.colRank[col] = rank
+			rank += hosted
+		}
 		for i, c := range cl.cells {
-			rank, _ := slices.BinarySearch(uniq, cl.g.ColumnOf(c))
-			cl.shardOf[i] = int32(rank % cl.shards)
+			shardOf[i] = cl.colRank[g.ColumnOf(c)] % int32(cl.shards)
 		}
-		cl.nbBuf = cols[:0]
 	}
 	// Flatten the partition into per-shard slot lists (CSR, slots ascending
 	// within a shard — the same visit order the shard test used to produce),
 	// so each worker walks only its own cells instead of filtering all of
 	// them every step.
-	cl.shardStart = append(cl.shardStart[:0], make([]int32, cl.shards+1)...)
-	for _, sh := range cl.shardOf {
+	for _, sh := range shardOf {
 		cl.shardStart[sh+1]++
 	}
 	for sh := 0; sh < cl.shards; sh++ {
 		cl.shardStart[sh+1] += cl.shardStart[sh]
 	}
-	cl.shardSlot = append(cl.shardSlot[:0], make([]int32, len(cl.cells))...)
-	fill := make([]int32, cl.shards)
 	copy(fill, cl.shardStart[:cl.shards])
-	for slot, sh := range cl.shardOf {
+	for slot, sh := range shardOf {
 		cl.shardSlot[fill[sh]] = int32(slot)
 		fill[sh]++
 	}
 
-	// Size the per-step CSR heads for the new topology.
-	cl.count = append(cl.count[:0], make([]int32, len(cl.cells))...)
-	cl.start = append(cl.start[:0], make([]int32, len(cl.cells)+1)...)
-	cl.ghostStart = append(cl.ghostStart[:0], make([]int32, len(cl.ghostCells)+1)...)
-	cl.stage = cl.stage[:0]
+	// Size the ghost arena's heads for the new topology.
+	ng := len(cl.ghostCells)
+	cl.ghostStart = append(cl.ghostStart[:0], make([]int32, ng+1)...)
+	cl.ghostIn = append(cl.ghostIn[:0], make([][]vec.V, ng)...)
+	cl.staged = append(cl.staged[:0], make([]bool, ng)...)
+	cl.nStaged = 0
 	cl.ghostPos = cl.ghostPos[:0]
 }
 
@@ -311,34 +368,47 @@ func (cl *CellLists) CellParticles(cell int) ([]int32, bool) {
 	return cl.SlotParticles(int(v)), true
 }
 
+// SlotGhosts appends to dst the ghost slots (indices into GhostCells) that
+// hosted slot s borders, in stencil order, and returns the extended slice.
+// The halo plan is derived from it: a hosted cell is imported by exactly
+// the hosts of the ghost cells it borders.
+func (cl *CellLists) SlotGhosts(s int, dst []int32) []int32 {
+	for _, e := range cl.stencil[cl.stStart[s]:cl.stStart[s+1]] {
+		if e < 0 {
+			dst = append(dst, -1-e)
+		}
+	}
+	return dst
+}
+
 // Bin rebuilds the CSR cell list from the given positions. Particle indices
 // within a cell are ascending (insertion order of the set). It returns -1
 // on success, or the index of the first particle that falls outside the
 // hosted set.
 func (cl *CellLists) Bin(pos []vec.V) int {
-	for i := range cl.count {
-		cl.count[i] = 0
+	if cap(cl.part) < len(pos) {
+		cl.pslot = make([]int32, len(pos))
+		cl.part = make([]int32, len(pos))
+		cl.ppos = make([]vec.V, len(pos))
 	}
+	cl.pslot = cl.pslot[:len(pos)]
+	cl.part = cl.part[:len(pos)]
+	cl.ppos = cl.ppos[:len(pos)]
+	clear(cl.count)
 	for i := range pos {
 		v := cl.slotOf[cl.g.CellOf(pos[i])]
 		if v < 0 {
 			return i
 		}
+		cl.pslot[i] = v // the fill pass below places by it: one CellOf per particle
 		cl.count[v]++
 	}
 	cl.start[0] = 0
 	for s, n := range cl.count {
 		cl.start[s+1] = cl.start[s] + n
 	}
-	if cap(cl.part) < len(pos) {
-		cl.part = make([]int32, len(pos))
-		cl.ppos = make([]vec.V, len(pos))
-	}
-	cl.part = cl.part[:len(pos)]
-	cl.ppos = cl.ppos[:len(pos)]
 	copy(cl.count, cl.start[:len(cl.count)]) // count becomes the fill cursor
-	for i := range pos {
-		v := cl.slotOf[cl.g.CellOf(pos[i])]
+	for i, v := range cl.pslot {
 		cl.part[cl.count[v]] = int32(i)
 		cl.ppos[cl.count[v]] = pos[i]
 		cl.count[v]++
@@ -346,46 +416,49 @@ func (cl *CellLists) Bin(pos []vec.V) int {
 	return -1
 }
 
-// ClearGhosts discards the ghost arena ahead of a new halo exchange.
+// ClearGhosts discards what was staged ahead of a new halo exchange.
 func (cl *CellLists) ClearGhosts() {
-	cl.stage = cl.stage[:0]
+	clear(cl.staged)
+	cl.nStaged = 0
 }
 
-// StageGhost records the imported positions of one ghost cell. Each ghost
-// cell has exactly one host and so must be staged at most once per step;
-// cells that are not in the ghost set are a protocol violation.
+// StageGhost records the imported positions of one ghost cell at the cell's
+// own slot, so the order the halo replies arrive in leaves no trace. pos is
+// read by SealGhosts, not copied here. Each ghost cell has exactly one host:
+// staging one twice, or a cell that is not in the ghost set, is a protocol
+// violation.
 func (cl *CellLists) StageGhost(cell int, pos []vec.V) {
 	v := cl.slotOf[cell]
 	if v >= -1 {
 		panic(fmt.Sprintf("kernel: cell %d staged as ghost but not in the ghost set", cell))
 	}
-	cl.stage = append(cl.stage, ghostStage{slot: -2 - v, pos: pos})
+	gs := -2 - v
+	if cl.staged[gs] {
+		panic(fmt.Sprintf("kernel: ghost cell %d staged twice", cell))
+	}
+	cl.staged[gs] = true
+	cl.ghostIn[gs] = pos
+	cl.nStaged++
 }
 
-// SealGhosts builds the flat ghost arena from the staged cells: positions
-// land in ghost-slot (ascending cell id) order regardless of the order the
-// halo responses arrived in, which fixes the summation order. Unstaged
-// ghost cells are treated as empty.
+// SealGhosts builds the flat ghost arena from the staged cells: one linear
+// copy in ghost-slot (ascending cell id) order, which fixes the summation
+// order. Every ghost cell must have been staged, empty or not — a cell the
+// halo left out would otherwise count as empty and the forces would be
+// silently wrong. The staged slices are let go of here.
 func (cl *CellLists) SealGhosts() {
-	slices.SortFunc(cl.stage, func(a, b ghostStage) int {
-		return int(a.slot) - int(b.slot)
-	})
+	if cl.nStaged != len(cl.ghostCells) {
+		gs := slices.Index(cl.staged, false)
+		panic(fmt.Sprintf("kernel: ghost cell %d was not staged (%d of %d were)",
+			cl.ghostCells[gs], cl.nStaged, len(cl.ghostCells)))
+	}
 	cl.ghostPos = cl.ghostPos[:0]
-	si := 0
-	for gs := range cl.ghostCells {
+	for gs, pos := range cl.ghostIn {
 		cl.ghostStart[gs] = int32(len(cl.ghostPos))
-		for si < len(cl.stage) && cl.stage[si].slot == int32(gs) {
-			if si > 0 && cl.stage[si-1].slot == int32(gs) {
-				panic(fmt.Sprintf("kernel: ghost cell %d staged twice", cl.ghostCells[gs]))
-			}
-			cl.ghostPos = append(cl.ghostPos, cl.stage[si].pos...)
-			si++
-		}
+		cl.ghostPos = append(cl.ghostPos, pos...)
+		cl.ghostIn[gs] = nil
 	}
 	cl.ghostStart[len(cl.ghostCells)] = int32(len(cl.ghostPos))
-	if si != len(cl.stage) {
-		panic("kernel: staged ghost cell with out-of-range slot")
-	}
 }
 
 // GhostLen returns the number of imported positions after SealGhosts.
@@ -408,14 +481,14 @@ func (cl *CellLists) GhostLen() int { return len(cl.ghostPos) }
 func (cl *CellLists) Compute(pair potential.Pair, s *particle.Set) (potE, virial float64, pairs int64) {
 	cl.pair = pair
 	if cl.shards == 1 {
-		cl.pot[0], cl.vir[0], cl.prs[0] = 0, 0, 0
+		cl.acc[0] = shardAcc{}
 		cl.computeShard(0, s.Frc)
 		cl.pair = nil
-		return cl.pot[0], cl.vir[0], cl.prs[0]
+		return cl.acc[0].pot, cl.acc[0].vir, cl.acc[0].prs
 	}
 	n := len(s.Pos)
 	for sh := 0; sh < cl.shards; sh++ {
-		cl.pot[sh], cl.vir[sh], cl.prs[sh] = 0, 0, 0
+		cl.acc[sh] = shardAcc{}
 		if cap(cl.ffrc[sh]) < n {
 			cl.ffrc[sh] = make([]vec.V, n)
 		}
@@ -434,10 +507,10 @@ func (cl *CellLists) Compute(pair potential.Pair, s *particle.Set) (potE, virial
 	cl.phase = phaseReduce
 	cl.dispatch()
 	cl.frcDst = nil
-	for sh := 0; sh < cl.shards; sh++ {
-		potE += cl.pot[sh]
-		virial += cl.vir[sh]
-		pairs += cl.prs[sh]
+	for _, a := range cl.acc {
+		potE += a.pot
+		virial += a.vir
+		pairs += a.prs
 	}
 	cl.pair = nil
 	return potE, virial, pairs
@@ -530,9 +603,9 @@ func (cl *CellLists) computeShard(sh int, frc []vec.V) {
 		// the ~13 higher-id cells (pair owned here, force scattered to both
 		// sides), ghost entries are one-sided.
 		st := cl.stencil[cl.stStart[slot]:cl.stStart[slot+1]]
-		shf := cl.stShift[cl.stStart[slot]:cl.stStart[slot+1]]
+		codes := cl.stCode[cl.stStart[slot]:cl.stStart[slot+1]]
 		for k, e := range st {
-			term := shf[k]
+			term := cl.shift[codes[k]]
 			if e >= 0 {
 				olo, ohi := cl.start[e], cl.start[e+1]
 				if olo == ohi {
@@ -610,9 +683,7 @@ func (cl *CellLists) computeShard(sh int, frc []vec.V) {
 			}
 		}
 	}
-	cl.pot[sh] += potE
-	cl.vir[sh] += virial
-	cl.prs[sh] += pairs
+	cl.acc[sh] = shardAcc{pot: potE, vir: virial, prs: pairs}
 }
 
 // ensurePool starts the bounded worker pool (one goroutine per shard). The

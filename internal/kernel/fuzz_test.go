@@ -16,9 +16,11 @@ import (
 // produce: single-cell and two-cell grids (every neighbor offset wraps
 // onto a handful of distinct cells), particles exactly on cell boundaries,
 // empty cells, empty hosted sets of ragged column shapes, and minimum-image
-// wrap terms in all of them. Each input is checked for construction
-// invariants and then cross-checked bit-for-bit against the historical map
-// kernel at shards=1 and to rounding at shards=2.
+// wrap terms in all of them. Each input drives the single-walk SetHosted and
+// the map-based construction it replaced (topology_oracle_test.go) and
+// compares everything they build, is checked for the CSR invariants, and is
+// then cross-checked bit-for-bit against the historical map kernel at
+// shards=1 and to rounding at shards=2.
 func FuzzCellListsConstruction(f *testing.F) {
 	f.Add(uint64(1), uint16(0), uint16(40), uint64(^uint64(0)), uint8(0)) // 1x1x1, all hosted
 	f.Add(uint64(2), uint16(31), uint16(120), uint64(0x5), uint8(3))      // 2x2x2, ragged columns, snapped
@@ -78,6 +80,18 @@ func FuzzCellListsConstruction(f *testing.F) {
 			got := local.Clone()
 			got.ZeroForces()
 			cl := buildFlat(t, g, shards, got, global, pred)
+
+			// The topology itself, list for list and round term for round
+			// term, against the map-based construction.
+			var cells []int
+			for c := 0; c < g.NumCells(); c++ {
+				if pred(c) {
+					cells = append(cells, c)
+				}
+			}
+			if d := diffTopology(cl, setHostedMap(g, shards, cells)); d != "" {
+				t.Fatalf("shards=%d: %s", shards, d)
+			}
 
 			// CSR invariants: offsets monotone, part a permutation of the
 			// local indices, every particle binned into a hosted cell it

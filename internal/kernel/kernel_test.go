@@ -1,7 +1,10 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"permcell/internal/particle"
@@ -288,6 +291,64 @@ func TestFlatEmpty(t *testing.T) {
 	if cl.GhostLen() == 0 {
 		t.Fatal("ghost arena empty despite imported neighbors")
 	}
+}
+
+// TestGhostStagingContract pins the halo side of the kernel: ghost cells may
+// be staged in any order and seal into the same arena, and every way a halo
+// can be wrong — a cell staged twice, a cell that is no ghost, a ghost left
+// out — panics instead of sealing an arena with a cell silently empty.
+func TestGhostStagingContract(t *testing.T) {
+	sys, g := setup(t)
+	pred := func(cell int) bool { ix, _, _ := g.Coords(cell); return ix == 0 }
+	local, _ := localSubset(g, sys.Set, pred)
+	cl := buildFlat(t, g, 1, local, sys.Set.Pos, pred)
+	ghosts := cl.GhostCells()
+	if len(ghosts) < 2 {
+		t.Fatalf("%d ghost cells, need two", len(ghosts))
+	}
+	byCell := make(map[int][]vec.V)
+	for _, p := range sys.Set.Pos {
+		byCell[g.CellOf(p)] = append(byCell[g.CellOf(p)], p)
+	}
+	want := slices.Clone(cl.ghostPos)
+
+	cl.ClearGhosts()
+	for i := len(ghosts) - 1; i >= 0; i-- { // descending: the reverse of buildFlat
+		cl.StageGhost(ghosts[i], byCell[ghosts[i]])
+	}
+	cl.SealGhosts()
+	if !slices.Equal(cl.ghostPos, want) {
+		t.Error("ghost arena depends on the order the cells were staged in")
+	}
+
+	panics := func(name, wantMsg string, fn func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, wantMsg) {
+				t.Errorf("%s: panic %q, want one containing %q", name, msg, wantMsg)
+			}
+		}()
+		fn()
+	}
+	panics("duplicate", fmt.Sprintf("ghost cell %d staged twice", ghosts[1]), func() {
+		cl.ClearGhosts()
+		cl.StageGhost(ghosts[1], nil)
+		cl.StageGhost(ghosts[1], nil)
+	})
+	panics("hosted cell", "not in the ghost set", func() {
+		cl.ClearGhosts()
+		cl.StageGhost(cl.HostedCells()[0], nil)
+	})
+	panics("missing", fmt.Sprintf("ghost cell %d was not staged", ghosts[1]), func() {
+		cl.ClearGhosts()
+		for i, gc := range ghosts {
+			if i != 1 {
+				cl.StageGhost(gc, nil)
+			}
+		}
+		cl.SealGhosts()
+	})
 }
 
 // TestZeroAllocSteadyState is the CI gate for the kernel's allocation

@@ -7,6 +7,7 @@ package particle
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"permcell/internal/vec"
@@ -31,6 +32,16 @@ func (s *Set) Add(id int64, pos, vel vec.V) int {
 	s.Vel = append(s.Vel, vel)
 	s.Frc = append(s.Frc, vec.Zero)
 	return len(s.ID) - 1
+}
+
+// Grow makes room for n more particles, so that a caller which knows how
+// many it is about to Add pays for one allocation per array and not for the
+// doublings of an append loop.
+func (s *Set) Grow(n int) {
+	s.ID = slices.Grow(s.ID, n)
+	s.Pos = slices.Grow(s.Pos, n)
+	s.Vel = slices.Grow(s.Vel, n)
+	s.Frc = slices.Grow(s.Frc, n)
 }
 
 // RemoveSwap removes the particle at local index i by swapping in the last

@@ -34,6 +34,31 @@ func TestAddLen(t *testing.T) {
 	}
 }
 
+// TestGrowPresizes pins what Grow is for: after it, adding that many
+// particles allocates nothing, and the particles already held are kept.
+func TestGrowPresizes(t *testing.T) {
+	s := sample(3, 1)
+	want := s.Clone()
+	s.Grow(100)
+	allocs := testing.AllocsPerRun(3, func() {
+		s.ID, s.Pos, s.Vel, s.Frc = s.ID[:3], s.Pos[:3], s.Vel[:3], s.Frc[:3]
+		for i := 0; i < 100; i++ {
+			s.Add(int64(100+i), vec.Zero, vec.Zero)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("100 Adds after Grow(100) allocated %v times", allocs)
+	}
+	for i := range want.ID {
+		if s.ID[i] != want.ID[i] || s.Pos[i] != want.Pos[i] || s.Vel[i] != want.Vel[i] {
+			t.Fatalf("particle %d changed across Grow", i)
+		}
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRemoveSwap(t *testing.T) {
 	s := sample(5, 1)
 	lastID := s.ID[4]

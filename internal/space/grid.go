@@ -3,6 +3,7 @@ package space
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"permcell/internal/vec"
 )
@@ -119,10 +120,15 @@ func clampCell(i, n int) int {
 // cells surrounding idx under periodic wrapping, excluding idx itself, and
 // returns the extended slice. When a grid dimension is small (< 3), wrapped
 // neighbor coordinates collide; duplicates and self are removed so force
-// engines never double count.
+// engines never double count. The order is dz, dy, dx ascending with the
+// first occurrence kept. It allocates nothing beyond growing dst: with
+// every dimension >= 3 the 26 cells are distinct by construction, and below
+// that the duplicates are found by scanning the few entries already
+// appended.
 func (g Grid) Neighbors26(idx int, dst []int) []int {
 	ix, iy, iz := g.Coords(idx)
-	seen := map[int]bool{idx: true}
+	dedupe := g.Nx < 3 || g.Ny < 3 || g.Nz < 3
+	base := len(dst)
 	for dz := -1; dz <= 1; dz++ {
 		for dy := -1; dy <= 1; dy++ {
 			for dx := -1; dx <= 1; dx++ {
@@ -130,10 +136,10 @@ func (g Grid) Neighbors26(idx int, dst []int) []int {
 					continue
 				}
 				n := g.CellOfCoords(ix+dx, iy+dy, iz+dz)
-				if !seen[n] {
-					seen[n] = true
-					dst = append(dst, n)
+				if dedupe && (n == idx || slices.Contains(dst[base:], n)) {
+					continue
 				}
+				dst = append(dst, n)
 			}
 		}
 	}

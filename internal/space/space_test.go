@@ -2,6 +2,7 @@ package space
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -175,6 +176,53 @@ func TestNeighbors26SmallGridDedup(t *testing.T) {
 	nb := g.Neighbors26(0, nil)
 	if len(nb) != 7 {
 		t.Fatalf("2x2x2 grid: %d neighbors, want 7", len(nb))
+	}
+}
+
+// neighbors26Map is the map-deduplicated walk Neighbors26 used to be, kept
+// as the oracle for the scan-deduplicated one.
+func neighbors26Map(g Grid, idx int, dst []int) []int {
+	ix, iy, iz := g.Coords(idx)
+	seen := map[int]bool{idx: true}
+	for dz := -1; dz <= 1; dz++ {
+		for dy := -1; dy <= 1; dy++ {
+			for dx := -1; dx <= 1; dx++ {
+				if dx == 0 && dy == 0 && dz == 0 {
+					continue
+				}
+				n := g.CellOfCoords(ix+dx, iy+dy, iz+dz)
+				if !seen[n] {
+					seen[n] = true
+					dst = append(dst, n)
+				}
+			}
+		}
+	}
+	return dst
+}
+
+// TestNeighbors26MatchesMapOracle compares the walk with its oracle, element
+// for element, on every grid of up to 5 cells per dimension — all the
+// shapes where wrapped offsets collide and a few where none do — and checks
+// that a non-empty dst is extended, not scanned.
+func TestNeighbors26MatchesMapOracle(t *testing.T) {
+	b := mustBox(t, 10)
+	for nx := 1; nx <= 5; nx++ {
+		for ny := 1; ny <= 5; ny++ {
+			for nz := 1; nz <= 5; nz++ {
+				g, _ := NewGridWithDims(b, nx, ny, nz)
+				for idx := 0; idx < g.NumCells(); idx++ {
+					want := neighbors26Map(g, idx, nil)
+					// The prefix holds a neighbor id on purpose: only what
+					// this call appended may be deduplicated against.
+					prefix := []int{g.CellOfCoords(1, 1, 1), idx}
+					got := g.Neighbors26(idx, prefix)
+					if !slices.Equal(got[:2], prefix) || !slices.Equal(got[2:], want) {
+						t.Fatalf("%dx%dx%d cell %d: got %v, want %v after the prefix", nx, ny, nz, idx, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -32,6 +32,7 @@ func LatticeGas(n int, rho, tref float64, seed uint64) (System, error) {
 		return System{}, err
 	}
 	set := &particle.Set{}
+	set.Grow(n)
 	r := rng.New(seed)
 	side := int(math.Ceil(math.Cbrt(float64(n))))
 	spacing := box.L.X / float64(side)
