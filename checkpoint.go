@@ -80,7 +80,6 @@ func (w *ckptWriter) save(step int, msgs, bytes int64, frames []checkpoint.Frame
 		return fmt.Errorf("permcell: no checkpoint directory configured (use WithCheckpoint)")
 	}
 	m := w.meta
-	m.Version = checkpoint.FormatVersion
 	m.Step = step
 	m.CommMsgs, m.CommBytes = msgs, bytes
 	if _, err := checkpoint.Save(w.dir, &m, frames); err != nil {

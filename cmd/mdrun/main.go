@@ -378,7 +378,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *resume != "" {
 		// Physics flags are ignored: the run identity travels in the file.
 		var meta *checkpoint.Meta
-		if meta, _, err = checkpoint.LoadPath(*resume); err == nil {
+		if meta, err = checkpoint.LoadMeta(*resume); err == nil {
 			*m, *seed, *shards = meta.M, meta.Seed, meta.Shards
 			if b, berr := runspec.Balancer(meta); berr == nil {
 				balSpec = permcell.BalancerSpec(b)

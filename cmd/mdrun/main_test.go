@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"permcell/internal/checkpoint"
 	"permcell/internal/theory"
 )
 
@@ -91,5 +92,43 @@ func TestFlagErrorsExitNonZero(t *testing.T) {
 		if code := run(args, &out, &errb); code == 0 {
 			t.Errorf("mdrun %v exited 0", args)
 		}
+	}
+}
+
+// TestResumeReadsHeaderOnlyThenRestoreVerifies: -resume takes the run
+// identity from the checkpoint's header alone (checkpoint.LoadMeta), so a
+// file whose frame section is corrupt still yields its header — and the
+// resume then fails where the state is actually read, in Restore, with the
+// section's CRC error rather than a misreported identity.
+func TestResumeReadsHeaderOnlyThenRestoreVerifies(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "ckpt")
+	var out, errb bytes.Buffer
+	if code := run([]string{
+		"-m", "2", "-p", "4", "-steps", "6", "-seed", "9", "-shards", "2",
+		"-checkpoint-dir", ckpt, "-checkpoint-every", "6",
+	}, &out, &errb); code != 0 {
+		t.Fatalf("first session exited %d: %s", code, errb.String())
+	}
+	file := filepath.Join(ckpt, checkpoint.LatestName)
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 0x01 // inside the last frame's payload
+	if err := os.WriteFile(file, raw, 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	meta, err := checkpoint.LoadMeta(file)
+	if err != nil || meta.M != 2 || meta.Seed != 9 || meta.Shards != 2 || meta.Step != 6 {
+		t.Fatalf("LoadMeta of a file with a corrupt frame = %+v, %v", meta, err)
+	}
+	out.Reset()
+	errb.Reset()
+	if code := run([]string{"-resume", file, "-steps", "1"}, &out, &errb); code == 0 {
+		t.Fatal("resume from a corrupt checkpoint exited 0")
+	}
+	if !strings.Contains(errb.String(), "CRC mismatch") || strings.Contains(errb.String(), "resumed from") {
+		t.Fatalf("resume failed with %q, want the frame section's CRC error", errb.String())
 	}
 }

@@ -374,9 +374,13 @@ func (e *serialEngine) Checkpoint() error {
 	if e.res != nil {
 		return fmt.Errorf("permcell: Checkpoint after Result")
 	}
-	var fr checkpoint.Frame
-	checkpoint.CaptureFrame(&fr, 0, e.eng.Set(), nil)
-	return e.ckpt.save(e.eng.StepCount(), 0, 0, []checkpoint.Frame{fr})
+	// The frame aliases the live arrays instead of copying them: save is
+	// synchronous and this goroutine is the engine's only driver, so nothing
+	// steps the set before the bytes are written and the frame is dropped.
+	// (pe.snapshot must copy: its frames outlive the call — the PEs step on
+	// while the driver still holds, ships or writes them.)
+	set := e.eng.Set()
+	return e.ckpt.save(e.eng.StepCount(), 0, 0, []checkpoint.Frame{{ID: set.ID, Pos: set.Pos, Vel: set.Vel}})
 }
 
 // Stats returns a copy (see the Engine interface contract): e.stats keeps

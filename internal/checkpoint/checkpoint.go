@@ -1,22 +1,31 @@
 // Package checkpoint is the distributed checkpoint/restart layer shared by
 // every engine (internal/core over the column ledger or a static
-// decomposition, internal/mdserial via the facade). A checkpoint is one file holding a Meta section — the
-// run's identity: engine kind, paper coordinates, physics options, step
-// counter, cumulative communication counters — followed by one Frame per
-// PE: that PE's particle arrays *in their live in-memory order* plus the
-// columns it currently hosts. Preserving the per-PE array order is what
-// makes a restored run bit-identical to the uninterrupted one: cell-list
-// binning and force accumulation follow array order, so a reordered restore
-// would change floating-point summation order.
+// decomposition, internal/mdserial via the facade). A checkpoint is one
+// file holding a Meta section — the run's identity: engine kind, paper
+// coordinates, physics options, step counter, cumulative communication
+// counters — followed by one Frame per PE: that PE's particle arrays *in
+// their live in-memory order* plus the columns it currently hosts.
+// Preserving the per-PE array order is what makes a restored run
+// bit-identical to the uninterrupted one: cell-list binning and force
+// accumulation follow array order, so a reordered restore would change
+// floating-point summation order.
 //
-// The file format is versioned and CRC-checked per section (see file.go),
-// written atomically (tmp + rename) with a retained latest/previous pair,
-// so a crash mid-write or a corrupted latest file never loses the run: the
-// previous checkpoint still loads.
+// The file format is versioned and CRC-checked per section (file.go): the
+// Meta section is gob, so fields can be appended to the header without a
+// version bump; every Frame section is the fixed little-endian layout of
+// codec.go, which is also the only form a Frame is ever serialised in — gob
+// defers to Frame's MarshalBinary, so the frames inside the tcp control
+// plane's SnapAck and WireSpec are the same bytes. The writer emits the
+// current version only; the reader also takes version 1, whose frame
+// sections were gob. Files are written atomically (tmp + rename) with a
+// retained latest/previous pair, so a process crash mid-write or a
+// corrupted latest file never loses the run: the previous checkpoint still
+// loads. Nothing is fsynced: that guarantee does not extend to power loss.
 package checkpoint
 
 import (
 	"fmt"
+	"slices"
 
 	"permcell/internal/particle"
 	"permcell/internal/vec"
@@ -33,10 +42,11 @@ const (
 // one spec every engine is built from (internal/runspec reads it, the facade
 // constructors and experiments.RunSpec write it, the TCP WireSpec ships it),
 // so a file does not describe its run, it carries the run's own spec, plus
-// the counters that continue across a restart. New fields may be appended in
-// later versions; gob decodes older frames with the new fields zero-valued.
+// the counters that continue across a restart. New fields may be appended
+// without a version bump; gob decodes older headers with them zero-valued.
 type Meta struct {
-	// Version is the frame-format version (see FormatVersion).
+	// Version is the format version of the file this header was read from;
+	// Encode ignores it and stamps FormatVersion.
 	Version int
 	// Kind is the engine kind (KindDLB, KindStatic, KindSerial).
 	Kind string
@@ -95,16 +105,15 @@ type Frame struct {
 
 // SetOf rebuilds the frame's particle set, preserving array order.
 func (f *Frame) SetOf() (*particle.Set, error) {
-	if len(f.ID) != len(f.Pos) || len(f.Pos) != len(f.Vel) {
-		return nil, fmt.Errorf("checkpoint: rank %d frame has ragged arrays id=%d pos=%d vel=%d",
-			f.Rank, len(f.ID), len(f.Pos), len(f.Vel))
+	if err := f.rectangular(); err != nil {
+		return nil, err
 	}
-	s := &particle.Set{}
-	s.Grow(len(f.ID))
-	for i := range f.ID {
-		s.Add(f.ID[i], f.Pos[i], f.Vel[i])
-	}
-	return s, nil
+	return &particle.Set{
+		ID:  slices.Clone(f.ID),
+		Pos: slices.Clone(f.Pos),
+		Vel: slices.Clone(f.Vel),
+		Frc: make([]vec.V, len(f.ID)),
+	}, nil
 }
 
 // CaptureFrame records a particle set into fr (fresh slices, live order).
@@ -125,9 +134,8 @@ func CaptureFrame(fr *Frame, rank int, s *particle.Set, cols []int) {
 func CheckFinite(frames []Frame) error {
 	for r := range frames {
 		f := &frames[r]
-		if len(f.ID) != len(f.Pos) || len(f.Pos) != len(f.Vel) {
-			return fmt.Errorf("checkpoint: rank %d frame has ragged arrays id=%d pos=%d vel=%d",
-				f.Rank, len(f.ID), len(f.Pos), len(f.Vel))
+		if err := f.rectangular(); err != nil {
+			return err
 		}
 		for i := range f.Pos {
 			if !f.Pos[i].IsFinite() || !f.Vel[i].IsFinite() {
@@ -168,9 +176,8 @@ func (st *EngineState) Validate(p int) error {
 		if f.Rank != r {
 			return fmt.Errorf("checkpoint: frame %d claims rank %d", r, f.Rank)
 		}
-		if len(f.ID) != len(f.Pos) || len(f.Pos) != len(f.Vel) {
-			return fmt.Errorf("checkpoint: rank %d frame has ragged arrays id=%d pos=%d vel=%d",
-				r, len(f.ID), len(f.Pos), len(f.Vel))
+		if err := f.rectangular(); err != nil {
+			return err
 		}
 	}
 	return nil

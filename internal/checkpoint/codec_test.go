@@ -1,0 +1,383 @@
+package checkpoint
+
+import (
+	"bytes"
+	"encoding/gob"
+	"hash/crc32"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+
+	"permcell/internal/vec"
+)
+
+// encodeV1 is the writer this package no longer has: the version-1 stream,
+// every section a gob struct. Tests build old files with it instead of
+// reaching into testdata.
+func encodeV1(tb testing.TB, meta *Meta, frames []Frame) []byte {
+	tb.Helper()
+	m := *meta
+	m.Version = 1
+	out := append([]byte(nil), magic[:]...)
+	out = le.AppendUint32(out, 1)
+	out = le.AppendUint32(out, uint32(len(frames)))
+	section := func(v any) {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			tb.Fatalf("gob: %v", err)
+		}
+		out = le.AppendUint32(out, uint32(buf.Len()))
+		out = le.AppendUint32(out, crc32.ChecksumIEEE(buf.Bytes()))
+		out = append(out, buf.Bytes()...)
+	}
+	section(&m)
+	for i := range frames {
+		section(frameV1(frames[i]))
+	}
+	return out
+}
+
+func encodeV2(tb testing.TB, meta *Meta, frames []Frame) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := Encode(&buf, meta, frames); err != nil {
+		tb.Fatalf("Encode: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// oddFrames holds the values a lossy codec would normalise: quiet and
+// signalling NaNs with payloads, both infinities, negative zero, a
+// denormal, negative IDs and columns.
+func oddFrames() []Frame {
+	odd := []float64{
+		math.Float64frombits(0x7ff8_0000_dead_beef), math.Float64frombits(0xfff0_0000_0000_0001),
+		math.Inf(1), math.Inf(-1), math.Copysign(0, -1), math.SmallestNonzeroFloat64,
+	}
+	f := Frame{Rank: 1, Cols: []int{-3, 0, math.MaxInt64}}
+	for i, x := range odd {
+		f.ID = append(f.ID, int64(-1-i))
+		f.Pos = append(f.Pos, vec.New(x, odd[(i+1)%len(odd)], 1.5))
+		f.Vel = append(f.Vel, vec.New(-2.5, x, odd[(i+2)%len(odd)]))
+	}
+	return []Frame{{Rank: 0}, f}
+}
+
+// words flattens a frame to its 8-byte words, so NaNs compare by bits.
+func words(f *Frame) []uint64 {
+	w := []uint64{uint64(f.Rank), uint64(len(f.ID)), uint64(len(f.Pos)), uint64(len(f.Vel)), uint64(len(f.Cols))}
+	for _, id := range f.ID {
+		w = append(w, uint64(id))
+	}
+	for _, vs := range [][]vec.V{f.Pos, f.Vel} {
+		for _, v := range vs {
+			w = append(w, math.Float64bits(v.X), math.Float64bits(v.Y), math.Float64bits(v.Z))
+		}
+	}
+	for _, c := range f.Cols {
+		w = append(w, uint64(c))
+	}
+	return w
+}
+
+func sameFrames(t *testing.T, what string, got, want []Frame) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d frames, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !slices.Equal(words(&got[i]), words(&want[i])) {
+			t.Errorf("%s: frame %d differs bit for bit:\n got %+v\nwant %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
+func TestFileRoundTripPreservesBits(t *testing.T) {
+	want := oddFrames()
+	_, got, err := Decode(bytes.NewReader(encodeV2(t, testMeta(3), want)))
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	sameFrames(t, "v2 file", got, want)
+	if CheckFinite(got) == nil {
+		t.Error("CheckFinite passed frames holding NaN and Inf")
+	}
+}
+
+func TestFrameBinaryLayout(t *testing.T) {
+	f := testFrames(3)[2]
+	b, err := f.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := frameHeaderBytes + particleBytes*len(f.ID) + 8*len(f.Cols); len(b) != want {
+		t.Fatalf("%d bytes for %d particles and %d columns, want %d", len(b), len(f.ID), len(f.Cols), want)
+	}
+	pre := []byte("prefix")
+	ab, err := f.AppendBinary(pre)
+	if err != nil || !bytes.Equal(ab[:len(pre)], pre) || !bytes.Equal(ab[len(pre):], b) {
+		t.Fatalf("AppendBinary disagrees with MarshalBinary (err %v)", err)
+	}
+	var got Frame
+	if err := got.UnmarshalBinary(b); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, f) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, f)
+	}
+	// Every miscounted payload is refused: a short header, a count that
+	// overruns the bytes present, and bytes left over after the counts.
+	over := slices.Clone(b)
+	le.PutUint64(over[8:], uint64(len(f.ID)+1))
+	huge := slices.Clone(b)
+	le.PutUint64(huge[8:], math.MaxUint64/particleBytes+2) // n*particleBytes wraps
+	for name, bad := range map[string][]byte{
+		"short header": b[:frameHeaderBytes-1], "truncated": b[:len(b)-8], "overrun": over,
+		"wrapping count": huge, "trailing word": append(slices.Clone(b), make([]byte, 8)...),
+		"trailing byte": append(slices.Clone(b), 0),
+	} {
+		if err := new(Frame).UnmarshalBinary(bad); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+func TestRaggedFrameRefusesToEncode(t *testing.T) {
+	frames := testFrames(4)
+	frames[3].Vel = frames[3].Vel[:2]
+	err := Encode(new(bytes.Buffer), testMeta(1), frames)
+	if err == nil || !strings.Contains(err.Error(), "rank 3") || !strings.Contains(err.Error(), "ragged") {
+		t.Fatalf("ragged rank-3 frame: Encode returned %v", err)
+	}
+	if _, err := frames[3].MarshalBinary(); err == nil {
+		t.Fatal("MarshalBinary accepted a ragged frame")
+	}
+}
+
+// TestV1StreamsStillDecode pins the reader's half of the version policy: a
+// version-1 stream decodes to the frames the version-2 round trip gives,
+// and saving what it decoded moves the file to version 2.
+func TestV1StreamsStillDecode(t *testing.T) {
+	// gob omits a zero-valued field and -0 counted as one, so version 1
+	// never held a -0 (it restored as +0); everything else odd it kept.
+	odd := oddFrames()
+	for _, vs := range [][]vec.V{odd[1].Pos, odd[1].Vel} {
+		for i := range vs {
+			vs[i] = vec.New(vs[i].X+0, vs[i].Y+0, vs[i].Z+0) // -0 + 0 = +0
+		}
+	}
+	for name, frames := range map[string][]Frame{"plain": testFrames(4), "odd": odd, "none": nil} {
+		meta := testMeta(9)
+		m1, f1, err := Decode(bytes.NewReader(encodeV1(t, meta, frames)))
+		if err != nil {
+			t.Fatalf("%s: Decode v1: %v", name, err)
+		}
+		m2, f2, err := Decode(bytes.NewReader(encodeV2(t, meta, frames)))
+		if err != nil {
+			t.Fatalf("%s: Decode v2: %v", name, err)
+		}
+		if m1.Version != 1 || m2.Version != FormatVersion {
+			t.Fatalf("%s: versions %d and %d, want 1 and %d", name, m1.Version, m2.Version, FormatVersion)
+		}
+		sameFrames(t, name+": v1 against v2", f1, f2)
+		if name == "plain" && !reflect.DeepEqual(f1, f2) {
+			t.Errorf("plain: v1 and v2 decodes differ in shape (nil against empty?)")
+		}
+		// Encode stamps the version it writes, whatever the header says.
+		m3, f3, err := Decode(bytes.NewReader(encodeV2(t, m1, f1)))
+		if err != nil {
+			t.Fatalf("%s: re-encoded v1: %v", name, err)
+		}
+		sameFrames(t, name+": v1 re-encoded", f3, f2)
+		m1.Version = FormatVersion
+		if !reflect.DeepEqual(m1, m2) || !reflect.DeepEqual(m3, m2) {
+			t.Errorf("%s: headers differ beyond the version:\n v1 %+v\n v1 re-encoded %+v\n v2 %+v", name, m1, m3, m2)
+		}
+	}
+	// A ragged version-1 frame was representable; it is refused on the way in.
+	ragged := testFrames(2)
+	ragged[1].Pos = ragged[1].Pos[:1]
+	if _, _, err := Decode(bytes.NewReader(encodeV1(t, testMeta(1), ragged))); err == nil || !strings.Contains(err.Error(), "ragged") {
+		t.Fatalf("ragged v1 frame: Decode returned %v", err)
+	}
+}
+
+// overcountedV2 is a version-2 stream whose frame section is intact by CRC
+// but claims more particles than its payload holds.
+func overcountedV2(tb testing.TB) []byte {
+	raw := encodeV2(tb, testMeta(1), testFrames(1))
+	metaLen := int(le.Uint32(raw[fileHeaderBytes:]))
+	sec := fileHeaderBytes + sectionHeaderBytes + metaLen
+	payload := raw[sec+sectionHeaderBytes:]
+	le.PutUint64(payload[8:], 1<<40)
+	le.PutUint32(raw[sec+4:], crc32.ChecksumIEEE(payload))
+	return raw
+}
+
+func TestOvercountedFrameIsRefused(t *testing.T) {
+	_, _, err := Decode(bytes.NewReader(overcountedV2(t)))
+	if err == nil || !strings.Contains(err.Error(), "claims") {
+		t.Fatalf("Decode returned %v", err)
+	}
+}
+
+// TestHugeFrameCountDoesNotOverallocate corrupts the header's frame count
+// to the largest value Decode lets through on a one-frame file: the decode
+// must fail on truncation having allocated for the sections that arrived,
+// not for the count (1<<20 Frames would be ~109 MB).
+func TestHugeFrameCountDoesNotOverallocate(t *testing.T) {
+	raw := encodeV2(t, testMeta(1), testFrames(1))
+	le.PutUint32(raw[12:], maxFrames)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := Decode(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("huge-count decode succeeded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("decode of a %d-byte file allocated %d bytes", len(raw), got)
+	}
+	le.PutUint32(raw[12:], maxFrames+1)
+	if _, _, err := Decode(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "implausible") {
+		t.Fatalf("frame count over the limit: %v", err)
+	}
+}
+
+// TestLoadMetaSkipsFrames: the header of a file whose frame section is
+// corrupt still loads, from the file and from its directory, with the same
+// latest-then-previous fallback as LoadDir when the header itself is gone.
+func TestLoadMetaSkipsFrames(t *testing.T) {
+	dir := t.TempDir()
+	for _, step := range []int{100, 200} {
+		if _, err := Save(dir, testMeta(step), testFrames(2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	latest := filepath.Join(dir, LatestName)
+	raw, err := os.ReadFile(latest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 0x01 // last byte of the last frame
+	if err := os.WriteFile(latest, raw, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Load(latest); err == nil || !strings.Contains(err.Error(), "CRC") {
+		t.Fatalf("Load of the corrupt file: %v", err)
+	}
+	for _, path := range []string{latest, dir} {
+		meta, err := LoadMeta(path)
+		if err != nil || meta.Step != 200 || meta.Seed != 7 {
+			t.Fatalf("LoadMeta(%s) = %+v, %v; want step 200", path, meta, err)
+		}
+	}
+	if err := os.Truncate(latest, fileHeaderBytes+4); err != nil {
+		t.Fatal(err)
+	}
+	if meta, err := LoadMeta(dir); err != nil || meta.Step != 100 {
+		t.Fatalf("LoadMeta fallback = %+v, %v; want step 100 from previous", meta, err)
+	}
+	if _, err := LoadMeta(latest); err == nil {
+		t.Fatal("LoadMeta accepted a truncated header")
+	}
+	if _, err := LoadMeta(filepath.Join(dir, "absent")); err == nil {
+		t.Fatal("LoadMeta accepted a missing path")
+	}
+}
+
+// benchFrames builds p frames of n particles each, the shape of a
+// benchmark workload's checkpoint.
+func benchFrames(p, n int) []Frame {
+	frames := make([]Frame, p)
+	for r := range frames {
+		f := &frames[r]
+		f.Rank = r
+		f.ID, f.Pos, f.Vel = make([]int64, n), make([]vec.V, n), make([]vec.V, n)
+		for i := range f.ID {
+			x := float64(r*n + i)
+			f.ID[i], f.Pos[i], f.Vel[i] = int64(r*n+i), vec.New(x, 0.5*x, 0.25*x), vec.New(-x, 1/(1+x), 3)
+		}
+		if p > 1 {
+			f.Cols = []int{r, r + p, r + 2*p}
+		}
+	}
+	return frames
+}
+
+// benchShapes are the checkpoints of the two benchmark workloads that live
+// on this path: serial_50k (one frame of 55 296) and resilience (4 x 4 096).
+var benchShapes = []struct {
+	name string
+	p, n int
+}{{"serial_50k", 1, 55296}, {"resilience", 4, 4096}}
+
+func BenchmarkCheckpointEncode(b *testing.B) {
+	for _, s := range benchShapes {
+		b.Run(s.name, func(b *testing.B) {
+			meta, frames := testMeta(1), benchFrames(s.p, s.n)
+			var buf bytes.Buffer
+			if err := Encode(&buf, meta, frames); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(buf.Len()))
+			b.ReportAllocs()
+			for b.Loop() {
+				buf.Reset()
+				if err := Encode(&buf, meta, frames); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkCheckpointDecode(b *testing.B) {
+	for _, s := range benchShapes {
+		b.Run(s.name, func(b *testing.B) {
+			raw := encodeV2(b, testMeta(1), benchFrames(s.p, s.n))
+			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, err := Decode(bytes.NewReader(raw)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestEncodeAllocatesConstantTimes is the benchmarks' hard half: a
+// steady-state Encode into a presized buffer allocates the same number of
+// times whatever the frame count and size — the header's gob encoder and
+// the one output buffer — not once per section or per buffer doubling.
+func TestEncodeAllocatesConstantTimes(t *testing.T) {
+	allocs := func(p, n int) float64 {
+		meta, frames := testMeta(1), benchFrames(p, n)
+		var buf bytes.Buffer
+		return testing.AllocsPerRun(5, func() {
+			buf.Reset()
+			if err := Encode(&buf, meta, frames); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	base := allocs(1, 8)
+	for _, s := range benchShapes {
+		if got := allocs(s.p, s.n); got != base {
+			t.Errorf("%s: %v allocations per Encode, %v for one 8-particle frame", s.name, got, base)
+		}
+	}
+	if got := allocs(64, 512); got != base {
+		t.Errorf("64 frames: %v allocations per Encode, %v for one", got, base)
+	}
+	if base > 64 {
+		t.Errorf("%v allocations per Encode: the header's gob encoder alone should cost a few dozen", base)
+	}
+	t.Logf("%v allocations per Encode", base)
+}

@@ -12,16 +12,18 @@ import (
 // FuzzCheckpointDecode drives Decode with arbitrary bytes: it must never
 // panic and never over-allocate, and anything it accepts must be
 // re-encodable to a stream that decodes to the same shape (the parser is a
-// faithful inverse of the writer on its accepted language). The corpus
-// seeds are the deterministic corruption tests' cases: valid streams of
-// 0/1/2 frames, truncations, bit flips, bad magic and a future version.
+// faithful inverse of the writer on its accepted language), always as the
+// current version. The corpus seeds are the deterministic corruption tests'
+// cases, in both formats the reader accepts: valid streams of 0/1/2 frames,
+// truncations, bit flips, bad magic and a future version, plus a version-2
+// frame whose particle count exceeds its payload.
 func FuzzCheckpointDecode(f *testing.F) {
+	f.Add(overcountedV2(f))
+	var streams [][]byte
 	for _, frames := range [][]Frame{nil, testFrames(1), testFrames(2)} {
-		var buf bytes.Buffer
-		if err := Encode(&buf, testMeta(7), frames); err != nil {
-			f.Fatalf("Encode: %v", err)
-		}
-		full := buf.Bytes()
+		streams = append(streams, encodeV2(f, testMeta(7), frames), encodeV1(f, testMeta(7), frames))
+	}
+	for _, full := range streams {
 		f.Add(append([]byte(nil), full...))
 		for _, n := range []int{0, 4, 8, 15, 16, len(full) / 2, len(full) - 1} {
 			if n < len(full) {
@@ -50,9 +52,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decoding re-encoded input: %v", err)
 		}
-		if meta2.Step != meta.Step || meta2.Kind != meta.Kind || len(frames2) != len(frames) {
-			t.Fatalf("round trip changed shape: step %d->%d kind %q->%q frames %d->%d",
-				meta.Step, meta2.Step, meta.Kind, meta2.Kind, len(frames), len(frames2))
+		if meta2.Step != meta.Step || meta2.Kind != meta.Kind || len(frames2) != len(frames) || meta2.Version != FormatVersion {
+			t.Fatalf("round trip changed shape: step %d->%d kind %q->%q frames %d->%d version %d->%d",
+				meta.Step, meta2.Step, meta.Kind, meta2.Kind, len(frames), len(frames2), meta.Version, meta2.Version)
 		}
 	})
 }

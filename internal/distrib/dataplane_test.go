@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 
 	"permcell/internal/checkpoint"
 	"permcell/internal/transport"
+	"permcell/internal/vec"
 )
 
 // The data-plane tests run the hub, the worker and the remote over
@@ -285,5 +287,67 @@ func TestControlPlaneStaysGob(t *testing.T) {
 	}
 	if _, err := transport.DecodePayload(b); !errors.Is(err, transport.ErrMalformedPayload) {
 		t.Errorf("the data-plane codec took a gob payload: %v", err)
+	}
+}
+
+// TestSnapshotFramesCrossControlPlaneBitForBit: checkpoint frames ride the
+// gob envelope as their own fixed layout (gob defers to Frame's
+// MarshalBinary), in both directions — gathered in a SnapAck, dealt in a
+// WireSpec's Restore — so the values gob's own float and zero-field
+// handling would touch (NaN payloads, infinities, -0, negative IDs) arrive
+// as the bits they left as.
+func TestSnapshotFramesCrossControlPlaneBitForBit(t *testing.T) {
+	nan, snan := math.Float64frombits(0x7ff8_0000_dead_beef), math.Float64frombits(0xfff0_0000_0000_0001)
+	negZero := math.Copysign(0, -1)
+	want := []checkpoint.Frame{
+		{Rank: 0},
+		{
+			Rank: 1, ID: []int64{-7, 0, math.MinInt64}, Cols: []int{5, -1},
+			Pos: []vec.V{vec.New(nan, math.Inf(1), negZero), vec.New(0, 1, 2), vec.New(snan, math.Inf(-1), 5e-324)},
+			Vel: []vec.V{vec.New(negZero, negZero, negZero), vec.New(snan, nan, -1), vec.New(0, 0, 0)},
+		},
+	}
+	same := func(what string, got []checkpoint.Frame) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d frames, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			wb, err := want[i].MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gb, err := got[i].MarshalBinary(); err != nil || !bytes.Equal(gb, wb) {
+				t.Errorf("%s: frame %d changed in transit (err %v):\n got %+v\nwant %+v", what, i, err, got[i], want[i])
+			}
+		}
+	}
+	roundTrip := func(v any) any {
+		t.Helper()
+		b, err := encodeControl(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := decodeControl(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	ack, ok := roundTrip(SnapAck{Proc: 1, Frames: want, Msgs: 3}).(SnapAck)
+	if !ok || ack.Proc != 1 || ack.Msgs != 3 {
+		t.Fatalf("SnapAck round trip: %#v", ack)
+	}
+	same("SnapAck", ack.Frames)
+	spec, ok := roundTrip(WireSpec{Proc: 2, Restore: &checkpoint.EngineState{Step: 9, Frames: want, CommMsgs: 4}}).(WireSpec)
+	if !ok || spec.Restore == nil || spec.Restore.Step != 9 || spec.Restore.CommMsgs != 4 {
+		t.Fatalf("WireSpec round trip: %#v", spec)
+	}
+	same("WireSpec.Restore", spec.Restore.Frames)
+
+	// A ragged frame cannot be put on the wire at all.
+	ragged := SnapAck{Frames: []checkpoint.Frame{{Rank: 2, ID: []int64{1}}}}
+	if _, err := encodeControl(ragged); err == nil || !strings.Contains(err.Error(), "rank 2") {
+		t.Fatalf("ragged frame in a SnapAck: %v", err)
 	}
 }
