@@ -19,9 +19,9 @@ import (
 // benchSchemaNote is embedded in every report so a committed
 // BENCH_kernel.json explains itself.
 const benchSchemaNote = "schema 2: one op = re-bin every particle + the complete force pass. " +
-	"Each preset (internal/workload.KernelPresets) times the historical map kernel " +
-	"('map') and the flat half-stencil kernel ('flat') at shard counts 1, 2 and 8, " +
-	"so old-vs-new and shard scaling are compared on identical systems. " +
+	"Each preset (internal/workload.KernelPresets) times the flat half-stencil " +
+	"kernel ('flat') at shard counts 1, 2 and 8, so shard scaling is compared on " +
+	"identical systems. " +
 	"Shard counts above GOMAXPROCS cannot win wall-clock; judge shard scaling only " +
 	"where gomaxprocs allows it (the CI gate skips the scaling assertion otherwise). " +
 	"The balancers section records each load balancer's migration traffic (columns " +
@@ -31,8 +31,8 @@ const benchSchemaNote = "schema 2: one op = re-bin every particle + the complete
 // kernelBenchResult is one timed kernel configuration.
 type kernelBenchResult struct {
 	Name        string  `json:"name"`
-	Kernel      string  `json:"kernel,omitempty"` // "map" or "flat"
-	Shards      int     `json:"shards"`           // 0 for the (unsharded) map kernel
+	Kernel      string  `json:"kernel,omitempty"` // "flat" ("map" in baselines that still timed the map kernel)
+	Shards      int     `json:"shards"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
@@ -139,34 +139,6 @@ func runBenchJSON(path, presets string) (*kernelBenchReport, error) {
 		for c := range cells {
 			cells[c] = c
 		}
-
-		// Old kernel: map cell lists rebuilt from scratch every step, the
-		// way the engines' rebuild path worked before CellLists existed.
-		cellMap := make(map[int][]int, len(cells))
-		hosted := make(map[int]bool, len(cells))
-		for _, c := range cells {
-			hosted[c] = true
-		}
-		r := benchOne(func() {
-			clear(cellMap)
-			for _, c := range cells {
-				cellMap[c] = nil
-			}
-			for i := range sys.Set.Pos {
-				c := g.CellOf(sys.Set.Pos[i])
-				cellMap[c] = append(cellMap[c], i)
-			}
-			sys.Set.ZeroForces()
-			kernel.MapPairForces(g, lj, sys.Set, cellMap, hosted, nil)
-		})
-		rp.Results = append(rp.Results, kernelBenchResult{
-			Name:   "map",
-			Kernel: "map", Shards: 0,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			Iterations:  r.N,
-		})
 
 		for _, shards := range []int{1, 2, 8} {
 			cl := kernel.NewCellLists(g, shards)

@@ -11,6 +11,7 @@ import (
 	"permcell/internal/decomp"
 	"permcell/internal/distrib"
 	"permcell/internal/mdserial"
+	"permcell/internal/particle"
 	"permcell/internal/runspec"
 )
 
@@ -341,21 +342,17 @@ func (e *serialEngine) Step(n int) error {
 		if step%e.statsEvery != 0 {
 			continue
 		}
-		occ := e.eng.CellOccupancy()
-		empty := 0
-		for _, c := range occ {
-			if c == 0 {
-				empty++
-			}
-		}
 		w := float64(e.eng.PairCount())
+		// One walk over the velocities feeds both observables.
+		set := e.eng.Set()
+		ke := set.KineticEnergy()
 		st := StepStats{
 			Step:    step,
 			WorkMax: w, WorkAve: w, WorkMin: w,
 			StepWallMax: e.eng.StepWall(), StepWallAve: e.eng.StepWall(),
-			TotalEnergy: e.eng.TotalEnergy(),
-			Temperature: e.eng.Set().Temperature(),
-			Conc:        conc.Compute([]conc.PE{{Cells: len(occ), Empty: empty}}),
+			TotalEnergy: ke + e.eng.PotentialEnergy(), // = e.eng.TotalEnergy()
+			Temperature: particle.TemperatureOf(ke, set.Len()),
+			Conc:        conc.Compute([]conc.PE{{Cells: e.eng.Grid().NumCells(), Empty: e.eng.EmptyCells()}}),
 		}
 		st.Phases.Fold(sample)
 		st.Phases.Finalize(1)

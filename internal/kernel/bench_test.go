@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"permcell/internal/potential"
+	"permcell/internal/rng"
 	"permcell/internal/space"
+	"permcell/internal/vec"
 	"permcell/internal/workload"
 )
 
@@ -150,3 +152,41 @@ func BenchmarkKernelSetHosted(b *testing.B) {
 }
 
 var setHostedSink *CellLists
+
+// BenchmarkKernelDisordered times the force pass alone on the 50k preset
+// with every coordinate moved by up to ±1.0 — a fluid-like state in which
+// the pairs inside the cut-off arrive at random among the rejected ones.
+// BenchmarkKernelPresets times the initial lattice, whose hit pattern
+// repeats from cell to cell and flatters any branch predictor.
+func BenchmarkKernelDisordered(b *testing.B) {
+	pr, err := workload.KernelPresetByName("50k")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, g, err := pr.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(50)
+	for i, p := range sys.Set.Pos {
+		sys.Set.Pos[i] = g.Box.Wrap(p.Add(vec.New(r.Uniform(-1, 1), r.Uniform(-1, 1), r.Uniform(-1, 1))))
+	}
+	cells := make([]int, g.NumCells())
+	for c := range cells {
+		cells[c] = c
+	}
+	cl := NewCellLists(g, 1)
+	cl.SetHosted(cells)
+	cl.SealGhosts()
+	if bad := cl.Bin(sys.Set.Pos); bad >= 0 {
+		b.Fatal("bin failed")
+	}
+	var pairs int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		sys.Set.ZeroForces()
+		_, _, pairs = cl.Compute(ljBench, sys.Set)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
+}

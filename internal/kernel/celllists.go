@@ -2,6 +2,8 @@ package kernel
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"permcell/internal/particle"
@@ -17,7 +19,8 @@ import (
 //
 //   - a CSR cell list (Bin): hosted cells in ascending index order, each
 //     with the contiguous slice of its local particle indices, plus the
-//     positions copied into part order (SoA for the inner loops);
+//     positions copied into part order: a cell's particles are one
+//     contiguous run, and both inner loops index that run directly;
 //   - a precomputed half stencil per hosted cell (SetHosted): the
 //     Neighbors26 walk with each neighbor resolved once to either a
 //     hosted-cell slot — kept only for the ~13 higher-id cells, so every
@@ -32,13 +35,28 @@ import (
 //     by ghost slot, by a linear copy;
 //   - per-shard slot lists (CSR over the shard partition): each worker
 //     walks exactly its own cells instead of filtering the full hosted
-//     list every step, and the shard-local force buffers are zeroed and
-//     reduced inside the parallel section (fixed order, so bits do not
-//     depend on worker timing).
+//     list every step;
+//   - per shard, a fixed hit buffer and force accumulators in part order
+//     (the same index as the positions, no particle-id indirection): the
+//     accumulators are zeroed and reduced into the caller's force array
+//     inside the parallel section (fixed order, so bits do not depend on
+//     worker timing).
+//
+// The force pass (computeShard) is two phases over one visiting order. The
+// search phase computes every candidate pair's squared distance in a small
+// leaf loop with no distance-dependent branch and appends the pairs inside
+// the cut-off, packed as (a, stencil code, neighbour index), to the hit
+// buffer; the accumulate phase walks the hits in order, recomputes the
+// displacement with the same expression, evaluates the potential and adds
+// into the accumulators. The buffer holds hitCap entries: a cell pair is
+// searched only when all its candidates fit the free space, after a flush
+// if need be, and a pair larger than the whole buffer goes row by row.
 //
 // Determinism contract: hosted cells are visited in ascending cell index
-// order and each cell's stencil preserves the Neighbors26 order, so for a
-// given hosted set, particle assignment and shard count the floating-point
+// order, each cell's stencil preserves the Neighbors26 order, and hits are
+// buffered and flushed in that same order, so every accumulator sees the
+// additions a single fused loop would make, in its order: for a given
+// hosted set, particle assignment and shard count the floating-point
 // summation order — and therefore every bit of the result — is fixed. With
 // Shards == 1 the summation order is exactly that of the historical
 // map-based kernel, so single-shard results are bit-identical to it. With
@@ -65,7 +83,7 @@ type CellLists struct {
 	shardStart []int32   // CSR offsets into shardSlot, len shards+1
 	slotBlock  []int32   // backing store of the per-slot arrays
 	colRank    []int32   // per column scratch of the shard partition (shards > 1)
-	shift      [27]vec.V // min-image round terms by code: cx + 3*cy + 9*cz
+	shift      [32]vec.V // min-image round terms by code: cx + 3*cy + 9*cz < 27
 	useShift   bool      // all grid dims >= 4: shift is exact, skip per-pair rounding
 
 	// Per-step particle CSR, rebuilt by Bin.
@@ -82,14 +100,15 @@ type CellLists struct {
 	ghostStart []int32 // CSR offsets into ghostPos, len(ghostCells)+1
 	ghostPos   []vec.V
 
-	// Per-shard accumulators, reduced in fixed shard order.
+	// Per-shard state of the force pass, reduced in fixed shard order.
 	acc  []shardAcc
-	ffrc [][]vec.V // shard-local force buffers, used only when shards > 1
+	hits [][hitCap]uint64 // search-phase output, flushed whenever it fills
+	pfrc [][]vec.V        // force accumulators in part order, sized by Bin
 
 	// Bounded worker pool (started lazily, only when shards > 1).
 	pair   potential.Pair // current Compute target
 	phase  int            // worker dispatch mode: phaseForce or phaseReduce
-	frcDst []vec.V        // reduce-phase target (s.Frc), set around dispatch
+	frcDst []vec.V        // reduce-phase target (s.Frc), set by Compute
 
 	running bool
 	startCh []chan struct{}
@@ -153,7 +172,7 @@ func NewCellLists(g space.Grid, shards int) *CellLists {
 	// with bit-identical results.
 	cl.useShift = g.Nx >= 4 && g.Ny >= 4 && g.Nz >= 4
 	tx, ty, tz := wrapTerms(g.Box.L.X), wrapTerms(g.Box.L.Y), wrapTerms(g.Box.L.Z)
-	for code := range cl.shift {
+	for code := range 27 {
 		cl.shift[code] = vec.V{X: tx[code%3], Y: ty[code/3%3], Z: tz[code/9]}
 	}
 	cl.slotOf = make([]int32, g.NumCells())
@@ -161,9 +180,8 @@ func NewCellLists(g space.Grid, shards int) *CellLists {
 		cl.slotOf[i] = -1
 	}
 	cl.acc = make([]shardAcc, shards)
-	if shards > 1 {
-		cl.ffrc = make([][]vec.V, shards)
-	}
+	cl.hits = make([][hitCap]uint64, shards)
+	cl.pfrc = make([][]vec.V, shards)
 	return cl
 }
 
@@ -386,14 +404,18 @@ func (cl *CellLists) SlotGhosts(s int, dst []int32) []int32 {
 // on success, or the index of the first particle that falls outside the
 // hosted set.
 func (cl *CellLists) Bin(pos []vec.V) int {
-	if cap(cl.part) < len(pos) {
-		cl.pslot = make([]int32, len(pos))
-		cl.part = make([]int32, len(pos))
-		cl.ppos = make([]vec.V, len(pos))
+	n := len(pos)
+	if n > maxIndex {
+		panic(fmt.Sprintf("kernel: %d particles in one domain, the hit encoding holds %d", n, maxIndex))
 	}
-	cl.pslot = cl.pslot[:len(pos)]
-	cl.part = cl.part[:len(pos)]
-	cl.ppos = cl.ppos[:len(pos)]
+	// A new maximum grows the arrays with append's headroom, so a population
+	// that creeps up during condensation does not reallocate at every step.
+	cl.pslot = slices.Grow(cl.pslot[:0], n)[:n]
+	cl.part = slices.Grow(cl.part[:0], n)[:n]
+	cl.ppos = slices.Grow(cl.ppos[:0], n)[:n]
+	for sh := range cl.pfrc {
+		cl.pfrc[sh] = slices.Grow(cl.pfrc[sh][:0], n)[:n]
+	}
 	clear(cl.count)
 	for i := range pos {
 		v := cl.slotOf[cl.g.CellOf(pos[i])]
@@ -459,6 +481,9 @@ func (cl *CellLists) SealGhosts() {
 		cl.ghostIn[gs] = nil
 	}
 	cl.ghostStart[len(cl.ghostCells)] = int32(len(cl.ghostPos))
+	if len(cl.ghostPos) > maxIndex {
+		panic(fmt.Sprintf("kernel: %d ghost positions, the hit encoding holds %d", len(cl.ghostPos), maxIndex))
+	}
 }
 
 // GhostLen returns the number of imported positions after SealGhosts.
@@ -474,45 +499,34 @@ func (cl *CellLists) GhostLen() int { return len(cl.ghostPos) }
 // ghost positions are evaluated one-sided with the energy and virial split
 // half/half between the two hosts.
 //
-// With S > 1 shards each worker accumulates into a shard-local buffer;
-// the buffers are zeroed and reduced into s.Frc inside the parallel
-// section (fixed order: particles ascending, shards ascending per
-// particle), so the bits never depend on worker timing.
+// Every shard accumulates into its own buffer, held in part order (next to
+// the positions the inner loops read); the buffers are zeroed by their
+// shards and then added into s.Frc particle by particle, shards ascending,
+// so the bits never depend on worker timing.
 func (cl *CellLists) Compute(pair potential.Pair, s *particle.Set) (potE, virial float64, pairs int64) {
-	cl.pair = pair
+	cl.pair, cl.frcDst = pair, s.Frc
 	if cl.shards == 1 {
-		cl.acc[0] = shardAcc{}
-		cl.computeShard(0, s.Frc)
-		cl.pair = nil
-		return cl.acc[0].pot, cl.acc[0].vir, cl.acc[0].prs
+		cl.computeShard(0)
+		cl.reduceRange(0)
+	} else {
+		// Two dispatch rounds: every worker clears its own buffer and runs
+		// the force pass over its cells, then — after the barrier — reduces
+		// a disjoint range of particles across all shard buffers into s.Frc.
+		// Both the buffer zeroing and the O(shards*N) reduction run inside
+		// the parallel section, so the serial fraction of a sharded step is
+		// only the dispatch itself.
+		cl.ensurePool()
+		cl.phase = phaseForce
+		cl.dispatch()
+		cl.phase = phaseReduce
+		cl.dispatch()
 	}
-	n := len(s.Pos)
-	for sh := 0; sh < cl.shards; sh++ {
-		cl.acc[sh] = shardAcc{}
-		if cap(cl.ffrc[sh]) < n {
-			cl.ffrc[sh] = make([]vec.V, n)
-		}
-		cl.ffrc[sh] = cl.ffrc[sh][:n]
-	}
-	// Two dispatch rounds: every worker clears its own buffer and runs the
-	// force pass over its cells, then — after the barrier — reduces a
-	// disjoint particle range across all shard buffers into s.Frc. Both
-	// the buffer zeroing and the O(shards*N) reduction run inside the
-	// parallel section, so the serial fraction of a sharded step is only
-	// the dispatch itself.
-	cl.ensurePool()
-	cl.phase = phaseForce
-	cl.dispatch()
-	cl.frcDst = s.Frc
-	cl.phase = phaseReduce
-	cl.dispatch()
-	cl.frcDst = nil
+	cl.pair, cl.frcDst = nil, nil
 	for _, a := range cl.acc {
 		potE += a.pot
 		virial += a.vir
 		pairs += a.prs
 	}
-	cl.pair = nil
 	return potE, virial, pairs
 }
 
@@ -527,39 +541,183 @@ func (cl *CellLists) dispatch() {
 	}
 }
 
-// reduceRange folds the worker's share of particle indices across all
-// shard buffers into frcDst. Shard order is fixed (0, 1, 2, ...) for every
-// particle and the per-particle sums are independent, so the result is
-// bit-identical to a serial fixed-order reduction regardless of how the
-// index range is divided among workers.
+// reduceRange scatters the worker's share of the part-order accumulators
+// into frcDst: for each particle, the shard buffers added in fixed shard
+// order (0, 1, 2, ...). The per-particle sums are independent, so the
+// result is bit-identical to a serial fixed-order reduction regardless of
+// how the range is divided among workers.
 func (cl *CellLists) reduceRange(sh int) {
 	dst := cl.frcDst
-	n := len(dst)
+	n := len(cl.part)
 	lo := sh * n / cl.shards
 	hi := (sh + 1) * n / cl.shards
-	for i := lo; i < hi; i++ {
+	for k := lo; k < hi; k++ {
+		i := cl.part[k]
 		f := dst[i]
-		for s2 := 0; s2 < cl.shards; s2++ {
-			f = f.Add(cl.ffrc[s2][i])
+		for _, ff := range cl.pfrc {
+			f = f.Add(ff[k])
 		}
 		dst[i] = f
 	}
 }
 
-// computeShard runs the kernel over the cells of one shard, accumulating
-// forces into frc (indexed by particle id: s.Frc directly for shards == 1,
-// the shard-local buffer otherwise) and scalars into the shard's
-// accumulator slots. The Lennard-Jones evaluation is devirtualized via the
-// concrete-type assertion so the compiler inlines it (manually hoisting its
-// parameters into locals measured slower here: the extra live values spill
-// in the inner loops); any other Pair goes through the interface call.
-func (cl *CellLists) computeShard(sh int, frc []vec.V) {
+// A hit is one pair inside the cut-off, packed by the search phase for the
+// accumulate phase: the part-order index of a, the code of the stencil
+// entry's round term, and the index of the neighbour b — into ppos, or into
+// ghostPos when hitGhost is set.
+const (
+	hitCap       = 4096 // entries per shard buffer: 32 KiB, L1-resident
+	hitIndexBits = 29
+	hitGhost     = 1 << hitIndexBits
+	hitCodeShift = hitIndexBits + 1
+	hitAShift    = hitCodeShift + 5
+	maxIndex     = 1<<hitIndexBits - 1 // largest particle or ghost index a hit can name
+)
+
+// searchShift is the search phase over one cell pair on a grid whose round
+// terms are fixed per stencil entry: for every a in lpos and b in q it
+// computes the squared distance (round term t) and keeps key + a<<hitAShift
+// + b when the pair is inside the cut-off. The entry is always written and
+// the count advances by a flag, so the loop carries no branch that depends
+// on the distance. The caller guarantees n + len(lpos)*len(q) <= hitCap.
+func searchShift(hits *[hitCap]uint64, n uint64, key uint64, lpos, q []vec.V, t vec.V, rc2 float64) uint64 {
+	buf := hits[:] // a slice of constant length: nil-checked here, once, and never out of range
+	for _, p := range lpos {
+		h := key
+		for _, qb := range q {
+			dx := p.X - qb.X - t.X
+			dy := p.Y - qb.Y - t.Y
+			dz := p.Z - qb.Z - t.Z
+			r2 := dx*dx + dy*dy + dz*dz
+			buf[n%hitCap] = h
+			h++
+			n = countHit(n, r2, rc2)
+		}
+		key += 1 << hitAShift
+	}
+	return n
+}
+
+// searchMinImage is searchShift for a grid with a dimension below 4, where
+// the round term depends on the pair: the minimum image in a box of edges l.
+func searchMinImage(hits *[hitCap]uint64, n uint64, key uint64, lpos, q []vec.V, l vec.V, rc2 float64) uint64 {
+	buf := hits[:]
+	for _, p := range lpos {
+		h := key
+		for _, qb := range q {
+			r2 := p.Sub(qb).MinImage(l).Norm2()
+			buf[n%hitCap] = h
+			h++
+			n = countHit(n, r2, rc2)
+		}
+		key += 1 << hitAShift
+	}
+	return n
+}
+
+// countHit returns n + 1 when a pair at squared distance r2 interacts and n
+// when it is beyond the cut-off or coincident (r2, a sum of squares, is zero
+// only as +0), by arithmetic on the carry flag rather than a branch. A NaN
+// distance is a hit: it must reach the forces, where the guards find it.
+func countHit(n uint64, r2, rc2 float64) uint64 {
+	u := math.Float64bits(r2)
+	if r2 >= rc2 {
+		u = 0 // a conditional move
+	}
+	_, hit := bits.Add64(u, ^uint64(0), 0) // u - 1 carries unless u == 0
+	n, _ = bits.Add64(n, 0, hit)
+	return n
+}
+
+// pass is one shard's state during a force pass.
+type pass struct {
+	cl       *CellLists
+	hits     *[hitCap]uint64
+	n        uint64  // hits buffered
+	frc      []vec.V // force accumulators in part order
+	pot, vir float64
+	rc2      float64
+}
+
+// search runs the search phase over the cell pair lpos x q, whose hits are
+// named key + a<<hitAShift + b. A pair that does not fit the buffer's free
+// space waits for a flush; a crowded one, larger than the whole buffer, goes
+// row by row, and a row longer than the buffer in pieces.
+func (ps *pass) search(key uint64, lpos, q []vec.V) {
+	switch need := len(lpos) * len(q); {
+	case ps.n+uint64(need) <= hitCap:
+		if cl := ps.cl; cl.useShift {
+			ps.n = searchShift(ps.hits, ps.n, key, lpos, q, cl.shift[key>>hitCodeShift%32], ps.rc2)
+		} else {
+			ps.n = searchMinImage(ps.hits, ps.n, key, lpos, q, cl.g.Box.L, ps.rc2)
+		}
+	case need <= hitCap:
+		ps.flush()
+		ps.search(key, lpos, q)
+	default:
+		for a := range lpos {
+			for off := 0; off < len(q); off += hitCap {
+				ps.search(key+uint64(a)<<hitAShift+uint64(off), lpos[a:a+1], q[off:min(off+hitCap, len(q))])
+			}
+		}
+	}
+}
+
+// flush is the accumulate phase: it walks the buffered hits in the order
+// the search found them, recomputes each displacement with the search's own
+// expression, evaluates the potential and adds into the accumulators. The
+// Lennard-Jones evaluation is devirtualized via the concrete-type assertion
+// so the compiler inlines it; any other Pair goes through the interface.
+func (ps *pass) flush() {
+	cl := ps.cl
 	pair := cl.pair
-	lj, ljOK := pair.(*potential.LJ) // devirtualized (inlinable) hot call
-	rc2 := pair.Cutoff() * pair.Cutoff()
-	box := cl.g.Box
-	fast := cl.useShift
-	var potE, virial float64
+	lj, ljOK := pair.(*potential.LJ)
+	ppos, frc := cl.ppos, ps.frc
+	pot, vir := ps.pot, ps.vir
+	for _, h := range ps.hits[:ps.n] {
+		a, b := h>>hitAShift, h%hitGhost
+		ghost, from := h&hitGhost != 0, ppos
+		if ghost {
+			from = cl.ghostPos
+		}
+		p, q := ppos[a], from[b]
+		var d vec.V
+		if cl.useShift {
+			t := cl.shift[h>>hitCodeShift%32]
+			d = vec.V{X: p.X - q.X - t.X, Y: p.Y - q.Y - t.Y, Z: p.Z - q.Z - t.Z}
+		} else {
+			d = cl.g.Box.MinImage(p.Sub(q))
+		}
+		r2 := d.Norm2()
+		var en, f float64
+		if ljOK {
+			en, f = lj.EnergyForce(r2)
+		} else {
+			en, f = pair.EnergyForce(r2)
+		}
+		fv := d.Scale(f)
+		frc[a] = frc[a].Add(fv)
+		if ghost {
+			// One-sided: the ghost's host computes the other half.
+			pot += en / 2
+			vir += f * r2 / 2
+		} else {
+			pot += en
+			vir += f * r2
+			frc[b] = frc[b].Sub(fv)
+		}
+	}
+	ps.pot, ps.vir, ps.n = pot, vir, 0
+}
+
+// computeShard runs the force pass over the cells of one shard: the search
+// phase in visiting order — slot, then the cell's own pairs, then its
+// stencil entries in Neighbors26 order, then a, then b — and the accumulate
+// phase whenever the hit buffer fills and once at the end.
+func (cl *CellLists) computeShard(sh int) {
+	clear(cl.pfrc[sh])
+	rc := cl.pair.Cutoff()
+	ps := pass{cl: cl, hits: &cl.hits[sh], frc: cl.pfrc[sh], rc2: rc * rc}
 	var pairs int64
 	for _, slot := range cl.shardSlot[cl.shardStart[sh]:cl.shardStart[sh+1]] {
 		lo, hi := cl.start[slot], cl.start[slot+1]
@@ -567,37 +725,13 @@ func (cl *CellLists) computeShard(sh int, frc []vec.V) {
 			continue // empty cell owns no pairs
 		}
 		lpos := cl.ppos[lo:hi]
-		locals := cl.part[lo:hi]
-		// Intra-cell pairs. With >= 4 cells per dimension the direct
-		// difference is the minimum image (round term exactly zero).
-		for a := 0; a < len(lpos); a++ {
-			pi := lpos[a]
-			i := locals[a]
-			fi := frc[i]
-			for b := a + 1; b < len(lpos); b++ {
-				pairs++
-				d := pi.Sub(lpos[b])
-				if !fast {
-					d = box.MinImage(d)
-				}
-				r2 := d.Norm2()
-				if r2 >= rc2 || r2 == 0 {
-					continue
-				}
-				var en, f float64
-				if ljOK {
-					en, f = lj.EnergyForce(r2)
-				} else {
-					en, f = pair.EnergyForce(r2)
-				}
-				potE += en
-				virial += f * r2
-				fv := d.Scale(f)
-				fi = fi.Add(fv)
-				j := locals[b]
-				frc[j] = frc[j].Sub(fv)
-			}
-			frc[i] = fi
+		nl := int64(len(lpos))
+		// Intra-cell pairs, each row a against the cell mates after it: the
+		// round term is code 0, exactly +0.
+		pairs += nl * (nl - 1) / 2
+		for a := range lpos[1:] {
+			row := uint64(lo) + uint64(a)
+			ps.search(row<<hitAShift+row+1, lpos[a:a+1], lpos[a+1:])
 		}
 		// Half-stencil neighbors, in Neighbors26 order: hosted entries are
 		// the ~13 higher-id cells (pair owned here, force scattered to both
@@ -605,85 +739,24 @@ func (cl *CellLists) computeShard(sh int, frc []vec.V) {
 		st := cl.stencil[cl.stStart[slot]:cl.stStart[slot+1]]
 		codes := cl.stCode[cl.stStart[slot]:cl.stStart[slot+1]]
 		for k, e := range st {
-			term := cl.shift[codes[k]]
+			key := uint64(lo)<<hitAShift + uint64(codes[k])<<hitCodeShift
+			var q []vec.V
 			if e >= 0 {
-				olo, ohi := cl.start[e], cl.start[e+1]
-				if olo == ohi {
-					continue // empty neighbor
-				}
-				opos := cl.ppos[olo:ohi]
-				others := cl.part[olo:ohi]
-				for a := range lpos {
-					pi := lpos[a]
-					i := locals[a]
-					fi := frc[i]
-					for b := range opos {
-						pairs++
-						var d vec.V
-						if fast {
-							q := opos[b]
-							d = vec.V{X: pi.X - q.X - term.X, Y: pi.Y - q.Y - term.Y, Z: pi.Z - q.Z - term.Z}
-						} else {
-							d = box.MinImage(pi.Sub(opos[b]))
-						}
-						r2 := d.Norm2()
-						if r2 >= rc2 || r2 == 0 {
-							continue
-						}
-						var en, f float64
-						if ljOK {
-							en, f = lj.EnergyForce(r2)
-						} else {
-							en, f = pair.EnergyForce(r2)
-						}
-						potE += en
-						virial += f * r2
-						fv := d.Scale(f)
-						fi = fi.Add(fv)
-						j := others[b]
-						frc[j] = frc[j].Sub(fv)
-					}
-					frc[i] = fi
-				}
-				continue
+				q = cl.ppos[cl.start[e]:cl.start[e+1]]
+				key += uint64(cl.start[e])
+			} else {
+				q = cl.ghostPos[cl.ghostStart[-1-e]:cl.ghostStart[-e]]
+				key += hitGhost + uint64(cl.ghostStart[-1-e])
 			}
-			gs := int(-1 - e)
-			gpos := cl.ghostPos[cl.ghostStart[gs]:cl.ghostStart[gs+1]]
-			if len(gpos) == 0 {
-				continue // empty ghost cell
+			if len(q) == 0 {
+				continue // empty neighbor
 			}
-			for a := range lpos {
-				pi := lpos[a]
-				i := locals[a]
-				fi := frc[i]
-				for b := range gpos {
-					pairs++
-					var d vec.V
-					if fast {
-						q := gpos[b]
-						d = vec.V{X: pi.X - q.X - term.X, Y: pi.Y - q.Y - term.Y, Z: pi.Z - q.Z - term.Z}
-					} else {
-						d = box.MinImage(pi.Sub(gpos[b]))
-					}
-					r2 := d.Norm2()
-					if r2 >= rc2 || r2 == 0 {
-						continue
-					}
-					var en, f float64
-					if ljOK {
-						en, f = lj.EnergyForce(r2)
-					} else {
-						en, f = pair.EnergyForce(r2)
-					}
-					potE += en / 2
-					virial += f * r2 / 2
-					fi = fi.Add(d.Scale(f))
-				}
-				frc[i] = fi
-			}
+			pairs += nl * int64(len(q))
+			ps.search(key, lpos, q)
 		}
 	}
-	cl.acc[sh] = shardAcc{pot: potE, vir: virial, prs: pairs}
+	ps.flush()
+	cl.acc[sh] = shardAcc{pot: ps.pot, vir: ps.vir, prs: pairs}
 }
 
 // ensurePool starts the bounded worker pool (one goroutine per shard). The
@@ -701,9 +774,7 @@ func (cl *CellLists) ensurePool() {
 		go func(sh int, ch chan struct{}) {
 			for range ch {
 				if cl.phase == phaseForce {
-					ff := cl.ffrc[sh]
-					clear(ff)
-					cl.computeShard(sh, ff)
+					cl.computeShard(sh)
 				} else {
 					cl.reduceRange(sh)
 				}

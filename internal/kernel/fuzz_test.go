@@ -130,7 +130,7 @@ func FuzzCellListsConstruction(f *testing.F) {
 					ghost[c] = append(ghost[c], p)
 				}
 			}
-			wantPot, wantPairs := mapPairForces(g, lj, ref, cellMap, hosted, ghost)
+			wantPot, _, wantPairs := mapPairForces(g, lj, ref, cellMap, hosted, ghost)
 			if pairs != wantPairs {
 				t.Fatalf("shards=%d: pairs %d, map kernel %d", shards, pairs, wantPairs)
 			}

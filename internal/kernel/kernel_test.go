@@ -212,7 +212,7 @@ func TestFlatMatchesMapKernel(t *testing.T) {
 		}
 		ref := local.Clone()
 		ref.ZeroForces()
-		wantPot, wantPairs := mapPairForces(g, lj, ref, cellMap, hosted, ghost)
+		wantPot, _, wantPairs := mapPairForces(g, lj, ref, cellMap, hosted, ghost)
 
 		for _, shards := range []int{1, 2, 8} {
 			got := local.Clone()
@@ -351,23 +351,54 @@ func TestGhostStagingContract(t *testing.T) {
 	})
 }
 
+// crowd appends n positions scattered through cell (ix, iy, iz) of g.
+func crowd(pos []vec.V, g space.Grid, ix, iy, iz, n int, r *rng.Source) []vec.V {
+	sx, sy, sz := g.CellSize()
+	for i := 0; i < n; i++ {
+		pos = append(pos, vec.New((float64(ix)+r.Float64())*sx, (float64(iy)+r.Float64())*sy, (float64(iz)+r.Float64())*sz))
+	}
+	return pos
+}
+
 // TestZeroAllocSteadyState is the CI gate for the kernel's allocation
 // contract: after warm-up, a full per-step cycle — Bin, ghost staging and
 // sealing, Compute — performs zero heap allocations, for the serial kernel
-// and for a sharded one.
+// and for sharded ones. The domain is the tiny preset's western half plus
+// one crowded corner — 320 particles in a cell, 320 in its hosted neighbour
+// and 320 in a ghost one — so the hit buffer is flushed mid-pass (a row of
+// 319 cell mates after rows that filled it) and cell pairs larger than the
+// whole buffer (320 x 320) are split, all inside the measured cycle.
 func TestZeroAllocSteadyState(t *testing.T) {
-	sys, g := setup(t)
+	pr, err := workload.KernelPresetByName("tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, g, err := pr.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(3)
+	global := slices.Clone(sys.Set.Pos)
+	global = crowd(global, g, 0, 2, 2, 320, r)
+	global = crowd(global, g, 1, 2, 2, 320, r)
+	global = crowd(global, g, g.Nx-1, 2, 2, 320, r)
+	if 320*320 <= hitCap {
+		t.Fatal("the crowded cell pair fits the hit buffer: nothing is split")
+	}
 	lj := potential.NewPaperLJ()
 	half := g.Nx / 2
 	pred := func(cell int) bool { ix, _, _ := g.Coords(cell); return ix < half }
-	local, _ := localSubset(g, sys.Set, pred)
+	local := &particle.Set{}
 	byCell := make(map[int][]vec.V)
-	for i := range sys.Set.Pos {
-		c := g.CellOf(sys.Set.Pos[i])
-		byCell[c] = append(byCell[c], sys.Set.Pos[i])
+	for i, p := range global {
+		c := g.CellOf(p)
+		byCell[c] = append(byCell[c], p)
+		if pred(c) {
+			local.Add(int64(i), p, vec.Zero)
+		}
 	}
-	for _, shards := range []int{1, 4} {
-		cl := buildFlat(t, g, shards, local, sys.Set.Pos, pred)
+	for _, shards := range []int{1, 2, 8} {
+		cl := buildFlat(t, g, shards, local, global, pred)
 		step := func() {
 			if bad := cl.Bin(local.Pos); bad >= 0 {
 				t.Fatal("bin failed")
@@ -385,6 +416,41 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
 			t.Errorf("shards=%d: %v allocs per step, want 0", shards, allocs)
+		}
+	}
+}
+
+// TestBinGrowsWithHeadroom pins Bin's growth policy: a population that
+// creeps up by one particle per step — a rank gathering a droplet — must not
+// reallocate the part-order arrays at every new maximum.
+func TestBinGrowsWithHeadroom(t *testing.T) {
+	g := gridOf(t, 4, 4, 4)
+	cells := make([]int, g.NumCells())
+	for c := range cells {
+		cells[c] = c
+	}
+	pos := randomGas(g, 1000+64, 5)
+	for _, shards := range []int{1, 2} {
+		cl := NewCellLists(g, shards)
+		cl.SetHosted(cells)
+		growths, last := 0, [4]int{}
+		for n := 1000; n <= len(pos); n++ {
+			if bad := cl.Bin(pos[:n]); bad >= 0 {
+				t.Fatalf("particle %d not binned", bad)
+			}
+			caps := [4]int{cap(cl.pslot), cap(cl.part), cap(cl.ppos), cap(cl.pfrc[shards-1])}
+			for k, c := range caps {
+				if c < n {
+					t.Fatalf("array %d holds %d of %d particles", k, c, n)
+				}
+			}
+			if caps != last {
+				growths++
+				last = caps
+			}
+		}
+		if growths > 2 {
+			t.Errorf("shards=%d: 65 bins of a creeping population grew the arrays %d times, want at most 2", shards, growths)
 		}
 	}
 }

@@ -154,7 +154,7 @@ func TestPropertyRandomizedConfigs(t *testing.T) {
 			fsFrc, fsPot, fsPairs := fullStencilForces(g, lj, sys.Set.Pos, cellMap, hosted, nil)
 			ref := sys.Set.Clone()
 			ref.ZeroForces()
-			mapPot, _ := mapPairForces(g, lj, ref, cellMap, hosted, nil)
+			mapPot, _, _ := mapPairForces(g, lj, ref, cellMap, hosted, nil)
 
 			if math.Abs(fsPot-wantPot) > 1e-9*(1+math.Abs(wantPot)) {
 				t.Fatalf("N=%d trial %d: full-stencil pot %v vs brute %v", tc.n, trial, fsPot, wantPot)

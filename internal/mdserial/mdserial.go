@@ -160,6 +160,18 @@ func (e *Engine) CellOccupancy() []int {
 	return occ
 }
 
+// EmptyCells returns the number of cells holding no particle — the only
+// thing the per-step census needs from the occupancy, without the slice.
+func (e *Engine) EmptyCells() int {
+	empty := 0
+	for c := range e.grid.NumCells() {
+		if e.cl.SlotLen(c) == 0 {
+			empty++
+		}
+	}
+	return empty
+}
+
 // rebuildCells recomputes the cell membership of every particle, as the
 // paper does every time step.
 func (e *Engine) rebuildCells() {

@@ -147,6 +147,33 @@ func TestCellOccupancySums(t *testing.T) {
 	}
 }
 
+// TestEmptyCells holds the allocation-free census count to the occupancy
+// slice it replaces in the per-step statistics, on a gas thin enough to
+// leave most cells empty.
+func TestEmptyCells(t *testing.T) {
+	sys, err := workload.LatticeGas(64, 0.01, 0.722, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(paperConfig(sys.Box), sys.Set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run(10)
+	empty := 0
+	for _, o := range e.CellOccupancy() {
+		if o == 0 {
+			empty++
+		}
+	}
+	if got := e.EmptyCells(); got != empty || empty < 64 {
+		t.Errorf("EmptyCells = %d, the occupancy has %d empty cells of %d", got, empty, e.Grid().NumCells())
+	}
+	if allocs := testing.AllocsPerRun(5, func() { e.EmptyCells() }); allocs != 0 {
+		t.Errorf("EmptyCells allocates %v times", allocs)
+	}
+}
+
 func TestPairCountPositive(t *testing.T) {
 	sys, _ := workload.LatticeGas(216, 0.256, 0.722, 17)
 	e, err := New(paperConfig(sys.Box), sys.Set)

@@ -104,12 +104,15 @@ func (s *Set) Momentum() vec.V {
 
 // Temperature returns the instantaneous reduced temperature 2*KE/(3N).
 // It returns 0 for an empty set.
-func (s *Set) Temperature() float64 {
-	n := s.Len()
+func (s *Set) Temperature() float64 { return TemperatureOf(s.KineticEnergy(), s.Len()) }
+
+// TemperatureOf is Temperature for a kinetic energy already summed: that of
+// n unit-mass particles with total kinetic energy ke, or 0 when n is 0.
+func TemperatureOf(ke float64, n int) float64 {
 	if n == 0 {
 		return 0
 	}
-	return 2 * s.KineticEnergy() / (3 * float64(n))
+	return 2 * ke / (3 * float64(n))
 }
 
 // SortByID sorts the set in place by particle ID. Used to canonicalize
