@@ -358,8 +358,8 @@ func (c *Comm) nextCollTag() int {
 	return -c.collSeq
 }
 
-// reduce gathers one value per rank at root 0 and returns the full slice on
-// rank 0 (nil elsewhere).
+// gatherAt0 gathers one value per rank at root 0 and returns the full slice
+// on rank 0 (nil elsewhere).
 func (c *Comm) gatherAt0(tag int, v any) []any {
 	if c.rank != 0 {
 		c.send(0, tag, v, 0)
@@ -476,6 +476,10 @@ func (c *Comm) Allgather(v any) []any {
 	res := c.bcastFrom0(tag2, all)
 	return res.([]any)
 }
+
+// Gather returns every rank's value, indexed by rank, on rank 0 and nil on
+// every other rank — which only sends, and so does not wait for rank 0.
+func (c *Comm) Gather(v any) []any { return c.gatherAt0(c.nextCollTag(), v) }
 
 // Broadcast sends v from root to every rank and returns it everywhere.
 func (c *Comm) Broadcast(root int, v any) any {

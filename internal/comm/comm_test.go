@@ -189,6 +189,32 @@ func TestAllgather(t *testing.T) {
 	})
 }
 
+// TestGather: rank 0 gets every rank's value, the others nil, and two
+// gathers in a row (fresh tags) do not mix their values up. One gather is
+// P-1 messages: no broadcast leg.
+func TestGather(t *testing.T) {
+	w, _ := NewWorld(5)
+	w.Run(func(c *Comm) {
+		for round := 0; round < 2; round++ {
+			all := c.Gather(10*round + c.Rank())
+			if c.Rank() != 0 {
+				if all != nil {
+					t.Errorf("rank %d: gather returned %v", c.Rank(), all)
+				}
+				continue
+			}
+			for r, v := range all {
+				if v != 10*round+r {
+					t.Errorf("round %d: all[%d] = %v", round, r, v)
+				}
+			}
+		}
+	})
+	if msgs, _ := w.Stats(); msgs != 2*4 {
+		t.Errorf("two gathers over 5 ranks took %d messages, want 8", msgs)
+	}
+}
+
 func TestBroadcast(t *testing.T) {
 	w, _ := NewWorld(5)
 	w.Run(func(c *Comm) {

@@ -27,11 +27,11 @@ import (
 // safe: neighbor exchanges are naturally step-synchronized because every
 // phase receives exactly one message per neighbor.
 const (
-	tagLoad = iota + 1
-	tagDecision
+	tagDecision = iota + 1
 	tagTransfer
 	tagMigrate
 	tagHalo
+	tagForce
 )
 
 // Stepwise command sentinels (positive values are batch sizes).
@@ -40,10 +40,20 @@ const (
 	cmdSnapshot = -2
 )
 
-// cellBlock is one cell's particle positions in a halo reply.
+// cellBlock is one cell's particle positions in a halo reply, or the forces
+// on them in the force return that answers it.
 type cellBlock struct {
 	Cell int
 	Pos  []vec.V
+}
+
+// forceReturn closes Newton's third law across a rank boundary: the forces
+// the sender's pairs put on the cells it imported from the receiver, cell
+// for cell and particle for particle as the halo reply listed them, with the
+// sender's load (the balancer's neighbor observation) riding along.
+type forceReturn struct {
+	Load  float64
+	Cells []cellBlock
 }
 
 // peRecord is the per-step census a PE contributes to the global stats.
@@ -79,14 +89,14 @@ type pe struct {
 	dirty bool              // ownership changed since cl and plan were built
 	cells []int             // scratch for the hosted cell list
 
-	// Balancer epoch state (balancer runs only), indexed by column and by
-	// neighbor position: nothing here is looked up by rank.
+	// Balancer epoch state (balancer runs only, but for nbLoad), indexed by
+	// column and by neighbor position: nothing here is looked up by rank.
 	colPop      []int             // per column: hosted particle count, 0 elsewhere
 	colLoad     func(int) float64 // colPop as the Observation's column census
-	nbLoad      []float64
+	nbLoad      []float64         // per neighbor: its load, from its last force return
 	nbDecisions [][]dlb.Decision
 
-	lastWork   float64 // pair evaluations of last force computation
+	lastWork   float64 // candidate pairs of last force computation (the census, not what was evaluated)
 	lastWall   float64 // wall seconds of last force computation
 	potE       float64 // local share of potential energy
 	moved      int     // columns moved by my decisions this step
@@ -146,11 +156,11 @@ func newPE(c *comm.Comm, cfg *Config, layout dlb.Layout, sys workload.System, ho
 	}
 	p.nbs = p.own.neighbors()
 	p.plan = newPlan(cfg.Grid.NumCells(), cfg.P, p.nbs)
+	p.nbLoad = make([]float64, len(p.nbs))
 	if cfg.Balancer != nil {
 		p.dec = cfg.Balancer.NewDecider(layout, c.Rank())
 		p.colPop = make([]int, layout.NumColumns())
 		p.colLoad = func(col int) float64 { return float64(p.colPop[col]) }
-		p.nbLoad = make([]float64, len(p.nbs))
 		p.nbDecisions = make([][]dlb.Decision, len(p.nbs))
 		pi, pj := layout.T.Coords(c.Rank())
 		for k, off := range topology.Offsets8 {
@@ -184,14 +194,15 @@ func newPE(c *comm.Comm, cfg *Config, layout dlb.Layout, sys workload.System, ho
 	return p
 }
 
-// init computes the step-0 state: bin, pull the halo, evaluate forces so
-// the first half kick has them, and (under Verify) record the global
-// particle count for conservation checks.
+// init computes the step-0 state: bin, pull the halo, evaluate forces and
+// return the neighbors' share so the first half kick has them, and (under
+// Verify) record the global particle count for conservation checks.
 func (p *pe) init() {
 	p.refreshTopology()
 	p.rebuild()
 	p.haloExchange()
 	p.computeForces()
+	p.returnForces()
 	if p.cfg.Verify || p.cfg.guardOn() {
 		p.initN = p.c.AllreduceInt64(int64(p.set.Len()), comm.SumI)
 	}
@@ -203,7 +214,7 @@ func (p *pe) init() {
 // oneStep advances this PE by time step number step (1-based, monotonic
 // across stepwise batches). Every section between t0 and the stats census
 // is attributed to one metrics phase, so the phase breakdown sums to the
-// whole-step wall time; the census allgather itself and the Verify
+// whole-step wall time; the census gather itself and the Verify
 // collectives run after the wall snapshot and stay outside the taxonomy.
 func (p *pe) oneStep(step int, res *Result) {
 	if s := p.cfg.Sabotage; s != nil && s.Kind == supervise.SabotagePanic && s.TryFire(step, p.c.Rank()) {
@@ -231,6 +242,9 @@ func (p *pe) oneStep(step int, res *Result) {
 	p.haloExchange()
 	p.tm.Stop(metrics.PhaseHalo, th)
 	p.computeForces()
+	th = p.tm.Start()
+	p.returnForces()
+	p.tm.Stop(metrics.PhaseHalo, th)
 	ti = p.tm.Start()
 	integrator.HalfKick(&p.set, p.cfg.Dt)
 	p.tm.Stop(metrics.PhaseIntegrate, ti)
@@ -317,7 +331,7 @@ func (p *pe) verifyStep(step int) {
 	if err := p.lg.CheckInvariants(); err != nil {
 		panic(fmt.Sprintf("core: rank %d step %d: %v", p.c.Rank(), step, err))
 	}
-	hosts := p.c.Allgather(p.lg.HostedColumns())
+	hosts := p.c.Gather(p.lg.HostedColumns())
 	n := p.c.AllreduceInt64(int64(p.set.Len()), comm.SumI)
 	if n != p.initN {
 		panic(fmt.Sprintf("core: step %d: particle count %d, want %d (conservation broken)", step, n, p.initN))
@@ -355,10 +369,10 @@ type loadCensus struct {
 }
 
 // observe assembles this epoch's balance.Observation. Neighbor-scope
-// balancers use the paper's protocol step 1 (one small message per
-// neighbor) byte-for-byte as the pre-interface DLB path did; global-scope
-// balancers replace it with one allgather carrying every PE's load and
-// column census.
+// balancers read the paper's protocol step 1 — the neighbors' last-step
+// loads — off the force returns that closed that step (returnForces), so the
+// epoch costs no message of its own; global-scope balancers use one
+// allgather carrying every PE's load and column census.
 func (p *pe) observe() balance.Observation {
 	obs := balance.Observation{Self: p.load()}
 
@@ -386,13 +400,6 @@ func (p *pe) observe() balance.Observation {
 		return obs
 	}
 
-	// Step 1: exchange last-step loads with the 8 neighbors.
-	for _, nb := range p.nbs {
-		p.send(metrics.PhaseDLBDecide, nb, tagLoad, p.load(), 0)
-	}
-	for k, nb := range p.nbs {
-		p.nbLoad[k] = p.c.Recv(nb, tagLoad).(float64)
-	}
 	for k, pos := range p.off8 {
 		obs.Neighbor[k] = p.nbLoad[pos]
 	}
@@ -603,8 +610,10 @@ func (p *pe) haloExchange() {
 	p.cl.SealGhosts()
 }
 
-// computeForces evaluates the short-range forces over hosted cells via the
-// shared kernel and records this step's load under both metrics.
+// computeForces evaluates the short-range forces of the pairs this PE owns
+// via the shared kernel and records this step's load under both metrics: the
+// work is the kernel's candidate census, which counts a cross-boundary pair
+// on both sides whichever evaluates it.
 func (p *pe) computeForces() {
 	p.set.ZeroForces()
 	t0 := time.Now()
@@ -614,6 +623,23 @@ func (p *pe) computeForces() {
 	p.lastWall = time.Since(t0).Seconds()
 	p.lastWork = float64(pairs)
 	p.tm.Add(metrics.PhaseForce, p.lastWall)
+}
+
+// returnForces sends every neighbor the forces computeForces put on the
+// cells imported from it, with this PE's load, and adds what the neighbors
+// computed for the cells hosted here, in neighbor, cell, particle order. A
+// return that departs from the halo reply it answers is a panic (see
+// plan.addReturn).
+func (p *pe) returnForces() {
+	for k, nb := range p.nbs {
+		ret, bytes := p.plan.packReturn(k, p.cl, p.load())
+		p.send(metrics.PhaseHalo, nb, tagForce, ret, bytes)
+	}
+	for k, nb := range p.nbs {
+		ret := p.c.Recv(nb, tagForce).(forceReturn)
+		p.plan.addReturn(p.c.Rank(), nb, k, ret.Cells, p.cl, p.set.Frc)
+		p.nbLoad[k] = ret.Load
+	}
 }
 
 // rescale applies global velocity rescaling to Tref.
@@ -655,7 +681,7 @@ func (p *pe) collectStats(step int, stepWall float64, res *Result) {
 		N:          p.set.Len(),
 		Phases:     sample,
 	}
-	all := p.c.Allgather(rec)
+	all := p.c.Gather(rec)
 	if p.c.Rank() != 0 {
 		return
 	}
@@ -767,7 +793,7 @@ func (p *pe) gatherFinal(res *Result) {
 		mine[i] = particle.One{ID: p.set.ID[i], Pos: p.set.Pos[i], Vel: p.set.Vel[i]}
 	}
 	sort.Slice(mine, func(a, b int) bool { return mine[a].ID < mine[b].ID })
-	all := p.c.Allgather(mine)
+	all := p.c.Gather(mine)
 	if p.c.Rank() != 0 {
 		return
 	}

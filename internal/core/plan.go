@@ -24,7 +24,9 @@ const (
 //
 // The halo lists come from the one walk kernel.SetHosted already made.
 // recv[k] is the ghost cells neighbor k hosts, ascending: what its reply
-// must carry. send[k] is the hosted cells neighbor k imports, ascending:
+// must carry, and what the force return to it carries back (Newton's third
+// law across the boundary: the forces this PE's pairs put on k's particles).
+// send[k] is the hosted cells neighbor k imports, ascending:
 // adjacency is symmetric, so a cell hosted here is in k's ghost set exactly
 // when one of its 26 neighbors is hosted by k — and the unhosted neighbors
 // of a hosted cell are ghost cells, whose hosts recv needed anyway. Two
@@ -32,15 +34,20 @@ const (
 // mirror image and no request has to travel.
 //
 // The send side owns its buffers: send[k]'s blocks, their positions
-// (windows of arena[k]) and out[k] are refilled in place every step. That
-// is safe on every transport because a message is consumed before its
+// (windows of arena[k]), recv[k]'s blocks, their forces (windows of the
+// kernel's ghost accumulator) and out[k] are refilled in place every step.
+// That is safe on every transport because a message is consumed before its
 // sender can reach the same phase of the next step. Each step every PE
-// exchanges exactly one migrate and then one halo message with every
-// neighbor. A receiver copies a halo reply out (SealGhosts) before it
-// leaves haloExchange, and only then goes on to send the next step's
-// migrate message, which the replying PE must receive before it packs the
-// next halo; migrate buffers are covered the same way by the halo message
-// in between. Delivery order does not enter the argument, only the order in
+// exchanges exactly one migrate, then one halo and then one force message
+// with every neighbor. A receiver copies a halo reply out (SealGhosts)
+// before it leaves haloExchange, and only then goes on to send its force
+// return, which the replying PE must receive before it reaches the next
+// step's halo; a force return is added up before its receiver leaves
+// returnForces and sends the next step's migrate message, which the
+// returning PE must receive before the Compute that refills the
+// accumulator (or the SetHosted that resizes it); migrate buffers are
+// covered the same way by the halo message in between. Delivery order does
+// not enter the argument, only the order in
 // which a rank issues its own operations, so the fault layer's jitter,
 // reordering and resends (all inside the sender's send call or flushed
 // before its next receive) change nothing; and a Remote encodes the payload
@@ -48,7 +55,7 @@ const (
 type plan struct {
 	nbPos  []int32          // per rank: its position in the PE's neighbor list, else nbUnknown
 	cellNb []int32          // per grid cell: neighbor position of its host, nbSelf, or nbUnknown
-	recv   [][]int          // per neighbor position: the cells its halo reply carries
+	recv   [][]cellBlock    // per neighbor position: the cells its halo reply carries; Pos the forces returned
 	send   [][]cellBlock    // per neighbor position: the reply to it; Cell fixed per epoch, Pos per step
 	arena  [][]vec.V        // per neighbor position: backing store of send's positions
 	out    [][]particle.One // per neighbor position: this step's emigrants
@@ -61,7 +68,7 @@ func newPlan(numCells, p int, nbs []int) *plan {
 	x := &plan{
 		nbPos:  make([]int32, p),
 		cellNb: make([]int32, numCells),
-		recv:   make([][]int, len(nbs)),
+		recv:   make([][]cellBlock, len(nbs)),
 		send:   make([][]cellBlock, len(nbs)),
 		arena:  make([][]vec.V, len(nbs)),
 		out:    make([][]particle.One, len(nbs)),
@@ -99,7 +106,7 @@ func (x *plan) rebuild(rank int, own ownership, cl *kernel.CellLists) {
 			panic(fmt.Sprintf("core: rank %d: halo cell %d hosted by non-neighbor %d", rank, c, host))
 		}
 		x.cellNb[c] = k
-		x.recv[k] = append(x.recv[k], c)
+		x.recv[k] = append(x.recv[k], cellBlock{Cell: c})
 	}
 	for s, c := range hosted {
 		x.ghosts = cl.SlotGhosts(s, x.ghosts[:0])
@@ -138,24 +145,61 @@ func (x *plan) pack(k int, cl *kernel.CellLists, pos []vec.V) ([]cellBlock, int6
 	return blocks, int64(n) * vecLen
 }
 
-// stage checks neighbor nb's reply cell for cell against what the plan says
-// it must carry and stages it into the kernel's ghost arena. A short, long,
-// misordered or repeated reply is a protocol violation, not an empty cell.
-func (x *plan) stage(rank, nb, k int, reply []cellBlock, cl *kernel.CellLists) {
-	want := x.recv[k]
-	for i := range reply {
+// match holds a message from neighbor nb to the cells the plan says it must
+// carry, cell for cell. A short, long, misordered or repeated one is a
+// protocol violation, not an empty cell.
+func match(rank, nb int, what string, got, want []cellBlock) {
+	for i := range got {
 		if i == len(want) {
-			panic(fmt.Sprintf("core: rank %d: halo reply from %d carries cell %d after the %d cells the plan expects",
-				rank, nb, reply[i].Cell, len(want)))
+			panic(fmt.Sprintf("core: rank %d: %s from %d carries cell %d after the %d cells the plan expects",
+				rank, what, nb, got[i].Cell, len(want)))
 		}
-		if reply[i].Cell != want[i] {
-			panic(fmt.Sprintf("core: rank %d: halo reply from %d carries cell %d where the plan expects cell %d (block %d of %d)",
-				rank, nb, reply[i].Cell, want[i], i, len(want)))
+		if got[i].Cell != want[i].Cell {
+			panic(fmt.Sprintf("core: rank %d: %s from %d carries cell %d where the plan expects cell %d (block %d of %d)",
+				rank, what, nb, got[i].Cell, want[i].Cell, i, len(want)))
 		}
+	}
+	if len(got) < len(want) {
+		panic(fmt.Sprintf("core: rank %d: %s from %d ends before cell %d (%d of %d cells)",
+			rank, what, nb, want[len(got)].Cell, len(got), len(want)))
+	}
+}
+
+// stage checks neighbor nb's halo reply against recv[k] and stages it into
+// the kernel's ghost arena.
+func (x *plan) stage(rank, nb, k int, reply []cellBlock, cl *kernel.CellLists) {
+	match(rank, nb, "halo reply", reply, x.recv[k])
+	for i := range reply {
 		cl.StageGhost(reply[i].Cell, reply[i].Pos)
 	}
-	if len(reply) < len(want) {
-		panic(fmt.Sprintf("core: rank %d: halo reply from %d ends before cell %d (%d of %d cells)",
-			rank, nb, want[len(reply)], len(reply), len(want)))
+}
+
+// packReturn fills the force return to neighbor position k: per cell of
+// recv[k], what the last Compute put on its imported particles, as windows
+// of the kernel's ghost accumulator.
+func (x *plan) packReturn(k int, cl *kernel.CellLists, load float64) (forceReturn, int64) {
+	blocks, n := x.recv[k], 0
+	for i := range blocks {
+		blocks[i].Pos = cl.GhostForces(blocks[i].Cell)
+		n += len(blocks[i].Pos)
+	}
+	return forceReturn{Load: load, Cells: blocks}, int64(n) * vecLen
+}
+
+// addReturn checks neighbor nb's force return against the halo reply it
+// answers — send[k] as packed this step, cell for cell and count for count —
+// and adds it to frc in cell, then particle order.
+func (x *plan) addReturn(rank, nb, k int, ret []cellBlock, cl *kernel.CellLists, frc []vec.V) {
+	sent := x.send[k]
+	match(rank, nb, "force return", ret, sent)
+	for i := range ret {
+		if len(ret[i].Pos) != len(sent[i].Pos) {
+			panic(fmt.Sprintf("core: rank %d: force return from %d carries %d forces for cell %d, sent with %d positions",
+				rank, nb, len(ret[i].Pos), ret[i].Cell, len(sent[i].Pos)))
+		}
+		idx, _ := cl.CellParticles(ret[i].Cell)
+		for j, f := range ret[i].Pos {
+			frc[idx[j]] = frc[idx[j]].Add(f)
+		}
 	}
 }

@@ -14,6 +14,8 @@ import (
 	"permcell/internal/decomp"
 	"permcell/internal/dlb"
 	"permcell/internal/kernel"
+	"permcell/internal/particle"
+	"permcell/internal/potential"
 	"permcell/internal/rng"
 	"permcell/internal/space"
 	"permcell/internal/supervise"
@@ -75,7 +77,7 @@ func checkPlansMirror(t *testing.T, plans []rankPlan) {
 			if kb < 0 {
 				t.Fatalf("rank %d lists %d as a neighbor but not the other way round", a, b)
 			}
-			send, recv, need := sendCells(pa.plan.send[ka]), pb.plan.recv[kb], pb.need[a]
+			send, recv, need := sendCells(pa.plan.send[ka]), sendCells(pb.plan.recv[kb]), pb.need[a]
 			if !slices.Equal(send, recv) {
 				t.Fatalf("rank %d sends %d the cells %v, which expects %v", a, b, send, recv)
 			}
@@ -216,7 +218,6 @@ func TestHaloPlanSymmetric(t *testing.T) {
 // rank failure. Before the plan a reply was staged as it came, and a cell
 // it left out was silently empty.
 func TestHaloReplyTamperPanics(t *testing.T) {
-	const src, dst = 0, 2 // ranks 0,1 and 2,3 are the two blocks
 	cases := []struct {
 		name   string
 		mutate func(b []cellBlock) ([]cellBlock, string)
@@ -248,48 +249,100 @@ func TestHaloReplyTamperPanics(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			sys, g := testSystem(t, 4, 0.3, 7)
-			in := instantiation{name: "split", p: 4, split: 2}
-			var seen atomic.Int32
-			var want atomic.Value
-			in.tamper = func(s, d, tag int, data any) any {
-				// The third reply on the link: the second step's, the run
-				// being two halo exchanges old by then.
-				if s != src || d != dst || tag != tagHalo || seen.Add(1) != 3 {
-					return data
-				}
-				out, msg := c.mutate(slices.Clone(data.([]cellBlock)))
-				want.Store(msg)
-				return out
-			}
-			cfg := in.config(t, g)
-			cfg.Watchdog = 50 * time.Millisecond // unwedges the block that did not fail
-			r := in.start(t, cfg, sys)
-			err := r.Step(3)
-			var rf *supervise.RankFailure
-			if !errors.As(err, &rf) {
-				t.Fatalf("Step error = %v, want *supervise.RankFailure", err)
-			}
-			if rf.Rank != dst {
-				t.Errorf("failed rank = %d, want the receiver %d", rf.Rank, dst)
-			}
-			for _, frag := range []string{fmt.Sprintf("rank %d: halo reply from %d", dst, src), want.Load().(string)} {
-				if !strings.Contains(rf.Value, frag) {
-					t.Errorf("panic %q does not say %q", rf.Value, frag)
-				}
-			}
-			if _, ferr := r.Finish(); !errors.As(ferr, &rf) {
-				t.Errorf("Finish error = %v, want the rank failure", ferr)
-			}
+			expectTamperPanic(t, tagHalo, "halo reply", func(data any) (any, string) {
+				return c.mutate(slices.Clone(data.([]cellBlock)))
+			})
+		})
+	}
+}
+
+// expectTamperPanic runs the split instantiation with the third message
+// under tag on the link from rank 0 to rank 2 — the second step's, the run
+// being two exchanges old by then — replaced by what mutate makes of it, and
+// requires the receiver to fail with a panic that names itself, the sender,
+// the message (what) and mutate's fragment, surfacing as the typed rank
+// failure.
+func expectTamperPanic(t *testing.T, tag int, what string, mutate func(data any) (any, string)) {
+	t.Helper()
+	const src, dst = 0, 2 // ranks 0,1 and 2,3 are the two blocks
+	sys, g := testSystem(t, 4, 0.3, 7)
+	in := instantiation{name: "split", p: 4, split: 2}
+	var seen atomic.Int32
+	var want atomic.Value
+	in.tamper = func(s, d, tg int, data any) any {
+		if s != src || d != dst || tg != tag || seen.Add(1) != 3 {
+			return data
+		}
+		out, msg := mutate(data)
+		want.Store(msg)
+		return out
+	}
+	cfg := in.config(t, g)
+	cfg.Watchdog = 50 * time.Millisecond // unwedges the block that did not fail
+	r := in.start(t, cfg, sys)
+	err := r.Step(3)
+	var rf *supervise.RankFailure
+	if !errors.As(err, &rf) {
+		t.Fatalf("Step error = %v, want *supervise.RankFailure", err)
+	}
+	if rf.Rank != dst {
+		t.Errorf("failed rank = %d, want the receiver %d", rf.Rank, dst)
+	}
+	for _, frag := range []string{fmt.Sprintf("rank %d: %s from %d", dst, what, src), want.Load().(string)} {
+		if !strings.Contains(rf.Value, frag) {
+			t.Errorf("panic %q does not say %q", rf.Value, frag)
+		}
+	}
+	if _, ferr := r.Finish(); !errors.As(ferr, &rf) {
+		t.Errorf("Finish error = %v, want the rank failure", ferr)
+	}
+}
+
+// TestForceReturnTamperPanics does to a force return what
+// TestHaloReplyTamperPanics does to a halo reply: a cell missing, one too
+// many, two out of order, or a cell's forces not as many as the positions
+// sent for it, each a panic on the receiving rank — never forces added to
+// the wrong particles, or a cell's share of Newton's third law dropped.
+func TestForceReturnTamperPanics(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(b []cellBlock) ([]cellBlock, string)
+	}{
+		{"missing cell", func(b []cellBlock) ([]cellBlock, string) {
+			return b[:len(b)-1], fmt.Sprintf("ends before cell %d", b[len(b)-1].Cell)
+		}},
+		{"extra cell", func(b []cellBlock) ([]cellBlock, string) {
+			return append(b, cellBlock{Cell: b[0].Cell}), fmt.Sprintf("carries cell %d after the %d cells", b[0].Cell, len(b))
+		}},
+		{"reordered", func(b []cellBlock) ([]cellBlock, string) {
+			want := fmt.Sprintf("carries cell %d where the plan expects cell %d", b[1].Cell, b[0].Cell)
+			b[0], b[1] = b[1], b[0]
+			return b, want
+		}},
+		{"wrong force count", func(b []cellBlock) ([]cellBlock, string) {
+			i := slices.IndexFunc(b, func(blk cellBlock) bool { return len(blk.Pos) > 0 })
+			want := fmt.Sprintf("carries %d forces for cell %d, sent with %d positions", len(b[i].Pos)-1, b[i].Cell, len(b[i].Pos))
+			b[i].Pos = b[i].Pos[1:]
+			return b, want
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			expectTamperPanic(t, tagForce, "force return", func(data any) (any, string) {
+				ret := data.(forceReturn)
+				cells, msg := c.mutate(slices.Clone(ret.Cells))
+				return forceReturn{Load: ret.Load, Cells: cells}, msg
+			})
 		})
 	}
 }
 
 // TestStepAllocsSteadyState bounds what one Step(1) of a static pillar run
 // at P=4 allocates, over all four rank goroutines and the driver. What is
-// left is the census (an allgather of boxed records and what rank 0 folds
-// them into), one interface box per non-empty message, and the driver's
-// per-command channels and goroutines: 28 objects when this was written.
+// left is the census (a gather of boxed records and what rank 0 folds them
+// into), one interface box per non-empty message, and the driver's
+// per-command channels and goroutines: 39 objects, 28 before the force
+// return gave every neighbor link a third (boxed) message a step.
 // With the need-list round — a map, its lists, fresh reply blocks and
 // positions, eight boxed messages per rank — the same step allocated 299,
 // so a per-step map or list coming back fails here, not in a benchmark.
@@ -319,7 +372,8 @@ func TestStepAllocsSteadyState(t *testing.T) {
 
 // TestPlanPackReusesItsArena pins the send side's buffer contract: packing
 // the same reply twice returns the same blocks over the same backing array,
-// with every block a capacity-clipped window of it.
+// with every block a capacity-clipped window of it — and the same for the
+// force return, whose blocks are windows of the kernel's ghost accumulator.
 func TestPlanPackReusesItsArena(t *testing.T) {
 	sys, g := testSystem(t, 4, 0.3, 7)
 	d, err := decomp.New(decomp.SquarePillar, g, 4)
@@ -362,58 +416,98 @@ func TestPlanPackReusesItsArena(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, func() { x.pack(0, cl, mine) }); allocs != 0 {
 		t.Errorf("a repeated pack allocates %v times", allocs)
 	}
+
+	// The force return to the same neighbor: one block per cell its halo
+	// reply carries, each as long as what was staged for the cell.
+	cl.ClearGhosts()
+	staged := make(map[int]int)
+	for i, gc := range cl.GhostCells() {
+		staged[gc] = i % 3
+		cl.StageGhost(gc, make([]vec.V, i%3))
+	}
+	cl.SealGhosts()
+	set := particle.Set{Pos: mine, Frc: make([]vec.V, len(mine))}
+	cl.Compute(potential.NewPaperLJ(), &set)
+	ret, bytes := x.packReturn(0, cl, 42)
+	if ret.Load != 42 || len(ret.Cells) != len(x.recv[0]) || len(ret.Cells) == 0 {
+		t.Fatalf("return of %d cells with load %v, the plan expects %d cells of neighbor %d", len(ret.Cells), ret.Load, len(x.recv[0]), nbs[0])
+	}
+	n = 0
+	for _, blk := range ret.Cells {
+		if len(blk.Pos) != staged[blk.Cell] || cap(blk.Pos) != len(blk.Pos) {
+			t.Fatalf("cell %d: %d forces (cap %d) for %d staged positions", blk.Cell, len(blk.Pos), cap(blk.Pos), staged[blk.Cell])
+		}
+		n += len(blk.Pos)
+	}
+	if n == 0 || bytes != int64(n)*24 {
+		t.Fatalf("return of %d forces counted as %d bytes", n, bytes)
+	}
+	again, _ := x.packReturn(0, cl, 42)
+	if &again.Cells[0] != &ret.Cells[0] {
+		t.Error("a repeated packReturn hands out new blocks")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { x.packReturn(0, cl, 42) }); allocs != 0 {
+		t.Errorf("a repeated packReturn allocates %v times", allocs)
+	}
 }
 
 // TestSendBufferReuseUnderReordering runs a balanced, migrating system under
 // a fault plan that delays, holds back, reorders and resends messages, with
 // the census — the one collective that would otherwise line every rank up
 // once a step — taken only every seventh step, and requires the records and
-// the final state of the fault-free run bit for bit. Every halo reply and
-// migrate list in it is a buffer its sender refills a step later; under the
-// race detector (the CI step that runs this) a refill that could overlap a
-// neighbor still reading is a reported race, not a rare wrong bit.
+// the final state of the fault-free run bit for bit. Every halo reply,
+// force return and migrate list in it is a buffer its sender refills a step
+// later — the force return's blocks are windows of the kernel's own ghost
+// accumulator, which the next Compute clears — so under the race detector
+// (the CI step that runs this) a refill that could overlap a neighbor still
+// reading is a reported race, not a rare wrong bit. A second fault seed and
+// a sharded kernel (the accumulator is then reduced by the worker pool)
+// widen the interleavings the force return is seen under.
 func TestSendBufferReuseUnderReordering(t *testing.T) {
 	sys, g := blobSystem(t, 6)
-	run := func(faults *comm.FaultPlan) *Result {
-		cfg := baseConfig(g, 9)
-		cfg.Dt = 0.004
-		cfg.Balancer = balance.PermanentCell{}
-		cfg.StatsEvery = 7
-		cfg.Faults = faults
-		res, err := Run(cfg, sys, 42)
-		if err != nil {
-			t.Fatal(err)
+	for _, shards := range []int{1, 2} {
+		run := func(faults *comm.FaultPlan) *Result {
+			cfg := baseConfig(g, 9)
+			cfg.Dt = 0.004
+			cfg.Balancer = balance.PermanentCell{}
+			cfg.StatsEvery = 7
+			cfg.Shards = shards
+			cfg.Faults = faults
+			res, err := Run(cfg, sys, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
 		}
-		return res
-	}
-	clean := run(nil)
-	moved := 0
-	for _, st := range clean.Stats {
-		moved += st.Moved
-	}
-	if moved == 0 {
-		t.Fatal("no column moved: the plan was never rebuilt mid-run")
-	}
-	chaos := run(&comm.FaultPlan{
-		Seed:      11,
-		DelayProb: 0.05, MaxDelay: 200 * time.Microsecond,
-		ReorderProb: 0.3, ReorderDepth: 3,
-		FailProb: 0.05, Backoff: 20 * time.Microsecond,
-	})
-	if chaos.Faults.Reorders == 0 || chaos.Faults.Retries == 0 || chaos.Faults.Delays == 0 {
-		t.Fatalf("fault plan injected too little: %+v", chaos.Faults)
-	}
-	if len(chaos.Stats) != len(clean.Stats) {
-		t.Fatalf("%d records under faults, %d without", len(chaos.Stats), len(clean.Stats))
-	}
-	for i := range clean.Stats {
-		if !stepsEqualDeterministic(chaos.Stats[i], clean.Stats[i]) {
-			t.Fatalf("record %d differs under the fault plan", i)
+		clean := run(nil)
+		moved := 0
+		for _, st := range clean.Stats {
+			moved += st.Moved
 		}
-	}
-	for i := range clean.Final.ID {
-		if chaos.Final.ID[i] != clean.Final.ID[i] || chaos.Final.Pos[i] != clean.Final.Pos[i] || chaos.Final.Vel[i] != clean.Final.Vel[i] {
-			t.Fatalf("particle %d differs under the fault plan", clean.Final.ID[i])
+		if moved == 0 {
+			t.Fatal("no column moved: the plan was never rebuilt mid-run")
+		}
+		chaos := run(&comm.FaultPlan{
+			Seed:      uint64(10 + shards),
+			DelayProb: 0.05, MaxDelay: 200 * time.Microsecond,
+			ReorderProb: 0.3, ReorderDepth: 3,
+			FailProb: 0.05, Backoff: 20 * time.Microsecond,
+		})
+		if chaos.Faults.Reorders == 0 || chaos.Faults.Retries == 0 || chaos.Faults.Delays == 0 {
+			t.Fatalf("shards=%d: fault plan injected too little: %+v", shards, chaos.Faults)
+		}
+		if len(chaos.Stats) != len(clean.Stats) {
+			t.Fatalf("shards=%d: %d records under faults, %d without", shards, len(chaos.Stats), len(clean.Stats))
+		}
+		for i := range clean.Stats {
+			if !stepsEqualDeterministic(chaos.Stats[i], clean.Stats[i]) {
+				t.Fatalf("shards=%d: record %d differs under the fault plan", shards, i)
+			}
+		}
+		for i := range clean.Final.ID {
+			if chaos.Final.ID[i] != clean.Final.ID[i] || chaos.Final.Pos[i] != clean.Final.Pos[i] || chaos.Final.Vel[i] != clean.Final.Vel[i] {
+				t.Fatalf("shards=%d: particle %d differs under the fault plan", shards, clean.Final.ID[i])
+			}
 		}
 	}
 }

@@ -24,9 +24,9 @@ import (
 // The full payload inventory of the per-step protocol:
 //
 //	id  type             carried by                        layout                               bytes
-//	 1  float64          tagLoad, AllreduceFloat64         bits                                 8
+//	 1  float64          AllreduceFloat64                  bits                                 8
 //	 2  int64            AllreduceInt64                    value                                8
-//	 3  []int            verifyStep's Allgather            n, n x int                           4 + 8n
+//	 3  []int            verifyStep's Gather               n, n x int                           4 + 8n
 //	 4  []float64        (registered, unused per step)     n, n x bits                          4 + 8n
 //	 5  []any            Allgather's broadcast leg         n, n x (id + body), nested           4 + ...
 //	16  []dlb.Decision   tagDecision                       n, n x {Col, Dest}                   4 + 16n
@@ -34,7 +34,8 @@ import (
 //	18  []cellBlock      tagHalo                           nb, np, nb x {Cell, n}, np x vec     8 + 12nb + 24np
 //	19  colTransfer      tagTransfer                       nPs, nFrc, nPs x One, nFrc x vec     8 + 56nPs + 24nFrc
 //	20  loadCensus       global-scope balancer Allgather   Load, Cols, Pop                      16 + 8(nc + np)
-//	21  peRecord         collectStats' Allgather           11 scalars, Phases (3 x 7)           256
+//	21  peRecord         collectStats' Gather              11 scalars, Phases (3 x 7)           256
+//	22  forceReturn      tagForce                          Load, then as []cellBlock (forces)   16 + 12nb + 24np
 //
 // A vec is three float64 (24 bytes). Ids 1..5 are registered by
 // internal/transport itself.
@@ -45,6 +46,7 @@ const (
 	idColumn     byte = 19
 	idCensus     byte = 20
 	idPERecord   byte = 21
+	idForces     byte = 22
 )
 
 const (
@@ -274,4 +276,11 @@ func init() {
 			return loadCensus{Load: r.Float64(), Cols: r.Ints(), Pop: r.Ints()}
 		})
 	transport.RegisterPayload(idPERecord, encodePERecord, decodePERecord)
+	transport.RegisterPayload(idForces,
+		func(b []byte, f forceReturn) []byte {
+			return encodeCellBlocks(transport.AppendFloat64(b, f.Load), f.Cells)
+		},
+		func(r *transport.Reader) forceReturn {
+			return forceReturn{Load: r.Float64(), Cells: decodeCellBlocks(r)}
+		})
 }

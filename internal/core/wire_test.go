@@ -34,6 +34,7 @@ func init() {
 	gob.Register([]cellBlock(nil))
 	gob.Register(loadCensus{})
 	gob.Register(peRecord{})
+	gob.Register(forceReturn{})
 }
 
 func viaGob(t *testing.T, v any) any {
@@ -170,6 +171,10 @@ func TestPayloadInventory(t *testing.T) {
 		{name: "colTransfer uneven", v: colTransfer{Ps: []particle.One{one}}},
 		{name: "loadCensus", v: loadCensus{Load: 1e6, Cols: []int{0, 1, 2}, Pop: []int{40, 0, 7}}},
 		{name: "loadCensus no columns", v: loadCensus{Load: nan}},
+		{name: "forceReturn", v: forceReturn{Load: 123456, Cells: []cellBlock{{Cell: 4, Pos: []vec.V{v1, v1}}, {Cell: 5}, {Cell: 6, Pos: []vec.V{v1}}}}},
+		{name: "forceReturn odd floats", v: forceReturn{Load: nan, Cells: []cellBlock{{Cell: -1, Pos: []vec.V{vOdd}}}}, gobLosesSign: true},
+		{name: "forceReturn no cells", v: forceReturn{Load: negZero}, gobLosesSign: true},
+		{name: "forceReturn empty cells", v: forceReturn{Cells: []cellBlock{}}},
 		{name: "peRecord", v: rec},
 		{name: "peRecord zero", v: peRecord{}},
 		{name: "peRecord odd floats", v: recOdd, gobLosesSign: true},
@@ -261,6 +266,7 @@ func TestPayloadCodecCoversProtocol(t *testing.T) {
 		cfg := in.config(t, g)
 		cfg.Balancer = b
 		cfg.Verify = true
+		cfg.RescaleEvery = 20 // inside the run: the float64 allreduce crosses too
 		r := in.start(t, cfg, sys)
 		if err := r.Step(40); err != nil {
 			t.Fatalf("%s: %v", b.Name(), err)
@@ -280,7 +286,7 @@ func TestPayloadCodecCoversProtocol(t *testing.T) {
 	}
 	want := []any{
 		float64(0), int64(0), []int(nil), []any(nil), []dlb.Decision(nil), []particle.One(nil),
-		[]cellBlock(nil), colTransfer{}, loadCensus{}, peRecord{},
+		[]cellBlock(nil), colTransfer{}, loadCensus{}, peRecord{}, forceReturn{},
 	}
 	for _, v := range want {
 		if typ := reflect.TypeOf(v); !sent[typ] {

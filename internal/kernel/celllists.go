@@ -22,12 +22,14 @@ import (
 //     positions copied into part order: a cell's particles are one
 //     contiguous run, and both inner loops index that run directly;
 //   - a precomputed half stencil per hosted cell (SetHosted): the
-//     Neighbors26 walk with each neighbor resolved once to either a
-//     hosted-cell slot — kept only for the ~13 higher-id cells, so every
-//     hosted-hosted pair is computed exactly once and scattered to both
-//     particles (Newton's third law) — or a ghost-cell slot (one-sided),
-//     plus a one-byte code per entry naming its min-image round term in a
-//     27-entry table; built in one map-free pass over the hosted cells and
+//     Neighbors26 walk with each neighbor resolved once to a hosted-cell
+//     slot or a ghost-cell slot, under one ownership rule: the host of the
+//     lower cell id evaluates the pair, once, and scatters the force to
+//     both particles (Newton's third law). Hosted entries are kept only for
+//     the ~13 higher-id cells; an entry towards a lower ghost cell stays as
+//     a count-only entry (its host evaluates the pair and returns the
+//     forces). A one-byte code per entry names its min-image round term in
+//     a 27-entry table; built in one map-free pass over the hosted cells and
 //     only when the hosted set changes (a DLB column move), not every step;
 //   - a flat ghost arena (StageGhost/SealGhosts): every ghost cell's
 //     imported positions are staged at the cell's own slot, in whatever
@@ -37,10 +39,11 @@ import (
 //     walks exactly its own cells instead of filtering the full hosted
 //     list every step;
 //   - per shard, a fixed hit buffer and force accumulators in part order
-//     (the same index as the positions, no particle-id indirection): the
-//     accumulators are zeroed and reduced into the caller's force array
-//     inside the parallel section (fixed order, so bits do not depend on
-//     worker timing).
+//     (the same index as the positions, no particle-id indirection) and, for
+//     the imported particles, in ghost-arena order: zeroed and reduced — into
+//     the caller's force array and into shard 0's ghost accumulator — inside
+//     the parallel section (fixed order, so bits do not depend on worker
+//     timing).
 //
 // The force pass (computeShard) is two phases over one visiting order. The
 // search phase computes every candidate pair's squared distance in a small
@@ -76,7 +79,7 @@ type CellLists struct {
 	cells      []int     // hosted cell ids, ascending
 	slotOf     []int32   // per grid cell: hosted slot s >= 0, ghost -2-gs, else -1
 	stencil    []int32   // >= 0: hosted slot (higher cell id); < 0: -1-ghostSlot
-	stCode     []uint8   // per stencil entry: index of its round term in shift
+	stCode     []uint8   // per stencil entry: index of its round term in shift, or countOnly
 	stStart    []int32   // CSR offsets into stencil, len(cells)+1
 	ghostCells []int     // unhosted neighbor cell ids, ascending
 	shardSlot  []int32   // hosted slots grouped by shard (CSR), ascending per shard
@@ -101,9 +104,11 @@ type CellLists struct {
 	ghostPos   []vec.V
 
 	// Per-shard state of the force pass, reduced in fixed shard order.
-	acc  []shardAcc
-	hits [][hitCap]uint64 // search-phase output, flushed whenever it fills
-	pfrc [][]vec.V        // force accumulators in part order, sized by Bin
+	acc       []shardAcc
+	hits      [][hitCap]uint64 // search-phase output, flushed whenever it fills
+	pfrc      [][]vec.V        // force accumulators in part order, sized by Bin
+	gfrc      [][]vec.V        // ghost force accumulators in ghostPos order, sized by SealGhosts
+	evaluated int64            // the last Compute's pairs less its count-only candidates
 
 	// Bounded worker pool (started lazily, only when shards > 1).
 	pair   potential.Pair // current Compute target
@@ -125,17 +130,19 @@ const (
 
 // shardAcc is one shard's share of the scalars Compute returns.
 type shardAcc struct {
-	pot, vir float64
-	prs      int64
+	pot, vir  float64
+	prs, lent int64 // candidate pairs counted; of those, left to a lower ghost's host
 }
 
 // Codes of the min-image round term along one axis: none, -L (the neighbor
 // wrapped below zero) and +L (above). A stencil entry's code is
-// cx + 3*cy + 9*cz.
+// cx + 3*cy + 9*cz, or countOnly for a ghost cell below the hosted one: that
+// pair belongs to the ghost's host, and this side only counts its candidates.
 const (
 	wrapNone uint8 = iota
 	wrapBelow
 	wrapAbove
+	countOnly uint8 = 27
 )
 
 // wrapCoord maps the cell coordinate u of a neighbor offset (so u is in
@@ -182,6 +189,7 @@ func NewCellLists(g space.Grid, shards int) *CellLists {
 	cl.acc = make([]shardAcc, shards)
 	cl.hits = make([][hitCap]uint64, shards)
 	cl.pfrc = make([][]vec.V, shards)
+	cl.gfrc = make([][]vec.V, shards)
 	return cl
 }
 
@@ -241,7 +249,8 @@ func (cl *CellLists) SetHosted(cells []int) {
 	// Stencils and ghost cells in one walk: the 26 offsets of every hosted
 	// cell in dz, dy, dx ascending order, each neighbor encoded as a hosted
 	// slot (kept only for higher cell ids — the pair is owned by the lower
-	// cell) or a ghost. That is the Neighbors26 order with the first
+	// cell) or a ghost (count-only when it is the lower cell: the import set
+	// and the census stay whole). That is the Neighbors26 order with the first
 	// occurrence kept, which fixes the summation order; the walk is inline
 	// because it also needs the wrap direction of each offset — the code of
 	// its min-image round term. Offsets collide only on a grid with a
@@ -274,7 +283,7 @@ func (cl *CellLists) SetHosted(cells []int) {
 						seen[nSeen] = nc
 						nSeen++
 					}
-					v := cl.slotOf[nc]
+					v, code := cl.slotOf[nc], cx+3*cy+9*cz
 					if v >= 0 {
 						if nc <= c {
 							continue // hosted-hosted pair owned by the lower cell
@@ -285,9 +294,12 @@ func (cl *CellLists) SetHosted(cells []int) {
 							cl.ghostCells = append(cl.ghostCells, nc)
 						}
 						v = -1 - int32(nc)
+						if nc < c {
+							code = countOnly
+						}
 					}
 					cl.stencil = append(cl.stencil, v)
-					cl.stCode = append(cl.stCode, cx+3*cy+9*cz)
+					cl.stCode = append(cl.stCode, code)
 				}
 			}
 		}
@@ -481,28 +493,49 @@ func (cl *CellLists) SealGhosts() {
 		cl.ghostIn[gs] = nil
 	}
 	cl.ghostStart[len(cl.ghostCells)] = int32(len(cl.ghostPos))
-	if len(cl.ghostPos) > maxIndex {
-		panic(fmt.Sprintf("kernel: %d ghost positions, the hit encoding holds %d", len(cl.ghostPos), maxIndex))
+	n := len(cl.ghostPos)
+	if n > maxIndex {
+		panic(fmt.Sprintf("kernel: %d ghost positions, the hit encoding holds %d", n, maxIndex))
+	}
+	for sh := range cl.gfrc {
+		cl.gfrc[sh] = slices.Grow(cl.gfrc[sh][:0], n)[:n]
 	}
 }
 
 // GhostLen returns the number of imported positions after SealGhosts.
 func (cl *CellLists) GhostLen() int { return len(cl.ghostPos) }
 
+// GhostForces returns what the last Compute put on the imported particles of
+// the given ghost cell, in the order they were staged: the other half of
+// every pair this domain evaluated against them, for the cell's host to add.
+// The window aliases the kernel's arena and is valid until the next Compute.
+func (cl *CellLists) GhostForces(cell int) []vec.V {
+	gs := -2 - cl.slotOf[cell]
+	lo, hi := cl.ghostStart[gs], cl.ghostStart[gs+1]
+	return cl.gfrc[0][lo:hi:hi]
+}
+
+// Evaluated returns the number of pair distances the last Compute actually
+// evaluated: its pair count less the candidates of count-only entries.
+func (cl *CellLists) Evaluated() int64 { return cl.evaluated }
+
 // Compute accumulates short-range pair forces into s.Frc (which must be
-// zeroed by the caller) over the hosted cells and returns this domain's
-// share of the potential energy, the pair virial sum(f*r2) (ghost pairs
-// contribute half, like the energy), and the number of pair-distance
-// evaluations (the deterministic work metric). Pairs between two hosted
-// cells use Newton's third law over the half stencil (each pair computed
-// exactly once, the force scattered to both particles); pairs against
-// ghost positions are evaluated one-sided with the energy and virial split
-// half/half between the two hosts.
+// zeroed by the caller) over the pairs this domain owns — every pair of two
+// hosted cells, and every pair of a hosted cell with a ghost cell of higher
+// id — each evaluated exactly once with the force scattered to both
+// particles (Newton's third law): a hosted one into s.Frc, an imported one
+// into the ghost accumulator its host collects through GhostForces. It
+// returns the full potential energy and pair virial sum(f*r2) of those
+// pairs, so both sum over domains to the system's, and pairs, the census of
+// the domain's candidate pairs (the deterministic work metric): every pair
+// within a hosted cell or between it and a stencil neighbor, hosted or
+// ghost. A cross-boundary pair is thus counted on both sides and evaluated
+// on one; Evaluated reports what was computed here.
 //
-// Every shard accumulates into its own buffer, held in part order (next to
-// the positions the inner loops read); the buffers are zeroed by their
-// shards and then added into s.Frc particle by particle, shards ascending,
-// so the bits never depend on worker timing.
+// Every shard accumulates into its own buffers, held in part order (next to
+// the positions the inner loops read) and in ghost-arena order; the buffers
+// are zeroed by their shards and then added up particle by particle, shards
+// ascending, so the bits never depend on worker timing.
 func (cl *CellLists) Compute(pair potential.Pair, s *particle.Set) (potE, virial float64, pairs int64) {
 	cl.pair, cl.frcDst = pair, s.Frc
 	if cl.shards == 1 {
@@ -522,10 +555,12 @@ func (cl *CellLists) Compute(pair potential.Pair, s *particle.Set) (potE, virial
 		cl.dispatch()
 	}
 	cl.pair, cl.frcDst = nil, nil
+	cl.evaluated = 0
 	for _, a := range cl.acc {
 		potE += a.pot
 		virial += a.vir
 		pairs += a.prs
+		cl.evaluated += a.prs - a.lent
 	}
 	return potE, virial, pairs
 }
@@ -545,7 +580,8 @@ func (cl *CellLists) dispatch() {
 // into frcDst: for each particle, the shard buffers added in fixed shard
 // order (0, 1, 2, ...). The per-particle sums are independent, so the
 // result is bit-identical to a serial fixed-order reduction regardless of
-// how the range is divided among workers.
+// how the range is divided among workers. The ghost accumulators are summed
+// the same way, into shard 0's.
 func (cl *CellLists) reduceRange(sh int) {
 	dst := cl.frcDst
 	n := len(cl.part)
@@ -558,6 +594,12 @@ func (cl *CellLists) reduceRange(sh int) {
 			f = f.Add(ff[k])
 		}
 		dst[i] = f
+	}
+	g0 := cl.gfrc[0]
+	for k := sh * len(g0) / cl.shards; k < (sh+1)*len(g0)/cl.shards; k++ {
+		for _, gg := range cl.gfrc[1:] {
+			g0[k] = g0[k].Add(gg[k])
+		}
 	}
 }
 
@@ -635,6 +677,7 @@ type pass struct {
 	hits     *[hitCap]uint64
 	n        uint64  // hits buffered
 	frc      []vec.V // force accumulators in part order
+	gfrc     []vec.V // ghost force accumulators in ghostPos order
 	pot, vir float64
 	rc2      float64
 }
@@ -697,13 +740,11 @@ func (ps *pass) flush() {
 		}
 		fv := d.Scale(f)
 		frc[a] = frc[a].Add(fv)
+		pot += en
+		vir += f * r2
 		if ghost {
-			// One-sided: the ghost's host computes the other half.
-			pot += en / 2
-			vir += f * r2 / 2
+			ps.gfrc[b] = ps.gfrc[b].Sub(fv) // for the ghost's host to add
 		} else {
-			pot += en
-			vir += f * r2
 			frc[b] = frc[b].Sub(fv)
 		}
 	}
@@ -716,9 +757,10 @@ func (ps *pass) flush() {
 // phase whenever the hit buffer fills and once at the end.
 func (cl *CellLists) computeShard(sh int) {
 	clear(cl.pfrc[sh])
+	clear(cl.gfrc[sh])
 	rc := cl.pair.Cutoff()
-	ps := pass{cl: cl, hits: &cl.hits[sh], frc: cl.pfrc[sh], rc2: rc * rc}
-	var pairs int64
+	ps := pass{cl: cl, hits: &cl.hits[sh], frc: cl.pfrc[sh], gfrc: cl.gfrc[sh], rc2: rc * rc}
+	var pairs, lent int64
 	for _, slot := range cl.shardSlot[cl.shardStart[sh]:cl.shardStart[sh+1]] {
 		lo, hi := cl.start[slot], cl.start[slot+1]
 		if lo == hi {
@@ -734,8 +776,9 @@ func (cl *CellLists) computeShard(sh int) {
 			ps.search(row<<hitAShift+row+1, lpos[a:a+1], lpos[a+1:])
 		}
 		// Half-stencil neighbors, in Neighbors26 order: hosted entries are
-		// the ~13 higher-id cells (pair owned here, force scattered to both
-		// sides), ghost entries are one-sided.
+		// the ~13 higher-id cells, ghost entries the higher-id ones too (pair
+		// owned here, force scattered to both sides) — and the lower-id
+		// ghosts, whose candidates are counted and left to their host.
 		st := cl.stencil[cl.stStart[slot]:cl.stStart[slot+1]]
 		codes := cl.stCode[cl.stStart[slot]:cl.stStart[slot+1]]
 		for k, e := range st {
@@ -752,11 +795,15 @@ func (cl *CellLists) computeShard(sh int) {
 				continue // empty neighbor
 			}
 			pairs += nl * int64(len(q))
+			if codes[k] == countOnly {
+				lent += nl * int64(len(q))
+				continue
+			}
 			ps.search(key, lpos, q)
 		}
 	}
 	ps.flush()
-	cl.acc[sh] = shardAcc{pot: ps.pot, vir: ps.vir, prs: pairs}
+	cl.acc[sh] = shardAcc{pot: ps.pot, vir: ps.vir, prs: pairs, lent: lent}
 }
 
 // ensurePool starts the bounded worker pool (one goroutine per shard). The

@@ -130,9 +130,13 @@ func FuzzCellListsConstruction(f *testing.F) {
 					ghost[c] = append(ghost[c], p)
 				}
 			}
-			wantPot, _, wantPairs := mapPairForces(g, lj, ref, cellMap, hosted, ghost)
-			if pairs != wantPairs {
-				t.Fatalf("shards=%d: pairs %d, map kernel %d", shards, pairs, wantPairs)
+			want := mapPairForces(g, lj, ref, cellMap, hosted, ghost)
+			wantPot := want.pot
+			if pairs != want.pairs || cl.Evaluated() != want.evaluated {
+				t.Fatalf("shards=%d: pairs %d evaluated %d, map kernel %d %d", shards, pairs, cl.Evaluated(), want.pairs, want.evaluated)
+			}
+			if d := diffGhostForces(cl, want.ghost, float64(shards-1)*1e-9); d != "" {
+				t.Fatalf("shards=%d: %s", shards, d)
 			}
 			if shards == 1 {
 				if math.Float64bits(pot) != math.Float64bits(wantPot) {

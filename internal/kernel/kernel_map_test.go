@@ -10,6 +10,7 @@ package kernel
 // the kernel's data layout and loop structure.
 
 import (
+	"fmt"
 	"sort"
 
 	"permcell/internal/particle"
@@ -18,14 +19,21 @@ import (
 	"permcell/internal/vec"
 )
 
+// mapForces is what mapPairForces returns beside the forces in s.Frc.
+type mapForces struct {
+	pot, vir         float64
+	pairs, evaluated int64           // candidates counted; distances computed
+	ghost            map[int][]vec.V // per ghost cell: the forces on its imported particles
+}
+
 // mapPairForces accumulates pair forces into s.Frc (which the caller must
 // zero) using the historical map-based cell lists. cellMap maps each
 // hosted cell to the local particle indices inside it, hosted marks the
 // hosted cells, and ghost carries imported positions by cell. Semantics
-// match CellLists.Compute: hosted-hosted pairs once via the lower cell id
-// with the force scattered to both sides, ghost pairs one-sided with half
-// the energy and virial. Returns this domain's potential-energy share, the
-// pair virial sum(f*r2) and the number of pair-distance evaluations.
+// match CellLists.Compute: a pair of neighboring cells is evaluated by the
+// host of the lower cell id, once, with the force scattered to both sides —
+// into s.Frc or into the ghost cell's returned forces — and the full energy
+// and virial; a pair with a lower ghost cell is only counted.
 func mapPairForces(
 	g space.Grid,
 	pair potential.Pair,
@@ -33,7 +41,13 @@ func mapPairForces(
 	cellMap map[int][]int,
 	hosted map[int]bool,
 	ghost map[int][]vec.V,
-) (potE, virial float64, pairs int64) {
+) mapForces {
+	var potE, virial float64
+	var pairs, lent int64
+	ghostFrc := make(map[int][]vec.V, len(ghost))
+	for c, pos := range ghost {
+		ghostFrc[c] = make([]vec.V, len(pos))
+	}
 	rc2 := pair.Cutoff() * pair.Cutoff()
 	box := g.Box
 
@@ -90,22 +104,47 @@ func mapPairForces(
 				}
 				continue
 			}
-			gpos := ghost[nc]
+			gpos, gfrc := ghost[nc], ghostFrc[nc]
+			pairs += int64(len(locals) * len(gpos))
+			if nc < cell {
+				lent += int64(len(locals) * len(gpos))
+				continue // the lower cell's host evaluates the pair
+			}
 			for _, i := range locals {
-				for _, q := range gpos {
-					pairs++
+				for j, q := range gpos {
 					d := box.Displacement(s.Pos[i], q)
 					r2 := d.Norm2()
 					if r2 >= rc2 || r2 == 0 {
 						continue
 					}
 					en, f := pair.EnergyForce(r2)
-					potE += en / 2
-					virial += f * r2 / 2
-					s.Frc[i] = s.Frc[i].Add(d.Scale(f))
+					potE += en
+					virial += f * r2
+					fv := d.Scale(f)
+					s.Frc[i] = s.Frc[i].Add(fv)
+					gfrc[j] = gfrc[j].Sub(fv)
 				}
 			}
 		}
 	}
-	return potE, virial, pairs
+	return mapForces{pot: potE, vir: virial, pairs: pairs, evaluated: pairs - lent, ghost: ghostFrc}
+}
+
+// diffGhostForces compares the ghost forces cl's last Compute returned with
+// the oracle's, cell by cell — bit for bit when tol is 0, else to tol
+// relative — and returns the first difference, or "".
+func diffGhostForces(cl *CellLists, want map[int][]vec.V, tol float64) string {
+	for _, c := range cl.GhostCells() {
+		got := cl.GhostForces(c)
+		if len(got) != len(want[c]) {
+			return fmt.Sprintf("ghost cell %d: %d returned forces, oracle %d", c, len(got), len(want[c]))
+		}
+		for j, f := range got {
+			w := want[c][j]
+			if tol == 0 && !sameOrNaN(f, w) || tol > 0 && f.Dist(w) > tol*(1+w.Norm()) {
+				return fmt.Sprintf("ghost cell %d particle %d: returned force %v, oracle %v", c, j, f, w)
+			}
+		}
+	}
+	return ""
 }

@@ -139,48 +139,14 @@ func TestFlatAllHostedMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestFlatGhostSplitMatchesBruteForce(t *testing.T) {
-	// Split the box into two hosts at a cell boundary; each side computes
-	// with the other side's particles as ghosts. Summed energies must equal
-	// the brute-force total, and each local particle's force must match.
-	sys, g := setup(t)
-	lj := potential.NewPaperLJ()
-	wantFrc, wantPot := bruteForce(g.Box, lj, sys.Set.Pos)
-
-	half := g.Nx / 2
-	inA := func(cell int) bool { ix, _, _ := g.Coords(cell); return ix < half }
-
-	for _, shards := range []int{1, 2, 8} {
-		var totalPot float64
-		for side := 0; side < 2; side++ {
-			pred := inA
-			if side == 1 {
-				pred = func(cell int) bool { return !inA(cell) }
-			}
-			local, idxOf := localSubset(g, sys.Set, pred)
-			cl := buildFlat(t, g, shards, local, sys.Set.Pos, pred)
-			local.ZeroForces()
-			pot, _, _ := cl.Compute(lj, local)
-			totalPot += pot
-			for gi, li := range idxOf {
-				if wantFrc[gi].Dist(local.Frc[li]) > 1e-9*(1+wantFrc[gi].Norm()) {
-					t.Fatalf("shards=%d side %d: particle %d force mismatch", shards, side, gi)
-				}
-			}
-		}
-		if math.Abs(totalPot-wantPot) > 1e-9*(1+math.Abs(wantPot)) {
-			t.Errorf("shards=%d: summed pot = %v, want %v", shards, totalPot, wantPot)
-		}
-	}
-}
-
 // TestFlatMatchesMapKernel cross-checks the flat kernel against the
 // historical map-based kernel on randomized configurations — random hosted
 // column subsets (so hosted regions have ragged ghost boundaries and empty
 // cells) with the rest of the system imported as ghosts. Shard count 1 must
 // reproduce the map kernel bit for bit (identical summation order, the
-// property the golden experiment traces rely on); shard counts 2 and 8 must
-// agree to rounding and produce the identical pair count.
+// property the golden experiment traces rely on), the forces it returns for
+// the ghost cells included; shard counts 2 and 8 must agree to rounding and
+// produce the identical pair and evaluated counts.
 func TestFlatMatchesMapKernel(t *testing.T) {
 	sys, g := setup(t)
 	lj := potential.NewPaperLJ()
@@ -212,15 +178,19 @@ func TestFlatMatchesMapKernel(t *testing.T) {
 		}
 		ref := local.Clone()
 		ref.ZeroForces()
-		wantPot, _, wantPairs := mapPairForces(g, lj, ref, cellMap, hosted, ghost)
+		want := mapPairForces(g, lj, ref, cellMap, hosted, ghost)
+		wantPot, wantPairs := want.pot, want.pairs
 
 		for _, shards := range []int{1, 2, 8} {
 			got := local.Clone()
 			got.ZeroForces()
 			cl := buildFlat(t, g, shards, got, sys.Set.Pos, pred)
 			pot, _, pairs := cl.Compute(lj, got)
-			if pairs != wantPairs {
-				t.Fatalf("trial %d shards=%d: pairs = %d, want %d", trial, shards, pairs, wantPairs)
+			if pairs != wantPairs || cl.Evaluated() != want.evaluated {
+				t.Fatalf("trial %d shards=%d: pairs = %d evaluated = %d, want %d %d", trial, shards, pairs, cl.Evaluated(), wantPairs, want.evaluated)
+			}
+			if d := diffGhostForces(cl, want.ghost, float64(min(shards-1, 1))*1e-9); d != "" {
+				t.Fatalf("trial %d shards=%d: %s", trial, shards, d)
 			}
 			if shards == 1 {
 				// Bit-exact: identical summation order by construction.

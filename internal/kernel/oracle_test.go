@@ -25,8 +25,9 @@ import (
 // distinct neighbor cells (hosted and ghost alike) and accumulates only
 // its own side of each interaction, with energy and virial counted half
 // per visit. Hosted-hosted pairs are visited twice so their energy sums to
-// the full pair energy; ghost pairs are visited once and contribute half,
-// exactly the domain-splitting convention of Compute. Returns the forces
+// the full pair energy; ghost pairs are visited once and contribute half —
+// the one-sided domain split Compute had before the lower cell's host took
+// the whole pair. Returns the forces
 // (indexed like s.Pos), this domain's energy share and the number of
 // one-sided pair visits (2*hosted + ghost pairs).
 func fullStencilForces(
@@ -154,7 +155,7 @@ func TestPropertyRandomizedConfigs(t *testing.T) {
 			fsFrc, fsPot, fsPairs := fullStencilForces(g, lj, sys.Set.Pos, cellMap, hosted, nil)
 			ref := sys.Set.Clone()
 			ref.ZeroForces()
-			mapPot, _, _ := mapPairForces(g, lj, ref, cellMap, hosted, nil)
+			mapPot := mapPairForces(g, lj, ref, cellMap, hosted, nil).pot
 
 			if math.Abs(fsPot-wantPot) > 1e-9*(1+math.Abs(wantPot)) {
 				t.Fatalf("N=%d trial %d: full-stencil pot %v vs brute %v", tc.n, trial, fsPot, wantPot)

@@ -32,9 +32,10 @@ func sameOrNaN(a, b vec.V) bool {
 
 // exactVsMap computes the domain selected by pred with the map oracle and
 // with the flat kernel, and requires every output of the flat kernel at
-// shards=1 — each force component, the energy, the virial, the pair count —
-// to carry the oracle's bits, and the pair count to hold at shards 2 and 8.
-// It returns the forces and the pair count for the caller's own assertions.
+// shards=1 — each force component, hosted or returned to a ghost cell, the
+// energy, the virial, the pair count and the evaluated count — to carry the
+// oracle's bits, and the two counts to hold at shards 2 and 8. It returns
+// the forces and the pair count for the caller's own assertions.
 func exactVsMap(t *testing.T, g space.Grid, pair potential.Pair, global []vec.V, pred func(cell int) bool) ([]vec.V, int64) {
 	t.Helper()
 	local := &particle.Set{}
@@ -52,29 +53,32 @@ func exactVsMap(t *testing.T, g space.Grid, pair potential.Pair, global []vec.V,
 	}
 	ref := local.Clone()
 	ref.ZeroForces()
-	wantPot, wantVir, wantPairs := mapPairForces(g, pair, ref, cellMap, hosted, ghost)
+	want := mapPairForces(g, pair, ref, cellMap, hosted, ghost)
 
 	for _, shards := range []int{1, 2, 8} {
 		got := local.Clone()
 		got.ZeroForces()
 		cl := buildFlat(t, g, shards, got, global, pred)
 		pot, vir, pairs := cl.Compute(pair, got)
-		if pairs != wantPairs {
-			t.Fatalf("shards=%d: pairs %d, oracle %d", shards, pairs, wantPairs)
+		if pairs != want.pairs || cl.Evaluated() != want.evaluated {
+			t.Fatalf("shards=%d: pairs %d evaluated %d, oracle %d %d", shards, pairs, cl.Evaluated(), want.pairs, want.evaluated)
 		}
 		if shards > 1 {
 			continue
 		}
-		if !sameOrNaN(vec.New(pot, vir, 0), vec.New(wantPot, wantVir, 0)) {
-			t.Fatalf("pot %v vir %v, oracle %v %v", pot, vir, wantPot, wantVir)
+		if !sameOrNaN(vec.New(pot, vir, 0), vec.New(want.pot, want.vir, 0)) {
+			t.Fatalf("pot %v vir %v, oracle %v %v", pot, vir, want.pot, want.vir)
 		}
 		for i, f := range got.Frc {
 			if !sameOrNaN(f, ref.Frc[i]) {
 				t.Fatalf("force %d: %v, oracle %v", i, f, ref.Frc[i])
 			}
 		}
+		if d := diffGhostForces(cl, want.ghost, 0); d != "" {
+			t.Fatal(d)
+		}
 	}
-	return ref.Frc, wantPairs
+	return ref.Frc, want.pairs
 }
 
 // randomGas scatters n particles uniformly through g's box.
@@ -168,7 +172,8 @@ func TestKernelSemantics(t *testing.T) {
 	})
 
 	// A 2x2x2 block in the middle of the box: ghost cells on all six faces,
-	// twelve edges and eight corners, every pair with them one-sided.
+	// twelve edges and eight corners, the higher ones evaluated with their
+	// forces returned, the lower ones only counted.
 	t.Run("ghosts on every side", func(t *testing.T) {
 		g := gridOf(t, 6, 6, 6)
 		block := func(cell int) bool {

@@ -7,7 +7,7 @@ import (
 	"math"
 	"testing"
 
-	_ "permcell/internal/core" // registers the protocol's struct payloads (ids 16..21)
+	_ "permcell/internal/core" // registers the protocol's struct payloads (ids 16..22)
 	"permcell/internal/transport"
 )
 
@@ -44,6 +44,7 @@ func payloadSeeds() map[string][]byte {
 		"colTransfer":    wire{19}.u32(2).u32(2).one(1).one(2).vec(1, 1, 1).vec(2, 2, 2),
 		"loadCensus":     census,
 		"peRecord":       peRecord,
+		"forceReturn":    wire{22}.f64(1.5e6).u32(2).u32(2).i64(4).u32(2).i64(5).u32(0).vec(1, 2, 3).vec(-4, -5, -6),
 	}
 }
 
@@ -88,6 +89,7 @@ func FuzzPayloadDecode(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{5, 1, 0, 0, 0}, 40)) // lists all the way down
 	// A cell-block header whose block lengths disagree with its position count.
 	f.Add([]byte(wire{18}.u32(1).u32(1).i64(4).u32(2).vec(1, 2, 3)))
+	f.Add([]byte(wire{22}.f64(0).u32(1).u32(1).i64(4).u32(2).vec(1, 2, 3))) // the same behind a force return's load
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := transport.DecodePayload(data)
