@@ -48,9 +48,8 @@ type cellBlock struct {
 }
 
 // forceReturn closes Newton's third law across a rank boundary: the forces
-// the sender's pairs put on the cells it imported from the receiver, cell
-// for cell and particle for particle as the halo reply listed them, with the
-// sender's load (the balancer's neighbor observation) riding along.
+// the sender's pairs put on the cells it imported from the receiver, laid
+// out as the halo reply listed them, with the sender's load riding along.
 type forceReturn struct {
 	Load  float64
 	Cells []cellBlock
@@ -89,11 +88,12 @@ type pe struct {
 	dirty bool              // ownership changed since cl and plan were built
 	cells []int             // scratch for the hosted cell list
 
-	// Balancer epoch state (balancer runs only, but for nbLoad), indexed by
-	// column and by neighbor position: nothing here is looked up by rank.
+	// Balancer epoch state, indexed by column and by neighbor position:
+	// nothing here is looked up by rank. All but nbLoad, which every force
+	// return refreshes, exists on balancer runs only.
 	colPop      []int             // per column: hosted particle count, 0 elsewhere
 	colLoad     func(int) float64 // colPop as the Observation's column census
-	nbLoad      []float64         // per neighbor: its load, from its last force return
+	nbLoad      []float64         // per neighbor: its load at its last force pass
 	nbDecisions [][]dlb.Decision
 
 	lastWork   float64 // candidate pairs of last force computation (the census, not what was evaluated)
@@ -611,9 +611,8 @@ func (p *pe) haloExchange() {
 }
 
 // computeForces evaluates the short-range forces of the pairs this PE owns
-// via the shared kernel and records this step's load under both metrics: the
-// work is the kernel's candidate census, which counts a cross-boundary pair
-// on both sides whichever evaluates it.
+// via the shared kernel and records this step's load under both metrics (the
+// work is the candidate census, not what was evaluated here).
 func (p *pe) computeForces() {
 	p.set.ZeroForces()
 	t0 := time.Now()

@@ -24,9 +24,8 @@ const (
 //
 // The halo lists come from the one walk kernel.SetHosted already made.
 // recv[k] is the ghost cells neighbor k hosts, ascending: what its reply
-// must carry, and what the force return to it carries back (Newton's third
-// law across the boundary: the forces this PE's pairs put on k's particles).
-// send[k] is the hosted cells neighbor k imports, ascending:
+// must carry, and what the force return to it carries back (the forces this
+// PE's pairs put on k's particles). send[k] is the hosted cells k imports:
 // adjacency is symmetric, so a cell hosted here is in k's ghost set exactly
 // when one of its 26 neighbors is hosted by k — and the unhosted neighbors
 // of a hosted cell are ghost cells, whose hosts recv needed anyway. Two
@@ -40,18 +39,16 @@ const (
 // sender can reach the same phase of the next step. Each step every PE
 // exchanges exactly one migrate, then one halo and then one force message
 // with every neighbor. A receiver copies a halo reply out (SealGhosts)
-// before it leaves haloExchange, and only then goes on to send its force
-// return, which the replying PE must receive before it reaches the next
-// step's halo; a force return is added up before its receiver leaves
-// returnForces and sends the next step's migrate message, which the
-// returning PE must receive before the Compute that refills the
-// accumulator (or the SetHosted that resizes it); migrate buffers are
-// covered the same way by the halo message in between. Delivery order does
-// not enter the argument, only the order in
-// which a rank issues its own operations, so the fault layer's jitter,
-// reordering and resends (all inside the sender's send call or flushed
-// before its next receive) change nothing; and a Remote encodes the payload
-// before Deliver returns.
+// before it leaves haloExchange, and only then sends its force return, which
+// the replying PE must receive before the next step's halo; a force return
+// is added up before its receiver leaves returnForces and sends the next
+// step's migrate message, which the returning PE must receive before the
+// Compute that refills the accumulator; migrate buffers are covered the same
+// way by the halo message in between. Delivery order does not enter the
+// argument, only the order in which a rank issues its own operations, so the
+// fault layer's jitter, reordering and resends (all inside the sender's send
+// call or flushed before its next receive) change nothing; and a Remote
+// encodes the payload before Deliver returns.
 type plan struct {
 	nbPos  []int32          // per rank: its position in the PE's neighbor list, else nbUnknown
 	cellNb []int32          // per grid cell: neighbor position of its host, nbSelf, or nbUnknown

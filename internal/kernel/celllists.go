@@ -23,14 +23,13 @@ import (
 //     contiguous run, and both inner loops index that run directly;
 //   - a precomputed half stencil per hosted cell (SetHosted): the
 //     Neighbors26 walk with each neighbor resolved once to a hosted-cell
-//     slot or a ghost-cell slot, under one ownership rule: the host of the
-//     lower cell id evaluates the pair, once, and scatters the force to
-//     both particles (Newton's third law). Hosted entries are kept only for
-//     the ~13 higher-id cells; an entry towards a lower ghost cell stays as
-//     a count-only entry (its host evaluates the pair and returns the
-//     forces). A one-byte code per entry names its min-image round term in
-//     a 27-entry table; built in one map-free pass over the hosted cells and
-//     only when the hosted set changes (a DLB column move), not every step;
+//     or ghost-cell slot, under one ownership rule: the host of the lower
+//     cell id evaluates the pair, once, and scatters the force to both
+//     particles (Newton's third law). Hosted entries are kept only for the
+//     ~13 higher-id cells, an entry towards a lower ghost cell as count-only
+//     (its host evaluates the pair). A one-byte code per entry names its
+//     min-image round term in a 27-entry table; built in one map-free pass
+//     over the hosted cells, only when the hosted set changes;
 //   - a flat ghost arena (StageGhost/SealGhosts): every ghost cell's
 //     imported positions are staged at the cell's own slot, in whatever
 //     order the halo replies arrive, and sealed into one slice, CSR-indexed
@@ -39,11 +38,10 @@ import (
 //     walks exactly its own cells instead of filtering the full hosted
 //     list every step;
 //   - per shard, a fixed hit buffer and force accumulators in part order
-//     (the same index as the positions, no particle-id indirection) and, for
-//     the imported particles, in ghost-arena order: zeroed and reduced — into
-//     the caller's force array and into shard 0's ghost accumulator — inside
-//     the parallel section (fixed order, so bits do not depend on worker
-//     timing).
+//     (the same index as the positions, no particle-id indirection) and,
+//     for imported particles, in ghost-arena order: zeroed and reduced — into
+//     the caller's force array and shard 0's ghost accumulator — inside the
+//     parallel section (fixed order, so bits do not depend on worker timing).
 //
 // The force pass (computeShard) is two phases over one visiting order. The
 // search phase computes every candidate pair's squared distance in a small
@@ -249,8 +247,8 @@ func (cl *CellLists) SetHosted(cells []int) {
 	// Stencils and ghost cells in one walk: the 26 offsets of every hosted
 	// cell in dz, dy, dx ascending order, each neighbor encoded as a hosted
 	// slot (kept only for higher cell ids — the pair is owned by the lower
-	// cell) or a ghost (count-only when it is the lower cell: the import set
-	// and the census stay whole). That is the Neighbors26 order with the first
+	// cell) or a ghost (count-only when it is the lower cell). That is the
+	// Neighbors26 order with the first
 	// occurrence kept, which fixes the summation order; the walk is inline
 	// because it also needs the wrap direction of each offset — the code of
 	// its min-image round term. Offsets collide only on a grid with a
@@ -506,9 +504,8 @@ func (cl *CellLists) SealGhosts() {
 func (cl *CellLists) GhostLen() int { return len(cl.ghostPos) }
 
 // GhostForces returns what the last Compute put on the imported particles of
-// the given ghost cell, in the order they were staged: the other half of
-// every pair this domain evaluated against them, for the cell's host to add.
-// The window aliases the kernel's arena and is valid until the next Compute.
+// the given ghost cell, in staging order, for the cell's host to add. The
+// window aliases the kernel's arena and is valid until the next Compute.
 func (cl *CellLists) GhostForces(cell int) []vec.V {
 	gs := -2 - cl.slotOf[cell]
 	lo, hi := cl.ghostStart[gs], cl.ghostStart[gs+1]
@@ -529,8 +526,8 @@ func (cl *CellLists) Evaluated() int64 { return cl.evaluated }
 // pairs, so both sum over domains to the system's, and pairs, the census of
 // the domain's candidate pairs (the deterministic work metric): every pair
 // within a hosted cell or between it and a stencil neighbor, hosted or
-// ghost. A cross-boundary pair is thus counted on both sides and evaluated
-// on one; Evaluated reports what was computed here.
+// ghost — a cross-boundary pair is counted on both sides and evaluated on
+// one (see Evaluated).
 //
 // Every shard accumulates into its own buffers, held in part order (next to
 // the positions the inner loops read) and in ghost-arena order; the buffers
@@ -594,6 +591,9 @@ func (cl *CellLists) reduceRange(sh int) {
 			f = f.Add(ff[k])
 		}
 		dst[i] = f
+	}
+	if cl.shards == 1 {
+		return // shard 0's ghost accumulator is the sum
 	}
 	g0 := cl.gfrc[0]
 	for k := sh * len(g0) / cl.shards; k < (sh+1)*len(g0)/cl.shards; k++ {
@@ -775,10 +775,9 @@ func (cl *CellLists) computeShard(sh int) {
 			row := uint64(lo) + uint64(a)
 			ps.search(row<<hitAShift+row+1, lpos[a:a+1], lpos[a+1:])
 		}
-		// Half-stencil neighbors, in Neighbors26 order: hosted entries are
-		// the ~13 higher-id cells, ghost entries the higher-id ones too (pair
-		// owned here, force scattered to both sides) — and the lower-id
-		// ghosts, whose candidates are counted and left to their host.
+		// Half-stencil neighbors, in Neighbors26 order: the higher-id cells,
+		// hosted or ghost (pair owned here, force scattered to both sides),
+		// and the lower-id ghosts, counted and left to their host.
 		st := cl.stencil[cl.stStart[slot]:cl.stStart[slot+1]]
 		codes := cl.stCode[cl.stStart[slot]:cl.stStart[slot+1]]
 		for k, e := range st {
