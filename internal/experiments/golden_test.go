@@ -72,3 +72,20 @@ func TestGoldenTable1CSV(t *testing.T) {
 	}
 	goldenCompare(t, "table1_tiny.csv", b.String())
 }
+
+// TestGoldenBalancersCSV pins the exact CSV of `figures -id balancers
+// -scale tiny -seed 1 -csv`: every balancer's per-step gauges and, in the
+// moved / moved_bytes columns, the traffic each strategy generated — the
+// deterministic cross-balancer gate (none 0 / 0, permcell 12 / 20088, sfc
+// 4 / 6048, diffusive 8 / 10008 over the run).
+func TestGoldenBalancersCSV(t *testing.T) {
+	r, err := Balancers(Tiny(), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := r.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	goldenCompare(t, "balancers_tiny.csv", b.String())
+}
