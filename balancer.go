@@ -8,10 +8,7 @@ package permcell
 // pattern, the C' hosting bound, conservation and momentum invariants hold
 // regardless of which balancer decides; see DESIGN.md section 11.
 
-import (
-	"permcell/internal/balance"
-	"permcell/internal/dlb"
-)
+import "permcell/internal/balance"
 
 // Balancer is a pluggable column-ownership load-balancing strategy driven
 // by the parallel engine at the DLB cadence. Construct one with
@@ -23,7 +20,7 @@ type Balancer = balance.Balancer
 
 // Pick selects which candidate column the permanent-cell balancer hands
 // over when several are eligible.
-type Pick = dlb.Strategy
+type Pick = balance.Pick
 
 // PermanentCellConfig parameterizes the paper's permanent-cell balancer.
 type PermanentCellConfig struct {

@@ -2,11 +2,8 @@
 //
 // Usage:
 //
-//	figures -id fig5a|fig5b|fig6|fig9|fig10|table1|phases|balancers|all
+//	figures -id fig5a|fig5b|fig6|fig9|fig10|table1|phases|balancers|theory|all
 //	        [-scale tiny|small|full] [-seed N] [-csv]
-//	figures -bench-json BENCH_kernel.json [-bench-presets tiny,50k]
-//	        [-bench-baseline BENCH_kernel.json] [-bench-tolerance 0.15]
-//	        [-bench-assert-scaling] [-bench-scaling-min 1.1]
 //
 // Each id prints the same rows/series the paper reports (see DESIGN.md's
 // per-experiment index). Scales: tiny (seconds, CI), small (minutes,
@@ -20,16 +17,11 @@
 // traces, f(m,n) boundary positions and per-scheme migration traffic
 // (columns and bytes moved per DLB epoch).
 //
-// -bench-json times the map and flat force kernels on the
-// internal/workload.KernelPresets matrix (restricted by -bench-presets)
-// and writes the schema-2 report. With -bench-baseline, the fresh results
-// are compared against the committed baseline and the command exits
-// non-zero if any matching configuration's ns/op regressed by more than
-// -bench-tolerance (the CI bench-regression gate; v1 baselines are
-// understood). With -bench-assert-scaling, the run additionally fails if
-// flat/shards=8 does not beat flat/shards=1 by -bench-scaling-min at
-// every timed preset of at least 50k particles — skipped with a note on
-// hosts with GOMAXPROCS < 4, where workers have no cores to scale onto.
+// The theory id prints the bounds of Section 4.1 — f(m, n) for m = 2, 3, 4,
+// the maximum domains C', and this repository's cube-domain extension — and
+// takes no scale or seed; "all" runs the experiments only. The balancers
+// CSV at tiny scale is also the deterministic cross-balancer traffic gate
+// (its moved / moved_bytes columns are exact per strategy).
 package main
 
 import (
@@ -38,41 +30,15 @@ import (
 	"os"
 
 	"permcell/internal/experiments"
+	"permcell/internal/theory"
 )
 
 func main() {
-	id := flag.String("id", "all", "experiment id: fig5a, fig5b, fig6, fig9, fig10, table1, phases, balancers, all")
+	id := flag.String("id", "all", "experiment id: fig5a, fig5b, fig6, fig9, fig10, table1, phases, balancers, theory, all")
 	scale := flag.String("scale", "small", "preset scale: tiny, small, full")
 	seed := flag.Uint64("seed", 1, "base RNG seed")
-	csv := flag.Bool("csv", false, "emit CSV instead of rendered text (fig9, table1, phases)")
-	benchJSON := flag.String("bench-json", "", "time the force kernels and write BENCH_kernel.json to this path ('-' = stdout), then exit")
-	benchPresets := flag.String("bench-presets", "all", "comma-separated kernel preset names to time (tiny,50k,100k,200k), or 'all'")
-	benchBaseline := flag.String("bench-baseline", "", "compare the -bench-json results against this baseline report; exit 1 on regression")
-	benchTolerance := flag.Float64("bench-tolerance", 0.15, "relative ns/op regression allowed against -bench-baseline")
-	benchAssertScaling := flag.Bool("bench-assert-scaling", false, "fail unless flat/shards=8 beats flat/shards=1 at every timed preset >= 50k particles (skipped when GOMAXPROCS < 4)")
-	benchScalingMin := flag.Float64("bench-scaling-min", 1.1, "minimum shards=1/shards=8 ns/op ratio -bench-assert-scaling requires")
+	csv := flag.Bool("csv", false, "emit CSV instead of rendered text (fig9, table1, phases, balancers)")
 	flag.Parse()
-
-	if *benchJSON != "" {
-		rep, err := runBenchJSON(*benchJSON, *benchPresets)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench-json: %v\n", err)
-			os.Exit(1)
-		}
-		if *benchBaseline != "" {
-			if err := compareBench(rep, *benchBaseline, *benchTolerance, os.Stderr); err != nil {
-				fmt.Fprintf(os.Stderr, "bench-baseline: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *benchAssertScaling {
-			if err := assertShardScaling(rep, 50000, *benchScalingMin, os.Stderr); err != nil {
-				fmt.Fprintf(os.Stderr, "bench-scaling: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
 
 	pr, ok := experiments.PresetByName(*scale)
 	if !ok {
@@ -149,6 +115,9 @@ func main() {
 				return r.WriteCSV(os.Stdout)
 			}
 			return r.Render(os.Stdout)
+		case "theory":
+			theoryTables()
+			return nil
 		default:
 			return fmt.Errorf("unknown experiment id %q", name)
 		}
@@ -169,5 +138,53 @@ func main() {
 		if !*csv {
 			fmt.Println()
 		}
+	}
+}
+
+// theoryTables prints the paper's effective-range bounds for m = 2, 3, 4
+// over n = 1 .. 3 in steps of 0.25, and the cube-domain analogue.
+func theoryTables() {
+	ms := []int{2, 3, 4}
+	const nmax, dn = 3.0, 0.25
+
+	fmt.Println("Theoretical upper bounds f(m, n) of the particle concentration ratio C0/C")
+	fmt.Println("(eq. 8; DLB balances uniformly while C0/C <= f(m, n))")
+	fmt.Printf("\n%8s", "n")
+	for _, m := range ms {
+		fmt.Printf(" %12s", fmt.Sprintf("f(%d,n)", m))
+	}
+	fmt.Println()
+	for n := 1.0; n <= nmax+1e-9; n += dn {
+		fmt.Printf("%8.2f", n)
+		for _, m := range ms {
+			fmt.Printf(" %12.4f", theory.MustF(m, n))
+		}
+		fmt.Println()
+	}
+
+	fmt.Println("\nMaximum domain C' (columns) and ratio to the initial m^2:")
+	fmt.Printf("%8s %12s %12s\n", "m", "C' cols", "C'/m^2")
+	for _, m := range ms {
+		cp := theory.CPrimeColumns(m)
+		fmt.Printf("%8d %12d %12.3f\n", m, cp, float64(cp)/float64(m*m))
+	}
+
+	fmt.Println("\nCube-domain extension (this repository's generalization, theory.FCube):")
+	fmt.Printf("%8s", "n")
+	for _, m := range ms {
+		fmt.Printf(" %12s", fmt.Sprintf("fcube(%d,n)", m))
+	}
+	fmt.Println()
+	for n := 1.0; n <= nmax+1e-9; n += dn {
+		fmt.Printf("%8.2f", n)
+		for _, m := range ms {
+			fmt.Printf(" %12.4f", theory.MustFCube(m, n))
+		}
+		fmt.Println()
+	}
+	fmt.Printf("\n%8s %12s %12s\n", "m", "Q cells", "Q/m^3")
+	for _, m := range ms {
+		q := theory.QCubeCells(m)
+		fmt.Printf("%8d %12d %12.3f\n", m, q, float64(q)/float64(m*m*m))
 	}
 }

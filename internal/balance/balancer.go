@@ -1,3 +1,17 @@
+// Package balance holds the online load-balancing strategies the parallel
+// engine drives every time step: one Balancer interface, the paper's
+// permanent-cell protocol (PermanentCell) and two alternatives (SFC,
+// Diffusive) behind it, and the codec that carries a balancer's identity
+// through CLI flags and checkpoint metadata. A balancer observes per-PE
+// costs and proposes column ownership moves; the engine executes them
+// through the shared ledger/colTransfer machinery (forces included). Every
+// proposed move must lie in the ledger's legal move space — an owner lends
+// a movable at-home column to one of its up-left neighbors, a borrower
+// returns a column to its owner — which is what keeps the 8-neighbor
+// communication pattern and the C' = m^2+3(m-1)^2 hosting bound intact for
+// every strategy. dlb.Ledger.Apply re-validates each decision at run time,
+// so an out-of-contract balancer fails loudly instead of corrupting the
+// halo protocol.
 package balance
 
 import (
@@ -6,27 +20,14 @@ import (
 	"permcell/internal/dlb"
 )
 
-// This file defines the online Balancer strategy interface the parallel
-// engine drives at the DLB cadence. It generalizes the decision half of the
-// permanent-cell protocol: a balancer observes per-PE costs, proposes
-// column ownership moves, and the engine executes them through the shared
-// ledger/colTransfer machinery (forces included). Every proposed move must
-// lie in the ledger's legal move space — an owner lends a movable
-// at-home column to one of its up-left neighbors, a borrower returns a
-// column to its owner — which is what keeps the 8-neighbor communication
-// pattern and the C' = m^2+3(m-1)^2 hosting bound intact for every
-// strategy. dlb.Ledger.Apply re-validates each decision at run time, so an
-// out-of-contract balancer fails loudly instead of corrupting the halo
-// protocol.
-
 // Scope declares what a balancer needs to observe each epoch, which
 // determines the communication the engine performs on its behalf.
 type Scope int
 
 const (
 	// ScopeNeighbors: the balancer sees its own load and the 8 torus
-	// neighbors' loads (one small message per neighbor — the paper's
-	// protocol step 1).
+	// neighbors' loads (the paper's protocol step 1; they arrive on the
+	// force returns that close a step, at no message of their own).
 	ScopeNeighbors Scope = iota
 	// ScopeGlobal: the balancer additionally sees every PE's load and the
 	// global per-column load census (one allgather per epoch).
@@ -35,8 +36,8 @@ const (
 
 // Observation is one epoch's load picture, assembled by the engine.
 type Observation struct {
-	// Self is this PE's last force-computation load under the configured
-	// metric (pair evaluations by default — deterministic).
+	// Self is this PE's last force-computation load: its pair-evaluation
+	// count, which is deterministic.
 	Self float64
 	// Neighbor holds the 8 torus neighbors' loads in topology.Offsets8
 	// order.

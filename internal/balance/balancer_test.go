@@ -130,7 +130,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	cases := []Balancer{
 		nil,
 		PermanentCell{},
-		PermanentCell{Hysteresis: 0.1, Pick: dlb.PickLeastLoaded},
+		PermanentCell{Hysteresis: 0.1, Pick: PickLeastLoaded},
 		SFC{},
 		SFC{Hysteresis: 0.05, Moves: 3},
 		Diffusive{Hysteresis: 0.2, Moves: 2},
@@ -173,7 +173,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	l := testLayout(t, 2, 3)
 	bad := []Balancer{
 		PermanentCell{Hysteresis: -0.1},
-		PermanentCell{Pick: dlb.Strategy(99)},
+		PermanentCell{Pick: Pick(99)},
 		SFC{Hysteresis: -1},
 		SFC{Moves: -2},
 		Diffusive{Hysteresis: -0.5},

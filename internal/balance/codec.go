@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"permcell/internal/dlb"
 )
 
 // Encode serializes a balancer's identity and parameters into a compact
@@ -138,18 +136,18 @@ func fillHMoves(spec string, kv map[string]string, h *float64, moves *int) error
 	return nil
 }
 
-func parsePick(v string) (dlb.Strategy, error) {
+func parsePick(v string) (Pick, error) {
 	switch strings.ToLower(v) {
 	case "most", "mostloaded":
-		return dlb.PickMostLoaded, nil
+		return PickMostLoaded, nil
 	case "least", "leastloaded":
-		return dlb.PickLeastLoaded, nil
+		return PickLeastLoaded, nil
 	case "lowest", "lowestindex":
-		return dlb.PickLowestIndex, nil
+		return PickLowestIndex, nil
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil {
 		return 0, fmt.Errorf("bad pick strategy %q", v)
 	}
-	return dlb.Strategy(n), nil
+	return Pick(n), nil
 }

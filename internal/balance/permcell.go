@@ -4,25 +4,41 @@ import (
 	"fmt"
 
 	"permcell/internal/dlb"
+	"permcell/internal/topology"
 )
 
-func errUnknownPick(p dlb.Strategy) error {
-	return fmt.Errorf("balance: permcell: unknown pick strategy %d", p)
-}
+// Pick selects which candidate column a PE hands over when several are
+// eligible. The paper leaves the choice open; PickMostLoaded transfers the
+// most work per move and is the default.
+type Pick int
+
+// Column-pick strategies.
+const (
+	PickMostLoaded Pick = iota
+	PickLeastLoaded
+	PickLowestIndex
+)
 
 // PermanentCell is the reference Balancer: the paper's permanent-cell
 // protocol (Section 2.3). Each epoch the PE compares its load against the 8
 // neighbors and, when it is the slowest of the neighborhood by more than
 // Hysteresis, hands one column toward the fastest neighbor following the
-// three-case rule — exactly dlb.Ledger.Decide. The engine's pre-interface
-// WithDLB path is this balancer with the default Pick, so traces are
-// bit-identical across the refactor.
+// three-case rule:
+//
+//	Case 1  fastest is up-left: send one of my own movable columns that is
+//	        still at home.
+//	Case 2  fastest is anti-diagonal: nothing to send.
+//	Case 3  fastest is down-right: return one of the columns I previously
+//	        received from it, if any.
 type PermanentCell struct {
-	// Hysteresis is the relative load gap required before a column moves
-	// (0 = paper-literal).
+	// Hysteresis is the relative load gap required before a column moves:
+	// a PE sends only if its load exceeds the fastest neighbor's by this
+	// fraction. Zero reproduces the paper's protocol literally (any
+	// strictly faster neighbor triggers a move); a small positive value
+	// suppresses ping-ponging when loads are statistically equal.
 	Hysteresis float64
 	// Pick selects among candidate columns (default PickMostLoaded).
-	Pick dlb.Strategy
+	Pick Pick
 }
 
 // Name implements Balancer.
@@ -41,32 +57,69 @@ func (b PermanentCell) Validate(dlb.Layout) error {
 		return err
 	}
 	switch b.Pick {
-	case dlb.PickMostLoaded, dlb.PickLeastLoaded, dlb.PickLowestIndex:
+	case PickMostLoaded, PickLeastLoaded, PickLowestIndex:
 		return nil
 	default:
-		return errUnknownPick(b.Pick)
+		return fmt.Errorf("balance: permcell: unknown pick strategy %d", b.Pick)
 	}
 }
 
 // NewDecider implements Balancer.
 func (b PermanentCell) NewDecider(l dlb.Layout, rank int) Decider {
-	return permcellDecider{cfg: b}
+	return permcellDecider{cfg: b, l: l, rank: rank}
 }
 
 type permcellDecider struct {
-	cfg PermanentCell
+	cfg  PermanentCell
+	l    dlb.Layout
+	rank int
 }
 
-// Decide runs protocol steps 2-3 via the ledger and wraps the single
-// decision (or none) in the interface's slice shape.
+// Decide runs protocol steps 2-3: find the fastest PE among self and the 8
+// neighbors and choose the column to send, if any.
 func (d permcellDecider) Decide(lg *dlb.Ledger, obs Observation) []dlb.Decision {
-	dec := lg.Decide(dlb.Loads{Self: obs.Self, Neighbor: obs.Neighbor}, dlb.Config{
-		Hysteresis: d.cfg.Hysteresis,
-		Pick:       d.cfg.Pick,
-		ColLoad:    obs.ColLoad,
-	})
-	if dec.Col < 0 {
+	// Step 2: fastest slot. Self wins ties; among neighbors the lowest
+	// offset index wins, making the protocol deterministic.
+	fastestK, fastest := -1, obs.Self
+	for k, v := range obs.Neighbor {
+		if v < fastest {
+			fastest, fastestK = v, k
+		}
+	}
+	if fastestK < 0 || obs.Self <= fastest*(1+d.cfg.Hysteresis) {
 		return nil
 	}
-	return []dlb.Decision{dec}
+
+	off := topology.Offsets8[fastestK]
+	pi, pj := d.l.T.Coords(d.rank)
+	dest := d.l.T.Rank(pi+off.DI, pj+off.DJ)
+
+	var cands []int
+	switch {
+	case offsetIn(topology.UpLeft, off): // Case 1
+		cands = lg.OwnMovableAtHome()
+	case offsetIn(topology.DownRight, off): // Case 3
+		cands = lg.BorrowedFrom(dest)
+	} // Case 2: no candidates
+	if len(cands) == 0 {
+		return nil
+	}
+	return []dlb.Decision{{Col: d.pick(cands, obs.ColLoad), Dest: dest}}
+}
+
+// pick chooses one column from the non-empty, ascending candidates; the
+// lowest index wins ties.
+func (d permcellDecider) pick(cands []int, colLoad func(col int) float64) int {
+	if d.cfg.Pick == PickLowestIndex {
+		return cands[0]
+	}
+	best, bestLoad := cands[0], colLoad(cands[0])
+	for _, c := range cands[1:] {
+		l := colLoad(c)
+		if (d.cfg.Pick == PickLeastLoaded && l < bestLoad) ||
+			(d.cfg.Pick == PickMostLoaded && l > bestLoad) {
+			best, bestLoad = c, l
+		}
+	}
+	return best
 }

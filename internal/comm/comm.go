@@ -260,7 +260,7 @@ func (c *Comm) Rank() int { return c.rank }
 func (c *Comm) Size() int { return c.w.size }
 
 // Wtime returns seconds elapsed since the world was created (the MPI_Wtime
-// analogue used for the wall-clock load metric).
+// analogue).
 func (c *Comm) Wtime() float64 { return time.Since(c.w.start).Seconds() }
 
 // Send delivers data to rank dst with the given tag. Tags must be
@@ -384,9 +384,6 @@ func (c *Comm) bcastFrom0(tag int, v any) any {
 	return c.Recv(0, tag)
 }
 
-// Recv with reserved tags needs the same matching loop; reuse Recv by
-// bypassing the tag sign check (Recv does not check signs).
-
 // AllreduceFloat64 combines one float64 per rank with op and returns the
 // result on every rank.
 func (c *Comm) AllreduceFloat64(v float64, op func(a, b float64) float64) float64 {
@@ -419,54 +416,11 @@ func (c *Comm) AllreduceInt64(v int64, op func(a, b int64) int64) int64 {
 	return c.bcastFrom0(tag2, r).(int64)
 }
 
-// Sum, Min and Max are the common reduction operators.
+// Sum is the float64 reduction operator the engines use.
 func Sum(a, b float64) float64 { return a + b }
 
-// Min returns the smaller of a and b.
-func Min(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Max returns the larger of a and b.
-func Max(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// SumI, MinI and MaxI are the int64 reduction operators.
+// SumI is its int64 counterpart.
 func SumI(a, b int64) int64 { return a + b }
-
-// MinI returns the smaller of a and b.
-func MinI(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// MaxI returns the larger of a and b.
-func MaxI(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// AllgatherFloat64 returns every rank's value, indexed by rank, on every
-// rank.
-func (c *Comm) AllgatherFloat64(v float64) []float64 {
-	all := c.Allgather(v)
-	out := make([]float64, len(all))
-	for i, x := range all {
-		out[i] = x.(float64)
-	}
-	return out
-}
 
 // Allgather returns every rank's value, indexed by rank, on every rank.
 func (c *Comm) Allgather(v any) []any {

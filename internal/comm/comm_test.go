@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -147,11 +148,11 @@ func TestAllreduce(t *testing.T) {
 		if sum != 15 {
 			t.Errorf("rank %d: sum = %v", c.Rank(), sum)
 		}
-		mn := c.AllreduceFloat64(float64(c.Rank()+3), Min)
+		mn := c.AllreduceFloat64(float64(c.Rank()+3), math.Min)
 		if mn != 3 {
 			t.Errorf("min = %v", mn)
 		}
-		mx := c.AllreduceFloat64(float64(c.Rank()), Max)
+		mx := c.AllreduceFloat64(float64(c.Rank()), math.Max)
 		if mx != 5 {
 			t.Errorf("max = %v", mx)
 		}
@@ -159,10 +160,10 @@ func TestAllreduce(t *testing.T) {
 		if si != 15 {
 			t.Errorf("int sum = %v", si)
 		}
-		if c.AllreduceInt64(int64(c.Rank()), MinI) != 0 {
+		if c.AllreduceInt64(int64(c.Rank()), func(a, b int64) int64 { return min(a, b) }) != 0 {
 			t.Error("int min wrong")
 		}
-		if c.AllreduceInt64(int64(c.Rank()), MaxI) != 5 {
+		if c.AllreduceInt64(int64(c.Rank()), func(a, b int64) int64 { return max(a, b) }) != 5 {
 			t.Error("int max wrong")
 		}
 	})
@@ -180,9 +181,9 @@ func TestAllreduceSingleRank(t *testing.T) {
 func TestAllgather(t *testing.T) {
 	w, _ := NewWorld(5)
 	w.Run(func(c *Comm) {
-		all := c.AllgatherFloat64(float64(c.Rank() * c.Rank()))
+		all := c.Allgather(float64(c.Rank() * c.Rank()))
 		for r, v := range all {
-			if v != float64(r*r) {
+			if v.(float64) != float64(r*r) {
 				t.Errorf("rank %d: all[%d] = %v", c.Rank(), r, v)
 			}
 		}

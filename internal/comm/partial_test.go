@@ -74,13 +74,13 @@ func TestPartialWorldMatchesFullWorld(t *testing.T) {
 		got := c.Recv(prev, 1).(float64)
 
 		sum := c.AllreduceFloat64(float64(r)+got/100, Sum)
-		all := c.AllgatherFloat64(float64(r * r))
-		mx := c.AllreduceInt64(int64(r), MaxI)
+		all := c.Allgather(float64(r * r))
+		mx := c.AllreduceInt64(int64(r), func(a, b int64) int64 { return max(a, b) })
 		bc := c.Broadcast(2, r).(int)
 
 		acc := got + sum + float64(mx) + float64(bc)
 		for i, v := range all {
-			acc += v * float64(i+1)
+			acc += v.(float64) * float64(i+1)
 		}
 		out[r] = acc
 	}

@@ -10,23 +10,24 @@
 //
 // Per time step each PE executes:
 //
-//  1. DLB (optional): exchange last-step force loads with the 8 neighbors,
-//     run the three-case protocol (internal/dlb), broadcast the decision,
-//     and transfer the moved column's particles.
+//  1. DLB (optional): run the balancer (internal/balance; the paper's is
+//     the three-case protocol) on the neighbors' last-step force loads,
+//     which arrived with their force returns in step 4, broadcast the
+//     decisions, and transfer the moved columns' particles.
 //  2. Velocity-Verlet half kick and drift.
 //  3. Migration: particles that drifted into cells hosted elsewhere are
 //     sent to their new host.
 //  4. Halo: send every neighbor the positions of the hosted cells it
-//     imports, stage the neighbors' replies, compute forces. Nobody asks:
-//     both sides derive the cell lists from the ownership map, once per
-//     ownership epoch (plan.go).
+//     imports, stage the neighbors' replies, compute forces, and return
+//     each neighbor the forces on its cells together with this PE's load.
+//     Nobody asks: both sides derive the cell lists from the ownership map,
+//     once per ownership epoch (plan.go).
 //  5. Second half kick; velocity rescaling to Tref every RescaleEvery steps.
 //
 // The force-computation load that drives both the DLB decisions and the
-// reported Fmax/Fave/Fmin series is, by default, the deterministic count of
+// reported Fmax/Fave/Fmin series is the deterministic count of
 // pair-distance evaluations (the quantity MPI_Wtime measured on the T3E);
-// wall-clock timing is recorded alongside and can be selected as the
-// decision metric instead.
+// wall-clock timing is recorded alongside and never steers.
 package core
 
 import (
@@ -47,20 +48,6 @@ import (
 	"permcell/internal/supervise"
 	"permcell/internal/trace"
 	"permcell/internal/workload"
-)
-
-// LoadMetric selects the quantity that drives DLB decisions.
-type LoadMetric int
-
-// Load metrics.
-const (
-	// WorkCount uses the number of pair-distance evaluations of the last
-	// force computation. Deterministic: identical runs produce identical
-	// DLB decisions, so experiments regenerate exactly.
-	WorkCount LoadMetric = iota
-	// WallTime uses measured wall-clock seconds of the last force
-	// computation, as the paper's MPI_Wtime-based implementation did.
-	WallTime
 )
 
 // Config describes one parallel run.
@@ -87,17 +74,12 @@ type Config struct {
 	// disables it).
 	Tref         float64
 	RescaleEvery int
-	// Balancer is the pluggable load-balancing strategy driven at the DLB
-	// cadence (nil = static DDM). All strategies execute their moves
-	// through the same ledger/colTransfer machinery, so the 8-neighbor
+	// Balancer is the pluggable load-balancing strategy, run every time
+	// step as in the paper (nil = static DDM). All strategies execute their
+	// moves through the same ledger/colTransfer machinery, so the 8-neighbor
 	// exchange pattern and the transfer invariants (forces carried,
 	// conservation, C' bound) hold for every implementation.
 	Balancer balance.Balancer
-	// DLBEvery runs the balancer exchange every k-th step (default 1 — the
-	// paper's "every time step"; larger values are the frequency ablation).
-	DLBEvery int
-	// Metric selects the DLB decision load metric.
-	Metric LoadMetric
 	// Shards is the per-PE force-kernel worker count (<= 1 = serial
 	// kernel). Results are bit-deterministic for a given shard count but
 	// differ between shard counts, so the value is part of the run identity
@@ -314,9 +296,6 @@ func (cfg *Config) validate() error {
 	// so they are rejected here rather than panicking mid-run.
 	if cfg.StatsEvery < 0 {
 		return fmt.Errorf("core: StatsEvery must be >= 0, got %d", cfg.StatsEvery)
-	}
-	if cfg.DLBEvery < 0 {
-		return fmt.Errorf("core: DLBEvery must be >= 0, got %d", cfg.DLBEvery)
 	}
 	if cfg.Shards < 0 {
 		return fmt.Errorf("core: Shards must be >= 0, got %d", cfg.Shards)

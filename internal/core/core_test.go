@@ -305,45 +305,6 @@ func TestCommStatsRecorded(t *testing.T) {
 	}
 }
 
-func TestDLBEveryInterval(t *testing.T) {
-	sys, g := testSystem(t, 6, 0.4, 32)
-	cfg := baseConfig(g, 9)
-	cfg.Balancer = balance.PermanentCell{}
-	cfg.DLBEvery = 5
-	res, err := Run(cfg, sys, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Moves may only happen on steps 1, 6, 11 (1-based, (step-1)%5 == 0).
-	for _, st := range res.Stats {
-		if st.Moved > 0 && (st.Step-1)%5 != 0 {
-			t.Errorf("column moved at step %d with DLBEvery=5", st.Step)
-		}
-	}
-	if res.Final.Len() != sys.Set.Len() {
-		t.Error("particles lost with DLBEvery")
-	}
-}
-
-func TestWallTimeMetricRuns(t *testing.T) {
-	// Wall-clock decisions are nondeterministic but must be protocol-legal
-	// and conserve particles.
-	sys, g := testSystem(t, 6, 0.4, 33)
-	cfg := baseConfig(g, 9)
-	cfg.Balancer = balance.PermanentCell{}
-	cfg.Metric = WallTime
-	res, err := Run(cfg, sys, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Final.Len() != sys.Set.Len() {
-		t.Fatalf("particle count %d -> %d", sys.Set.Len(), res.Final.Len())
-	}
-	if err := res.Final.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLargerTorus(t *testing.T) {
 	// P=16 (s=4): exercises ledgers whose neighbor sets do not cover the
 	// whole torus, unlike the P=4/P=9 cases.

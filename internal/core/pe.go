@@ -220,13 +220,9 @@ func (p *pe) oneStep(step int, res *Result) {
 	if s := p.cfg.Sabotage; s != nil && s.Kind == supervise.SabotagePanic && s.TryFire(step, p.c.Rank()) {
 		panic(fmt.Sprintf("core: rank %d: injected sabotage panic at step %d", p.c.Rank(), step))
 	}
-	dlbEvery := p.cfg.DLBEvery
-	if dlbEvery < 1 {
-		dlbEvery = 1
-	}
 	t0 := time.Now()
 	p.moved, p.movedBytes = 0, 0
-	if p.dec != nil && (step-1)%dlbEvery == 0 {
+	if p.dec != nil {
 		p.balanceStep()
 	}
 	ti := p.tm.Start()
@@ -352,14 +348,6 @@ func (p *pe) verifyStep(step int) {
 	}
 }
 
-// load returns the last force-computation load under the configured metric.
-func (p *pe) load() float64 {
-	if p.cfg.Metric == WallTime {
-		return p.lastWall
-	}
-	return p.lastWork
-}
-
 // loadCensus is the per-rank payload of a global-scope balancer epoch: the
 // PE's load plus its hosted-column occupancy census.
 type loadCensus struct {
@@ -374,10 +362,10 @@ type loadCensus struct {
 // epoch costs no message of its own; global-scope balancers use one
 // allgather carrying every PE's load and column census.
 func (p *pe) observe() balance.Observation {
-	obs := balance.Observation{Self: p.load()}
+	obs := balance.Observation{Self: p.lastWork}
 
 	if p.cfg.Balancer.Scope() == balance.ScopeGlobal {
-		mine := loadCensus{Load: p.load(), Cols: p.lg.HostedColumns()}
+		mine := loadCensus{Load: p.lastWork, Cols: p.lg.HostedColumns()}
 		mine.Pop = make([]int, len(mine.Cols))
 		for i, col := range mine.Cols {
 			mine.Pop[i] = p.colPop[col]
@@ -631,7 +619,7 @@ func (p *pe) computeForces() {
 // plan.addReturn).
 func (p *pe) returnForces() {
 	for k, nb := range p.nbs {
-		ret, bytes := p.plan.packReturn(k, p.cl, p.load())
+		ret, bytes := p.plan.packReturn(k, p.cl, p.lastWork)
 		p.send(metrics.PhaseHalo, nb, tagForce, ret, bytes)
 	}
 	for k, nb := range p.nbs {

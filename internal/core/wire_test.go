@@ -152,7 +152,7 @@ func TestPayloadInventory(t *testing.T) {
 		{name: "[]float64", v: []float64{1, nan, inf, negZero}},
 		{name: "[]float64 nil", v: []float64(nil)},
 		{name: "[]float64 empty", v: []float64{}},
-		{name: "[]dlb.Decision", v: []dlb.Decision{{Col: 3, Dest: 7}, dlb.None}},
+		{name: "[]dlb.Decision", v: []dlb.Decision{{Col: 3, Dest: 7}, {Col: -1}}},
 		{name: "[]dlb.Decision nil", v: []dlb.Decision(nil)},
 		{name: "[]dlb.Decision empty", v: []dlb.Decision{}},
 		{name: "[]particle.One", v: []particle.One{one, {ID: 2}}},

@@ -1,21 +1,20 @@
-// Package dlb implements the paper's contribution: dynamic load balancing
-// based on permanent cells (Section 2.3). Square-pillar domains place an
-// m x m block of cell columns on each PE of a sqrt(P) x sqrt(P) torus. The
-// last local row and column of each block are permanent cells that never
-// leave their owner; the (m-1)^2 remaining columns are movable. Every step,
-// each PE may hand one column to the fastest PE in its 8-neighborhood,
-// following the three cases of the redistribution protocol:
+// Package dlb is the legal move space of the paper's contribution: dynamic
+// load balancing based on permanent cells (Section 2.3). Square-pillar
+// domains place an m x m block of cell columns on each PE of a sqrt(P) x
+// sqrt(P) torus (Layout). The last local row and column of each block are
+// permanent cells that never leave their owner; the (m-1)^2 remaining
+// columns are movable, and only two kinds of move exist (Ledger.Apply
+// refuses every other):
 //
-//	Case 1  fastest is up-left  ((-1,-1), (-1,0), (0,-1)): send one of my
-//	        own movable columns that is still at home.
-//	Case 2  fastest is anti-diagonal ((-1,+1), (+1,-1)): nothing to send.
-//	Case 3  fastest is down-right ((0,+1), (+1,0), (+1,+1)): return one of
-//	        the columns I previously received from it, if any.
+//	lend    an owner hands one of its own movable columns, still at home,
+//	        to one of its three up-left neighbors (-1,-1), (-1,0), (0,-1);
+//	return  a borrower hands a column back to its owner.
 //
 // The permanent walls guarantee that any column adjacent to a hosted column
 // is hosted within the host's 8-neighborhood, so the communication pattern
 // stays a regular 8-neighbor torus exchange forever — the whole point of
-// the method.
+// the method. Which move a PE makes, and when, is a strategy's business:
+// the paper's three-case rule and its alternatives are internal/balance.
 package dlb
 
 import (

@@ -3,56 +3,16 @@ package dlb
 import (
 	"fmt"
 	"sort"
-
-	"permcell/internal/topology"
 )
 
-// Strategy selects which candidate column a PE hands over when several are
-// eligible. The paper leaves the choice open; MostLoaded transfers the most
-// work per move and is the default. The alternatives exist for the ablation
-// benchmarks.
-type Strategy int
-
-// Column-pick strategies.
-const (
-	PickMostLoaded Strategy = iota
-	PickLeastLoaded
-	PickLowestIndex
-)
-
-// Config tunes the per-step decision.
-type Config struct {
-	// Hysteresis is the relative load gap required before a column moves:
-	// a PE sends only if its load exceeds the fastest neighbor's load by
-	// this fraction. Zero reproduces the paper's protocol literally (any
-	// strictly faster neighbor triggers a move); a small positive value
-	// suppresses ping-ponging when loads are statistically equal.
-	Hysteresis float64
-	// ColLoad reports the current load of a column (e.g. its particle
-	// count). May be nil, in which case all columns weigh the same.
-	ColLoad func(col int) float64
-	// Pick selects among candidate columns.
-	Pick Strategy
-}
-
-// Loads carries the execution times exchanged in protocol step 1: the PE's
-// own last-step load and its 8 neighbors' loads in topology.Offsets8 order.
-type Loads struct {
-	Self     float64
-	Neighbor [8]float64
-}
-
-// Decision is the outcome of one PE's protocol step: move column Col to
-// rank Dest, or nothing (Col < 0). Decisions are broadcast to the 8
+// Decision is one ownership move: column Col goes to rank Dest. A balancer
+// (internal/balance) proposes decisions; they are broadcast to the 8
 // neighbors (protocol step 4) and applied by every ledger that tracks the
-// column.
+// column. Col < 0 is the empty decision, which Apply ignores.
 type Decision struct {
 	Col  int
 	Dest int
 }
-
-// None is the empty decision.
-var None = Decision{Col: -1}
 
 // Ledger is one PE's view of column placement. It tracks the host of every
 // column owned by the PE itself and its three down-right neighbors — the
@@ -103,11 +63,6 @@ func RestoreLedger(l Layout, rank int, hosts map[int]int) (*Ledger, error) {
 		return nil, fmt.Errorf("dlb: restoring rank %d ledger: %w", rank, err)
 	}
 	return lg, nil
-}
-
-// Tracks reports whether the ledger maintains dynamic host state for col.
-func (lg *Ledger) Tracks(col int) bool {
-	return lg.trackedOwners[lg.L.OwnerOf(col)]
 }
 
 // HostOf returns the current host of col. For untracked movable columns —
@@ -169,88 +124,6 @@ func (lg *Ledger) LentOut() []int {
 		}
 	}
 	return out
-}
-
-// pick chooses one column from non-empty candidates under cfg.
-func pick(cands []int, cfg Config) int {
-	switch cfg.Pick {
-	case PickLowestIndex:
-		return cands[0] // candidates are ascending
-	case PickLeastLoaded:
-		best, bestLoad := cands[0], loadOf(cands[0], cfg)
-		for _, c := range cands[1:] {
-			if l := loadOf(c, cfg); l < bestLoad {
-				best, bestLoad = c, l
-			}
-		}
-		return best
-	default: // PickMostLoaded
-		best, bestLoad := cands[0], loadOf(cands[0], cfg)
-		for _, c := range cands[1:] {
-			if l := loadOf(c, cfg); l > bestLoad {
-				best, bestLoad = c, l
-			}
-		}
-		return best
-	}
-}
-
-func loadOf(col int, cfg Config) float64 {
-	if cfg.ColLoad == nil {
-		return 1
-	}
-	return cfg.ColLoad(col)
-}
-
-// Decide runs protocol steps 2-3: find the fastest PE among self and the 8
-// neighbors and choose the column to send, if any. It does not mutate the
-// ledger; the caller broadcasts the decision and applies it everywhere
-// (including locally) via Apply.
-func (lg *Ledger) Decide(loads Loads, cfg Config) Decision {
-	// Step 2: fastest slot. Self wins ties; among neighbors the lowest
-	// offset index wins, making the protocol deterministic.
-	fastestK, fastest := -1, loads.Self
-	for k, v := range loads.Neighbor {
-		if v < fastest {
-			fastest, fastestK = v, k
-		}
-	}
-	if fastestK < 0 {
-		return None
-	}
-	if loads.Self <= fastest*(1+cfg.Hysteresis) {
-		return None
-	}
-
-	off := topology.Offsets8[fastestK]
-	pi, pj := lg.L.T.Coords(lg.Rank)
-	dest := lg.L.T.Rank(pi+off.DI, pj+off.DJ)
-
-	switch {
-	case contains(topology.UpLeft, off): // Case 1
-		cands := lg.OwnMovableAtHome()
-		if len(cands) == 0 {
-			return None
-		}
-		return Decision{Col: pick(cands, cfg), Dest: dest}
-	case contains(topology.DownRight, off): // Case 3
-		cands := lg.BorrowedFrom(dest)
-		if len(cands) == 0 {
-			return None
-		}
-		return Decision{Col: pick(cands, cfg), Dest: dest}
-	default: // Case 2
-		return None
-	}
-}
-
-func contains(set []topology.Offset, o topology.Offset) bool {
-	for _, s := range set {
-		if s == o {
-			return true
-		}
-	}
-	return false
 }
 
 // Apply incorporates a decision made by rank decider (protocol step 4).

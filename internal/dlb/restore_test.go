@@ -1,13 +1,15 @@
-package dlb
+package dlb_test
 
 import (
 	"reflect"
 	"testing"
+
+	"permcell/internal/dlb"
 )
 
 // globalHosts merges every ledger's hosted set into one column→host map,
 // the way a checkpoint restore assembles it from per-rank frames.
-func globalHosts(lgs []*Ledger) map[int]int {
+func globalHosts(lgs []*dlb.Ledger) map[int]int {
 	hosts := make(map[int]int)
 	for _, lg := range lgs {
 		for _, col := range lg.HostedColumns() {
@@ -21,7 +23,7 @@ func TestRestoreLedgerInitialState(t *testing.T) {
 	l, lgs := newLedgers(t, 3, 3)
 	hosts := globalHosts(lgs)
 	for r := range lgs {
-		got, err := RestoreLedger(l, r, hosts)
+		got, err := dlb.RestoreLedger(l, r, hosts)
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
 		}
@@ -42,7 +44,7 @@ func TestRestoreLedgerWithLentColumns(t *testing.T) {
 		if len(ul) == 0 || len(cands) == 0 {
 			continue
 		}
-		d := Decision{Col: cands[0], Dest: ul[0]}
+		d := dlb.Decision{Col: cands[0], Dest: ul[0]}
 		applyEverywhere(t, l, lgs, r, d)
 		moved++
 	}
@@ -53,7 +55,7 @@ func TestRestoreLedgerWithLentColumns(t *testing.T) {
 
 	hosts := globalHosts(lgs)
 	for r := range lgs {
-		got, err := RestoreLedger(l, r, hosts)
+		got, err := dlb.RestoreLedger(l, r, hosts)
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
 		}
@@ -84,7 +86,7 @@ func TestRestoreLedgerRejectsInvalidPlacement(t *testing.T) {
 		t.Fatal("test setup: no permanent column found")
 	}
 	hosts[perm] = 0
-	if _, err := RestoreLedger(l, 4, hosts); err == nil {
+	if _, err := dlb.RestoreLedger(l, 4, hosts); err == nil {
 		t.Fatal("displaced permanent column accepted")
 	}
 }

@@ -88,9 +88,8 @@ func BenchmarkKernelFlatShards8(b *testing.B) { benchmarkKernelFlat(b, 8) }
 // tiny plus the 50k/100k/200k paper-density systems) against the flat
 // kernel at shard counts 1, 2 and 8. The large presets are where the force
 // array no longer fits in cache and shard parallelism has work to amortize
-// against; cmd/figures -bench-json times the same matrix into
-// BENCH_kernel.json, and the bench-regression CI gate asserts shard
-// scaling there on multi-core machines.
+// against. A developer tool (go test -run '^$' -bench BenchmarkKernel
+// ./internal/kernel): changes are judged by bench/, not by these numbers.
 func BenchmarkKernelPresets(b *testing.B) {
 	for _, pr := range workload.KernelPresets() {
 		sys, g, err := pr.Build()

@@ -136,10 +136,6 @@ func (e *Engine) TotalEnergy() float64 { return e.set.KineticEnergy() + e.potE }
 // for the paper's force-computation wall time.
 func (e *Engine) PairCount() int64 { return e.pairCount }
 
-// Virial returns the pair virial W = sum over pairs of r_ij . F_ij from
-// the last force evaluation.
-func (e *Engine) Virial() float64 { return e.virial }
-
 // Pressure returns the instantaneous reduced pressure from the virial
 // theorem, P = (N T + W/3) / V.
 func (e *Engine) Pressure() float64 {

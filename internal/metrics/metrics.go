@@ -77,15 +77,6 @@ type Sample struct {
 	Bytes [NumPhases]int64
 }
 
-// TotalSecs returns the sum over phases, one PE's instrumented step time.
-func (s Sample) TotalSecs() float64 {
-	var t float64
-	for _, v := range s.Secs {
-		t += v
-	}
-	return t
-}
-
 // Timer accumulates one PE's Sample across the phases of a step. All
 // methods are nil-receiver no-ops so disabled runs carry no timing calls;
 // an enabled Timer performs zero heap allocations in steady state
@@ -93,9 +84,6 @@ func (s Sample) TotalSecs() float64 {
 type Timer struct {
 	cur Sample
 }
-
-// Enabled reports whether the timer collects.
-func (t *Timer) Enabled() bool { return t != nil }
 
 // Start returns the phase start time (zero when disabled, so the matching
 // Stop is also a no-op without a second branch at the call site).
@@ -115,7 +103,8 @@ func (t *Timer) Stop(ph Phase, t0 time.Time) {
 }
 
 // Add folds externally measured seconds into phase ph (used when a section
-// already times itself, e.g. the force kernel's wall-clock load metric).
+// already times itself, e.g. the force pass, whose wall time each PE
+// records anyway).
 func (t *Timer) Add(ph Phase, secs float64) {
 	if t == nil {
 		return
@@ -184,19 +173,10 @@ func (b Breakdown) SumAveSecs() float64 {
 	return t
 }
 
-// SumMsgs and SumBytes return the step's total originated point-to-point
-// traffic.
+// SumMsgs returns the step's total originated point-to-point messages.
 func (b Breakdown) SumMsgs() int64 {
 	var t int64
 	for _, v := range b.Msgs {
-		t += v
-	}
-	return t
-}
-
-func (b Breakdown) SumBytes() int64 {
-	var t int64
-	for _, v := range b.Bytes {
 		t += v
 	}
 	return t

@@ -31,9 +31,6 @@ func TestPhaseNames(t *testing.T) {
 // unconditionally.
 func TestNilTimerNoOps(t *testing.T) {
 	var tm *Timer
-	if tm.Enabled() {
-		t.Fatal("nil timer enabled")
-	}
 	t0 := tm.Start()
 	if !t0.IsZero() {
 		t.Fatal("nil Start returned non-zero time")
@@ -66,9 +63,6 @@ func TestTimerAccumulateAndReset(t *testing.T) {
 	if s.Secs[PhaseIntegrate] <= 0 {
 		t.Errorf("integrate secs = %v", s.Secs[PhaseIntegrate])
 	}
-	if got := s.TotalSecs(); got != s.Secs[PhaseForce]+s.Secs[PhaseIntegrate] {
-		t.Errorf("TotalSecs = %v", got)
-	}
 	if again := tm.TakeSample(); again != (Sample{}) {
 		t.Errorf("sample not reset: %+v", again)
 	}
@@ -78,8 +72,7 @@ func TestTimerAccumulateAndReset(t *testing.T) {
 // half of the package: a full per-step timer cycle allocates nothing, for
 // both the enabled and the disabled (nil) timer.
 func TestTimerZeroAlloc(t *testing.T) {
-	for _, tm := range map[string]*Timer{"enabled": {}, "nil": nil} {
-		tm := tm
+	for name, tm := range map[string]*Timer{"enabled": {}, "nil": nil} {
 		step := func() {
 			t0 := tm.Start()
 			tm.Stop(PhaseForce, t0)
@@ -88,7 +81,7 @@ func TestTimerZeroAlloc(t *testing.T) {
 			_ = tm.TakeSample()
 		}
 		if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
-			t.Errorf("timer=%v: %v allocs per step cycle, want 0", tm.Enabled(), allocs)
+			t.Errorf("timer=%s: %v allocs per step cycle, want 0", name, allocs)
 		}
 	}
 }
@@ -111,8 +104,8 @@ func TestBreakdownReduce(t *testing.T) {
 	if b.SumAveSecs() != 3 {
 		t.Errorf("SumAveSecs = %v", b.SumAveSecs())
 	}
-	if b.SumMsgs() != 10 || b.SumBytes() != 1000 {
-		t.Errorf("sums = %d/%d", b.SumMsgs(), b.SumBytes())
+	if b.SumMsgs() != 10 {
+		t.Errorf("SumMsgs = %d", b.SumMsgs())
 	}
 }
 

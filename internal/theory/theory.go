@@ -62,10 +62,6 @@ func F4(n float64) float64 { return 27 / (43*n - 16) }
 // m^2 + 3(m-1)^2 (the column form of C' in Section 4.1).
 func CPrimeColumns(m int) int { return m*m + 3*(m-1)*(m-1) }
 
-// CPrimeCells returns C' in cells for a cubic grid with C cells:
-// [m^2 + 3(m-1)^2] * C^(1/3), where ncPerSide = C^(1/3).
-func CPrimeCells(m, ncPerSide int) int { return CPrimeColumns(m) * ncPerSide }
-
 // FCube returns the cube-domain analogue of eq. 8, derived in this
 // repository as the paper's future-work extension: with
 // cube domains of m^3 cells on a 3-D torus, the permanent shell is the

@@ -88,9 +88,6 @@ func TestCPrime(t *testing.T) {
 	if CPrimeColumns(3) != 21 {
 		t.Errorf("C'(m=3) = %d columns, want 21", CPrimeColumns(3))
 	}
-	if CPrimeCells(3, 12) != 21*12 {
-		t.Errorf("C' cells = %d", CPrimeCells(3, 12))
-	}
 	if got := float64(CPrimeColumns(3)) / 9; math.Abs(got-2.333) > 0.01 {
 		t.Errorf("max domain ratio %v, want ~2.33", got)
 	}

@@ -28,9 +28,6 @@ func (v V) Sub(w V) V { return V{v.X - w.X, v.Y - w.Y, v.Z - w.Z} }
 // Scale returns s*v.
 func (v V) Scale(s float64) V { return V{s * v.X, s * v.Y, s * v.Z} }
 
-// Neg returns -v.
-func (v V) Neg() V { return V{-v.X, -v.Y, -v.Z} }
-
 // Dot returns the dot product v . w.
 func (v V) Dot(w V) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 
@@ -53,9 +50,6 @@ func (v V) Norm() float64 { return math.Sqrt(v.Norm2()) }
 func (v V) MulAdd(s float64, w V) V {
 	return V{v.X + s*w.X, v.Y + s*w.Y, v.Z + s*w.Z}
 }
-
-// Hadamard returns the component-wise product of v and w.
-func (v V) Hadamard(w V) V { return V{v.X * w.X, v.Y * w.Y, v.Z * w.Z} }
 
 // Dist returns the Euclidean distance |v - w|.
 func (v V) Dist(w V) float64 { return v.Sub(w).Norm() }

@@ -21,9 +21,6 @@ func TestBasicOps(t *testing.T) {
 	if got := a.Scale(2); got != New(2, 4, 6) {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := a.Neg(); got != New(-1, -2, -3) {
-		t.Errorf("Neg = %v", got)
-	}
 	if got := a.Dot(b); got != -4+10+1.5 {
 		t.Errorf("Dot = %v", got)
 	}
@@ -35,9 +32,6 @@ func TestBasicOps(t *testing.T) {
 	}
 	if got := a.MulAdd(3, b); got != New(-11, 17, 4.5) {
 		t.Errorf("MulAdd = %v", got)
-	}
-	if got := a.Hadamard(b); got != New(-4, 10, 1.5) {
-		t.Errorf("Hadamard = %v", got)
 	}
 }
 
@@ -67,7 +61,7 @@ func TestCrossAnticommutative(t *testing.T) {
 	f := func(ax, ay, az, bx, by, bz float64) bool {
 		a := New(clampComp(ax), clampComp(ay), clampComp(az))
 		b := New(clampComp(bx), clampComp(by), clampComp(bz))
-		c1, c2 := a.Cross(b), b.Cross(a).Neg()
+		c1, c2 := a.Cross(b), b.Cross(a).Scale(-1)
 		return almostEq(c1.X, c2.X, 1e-9*(1+math.Abs(c1.X))) &&
 			almostEq(c1.Y, c2.Y, 1e-9*(1+math.Abs(c1.Y))) &&
 			almostEq(c1.Z, c2.Z, 1e-9*(1+math.Abs(c1.Z)))

@@ -6,14 +6,11 @@ import (
 	"permcell/internal/space"
 )
 
-// KernelPreset is one geometry of the force-kernel benchmark matrix — the
-// single source of truth shared by the kernel package's benchmarks, the
-// cmd/figures -bench-json report (BENCH_kernel.json) and the bench
-// regression gate, so the committed baseline and the re-timed results
-// always describe the same systems.
+// KernelPreset is one geometry of the force-kernel benchmark matrix: the
+// systems the kernel package's microbenchmarks time and its bit-identity
+// pins hash (bench/'s serial_50k workload has the 50k one's geometry).
 type KernelPreset struct {
-	// Name keys the preset in BENCH_kernel.json and on the -bench-presets
-	// flag.
+	// Name keys the preset in benchmark names.
 	Name string
 	// N is the particle count; Rho the reduced density. The cubic box edge
 	// follows as (N/Rho)^(1/3) and the grid is the finest with cell side
@@ -33,13 +30,12 @@ type KernelPreset struct {
 // KernelPresets returns the benchmark matrix, smallest first:
 //
 //   - tiny: the original acceptance-gate geometry (Tiny experiment preset,
-//     m=3: grid 6x6x6, N=1296 at rho=0.384) — kept bit-compatible with the
-//     historical BENCH_kernel.json baselines;
+//     m=3: grid 6x6x6, N=1296 at rho=0.384) — TestShardPin's hashes are
+//     taken on it;
 //   - 50k/100k/200k: cubic boxes at the paper's headline density 0.256
 //     whose edge is an exact multiple of the cut-off 2.5, large enough
 //     that the force pass no longer fits in cache and intra-PE shard
-//     parallelism has real work to amortize against (the scaling
-//     acceptance gate runs at 50k and beyond).
+//     parallelism has real work to amortize against.
 func KernelPresets() []KernelPreset {
 	return []KernelPreset{
 		{Name: "tiny", N: 1296, Rho: 0.384, NC: 6, Tref: 0.722, Seed: 1},

@@ -25,7 +25,8 @@ import (
 //
 // Concurrency: the driver (Step/Result/Checkpoint callers) runs the rollback
 // loop; admit is called from the inner engine's stats path (rank 0's
-// goroutine for the parallel engine, the driver itself for static/serial).
+// goroutine for the parallel engine, static shapes included; the driver
+// itself for the serial one).
 // An abandoned incarnation's rank 0 may still race one last admit against
 // the driver, so admissions are generation-tagged and mu-serialized: a stale
 // generation is dropped before it can touch the accumulated state.
