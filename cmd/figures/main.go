@@ -146,22 +146,25 @@ func main() {
 func theoryTables() {
 	ms := []int{2, 3, 4}
 	const nmax, dn = 3.0, 0.25
+	curves := func(label string, f func(m int, n float64) float64) {
+		fmt.Printf("%8s", "n")
+		for _, m := range ms {
+			fmt.Printf(" %12s", fmt.Sprintf(label, m))
+		}
+		fmt.Println()
+		for n := 1.0; n <= nmax+1e-9; n += dn {
+			fmt.Printf("%8.2f", n)
+			for _, m := range ms {
+				fmt.Printf(" %12.4f", f(m, n))
+			}
+			fmt.Println()
+		}
+	}
 
 	fmt.Println("Theoretical upper bounds f(m, n) of the particle concentration ratio C0/C")
 	fmt.Println("(eq. 8; DLB balances uniformly while C0/C <= f(m, n))")
-	fmt.Printf("\n%8s", "n")
-	for _, m := range ms {
-		fmt.Printf(" %12s", fmt.Sprintf("f(%d,n)", m))
-	}
 	fmt.Println()
-	for n := 1.0; n <= nmax+1e-9; n += dn {
-		fmt.Printf("%8.2f", n)
-		for _, m := range ms {
-			fmt.Printf(" %12.4f", theory.MustF(m, n))
-		}
-		fmt.Println()
-	}
-
+	curves("f(%d,n)", theory.MustF)
 	fmt.Println("\nMaximum domain C' (columns) and ratio to the initial m^2:")
 	fmt.Printf("%8s %12s %12s\n", "m", "C' cols", "C'/m^2")
 	for _, m := range ms {
@@ -170,18 +173,7 @@ func theoryTables() {
 	}
 
 	fmt.Println("\nCube-domain extension (this repository's generalization, theory.FCube):")
-	fmt.Printf("%8s", "n")
-	for _, m := range ms {
-		fmt.Printf(" %12s", fmt.Sprintf("fcube(%d,n)", m))
-	}
-	fmt.Println()
-	for n := 1.0; n <= nmax+1e-9; n += dn {
-		fmt.Printf("%8.2f", n)
-		for _, m := range ms {
-			fmt.Printf(" %12.4f", theory.MustFCube(m, n))
-		}
-		fmt.Println()
-	}
+	curves("fcube(%d,n)", theory.MustFCube)
 	fmt.Printf("\n%8s %12s %12s\n", "m", "Q cells", "Q/m^3")
 	for _, m := range ms {
 		q := theory.QCubeCells(m)

@@ -66,13 +66,13 @@ func (b PermanentCell) Validate(dlb.Layout) error {
 
 // NewDecider implements Balancer.
 func (b PermanentCell) NewDecider(l dlb.Layout, rank int) Decider {
-	return permcellDecider{cfg: b, l: l, rank: rank}
+	return permcellDecider{cfg: b}
 }
 
+// permcellDecider keeps no state of its own: the ledger it is handed names
+// its layout and rank.
 type permcellDecider struct {
-	cfg  PermanentCell
-	l    dlb.Layout
-	rank int
+	cfg PermanentCell
 }
 
 // Decide runs protocol steps 2-3: find the fastest PE among self and the 8
@@ -91,8 +91,8 @@ func (d permcellDecider) Decide(lg *dlb.Ledger, obs Observation) []dlb.Decision 
 	}
 
 	off := topology.Offsets8[fastestK]
-	pi, pj := d.l.T.Coords(d.rank)
-	dest := d.l.T.Rank(pi+off.DI, pj+off.DJ)
+	pi, pj := lg.L.T.Coords(lg.Rank)
+	dest := lg.L.T.Rank(pi+off.DI, pj+off.DJ)
 
 	var cands []int
 	switch {

@@ -324,7 +324,7 @@ func TestApplyRejectsProtocolViolations(t *testing.T) {
 	if err := lg.Apply(me, dlb.Decision{Col: mv, Dest: l.T.Rank(2, 2)}); err == nil {
 		t.Error("send to down-right neighbor accepted")
 	}
-	// dlb.Decision by a rank that is not the host.
+	// Decision by a rank that is not the host.
 	other := l.T.Rank(2, 1)
 	if err := lg.Apply(other, dlb.Decision{Col: mv, Dest: me}); err == nil {
 		t.Error("non-host move accepted")
