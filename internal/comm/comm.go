@@ -206,7 +206,7 @@ func (w *World) Run(fn func(c *Comm)) {
 			defer wg.Done()
 			c := w.Comm(rank)
 			fn(c)
-			c.flushHeld() // a finished rank may not strand held-back messages
+			c.exitFlush() // a finished rank may not strand held-back or buffered messages
 			if c.tr != nil {
 				c.tr.setOp("done", "")
 			}

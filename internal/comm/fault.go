@@ -289,9 +289,15 @@ func (c *Comm) enqueue(dst int, m message) {
 }
 
 // flushHeld delivers every message this rank is holding back, in link then
-// hold order. Called before any operation that can block indefinitely
-// (Recv, Barrier, a full-inbox send) and when the rank's function returns.
+// hold order, and then flushes the Remote of a partial world. Called before
+// any operation that can block indefinitely (Recv, Barrier, a full-inbox
+// send) and when the rank's function returns.
 func (c *Comm) flushHeld() {
+	c.deliverHeld()
+	c.flushRemote()
+}
+
+func (c *Comm) deliverHeld() {
 	fs := c.w.fs
 	if fs == nil {
 		return
@@ -316,12 +322,13 @@ func (c *Comm) flushHeld() {
 }
 
 // FlushFaults delivers every message the fault layer is holding back for
-// reordering on this rank's links. A rank that goes idle — acking a
-// batch boundary to a driver and waiting for the next command — must
-// call it first: a held message strands a peer that is still blocked
-// receiving it, and with the holder no longer sending (the flush
-// triggers below only fire inside comm operations) the run deadlocks.
-// No-op without a fault plan or held messages.
+// reordering on this rank's links, and flushes a partial world's Remote. A
+// rank that goes idle — acking a batch boundary to a driver and waiting
+// for the next command — must call it first: a held or buffered message
+// strands a peer that is still blocked receiving it, and with the holder
+// no longer sending (the flush triggers below only fire inside comm
+// operations) the run deadlocks. No-op on a full world without a fault
+// plan or held messages.
 func (c *Comm) FlushFaults() { c.flushHeld() }
 
 // SendReliable is Send over an unreliable link: under a fault plan each

@@ -17,7 +17,17 @@ import (
 // must preserve per-(src,tag) call order on delivery — the substrate's
 // FIFO matching contract depends on it.
 type Remote interface {
+	// Deliver takes the message over: it must have encoded or copied data
+	// by the time it returns (the sender reuses its buffers), but it may
+	// hold the message back until the next Flush.
 	Deliver(src, dst, tag int, data any, size int64) error
+	// Flush sends on everything Deliver has accepted, from every local
+	// rank. The world calls it wherever a rank could block — before a
+	// Recv waits, before a send into a full inbox, at FlushFaults (a batch
+	// end) and when a rank's function returns — so no message a peer waits
+	// on stays buffered here, and a burst of sends leaves in one write.
+	// Ranks call it concurrently. An error means the link is gone.
+	Flush() error
 	// Stats returns the cumulative count of messages delivered through
 	// this remote and the bytes they occupied on the wire, framing
 	// included (the source for the transport counters in StepStats). Only
@@ -145,4 +155,29 @@ func (c *Comm) deliverRemote(dst int, m message) {
 	if err := c.w.remote.Deliver(m.src, dst, m.tag, m.data, m.size); err != nil {
 		panic(fmt.Sprintf("comm: remote delivery rank %d -> %d (tag %d) failed: %v", m.src, dst, m.tag, err))
 	}
+}
+
+// flushRemote pushes out what the Remote holds, on a partial world; it
+// fails like deliverRemote.
+func (c *Comm) flushRemote() {
+	if c.w.remote == nil {
+		return
+	}
+	if err := c.w.remote.Flush(); err != nil {
+		panic(fmt.Sprintf("comm: remote flush from rank %d failed: %v", c.rank, err))
+	}
+}
+
+// exitFlush is flushHeld for a rank whose function has returned. It runs
+// outside any trap the function installed, so a delivery or flush that
+// fails here — the link died under a finished rank — must not panic: it
+// poisons the world instead, the same signal every other local rank gets
+// from a dead link.
+func (c *Comm) exitFlush() {
+	defer func() {
+		if r := recover(); r != nil {
+			c.w.Poison(fmt.Sprint(r))
+		}
+	}()
+	c.flushHeld()
 }

@@ -1,6 +1,8 @@
 package comm
 
 import (
+	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,7 +28,69 @@ func (r *memRemote) Deliver(src, dst, tag int, data any, size int64) error {
 	return r.peer.Inject(src, dst, tag, data, size)
 }
 
+func (r *memRemote) Flush() error { return nil } // Deliver holds nothing back
+
 func (r *memRemote) Stats() (frames, bytes int64) { return r.frames.Load(), r.bytes.Load() }
+
+// deadRemote is the link of a process whose far end died: once dead is set,
+// deliveries and flushes fail.
+type deadRemote struct {
+	dead      atomic.Bool
+	delivered atomic.Int64
+}
+
+func (r *deadRemote) Deliver(src, dst, tag int, data any, size int64) error {
+	if r.dead.Load() {
+		return errors.New("link gone")
+	}
+	r.delivered.Add(1)
+	return nil
+}
+
+func (r *deadRemote) Flush() error {
+	if r.dead.Load() {
+		return errors.New("link gone")
+	}
+	return nil
+}
+
+func (r *deadRemote) Stats() (frames, bytes int64) { return r.delivered.Load(), 0 }
+
+// TestRankExitFlushFailurePoisons: the flush World.Run makes after a rank's
+// function returns runs outside any trap the function set up, so a link
+// that dies under a finished rank must not panic the process there. The
+// flush of the Remote and the delivery of a held-back message both fail
+// after fn returns; Run comes back, and the world is poisoned with the
+// failure, which is what wakes any local rank still waiting on that link.
+func TestRankExitFlushFailurePoisons(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"flush", nil},
+		{"held message", []Option{WithFaults(FaultPlan{Seed: 1, ReorderProb: 1, ReorderDepth: 1})}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := &deadRemote{}
+			w, err := NewPartialWorld(2, []int{0}, r, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Run(func(c *Comm) {
+				c.Send(1, 3, 1.5)
+				r.dead.Store(true)
+			})
+			select {
+			case <-w.poison:
+			default:
+				t.Fatal("a failed exit flush left the world unpoisoned")
+			}
+			if !strings.Contains(w.poisonWhy, "link gone") || !strings.Contains(w.poisonWhy, "rank 0") {
+				t.Fatalf("poisoned with %q, want the failure naming rank 0", w.poisonWhy)
+			}
+		})
+	}
+}
 
 // splitWorlds returns two partial worlds covering ranks [0,cut) and
 // [cut,p), bridged by in-memory remotes.

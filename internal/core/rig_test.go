@@ -99,6 +99,8 @@ func (r *memRemote) Deliver(src, dst, tag int, data any, size int64) error {
 	return r.peer.Inject(src, dst, tag, got, size)
 }
 
+func (r *memRemote) Flush() error { return nil } // Deliver holds nothing back
+
 func (r *memRemote) Stats() (frames, bytes int64) { return r.frames.Load(), 0 }
 
 // rig drives the blocks of one instantiation in lockstep, as the distrib

@@ -72,8 +72,9 @@ const shutdownGrace = 2 * time.Second
 type Engine struct {
 	spec    WireSpec
 	peers   []*transport.Peer
-	procOf  []int   // rank -> hosting proc
-	ranks   [][]int // proc -> hosted rank block
+	acks    []*controlIn // proc -> its link's control stream, read by collect
+	procOf  []int        // rank -> hosting proc
+	ranks   [][]int      // proc -> hosted rank block
 	last    []frameLog
 	ctrl    chan ctrlFrame
 	fatal   chan error
@@ -140,6 +141,7 @@ func Start(spec WireSpec, cfg Config) (*Engine, error) {
 	e := &Engine{
 		spec:    spec,
 		peers:   make([]*transport.Peer, w),
+		acks:    make([]*controlIn, w),
 		procOf:  make([]int, p),
 		ranks:   make([][]int, w),
 		last:    make([]frameLog, w),
@@ -223,11 +225,12 @@ func Start(spec WireSpec, cfg Config) (*Engine, error) {
 		}
 		conn.SetReadDeadline(time.Time{})
 		e.peers[i] = peer
+		e.acks[i] = newControlIn()
 		if hbEvery > 0 {
 			// The liveness window: a healthy peer's heartbeats arrive
 			// every hbEvery, so hbMisses consecutive losses trip the
-			// per-Recv deadline. The same window bounds writes, so a
-			// peer that stops draining its socket cannot wedge Send.
+			// read deadline. The same window bounds writes, so a peer
+			// that stops draining its socket cannot wedge a flush.
 			window := hbEvery * time.Duration(hbMisses)
 			peer.SetTimeouts(window, window)
 		}
@@ -242,7 +245,9 @@ func Start(spec WireSpec, cfg Config) (*Engine, error) {
 		if sab := spec.Sabotage; sab == nil || sab.Fired() || !slices.Contains(ws.Ranks, sab.Rank) {
 			ws.Sabotage = nil
 		}
-		payload, perr := encodeControl(ws)
+		// The spec is the only value this direction's control stream
+		// carries; commands are header-only frames.
+		payload, perr := newControlOut().encode(ws)
 		if perr != nil {
 			e.shutdown()
 			return nil, perr
@@ -314,11 +319,27 @@ func (e *Engine) heartbeat(proc int) {
 	}
 }
 
+// route is proc's link reader. Data frames are queued on the destination
+// link unflushed; the links queued to are flushed once this link has
+// nothing more buffered, before the read that could block — whatever kind
+// the last frame was, so a data frame that arrived in one read with a
+// heartbeat or an ack behind it is not left waiting for the next read.
 func (e *Engine) route(proc int) {
+	src := e.peers[proc]
+	var queued []int // procs whose links hold frames forwarded from this one
 	for {
-		fr, err := e.peers[proc].Recv()
+		if len(queued) > 0 && src.Buffered() == 0 {
+			for _, to := range queued {
+				if err := e.peers[to].Flush(); err != nil {
+					e.forwardFailed(proc, to, err)
+					return
+				}
+			}
+			queued = queued[:0]
+		}
+		fr, err := src.Recv()
 		if err != nil {
-			if e.peers[proc].Closed() || errors.Is(err, transport.ErrPeerClosed) {
+			if src.Closed() || errors.Is(err, transport.ErrPeerClosed) {
 				return // local teardown, not a worker failure
 			}
 			e.fail(e.linkFailure(proc, classifyLinkError(err), err))
@@ -336,21 +357,29 @@ func (e *Engine) route(proc int) {
 				return
 			}
 			// The payload is on loan from this link's read buffer and
-			// goes out undecoded: Send copies it into the destination
+			// goes out undecoded: Queue copies it into the destination
 			// link's write buffer before the next Recv takes it back.
 			to := e.procOf[dst]
-			if err := e.peers[to].Send(fr); err != nil {
-				if e.peers[to].Closed() || errors.Is(err, transport.ErrPeerClosed) {
-					return
-				}
-				e.fail(e.linkFailure(to, classifyLinkError(err),
-					fmt.Errorf("forward from proc %d: %w", proc, err)))
+			if err := e.peers[to].Queue(fr); err != nil {
+				e.forwardFailed(proc, to, err)
 				return
+			}
+			if !slices.Contains(queued, to) {
+				queued = append(queued, to)
 			}
 		default:
 			e.ctrl <- ctrlFrame{proc: proc, frame: fr}
 		}
 	}
+}
+
+// forwardFailed reports a failed forward from proc onto link to as to's
+// failure, unless the link was closed here.
+func (e *Engine) forwardFailed(proc, to int, err error) {
+	if e.peers[to].Closed() || errors.Is(err, transport.ErrPeerClosed) {
+		return
+	}
+	e.fail(e.linkFailure(to, classifyLinkError(err), fmt.Errorf("forward from proc %d: %w", proc, err)))
 }
 
 // broadcast sends one control frame to every worker.
@@ -380,14 +409,10 @@ func collect[A any](e *Engine, kind byte, fold func(*A) error) error {
 				return e.linkFailure(cf.proc, FailProtocol,
 					fmt.Errorf("sent frame kind %d, want %d", cf.frame.Kind, kind))
 			}
-			v, err := decodeControl(cf.frame.Payload)
-			if err != nil {
+			var ack A
+			if err := e.acks[cf.proc].decode(cf.frame.Payload, &ack); err != nil {
 				return e.linkFailure(cf.proc, FailFrameDecode,
 					fmt.Errorf("decode ack: %w", err))
-			}
-			ack, ok := v.(A)
-			if !ok {
-				return fmt.Errorf("distrib: ack payload is %T, want %T", v, ack)
 			}
 			if err := fold(&ack); err != nil {
 				return err

@@ -7,11 +7,14 @@ import (
 	"io"
 	"math"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"permcell/internal/checkpoint"
+	"permcell/internal/comm"
+	"permcell/internal/core"
 	"permcell/internal/transport"
 	"permcell/internal/vec"
 )
@@ -25,6 +28,7 @@ func pipeHub(t *testing.T, procs int) (*Engine, []*transport.Peer) {
 	t.Helper()
 	e := &Engine{
 		peers:  make([]*transport.Peer, procs),
+		acks:   make([]*controlIn, procs),
 		procOf: make([]int, procs),
 		ranks:  make([][]int, procs),
 		last:   make([]frameLog, procs),
@@ -36,6 +40,7 @@ func pipeHub(t *testing.T, procs int) (*Engine, []*transport.Peer) {
 	for i := range far {
 		hubEnd, workerEnd := net.Pipe()
 		e.peers[i], far[i] = transport.NewPeer(hubEnd), transport.NewPeer(workerEnd)
+		e.acks[i] = newControlIn()
 		e.procOf[i], e.ranks[i] = i, []int{i}
 	}
 	for i := range far {
@@ -155,7 +160,7 @@ func TestWorkerCorruptPayloadPoisons(t *testing.T) {
 	}
 	// Ranks 0 and 1 of 4 live in the worker; 2 and 3 are this test, which
 	// never answers, so the worker's ranks block in their first halo.
-	spec, err := encodeControl(WireSpec{
+	spec, err := newControlOut().encode(WireSpec{
 		Meta:  checkpoint.Meta{Kind: checkpoint.KindDLB, M: 2, P: 4, Rho: 0.256, DLB: true, Seed: 1, StatsEvery: 1},
 		Ranks: []int{0, 1},
 	})
@@ -169,6 +174,7 @@ func TestWorkerCorruptPayloadPoisons(t *testing.T) {
 	// data frames for ranks 2 and 3, the ready ack, then the failed step's.
 	acks := make(chan StepAck, 2)
 	go func() {
+		in := newControlIn()
 		for {
 			f, err := coord.Recv()
 			if err != nil {
@@ -176,8 +182,9 @@ func TestWorkerCorruptPayloadPoisons(t *testing.T) {
 				return
 			}
 			if f.Kind == transport.KindStepAck {
-				if v, err := decodeControl(f.Payload); err == nil {
-					acks <- v.(StepAck)
+				var ack StepAck
+				if err := in.decode(f.Payload, &ack); err == nil {
+					acks <- ack
 				}
 			}
 		}
@@ -256,6 +263,9 @@ func TestRemoteStatsCountWireBytes(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "struct { Secret string }") {
 		t.Fatalf("unregistered payload type: error %v does not name it", err)
 	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	peer.Close()
 
 	frames, wire := r.Stats()
@@ -267,19 +277,36 @@ func TestRemoteStatsCountWireBytes(t *testing.T) {
 	}
 }
 
-// TestControlPlaneStaysGob: specs and acks round-trip through the gob
-// envelope, and the data plane's codec wants nothing to do with them.
-func TestControlPlaneStaysGob(t *testing.T) {
-	ack := StepAck{Proc: 3, Msgs: 10, Bytes: 20, Failure: &WireFailure{Class: "rank", Rank: 2, Value: "boom"}}
-	b, err := encodeControl(ack)
+// roundTrip sends v down one control stream and returns what the far end
+// decodes.
+func roundTrip[T any](t *testing.T, out *controlOut, in *controlIn, v T) T {
+	t.Helper()
+	b, err := out.encode(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := decodeControl(b)
-	if got, ok := v.(StepAck); err != nil || !ok || got.Proc != 3 || got.Failure == nil || got.Failure.Value != "boom" {
-		t.Fatalf("control round trip: %#v, %v", v, err)
+	var got T
+	if err := in.decode(b, &got); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := decodeControl([]byte("not gob")); err == nil {
+	return got
+}
+
+// TestControlPlaneStaysGob: specs and acks round-trip through a link's gob
+// stream, and the data plane's codec wants nothing to do with them.
+func TestControlPlaneStaysGob(t *testing.T) {
+	ack := StepAck{Proc: 3, Msgs: 10, Bytes: 20, Failure: &WireFailure{Class: "rank", Rank: 2, Value: "boom"}}
+	out, in := newControlOut(), newControlIn()
+	b, err := out.encode(ack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = bytes.Clone(b)
+	var got StepAck
+	if err := in.decode(b, &got); err != nil || got.Proc != 3 || got.Failure == nil || got.Failure.Value != "boom" {
+		t.Fatalf("control round trip: %#v, %v", got, err)
+	}
+	if err := newControlIn().decode([]byte("not gob"), &got); err == nil {
 		t.Error("garbage control payload decoded")
 	}
 	if _, err := transport.EncodePayload(ack); err == nil {
@@ -290,8 +317,119 @@ func TestControlPlaneStaysGob(t *testing.T) {
 	}
 }
 
+// TestControlStreamSendsDescriptorsOnce: the first ack on a link carries
+// its types' descriptors, the second the value alone — shorter by at least
+// every type and field name the descriptors spell out, and without any of
+// the type names — and both decode, in order, to what was sent.
+func TestControlStreamSendsDescriptorsOnce(t *testing.T) {
+	ack := StepAck{
+		Proc:      1,
+		Stats:     []core.StepStats{{Step: 7, WorkMax: 2.5, Balancer: "permcell"}},
+		Transport: comm.TransportStats{Frames: 3, Bytes: 51},
+		Msgs:      4,
+		Failure:   &WireFailure{Class: "guard", Check: "finite"},
+	}
+	out, in := newControlOut(), newControlIn()
+	first, err := out.encode(ack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first = bytes.Clone(first)
+	second, err := out.encode(ack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := 0
+	for _, typ := range []reflect.Type{reflect.TypeOf(ack), reflect.TypeOf(ack.Stats[0]), reflect.TypeOf(ack.Transport), reflect.TypeOf(*ack.Failure)} {
+		names += len(typ.Name())
+		for i := range typ.NumField() {
+			if typ.Field(i).IsExported() {
+				names += len(typ.Field(i).Name)
+			}
+		}
+		if !bytes.Contains(first, []byte(typ.Name())) || bytes.Contains(second, []byte(typ.Name())) {
+			t.Errorf("type name %s: in the first ack %v, in the second %v; want only the first", typ.Name(),
+				bytes.Contains(first, []byte(typ.Name())), bytes.Contains(second, []byte(typ.Name())))
+		}
+	}
+	if len(first)-len(second) < names {
+		t.Errorf("first ack %d bytes, second %d: the second saves less than the %d bytes of names in the descriptors", len(first), len(second), names)
+	}
+	for i, b := range [][]byte{first, second} {
+		var got StepAck
+		if err := in.decode(b, &got); err != nil || !reflect.DeepEqual(got, ack) {
+			t.Fatalf("ack %d decoded to %#v, %v", i, got, err)
+		}
+	}
+}
+
+// TestCorruptAckMidStreamFailsFrameDecode: after a clean round on both
+// links, an ack whose payload the stream cannot decode fails the batch as
+// a frame-decode failure of the proc that sent it.
+func TestCorruptAckMidStreamFailsFrameDecode(t *testing.T) {
+	e, far := pipeHub(t, 2)
+	outs := []*controlOut{newControlOut(), newControlOut()}
+	ack := func(proc int, corrupt bool) {
+		b, err := outs[proc].encode(StepAck{Proc: proc, Msgs: 1})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if corrupt {
+			b = b[:len(b)-1] // the value message cut short
+		}
+		if err := far[proc].Send(transport.Frame{Kind: transport.KindStepAck, Src: int32(proc), Dst: -1, Payload: b}); err != nil {
+			t.Error(err)
+		}
+	}
+	fold := func(a *StepAck) error { return a.failure() }
+	go func() { ack(0, false); ack(1, false) }()
+	if err := collect(e, transport.KindStepAck, fold); err != nil {
+		t.Fatalf("clean round: %v", err)
+	}
+	go func() { ack(0, false); ack(1, true) }()
+	err := collect(e, transport.KindStepAck, fold)
+	var wf *WorkerFailure
+	if !errors.As(err, &wf) || wf.Kind != FailFrameDecode || wf.Proc != 1 {
+		t.Fatalf("corrupt ack from proc 1: %v, want a frame-decode failure of proc 1", err)
+	}
+}
+
+// TestHubFlushesWhenSourceDrains pins the hub's flush rule: a forwarded
+// data frame leaves once its source link has nothing more buffered, checked
+// before every read that could block — not only after data frames. A data
+// frame that arrives in one write with a heartbeat, or with an ack, behind
+// it reaches its destination with no later frame on the source link.
+func TestHubFlushesWhenSourceDrains(t *testing.T) {
+	for _, trailer := range []transport.Frame{
+		{Kind: transport.KindHeartbeat, Src: 0, Dst: -1},
+		{Kind: transport.KindStepAck, Src: 0, Dst: -1, Payload: []byte("ack")},
+	} {
+		t.Run(fmt.Sprintf("kind %d", trailer.Kind), func(t *testing.T) {
+			_, far := pipeHub(t, 2)
+			data := transport.Frame{Kind: transport.KindData, Src: 0, Dst: 1, Tag: 9, Payload: []byte("halo")}
+			if err := far[0].Queue(data); err != nil {
+				t.Fatal(err)
+			}
+			sent := make(chan error, 1)
+			go func() { sent <- far[0].Send(trailer) }() // one write: data, then the trailer
+			far[1].SetTimeouts(5*time.Second, 0)
+			f, err := far[1].Recv()
+			if err != nil {
+				t.Fatalf("forwarded data frame never arrived: %v", err)
+			}
+			if f.Kind != data.Kind || f.Tag != data.Tag || !bytes.Equal(f.Payload, data.Payload) {
+				t.Fatalf("destination got %+v", f)
+			}
+			if err := <-sent; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestSnapshotFramesCrossControlPlaneBitForBit: checkpoint frames ride the
-// gob envelope as their own fixed layout (gob defers to Frame's
+// control stream as their own fixed layout (gob defers to Frame's
 // MarshalBinary), in both directions — gathered in a SnapAck, dealt in a
 // WireSpec's Restore — so the values gob's own float and zero-field
 // handling would touch (NaN payloads, infinities, -0, negative IDs) arrive
@@ -322,32 +460,30 @@ func TestSnapshotFramesCrossControlPlaneBitForBit(t *testing.T) {
 			}
 		}
 	}
-	roundTrip := func(v any) any {
-		t.Helper()
-		b, err := encodeControl(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := decodeControl(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	ack, ok := roundTrip(SnapAck{Proc: 1, Frames: want, Msgs: 3}).(SnapAck)
-	if !ok || ack.Proc != 1 || ack.Msgs != 3 {
+	out, in := newControlOut(), newControlIn()
+	ack := roundTrip(t, out, in, SnapAck{Proc: 1, Frames: want, Msgs: 3})
+	if ack.Proc != 1 || ack.Msgs != 3 {
 		t.Fatalf("SnapAck round trip: %#v", ack)
 	}
 	same("SnapAck", ack.Frames)
-	spec, ok := roundTrip(WireSpec{Proc: 2, Restore: &checkpoint.EngineState{Step: 9, Frames: want, CommMsgs: 4}}).(WireSpec)
-	if !ok || spec.Restore == nil || spec.Restore.Step != 9 || spec.Restore.CommMsgs != 4 {
+	spec := roundTrip(t, out, in, WireSpec{Proc: 2, Restore: &checkpoint.EngineState{Step: 9, Frames: want, CommMsgs: 4}})
+	if spec.Restore == nil || spec.Restore.Step != 9 || spec.Restore.CommMsgs != 4 {
 		t.Fatalf("WireSpec round trip: %#v", spec)
 	}
 	same("WireSpec.Restore", spec.Restore.Frames)
 
-	// A ragged frame cannot be put on the wire at all.
+	// A ragged frame cannot be put on the wire at all, and refusing it
+	// leaves the stream usable — also when it was the stream's first value,
+	// whose type descriptors gob wrote before the frame failed.
 	ragged := SnapAck{Frames: []checkpoint.Frame{{Rank: 2, ID: []int64{1}}}}
-	if _, err := encodeControl(ragged); err == nil || !strings.Contains(err.Error(), "rank 2") {
-		t.Fatalf("ragged frame in a SnapAck: %v", err)
+	fresh, freshIn := newControlOut(), newControlIn()
+	for _, s := range []struct {
+		out *controlOut
+		in  *controlIn
+	}{{out, in}, {fresh, freshIn}} {
+		if _, err := s.out.encode(ragged); err == nil || !strings.Contains(err.Error(), "rank 2") {
+			t.Fatalf("ragged frame in a SnapAck: %v", err)
+		}
+		same("SnapAck after a refused one", roundTrip(t, s.out, s.in, SnapAck{Proc: 5, Frames: want}).Frames)
 	}
 }

@@ -46,16 +46,16 @@ func TestProcessFaultLandsBeforeItsBatch(t *testing.T) {
 					}
 				}
 			}
+			acks := newControlIn()
 			stepAck := func(what string) StepAck {
 				t.Helper()
 				f, err := recv()
 				if err != nil || f.Kind != transport.KindStepAck {
 					t.Fatalf("%s: frame kind %d, %v", what, f.Kind, err)
 				}
-				v, err := decodeControl(f.Payload)
-				ack, ok := v.(StepAck)
-				if err != nil || !ok || ack.failure() != nil {
-					t.Fatalf("%s: %#v, %v", what, v, err)
+				var ack StepAck
+				if err := acks.decode(f.Payload, &ack); err != nil || ack.failure() != nil {
+					t.Fatalf("%s: %#v, %v", what, ack, err)
 				}
 				return ack
 			}
@@ -70,7 +70,7 @@ func TestProcessFaultLandsBeforeItsBatch(t *testing.T) {
 			// Every rank lives in the worker: no data frames to answer.
 			// The worker beats every 10ms; its own read window is wide
 			// because this coordinator never beats back.
-			spec, err := encodeControl(WireSpec{
+			spec, err := newControlOut().encode(WireSpec{
 				Meta:           checkpoint.Meta{Kind: checkpoint.KindDLB, M: 2, P: 4, Rho: 0.256, Seed: 1, StatsEvery: 1},
 				Ranks:          []int{0, 1, 2, 3},
 				HeartbeatEvery: 10 * time.Millisecond, HeartbeatMisses: 3000,

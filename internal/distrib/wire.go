@@ -10,11 +10,19 @@
 // Two planes share the links. The data plane is the per-step rank-to-rank
 // traffic: KindData frames whose payload is a type byte plus a fixed
 // little-endian layout (the table is in internal/core/wire.go), encoded
-// into a buffer the sending link reuses, forwarded by the coordinator by
-// header only — payloads are never decoded in transit — and decoded once,
-// by the destination worker's reader. The control plane is the spec and
-// the acks (Spec, StepAck, SnapAck, ResultAck): a few frames per command,
-// gob-encoded here (encodeControl) because their types are deep and cold.
+// straight into the sending link's write buffer, forwarded by the
+// coordinator by header only — payloads are never decoded in transit — and
+// decoded once, by the destination worker's reader. The control plane is
+// the spec and the acks (Spec, StepAck, SnapAck, ResultAck): a few frames
+// per command, gob-encoded because their types are deep and cold, on one
+// gob stream per link direction (controlOut, controlIn), so a type's
+// descriptors cross once per connection rather than once per ack.
+//
+// A link pays per burst, not per frame. A worker's data frames queue in
+// its link's write buffer and leave when one of its ranks is about to
+// block (comm.Remote.Flush); the hub queues what it forwards and flushes
+// the links it queued to once the source link has nothing more buffered
+// to read; control frames flush on send.
 //
 // Determinism contract: the per-(src,tag) FIFO delivery order is
 // preserved end to end (sender goroutine order -> connection write mutex
@@ -178,35 +186,59 @@ type ResultAck struct {
 	Err    string
 }
 
-func init() {
-	gob.Register(WireSpec{})
-	gob.Register(StepAck{})
-	gob.Register(SnapAck{})
-	gob.Register(ResultAck{})
+// controlOut is the sending end of one link direction's control plane: a
+// single gob stream for the connection's lifetime, so each type's
+// descriptors cross once, ahead of its first value, and every later frame
+// carries values only. Frames must reach the far end in encode order.
+// Data frames never come here: their payloads are transport's typed codec.
+type controlOut struct {
+	buf bytes.Buffer
+	enc *gob.Encoder
 }
 
-// envelope gives every control payload the same gob shape; the concrete
-// types inside V are the four registered above.
-type envelope struct{ V any }
+func newControlOut() *controlOut {
+	c := &controlOut{}
+	c.enc = gob.NewEncoder(&c.buf)
+	return c
+}
 
-// encodeControl gob-encodes a control-plane value (spec or ack) into a
-// frame payload. A fresh encoder per payload keeps frames self-contained.
-// Data frames never come here: their payloads are transport's typed codec.
-func encodeControl(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&envelope{V: v}); err != nil {
+// encode appends v to the stream and returns the frame payload carrying
+// it, valid until the next encode. If encoding fails, the type descriptors
+// gob already wrote stay buffered and lead the next payload: the far end
+// needs them before any later value of those types.
+func (c *controlOut) encode(v any) ([]byte, error) {
+	if err := c.enc.Encode(v); err != nil {
 		return nil, fmt.Errorf("distrib: encode control payload: %w", err)
 	}
-	return buf.Bytes(), nil
+	return c.buf.Next(c.buf.Len()), nil
 }
 
-// decodeControl reverses encodeControl.
-func decodeControl(b []byte) (any, error) {
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&env); err != nil {
-		return nil, fmt.Errorf("distrib: decode control payload: %w", err)
+// controlIn is the receiving end: one decoder fed every control frame's
+// payload in arrival order. The frame kind names the type to decode into.
+// After an error the stream is out of step and the link is done.
+type controlIn struct {
+	r   bytes.Reader
+	dec *gob.Decoder
+}
+
+func newControlIn() *controlIn {
+	c := &controlIn{}
+	c.dec = gob.NewDecoder(&c.r) // a ByteReader: gob reads no further than it must
+	return c
+}
+
+// decode decodes the value one frame's payload carries into v, which must
+// use up the payload exactly. The decoder reads the payload in place.
+func (c *controlIn) decode(payload []byte, v any) error {
+	c.r.Reset(payload)
+	err := c.dec.Decode(v)
+	if err == nil && c.r.Len() > 0 {
+		err = fmt.Errorf("%d bytes left over", c.r.Len())
 	}
-	return env.V, nil
+	if err != nil {
+		return fmt.Errorf("distrib: decode control payload: %w", err)
+	}
+	return nil
 }
 
 // errString flattens an error for the wire.

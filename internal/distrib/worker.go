@@ -13,13 +13,14 @@ import (
 )
 
 // peerRemote adapts the coordinator connection to comm.Remote: every
-// cross-process send is encoded by its payload codec and framed onto the
-// single peer. The Peer's write mutex serializes concurrent senders,
-// preserving each goroutine's program-order send sequence — the
-// per-(src,tag) FIFO the delivery contract requires. The counters are wire
-// bytes of data frames only, length prefix and header included; heartbeats
-// and control frames stay out, so the count is a function of the seed and
-// per-process transport stats sum to placement-independent totals.
+// cross-process send is encoded by its payload codec and queued onto the
+// single peer, and Flush writes out whatever every local rank queued. The
+// Peer's write mutex serializes concurrent senders, preserving each
+// goroutine's program-order send sequence — the per-(src,tag) FIFO the
+// delivery contract requires. The counters are wire bytes of data frames
+// only, length prefix and header included; heartbeats and control frames
+// stay out, so the count is a function of the seed and per-process
+// transport stats sum to placement-independent totals.
 type peerRemote struct {
 	peer   *transport.Peer
 	frames atomic.Int64
@@ -35,6 +36,8 @@ func (r *peerRemote) Deliver(src, dst, tag int, data any, size int64) error {
 	r.bytes.Add(int64(wire))
 	return nil
 }
+
+func (r *peerRemote) Flush() error { return r.peer.Flush() }
 
 func (r *peerRemote) Stats() (frames, bytes int64) {
 	return r.frames.Load(), r.bytes.Load()
@@ -80,13 +83,9 @@ func RunWorkerWith(conn net.Conn, opts WorkerOptions) error {
 	if fr.Kind != transport.KindSpec {
 		return fmt.Errorf("distrib: expected spec frame, got kind %d", fr.Kind)
 	}
-	v, err := decodeControl(fr.Payload)
-	if err != nil {
+	var spec WireSpec
+	if err := newControlIn().decode(fr.Payload, &spec); err != nil {
 		return fmt.Errorf("distrib: decode spec: %w", err)
-	}
-	spec, ok := v.(WireSpec)
-	if !ok {
-		return fmt.Errorf("distrib: spec payload is %T, want WireSpec", v)
 	}
 
 	// Arm liveness before engine construction: the coordinator's read
@@ -123,8 +122,9 @@ func RunWorkerWith(conn net.Conn, opts WorkerOptions) error {
 		}()
 	}
 
+	acks := newControlOut()
 	sendAck := func(kind byte, ack any) error {
-		payload, perr := encodeControl(ack)
+		payload, perr := acks.encode(ack)
 		if perr != nil {
 			return perr
 		}
@@ -146,9 +146,9 @@ func RunWorkerWith(conn net.Conn, opts WorkerOptions) error {
 	// Data frames are decoded by their payload codec and injected into the
 	// partial world immediately (PEs block on them mid-batch; the decoded
 	// value is a copy, so the peer may take its read buffer back at the
-	// next Recv); heartbeats are dropped after proving liveness (arming the
-	// read deadline happens per Recv); control frames own their payload
-	// and queue for the serve loop.
+	// next Recv); heartbeats are dropped after proving liveness (the read
+	// deadline is armed per read from the connection); control frames own
+	// their payload and queue for the serve loop.
 	world := part.World()
 	ctrl := make(chan transport.Frame, 4)
 	readErr := make(chan error, 1)

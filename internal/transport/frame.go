@@ -3,6 +3,12 @@
 // per-step data plane, and a connection wrapper used by the TCP backend
 // (coordinator hub + mdrank workers).
 //
+// The wrapper, Peer, combines writes: data frames are appended to the
+// link's write buffer and leave together when the sender flushes, which it
+// does before anything it does next can block on the far end. Read and
+// write deadlines are armed once per syscall, under the buffers, so the
+// liveness window bounds exactly the reads and writes that can block.
+//
 // Frame layout (header integers big-endian):
 //
 //	uint32  length   // bytes after this field: 13 + len(payload)
@@ -15,8 +21,9 @@
 // The payload of a KindData frame is a typed value: one type byte, then
 // that type's fixed little-endian layout (codec.go; the table of ids is in
 // internal/core/wire.go and DESIGN.md). Control frames carry whatever
-// their protocol puts there — internal/distrib gob-encodes its spec and
-// acks — and this package never looks inside them.
+// their protocol puts there — internal/distrib sends its spec and acks
+// down one gob stream per link direction — and this package never looks
+// inside them.
 //
 // Both codecs are deliberately paranoid on the read side: a lying length
 // prefix or element count can never allocate more than the bytes actually

@@ -26,11 +26,23 @@ type deadliner interface {
 	SetWriteDeadline(t time.Time) error
 }
 
-// Peer wraps one connection with buffered, mutex-serialized frame writes
-// and sent-traffic counters. Sends may come from many goroutines (every
-// local PE plus the control loop); the mutex serializes them without
-// reordering any single goroutine's send sequence, which is all the
-// per-(src,tag) FIFO delivery contract needs.
+// Peer wraps one connection with a write-combining buffer and sent-traffic
+// counters. Sends may come from many goroutines (every local PE plus the
+// control loop); a mutex serializes them without reordering any single
+// goroutine's send sequence, which is all the per-(src,tag) FIFO delivery
+// contract needs.
+//
+// A link pays per burst, not per frame: SendData and Queue only append a
+// frame to the write buffer, and the buffer reaches the connection when
+// Flush is called (or when it fills). Send is Queue then Flush. Whoever
+// queues must flush before waiting on anything the far end could only send
+// in reply to what is queued.
+//
+// Timeouts are armed by a thin layer under the buffers: each read or write
+// that really goes to the connection arms its direction's deadline first,
+// so the window bounds exactly the syscalls that can block, once each, and
+// a frame served from the read buffer or appended to the write buffer
+// touches no deadline.
 //
 // Recv is NOT locked: the protocol dedicates exactly one reader
 // goroutine per connection.
@@ -47,8 +59,7 @@ type Peer struct {
 
 	closed atomic.Bool
 
-	// Per-operation timeouts (0 = unbounded). Armed as absolute deadlines
-	// before each Recv/Send when the connection supports deadlines.
+	// Per-syscall timeouts (0 = unbounded), armed by armedConn.
 	readTimeout  atomic.Int64 // time.Duration
 	writeTimeout atomic.Int64
 
@@ -58,28 +69,67 @@ type Peer struct {
 
 // NewPeer wraps c. The caller owns c's lifetime via Close.
 func NewPeer(c io.ReadWriteCloser) *Peer {
-	return &Peer{
-		c:  c,
-		br: bufio.NewReaderSize(c, 1<<16),
-		bw: bufio.NewWriterSize(c, 1<<16),
-	}
+	p := &Peer{c: c}
+	a := &armedConn{c: c, p: p}
+	a.dl, _ = c.(deadliner)
+	p.br = bufio.NewReaderSize(a, 1<<16)
+	p.bw = bufio.NewWriterSize(a, 1<<16)
+	return p
 }
 
-// SetTimeouts arms per-operation deadlines: every subsequent Recv must
-// complete within read and every Send within write (0 leaves the
-// direction unbounded). On a heartbeat-carrying link the read timeout is
-// the liveness window — a healthy peer's heartbeats keep each Recv well
-// inside it, so a tripped deadline means the peer is dead or wedged, not
-// merely idle. No-op directions on connections without deadline support.
+// armedConn sits between a Peer's buffers and its connection and arms the
+// direction's deadline before every read or write it passes down.
+type armedConn struct {
+	c  io.ReadWriter
+	dl deadliner // nil: the connection has no deadlines
+	p  *Peer
+}
+
+func (a *armedConn) Read(b []byte) (int, error) {
+	if d := time.Duration(a.p.readTimeout.Load()); d > 0 && a.dl != nil {
+		a.dl.SetReadDeadline(time.Now().Add(d))
+	}
+	return a.c.Read(b)
+}
+
+func (a *armedConn) Write(b []byte) (int, error) {
+	if d := time.Duration(a.p.writeTimeout.Load()); d > 0 && a.dl != nil {
+		a.dl.SetWriteDeadline(time.Now().Add(d))
+	}
+	return a.c.Write(b)
+}
+
+// SetTimeouts arms per-syscall deadlines: every subsequent read from the
+// connection must complete within read and every write within write (0
+// leaves the direction unbounded). On a heartbeat-carrying link the read
+// timeout is the liveness window — a healthy peer's heartbeats keep each
+// blocking read well inside it, so a tripped deadline means the peer is
+// dead or wedged, not merely idle. No-op directions on connections without
+// deadline support.
 func (p *Peer) SetTimeouts(read, write time.Duration) {
 	p.readTimeout.Store(int64(read))
 	p.writeTimeout.Store(int64(write))
 }
 
-// Send writes one frame and flushes it to the connection.
+// Send queues one frame and flushes the link: everything queued before it
+// leaves in the same write.
 func (p *Peer) Send(f Frame) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if err := p.queue(f); err != nil {
+		return err
+	}
+	return p.flush()
+}
+
+// Queue appends one frame to the write buffer without flushing it.
+func (p *Peer) Queue(f Frame) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.queue(f)
+}
+
+func (p *Peer) queue(f Frame) error {
 	hdr, err := appendHeader(p.bw.AvailableBuffer(), f)
 	if err != nil {
 		return err
@@ -89,8 +139,9 @@ func (p *Peer) Send(f Frame) error {
 }
 
 // SendData encodes v with its registered payload codec (AppendPayload)
-// straight into the write buffer, sends it as one KindData frame and
+// straight into the write buffer, queues it as one KindData frame and
 // returns the frame's size on the wire, length prefix and header included.
+// Like Queue, it does not flush.
 func (p *Peer) SendData(src, dst, tag int, v any) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -108,18 +159,13 @@ func (p *Peer) SendData(src, dst, tag int, v any) (int, error) {
 	return p.write(KindData, buf, nil)
 }
 
-// write is the one path onto the connection: head (a frame's header, built
-// in the buffered writer's own spare room, with or without its payload
-// behind it) and then tail go through the buffered writer and leave in a
-// single flush. Callers hold mu.
+// write is the one path into the write buffer: head (a frame's header,
+// built in the buffer's own spare room, with or without its payload behind
+// it) and then tail. It reaches the connection only if the buffer fills.
+// Callers hold mu.
 func (p *Peer) write(kind byte, head, tail []byte) (int, error) {
 	if p.closed.Load() {
 		return 0, fmt.Errorf("transport: send frame kind %d: %w", kind, ErrPeerClosed)
-	}
-	if d := time.Duration(p.writeTimeout.Load()); d > 0 {
-		if dl, ok := p.c.(deadliner); ok {
-			dl.SetWriteDeadline(time.Now().Add(d))
-		}
 	}
 	if _, err := p.bw.Write(head); err != nil {
 		return 0, p.sendErr(err)
@@ -129,13 +175,31 @@ func (p *Peer) write(kind byte, head, tail []byte) (int, error) {
 			return 0, p.sendErr(err)
 		}
 	}
-	if err := p.bw.Flush(); err != nil {
-		return 0, p.sendErr(err)
-	}
 	wire := len(head) + len(tail)
 	p.sentFrames.Add(1)
 	p.sentBytes.Add(int64(wire))
 	return wire, nil
+}
+
+// Flush writes every queued frame to the connection in one write. With
+// nothing queued it touches neither the connection nor a deadline.
+func (p *Peer) Flush() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.flush()
+}
+
+func (p *Peer) flush() error {
+	if p.bw.Buffered() == 0 {
+		return nil
+	}
+	if p.closed.Load() {
+		return fmt.Errorf("transport: flush: %w", ErrPeerClosed)
+	}
+	if err := p.bw.Flush(); err != nil {
+		return p.sendErr(err)
+	}
+	return nil
 }
 
 // sendErr maps a write error on a concurrently-closed peer to the typed
@@ -155,11 +219,6 @@ func (p *Peer) sendErr(err error) error {
 // reads on. Frames of every other kind (and data frames too large for the
 // buffer) own their payload, so control frames can be queued.
 func (p *Peer) Recv() (Frame, error) {
-	if d := time.Duration(p.readTimeout.Load()); d > 0 {
-		if dl, ok := p.c.(deadliner); ok {
-			dl.SetReadDeadline(time.Now().Add(d))
-		}
-	}
 	f, err := p.recv()
 	if err != nil && p.closed.Load() {
 		return f, fmt.Errorf("%v: %w", err, ErrPeerClosed)
@@ -191,9 +250,14 @@ func (p *Peer) recv() (Frame, error) {
 	return f, nil
 }
 
+// Buffered returns how many bytes the next Recv can read without going to
+// the connection: zero means the next Recv may block. Like Recv, it is for
+// the reader goroutine only.
+func (p *Peer) Buffered() int { return p.br.Buffered() - p.lent }
+
 // Close closes the underlying connection. Idempotent: the shutdown path
 // and the recovery path may both reach it; only the first call touches the
-// connection, the rest return nil.
+// connection, the rest return nil. Frames still queued are dropped.
 func (p *Peer) Close() error {
 	if !p.closed.CompareAndSwap(false, true) {
 		return nil
@@ -206,7 +270,7 @@ func (p *Peer) Close() error {
 // connection fault.
 func (p *Peer) Closed() bool { return p.closed.Load() }
 
-// Sent returns the cumulative frames and wire bytes written so far.
+// Sent returns the cumulative frames and wire bytes queued so far.
 func (p *Peer) Sent() (frames, bytes int64) {
 	return p.sentFrames.Load(), p.sentBytes.Load()
 }

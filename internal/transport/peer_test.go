@@ -133,6 +133,135 @@ func TestPeerReadDeadline(t *testing.T) {
 	}
 }
 
+// countingConn is a connection that only counts: the writes that reach it,
+// their bytes, and the deadlines armed on it.
+type countingConn struct {
+	writes, wrote, writeDeadlines, readDeadlines int
+}
+
+func (c *countingConn) Read([]byte) (int, error) { return 0, io.EOF }
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.writes++
+	c.wrote += len(b)
+	return len(b), nil
+}
+func (c *countingConn) Close() error                     { return nil }
+func (c *countingConn) SetReadDeadline(time.Time) error  { c.readDeadlines++; return nil }
+func (c *countingConn) SetWriteDeadline(time.Time) error { c.writeDeadlines++; return nil }
+
+// TestPeerCombinesWrites pins the write-combining contract: data frames
+// queue without touching the connection, one Flush carries all of them in
+// a single write under a single deadline, and a Flush with nothing queued
+// neither writes nor arms a deadline.
+func TestPeerCombinesWrites(t *testing.T) {
+	c := &countingConn{}
+	p := NewPeer(c)
+	p.SetTimeouts(time.Second, time.Second)
+	const k = 24
+	wire := 0
+	for i := range k {
+		n, err := p.SendData(1, 2, i, []float64{float64(i), 2, 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire += n
+	}
+	if c.writes != 0 || c.writeDeadlines != 0 {
+		t.Fatalf("%d queued frames reached the connection before Flush: %d writes, %d deadlines", k, c.writes, c.writeDeadlines)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if c.writes != 1 || c.wrote != wire || c.writeDeadlines != 1 {
+		t.Fatalf("%d frames + Flush: %d writes of %d bytes under %d deadlines; want 1 write of %d bytes under 1", k, c.writes, c.wrote, c.writeDeadlines, wire)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if c.writes != 1 || c.writeDeadlines != 1 {
+		t.Fatalf("an empty Flush wrote or armed a deadline: %d writes, %d deadlines", c.writes, c.writeDeadlines)
+	}
+	// Send is the same queue and the same flush.
+	if err := p.Send(Frame{Kind: KindHeartbeat, Dst: -1}); err != nil {
+		t.Fatal(err)
+	}
+	if c.writes != 2 || c.wrote != wire+frameOverhead || c.readDeadlines != 0 {
+		t.Fatalf("Send: %d writes of %d bytes, %d read deadlines", c.writes, c.wrote, c.readDeadlines)
+	}
+	if frames, bytes := p.Sent(); frames != k+1 || bytes != int64(wire+frameOverhead) {
+		t.Fatalf("Sent() = %d frames, %d bytes", frames, bytes)
+	}
+}
+
+// TestPeerDeadlinesPerSyscall: the read window is armed by the read that
+// goes to the connection, not by the Recv — a Recv served from the buffer
+// long after the last read still succeeds, and the next one, which must
+// read, trips within the window of a far end gone silent. A far end that
+// stops reading trips Flush within the write window.
+func TestPeerDeadlinesPerSyscall(t *testing.T) {
+	const window = 100 * time.Millisecond
+	timedOut := func(err error) bool {
+		var ne net.Error
+		return errors.As(err, &ne) && ne.Timeout()
+	}
+
+	t.Run("read", func(t *testing.T) {
+		a, b := net.Pipe()
+		pa, pb := NewPeer(a), NewPeer(b)
+		defer pa.Close()
+		defer pb.Close()
+		pb.SetTimeouts(window, 0)
+		errc := make(chan error, 1)
+		go func() {
+			// Two frames in one write, then silence.
+			if err := pa.Queue(Frame{Kind: KindData, Src: 1, Payload: []byte("one")}); err != nil {
+				errc <- err
+				return
+			}
+			errc <- pa.Send(Frame{Kind: KindData, Src: 2, Payload: []byte("two")})
+		}()
+		if f, err := pb.Recv(); err != nil || f.Src != 1 {
+			t.Fatalf("first frame: %+v, %v", f, err)
+		}
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(3 * window) // past the deadline the first read armed
+		if pb.Buffered() == 0 {
+			t.Fatal("the second frame did not arrive with the first")
+		}
+		if f, err := pb.Recv(); err != nil || f.Src != 2 {
+			t.Fatalf("buffered frame after the window: %+v, %v", f, err)
+		}
+		start := time.Now()
+		_, err := pb.Recv()
+		if !timedOut(err) {
+			t.Fatalf("recv on a silent link: want a timeout, got %v", err)
+		}
+		if took := time.Since(start); took < window/2 || took > 2*time.Second {
+			t.Fatalf("silent link tripped after %v with a %v window", took, window)
+		}
+	})
+
+	t.Run("write", func(t *testing.T) {
+		a, b := net.Pipe() // b is never read
+		pa := NewPeer(a)
+		defer pa.Close()
+		defer b.Close()
+		pa.SetTimeouts(0, window)
+		if _, err := pa.SendData(0, 1, 2, []int{1, 2, 3}); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if err := pa.Flush(); !timedOut(err) {
+			t.Fatalf("flush to a far end that stopped reading: want a timeout, got %v", err)
+		}
+		if took := time.Since(start); took > 2*time.Second {
+			t.Fatalf("write deadline took %v to fire with a %v window", took, window)
+		}
+	})
+}
+
 // TestPeerSendData checks the typed send: the frame on the far end carries
 // the value's payload encoding under the given header, and the size
 // SendData reports is the frame's whole footprint on the wire.
@@ -151,6 +280,9 @@ func TestPeerSendData(t *testing.T) {
 	go func() {
 		for i, v := range vals {
 			n, err := pa.SendData(3, 11, -i, v)
+			if err == nil {
+				err = pa.Flush()
+			}
 			done <- sent{n, err}
 		}
 	}()
