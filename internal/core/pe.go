@@ -534,13 +534,13 @@ func (p *pe) refreshTopology() {
 // the permanent-cell closure invariant); anything farther means the time
 // step is too large for the cell size.
 func (p *pe) migrate() {
-	g := p.cfg.Grid
+	loc := p.cfg.Grid.Locator()
 	out := p.plan.out
 	for k := range out {
 		out[k] = out[k][:0]
 	}
 	for i := 0; i < p.set.Len(); {
-		cell := g.CellOf(p.set.Pos[i])
+		cell := loc.Cell(p.set.Pos[i])
 		k := p.plan.cellNb[cell]
 		if k == nbSelf {
 			i++

@@ -427,12 +427,13 @@ func (cl *CellLists) Bin(pos []vec.V) int {
 		cl.pfrc[sh] = slices.Grow(cl.pfrc[sh][:0], n)[:n]
 	}
 	clear(cl.count)
+	loc := cl.g.Locator()
 	for i := range pos {
-		v := cl.slotOf[cl.g.CellOf(pos[i])]
+		v := cl.slotOf[loc.Cell(pos[i])]
 		if v < 0 {
 			return i
 		}
-		cl.pslot[i] = v // the fill pass below places by it: one CellOf per particle
+		cl.pslot[i] = v // the fill pass below places by it: one lookup per particle
 		cl.count[v]++
 	}
 	cl.start[0] = 0

@@ -126,7 +126,7 @@ func resolve(meta *checkpoint.Meta, st *checkpoint.EngineState) (system, error) 
 			for i := range centers {
 				centers[i] = r.InBox(l)
 			}
-			s.ext = potential.MultiWell{Centers: centers, K: meta.WellK, L: l}
+			s.ext = potential.NewMultiWell(centers, meta.WellK, l)
 		}
 	}
 	return s, nil

@@ -95,14 +95,34 @@ func (g Grid) CellOfCoords(ix, iy, iz int) int {
 }
 
 // CellOf returns the flat index of the cell containing position p. The
-// position is wrapped into the box first, so any finite p is valid.
-func (g Grid) CellOf(p vec.V) int {
-	q := g.Box.Wrap(p)
+// position is wrapped into the box first, so any finite p is valid. It is
+// Locator().Cell(p); loops over many positions take the Locator once.
+func (g Grid) CellOf(p vec.V) int { return g.Locator().Cell(p) }
+
+// Locator is a Grid's position-to-cell lookup with the cell sizes worked out
+// once. Cell is the only cell arithmetic in the package: CellOf calls it,
+// so a hot loop holding a Locator gets the same cells bit for bit.
+type Locator struct {
+	l          vec.V
+	sx, sy, sz float64
+	nx, ny, nz int
+}
+
+// Locator returns the grid's cell lookup.
+func (g Grid) Locator() Locator {
 	sx, sy, sz := g.CellSize()
-	ix := clampCell(int(q.X/sx), g.Nx)
-	iy := clampCell(int(q.Y/sy), g.Ny)
-	iz := clampCell(int(q.Z/sz), g.Nz)
-	return g.Index(ix, iy, iz)
+	return Locator{l: g.Box.L, sx: sx, sy: sy, sz: sz, nx: g.Nx, ny: g.Ny, nz: g.Nz}
+}
+
+// Cell returns the flat index of the cell containing p, wrapped into the
+// box first. A position already inside the box costs one division per axis:
+// vec.Wrap returns such a component unchanged without dividing.
+func (c Locator) Cell(p vec.V) int {
+	q := p.Wrap(c.l)
+	ix := clampCell(int(q.X/c.sx), c.nx)
+	iy := clampCell(int(q.Y/c.sy), c.ny)
+	iz := clampCell(int(q.Z/c.sz), c.nz)
+	return ix + c.nx*(iy+c.ny*iz)
 }
 
 // clampCell guards against q == L after floating point rounding.

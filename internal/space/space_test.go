@@ -329,3 +329,95 @@ func TestMinImageWithinCutoffOfNeighborCells(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// cellByDivision is CellOf as it was before Locator: wrap by Floor
+// division, cell sizes divided out per call, one division per axis.
+func cellByDivision(g Grid, p vec.V) int {
+	wrap := func(x, l float64) float64 {
+		x -= math.Floor(x/l) * l
+		if x >= l {
+			x -= l
+		}
+		return x
+	}
+	l := g.Box.L
+	sx, sy, sz := l.X/float64(g.Nx), l.Y/float64(g.Ny), l.Z/float64(g.Nz)
+	ix := clampCell(int(wrap(p.X, l.X)/sx), g.Nx)
+	iy := clampCell(int(wrap(p.Y, l.Y)/sy), g.Ny)
+	iz := clampCell(int(wrap(p.Z, l.Z)/sz), g.Nz)
+	return g.Index(ix, iy, iz)
+}
+
+// edgeProbes returns coordinates along an edge of length l cut into n
+// cells: ±0, the ulp neighbours of 0, of l and of every cell edge,
+// negatives, several periods out, NaN and the infinities.
+func edgeProbes(l float64, n int) []float64 {
+	inf := math.Inf(1)
+	xs := []float64{0, math.Copysign(0, -1), math.Nextafter(0, 1), math.Nextafter(0, -1),
+		-0.3 * l, -l, 3.7 * l, -3.7 * l, 5 * l, -5*l - 1e-9, math.NaN(), inf, -inf}
+	for i := range n + 1 {
+		e := l * float64(i) / float64(n)
+		xs = append(xs, math.Nextafter(e, -inf), e, math.Nextafter(e, inf))
+	}
+	return xs
+}
+
+// TestLocatorMatchesDivisionForm: the Locator that Bin and migrate hold,
+// and CellOf, place every probe and random position in the cell the
+// division form does, on grids of 1 to 13 cells a side in non-cubic boxes.
+func TestLocatorMatchesDivisionForm(t *testing.T) {
+	s := rng.New(27)
+	for n := 1; n <= 13; n++ {
+		for _, l := range []vec.V{{X: 10, Y: 10, Z: 10}, {X: 30.24, Y: 17.5, Z: 9.1}, {X: 3, Y: 100, Z: math.Pi}} {
+			b, err := NewBox(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, _ := NewGridWithDims(b, n, n%5+1, (n*7)%13+1)
+			loc := g.Locator()
+			check := func(p vec.V) {
+				want := cellByDivision(g, p)
+				if got := loc.Cell(p); got != want {
+					t.Fatalf("%dx%dx%d grid in %v: Locator.Cell(%v) = %d, division form %d", g.Nx, g.Ny, g.Nz, l, p, got, want)
+				}
+				if got := g.CellOf(p); got != want {
+					t.Fatalf("%dx%dx%d grid in %v: CellOf(%v) = %d, division form %d", g.Nx, g.Ny, g.Nz, l, p, got, want)
+				}
+			}
+			xs, ys, zs := edgeProbes(l.X, g.Nx), edgeProbes(l.Y, g.Ny), edgeProbes(l.Z, g.Nz)
+			for i, x := range xs {
+				check(vec.New(x, ys[i%len(ys)], zs[(3*i)%len(zs)]))
+				check(vec.New(s.Uniform(0, l.X), x/l.X*l.Y, zs[i%len(zs)]))
+				check(vec.New(x, x, x))
+			}
+			for range 2000 {
+				check(vec.New(s.Uniform(0, l.X), s.Uniform(0, l.Y), s.Uniform(0, l.Z)))
+				check(vec.New(s.Uniform(-2*l.X, 3*l.X), s.Uniform(-2*l.Y, 3*l.Y), s.Uniform(-2*l.Z, 3*l.Z)))
+			}
+		}
+	}
+}
+
+// BenchmarkCellOf times the per-particle cell lookup of Bin and migrate
+// (a Locator taken once) against CellOf, which works the cell sizes out on
+// every call, over 6 912 in-box positions on the condensation's 12^3 grid.
+func BenchmarkCellOf(b *testing.B) {
+	box, _ := NewCubicBox(30.24)
+	g, _ := NewGridWithDims(box, 12, 12, 12)
+	s := rng.New(27)
+	pos := make([]vec.V, 6912)
+	for i := range pos {
+		pos[i] = s.InBox(box.L)
+	}
+	run := func(b *testing.B, cell func(vec.V) int) {
+		sum := 0
+		for b.Loop() {
+			for _, p := range pos {
+				sum += cell(p)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pos)), "ns/particle")
+	}
+	b.Run("locator", func(b *testing.B) { run(b, g.Locator().Cell) })
+	b.Run("CellOf", func(b *testing.B) { run(b, g.CellOf) })
+}

@@ -70,11 +70,20 @@ func (v V) String() string { return fmt.Sprintf("(%g, %g, %g)", v.X, v.Y, v.Z) }
 // Wrap maps v into the half-open box [0, l) per component, assuming the box
 // edge lengths l are positive. It handles coordinates an arbitrary number of
 // periods outside the box.
+//
+// A component with 0 < x < l is returned as it is, without a division:
+// there x/l rounds to a value below 1, Floor gives +0 and the general form
+// would subtract +0, which leaves x's bits alone. Zero, -0 (which the
+// general form turns into +0), negatives, values >= l, NaN and Inf take the
+// general form.
 func (v V) Wrap(l V) V {
 	return V{wrap1(v.X, l.X), wrap1(v.Y, l.Y), wrap1(v.Z, l.Z)}
 }
 
 func wrap1(x, l float64) float64 {
+	if 0 < x && x < l {
+		return x
+	}
 	x -= math.Floor(x/l) * l
 	// Guard against x == l after rounding when x was a tiny negative value.
 	if x >= l {

@@ -170,3 +170,46 @@ func TestString(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 }
+
+// wrapByDivision is the wrap every component took before the in-box fast
+// path: subtract Floor(x/l) periods, then fold x == l back to 0.
+func wrapByDivision(x, l float64) float64 {
+	x -= math.Floor(x/l) * l
+	if x >= l {
+		x -= l
+	}
+	return x
+}
+
+// wrapProbes returns, for edge l, the values the fast path must leave
+// bit-identical to the division form or hand to it: ±0, the ulp
+// neighbours of 0 and l, l itself, negatives, several periods out, NaN and
+// the infinities, plus spread-out values inside.
+func wrapProbes(l float64) []float64 {
+	inf := math.Inf(1)
+	xs := []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Nextafter(0, 1), math.Nextafter(0, -1), 1e-300, -1e-300,
+		math.Nextafter(l, 0), l, math.Nextafter(l, inf), -l, math.Nextafter(-l, 0), math.Nextafter(-l, -inf),
+		-0.3 * l, 3.7 * l, -3.7 * l, 5 * l, -5 * l, 1e6*l + 0.25, -1e6*l - 0.25,
+		math.NaN(), inf, -inf,
+	}
+	for i := range 64 {
+		xs = append(xs, l*float64(i)/64, l*(float64(i)+0.37)/64)
+	}
+	return xs
+}
+
+func TestWrapMatchesDivisionForm(t *testing.T) {
+	for _, l := range []float64{1, 2.5, 10, 30.24, 7.3, math.Pi, 1e-3, 1e5} {
+		for _, x := range wrapProbes(l) {
+			got := New(x, x, x).Wrap(New(l, 2*l, 3*l))
+			want := [3]float64{wrapByDivision(x, l), wrapByDivision(x, 2*l), wrapByDivision(x, 3*l)}
+			for a, g := range [3]float64{got.X, got.Y, got.Z} {
+				if w := want[a]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Errorf("Wrap(%v) axis %d in box %v: %v (%#x), division form %v (%#x)", x, a, l, g, math.Float64bits(g), w, math.Float64bits(w))
+				}
+			}
+		}
+	}
+}
