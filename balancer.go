@@ -1,8 +1,8 @@
 package permcell
 
-// The pluggable load-balancing API. WithBalancer(PermanentCell(...)) is the
-// primary way to select a strategy; WithDLB() remains as sugar for the
-// paper's permanent-cell scheme with default parameters. All strategies
+// The pluggable load-balancing API. WithBalancer(PermanentCell(...)) selects
+// the paper's permanent-cell scheme, and WithBalancer is the one way to
+// select any strategy. All strategies
 // execute their column moves through the same ledger/transfer machinery
 // (forces carried with the payload), so the 8-neighbor communication
 // pattern, the C' hosting bound, conservation and momentum invariants hold
@@ -35,9 +35,8 @@ type PermanentCellConfig struct {
 // PermanentCell returns the paper's permanent-cell balancer (Section 2.3):
 // each epoch a PE compares loads with its 8 torus neighbors and hands at
 // most one column toward the fastest one, following the three-case
-// redistribution protocol. This is the reference implementation —
-// WithBalancer(PermanentCell(PermanentCellConfig{Hysteresis: h})) produces
-// traces bit-identical to WithDLB() with WithHysteresis(h).
+// redistribution protocol. This is the reference implementation; select it
+// with WithBalancer(PermanentCell(PermanentCellConfig{Hysteresis: h})).
 func PermanentCell(cfg PermanentCellConfig) Balancer {
 	return balance.PermanentCell{Hysteresis: cfg.Hysteresis, Pick: cfg.Pick}
 }

@@ -6,8 +6,7 @@ package permcell
 // produce identical traces and final states), particle conservation, zero
 // net momentum after the transfer step (forces travel with migrated
 // columns, see DESIGN.md section 11), and checkpoint/kill-resume
-// equivalence. WithDLB() must remain exact sugar for
-// WithBalancer(PermanentCell(...)).
+// equivalence.
 
 import (
 	"fmt"
@@ -93,43 +92,6 @@ func TestBalancerConformance(t *testing.T) {
 				// blob-driven run with no external forces — the wells here
 				// legitimately inject momentum.
 			})
-		}
-	}
-}
-
-// TestWithDLBSugarEquivalence pins the API contract of the redesign:
-// WithDLB()+WithHysteresis(h) and the explicit
-// WithBalancer(PermanentCell(...)) form are the same run, bit for bit.
-func TestWithDLBSugarEquivalence(t *testing.T) {
-	const steps = 25
-	run := func(opts ...Option) *Result {
-		t.Helper()
-		eng, err := New(2, 4, 0.3,
-			append([]Option{WithSeed(3), WithWells(1, 1.5)}, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Step(steps); err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Result()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	sugar := run(WithDLB(), WithHysteresis(0.1))
-	explicit := run(WithBalancer(PermanentCell(PermanentCellConfig{Hysteresis: 0.1})))
-
-	for i := range sugar.Stats {
-		if !sameTrace(sugar.Stats[i], explicit.Stats[i]) {
-			t.Fatalf("WithDLB and WithBalancer(PermanentCell) traces diverged at step %d:\n got %+v\nwant %+v",
-				sugar.Stats[i].Step, explicit.Stats[i], sugar.Stats[i])
-		}
-	}
-	for i := range sugar.Final.ID {
-		if sugar.Final.Pos[i] != explicit.Final.Pos[i] || sugar.Final.Vel[i] != explicit.Final.Vel[i] {
-			t.Fatalf("final state differs at particle %d", i)
 		}
 	}
 }
@@ -229,9 +191,9 @@ func TestRestoreRefusesBalancerMismatch(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "refusing") {
 		t.Fatalf("unexpected refusal error: %v", err)
 	}
-	// WithDLB names permcell — also a mismatch against sfc.
-	if _, err := Restore(dir, WithDLB()); err == nil {
-		t.Fatal("restore with WithDLB over an sfc checkpoint succeeded")
+	// Default permcell is also a mismatch against sfc.
+	if _, err := Restore(dir, WithBalancer(PermanentCell(PermanentCellConfig{}))); err == nil {
+		t.Fatal("restore with permcell over an sfc checkpoint succeeded")
 	}
 
 	// No balancer option: the identity travels in the file.

@@ -61,7 +61,8 @@ func (w *ckptWriter) stepWithCheckpoints(eng coreEngine, n int) error {
 	return nil
 }
 
-// write snapshots eng and saves the checkpoint.
+// write snapshots eng, fills the Meta template's per-snapshot fields and
+// writes the file (atomically, rotating latest -> previous).
 func (w *ckptWriter) write(eng coreEngine) error {
 	if !w.active() {
 		return fmt.Errorf("permcell: no checkpoint directory configured (use WithCheckpoint)")
@@ -70,19 +71,10 @@ func (w *ckptWriter) write(eng coreEngine) error {
 	if err != nil {
 		return err
 	}
-	return w.save(st.Step, st.CommMsgs, st.CommBytes, st.Frames)
-}
-
-// save fills the Meta template's per-snapshot fields and writes the file
-// (atomically, rotating latest -> previous).
-func (w *ckptWriter) save(step int, msgs, bytes int64, frames []checkpoint.Frame) error {
-	if !w.active() {
-		return fmt.Errorf("permcell: no checkpoint directory configured (use WithCheckpoint)")
-	}
 	m := w.meta
-	m.Step = step
-	m.CommMsgs, m.CommBytes = msgs, bytes
-	if _, err := checkpoint.Save(w.dir, &m, frames); err != nil {
+	m.Step = st.Step
+	m.CommMsgs, m.CommBytes = st.CommMsgs, st.CommBytes
+	if _, err := checkpoint.Save(w.dir, &m, st.Frames); err != nil {
 		return fmt.Errorf("permcell: writing checkpoint: %w", err)
 	}
 	return nil
@@ -96,13 +88,12 @@ func (w *ckptWriter) save(step int, msgs, bytes int64, frames []checkpoint.Frame
 // The run identity — engine kind, paper coordinates, physics options, seed,
 // time step, shard count, balancer — travels inside the checkpoint and is
 // restored from it; options that would change the physics (WithSeed,
-// WithDt, WithShards, WithWells, WithHysteresis, WithStatsEvery) are
-// ignored. The balancer is checked rather than ignored: a caller that
-// explicitly requests one (WithBalancer, or the WithDLB sugar) must name
-// the same strategy the checkpoint was written under, otherwise Restore
-// refuses — resuming a trajectory under a different balancer would
-// silently change the continuation's physics. Runtime options (WithOnStep,
-// WithDiscardStats, WithMetrics,
+// WithDt, WithShards, WithWells, WithStatsEvery) are ignored. The balancer
+// is checked rather than ignored: a caller that explicitly requests one
+// with WithBalancer must name the same strategy the checkpoint was written
+// under, otherwise Restore refuses — resuming a trajectory under a
+// different balancer would silently change the continuation's physics.
+// Runtime options (WithOnStep, WithDiscardStats, WithMetrics,
 // WithFaultPlan, WithWatchdog, WithCheckpoint) apply normally, so a
 // restored run can keep checkpointing into the same directory. The restored
 // engine's subsequent trace is bit-identical to the uninterrupted run's:
@@ -126,18 +117,18 @@ func restoreState(meta *checkpoint.Meta, frames []checkpoint.Frame, o Options) (
 	// not consulted (see doc comment) — with one hard check: resuming a
 	// trajectory under a different balancer would silently change the
 	// physics of the continuation, so a caller that explicitly requested
-	// one (WithBalancer or the WithDLB sugar) must match the file.
+	// one with WithBalancer must match the file.
 	fileB, err := runspec.Balancer(meta)
 	if err != nil {
 		return nil, fmt.Errorf("permcell: checkpoint balancer: %w", err)
 	}
 	if o.balancer != nil && BalancerName(o.balancer) != BalancerName(fileB) {
-		return nil, fmt.Errorf("permcell: checkpoint was written under balancer %q; refusing to resume under %q (drop WithBalancer/WithDLB to resume, or restore a matching checkpoint)",
+		return nil, fmt.Errorf("permcell: checkpoint was written under balancer %q; refusing to resume under %q (drop WithBalancer to resume, or restore a matching checkpoint)",
 			BalancerName(fileB), BalancerName(o.balancer))
 	}
 	// The per-snapshot fields move into the engine state; what remains is
 	// the template the restored engine's own writer refills at each save.
 	tmpl := *meta
-	tmpl.Step, tmpl.CommMsgs, tmpl.CommBytes, tmpl.RNG = 0, 0, 0, nil
+	tmpl.Step, tmpl.CommMsgs, tmpl.CommBytes = 0, 0, 0
 	return launch(tmpl, meta.State(frames), o)
 }

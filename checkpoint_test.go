@@ -34,7 +34,7 @@ func TestResumeEquivalence(t *testing.T) {
 			return NewStatic(ShapeSquarePillar, 4, 4, 0.3, opts...)
 		}},
 		{"dlb", func(opts ...Option) (Engine, error) {
-			return New(2, 4, 0.3, append([]Option{WithDLB()}, opts...)...)
+			return New(2, 4, 0.3, append([]Option{WithBalancer(PermanentCell(PermanentCellConfig{}))}, opts...)...)
 		}},
 	}
 	for _, k := range kinds {
@@ -114,7 +114,7 @@ func TestResumeEquivalence(t *testing.T) {
 // step recorded in each file.
 func TestCheckpointCadenceAndRotation(t *testing.T) {
 	dir := t.TempDir()
-	eng, err := New(2, 4, 0.3, WithDLB(), WithSeed(2), WithCheckpoint(5, dir))
+	eng, err := New(2, 4, 0.3, WithBalancer(PermanentCell(PermanentCellConfig{})), WithSeed(2), WithCheckpoint(5, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestCheckpointCadenceAndRotation(t *testing.T) {
 	if latest.Step != 10 || prev.Step != 5 {
 		t.Fatalf("checkpoint steps latest=%d previous=%d, want 10 and 5", latest.Step, prev.Step)
 	}
-	if latest.Kind != checkpoint.KindDLB || !latest.DLB {
+	if latest.Kind != checkpoint.KindDLB || latest.Balancer != "permcell(h=0,pick=0)" {
 		t.Fatalf("meta does not record the run identity: %+v", latest)
 	}
 }

@@ -26,7 +26,7 @@ var compatKinds = []struct {
 	mk   func(opts ...permcell.Option) (permcell.Engine, error)
 }{
 	{"dlb", func(opts ...permcell.Option) (permcell.Engine, error) {
-		return permcell.New(2, 4, 0.256, append(opts, permcell.WithDLB(), permcell.WithHysteresis(0.1))...)
+		return permcell.New(2, 4, 0.256, append(opts, permcell.WithBalancer(permcell.PermanentCell(permcell.PermanentCellConfig{Hysteresis: 0.1})))...)
 	}},
 	{"sfc", func(opts ...permcell.Option) (permcell.Engine, error) {
 		return permcell.New(2, 4, 0.256, append(opts, permcell.WithBalancer(permcell.SFC(permcell.SFCConfig{Moves: 2})))...)
@@ -176,7 +176,7 @@ func TestRestoreKillResumeCheckpoint(t *testing.T) {
 			t.Fatalf("continuation starts at step %d under balancer %q, want 7 under sfc", got.Step, got.Balancer)
 		}
 	}
-	if _, err := permcell.Restore(r.CkptPath, permcell.WithDLB()); err == nil {
-		t.Fatal("restore of an sfc run under WithDLB succeeded")
+	if _, err := permcell.Restore(r.CkptPath, permcell.WithBalancer(permcell.PermanentCell(permcell.PermanentCellConfig{}))); err == nil {
+		t.Fatal("restore of an sfc run under permcell succeeded")
 	}
 }

@@ -140,7 +140,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}))
 		}
 		return heal(stdout, stderr, *m, *p, *rho, *steps, sab, []permcell.Option{
-			permcell.WithDLB(), permcell.WithSeed(*seed),
+			permcell.WithBalancer(permcell.PermanentCell(permcell.PermanentCellConfig{})),
+			permcell.WithSeed(*seed),
 			permcell.WithWells(1, 1.5), permcell.WithShards(*shards),
 		}, faulty)
 	}

@@ -17,8 +17,6 @@ import (
 
 func main() {
 	connect := flag.String("connect", "", "coordinator address to dial (host:port)")
-	handshake := flag.Duration("handshake-timeout", distrib.DefaultHandshakeTimeout,
-		"bound on the hello->spec exchange (the coordinator passes its own setting)")
 	flag.Parse()
 	if *connect == "" {
 		fmt.Fprintln(os.Stderr, "mdrank: -connect is required (mdrank is spawned by a coordinator, e.g. mdrun -transport=tcp)")
@@ -29,7 +27,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mdrank: dial %s: %v\n", *connect, err)
 		os.Exit(1)
 	}
-	if err := distrib.RunWorkerWith(conn, distrib.WorkerOptions{HandshakeTimeout: *handshake}); err != nil {
+	if err := distrib.RunWorker(conn); err != nil {
 		fmt.Fprintf(os.Stderr, "mdrank: %v\n", err)
 		os.Exit(1)
 	}

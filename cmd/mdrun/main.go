@@ -336,8 +336,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	opts := []permcell.Option{
 		permcell.WithSeed(*seed), permcell.WithDt(*dt),
-		permcell.WithWells(*wells, wk), permcell.WithHysteresis(*hyst),
-		permcell.WithShards(*shards),
+		permcell.WithWells(*wells, wk), permcell.WithShards(*shards),
 		permcell.WithOnStep(row), permcell.WithDiscardStats(),
 	}
 	if bal != nil {

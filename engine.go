@@ -49,13 +49,13 @@ const (
 // New starts the parallel engine in paper coordinates: P PEs (perfect
 // square) over a grid of (m*sqrt(P))^3 cells of side r_c = 2.5 sigma, at
 // reduced density rho (N = round(rho * volume)), with the paper's LJ fluid
-// and thermostat. WithDLB selects permanent-cell load balancing. The PE
-// goroutines idle awaiting the first Step.
+// and thermostat. WithBalancer selects the load balancer (static DDM
+// without one). The PE goroutines idle awaiting the first Step.
 func New(m, p int, rho float64, opts ...Option) (Engine, error) {
 	o := buildOptions(opts)
 	meta := o.identity(checkpoint.KindDLB)
 	meta.M, meta.P, meta.Rho = m, p, rho
-	meta.DLB, meta.Balancer, meta.Hysteresis = o.balancer != nil, balance.Encode(o.balancer), o.hysteresis
+	meta.Balancer = balance.Encode(o.balancer)
 	return launch(meta, nil, o)
 }
 
@@ -138,11 +138,9 @@ func start(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine,
 			return nil, fmt.Errorf("permcell: %w", berr)
 		}
 		cfg.Metrics = o.metrics
-		ser, serr := mdserial.New(cfg, set)
-		if serr != nil {
-			return nil, fmt.Errorf("permcell: %w", serr)
-		}
-		return &serialEngine{eng: ser, o: o, statsEvery: max(meta.StatsEvery, 1), ckpt: ckpt}, nil
+		var ser *mdserial.Engine
+		ser, err = mdserial.New(cfg, set)
+		eng = &serialCore{eng: ser, onStep: o.onStep, discard: o.discard, statsEvery: max(meta.StatsEvery, 1)}
 	case o.transport.Kind == TransportTCP: // launch admitted KindDLB only
 		eng, err = distrib.Start(distrib.WireSpec{
 			Meta: meta, Metrics: o.metrics,
@@ -151,9 +149,8 @@ func start(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine,
 		}, distrib.Config{
 			Procs: o.transport.Procs, Worker: o.transport.Worker, Addr: o.transport.Addr,
 			OnStep: o.onStep, DiscardStats: o.discard,
-			HandshakeTimeout: o.transport.HandshakeTimeout,
-			HeartbeatEvery:   o.transport.HeartbeatEvery,
-			HeartbeatMisses:  o.transport.HeartbeatMisses,
+			HeartbeatEvery:  o.transport.HeartbeatEvery,
+			HeartbeatMisses: o.transport.HeartbeatMisses,
 		})
 	default:
 		cfg, sys, _, berr := runspec.Parallel(&meta, st)
@@ -172,7 +169,7 @@ func start(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine,
 	if err != nil {
 		return nil, fmt.Errorf("permcell: %w", err)
 	}
-	return &parallelEngine{eng: eng, ckpt: ckpt}, nil
+	return &engine{eng: eng, ckpt: ckpt}, nil
 }
 
 // Run executes steps time steps of the parallel engine and returns the
@@ -223,9 +220,10 @@ func guardStep(finished bool, n int) error {
 }
 
 // coreEngine is the stepwise backend surface shared by the in-process
-// core.Engine and the multi-process distrib.Engine; parallelEngine adapts
-// either to the facade interface without knowing which transport hosts
-// the ranks or which ownership map they step over.
+// core.Engine, the multi-process distrib.Engine and the serial reference
+// engine (serialCore); engine adapts any of them to the facade interface
+// without knowing which transport hosts the ranks, which ownership map
+// they step over, or whether there are ranks at all.
 type coreEngine interface {
 	Step(n int) error
 	AbsStep() int
@@ -234,8 +232,9 @@ type coreEngine interface {
 	Finish() (*Result, error)
 }
 
-// parallelEngine adapts a parallel backend to the facade interface.
-type parallelEngine struct {
+// engine adapts a backend to the facade interface: the Step contract, the
+// checkpoint cadence and the Stats copy are the same for every kind.
+type engine struct {
 	eng      coreEngine
 	ckpt     ckptWriter
 	finished bool
@@ -250,34 +249,34 @@ func copyStats(s []StepStats) []StepStats {
 	return append([]StepStats(nil), s...)
 }
 
-func (e *parallelEngine) Step(n int) error {
+func (e *engine) Step(n int) error {
 	if err := guardStep(e.finished, n); err != nil {
 		return err
 	}
 	return e.ckpt.stepWithCheckpoints(e.eng, n)
 }
 
-// Stats returns a copy: core.Engine.Stats exposes the live slice the rank-0
-// goroutine appends to, so handing it out uncopied would let a caller alias
-// (and mutate) engine state mid-run.
-func (e *parallelEngine) Stats() []StepStats { return copyStats(e.eng.Stats()) }
+// Stats returns a copy: every backend's Stats exposes the live slice it
+// appends to, so handing it out uncopied would let a caller alias (and
+// mutate) engine state mid-run.
+func (e *engine) Stats() []StepStats { return copyStats(e.eng.Stats()) }
 
 // TransportProcs reports the worker-process count of a tcp-backed engine
 // (0 in-process). The supervisor's rescale policy reads it to pick the
 // survivor count after a worker failure.
-func (e *parallelEngine) TransportProcs() int {
+func (e *engine) TransportProcs() int {
 	if p, ok := e.eng.(interface{ Procs() int }); ok {
 		return p.Procs()
 	}
 	return 0
 }
-func (e *parallelEngine) Result() (*Result, error) {
+func (e *engine) Result() (*Result, error) {
 	e.finished = true
 	return e.eng.Finish() // idempotent: memoizes its own outcome
 }
 
 // Checkpoint writes an immediate checkpoint at the current step boundary.
-func (e *parallelEngine) Checkpoint() error {
+func (e *engine) Checkpoint() error {
 	if e.finished {
 		return fmt.Errorf("permcell: Checkpoint after Result")
 	}
@@ -310,32 +309,21 @@ func NewSerial(nc int, rho float64, opts ...Option) (Engine, error) {
 	return launch(meta, nil, o)
 }
 
-// serialEngine adapts mdserial.Engine, synthesizing the one-PE census.
-type serialEngine struct {
+// serialCore gives mdserial.Engine the coreEngine surface, synthesizing
+// the one-PE census the parallel engines reduce across their ranks.
+type serialCore struct {
 	eng        *mdserial.Engine
-	o          Options // runtime policy only: onStep, discard
+	onStep     func(StepStats)
+	discard    bool
 	statsEvery int
-	ckpt       ckptWriter
 	stats      []StepStats
 	res        *Result
-	err        error
 }
 
-func (e *serialEngine) Step(n int) error {
-	if e.err != nil {
-		return e.err
-	}
-	if err := guardStep(e.res != nil, n); err != nil {
-		return err
-	}
+func (e *serialCore) Step(n int) error {
 	for i := 0; i < n; i++ {
 		e.eng.Step()
 		step := e.eng.StepCount()
-		if e.ckpt.every > 0 && e.ckpt.active() && step%e.ckpt.every == 0 {
-			if err := e.Checkpoint(); err != nil {
-				return err
-			}
-		}
 		// Drain the phase accumulator every step so each emitted record
 		// describes only its own step, matching the parallel engines.
 		sample := e.eng.TakePhaseSample()
@@ -356,38 +344,34 @@ func (e *serialEngine) Step(n int) error {
 		}
 		st.Phases.Fold(sample)
 		st.Phases.Finalize(1)
-		if !e.o.discard {
+		if !e.discard {
 			e.stats = append(e.stats, st)
 		}
-		if e.o.onStep != nil {
-			e.o.onStep(st)
+		if e.onStep != nil {
+			e.onStep(st)
 		}
 	}
 	return nil
 }
 
-// Checkpoint writes an immediate checkpoint at the current step.
-func (e *serialEngine) Checkpoint() error {
-	if e.res != nil {
-		return fmt.Errorf("permcell: Checkpoint after Result")
-	}
-	// The frame aliases the live arrays instead of copying them: save is
-	// synchronous and this goroutine is the engine's only driver, so nothing
-	// steps the set before the bytes are written and the frame is dropped.
-	// (pe.snapshot must copy: its frames outlive the call — the PEs step on
-	// while the driver still holds, ships or writes them.)
+func (e *serialCore) AbsStep() int { return e.eng.StepCount() }
+
+// Snapshot returns a frame that aliases the live arrays instead of copying
+// them: the facade writes the frame on the driver goroutine before the next
+// Step, so nothing moves the set while the bytes are written. (pe.snapshot
+// must copy: its frames outlive the call — the PEs step on while the driver
+// still holds, ships or writes them.)
+func (e *serialCore) Snapshot() (*checkpoint.EngineState, error) {
 	set := e.eng.Set()
-	return e.ckpt.save(e.eng.StepCount(), 0, 0, []checkpoint.Frame{{ID: set.ID, Pos: set.Pos, Vel: set.Vel}})
+	return &checkpoint.EngineState{
+		Step:   e.eng.StepCount(),
+		Frames: []checkpoint.Frame{{ID: set.ID, Pos: set.Pos, Vel: set.Vel}},
+	}, nil
 }
 
-// Stats returns a copy (see the Engine interface contract): e.stats keeps
-// growing with each Step, so the internal slice must not escape.
-func (e *serialEngine) Stats() []StepStats { return copyStats(e.stats) }
+func (e *serialCore) Stats() []StepStats { return e.stats }
 
-func (e *serialEngine) Result() (*Result, error) {
-	if e.err != nil {
-		return nil, e.err
-	}
+func (e *serialCore) Finish() (*Result, error) {
 	if e.res == nil {
 		e.eng.Close()
 		final := e.eng.Set().Clone()

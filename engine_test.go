@@ -14,7 +14,8 @@ import (
 // must produce bit-identical per-step statistics and final state.
 func TestRunTraceParity(t *testing.T) {
 	got, err := permcell.Run(context.Background(), 2, 4, 0.256, 20,
-		permcell.WithDLB(), permcell.WithSeed(7), permcell.WithWells(3, 1.5), permcell.WithHysteresis(0.1))
+		permcell.WithBalancer(permcell.PermanentCell(permcell.PermanentCellConfig{Hysteresis: 0.1})),
+		permcell.WithSeed(7), permcell.WithWells(3, 1.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestRunTraceParity(t *testing.T) {
 // batch stepping, incremental stats, and a final Result identical to the
 // one-shot Run of the same parameters.
 func TestEngineStepwise(t *testing.T) {
-	opts := []permcell.Option{permcell.WithDLB(), permcell.WithSeed(3), permcell.WithWells(2, 1.5)}
+	opts := []permcell.Option{permcell.WithBalancer(permcell.PermanentCell(permcell.PermanentCellConfig{})), permcell.WithSeed(3), permcell.WithWells(2, 1.5)}
 	ref, err := permcell.Run(context.Background(), 2, 4, 0.256, 10, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +129,7 @@ func TestRunCancellation(t *testing.T) {
 func TestShardedRunDeterminism(t *testing.T) {
 	run := func() *permcell.Result {
 		res, err := permcell.Run(context.Background(), 2, 4, 0.256, 10,
-			permcell.WithDLB(), permcell.WithShards(2), permcell.WithSeed(11))
+			permcell.WithBalancer(permcell.PermanentCell(permcell.PermanentCellConfig{})), permcell.WithShards(2), permcell.WithSeed(11))
 		if err != nil {
 			t.Fatal(err)
 		}

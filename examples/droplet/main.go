@@ -18,8 +18,8 @@ func main() {
 	const m, p = 2, 16
 	fmt.Println("droplet: condensing run under DLB-DDM; watching the DLB limit...")
 	res, err := permcell.Run(context.Background(), m, p, 0.128, 600,
-		permcell.WithDLB(), permcell.WithSeed(3),
-		permcell.WithWells(4, 2.0), permcell.WithHysteresis(0.1))
+		permcell.WithBalancer(permcell.PermanentCell(permcell.PermanentCellConfig{Hysteresis: 0.1})),
+		permcell.WithSeed(3), permcell.WithWells(4, 2.0))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 func main() {
 	const m, p = 3, 16
 	opts := []permcell.Option{
-		permcell.WithSeed(7), permcell.WithWells(12, 1.5), permcell.WithHysteresis(0.1),
+		permcell.WithSeed(7), permcell.WithWells(12, 1.5),
 	}
 
 	fmt.Println("running DDM (no load balancing)...")
@@ -29,7 +29,7 @@ func main() {
 	}
 	fmt.Println("running DLB-DDM (permanent-cell dynamic load balancing)...")
 	dlb, err := permcell.Run(context.Background(), m, p, 0.256, 400,
-		append(opts, permcell.WithDLB())...)
+		append(opts, permcell.WithBalancer(permcell.PermanentCell(permcell.PermanentCellConfig{Hysteresis: 0.1})))...)
 	if err != nil {
 		log.Fatal(err)
 	}

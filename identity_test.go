@@ -15,9 +15,7 @@ import (
 func identityOf(t *testing.T, eng Engine) checkpoint.Meta {
 	t.Helper()
 	switch e := eng.(type) {
-	case *parallelEngine:
-		return e.ckpt.meta
-	case *serialEngine:
+	case *engine:
 		return e.ckpt.meta
 	}
 	t.Fatalf("no identity on %T", eng)
@@ -74,7 +72,7 @@ func TestRunIdentityIsOneThing(t *testing.T) {
 		mk   func(opts ...Option) (Engine, error)
 	}{
 		{"dlb", func(opts ...Option) (Engine, error) {
-			return New(2, 4, 0.256, append(opts, WithDLB(), WithHysteresis(0.1))...)
+			return New(2, 4, 0.256, append(opts, WithBalancer(PermanentCell(PermanentCellConfig{Hysteresis: 0.1})))...)
 		}},
 		{"dlb+sfc", func(opts ...Option) (Engine, error) {
 			return New(2, 4, 0.256, append(opts, WithBalancer(SFC(SFCConfig{Moves: 2})))...)

@@ -62,6 +62,9 @@ type Meta struct {
 
 	// Physics options — part of the run identity: restoring with different
 	// values would break bit-identical resume, so they travel in the file.
+	// Nothing writes DLB and Hysteresis: runspec.Balancer reads them only
+	// from headers that predate Balancer, where the DLB flag named the
+	// permanent-cell scheme at the stored hysteresis.
 	DLB        bool
 	Wells      int
 	WellK      float64
@@ -71,20 +74,15 @@ type Meta struct {
 	Shards     int
 	StatsEvery int
 	// Balancer is the encoded load-balancing strategy (balance.Encode):
-	// "permcell(...)", "sfc(...)", "diffusive(...)", or "" in checkpoints
-	// predating the pluggable-balancer format, where the DLB flag alone
-	// identifies the permanent-cell scheme. Restore refuses to resume a
-	// checkpoint under a different balancer than it was written with.
+	// "permcell(...)", "sfc(...)", "diffusive(...)", "none" (static DDM),
+	// or "" in checkpoints predating the pluggable-balancer format. Restore
+	// refuses to resume a checkpoint under a different balancer than it
+	// was written with.
 	Balancer string
 
 	// Cumulative communication counters at snapshot time, so a resumed
 	// run's totals continue from the interrupted run's.
 	CommMsgs, CommBytes int64
-
-	// RNG is the state of any auxiliary generator stream that must resume
-	// exactly (captured with rng.Source.State; nil when the engine carries
-	// no live generator, as the current deterministic thermostats do not).
-	RNG []uint64
 }
 
 // Frame is one PE's shard of the distributed state.

@@ -114,9 +114,9 @@ type Config struct {
 	// set, C' bound) plus the global checks — every column hosted exactly
 	// once and the particle count conserved. Chaos runs set this.
 	Verify bool
-	// Guard, when non-nil and not Disabled, runs the cheap runtime physics
-	// guards at the stats cadence: finite positions/velocities, particle
-	// conservation and an energy-drift ceiling. A violation surfaces as a
+	// Guard, when non-nil, runs the cheap runtime physics guards at the
+	// stats cadence: finite positions/velocities, particle conservation and
+	// an energy-drift ceiling. A violation surfaces as a
 	// typed *supervise.GuardViolation — raised before the offending step's
 	// stats are emitted, so neither the trace nor a checkpoint sees the
 	// corrupt state.
@@ -246,9 +246,6 @@ type Result struct {
 	// Config.Decomp).
 	M int
 }
-
-// guardOn reports whether the runtime physics guards are armed.
-func (cfg *Config) guardOn() bool { return cfg.Guard != nil && !cfg.Guard.Disabled }
 
 // BalancerName returns the active strategy's name, "none" for static DDM.
 func (cfg *Config) BalancerName() string {

@@ -203,7 +203,7 @@ func (p *pe) init() {
 	p.haloExchange()
 	p.computeForces()
 	p.returnForces()
-	if p.cfg.Verify || p.cfg.guardOn() {
+	if p.cfg.Verify || p.cfg.Guard != nil {
 		p.initN = p.c.AllreduceInt64(int64(p.set.Len()), comm.SumI)
 	}
 	// Drain the step-0 accumulation so the first step's phase sample covers
@@ -645,7 +645,7 @@ func (p *pe) collectStats(step int, stepWall float64, res *Result) {
 	if step%p.cfg.StatsEvery != 0 {
 		return
 	}
-	if p.cfg.guardOn() {
+	if p.cfg.Guard != nil {
 		p.guardFinite(step)
 	}
 	empty := 0
@@ -713,7 +713,7 @@ func (p *pe) collectStats(step int, stepWall float64, res *Result) {
 	// the coordinator replaces these with the global per-process sums.
 	ts := p.c.TransportStats()
 	st.SentFrames, st.SentBytes, st.ResendCount = ts.Frames, ts.Bytes, ts.Resends
-	if p.cfg.guardOn() {
+	if p.cfg.Guard != nil {
 		p.guardGlobal(step, st.TotalEnergy, totalN)
 	}
 	if !p.cfg.DiscardStats {

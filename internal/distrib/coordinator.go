@@ -33,29 +33,25 @@ type Config struct {
 	OnStep       func(core.StepStats)
 	DiscardStats bool
 
-	// HandshakeTimeout bounds the accept+hello+spec phase per worker so a
-	// worker that dies before connecting fails Start instead of hanging
-	// it. 0 selects DefaultHandshakeTimeout. It is also passed to exec'd
-	// workers (-handshake-timeout), bounding their hello->spec wait.
-	HandshakeTimeout time.Duration
-
 	// HeartbeatEvery is the heartbeat send interval on every
 	// coordinator<->worker link; HeartbeatMisses is the miss budget. A
 	// link with no frame for Every x Misses is declared dead
-	// (FailHeartbeat). 0 selects the defaults; Every < 0 disables
-	// liveness entirely (no heartbeats, unbounded mid-run reads — the
-	// pre-liveness behavior, kept for debugging).
+	// (FailHeartbeat). Values <= 0 select the defaults.
 	HeartbeatEvery  time.Duration
 	HeartbeatMisses int
 }
+
+// HandshakeTimeout bounds the accept+hello+spec phase on both sides of
+// every link, so a worker that dies before connecting fails Start instead
+// of hanging it, and a worker whose coordinator never deals a spec gives up.
+const HandshakeTimeout = 60 * time.Second
 
 // Liveness defaults: a second between beats with a five-miss budget keeps
 // idle-link overhead negligible (one 17-byte frame/s) while bounding
 // detection of a wedged peer at ~5 s. Tests shrink both.
 const (
-	DefaultHandshakeTimeout = 60 * time.Second
-	DefaultHeartbeatEvery   = 1 * time.Second
-	DefaultHeartbeatMisses  = 5
+	DefaultHeartbeatEvery  = 1 * time.Second
+	DefaultHeartbeatMisses = 5
 )
 
 // shutdownGrace is how long shutdown waits for an exec'd worker to exit
@@ -84,7 +80,7 @@ type Engine struct {
 	onStep  func(core.StepStats)
 	discard bool
 
-	hbEvery time.Duration // <= 0: liveness disabled
+	hbEvery time.Duration
 	hbStop  chan struct{}
 	closing atomic.Bool
 
@@ -116,12 +112,8 @@ func Start(spec WireSpec, cfg Config) (*Engine, error) {
 	if w > p {
 		return nil, fmt.Errorf("distrib: %d worker processes for %d ranks", w, p)
 	}
-	handshake := cfg.HandshakeTimeout
-	if handshake <= 0 {
-		handshake = DefaultHandshakeTimeout
-	}
 	hbEvery, hbMisses := cfg.HeartbeatEvery, cfg.HeartbeatMisses
-	if hbEvery == 0 {
+	if hbEvery <= 0 {
 		hbEvery = DefaultHeartbeatEvery
 	}
 	if hbMisses <= 0 {
@@ -165,9 +157,7 @@ func Start(spec WireSpec, cfg Config) (*Engine, error) {
 	// independent: any worker can host any rank block.
 	if cfg.Worker != "" {
 		for i := 0; i < w; i++ {
-			cmd := exec.Command(cfg.Worker,
-				"-connect", dialAddr,
-				"-handshake-timeout", handshake.String())
+			cmd := exec.Command(cfg.Worker, "-connect", dialAddr)
 			cmd.Stderr = os.Stderr
 			if err := cmd.Start(); err != nil {
 				e.shutdown()
@@ -198,7 +188,7 @@ func Start(spec WireSpec, cfg Config) (*Engine, error) {
 				if derr != nil {
 					return // surfaces as an accept timeout
 				}
-				if werr := RunWorkerWith(conn, WorkerOptions{HandshakeTimeout: handshake}); werr != nil {
+				if werr := RunWorker(conn); werr != nil {
 					fmt.Fprintf(os.Stderr, "distrib: worker: %v\n", werr)
 				}
 			}()
@@ -207,7 +197,7 @@ func Start(spec WireSpec, cfg Config) (*Engine, error) {
 
 	// Accept + hello, then deal each worker its spec.
 	if tl, ok := ln.(*net.TCPListener); ok {
-		tl.SetDeadline(time.Now().Add(handshake))
+		tl.SetDeadline(time.Now().Add(HandshakeTimeout))
 	}
 	for i := 0; i < w; i++ {
 		conn, aerr := ln.Accept()
@@ -216,7 +206,7 @@ func Start(spec WireSpec, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("distrib: accept worker %d/%d: %w", i, w, aerr)
 		}
 		peer := transport.NewPeer(conn)
-		conn.SetReadDeadline(time.Now().Add(handshake))
+		conn.SetReadDeadline(time.Now().Add(HandshakeTimeout))
 		fr, herr := peer.Recv()
 		if herr != nil || fr.Kind != transport.KindHello {
 			e.peers[i] = peer
@@ -226,14 +216,12 @@ func Start(spec WireSpec, cfg Config) (*Engine, error) {
 		conn.SetReadDeadline(time.Time{})
 		e.peers[i] = peer
 		e.acks[i] = newControlIn()
-		if hbEvery > 0 {
-			// The liveness window: a healthy peer's heartbeats arrive
-			// every hbEvery, so hbMisses consecutive losses trip the
-			// read deadline. The same window bounds writes, so a peer
-			// that stops draining its socket cannot wedge a flush.
-			window := hbEvery * time.Duration(hbMisses)
-			peer.SetTimeouts(window, window)
-		}
+		// The liveness window: a healthy peer's heartbeats arrive every
+		// hbEvery, so hbMisses consecutive losses trip the read deadline.
+		// The same window bounds writes, so a peer that stops draining its
+		// socket cannot wedge a flush.
+		window := hbEvery * time.Duration(hbMisses)
+		peer.SetTimeouts(window, window)
 
 		ws := spec
 		ws.Proc = i
@@ -267,9 +255,7 @@ func Start(spec WireSpec, cfg Config) (*Engine, error) {
 	// even when the coordinator is idle between commands.
 	for i := 0; i < w; i++ {
 		go e.route(i)
-		if hbEvery > 0 {
-			go e.heartbeat(i)
-		}
+		go e.heartbeat(i)
 	}
 
 	// Every worker reports construction (an empty StepAck).
@@ -579,7 +565,7 @@ func (e *Engine) Finish() (*core.Result, error) {
 }
 
 // shutdown closes every connection and reaps worker processes. Closing a
-// connection unblocks the worker's reader, which exits RunWorkerWith; a worker
+// connection unblocks the worker's reader, which exits RunWorker; a worker
 // that does not exit within the grace window (wedged, SIGSTOP'd) is
 // SIGKILLed — recovery must never wait on a stuck process. Idempotent.
 func (e *Engine) shutdown() {

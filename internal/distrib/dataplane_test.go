@@ -147,11 +147,11 @@ func TestHubForwardsDataFramesOpaque(t *testing.T) {
 // TestWorkerCorruptPayloadPoisons: a worker whose ranks are blocked in a
 // step on data that will never come, fed a data frame no codec accepts,
 // poisons its world — the ranks unwind, the step is acked as failed — and
-// RunWorkerWith returns the decode error instead of hanging.
+// RunWorker returns the decode error instead of hanging.
 func TestWorkerCorruptPayloadPoisons(t *testing.T) {
 	coordEnd, workerEnd := net.Pipe()
 	done := make(chan error, 1)
-	go func() { done <- RunWorkerWith(workerEnd, WorkerOptions{HandshakeTimeout: 10 * time.Second}) }()
+	go func() { done <- RunWorker(workerEnd) }()
 
 	coord := transport.NewPeer(coordEnd)
 	defer coord.Close()
@@ -219,10 +219,10 @@ func TestWorkerCorruptPayloadPoisons(t *testing.T) {
 	select {
 	case err := <-done:
 		if !errors.Is(err, transport.ErrMalformedPayload) {
-			t.Fatalf("RunWorkerWith returned %v, want the payload decode error", err)
+			t.Fatalf("RunWorker returned %v, want the payload decode error", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("RunWorkerWith still running: the corrupt frame left its ranks blocked")
+		t.Fatal("RunWorker still running: the corrupt frame left its ranks blocked")
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 	"permcell/internal/transport"
 )
 
-// TestProcessFaultLandsBeforeItsBatch drives RunWorkerWith over an in-memory
+// TestProcessFaultLandsBeforeItsBatch drives RunWorker over an in-memory
 // pipe — this test is the coordinator, no processes — with each
 // process-level sabotage armed at step 5, and pins where its wire effect
 // lands: the batches of steps 1-2 and 3-4 are acked clean with their
@@ -27,7 +27,7 @@ func TestProcessFaultLandsBeforeItsBatch(t *testing.T) {
 		t.Run(kind, func(t *testing.T) {
 			coordEnd, workerEnd := net.Pipe()
 			done := make(chan error, 1)
-			go func() { done <- RunWorkerWith(workerEnd, WorkerOptions{HandshakeTimeout: 10 * time.Second}) }()
+			go func() { done <- RunWorker(workerEnd) }()
 			coord := transport.NewPeer(coordEnd)
 			defer coord.Close()
 
@@ -126,7 +126,7 @@ func TestProcessFaultLandsBeforeItsBatch(t *testing.T) {
 			select {
 			case err := <-done:
 				if err == nil || !strings.Contains(err.Error(), kind) {
-					t.Errorf("RunWorkerWith returned %v, want the %s error", err, kind)
+					t.Errorf("RunWorker returned %v, want the %s error", err, kind)
 				}
 			case <-time.After(10 * time.Second):
 				t.Fatal("the worker outlived its own fault")

@@ -43,16 +43,7 @@ func (r *peerRemote) Stats() (frames, bytes int64) {
 	return r.frames.Load(), r.bytes.Load()
 }
 
-// WorkerOptions tunes the worker side of the protocol.
-type WorkerOptions struct {
-	// HandshakeTimeout bounds the hello->spec exchange; 0 selects
-	// DefaultHandshakeTimeout. The coordinator passes its own value to
-	// exec'd workers via mdrank's -handshake-timeout flag so both sides
-	// give up together.
-	HandshakeTimeout time.Duration
-}
-
-// RunWorkerWith services one worker process (or goroutine-hosted worker)
+// RunWorker services one worker process (or goroutine-hosted worker)
 // on an established coordinator connection: handshake, build the
 // partial engine from the wire spec, then serve Step/Snapshot/Finish
 // commands until the final ResultAck. Returns on protocol completion
@@ -62,19 +53,14 @@ type WorkerOptions struct {
 // the spec's cadence and arms the same read window on its own receives,
 // so a dead or wedged coordinator kills the worker within the window
 // instead of leaving an orphan process holding the engine.
-func RunWorkerWith(conn net.Conn, opts WorkerOptions) error {
+func RunWorker(conn net.Conn) error {
 	peer := transport.NewPeer(conn)
 	defer peer.Close()
-
-	handshake := opts.HandshakeTimeout
-	if handshake <= 0 {
-		handshake = DefaultHandshakeTimeout
-	}
 
 	if err := peer.Send(transport.Frame{Kind: transport.KindHello}); err != nil {
 		return fmt.Errorf("distrib: hello: %w", err)
 	}
-	conn.SetReadDeadline(time.Now().Add(handshake))
+	conn.SetReadDeadline(time.Now().Add(HandshakeTimeout))
 	fr, err := peer.Recv()
 	if err != nil {
 		return fmt.Errorf("distrib: await spec: %w", err)
@@ -92,7 +78,8 @@ func RunWorkerWith(conn net.Conn, opts WorkerOptions) error {
 	// window is already ticking, so heartbeats must flow while NewPartial
 	// builds (which can be slow for large systems). hbPause models a
 	// stalled process for SabotageWorkerStall — a SIGSTOP'd worker's
-	// heartbeat goroutine stops too.
+	// heartbeat goroutine stops too. Start always fills the cadence; a spec
+	// dealt without one (a bare in-memory link) runs without liveness.
 	var hbPause atomic.Bool
 	hbStop := make(chan struct{})
 	defer close(hbStop)

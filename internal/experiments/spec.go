@@ -49,10 +49,9 @@ type RunSpec struct {
 	// Dt overrides the integration time step. Zero selects
 	// runspec.DefaultDt; set to units.PaperTimeStep for the literal setup.
 	Dt float64
-	// Start optionally pre-concentrates a fraction of the particles in a
-	// central blob (0 = uniform lattice start).
-	BlobFrac  float64
-	BlobSigma float64
+	// BlobFrac optionally pre-concentrates a fraction of the particles in
+	// a central blob of width box/6 (0 = uniform lattice start).
+	BlobFrac float64
 }
 
 // SysInfo reports the concrete sizes a spec resolved to.
@@ -64,8 +63,7 @@ type SysInfo = runspec.Info
 func (s RunSpec) Meta() checkpoint.Meta {
 	return checkpoint.Meta{
 		Kind: checkpoint.KindDLB, M: s.M, P: s.P, Rho: s.Rho,
-		DLB: s.Balancer != nil, Balancer: balance.Encode(s.Balancer),
-		Wells: s.Wells, WellK: s.WellK,
+		Balancer: balance.Encode(s.Balancer), Wells: s.Wells, WellK: s.WellK,
 		Seed: s.Seed, Dt: s.Dt, Shards: s.Shards, StatsEvery: s.StatsEvery,
 	}
 }
@@ -81,11 +79,7 @@ func (s RunSpec) Build() (core.Config, workload.System, SysInfo, error) {
 	}
 	cfg.Metrics = s.Metrics
 	if s.BlobFrac > 0 {
-		sigma := s.BlobSigma
-		if sigma == 0 {
-			sigma = info.Box / 6
-		}
-		sys, err = workload.BlobGas(info.N, info.RhoUsed, units.PaperTref, s.BlobFrac, sigma, s.Seed)
+		sys, err = workload.BlobGas(info.N, info.RhoUsed, units.PaperTref, s.BlobFrac, info.Box/6, s.Seed)
 		if err != nil {
 			return core.Config{}, workload.System{}, SysInfo{}, err
 		}

@@ -56,11 +56,8 @@ func (e *GuardViolation) Error() string {
 }
 
 // GuardConfig tunes the runtime physics guards evaluated at the stats
-// cadence. The zero value selects the defaults; Disabled turns the pass off
-// entirely.
+// cadence. The zero value selects the defaults.
 type GuardConfig struct {
-	// Disabled turns the guard pass off.
-	Disabled bool
 	// MaxEnergyDrift is the relative total-energy drift ceiling: the run
 	// fails when |E - E0| exceeds MaxEnergyDrift * max(1, |E0|), with E0 the
 	// first census after (re)start. 0 selects DefaultMaxEnergyDrift;
@@ -95,12 +92,8 @@ type Policy struct {
 	// *RetryBudgetError (0 = fail on the first failure).
 	MaxRetries int
 	// Backoff is the delay before the first retry (default 50ms). Each
-	// subsequent retry doubles it (BackoffFactor) up to MaxBackoff.
+	// subsequent retry doubles it, up to 5s.
 	Backoff time.Duration
-	// BackoffFactor is the growth factor between retries (default 2).
-	BackoffFactor float64
-	// MaxBackoff caps the delay (default 5s).
-	MaxBackoff time.Duration
 	// Guard tunes the runtime physics guards.
 	Guard GuardConfig
 	// WorkerRecovery selects how a distributed worker failure heals:
@@ -120,29 +113,20 @@ const (
 	RecoverRescale = "rescale"
 )
 
-// BackoffFor returns the delay before retry attempt (1-based), growing
-// exponentially from Backoff and capped at MaxBackoff.
+// maxBackoff caps the delay between retries.
+const maxBackoff = 5 * time.Second
+
+// BackoffFor returns the delay before retry attempt (1-based), doubling
+// from Backoff and capped at maxBackoff.
 func (p Policy) BackoffFor(attempt int) time.Duration {
-	base := p.Backoff
-	if base <= 0 {
-		base = 50 * time.Millisecond
+	d := p.Backoff
+	if d <= 0 {
+		d = 50 * time.Millisecond
 	}
-	factor := p.BackoffFactor
-	if factor < 1 {
-		factor = 2
+	for i := 1; i < attempt && d < maxBackoff; i++ {
+		d *= 2
 	}
-	limit := p.MaxBackoff
-	if limit <= 0 {
-		limit = 5 * time.Second
-	}
-	d := float64(base)
-	for i := 1; i < attempt; i++ {
-		d *= factor
-		if time.Duration(d) >= limit {
-			return limit
-		}
-	}
-	return min(time.Duration(d), limit)
+	return min(d, maxBackoff)
 }
 
 // Event kinds recorded in Report.Events.

@@ -9,10 +9,10 @@ import (
 )
 
 func TestBackoffGrowsAndCaps(t *testing.T) {
-	p := Policy{Backoff: 10 * time.Millisecond, MaxBackoff: 50 * time.Millisecond}
+	p := Policy{Backoff: time.Second}
 	want := []time.Duration{
-		10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
-		50 * time.Millisecond, 50 * time.Millisecond,
+		time.Second, 2 * time.Second, 4 * time.Second,
+		5 * time.Second, 5 * time.Second,
 	}
 	for i, w := range want {
 		if got := p.BackoffFor(i + 1); got != w {

@@ -115,7 +115,7 @@ func TestEnginesZeroTotalForce(t *testing.T) {
 				return permcell.NewSerial(3, 0.256, permcell.WithSeed(5), permcell.WithShards(shards))
 			},
 			"dlb": func() (permcell.Engine, error) {
-				return permcell.New(2, 4, 0.256, permcell.WithDLB(), permcell.WithSeed(5), permcell.WithShards(shards))
+				return permcell.New(2, 4, 0.256, permcell.WithBalancer(permcell.PermanentCell(permcell.PermanentCellConfig{})), permcell.WithSeed(5), permcell.WithShards(shards))
 			},
 			"static": func() (permcell.Engine, error) {
 				return permcell.NewStatic(permcell.ShapePlane, 4, 2, 0.256,
@@ -160,7 +160,7 @@ func TestEnginesMomentumConservation(t *testing.T) {
 				return permcell.NewSerial(3, 0.256, permcell.WithSeed(9), permcell.WithShards(shards))
 			},
 			"dlb": func() (permcell.Engine, error) {
-				return permcell.New(2, 4, 0.256, permcell.WithDLB(), permcell.WithSeed(9), permcell.WithShards(shards))
+				return permcell.New(2, 4, 0.256, permcell.WithBalancer(permcell.PermanentCell(permcell.PermanentCellConfig{})), permcell.WithSeed(9), permcell.WithShards(shards))
 			},
 			"static": func() (permcell.Engine, error) {
 				return permcell.NewStatic(permcell.ShapePlane, 4, 2, 0.256,

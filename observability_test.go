@@ -20,7 +20,7 @@ func TestMetricsPhaseBreakdown(t *testing.T) {
 		mk       func() (permcell.Engine, error)
 	}{
 		{"parallel", true, func() (permcell.Engine, error) {
-			return permcell.New(2, 4, 0.3, permcell.WithMetrics(), permcell.WithDLB())
+			return permcell.New(2, 4, 0.3, permcell.WithMetrics(), permcell.WithBalancer(permcell.PermanentCell(permcell.PermanentCellConfig{})))
 		}},
 		{"static", true, func() (permcell.Engine, error) {
 			return permcell.NewStatic(permcell.ShapeCube, 4, 8, 0.3, permcell.WithMetrics())

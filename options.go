@@ -89,11 +89,9 @@ const (
 // NewSerial, NewStatic or Run; the zero value of every field selects the
 // documented default.
 type Options struct {
-	dlb        bool
 	balancer   Balancer
 	wells      int
 	wellK      float64
-	hysteresis float64
 	shards     int
 	seed       uint64
 	dt         float64
@@ -135,15 +133,11 @@ type Transport struct {
 	Worker string
 	// Addr is the tcp coordinator listen address (default "127.0.0.1:0").
 	Addr string
-	// HandshakeTimeout bounds each worker's accept+hello+spec exchange
-	// (default 60s); it is passed to exec'd mdrank workers so both sides
-	// give up together.
-	HandshakeTimeout time.Duration
 	// HeartbeatEvery and HeartbeatMisses set the liveness window on every
 	// coordinator<->worker link: a link with no frame for
 	// HeartbeatEvery x HeartbeatMisses is declared dead and surfaces as a
-	// *WorkerFailure instead of hanging the run. Zero selects the
-	// defaults (1s x 5); HeartbeatEvery < 0 disables liveness.
+	// *WorkerFailure instead of hanging the run. Values <= 0 select the
+	// defaults (1s x 5).
 	HeartbeatEvery  time.Duration
 	HeartbeatMisses int
 }
@@ -168,30 +162,16 @@ func buildOptions(opts []Option) Options {
 	if o.statsEvery < 1 {
 		o.statsEvery = 1
 	}
-	// Resolve the WithDLB sugar into the reference balancer. Order-free:
-	// an explicit WithBalancer always wins over the flag, and the
-	// WithHysteresis value is folded in only for the sugar form (an
-	// explicit PermanentCell carries its own hysteresis).
-	if o.balancer == nil && o.dlb {
-		o.balancer = PermanentCell(PermanentCellConfig{Hysteresis: o.hysteresis})
-	}
 	return o
 }
 
 // WithBalancer selects the load-balancing strategy the parallel engine
 // drives at the DLB cadence: PermanentCell (the paper's method), SFC or
 // Diffusive. nil (the default) runs static DDM. The balancer's parameters
-// are part of the run identity and are validated at engine construction;
-// WithHysteresis does not apply to an explicitly constructed balancer
-// (pass the hysteresis inside its config instead). Ignored by the serial
-// and static engines.
+// — the hysteresis among them — are part of the run identity and are
+// validated at engine construction. Ignored by the serial and static
+// engines.
 func WithBalancer(b Balancer) Option { return func(o *Options) { o.balancer = b } }
-
-// WithDLB enables permanent-cell dynamic load balancing (plain static DDM
-// otherwise): sugar for WithBalancer(PermanentCell(PermanentCellConfig{
-// Hysteresis: h})) with h from WithHysteresis. Ignored by the serial and
-// static engines, and superseded by an explicit WithBalancer.
-func WithDLB() Option { return func(o *Options) { o.dlb = true } }
 
 // WithWells adds n harmonic attractor sites of strength k to drive
 // condensation (the experiments' accelerated-physics substitution; see
@@ -199,13 +179,6 @@ func WithDLB() Option { return func(o *Options) { o.dlb = true } }
 func WithWells(n int, k float64) Option {
 	return func(o *Options) { o.wells, o.wellK = n, k }
 }
-
-// WithHysteresis sets the DLB trigger threshold: the relative load gap a
-// neighbor must exceed before a column moves (0 = paper-literal). It
-// parameterizes the WithDLB sugar; an explicit WithBalancer carries its
-// hysteresis in the balancer's own config. Negative values are rejected at
-// engine construction.
-func WithHysteresis(h float64) Option { return func(o *Options) { o.hysteresis = h } }
 
 // WithShards sets the per-PE force-kernel worker count (<= 1 = serial
 // kernel). Results are bit-deterministic for a given shard count but
@@ -295,7 +268,8 @@ func WithTransport(t Transport) Option { return func(o *Options) { o.transport =
 // dir keeps a latest/previous pair, written atomically, so a crash mid-write
 // never loses the run. every <= 0 disables the automatic cadence but still
 // configures dir for explicit CheckpointNow calls. A failed write surfaces
-// as the Step error.
+// as the Step error, on every engine kind after the boundary step's record
+// is emitted; the engine stays usable.
 func WithCheckpoint(every int, dir string) Option {
 	return func(o *Options) { o.ckptEvery, o.ckptDir = every, dir }
 }

@@ -3,6 +3,9 @@ package permcell_test
 import (
 	"context"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"permcell"
@@ -26,7 +29,8 @@ func TestNewValidatesCoordinates(t *testing.T) {
 
 func TestRunFacade(t *testing.T) {
 	res, err := permcell.Run(context.Background(), 2, 4, 0.256, 50,
-		permcell.WithDLB(), permcell.WithSeed(1), permcell.WithWells(3, 1.5), permcell.WithHysteresis(0.1))
+		permcell.WithBalancer(permcell.PermanentCell(permcell.PermanentCellConfig{Hysteresis: 0.1})),
+		permcell.WithSeed(1), permcell.WithWells(3, 1.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,5 +67,56 @@ func TestMaxDomainColumnsFacade(t *testing.T) {
 func TestPaperConstants(t *testing.T) {
 	if permcell.PaperTref != 0.722 || permcell.PaperCutoff != 2.5 {
 		t.Error("paper constants wrong")
+	}
+}
+
+// TestCadenceCheckpointFailureKeepsRecord pins that a cadence checkpoint
+// which fails to write costs no step record, on every engine kind: the
+// failed write surfaces from the Step that crossed the boundary, but that
+// step's record is already emitted and the run steps on.
+func TestCadenceCheckpointFailureKeepsRecord(t *testing.T) {
+	pc := permcell.WithBalancer(permcell.PermanentCell(permcell.PermanentCellConfig{}))
+	tcp := permcell.WithTransport(permcell.Transport{Kind: permcell.TransportTCP, Procs: 2})
+	for _, c := range []struct {
+		name string
+		mk   func(...permcell.Option) (permcell.Engine, error)
+	}{
+		{"dlb", func(o ...permcell.Option) (permcell.Engine, error) {
+			return permcell.New(2, 4, 0.3, append(o, pc)...)
+		}},
+		{"static", func(o ...permcell.Option) (permcell.Engine, error) {
+			return permcell.NewStatic(permcell.ShapeSquarePillar, 4, 4, 0.3, o...)
+		}},
+		{"tcp", func(o ...permcell.Option) (permcell.Engine, error) {
+			return permcell.New(2, 4, 0.3, append(o, pc, tcp)...)
+		}},
+		{"serial", func(o ...permcell.Option) (permcell.Engine, error) {
+			return permcell.NewSerial(3, 0.3, o...)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// A directory under a regular file: every write fails in MkdirAll.
+			file := filepath.Join(t.TempDir(), "file")
+			if err := os.WriteFile(file, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			eng, err := c.mk(permcell.WithCheckpoint(2, filepath.Join(file, "ckpt")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Result()
+			for i := 1; i <= 3; i++ {
+				if err := eng.Step(1); (err != nil) != (i == 2) {
+					t.Fatalf("Step %d returned %v; want an error from the cadence step 2 only", i, err)
+				}
+			}
+			var steps []int
+			for _, st := range eng.Stats() {
+				steps = append(steps, st.Step)
+			}
+			if !slices.Equal(steps, []int{1, 2, 3}) {
+				t.Fatalf("recorded steps %v, want [1 2 3]", steps)
+			}
+		})
 	}
 }

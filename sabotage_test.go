@@ -91,7 +91,7 @@ func (h hosting) procOf(rank int) int {
 // golden — without a watchdog, hosted by h, with opts appended.
 func faulty(t *testing.T, h hosting, opts ...permcell.Option) permcell.Engine {
 	t.Helper()
-	base := []permcell.Option{permcell.WithSeed(7), permcell.WithDLB(), permcell.WithWells(2, 1.5)}
+	base := []permcell.Option{permcell.WithSeed(7), permcell.WithBalancer(permcell.PermanentCell(permcell.PermanentCellConfig{})), permcell.WithWells(2, 1.5)}
 	eng, err := permcell.New(2, 4, 0.3, append(append(base, h.options()...), opts...)...)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -291,7 +291,7 @@ func TestTCPRankFailureDoesNotHang(t *testing.T) {
 			run(t, "")
 			buf := make([]byte, 1<<20)
 			gone(t, func() string {
-				if bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("distrib.RunWorkerWith")) {
+				if bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("distrib.RunWorker(")) {
 					return "a goroutine-hosted worker"
 				}
 				return ""

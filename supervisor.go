@@ -112,12 +112,8 @@ func (s *supervisedEngine) innerOptions(gen int) Options {
 	if s.rescaleTo > 0 {
 		o.transport.Procs = s.rescaleTo
 	}
-	if s.pol.Guard.Disabled {
-		o.guard = nil
-	} else {
-		g := s.pol.Guard
-		o.guard = &g
-	}
+	g := s.pol.Guard
+	o.guard = &g
 	return o
 }
 

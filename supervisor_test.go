@@ -71,7 +71,7 @@ func TestSupervisorStaticEngine(t *testing.T) {
 // must degrade the run to a partial Result plus a *RetryBudgetError carrying
 // the structured report — never a process crash.
 func TestSupervisorBudgetExhausted(t *testing.T) {
-	eng, err := New(2, 4, 0.3, WithDLB(), WithSeed(5),
+	eng, err := New(2, 4, 0.3, WithBalancer(PermanentCell(PermanentCellConfig{})), WithSeed(5),
 		WithCheckpoint(8, t.TempDir()),
 		WithSupervisor(fastPolicy(0)),
 		WithSabotage(&Sabotage{Kind: SabotagePanic, Step: 13, Rank: 1}),
@@ -110,7 +110,7 @@ func TestSupervisorBudgetExhausted(t *testing.T) {
 func TestSupervisorFallsBackToPrevious(t *testing.T) {
 	const steps = 24
 	mk := func(opts ...Option) (Engine, error) {
-		return New(2, 4, 0.3, append([]Option{WithDLB(), WithSeed(5)}, opts...)...)
+		return New(2, 4, 0.3, append([]Option{WithBalancer(PermanentCell(PermanentCellConfig{})), WithSeed(5)}, opts...)...)
 	}
 	golden := goldenTrace(t, mk, steps)
 
@@ -176,7 +176,7 @@ func TestSupervisorRequiresCheckpointDir(t *testing.T) {
 func TestRestoreUnderSupervisor(t *testing.T) {
 	const b = 8
 	mk := func(opts ...Option) (Engine, error) {
-		return New(2, 4, 0.3, append([]Option{WithDLB(), WithSeed(5)}, opts...)...)
+		return New(2, 4, 0.3, append([]Option{WithBalancer(PermanentCell(PermanentCellConfig{})), WithSeed(5)}, opts...)...)
 	}
 	golden := goldenTrace(t, mk, 2*b)
 
@@ -223,7 +223,7 @@ func TestRestoreUnderSupervisor(t *testing.T) {
 func TestSupervisorHealthyRunIsTransparent(t *testing.T) {
 	const steps = 12
 	mk := func(opts ...Option) (Engine, error) {
-		return New(2, 4, 0.3, append([]Option{WithDLB(), WithSeed(5)}, opts...)...)
+		return New(2, 4, 0.3, append([]Option{WithBalancer(PermanentCell(PermanentCellConfig{})), WithSeed(5)}, opts...)...)
 	}
 	golden := goldenTrace(t, mk, steps)
 

@@ -65,7 +65,7 @@ func runTransport(t *testing.T, steps int, opts ...permcell.Option) *permcell.Re
 	t.Helper()
 	base := []permcell.Option{
 		permcell.WithSeed(7),
-		permcell.WithDLB(),
+		permcell.WithBalancer(permcell.PermanentCell(permcell.PermanentCellConfig{})),
 		permcell.WithWells(2, 1.5),
 		permcell.WithWatchdog(time.Minute),
 	}
