@@ -9,9 +9,9 @@
 //	chaos -p 4 -steps 40 -tcp-procs 2 -sabotage worker-exit@17 -recover rescale
 //
 // Replay (the default) executes the run twice under a seeded communication
-// fault plan — latency jitter, bounded reordering, transient send failures
-// absorbed by retry/backoff, mid-run PE stalls — with the DESIGN.md Section 6
-// protocol invariants checked after every step, and demands the same trace.
+// fault plan — latency jitter, bounded reordering, mid-run PE stalls — with
+// the DESIGN.md Section 6 protocol invariants checked after every step, and
+// demands the same trace.
 //
 // -kill-at hard-stops the faulty run after that many steps, keeping nothing
 // but the checkpoint file, recovers strictly from the file and finishes; the
@@ -66,7 +66,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	maxDelay := fs.Duration("max-delay", 200*time.Microsecond, "jitter upper bound")
 	reorderProb := fs.Float64("reorder-prob", 0.2, "per-send reorder (hold-back) probability")
 	reorderDepth := fs.Int("reorder-depth", 2, "max messages a held message may be overtaken by")
-	failProb := fs.Float64("fail-prob", 0.01, "transient send-failure probability")
 	stalls := fs.Int("stalls", 1, "number of injected PE stalls")
 	stallDur := fs.Duration("stall-dur", 5*time.Millisecond, "duration of each stall")
 	watchdog := fs.Duration("watchdog", 2*time.Minute, "deadlock watchdog timeout (0 disables)")
@@ -152,7 +151,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MaxDelay:     *maxDelay,
 		ReorderProb:  *reorderProb,
 		ReorderDepth: *reorderDepth,
-		FailProb:     *failProb,
 		Record:       *eventsOut != "",
 	}
 	for i := 0; i < *stalls; i++ {
@@ -171,8 +169,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Plan:     plan,
 		Watchdog: *watchdog,
 	}
-	fmt.Fprintf(stdout, "plan: delay %.2g<=%v reorder %.2g(depth %d) fail %.2g stalls %d x %v watchdog %v\n",
-		*delayProb, *maxDelay, *reorderProb, *reorderDepth, *failProb, *stalls, *stallDur, *watchdog)
+	fmt.Fprintf(stdout, "plan: delay %.2g<=%v reorder %.2g(depth %d) stalls %d x %v watchdog %v\n",
+		*delayProb, *maxDelay, *reorderProb, *reorderDepth, *stalls, *stallDur, *watchdog)
 	if *killAt > 0 {
 		return killResume(stdout, stderr, spec, *killAt, *ckptDir)
 	}
@@ -212,8 +210,8 @@ func failed(stderr io.Writer, a ...any) int {
 }
 
 func faultLine(f comm.FaultStats) string {
-	return fmt.Sprintf("%d delays, %d reorders, %d failures (%d retries), %d stalls",
-		f.Delays, f.Reorders, f.Failures, f.Retries, f.Stalls)
+	return fmt.Sprintf("%d delays, %d reorders, %d stalls",
+		f.Delays, f.Reorders, f.Stalls)
 }
 
 // dirOrTemp returns dir, or a fresh temporary directory with its remover

@@ -31,6 +31,7 @@ func TestScenarios(t *testing.T) {
 		{"worker kind in-process", []string{"-sabotage", "worker-exit@9"}, 2, "", `"worker-exit"`},
 		{"rank outside the run", []string{"-sabotage", "panic@9", "-sabotage-rank", "4"}, 2, "", "rank 4"},
 		{"unknown flag", []string{"-worker-kill-at", "9"}, 2, "", "flag provided but not defined"},
+		{"no send-failure flag", []string{"-fail-prob", "0.01"}, 2, "", "flag provided but not defined"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

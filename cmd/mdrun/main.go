@@ -321,7 +321,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if collect {
 			cum.Add(st.StepWallAve, st.Phases)
-			cum.ObserveTransport(st.SentFrames, st.SentBytes, st.ResendCount)
+			cum.ObserveTransport(st.SentFrames, st.SentBytes)
 		}
 		if jsonl != nil {
 			if err := jsonl.Write(st.Record(*m)); err != nil && writeErr == nil {

@@ -1,19 +1,19 @@
 // Package comm is the message-passing substrate that stands in for MPI on
 // the T3E. A World of P ranks runs as P goroutines inside one process;
 // point-to-point messages travel over buffered channels with MPI-style
-// (source, tag) matching, and the usual collectives (barrier, reductions,
-// gathers, broadcast) are built on top. Every rank calls collectives in the
-// same order, exactly like an SPMD MPI program.
+// (source, tag) matching, and the collectives the engines use (reductions
+// and gathers) are built on top. Every rank calls collectives in the same
+// order, exactly like an SPMD MPI program.
 //
 // The substitution is documented in DESIGN.md: the DLB algorithm only needs
 // P sequential processors exchanging messages on a virtual 2-D torus, which
 // this package provides with identical semantics.
 //
 // For chaos testing, a World can be created with a deterministic
-// fault-injection plan (WithFaults: latency jitter, bounded reordering,
-// transient send failures, per-rank stalls — all replayable from one seed)
-// and run under a deadlock watchdog (RunWatched) that converts a hang into
-// an error carrying a per-rank state dump.
+// fault-injection plan (WithFaults: latency jitter, bounded reordering and
+// per-rank stalls, all replayable from one seed), and its sections can be
+// watched for deadlock (WithTracking + WatchSection): a hang becomes an
+// error carrying a per-rank state dump.
 package comm
 
 import (
@@ -21,7 +21,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 type message struct {
@@ -38,8 +37,6 @@ type message struct {
 type World struct {
 	size  int
 	inbox []chan message
-	start time.Time
-	bar   *barrier // nil on partial worlds
 
 	local  []int  // ranks hosted in this process, ascending
 	remote Remote // nil on full worlds
@@ -89,61 +86,51 @@ func WithInboxCapacity(n int) Option {
 
 // WithFaults runs the world under the given deterministic fault-injection
 // plan (see FaultPlan). A zero-probability plan with no stalls behaves
-// identically to a world without one. Per-op progress tracking is armed so
-// Snapshot and the watchdog can report per-rank state.
+// identically to a world without one.
 func WithFaults(plan FaultPlan) Option {
 	return func(w *World) { w.fs = newFaultState(w.size, plan) }
 }
 
-// WithTracking arms per-op progress tracking without a fault plan, so
-// Snapshot and WatchSection can report per-rank state. RunWatched arms it
-// implicitly; stepwise drivers that watch individual sections need it at
-// construction time.
+// WithTracking arms per-op progress tracking, so Snapshot and WatchSection
+// can report per-rank state. Without it the send and receive paths carry
+// no instrumentation.
 func WithTracking() Option {
-	return func(w *World) {
-		if w.track == nil {
-			w.track = newTracker(w.size)
-			for i := range w.track.ranks {
-				w.track.ranks[i].t = w.track
-			}
-		}
-	}
+	return func(w *World) { w.track = newTracker(w.size) }
 }
 
 // NewWorld returns a world of p ranks.
 func NewWorld(p int, opts ...Option) (*World, error) {
+	return newWorld(p, nil, nil, opts...)
+}
+
+// newWorld builds a world of p logical ranks hosting local (every rank
+// when nil), with remote carrying the rest.
+func newWorld(p int, local []int, remote Remote, opts ...Option) (*World, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("comm: world size must be >= 1, got %d", p)
+	}
+	if local == nil {
+		local = make([]int, p)
+		for i := range local {
+			local[i] = i
+		}
 	}
 	w := &World{
 		size:   p,
 		inbox:  make([]chan message, p),
-		start:  time.Now(),
-		bar:    newBarrier(p),
-		local:  make([]int, p),
+		local:  local,
+		remote: remote,
 		poison: make(chan struct{}),
-	}
-	for i := range w.local {
-		w.local[i] = i
 	}
 	for _, opt := range opts {
 		opt(w)
 	}
 	capacity := w.inboxCap
 	if capacity == 0 {
-		capacity = 64 * p
-		if capacity < 256 {
-			capacity = 256
-		}
+		capacity = max(64*p, 256)
 	}
-	for i := range w.inbox {
-		w.inbox[i] = make(chan message, capacity)
-	}
-	if w.fs != nil && w.track == nil {
-		w.track = newTracker(p)
-		for i := range w.track.ranks {
-			w.track.ranks[i].t = w.track
-		}
+	for _, r := range local {
+		w.inbox[r] = make(chan message, capacity)
 	}
 	return w, nil
 }
@@ -247,7 +234,7 @@ type Comm struct {
 	pending []message
 	collSeq int
 
-	ops      int64 // comm-op counter (send/recv/barrier entries)
+	ops      int64 // comm-op counter (send/recv entries)
 	stalls   []Stall
 	stallIdx int
 	tr       *rankTrack
@@ -259,16 +246,10 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the world size.
 func (c *Comm) Size() int { return c.w.size }
 
-// Wtime returns seconds elapsed since the world was created (the MPI_Wtime
-// analogue).
-func (c *Comm) Wtime() float64 { return time.Since(c.w.start).Seconds() }
-
 // Send delivers data to rank dst with the given tag. Tags must be
 // non-negative; negative tags are reserved for collectives. Send blocks only
 // if the destination inbox is full, which bounded per-step protocols never
-// trigger at the default capacity (see WithInboxCapacity). Under a fault
-// plan, injected transient failures are retried internally without bound;
-// use SendReliable to surface them as errors instead.
+// trigger at the default capacity (see WithInboxCapacity).
 func (c *Comm) Send(dst, tag int, data any) { c.SendSized(dst, tag, data, 0) }
 
 // SendSized is Send with an explicit payload-size hint in bytes for the
@@ -281,12 +262,18 @@ func (c *Comm) SendSized(dst, tag int, data any, size int64) {
 }
 
 // send is the uniform internal send path (used by both user tags and the
-// reserved collective tags). Under a fault plan it retries injected
-// transient failures without bound, preserving Send's delivery guarantee.
+// reserved collective tags): it counts the op, then enqueues the message
+// or, under a fault plan, hands it to the fault layer.
 func (c *Comm) send(dst, tag int, data any, size int64) {
-	if err := c.sendAttempts(dst, tag, data, size, -1); err != nil {
-		panic(fmt.Sprintf("comm: unbounded send failed: %v", err)) // unreachable
+	c.opTick()
+	if c.tr != nil {
+		c.tr.setOp("send", fmt.Sprintf("dst=%d tag=%d", dst, tag))
 	}
+	if c.w.fs != nil {
+		c.faultySend(dst, tag, data, size)
+		return
+	}
+	c.enqueue(dst, message{src: c.rank, tag: tag, data: data, size: size})
 }
 
 // Recv blocks until a message from src with the given tag arrives and
@@ -325,32 +312,6 @@ func (c *Comm) Recv(src, tag int) any {
 	}
 }
 
-// SendRecv sends sendData to dst and receives a message from src, without
-// deadlocking (sends are buffered).
-func (c *Comm) SendRecv(dst, sendTag int, sendData any, src, recvTag int) any {
-	c.Send(dst, sendTag, sendData)
-	return c.Recv(src, recvTag)
-}
-
-// Barrier blocks until every rank has entered it. It is unavailable on
-// partial worlds (it would only synchronize the local subset); the engine
-// protocols are barrier-free by design.
-func (c *Comm) Barrier() {
-	if c.w.bar == nil {
-		panic("comm: Barrier is not supported on a partial world")
-	}
-	c.opTick()
-	c.flushHeld()
-	if c.tr != nil {
-		c.tr.setBlocked("barrier", "")
-		defer func() {
-			c.tr.clearBlocked()
-			c.tr.bumpBarrier()
-		}()
-	}
-	c.w.bar.wait()
-}
-
 // nextCollTag returns a fresh reserved tag. All ranks execute collectives in
 // the same order, so sequence numbers agree across ranks.
 func (c *Comm) nextCollTag() int {
@@ -387,33 +348,29 @@ func (c *Comm) bcastFrom0(tag int, v any) any {
 // AllreduceFloat64 combines one float64 per rank with op and returns the
 // result on every rank.
 func (c *Comm) AllreduceFloat64(v float64, op func(a, b float64) float64) float64 {
-	tag := c.nextCollTag()
-	all := c.gatherAt0(tag, v)
-	var r float64
-	if c.rank == 0 {
-		r = all[0].(float64)
-		for _, x := range all[1:] {
-			r = op(r, x.(float64))
-		}
-	}
-	tag2 := c.nextCollTag()
-	return c.bcastFrom0(tag2, r).(float64)
+	return allreduce(c, v, op)
 }
 
 // AllreduceInt64 combines one int64 per rank with op and returns the result
 // on every rank.
 func (c *Comm) AllreduceInt64(v int64, op func(a, b int64) int64) int64 {
+	return allreduce(c, v, op)
+}
+
+// allreduce folds every rank's value at rank 0 in rank order and sends the
+// result back to everyone.
+func allreduce[T float64 | int64](c *Comm, v T, op func(a, b T) T) T {
 	tag := c.nextCollTag()
 	all := c.gatherAt0(tag, v)
-	var r int64
+	var r T
 	if c.rank == 0 {
-		r = all[0].(int64)
+		r = all[0].(T)
 		for _, x := range all[1:] {
-			r = op(r, x.(int64))
+			r = op(r, x.(T))
 		}
 	}
 	tag2 := c.nextCollTag()
-	return c.bcastFrom0(tag2, r).(int64)
+	return c.bcastFrom0(tag2, r).(T)
 }
 
 // Sum is the float64 reduction operator the engines use.
@@ -434,49 +391,3 @@ func (c *Comm) Allgather(v any) []any {
 // Gather returns every rank's value, indexed by rank, on rank 0 and nil on
 // every other rank — which only sends, and so does not wait for rank 0.
 func (c *Comm) Gather(v any) []any { return c.gatherAt0(c.nextCollTag(), v) }
-
-// Broadcast sends v from root to every rank and returns it everywhere.
-func (c *Comm) Broadcast(root int, v any) any {
-	tag := c.nextCollTag()
-	if c.rank == root {
-		for dst := 0; dst < c.w.size; dst++ {
-			if dst != root {
-				c.send(dst, tag, v, 0)
-			}
-		}
-		return v
-	}
-	return c.Recv(root, tag)
-}
-
-// barrier is a reusable counting barrier.
-type barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	size  int
-	count int
-	gen   int
-}
-
-func newBarrier(size int) *barrier {
-	b := &barrier{size: size}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *barrier) wait() {
-	b.mu.Lock()
-	gen := b.gen
-	b.count++
-	if b.count == b.size {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return
-	}
-	for gen == b.gen {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
-}

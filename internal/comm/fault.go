@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -39,14 +38,6 @@ type FaultPlan struct {
 	ReorderProb  float64
 	ReorderDepth int // default 2 when ReorderProb > 0
 
-	// FailProb is the per-attempt probability that a delivery attempt
-	// fails transiently. Send retries internally (the message is never
-	// lost); SendReliable surfaces the retry loop: it backs off and
-	// returns ErrSendFailed after MaxAttempts failed attempts.
-	FailProb    float64
-	MaxAttempts int           // default 8
-	Backoff     time.Duration // base backoff, doubled per retry; default 200us
-
 	// Stalls schedules rank-local pauses: when rank Rank's comm-op
 	// counter reaches AfterOps, the rank sleeps for Duration before the
 	// op proceeds. Stalls perturb wall-clock load and interleaving
@@ -67,16 +58,10 @@ type Stall struct {
 	Duration time.Duration
 }
 
-// ErrSendFailed is returned by SendReliable when every delivery attempt
-// failed transiently.
-var ErrSendFailed = errors.New("comm: send failed after retries")
-
 // FaultStats counts injected faults over a world's lifetime.
 type FaultStats struct {
 	Delays   int64 // messages delayed by latency jitter
 	Reorders int64 // messages held back for reordering
-	Failures int64 // transient delivery failures injected
-	Retries  int64 // delivery attempts repeated after a failure
 	Stalls   int64 // scheduled rank stalls fired
 }
 
@@ -111,8 +96,6 @@ type faultState struct {
 
 	delays   atomic.Int64
 	reorders atomic.Int64
-	failures atomic.Int64
-	retries  atomic.Int64
 	stalls   atomic.Int64
 
 	mu     sync.Mutex
@@ -122,12 +105,6 @@ type faultState struct {
 func newFaultState(p int, plan FaultPlan) *faultState {
 	if plan.ReorderProb > 0 && plan.ReorderDepth < 1 {
 		plan.ReorderDepth = 2
-	}
-	if plan.MaxAttempts < 1 {
-		plan.MaxAttempts = 8
-	}
-	if plan.Backoff <= 0 {
-		plan.Backoff = 200 * time.Microsecond
 	}
 	if plan.MaxEvents <= 0 {
 		plan.MaxEvents = 4096
@@ -158,8 +135,8 @@ func (fs *faultState) record(ev trace.FaultEvent) {
 	fs.mu.Unlock()
 }
 
-// Stats returns the cumulative injected-fault counters (zero-valued when
-// the world has no fault plan).
+// FaultStats returns the cumulative injected-fault counters (zero-valued
+// when the world has no fault plan).
 func (w *World) FaultStats() FaultStats {
 	if w.fs == nil {
 		return FaultStats{}
@@ -167,8 +144,6 @@ func (w *World) FaultStats() FaultStats {
 	return FaultStats{
 		Delays:   w.fs.delays.Load(),
 		Reorders: w.fs.reorders.Load(),
-		Failures: w.fs.failures.Load(),
-		Retries:  w.fs.retries.Load(),
 		Stalls:   w.fs.stalls.Load(),
 	}
 }
@@ -204,19 +179,12 @@ func (c *Comm) opTick() {
 	}
 }
 
-// trySend makes one delivery attempt on the faulty path: it may inject a
-// transient failure (returning ErrSendFailed without delivering), sleep for
-// latency jitter, hold the message back for reordering, and it flushes any
-// held messages that have been overtaken enough. Counting of msgs/bytes is
-// done by the caller exactly once per successful delivery.
-func (c *Comm) trySend(dst, tag int, data any, size int64) error {
+// faultySend is the send path under a fault plan: it may sleep for latency
+// jitter and hold the message back for reordering, and it flushes any held
+// messages that have been overtaken enough.
+func (c *Comm) faultySend(dst, tag int, data any, size int64) {
 	fs := c.w.fs
 	lk := fs.links[c.rank][dst]
-	if fs.plan.FailProb > 0 && lk.rng.Float64() < fs.plan.FailProb {
-		fs.failures.Add(1)
-		fs.record(trace.FaultEvent{Rank: c.rank, Peer: dst, Tag: tag, Kind: "fail", Seq: c.ops})
-		return ErrSendFailed
-	}
 	if fs.plan.DelayProb > 0 && lk.rng.Float64() < fs.plan.DelayProb {
 		d := time.Duration(lk.rng.Float64() * float64(fs.plan.MaxDelay))
 		fs.delays.Add(1)
@@ -243,7 +211,7 @@ func (c *Comm) trySend(dst, tag int, data any, size int64) error {
 		fs.reorders.Add(1)
 		fs.record(trace.FaultEvent{Rank: c.rank, Peer: dst, Tag: tag, Kind: "reorder", Seq: c.ops})
 		lk.setHeld(append(lk.held, heldMsg{m: m, overtake: 1 + lk.rng.Intn(fs.plan.ReorderDepth)}))
-		return nil
+		return
 	}
 
 	c.enqueue(dst, m)
@@ -261,7 +229,6 @@ func (c *Comm) trySend(dst, tag int, data any, size int64) error {
 		}
 		lk.setHeld(kept)
 	}
-	return nil
 }
 
 // enqueue places m into dst's inbox, or hands it to the Remote when dst
@@ -290,8 +257,8 @@ func (c *Comm) enqueue(dst int, m message) {
 
 // flushHeld delivers every message this rank is holding back, in link then
 // hold order, and then flushes the Remote of a partial world. Called before
-// any operation that can block indefinitely (Recv, Barrier, a full-inbox
-// send) and when the rank's function returns.
+// any operation that can block indefinitely (Recv, a full-inbox send) and
+// when the rank's function returns.
 func (c *Comm) flushHeld() {
 	c.deliverHeld()
 	c.flushRemote()
@@ -330,54 +297,3 @@ func (c *Comm) deliverHeld() {
 // operations) the run deadlocks. No-op on a full world without a fault
 // plan or held messages.
 func (c *Comm) FlushFaults() { c.flushHeld() }
-
-// SendReliable is Send over an unreliable link: under a fault plan each
-// delivery attempt may fail transiently, in which case it backs off
-// (doubling from FaultPlan.Backoff) and retries up to MaxAttempts times
-// before giving up with ErrSendFailed. Without a fault plan it is exactly
-// Send and always returns nil.
-func (c *Comm) SendReliable(dst, tag int, data any) error {
-	return c.SendReliableSized(dst, tag, data, 0)
-}
-
-// SendReliableSized is SendReliable with a payload-size hint.
-func (c *Comm) SendReliableSized(dst, tag int, data any, size int64) error {
-	if tag < 0 {
-		panic("comm: negative tags are reserved")
-	}
-	return c.sendAttempts(dst, tag, data, size, c.maxAttempts())
-}
-
-func (c *Comm) maxAttempts() int {
-	if c.w.fs == nil {
-		return 1
-	}
-	return c.w.fs.plan.MaxAttempts
-}
-
-// sendAttempts drives the retry loop shared by Send (attempts < 0,
-// unbounded: the blocking-send contract) and SendReliable (bounded).
-func (c *Comm) sendAttempts(dst, tag int, data any, size int64, attempts int) error {
-	c.opTick()
-	if c.tr != nil {
-		c.tr.setOp("send", fmt.Sprintf("dst=%d tag=%d", dst, tag))
-	}
-	if c.w.fs == nil {
-		c.enqueue(dst, message{src: c.rank, tag: tag, data: data, size: size})
-		return nil
-	}
-	backoff := c.w.fs.plan.Backoff
-	for i := 0; attempts < 0 || i < attempts; i++ {
-		if i > 0 {
-			c.w.fs.retries.Add(1)
-			time.Sleep(backoff)
-			if backoff < 50*time.Millisecond {
-				backoff *= 2
-			}
-		}
-		if err := c.trySend(dst, tag, data, size); err == nil {
-			return nil
-		}
-	}
-	return fmt.Errorf("%w (dst=%d tag=%d attempts=%d)", ErrSendFailed, dst, tag, attempts)
-}

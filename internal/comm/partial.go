@@ -3,7 +3,6 @@ package comm
 import (
 	"fmt"
 	"sort"
-	"time"
 )
 
 // Remote is the delivery seam for partial worlds: messages addressed to
@@ -12,7 +11,7 @@ import (
 // the coordinator connection; tests implement it with in-memory pairs.
 //
 // Deliver is called from the sending rank's goroutine after the fault
-// layer has already applied its jitter/reorder/failure decisions, so a
+// layer has already applied its jitter and reorder decisions, so a
 // Remote sees exactly the post-chaos delivery stream. Implementations
 // must preserve per-(src,tag) call order on delivery — the substrate's
 // FIFO matching contract depends on it.
@@ -37,72 +36,38 @@ type Remote interface {
 }
 
 // TransportStats is the per-transport traffic view surfaced in step
-// stats: frames and bytes that crossed the transport boundary, plus
-// fault-layer resends. On an in-process world every message is a
-// "frame" and bytes are the payload-size hints; on a partial world the
-// numbers come from the Remote (real wire traffic of this process).
+// stats: frames and bytes that crossed the transport boundary. On an
+// in-process world every message is a "frame" and bytes are the
+// payload-size hints; on a partial world the numbers come from the Remote
+// (real wire traffic of this process).
 type TransportStats struct {
-	Frames  int64
-	Bytes   int64
-	Resends int64
+	Frames int64
+	Bytes  int64
 }
 
 // NewPartialWorld returns a world of p logical ranks of which only the
 // given subset is hosted in this process. Messages to non-local ranks
 // are routed through remote; messages for local ranks arriving from
-// other processes are fed in with Inject. Collectives work unchanged
-// (they are built on point-to-point sends), but Barrier is unavailable:
-// it would only synchronize the local subset and silently break SPMD
-// semantics, so it panics on a partial world.
+// other processes are fed in with Inject. Collectives work unchanged:
+// they are built on point-to-point sends.
 func NewPartialWorld(p int, local []int, remote Remote, opts ...Option) (*World, error) {
-	if p < 1 {
-		return nil, fmt.Errorf("comm: world size must be >= 1, got %d", p)
-	}
 	if remote == nil {
 		return nil, fmt.Errorf("comm: partial world requires a Remote")
 	}
 	if len(local) == 0 {
 		return nil, fmt.Errorf("comm: partial world hosts no ranks")
 	}
-	w := &World{
-		size:   p,
-		inbox:  make([]chan message, p),
-		start:  time.Now(),
-		remote: remote,
-		poison: make(chan struct{}),
-	}
-	seen := make([]bool, p)
-	for _, r := range local {
+	ranks := append([]int(nil), local...)
+	sort.Ints(ranks)
+	for i, r := range ranks {
 		if r < 0 || r >= p {
 			return nil, fmt.Errorf("comm: local rank %d out of range [0,%d)", r, p)
 		}
-		if seen[r] {
+		if i > 0 && r == ranks[i-1] {
 			return nil, fmt.Errorf("comm: local rank %d listed twice", r)
 		}
-		seen[r] = true
 	}
-	w.local = append([]int(nil), local...)
-	sort.Ints(w.local)
-	for _, opt := range opts {
-		opt(w)
-	}
-	capacity := w.inboxCap
-	if capacity == 0 {
-		capacity = 64 * p
-		if capacity < 256 {
-			capacity = 256
-		}
-	}
-	for _, r := range w.local {
-		w.inbox[r] = make(chan message, capacity)
-	}
-	if w.fs != nil && w.track == nil {
-		w.track = newTracker(p)
-		for i := range w.track.ranks {
-			w.track.ranks[i].t = w.track
-		}
-	}
-	return w, nil
+	return newWorld(p, ranks, remote, opts...)
 }
 
 // Local returns the ranks hosted in this process, ascending.
@@ -129,17 +94,11 @@ func (w *World) Inject(src, dst, tag int, data any, size int64) error {
 
 // TransportStats returns this process's transport traffic counters.
 func (w *World) TransportStats() TransportStats {
-	var ts TransportStats
 	if w.remote != nil {
-		ts.Frames, ts.Bytes = w.remote.Stats()
-	} else {
-		ts.Frames = w.msgs.Load()
-		ts.Bytes = w.bytes.Load()
+		frames, bytes := w.remote.Stats()
+		return TransportStats{Frames: frames, Bytes: bytes}
 	}
-	if w.fs != nil {
-		ts.Resends = w.fs.retries.Load()
-	}
-	return ts
+	return TransportStats{Frames: w.msgs.Load(), Bytes: w.bytes.Load()}
 }
 
 // TransportStats returns the world's transport traffic counters (rank 0

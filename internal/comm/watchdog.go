@@ -10,29 +10,32 @@ import (
 )
 
 // tracker holds the per-rank progress state the watchdog inspects. It is
-// only allocated when a watchdog or fault plan is in use, so the default
-// fast path carries no instrumentation.
+// only allocated under WithTracking, so the default fast path carries no
+// instrumentation.
 type tracker struct {
 	ops   atomic.Int64 // global comm-op counter (progress signal)
 	ranks []rankTrack
 }
 
 func newTracker(p int) *tracker {
-	return &tracker{ranks: make([]rankTrack, p)}
+	t := &tracker{ranks: make([]rankTrack, p)}
+	for i := range t.ranks {
+		t.ranks[i].t = t
+	}
+	return t
 }
 
 // rankTrack is one rank's last-known communication state.
 type rankTrack struct {
 	t *tracker
 
-	mu         sync.Mutex
-	lastOp     string // "send", "recv", "barrier", "done"
-	detail     string // e.g. "src=3 tag=5"
-	ops        int64
-	barrierGen int
-	pending    []string // buffered (src, tag) pairs awaiting a matching Recv
-	blocked    bool
-	since      time.Time
+	mu      sync.Mutex
+	lastOp  string // "send", "recv", "done"
+	detail  string // e.g. "src=3 tag=5"
+	ops     int64
+	pending []string // buffered (src, tag) pairs awaiting a matching Recv
+	blocked bool
+	since   time.Time
 }
 
 func (r *rankTrack) bumpOps() {
@@ -63,12 +66,6 @@ func (r *rankTrack) clearBlocked() {
 	r.mu.Unlock()
 }
 
-func (r *rankTrack) bumpBarrier() {
-	r.mu.Lock()
-	r.barrierGen++
-	r.mu.Unlock()
-}
-
 func (r *rankTrack) setPending(pending []message) {
 	tags := make([]string, len(pending))
 	for i, m := range pending {
@@ -82,14 +79,13 @@ func (r *rankTrack) setPending(pending []message) {
 // RankState is a snapshot of one rank's communication state, as dumped by
 // the deadlock watchdog.
 type RankState struct {
-	Rank       int
-	LastOp     string // last comm operation entered ("done" after fn returned)
-	Detail     string
-	Ops        int64         // rank-local comm-op count
-	BarrierGen int           // barriers entered
-	Pending    []string      // buffered messages awaiting a matching Recv
-	Blocked    bool          // currently inside a blocking wait
-	For        time.Duration // how long the current block has lasted
+	Rank    int
+	LastOp  string // last comm operation entered ("done" after fn returned)
+	Detail  string
+	Ops     int64         // rank-local comm-op count
+	Pending []string      // buffered messages awaiting a matching Recv
+	Blocked bool          // currently inside a blocking wait
+	For     time.Duration // how long the current block has lasted
 	// Held lists this rank's fault-layer links with messages held back for
 	// reordering ("dst=N held=K"); empty without a fault plan. A held
 	// message a peer is blocked waiting for is the classic way an injected
@@ -110,13 +106,12 @@ func (s RankState) String() string {
 	if len(s.Held) > 0 {
 		held = fmt.Sprintf(", holding [%s]", strings.Join(s.Held, "; "))
 	}
-	return fmt.Sprintf("rank %d: %s %s %s (ops=%d, barrier gen %d%s%s)",
-		s.Rank, state, s.LastOp, s.Detail, s.Ops, s.BarrierGen, pend, held)
+	return fmt.Sprintf("rank %d: %s %s %s (ops=%d%s%s)",
+		s.Rank, state, s.LastOp, s.Detail, s.Ops, pend, held)
 }
 
 // Snapshot returns the current per-rank state. It is empty unless the
-// world was created with a watchdog or fault plan (or run via RunWatched),
-// which is when per-op tracking is armed.
+// world was created WithTracking.
 func (w *World) Snapshot() []RankState {
 	if w.track == nil {
 		return nil
@@ -126,13 +121,12 @@ func (w *World) Snapshot() []RankState {
 		r := &w.track.ranks[i]
 		r.mu.Lock()
 		out[i] = RankState{
-			Rank:       i,
-			LastOp:     r.lastOp,
-			Detail:     r.detail,
-			Ops:        r.ops,
-			BarrierGen: r.barrierGen,
-			Pending:    append([]string(nil), r.pending...),
-			Blocked:    r.blocked,
+			Rank:    i,
+			LastOp:  r.lastOp,
+			Detail:  r.detail,
+			Ops:     r.ops,
+			Pending: append([]string(nil), r.pending...),
+			Blocked: r.blocked,
 		}
 		if r.blocked {
 			out[i].For = time.Since(r.since)
@@ -193,44 +187,20 @@ func allStacks() string {
 	return string(buf[:n])
 }
 
-// RunWatched is Run under a deadlock watchdog: if no rank completes a
-// communication operation for timeout, it stops waiting and returns a
-// *DeadlockError with a per-rank state dump (last op, pending tags,
-// barrier generation) instead of hanging forever.
+// WatchSection watches one bounded section of communication for progress:
+// it returns nil once done is closed, or a *DeadlockError if no rank
+// completes a communication operation for timeout while the section is in
+// flight. It scopes the watchdog to a single batch of work — a stepwise
+// engine's ranks sit idle between Step calls, which must not count as a
+// stall.
 //
 // The timeout must comfortably exceed the longest injected stall or delay
 // of the world's fault plan. On a deadlock the rank goroutines are left
 // blocked (there is no way to preempt them); callers are expected to fail
-// the test or exit the process, exactly as MPI_Abort would.
-func (w *World) RunWatched(timeout time.Duration, fn func(c *Comm)) error {
-	if timeout <= 0 {
-		w.Run(fn)
-		return nil
-	}
-	if w.track == nil {
-		w.track = newTracker(w.size)
-		for i := range w.track.ranks {
-			w.track.ranks[i].t = w.track
-		}
-	}
-	done := make(chan struct{})
-	go func() {
-		w.Run(fn)
-		close(done)
-	}()
-	return w.WatchSection(timeout, done)
-}
-
-// WatchSection watches one bounded section of communication for progress:
-// it returns nil once done is closed, or a *DeadlockError if no rank
-// completes a communication operation for timeout while the section is in
-// flight. Unlike RunWatched, which guards a whole run, this scopes the
-// watchdog to a single batch of work — a stepwise engine's ranks sit idle
-// between Step calls, which must not count as a stall.
+// the run or exit the process, exactly as MPI_Abort would.
 //
-// Tracking must have been armed at construction (WithTracking or
-// WithFaults); without it the call just waits for done. A timeout <= 0
-// also just waits.
+// Tracking must have been armed at construction (WithTracking); without it
+// the call just waits for done. A timeout <= 0 also just waits.
 func (w *World) WatchSection(timeout time.Duration, done <-chan struct{}) error {
 	if timeout <= 0 || w.track == nil {
 		<-done

@@ -7,12 +7,23 @@ import (
 	"time"
 )
 
+// watched runs fn on every rank under the deadlock watchdog, the way the
+// engine watches each batch: one WatchSection around one Run.
+func watched(w *World, timeout time.Duration, fn func(c *Comm)) error {
+	done := make(chan struct{})
+	go func() {
+		w.Run(fn)
+		close(done)
+	}()
+	return w.WatchSection(timeout, done)
+}
+
 // TestWatchdogConvertsDeadlockToError is the headline watchdog property: a
 // protocol bug that would hang go test forever instead returns an error
 // carrying a per-rank state dump.
 func TestWatchdogConvertsDeadlockToError(t *testing.T) {
-	w, _ := NewWorld(2)
-	err := w.RunWatched(150*time.Millisecond, func(c *Comm) {
+	w, _ := NewWorld(2, WithTracking())
+	err := watched(w, 150*time.Millisecond, func(c *Comm) {
 		// Classic cross recv with no sends: both ranks wait forever.
 		c.Recv(1-c.Rank(), 42)
 	})
@@ -40,8 +51,8 @@ func TestWatchdogConvertsDeadlockToError(t *testing.T) {
 // capacity option: at capacity 1, two ranks that each send a burst before
 // receiving wedge on full inboxes; the dump must show them blocked in send.
 func TestWatchdogBackpressureDeadlock(t *testing.T) {
-	w, _ := NewWorld(2, WithInboxCapacity(1))
-	err := w.RunWatched(150*time.Millisecond, func(c *Comm) {
+	w, _ := NewWorld(2, WithInboxCapacity(1), WithTracking())
+	err := watched(w, 150*time.Millisecond, func(c *Comm) {
 		other := 1 - c.Rank()
 		for i := 0; i < 10; i++ {
 			c.Send(other, 1, i)
@@ -62,14 +73,14 @@ func TestWatchdogBackpressureDeadlock(t *testing.T) {
 // TestWatchdogPassesCleanRun asserts no false positives: a normal exchange
 // under the watchdog completes and returns nil.
 func TestWatchdogPassesCleanRun(t *testing.T) {
-	w, _ := NewWorld(4)
-	err := w.RunWatched(2*time.Second, func(c *Comm) {
+	w, _ := NewWorld(4, WithTracking())
+	err := watched(w, 2*time.Second, func(c *Comm) {
 		for round := 0; round < 20; round++ {
 			c.Send((c.Rank()+1)%4, 1, round)
 			if got := c.Recv((c.Rank()+3)%4, 1).(int); got != round {
 				t.Errorf("round %d: got %d", round, got)
 			}
-			c.Barrier()
+			c.AllreduceInt64(0, SumI)
 		}
 	})
 	if err != nil {
@@ -79,8 +90,15 @@ func TestWatchdogPassesCleanRun(t *testing.T) {
 		if r.LastOp != "done" {
 			t.Errorf("rank %d final state %q, want done", r.Rank, r.LastOp)
 		}
-		if r.BarrierGen != 20 {
-			t.Errorf("rank %d barrier gen = %d, want 20", r.Rank, r.BarrierGen)
+		// Per round: a send, a receive and the allreduce — rank 0 takes
+		// three receives and three sends in it, the others one send and
+		// one receive.
+		want := int64(80)
+		if r.Rank == 0 {
+			want = 160
+		}
+		if r.Ops != want {
+			t.Errorf("rank %d ops = %d, want %d", r.Rank, r.Ops, want)
 		}
 	}
 }
@@ -95,8 +113,8 @@ func TestWatchdogToleratesStalls(t *testing.T) {
 			{Rank: 0, AfterOps: 1, Duration: 50 * time.Millisecond},
 			{Rank: 1, AfterOps: 1, Duration: 50 * time.Millisecond},
 		},
-	}))
-	err := w.RunWatched(500*time.Millisecond, func(c *Comm) {
+	}), WithTracking())
+	err := watched(w, 500*time.Millisecond, func(c *Comm) {
 		c.Send(1-c.Rank(), 1, "hi")
 		c.Recv(1-c.Rank(), 1)
 	})
@@ -109,8 +127,8 @@ func TestWatchdogToleratesStalls(t *testing.T) {
 // all-goroutine stack dump, so a wedged protocol can be located in code and
 // not just in the per-rank op log.
 func TestWatchdogDumpIncludesStacks(t *testing.T) {
-	w, _ := NewWorld(2)
-	err := w.RunWatched(150*time.Millisecond, func(c *Comm) {
+	w, _ := NewWorld(2, WithTracking())
+	err := watched(w, 150*time.Millisecond, func(c *Comm) {
 		c.Recv(1-c.Rank(), 42)
 	})
 	var de *DeadlockError
@@ -138,7 +156,7 @@ func TestSnapshotShowsHeldMessages(t *testing.T) {
 		Seed:         7,
 		ReorderProb:  1,
 		ReorderDepth: 4,
-	}))
+	}), WithTracking())
 	holding := make(chan struct{})
 	release := make(chan struct{})
 	done := make(chan struct{})
@@ -174,8 +192,8 @@ func TestSnapshotShowsHeldMessages(t *testing.T) {
 // TestWatchdogDumpShowsPending asserts the dump includes buffered messages
 // that arrived but never matched — the clue for tag-mismatch bugs.
 func TestWatchdogDumpShowsPending(t *testing.T) {
-	w, _ := NewWorld(2)
-	err := w.RunWatched(150*time.Millisecond, func(c *Comm) {
+	w, _ := NewWorld(2, WithTracking())
+	err := watched(w, 150*time.Millisecond, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 7, "wrong tag")
 			c.Recv(1, 1)
@@ -189,5 +207,28 @@ func TestWatchdogDumpShowsPending(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "src=0 tag=7") {
 		t.Errorf("dump does not show pending unmatched message:\n%s", err)
+	}
+}
+
+// TestFaultPlanArmsNoTracking asserts a fault plan alone leaves the send
+// and receive paths uninstrumented: a fault-free round allocates nothing
+// and Snapshot is empty. Only WithTracking arms the tracker.
+func TestFaultPlanArmsNoTracking(t *testing.T) {
+	w, _ := NewWorld(2, WithFaults(FaultPlan{Seed: 1}))
+	c0, c1 := w.Comm(0), w.Comm(1)
+	allocs := testing.AllocsPerRun(100, func() {
+		c0.Send(1, 1, nil)
+		c1.Recv(0, 1)
+	})
+	if allocs != 0 {
+		t.Errorf("send/recv round under a fault plan allocates %.1f times, want 0", allocs)
+	}
+	if snap := w.Snapshot(); snap != nil {
+		t.Errorf("fault plan armed tracking: snapshot %v", snap)
+	}
+
+	tracked, _ := NewWorld(2, WithFaults(FaultPlan{Seed: 1}), WithTracking())
+	if got := len(tracked.Snapshot()); got != 2 {
+		t.Errorf("tracked snapshot reports %d ranks, want 2", got)
 	}
 }

@@ -102,8 +102,8 @@ type Config struct {
 	DiscardStats bool
 
 	// Faults, when non-nil, runs the whole exchange under the comm
-	// fault-injection plan (chaos testing); payload transfers then go
-	// through SendReliable with retry/backoff.
+	// fault-injection plan (chaos testing): delivery is jittered and
+	// reordered, never lost.
 	Faults *comm.FaultPlan
 	// Watchdog, when positive, runs under the comm deadlock watchdog: a
 	// hang returns an error with a per-rank state dump after this much
@@ -178,15 +178,14 @@ type StepStats struct {
 	// predicts (internal/decomp.AnalyzeSurface).
 	GhostCellsMax int
 
-	// SentFrames, SentBytes and ResendCount are the cumulative transport
-	// traffic counters at this step: messages/bytes that crossed the
-	// transport boundary plus fault-layer resends. On the in-process
-	// transport every message is a frame; on TCP they count real wire
-	// frames summed over all worker processes. Transport-dependent by
-	// nature, so they are excluded from cross-transport trace identity.
-	SentFrames  int64
-	SentBytes   int64
-	ResendCount int64
+	// SentFrames and SentBytes are the cumulative transport traffic
+	// counters at this step: messages/bytes that crossed the transport
+	// boundary. On the in-process transport every message is a frame; on
+	// TCP they count real wire frames summed over all worker processes.
+	// Transport-dependent by nature, so they are excluded from
+	// cross-transport trace identity.
+	SentFrames int64
+	SentBytes  int64
 }
 
 // Record is the one translation of a step's statistics into the record
@@ -202,7 +201,6 @@ func (st StepStats) Record(m int) metrics.StepRecord {
 	rec.Temperature = st.Temperature
 	rec.SentFrames = st.SentFrames
 	rec.SentBytes = st.SentBytes
-	rec.ResendCount = st.ResendCount
 	return rec
 }
 

@@ -115,13 +115,9 @@ type pe struct {
 }
 
 // send delivers a protocol message over the possibly-faulty substrate,
-// attributing it to phase ph of the metrics layer. Retries are handled
-// inside SendReliable; exhausting them is a fatal transport failure, the
-// goroutine analogue of an MPI error handler abort.
+// attributing it to phase ph of the metrics layer.
 func (p *pe) send(ph metrics.Phase, dst, tag int, data any, size int64) {
-	if err := p.c.SendReliableSized(dst, tag, data, size); err != nil {
-		panic(fmt.Sprintf("core: rank %d: %v", p.c.Rank(), err))
-	}
+	p.c.SendSized(dst, tag, data, size)
 	p.tm.Count(ph, 1, size)
 }
 
@@ -712,7 +708,7 @@ func (p *pe) collectStats(step int, stepWall float64, res *Result) {
 	// Transport traffic as seen by this process; on a multi-process run
 	// the coordinator replaces these with the global per-process sums.
 	ts := p.c.TransportStats()
-	st.SentFrames, st.SentBytes, st.ResendCount = ts.Frames, ts.Bytes, ts.Resends
+	st.SentFrames, st.SentBytes = ts.Frames, ts.Bytes
 	if p.cfg.Guard != nil {
 		p.guardGlobal(step, st.TotalEnergy, totalN)
 	}

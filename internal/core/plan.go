@@ -46,8 +46,8 @@ const (
 // Compute that refills the accumulator; migrate buffers are covered the same
 // way by the halo message in between. Delivery order does not enter the
 // argument, only the order in which a rank issues its own operations, so the
-// fault layer's jitter, reordering and resends (all inside the sender's send
-// call or flushed before its next receive) change nothing; and a Remote
+// fault layer's jitter and reordering (both inside the sender's send call or
+// flushed before its next receive) change nothing; and a Remote
 // encodes the payload before Deliver returns.
 type plan struct {
 	nbPos  []int32          // per rank: its position in the PE's neighbor list, else nbUnknown

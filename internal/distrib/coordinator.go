@@ -438,7 +438,6 @@ func (e *Engine) Step(n int) error {
 	e.err = collect(e, transport.KindStepAck, func(ack *StepAck) error {
 		sum.Frames += ack.Transport.Frames
 		sum.Bytes += ack.Transport.Bytes
-		sum.Resends += ack.Transport.Resends
 		if len(ack.Stats) > 0 {
 			records = ack.Stats
 		}
@@ -450,7 +449,6 @@ func (e *Engine) Step(n int) error {
 	for _, st := range records {
 		st.SentFrames = sum.Frames
 		st.SentBytes = sum.Bytes
-		st.ResendCount = sum.Resends
 		if e.onStep != nil {
 			e.onStep(st)
 		}
@@ -552,8 +550,6 @@ func (e *Engine) Finish() (*core.Result, error) {
 		res.CommBytes += ack.Bytes
 		res.Faults.Delays += ack.Faults.Delays
 		res.Faults.Reorders += ack.Faults.Reorders
-		res.Faults.Failures += ack.Faults.Failures
-		res.Faults.Retries += ack.Faults.Retries
 		res.Faults.Stalls += ack.Faults.Stalls
 		return nil
 	})

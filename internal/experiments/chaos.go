@@ -187,8 +187,6 @@ func (s ChaosSpec) KillResume(killAt int, dir string) (*KillResumeResult, error)
 	faults := res1.Faults
 	faults.Delays += res2.Faults.Delays
 	faults.Reorders += res2.Faults.Reorders
-	faults.Failures += res2.Faults.Failures
-	faults.Retries += res2.Faults.Retries
 	faults.Stalls += res2.Faults.Stalls
 	return &KillResumeResult{
 		Info: info, KillAt: killAt, CkptPath: path,

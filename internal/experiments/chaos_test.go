@@ -21,7 +21,6 @@ func tinyChaosSpec() ChaosSpec {
 			MaxDelay:     50 * time.Microsecond,
 			ReorderProb:  0.2,
 			ReorderDepth: 2,
-			FailProb:     0.02,
 			Stalls:       []comm.Stall{{Rank: 2, AfterOps: 100, Duration: 2 * time.Millisecond}},
 		},
 		Watchdog: 30 * time.Second,

@@ -17,7 +17,8 @@
 //     rank 0 (or in the driver) at statistics cadence; they may allocate.
 //
 // Phase msg/byte counters cover the point-to-point protocol traffic a PE
-// originates (loads, decisions, transfers, migration, halo need/response).
+// originates (decisions, transfers, migration, halo replies and force
+// returns).
 // Collective traffic (reductions, gathers) is accounted in the whole-run
 // comm totals, not per phase.
 package metrics
@@ -262,14 +263,13 @@ type StepRecord struct {
 	TotalEnergy float64 `json:"total_energy"`
 	Temperature float64 `json:"temperature"`
 
-	// SentFrames/SentBytes/ResendCount are the cumulative transport
-	// traffic counters at this step (StepStats.SentFrames etc.): wire
-	// frames on the TCP transport, channel messages in-process, plus
-	// fault-layer resends. Driver-filled like TotalEnergy, and — being
-	// transport-dependent — excluded from trace-equivalence comparisons.
-	SentFrames  int64 `json:"sent_frames"`
-	SentBytes   int64 `json:"sent_bytes"`
-	ResendCount int64 `json:"resend_count"`
+	// SentFrames/SentBytes are the cumulative transport traffic counters
+	// at this step (StepStats.SentFrames etc.): wire frames on the TCP
+	// transport, channel messages in-process. Driver-filled like
+	// TotalEnergy, and — being transport-dependent — excluded from
+	// trace-equivalence comparisons.
+	SentFrames int64 `json:"sent_frames"`
+	SentBytes  int64 `json:"sent_bytes"`
 }
 
 // NewStepRecord assembles the exportable record from the reduced step
@@ -368,12 +368,11 @@ type Cumulative struct {
 	Secs         [NumPhases]float64
 	Msgs         [NumPhases]int64
 	Bytes        [NumPhases]int64
-	// SentFrames/SentBytes/Resends mirror the run's latest cumulative
-	// transport counters (already run totals in StepStats, so Observe
-	// stores rather than sums).
+	// SentFrames/SentBytes mirror the run's latest cumulative transport
+	// counters (already run totals in StepStats, so Observe stores rather
+	// than sums).
 	SentFrames int64
 	SentBytes  int64
-	Resends    int64
 	// Recovery, when non-nil, adds the supervisor's recovery counters to the
 	// exposition (drivers fill it from the supervision report).
 	Recovery *Recovery
@@ -392,8 +391,8 @@ func (c *Cumulative) Add(stepWallAve float64, b Breakdown) {
 
 // ObserveTransport records the latest cumulative transport counters
 // (StepStats carries run totals, so this overwrites instead of adding).
-func (c *Cumulative) ObserveTransport(frames, bytes, resends int64) {
-	c.SentFrames, c.SentBytes, c.Resends = frames, bytes, resends
+func (c *Cumulative) ObserveTransport(frames, bytes int64) {
+	c.SentFrames, c.SentBytes = frames, bytes
 }
 
 // The exposition is split into a header half and a sample half so a
@@ -479,8 +478,6 @@ func WritePrometheusHeaders(w io.Writer, recovery bool) error {
 	p("# TYPE permcell_transport_sent_frames_total counter\n")
 	p("# HELP permcell_transport_sent_bytes_total Payload bytes that crossed the transport.\n")
 	p("# TYPE permcell_transport_sent_bytes_total counter\n")
-	p("# HELP permcell_transport_resends_total Fault-layer delivery retries on the transport.\n")
-	p("# TYPE permcell_transport_resends_total counter\n")
 	if recovery {
 		for _, m := range recoveryFamilies(&Recovery{}) {
 			p("# HELP %s %s\n", m.name, m.help)
@@ -513,7 +510,6 @@ func (c *Cumulative) WriteSamples(w io.Writer, labels string) error {
 	}
 	p("permcell_transport_sent_frames_total%s %d\n", joinLabels("", labels), c.SentFrames)
 	p("permcell_transport_sent_bytes_total%s %d\n", joinLabels("", labels), c.SentBytes)
-	p("permcell_transport_resends_total%s %d\n", joinLabels("", labels), c.Resends)
 	if r := c.Recovery; r != nil {
 		for _, m := range recoveryFamilies(r) {
 			p("%s%s %d\n", m.name, joinLabels("", labels), m.v)

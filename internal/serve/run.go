@@ -117,7 +117,7 @@ func (r *Run) onStep(st permcell.StepStats) {
 	defer r.mu.Unlock()
 	r.recs = append(r.recs, rec)
 	r.cum.Add(st.StepWallAve, st.Phases)
-	r.cum.ObserveTransport(st.SentFrames, st.SentBytes, st.ResendCount)
+	r.cum.ObserveTransport(st.SentFrames, st.SentBytes)
 	r.lastRatio = rec.LoadRatio
 	r.lastEff = rec.Efficiency
 	r.notify()

@@ -94,7 +94,7 @@ type FaultEvent struct {
 	Rank int     // rank the fault was injected on
 	Peer int     // destination rank of the affected message (-1 when N/A)
 	Tag  int     // tag of the affected message (0 when N/A)
-	Kind string  // "delay", "reorder", "fail", "stall"
+	Kind string  // "delay", "reorder", "stall"
 	Seq  int64   // rank-local comm-op sequence number
 	Dur  float64 // injected wait in seconds (delay/stall; 0 otherwise)
 }

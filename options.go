@@ -10,8 +10,8 @@ import (
 
 // FaultPlan re-exports the deterministic communication fault-injection
 // plan of the chaos layer (see internal/comm): latency jitter, bounded
-// reordering, transient send failures and scripted PE stalls, all drawn
-// from seeded RNG streams so faulty runs replay bit for bit.
+// reordering and scripted PE stalls, all drawn from seeded RNG streams so
+// faulty runs replay bit for bit.
 type FaultPlan = comm.FaultPlan
 
 // Stall is one scripted PE stall inside a FaultPlan.

@@ -26,7 +26,7 @@ func detStep(st permcell.StepStats) permcell.StepStats {
 	st.WallMax, st.WallAve, st.WallMin = 0, 0, 0
 	st.StepWallMax, st.StepWallAve = 0, 0
 	st.Phases = zero.Phases
-	st.SentFrames, st.SentBytes, st.ResendCount = 0, 0, 0
+	st.SentFrames, st.SentBytes = 0, 0
 	return st
 }
 
@@ -151,8 +151,8 @@ func TestTCPRescale(t *testing.T) {
 	}
 }
 
-// TestTCPFaultReplay runs a seeded chaos plan — jitter, reordering,
-// transient failures, a scripted stall — on both transports. The fault
+// TestTCPFaultReplay runs a seeded chaos plan — jitter, reordering, a
+// scripted stall — on both transports. The fault
 // layer heals everything it injects and draws from placement-independent
 // per-link streams, so the healed traces must match bit for bit and the
 // injected-fault counters must agree.
@@ -163,7 +163,6 @@ func TestTCPFaultReplay(t *testing.T) {
 		DelayProb:   0.2,
 		MaxDelay:    100 * time.Microsecond,
 		ReorderProb: 0.3,
-		FailProb:    0.2,
 		Stalls:      []permcell.Stall{{Rank: 1, AfterOps: 40, Duration: 2 * time.Millisecond}},
 	}
 	ref := runTransport(t, steps, permcell.WithFaultPlan(plan))
@@ -173,7 +172,7 @@ func TestTCPFaultReplay(t *testing.T) {
 	if ref.Faults != got.Faults {
 		t.Errorf("fault counters diverge: chan %+v, tcp %+v", ref.Faults, got.Faults)
 	}
-	if got.Faults.Failures == 0 || got.Faults.Reorders == 0 {
+	if got.Faults.Delays == 0 || got.Faults.Reorders == 0 {
 		t.Errorf("chaos plan injected nothing: %+v", got.Faults)
 	}
 }
