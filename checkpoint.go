@@ -110,7 +110,7 @@ func Restore(path string, opts ...Option) (Engine, error) {
 
 // restoreState rebuilds an engine from loaded checkpoint contents. The
 // supervisor calls it directly after vetting a specific file (so its
-// latest-vs-previous preference is not overridden by LoadDir's own
+// latest-vs-previous preference is not overridden by LoadPath's own
 // fallback).
 func restoreState(meta *checkpoint.Meta, frames []checkpoint.Frame, o Options) (Engine, error) {
 	// The loaded Meta is the run identity; the caller's physics options are

@@ -5,9 +5,9 @@
 //
 // Usage:
 //
-//	mdrun [-m 3] [-p 16] [-rho 0.256] [-steps 600] [-balancer permcell]
-//	      [-dlb] [-wells 12]
-//	      [-wellk 1.5] [-dt 0.005] [-hyst 0.1] [-seed 1] [-shards 1]
+//	mdrun [-m 3] [-p 16] [-rho 0.256] [-steps 600]
+//	      [-balancer 'permcell(h=0.1)'] [-wells 12]
+//	      [-wellk 1.5] [-dt 0.005] [-seed 1] [-shards 1]
 //	      [-o out.csv] [-metrics phases.jsonl] [-prom metrics.prom]
 //	      [-checkpoint-every 500] [-checkpoint-dir ckpt] [-resume ckpt]
 //	      [-max-retries 3] [-backoff 50ms]
@@ -18,10 +18,10 @@
 // permanent-cell scheme), "sfc" (Morton-curve repartitioner), "diffusive"
 // (nearest-neighbor diffusion) or "none" (static DDM, the default).
 // Parameterized forms like "permcell(h=0.1)" or "sfc(h=0,moves=2)" are
-// accepted; a bare "permcell" folds in -hyst. -dlb remains as sugar for
-// "-balancer permcell". The CSV starts with a "# ..." run header recording
-// the balancer and run identity, and each row carries the columns and bytes
-// the balancer migrated that step.
+// accepted; a bare name takes the defaults (h=0), exactly as
+// permcell.BalancerByName parses it. The CSV starts with a "# ..." run
+// header recording the balancer and run identity, and each row carries the
+// columns and bytes the balancer migrated that step.
 //
 // Rows stream as the simulation advances (the run is O(1) in memory), so a
 // long run can be watched with tail -f. Interrupting with Ctrl-C stops at
@@ -39,7 +39,7 @@
 // -checkpoint-dir enables checkpointing into the given directory (an
 // atomic latest/previous pair); -checkpoint-every adds an automatic cadence
 // in simulation steps. -resume restarts from a checkpoint file or directory
-// and runs -steps further steps; the run identity (m, p, rho, dlb, seed,
+// and runs -steps further steps; the run identity (m, p, rho, balancer, seed,
 // dt, ...) is restored from the checkpoint and the corresponding flags are
 // ignored, so the resumed trajectory is bit-identical to the uninterrupted
 // run.
@@ -142,12 +142,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	p := fs.Int("p", 16, "PE count (perfect square)")
 	rho := fs.Float64("rho", 0.256, "reduced density")
 	steps := fs.Int("steps", 600, "time steps")
-	dlbOn := fs.Bool("dlb", false, "enable permanent-cell dynamic load balancing (sugar for -balancer permcell)")
-	balancerSpec := fs.String("balancer", "", `load balancer: permcell|sfc|diffusive|none, optionally parameterized, e.g. "sfc(h=0,moves=2)" (default none; -dlb implies permcell)`)
+	balancerSpec := fs.String("balancer", "none", `load balancer: permcell|sfc|diffusive|none, optionally parameterized, e.g. "permcell(h=0.1)" or "sfc(h=0,moves=2)"`)
 	wells := fs.Int("wells", 12, "condensation driver attractor count (0 = pure physics)")
 	wellK := fs.Float64("wellk", 1.5, "attractor strength")
 	dt := fs.Float64("dt", 0.005, "time step (reduced units; paper uses 1e-4)")
-	hyst := fs.Float64("hyst", 0.1, "DLB hysteresis")
 	seed := fs.Uint64("seed", 1, "RNG seed")
 	shards := fs.Int("shards", 1, "per-PE force-kernel worker count")
 	out := fs.String("o", "", "CSV output path (default stdout)")
@@ -174,21 +172,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("-max-retries requires -checkpoint-dir (the supervisor rolls back to checkpoints)")
 	}
 
-	var bal permcell.Balancer
-	if *balancerSpec != "" {
-		b, berr := permcell.BalancerByName(*balancerSpec)
-		if berr != nil {
-			return fail(berr)
-		}
-		bal = b
-		// The bare form folds in -hyst, matching the -dlb sugar; a
-		// parameterized spec carries its own hysteresis.
-		if *balancerSpec == "permcell" {
-			bal = permcell.PermanentCell(permcell.PermanentCellConfig{Hysteresis: *hyst})
-		}
-	}
-	if bal == nil && *dlbOn {
-		bal = permcell.PermanentCell(permcell.PermanentCellConfig{Hysteresis: *hyst})
+	bal, berr := permcell.BalancerByName(*balancerSpec)
+	if berr != nil {
+		return fail(berr)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

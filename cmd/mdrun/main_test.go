@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"permcell"
 	"permcell/internal/checkpoint"
 	"permcell/internal/theory"
 )
@@ -78,6 +79,30 @@ func TestResumeReportsRestoredIdentity(t *testing.T) {
 	}
 }
 
+// TestBareBalancerParsesLikeBalancerByName: -balancer takes exactly the
+// spec language of permcell.BalancerByName, so a bare "permcell" runs and
+// records the library's defaults rather than a flag-dependent variant.
+func TestBareBalancerParsesLikeBalancerByName(t *testing.T) {
+	b, err := permcell.BalancerByName("permcell")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := permcell.BalancerSpec(b)
+	var out, errb bytes.Buffer
+	if code := run([]string{"-m", "2", "-p", "4", "-steps", "2", "-balancer", "permcell"}, &out, &errb); code != 0 {
+		t.Fatalf("mdrun exited %d: %s", code, errb.String())
+	}
+	if !strings.Contains(errb.String(), "balancer="+want+" ") {
+		t.Errorf("closing summary %q does not record %s", errb.String(), want)
+	}
+	for _, gone := range []string{"-dlb", "-hyst"} {
+		errb.Reset()
+		if code := run([]string{gone, "-steps", "1"}, &out, &errb); code != 2 || !strings.Contains(errb.String(), "flag provided but not defined: "+gone) {
+			t.Errorf("mdrun %s exited %d (%q), want the unknown-flag error", gone, code, errb.String())
+		}
+	}
+}
+
 // TestFlagErrorsExitNonZero covers the argument guards that never reach an
 // engine.
 func TestFlagErrorsExitNonZero(t *testing.T) {
@@ -86,6 +111,8 @@ func TestFlagErrorsExitNonZero(t *testing.T) {
 		{"-checkpoint-every", "5"},
 		{"-max-retries", "1"},
 		{"-balancer", "roundrobin"},
+		{"-wells", "-3", "-steps", "1"},
+		{"-wellk", "-1", "-steps", "1"},
 		{"-transport", "carrier-pigeon", "-steps", "1"},
 	} {
 		var out, errb bytes.Buffer

@@ -150,12 +150,12 @@ func TestSaveRotatesAndLoadDirFallsBack(t *testing.T) {
 		t.Fatalf("Save 2: %v", err)
 	}
 
-	meta, _, path, err := LoadDir(dir)
+	meta, _, err := LoadPath(dir)
 	if err != nil {
-		t.Fatalf("LoadDir: %v", err)
+		t.Fatalf("LoadPath: %v", err)
 	}
-	if meta.Step != 200 || filepath.Base(path) != LatestName {
-		t.Fatalf("LoadDir picked step %d from %s; want 200 from latest", meta.Step, path)
+	if meta.Step != 200 {
+		t.Fatalf("LoadPath picked step %d; want 200 from latest", meta.Step)
 	}
 	pm, _, err := Load(filepath.Join(dir, PreviousName))
 	if err != nil {
@@ -165,7 +165,7 @@ func TestSaveRotatesAndLoadDirFallsBack(t *testing.T) {
 		t.Fatalf("previous holds step %d; want 100", pm.Step)
 	}
 
-	// Corrupt latest: LoadDir must fall back to previous.
+	// Corrupt latest: LoadPath must fall back to previous.
 	latest := filepath.Join(dir, LatestName)
 	data, err := os.ReadFile(latest)
 	if err != nil {
@@ -175,20 +175,20 @@ func TestSaveRotatesAndLoadDirFallsBack(t *testing.T) {
 	if err := os.WriteFile(latest, data, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	meta, _, path, err = LoadDir(dir)
+	meta, _, err = LoadPath(dir)
 	if err != nil {
-		t.Fatalf("LoadDir after corruption: %v", err)
+		t.Fatalf("LoadPath after corruption: %v", err)
 	}
-	if meta.Step != 100 || filepath.Base(path) != PreviousName {
-		t.Fatalf("fallback picked step %d from %s; want 100 from previous", meta.Step, path)
+	if meta.Step != 100 {
+		t.Fatalf("fallback picked step %d; want 100 from previous", meta.Step)
 	}
 
-	// Truncate previous too: now LoadDir must fail with both causes.
+	// Truncate previous too: now LoadPath must fail with both causes.
 	if err := os.Truncate(filepath.Join(dir, PreviousName), 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := LoadDir(dir); err == nil {
-		t.Fatal("LoadDir succeeded with both files corrupt")
+	if _, _, err := LoadPath(dir); err == nil {
+		t.Fatal("LoadPath succeeded with both files corrupt")
 	}
 }
 

@@ -251,7 +251,7 @@ func TestHugeFrameCountDoesNotOverallocate(t *testing.T) {
 
 // TestLoadMetaSkipsFrames: the header of a file whose frame section is
 // corrupt still loads, from the file and from its directory, with the same
-// latest-then-previous fallback as LoadDir when the header itself is gone.
+// latest-then-previous fallback as LoadPath when the header itself is gone.
 func TestLoadMetaSkipsFrames(t *testing.T) {
 	dir := t.TempDir()
 	for _, step := range []int{100, 200} {

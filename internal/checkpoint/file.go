@@ -356,11 +356,11 @@ func Load(path string) (*Meta, []Frame, error) {
 // unread — for a caller that wants the run identity before (or without)
 // paying for the state. In a directory it answers from the first file of
 // the latest-then-previous pair whose header verifies, which is the file
-// LoadDir would use unless that file's frames are corrupt; the pair shares
+// LoadPath would use unless that file's frames are corrupt; the pair shares
 // one run identity and differs in Step and the comm counters only.
 func LoadMeta(path string) (*Meta, error) {
 	var meta *Meta
-	_, err := loadPath(path, func(file string) error {
+	err := loadPath(path, func(file string) error {
 		f, err := os.Open(file)
 		if err != nil {
 			return fmt.Errorf("checkpoint: %w", err)
@@ -373,51 +373,41 @@ func LoadMeta(path string) (*Meta, error) {
 }
 
 // LoadPath loads a checkpoint named either way a caller may hold one: the
-// file itself, or its directory (LoadDir's latest-then-previous choice).
+// file itself, or its directory, where latest.ckpt is tried first and
+// previous.ckpt when latest is missing or corrupt; the error then reports
+// both failures.
 func LoadPath(path string) (meta *Meta, frames []Frame, err error) {
-	_, err = loadPath(path, func(file string) error {
+	err = loadPath(path, func(file string) error {
 		meta, frames, err = Load(file)
 		return err
 	})
 	return meta, frames, err
 }
 
-// LoadDir loads the newest loadable checkpoint in dir: latest.ckpt first,
-// falling back to previous.ckpt when latest is missing or corrupt (the
-// retained-pair policy's whole point). The returned path says which file
-// was used; the error reports both failures when neither loads.
-func LoadDir(dir string) (meta *Meta, frames []Frame, path string, err error) {
-	path, err = loadDir(dir, func(file string) error {
-		meta, frames, err = Load(file)
-		return err
-	})
-	return meta, frames, path, err
-}
-
 // loadPath applies load to path itself when it is a file, and by loadDir's
-// policy when it is a directory; it returns the file load accepted.
-func loadPath(path string, load func(file string) error) (string, error) {
+// policy when it is a directory.
+func loadPath(path string, load func(file string) error) error {
 	fi, err := os.Stat(path)
 	if err != nil {
-		return "", fmt.Errorf("checkpoint: %w", err)
+		return fmt.Errorf("checkpoint: %w", err)
 	}
 	if fi.IsDir() {
 		return loadDir(path, load)
 	}
-	return path, load(path)
+	return load(path)
 }
 
-// loadDir applies load to dir's latest file, then to its previous one.
-func loadDir(dir string, load func(file string) error) (string, error) {
-	latest := filepath.Join(dir, LatestName)
-	lerr := load(latest)
+// loadDir applies load to dir's latest file, then to its previous one: the
+// retained pair's whole point is that a missing or corrupt latest falls back
+// to previous. The error reports both failures when neither loads.
+func loadDir(dir string, load func(file string) error) error {
+	lerr := load(filepath.Join(dir, LatestName))
 	if lerr == nil {
-		return latest, nil
+		return nil
 	}
-	prev := filepath.Join(dir, PreviousName)
-	perr := load(prev)
+	perr := load(filepath.Join(dir, PreviousName))
 	if perr == nil {
-		return prev, nil
+		return nil
 	}
-	return "", fmt.Errorf("checkpoint: no loadable checkpoint in %s: latest: %v; previous: %v", dir, lerr, perr)
+	return fmt.Errorf("checkpoint: no loadable checkpoint in %s: latest: %v; previous: %v", dir, lerr, perr)
 }

@@ -41,7 +41,7 @@ type World struct {
 	local  []int  // ranks hosted in this process, ascending
 	remote Remote // nil on full worlds
 
-	inboxCap int
+	inboxCap int // 0 = the default; the watchdog tests set 1 to force backpressure
 	fs       *faultState
 	track    *tracker
 
@@ -69,20 +69,6 @@ func (w *World) Poison(reason string) {
 
 // Option configures a World at construction time.
 type Option func(*World)
-
-// WithInboxCapacity overrides the per-rank inbox buffer. The default is
-// max(64*p, 256) slots, sized so that the engines' bounded per-step
-// protocols (at most a few messages per neighbor per phase) never block on
-// a send. Small capacities (down to 1) force backpressure — senders block
-// until the receiver drains — which chaos tests use to provoke the
-// interleavings and deadlocks the watchdog must catch.
-func WithInboxCapacity(n int) Option {
-	return func(w *World) {
-		if n >= 1 {
-			w.inboxCap = n
-		}
-	}
-}
 
 // WithFaults runs the world under the given deterministic fault-injection
 // plan (see FaultPlan). A zero-probability plan with no stalls behaves
@@ -249,7 +235,7 @@ func (c *Comm) Size() int { return c.w.size }
 // Send delivers data to rank dst with the given tag. Tags must be
 // non-negative; negative tags are reserved for collectives. Send blocks only
 // if the destination inbox is full, which bounded per-step protocols never
-// trigger at the default capacity (see WithInboxCapacity).
+// trigger at the default capacity of max(64*p, 256) slots.
 func (c *Comm) Send(dst, tag int, data any) { c.SendSized(dst, tag, data, 0) }
 
 // SendSized is Send with an explicit payload-size hint in bytes for the

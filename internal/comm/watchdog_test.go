@@ -47,11 +47,18 @@ func TestWatchdogConvertsDeadlockToError(t *testing.T) {
 	}
 }
 
-// TestWatchdogBackpressureDeadlock forces the deadlock with the inbox
-// capacity option: at capacity 1, two ranks that each send a burst before
+// withInboxCapacity overrides the per-rank inbox buffer. Small capacities
+// (down to 1) force backpressure — senders block until the receiver drains —
+// which provokes the deadlocks the watchdog must catch.
+func withInboxCapacity(n int) Option {
+	return func(w *World) { w.inboxCap = n }
+}
+
+// TestWatchdogBackpressureDeadlock forces the deadlock with a one-slot
+// inbox: at capacity 1, two ranks that each send a burst before
 // receiving wedge on full inboxes; the dump must show them blocked in send.
 func TestWatchdogBackpressureDeadlock(t *testing.T) {
-	w, _ := NewWorld(2, WithInboxCapacity(1), WithTracking())
+	w, _ := NewWorld(2, withInboxCapacity(1), WithTracking())
 	err := watched(w, 150*time.Millisecond, func(c *Comm) {
 		other := 1 - c.Rank()
 		for i := 0; i < 10; i++ {

@@ -63,18 +63,3 @@ func Compute(pes []PE) Stats {
 	s.NFactor = avg / s.C0OverC
 	return s
 }
-
-// FromOccupancy computes Stats for a serial simulation treated as one PE
-// per domain: occ is the per-cell particle count and owner maps each cell
-// to a domain index in [0, p).
-func FromOccupancy(occ []int, owner func(cell int) int, p int) Stats {
-	pes := make([]PE, p)
-	for c, n := range occ {
-		d := owner(c)
-		pes[d].Cells++
-		if n == 0 {
-			pes[d].Empty++
-		}
-	}
-	return Compute(pes)
-}

@@ -70,10 +70,9 @@ func TestComputeTwoEstimatorPEs(t *testing.T) {
 	}
 }
 
-func TestFromOccupancy(t *testing.T) {
-	// 8 cells, 2 domains of 4; domain 1 entirely empty.
-	occ := []int{1, 2, 1, 3, 0, 0, 0, 0}
-	s := FromOccupancy(occ, func(c int) int { return c / 4 }, 2)
+func TestComputeTiesGoToFirstPE(t *testing.T) {
+	// 2 PEs of 4 cells; PE 1 entirely empty.
+	s := Compute([]PE{{Cells: 4, Empty: 0}, {Cells: 4, Empty: 4}})
 	if s.C != 8 || s.C0 != 4 {
 		t.Fatalf("census: %+v", s)
 	}

@@ -114,18 +114,6 @@ func (lg *Ledger) OwnMovableAtHome() []int {
 	return out
 }
 
-// LentOut returns this PE's own columns currently hosted elsewhere,
-// ascending.
-func (lg *Ledger) LentOut() []int {
-	var out []int
-	for _, col := range lg.L.ColumnsOf(lg.Rank) {
-		if lg.host[col] != lg.Rank {
-			out = append(out, col)
-		}
-	}
-	return out
-}
-
 // Apply incorporates a decision made by rank decider (protocol step 4).
 // Decisions about columns this ledger does not track are ignored. Tracked
 // decisions are validated against the protocol: only the current host moves

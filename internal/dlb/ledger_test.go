@@ -106,8 +106,10 @@ func TestInitialState(t *testing.T) {
 		if len(lg.OwnMovableAtHome()) != 4 {
 			t.Errorf("rank %d has %d movable at home, want 4", r, len(lg.OwnMovableAtHome()))
 		}
-		if len(lg.LentOut()) != 0 {
-			t.Errorf("rank %d has lent columns initially", r)
+		for _, col := range l.ColumnsOf(r) {
+			if host, _ := lg.HostOf(col); host != r {
+				t.Errorf("rank %d has lent column %d to %d initially", r, col, host)
+			}
 		}
 	}
 }

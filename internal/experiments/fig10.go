@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 
-	"permcell/internal/lsq"
 	"permcell/internal/theory"
 )
 
@@ -78,9 +78,9 @@ func Fig10(pr Preset, m, p int, seed uint64) (*Fig10Result, error) {
 		}
 		pt := BoundaryPoint{Rho: rho, Runs: runs, Detected: len(ns)}
 		if len(ns) > 0 {
-			pt.N, pt.NStd = lsq.MeanStd(ns)
-			pt.C0C, pt.C0CStd = lsq.MeanStd(cs)
-			pt.MeanStep, _ = lsq.MeanStd(steps)
+			pt.N, pt.NStd = meanStd(ns)
+			pt.C0C, pt.C0CStd = meanStd(cs)
+			pt.MeanStep, _ = meanStd(steps)
 			nClamped := pt.N
 			if nClamped < 1 {
 				nClamped = 1
@@ -92,21 +92,12 @@ func Fig10(pr Preset, m, p int, seed uint64) (*Fig10Result, error) {
 		r.Points = append(r.Points, pt)
 	}
 	if len(xs) > 0 {
-		if a, err := lsq.FitScale(xs, ys); err == nil {
+		if a, err := fitScale(xs, ys); err == nil {
 			r.EOverT = a
 			r.Fitted = true
 		}
 	}
 	return r, nil
-}
-
-// TheoryCurve samples f(m, n) over the plotted n range.
-func (r *Fig10Result) TheoryCurve() (ns, fs []float64) {
-	for n := 1.0; n <= 3.0; n += 0.05 {
-		ns = append(ns, n)
-		fs = append(fs, theory.MustF(r.M, n))
-	}
-	return ns, fs
 }
 
 // Render prints the panel.
@@ -137,16 +128,41 @@ func (r *Fig10Result) Render(w io.Writer) error {
 	return nil
 }
 
-// AllBelowTheory reports whether every detected boundary point lies at or
-// below the theoretical bound — the paper's headline Fig. 10 observation.
-func (r *Fig10Result) AllBelowTheory(slack float64) bool {
-	for _, pt := range r.Points {
-		if pt.Detected == 0 {
-			continue
-		}
-		if pt.C0C > pt.TheoryF*(1+slack) {
-			return false
-		}
+// fitScale fits y ~= a*x by least squares and returns a = sum(x*y)/sum(x^2).
+// The paper computes experimental boundaries by fitting the measured
+// boundary points against the shape of the theoretical bound; this is that
+// fit, and the one behind Table 1: with x = f(m, n_i) (theory) and
+// y = measured boundary C_0/C, the fitted a is the E/T ratio.
+func fitScale(xs, ys []float64) (float64, error) {
+	if len(xs) != len(ys) || len(xs) == 0 {
+		return 0, fmt.Errorf("experiments: need equal-length non-empty inputs, got %d and %d", len(xs), len(ys))
 	}
-	return true
+	var sxy, sxx float64
+	for i := range xs {
+		sxy += xs[i] * ys[i]
+		sxx += xs[i] * xs[i]
+	}
+	if sxx == 0 {
+		return 0, fmt.Errorf("experiments: all x values are zero")
+	}
+	return sxy / sxx, nil
+}
+
+// meanStd returns the mean and (population) standard deviation of vals —
+// used for the error ranges on the experimental boundary points, which the
+// paper derives from ten runs per point.
+func meanStd(vals []float64) (mean, std float64) {
+	if len(vals) == 0 {
+		return 0, 0
+	}
+	for _, v := range vals {
+		mean += v
+	}
+	mean /= float64(len(vals))
+	for _, v := range vals {
+		d := v - mean
+		std += d * d
+	}
+	std = math.Sqrt(std / float64(len(vals)))
+	return mean, std
 }

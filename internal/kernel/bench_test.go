@@ -84,14 +84,14 @@ func BenchmarkKernelFlat(b *testing.B)        { benchmarkKernelFlat(b, 1) }
 func BenchmarkKernelFlatShards2(b *testing.B) { benchmarkKernelFlat(b, 2) }
 func BenchmarkKernelFlatShards8(b *testing.B) { benchmarkKernelFlat(b, 8) }
 
-// BenchmarkKernelPresets runs the full bench matrix (workload.KernelPresets:
+// BenchmarkKernelPresets runs the full bench matrix (kernelPresets:
 // tiny plus the 50k/100k/200k paper-density systems) against the flat
 // kernel at shard counts 1, 2 and 8. The large presets are where the force
 // array no longer fits in cache and shard parallelism has work to amortize
 // against. A developer tool (go test -run '^$' -bench BenchmarkKernel
 // ./internal/kernel): changes are judged by bench/, not by these numbers.
 func BenchmarkKernelPresets(b *testing.B) {
-	for _, pr := range workload.KernelPresets() {
+	for _, pr := range kernelPresets() {
 		sys, g, err := pr.Build()
 		if err != nil {
 			b.Fatal(err)
@@ -130,7 +130,7 @@ var ljBench = potential.NewPaperLJ()
 // are a handful of them whatever the cell count.
 func BenchmarkKernelSetHosted(b *testing.B) {
 	for _, name := range []string{"tiny", "50k"} {
-		pr, err := workload.KernelPresetByName(name)
+		pr, err := kernelPresetByName(name)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -158,7 +158,7 @@ var setHostedSink *CellLists
 // BenchmarkKernelPresets times the initial lattice, whose hit pattern
 // repeats from cell to cell and flatters any branch predictor.
 func BenchmarkKernelDisordered(b *testing.B) {
-	pr, err := workload.KernelPresetByName("50k")
+	pr, err := kernelPresetByName("50k")
 	if err != nil {
 		b.Fatal(err)
 	}

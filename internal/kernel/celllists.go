@@ -191,12 +191,6 @@ func NewCellLists(g space.Grid, shards int) *CellLists {
 	return cl
 }
 
-// Shards returns the configured worker shard count.
-func (cl *CellLists) Shards() int { return cl.shards }
-
-// Grid returns the grid the lists were built for.
-func (cl *CellLists) Grid() space.Grid { return cl.g }
-
 // SetHosted rebuilds the hosted topology: the ascending hosted cell list,
 // the per-cell neighbor stencils, the ghost slot assignment and the shard
 // partition. Call it only when the hosted set changes (initialization or a
@@ -501,9 +495,6 @@ func (cl *CellLists) SealGhosts() {
 	}
 }
 
-// GhostLen returns the number of imported positions after SealGhosts.
-func (cl *CellLists) GhostLen() int { return len(cl.ghostPos) }
-
 // GhostForces returns what the last Compute put on the imported particles of
 // the given ghost cell, in staging order, for the cell's host to add. The
 // window aliases the kernel's arena and is valid until the next Compute.
@@ -512,10 +503,6 @@ func (cl *CellLists) GhostForces(cell int) []vec.V {
 	lo, hi := cl.ghostStart[gs], cl.ghostStart[gs+1]
 	return cl.gfrc[0][lo:hi:hi]
 }
-
-// Evaluated returns the number of pair distances the last Compute actually
-// evaluated: its pair count less the candidates of count-only entries.
-func (cl *CellLists) Evaluated() int64 { return cl.evaluated }
 
 // Compute accumulates short-range pair forces into s.Frc (which must be
 // zeroed by the caller) over the pairs this domain owns — every pair of two

@@ -258,7 +258,7 @@ func TestFlatEmpty(t *testing.T) {
 	if pot != 0 || vir != 0 || pairs != 0 {
 		t.Fatalf("empty local set computed pot=%v vir=%v pairs=%d", pot, vir, pairs)
 	}
-	if cl.GhostLen() == 0 {
+	if len(cl.ghostPos) == 0 {
 		t.Fatal("ghost arena empty despite imported neighbors")
 	}
 }
@@ -339,7 +339,7 @@ func crowd(pos []vec.V, g space.Grid, ix, iy, iz, n int, r *rng.Source) []vec.V 
 // 319 cell mates after rows that filled it) and cell pairs larger than the
 // whole buffer (320 x 320) are split, all inside the measured cycle.
 func TestZeroAllocSteadyState(t *testing.T) {
-	pr, err := workload.KernelPresetByName("tiny")
+	pr, err := kernelPresetByName("tiny")
 	if err != nil {
 		t.Fatal(err)
 	}

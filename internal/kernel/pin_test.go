@@ -9,7 +9,6 @@ import (
 	"permcell/internal/potential"
 	"permcell/internal/rng"
 	"permcell/internal/vec"
-	"permcell/internal/workload"
 )
 
 // TestShardPin pins every bit the kernel produces at each shard count: an
@@ -25,7 +24,7 @@ import (
 // checked next to them: this domain and its complement, assembled, are the
 // brute-force forces.
 func TestShardPin(t *testing.T) {
-	pr, err := workload.KernelPresetByName("tiny")
+	pr, err := kernelPresetByName("tiny")
 	if err != nil {
 		t.Fatal(err)
 	}

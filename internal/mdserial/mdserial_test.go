@@ -202,7 +202,7 @@ func TestExternalWellPullsParticles(t *testing.T) {
 	meanDist := func() float64 {
 		var sum float64
 		for _, p := range e.Set().Pos {
-			sum += math.Sqrt(sys.Box.Dist2(p, center))
+			sum += math.Sqrt(sys.Box.Displacement(p, center).Norm2())
 		}
 		return sum / float64(e.Set().Len())
 	}

@@ -69,14 +69,6 @@ func (s *Set) Clone() *Set {
 	return c
 }
 
-// Clear empties the set but keeps capacity.
-func (s *Set) Clear() {
-	s.ID = s.ID[:0]
-	s.Pos = s.Pos[:0]
-	s.Vel = s.Vel[:0]
-	s.Frc = s.Frc[:0]
-}
-
 // ZeroForces resets all force accumulators.
 func (s *Set) ZeroForces() {
 	for i := range s.Frc {

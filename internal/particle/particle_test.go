@@ -94,14 +94,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestClearKeepsNothing(t *testing.T) {
-	s := sample(4, 4)
-	s.Clear()
-	if s.Len() != 0 {
-		t.Errorf("len after clear = %d", s.Len())
-	}
-}
-
 func TestZeroForces(t *testing.T) {
 	s := sample(4, 5)
 	s.Frc[2] = vec.New(1, 1, 1)

@@ -9,14 +9,13 @@
 package rng
 
 import (
-	"fmt"
 	"math"
 
 	"permcell/internal/vec"
 )
 
 // Source is a deterministic xoshiro256** generator. It is not safe for
-// concurrent use; give each goroutine its own Source (see Split).
+// concurrent use; give each goroutine its own Source.
 type Source struct {
 	s [4]uint64
 	// cached second Gaussian from Box-Muller
@@ -42,47 +41,6 @@ func New(seed uint64) *Source {
 		s.s[i] = splitmix64(&st)
 	}
 	return &s
-}
-
-// Split derives an independent child generator from s. Calling Split with
-// distinct indices yields statistically independent streams, which is how
-// per-PE generators are created from one experiment seed.
-func (s *Source) Split(index uint64) *Source {
-	st := s.Uint64() ^ (0x9e3779b97f4a7c15 * (index + 1))
-	var c Source
-	for i := range c.s {
-		c.s[i] = splitmix64(&st)
-	}
-	return &c
-}
-
-// stateWords is the length of the slice State returns: the four xoshiro256**
-// words, the Box-Muller cache flag, and the cached Gaussian's bits.
-const stateWords = 6
-
-// State returns the generator's complete state — the xoshiro words plus the
-// Box-Muller cache — as a flat word slice suitable for a checkpoint frame.
-// SetState on a fresh Source restores a stream that continues bit-identically.
-func (s *Source) State() []uint64 {
-	st := make([]uint64, stateWords)
-	copy(st, s.s[:])
-	if s.hasGauss {
-		st[4] = 1
-	}
-	st[5] = math.Float64bits(s.gauss)
-	return st
-}
-
-// SetState restores state captured by State. It rejects slices of the wrong
-// length rather than guessing at a partial restore.
-func (s *Source) SetState(st []uint64) error {
-	if len(st) != stateWords {
-		return fmt.Errorf("rng: state has %d words, want %d", len(st), stateWords)
-	}
-	copy(s.s[:], st[:4])
-	s.hasGauss = st[4] != 0
-	s.gauss = math.Float64frombits(st[5])
-	return nil
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -117,19 +75,6 @@ func (s *Source) Intn(n int) int {
 	}
 	// Multiply-shift rejection-free mapping is fine for simulation use.
 	return int(s.Uint64() % uint64(n))
-}
-
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Norm returns a standard Gaussian sample (mean 0, variance 1) via the

@@ -29,21 +29,6 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	root := New(7)
-	c1 := root.Split(0)
-	c2 := root.Split(1)
-	same := 0
-	for i := 0; i < 100; i++ {
-		if c1.Uint64() == c2.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Errorf("split children produced %d identical draws", same)
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	s := New(3)
 	for i := 0; i < 10000; i++ {
@@ -86,18 +71,6 @@ func TestIntnPanics(t *testing.T) {
 		}
 	}()
 	New(1).Intn(0)
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	s := New(6)
-	p := s.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Perm not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
 }
 
 func TestNormMoments(t *testing.T) {

@@ -56,6 +56,19 @@ func Side(m, p int) (int, error) {
 	return m * sq, nil
 }
 
+// Wells checks the condensation driver's parameters: n attractor wells of
+// strength k. Zero of either is valid (k = 0 is pure physics; n <= 1 with
+// k > 0 is one central well); a negative count or strength is not.
+func Wells(n int, k float64) error {
+	if n < 0 {
+		return fmt.Errorf("runspec: wells must be >= 0, got %d", n)
+	}
+	if !(k >= 0) {
+		return fmt.Errorf("runspec: well strength must be >= 0, got %g", k)
+	}
+	return nil
+}
+
 // Sizes resolves a box of nc cells of side r_c per dimension at reduced
 // density rho: N = round(rho * (nc r_c)^3), and the density those N
 // particles actually have.
@@ -97,6 +110,9 @@ func resolve(meta *checkpoint.Meta, st *checkpoint.EngineState) (system, error) 
 		}
 	default:
 		err = fmt.Errorf("runspec: unknown engine kind %q", meta.Kind)
+	}
+	if err == nil {
+		err = Wells(meta.Wells, meta.WellK)
 	}
 	if err != nil {
 		return system{}, err

@@ -317,6 +317,15 @@ func TestAdmissionControl(t *testing.T) {
 	if _, code, _ := tryPostRun(t, hs, RunSpec{Kind: KindParallel, M: 0, P: 3, Rho: 0.4, Steps: 1}); code != http.StatusBadRequest {
 		t.Fatalf("invalid spec: status %d, want 400", code)
 	}
+	// A negative well count or strength is invalid too, not pure physics.
+	for _, bad := range []RunSpec{
+		{Kind: KindSerial, NC: 3, Rho: 0.4, Steps: 1, Wells: -3, WellK: 1.5},
+		{Kind: KindSerial, NC: 3, Rho: 0.4, Steps: 1, Wells: 2, WellK: -1},
+	} {
+		if _, code, _ := tryPostRun(t, hs, bad); code != http.StatusBadRequest {
+			t.Fatalf("wells=%d well_k=%g: status %d, want 400", bad.Wells, bad.WellK, code)
+		}
+	}
 	// Over the particle cap: 413.
 	if _, code, _ := tryPostRun(t, hs, RunSpec{Kind: KindSerial, NC: 8, Rho: 0.4, Steps: 1}); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized spec: status %d, want 413", code)

@@ -146,6 +146,9 @@ func (s *RunSpec) Validate() error {
 	if s.Steps < 1 {
 		return fmt.Errorf("serve: steps must be >= 1, got %d", s.Steps)
 	}
+	if err := runspec.Wells(s.Wells, s.WellK); err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
 	if s.Balancer != "" {
 		if _, err := permcell.BalancerByName(s.Balancer); err != nil {
 			return fmt.Errorf("serve: %w", err)

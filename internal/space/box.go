@@ -52,6 +52,3 @@ func (b Box) MinImage(d vec.V) vec.V { return d.MinImage(b.L) }
 
 // Displacement returns the minimum-image displacement from q to p (p - q).
 func (b Box) Displacement(p, q vec.V) vec.V { return b.MinImage(p.Sub(q)) }
-
-// Dist2 returns the squared minimum-image distance between p and q.
-func (b Box) Dist2(p, q vec.V) float64 { return b.Displacement(p, q).Norm2() }

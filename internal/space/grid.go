@@ -190,23 +190,3 @@ func (g Grid) CellsInColumn(col int, dst []int) []int {
 	}
 	return dst
 }
-
-// ColumnNeighbors8 appends the (up to) 8 distinct neighboring columns of col
-// under periodic wrapping in the cross-section plane, excluding col itself.
-func (g Grid) ColumnNeighbors8(col int, dst []int) []int {
-	ix, iy := g.ColumnCoords(col)
-	seen := map[int]bool{col: true}
-	for dy := -1; dy <= 1; dy++ {
-		for dx := -1; dx <= 1; dx++ {
-			if dx == 0 && dy == 0 {
-				continue
-			}
-			n := g.ColumnIndex(mod(ix+dx, g.Nx), mod(iy+dy, g.Ny))
-			if !seen[n] {
-				seen[n] = true
-				dst = append(dst, n)
-			}
-		}
-	}
-	return dst
-}

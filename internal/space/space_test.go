@@ -52,8 +52,8 @@ func TestBoxDisplacementMinImage(t *testing.T) {
 	if d.Dist(want) > 1e-12 {
 		t.Errorf("Displacement = %v, want %v", d, want)
 	}
-	if got := b.Dist2(p, q); math.Abs(got-1.25) > 1e-12 {
-		t.Errorf("Dist2 = %v, want 1.25", got)
+	if got := d.Norm2(); math.Abs(got-1.25) > 1e-12 {
+		t.Errorf("|Displacement|^2 = %v, want 1.25", got)
 	}
 }
 
@@ -280,17 +280,6 @@ func TestColumnsPartitionCells(t *testing.T) {
 	for c, ok := range seen {
 		if !ok {
 			t.Fatalf("cell %d in no column", c)
-		}
-	}
-}
-
-func TestColumnNeighbors8(t *testing.T) {
-	b := mustBox(t, 12)
-	g, _ := NewGridWithDims(b, 4, 4, 4)
-	for col := 0; col < g.NumColumns(); col++ {
-		nb := g.ColumnNeighbors8(col, nil)
-		if len(nb) != 8 {
-			t.Fatalf("column %d has %d neighbors, want 8", col, len(nb))
 		}
 	}
 }

@@ -204,14 +204,13 @@ func (e *RetryBudgetError) Error() string {
 // Unwrap exposes the last failure to errors.As/Is.
 func (e *RetryBudgetError) Unwrap() error { return e.Last }
 
-// Trap collects panics recovered from PE goroutines. Every rank defers
-// Catch; the first failure closes Failed so drivers waiting on a batch can
-// react promptly instead of waiting out the watchdog.
+// Trap catches panics recovered from PE goroutines. Every rank defers
+// Catch; the first failure is kept and closes Failed so drivers waiting on
+// a batch can react promptly instead of waiting out the watchdog.
 type Trap struct {
-	mu       sync.Mutex
-	failures []error
-	fired    chan struct{}
-	once     sync.Once
+	mu    sync.Mutex
+	err   error
+	fired chan struct{}
 }
 
 // NewTrap returns an armed trap.
@@ -239,9 +238,11 @@ func (t *Trap) Catch(rank int) {
 		err = &RankFailure{Rank: rank, Value: fmt.Sprint(r), Stack: string(debug.Stack())}
 	}
 	t.mu.Lock()
-	t.failures = append(t.failures, err)
-	t.mu.Unlock()
-	t.once.Do(func() { close(t.fired) })
+	defer t.mu.Unlock()
+	if t.err == nil {
+		t.err = err
+		close(t.fired)
+	}
 }
 
 // Failed returns a channel closed on the first recorded failure.
@@ -251,17 +252,7 @@ func (t *Trap) Failed() <-chan struct{} { return t.fired }
 func (t *Trap) Err() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.failures) == 0 {
-		return nil
-	}
-	return t.failures[0]
-}
-
-// All returns a copy of every recorded failure.
-func (t *Trap) All() []error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]error(nil), t.failures...)
+	return t.err
 }
 
 // Sabotage kinds. The rank-level kinds fire inside the step loop of the

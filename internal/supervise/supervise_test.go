@@ -112,8 +112,14 @@ func TestTrapCollectsConcurrentFailures(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	if got := len(tr.All()); got != 8 {
-		t.Errorf("recorded %d failures, want 8", got)
+	var rf *RankFailure
+	if !errors.As(tr.Err(), &rf) || rf.Rank < 0 || rf.Rank >= 8 {
+		t.Fatalf("Err() = %v, want one rank's *RankFailure", tr.Err())
+	}
+	select {
+	case <-tr.Failed():
+	default:
+		t.Error("Failed not closed after 8 failures")
 	}
 }
 

@@ -49,15 +49,6 @@ func MustF(m int, n float64) float64 {
 	return v
 }
 
-// F2 is eq. 9: f(2, n) = 3/(7n-4).
-func F2(n float64) float64 { return 3 / (7*n - 4) }
-
-// F3 is eq. 10: f(3, n) = 4/(7n-3).
-func F3(n float64) float64 { return 4 / (7*n - 3) }
-
-// F4 is eq. 11: f(4, n) = 27/(43n-16).
-func F4(n float64) float64 { return 27 / (43*n - 16) }
-
 // CPrimeColumns returns the maximum-domain size in columns,
 // m^2 + 3(m-1)^2 (the column form of C' in Section 4.1).
 func CPrimeColumns(m int) int { return m*m + 3*(m-1)*(m-1) }
@@ -97,13 +88,3 @@ func MustFCube(m int, n float64) float64 {
 // QCubeCells returns the cube-domain maximum hosted cell count,
 // m^3 + 7(m-1)^3.
 func QCubeCells(m int) int { return m*m*m + 7*(m-1)*(m-1)*(m-1) }
-
-// CanBalance reports whether, at concentration state (n, C_0/C), the
-// inequality of eq. 8 still admits uniform load balancing.
-func CanBalance(m int, n, c0OverC float64) (bool, error) {
-	f, err := F(m, n)
-	if err != nil {
-		return false, err
-	}
-	return c0OverC <= f, nil
-}

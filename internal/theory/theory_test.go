@@ -97,25 +97,6 @@ func TestCPrime(t *testing.T) {
 	}
 }
 
-func TestCanBalance(t *testing.T) {
-	ok, err := CanBalance(4, 1.5, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// f(4,1.5) = 27/(43*1.5-16) = 27/48.5 ~ 0.557 > 0.3.
-	if !ok {
-		t.Error("C0/C=0.3 at f~0.557 reported unbalanceable")
-	}
-	ok, err = CanBalance(2, 3, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// f(2,3) = 3/17 ~ 0.176 < 0.3.
-	if ok {
-		t.Error("C0/C=0.3 at f~0.176 reported balanceable")
-	}
-}
-
 func TestPaperValuesSpotCheck(t *testing.T) {
 	// Hand-evaluated points of eqs. 9-11.
 	if v := F2(2); math.Abs(v-0.3) > 1e-12 {
@@ -128,3 +109,12 @@ func TestPaperValuesSpotCheck(t *testing.T) {
 		t.Errorf("f(4,2) = %v, want %v", v, 27.0/70)
 	}
 }
+
+// F2 is eq. 9: f(2, n) = 3/(7n-4).
+func F2(n float64) float64 { return 3 / (7*n - 4) }
+
+// F3 is eq. 10: f(3, n) = 4/(7n-3).
+func F3(n float64) float64 { return 4 / (7*n - 3) }
+
+// F4 is eq. 11: f(4, n) = 27/(43n-16).
+func F4(n float64) float64 { return 27 / (43*n - 16) }

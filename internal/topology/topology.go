@@ -25,8 +25,6 @@ var (
 	}
 	// UpLeft is the Case-1 offset set.
 	UpLeft = []Offset{{-1, -1}, {-1, 0}, {0, -1}}
-	// AntiDiagonal is the Case-2 offset set.
-	AntiDiagonal = []Offset{{-1, 1}, {1, -1}}
 	// DownRight is the Case-3 offset set.
 	DownRight = []Offset{{0, 1}, {1, 0}, {1, 1}}
 )
@@ -62,12 +60,6 @@ func (t Torus2D) Rank(i, j int) int { return mod(i, t.Px)*t.Py + mod(j, t.Py) }
 
 // Coords returns the coordinates of rank r.
 func (t Torus2D) Coords(r int) (i, j int) { return r / t.Py, r % t.Py }
-
-// Shift returns the rank at offset (di, dj) from r.
-func (t Torus2D) Shift(r, di, dj int) int {
-	i, j := t.Coords(r)
-	return t.Rank(i+di, j+dj)
-}
 
 // Neighbors8 returns the 8 neighbor ranks of r in Offsets8 order. On tori
 // with a dimension < 3 the same rank can appear under several offsets; the
@@ -122,38 +114,6 @@ func (t Torus3D) Size() int { return t.Px * t.Py * t.Pz }
 // Rank returns the rank at (wrapped) coordinates.
 func (t Torus3D) Rank(i, j, k int) int {
 	return (mod(i, t.Px)*t.Py+mod(j, t.Py))*t.Pz + mod(k, t.Pz)
-}
-
-// Coords returns the coordinates of rank r.
-func (t Torus3D) Coords(r int) (i, j, k int) {
-	k = r % t.Pz
-	r /= t.Pz
-	j = r % t.Py
-	i = r / t.Py
-	return
-}
-
-// Neighbors26 returns the distinct ranks adjacent to r (26 on a large
-// torus), excluding r.
-func (t Torus3D) Neighbors26(r int) []int {
-	i, j, k := t.Coords(r)
-	seen := map[int]bool{r: true}
-	var out []int
-	for di := -1; di <= 1; di++ {
-		for dj := -1; dj <= 1; dj++ {
-			for dk := -1; dk <= 1; dk++ {
-				if di == 0 && dj == 0 && dk == 0 {
-					continue
-				}
-				n := t.Rank(i+di, j+dj, k+dk)
-				if !seen[n] {
-					seen[n] = true
-					out = append(out, n)
-				}
-			}
-		}
-	}
-	return out
 }
 
 func mod(a, n int) int {

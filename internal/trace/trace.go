@@ -112,23 +112,6 @@ func WriteFaultCSV(w io.Writer, events []FaultEvent) error {
 	return nil
 }
 
-// WriteCSV writes a header and rows of float columns.
-func WriteCSV(w io.Writer, header []string, rows [][]float64) error {
-	if _, err := fmt.Fprintln(w, strings.Join(header, ",")); err != nil {
-		return err
-	}
-	for _, row := range rows {
-		parts := make([]string, len(row))
-		for i, v := range row {
-			parts[i] = fmt.Sprintf("%g", v)
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(parts, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Plot renders series as a crude ASCII chart: one rune per series, points
 // scaled into a width x height grid. Series may have different lengths;
 // x is the sample index scaled to the longest series.

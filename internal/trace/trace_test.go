@@ -108,18 +108,6 @@ func TestDetectRiseEmpty(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	var sb strings.Builder
-	err := WriteCSV(&sb, []string{"a", "b"}, [][]float64{{1, 2}, {3.5, -4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "a,b\n1,2\n3.5,-4\n"
-	if sb.String() != want {
-		t.Errorf("CSV = %q, want %q", sb.String(), want)
-	}
-}
-
 func TestPlotContainsMarks(t *testing.T) {
 	var sb strings.Builder
 	vals := make([]float64, 50)

@@ -62,9 +62,6 @@ type Peer struct {
 	// Per-syscall timeouts (0 = unbounded), armed by armedConn.
 	readTimeout  atomic.Int64 // time.Duration
 	writeTimeout atomic.Int64
-
-	sentFrames atomic.Int64
-	sentBytes  atomic.Int64
 }
 
 // NewPeer wraps c. The caller owns c's lifetime via Close.
@@ -175,10 +172,7 @@ func (p *Peer) write(kind byte, head, tail []byte) (int, error) {
 			return 0, p.sendErr(err)
 		}
 	}
-	wire := len(head) + len(tail)
-	p.sentFrames.Add(1)
-	p.sentBytes.Add(int64(wire))
-	return wire, nil
+	return len(head) + len(tail), nil
 }
 
 // Flush writes every queued frame to the connection in one write. With
@@ -269,8 +263,3 @@ func (p *Peer) Close() error {
 // from Recv can use it to distinguish a local teardown from a genuine
 // connection fault.
 func (p *Peer) Closed() bool { return p.closed.Load() }
-
-// Sent returns the cumulative frames and wire bytes queued so far.
-func (p *Peer) Sent() (frames, bytes int64) {
-	return p.sentFrames.Load(), p.sentBytes.Load()
-}

@@ -1,27 +1,8 @@
-// Package units defines the reduced Lennard-Jones unit system used by the
-// simulations and conversions to SI for the Argon parameterization quoted in
-// the paper (Heermann, "Computer Simulation Methods in Theoretical Physics").
-//
-// In reduced units: length in sigma, energy in epsilon, mass in particle
-// mass, k_B = 1. Temperature is in epsilon/k_B, time in
-// sigma*sqrt(m/epsilon), density in sigma^-3.
+// Package units holds the paper's run conditions in the reduced
+// Lennard-Jones unit system the simulations use: length in sigma, energy in
+// epsilon, mass in particle mass, k_B = 1. Temperature is in epsilon/k_B,
+// time in sigma*sqrt(m/epsilon), density in sigma^-3.
 package units
-
-import "math"
-
-// Argon Lennard-Jones parameters (the substance used in the paper's runs).
-const (
-	// ArgonSigmaMeters is the LJ length parameter sigma for Argon.
-	ArgonSigmaMeters = 3.405e-10
-	// ArgonEpsilonJoules is the LJ well depth epsilon for Argon.
-	ArgonEpsilonJoules = 1.654017502e-21 // 119.8 K * k_B
-	// ArgonEpsilonKelvin is epsilon/k_B for Argon.
-	ArgonEpsilonKelvin = 119.8
-	// ArgonMassKg is the mass of one Argon atom.
-	ArgonMassKg = 6.633521e-26
-	// BoltzmannJPerK is the Boltzmann constant.
-	BoltzmannJPerK = 1.380649e-23
-)
 
 // Paper run conditions (Section 3.2).
 const (
@@ -39,36 +20,3 @@ const (
 	// back to Tref.
 	PaperRescaleInterval = 50
 )
-
-// ArgonTimeUnitSeconds returns the reduced time unit sigma*sqrt(m/epsilon)
-// for Argon in seconds (about 2.15 ps).
-func ArgonTimeUnitSeconds() float64 {
-	return ArgonSigmaMeters * math.Sqrt(ArgonMassKg/ArgonEpsilonJoules)
-}
-
-// TemperatureToKelvin converts a reduced temperature to Kelvin for Argon.
-func TemperatureToKelvin(tReduced float64) float64 {
-	return tReduced * ArgonEpsilonKelvin
-}
-
-// TemperatureFromKelvin converts Kelvin to reduced temperature for Argon.
-func TemperatureFromKelvin(tKelvin float64) float64 {
-	return tKelvin / ArgonEpsilonKelvin
-}
-
-// LengthToMeters converts a reduced length to meters for Argon.
-func LengthToMeters(lReduced float64) float64 {
-	return lReduced * ArgonSigmaMeters
-}
-
-// DensityToPerM3 converts a reduced density (sigma^-3) to particles per
-// cubic meter for Argon.
-func DensityToPerM3(rhoReduced float64) float64 {
-	s := ArgonSigmaMeters
-	return rhoReduced / (s * s * s)
-}
-
-// EnergyToJoules converts a reduced energy to Joules for Argon.
-func EnergyToJoules(eReduced float64) float64 {
-	return eReduced * ArgonEpsilonJoules
-}

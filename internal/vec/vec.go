@@ -31,15 +31,6 @@ func (v V) Scale(s float64) V { return V{s * v.X, s * v.Y, s * v.Z} }
 // Dot returns the dot product v . w.
 func (v V) Dot(w V) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 
-// Cross returns the cross product v x w.
-func (v V) Cross(w V) V {
-	return V{
-		v.Y*w.Z - v.Z*w.Y,
-		v.Z*w.X - v.X*w.Z,
-		v.X*w.Y - v.Y*w.X,
-	}
-}
-
 // Norm2 returns |v|^2.
 func (v V) Norm2() float64 { return v.Dot(v) }
 
@@ -53,9 +44,6 @@ func (v V) MulAdd(s float64, w V) V {
 
 // Dist returns the Euclidean distance |v - w|.
 func (v V) Dist(w V) float64 { return v.Sub(w).Norm() }
-
-// Dist2 returns the squared Euclidean distance |v - w|^2.
-func (v V) Dist2(w V) float64 { return v.Sub(w).Norm2() }
 
 // IsFinite reports whether all three components are finite numbers.
 func (v V) IsFinite() bool {

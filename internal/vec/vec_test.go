@@ -35,64 +35,10 @@ func TestBasicOps(t *testing.T) {
 	}
 }
 
-func TestCross(t *testing.T) {
-	x, y, z := New(1, 0, 0), New(0, 1, 0), New(0, 0, 1)
-	if got := x.Cross(y); got != z {
-		t.Errorf("x cross y = %v, want z", got)
-	}
-	if got := y.Cross(z); got != x {
-		t.Errorf("y cross z = %v, want x", got)
-	}
-	if got := z.Cross(x); got != y {
-		t.Errorf("z cross x = %v, want y", got)
-	}
-}
-
-// clampComp maps arbitrary float64 inputs into a numerically safe range so
-// intermediate products cannot overflow.
-func clampComp(x float64) float64 {
-	if math.IsNaN(x) {
-		return 0
-	}
-	return math.Mod(x, 1e6)
-}
-
-func TestCrossAnticommutative(t *testing.T) {
-	f := func(ax, ay, az, bx, by, bz float64) bool {
-		a := New(clampComp(ax), clampComp(ay), clampComp(az))
-		b := New(clampComp(bx), clampComp(by), clampComp(bz))
-		c1, c2 := a.Cross(b), b.Cross(a).Scale(-1)
-		return almostEq(c1.X, c2.X, 1e-9*(1+math.Abs(c1.X))) &&
-			almostEq(c1.Y, c2.Y, 1e-9*(1+math.Abs(c1.Y))) &&
-			almostEq(c1.Z, c2.Z, 1e-9*(1+math.Abs(c1.Z)))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCrossOrthogonal(t *testing.T) {
-	f := func(ax, ay, az, bx, by, bz float64) bool {
-		a := New(clampComp(ax), clampComp(ay), clampComp(az))
-		b := New(clampComp(bx), clampComp(by), clampComp(bz))
-		c := a.Cross(b)
-		scale := a.Norm()*b.Norm() + 1
-		return almostEq(c.Dot(a)/scale/scale, 0, 1e-9) &&
-			almostEq(c.Dot(b)/scale/scale, 0, 1e-9)
-	}
-	cfg := &quick.Config{MaxCount: 200}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestDist(t *testing.T) {
 	a, b := New(1, 1, 1), New(4, 5, 1)
 	if got := a.Dist(b); got != 5 {
 		t.Errorf("Dist = %v, want 5", got)
-	}
-	if got := a.Dist2(b); got != 25 {
-		t.Errorf("Dist2 = %v, want 25", got)
 	}
 }
 

@@ -36,7 +36,7 @@ func TestLatticeGasNoOverlap(t *testing.T) {
 	s := sys.Set
 	for i := 0; i < s.Len(); i++ {
 		for j := i + 1; j < s.Len(); j++ {
-			if d := sys.Box.Dist2(s.Pos[i], s.Pos[j]); d < 0.5*0.5 {
+			if d := sys.Box.Displacement(s.Pos[i], s.Pos[j]).Norm2(); d < 0.5*0.5 {
 				t.Fatalf("particles %d,%d overlap: dist %v", i, j, math.Sqrt(d))
 			}
 		}
@@ -83,7 +83,7 @@ func TestBlobGasConcentration(t *testing.T) {
 	rad2 := sys.Box.L.X / 4 * sys.Box.L.X / 4
 	in := 0
 	for _, p := range sys.Set.Pos {
-		if sys.Box.Dist2(p, center) < rad2 {
+		if sys.Box.Displacement(p, center).Norm2() < rad2 {
 			in++
 		}
 	}
@@ -108,7 +108,7 @@ func TestBlobGasMinimumSpacing(t *testing.T) {
 	s := sys.Set
 	for i := 0; i < s.Len(); i++ {
 		for j := i + 1; j < s.Len(); j++ {
-			if d := sys.Box.Dist2(s.Pos[i], s.Pos[j]); d < 0.9*0.9 {
+			if d := sys.Box.Displacement(s.Pos[i], s.Pos[j]).Norm2(); d < 0.9*0.9 {
 				t.Fatalf("blob particles %d,%d too close: %v", i, j, math.Sqrt(d))
 			}
 		}

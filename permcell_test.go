@@ -25,6 +25,12 @@ func TestNewValidatesCoordinates(t *testing.T) {
 	if _, err := permcell.New(1, 4, 0.256); err == nil {
 		t.Error("m=1 accepted")
 	}
+	if _, err := permcell.New(2, 4, 0.256, permcell.WithWells(-3, 1.5)); err == nil {
+		t.Error("negative well count accepted")
+	}
+	if _, err := permcell.New(2, 4, 0.256, permcell.WithWells(2, -1)); err == nil {
+		t.Error("negative well strength accepted")
+	}
 }
 
 func TestRunFacade(t *testing.T) {
@@ -118,5 +124,27 @@ func TestCadenceCheckpointFailureKeepsRecord(t *testing.T) {
 				t.Fatalf("recorded steps %v, want [1 2 3]", steps)
 			}
 		})
+	}
+}
+
+// TestPurePhysicsCondenses keeps the paper's own driver from rotting: with
+// the attractor wells off, the supercooled gas still condenses under
+// periodic rescaling alone, so the empty-cell fraction C0/C rises over the
+// first 2 000 steps of a tiny run.
+func TestPurePhysicsCondenses(t *testing.T) {
+	t.Parallel()
+	res, err := permcell.Run(context.Background(), 3, 4, 0.384, 2000,
+		permcell.WithSeed(1), permcell.WithWells(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	early, late := res.Stats[199], res.Stats[1999]
+	if early.Step != 200 || late.Step != 2000 {
+		t.Fatalf("stats index steps %d and %d, want 200 and 2000", early.Step, late.Step)
+	}
+	t.Logf("C0/C %.3f at step 200, %.3f at step 2000", early.Conc.C0OverC, late.Conc.C0OverC)
+	if rise := late.Conc.C0OverC - early.Conc.C0OverC; rise < 0.1 {
+		t.Errorf("C0/C went from %.3f at step 200 to %.3f at step 2000; want a rise of at least 0.1",
+			early.Conc.C0OverC, late.Conc.C0OverC)
 	}
 }

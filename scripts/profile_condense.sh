@@ -19,7 +19,7 @@ DIR="$(mktemp -d)"
 
 go build -o "$DIR/mdrun" ./cmd/mdrun
 
-ARGS=(-m 3 -p 16 -rho 0.256 -wells 12 -wellk 1.5 -balancer permcell -hyst 0.1
+ARGS=(-m 3 -p 16 -rho 0.256 -wells 12 -wellk 1.5 -balancer 'permcell(h=0.1)'
     -steps "$STEPS" -seed "$SEED" -o /dev/null)
 
 "$DIR/mdrun" "${ARGS[@]}" -cpuprofile "$DIR/chan.pprof"

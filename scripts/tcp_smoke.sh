@@ -27,7 +27,7 @@ det() {
 go build -o "$DATA/bin/" ./cmd/mdrun ./cmd/mdrank
 [[ -x "$DATA/bin/mdrank" ]] || die "mdrank did not build"
 
-ARGS=(-m 2 -p 4 -rho 0.3 -steps 24 -dlb -wells 2 -wellk 1.5 -seed 7)
+ARGS=(-m 2 -p 4 -rho 0.3 -steps 24 -balancer 'permcell(h=0.1)' -wells 2 -wellk 1.5 -seed 7)
 
 "$DATA/bin/mdrun" "${ARGS[@]}" -o "$DATA/chan.csv" \
     2>"$DATA/chan.log" || die "in-process run failed: $(cat "$DATA/chan.log")"
