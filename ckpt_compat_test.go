@@ -146,7 +146,7 @@ func TestRestoreKillResumeCheckpoint(t *testing.T) {
 	spec := experiments.ChaosSpec{
 		RunSpec: experiments.RunSpec{
 			M: 2, P: 4, Rho: 0.256, Steps: 12, Balancer: balance.SFC{Moves: 2}, Seed: 1,
-			WellK: 1.5, BlobFrac: 0.5,
+			WellK: 1.5,
 		},
 		Watchdog: 30 * time.Second,
 	}

@@ -95,6 +95,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-sabotage and -kill-at select different scenarios")
 	case *sabotage == "" && *tcpProcs > 0:
 		return usage("-tcp-procs needs -sabotage kind@step")
+	case *eventsOut != "" && (*sabotage != "" || *killAt > 0):
+		return usage("-events writes the replay scenario's fault log; -kill-at and -sabotage do not replay")
 	}
 
 	fmt.Fprintf(stdout, "chaos: P=%d m=%d rho=%g steps=%d seed=%d shards=%d\n", *p, *m, *rho, *steps, *seed, *shards)
@@ -164,7 +166,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	spec := experiments.ChaosSpec{
 		RunSpec: experiments.RunSpec{
 			M: *m, P: *p, Rho: *rho, Steps: *steps, Balancer: balance.PermanentCell{}, Seed: *seed,
-			WellK: 1.5, BlobFrac: 0.5, Shards: *shards,
+			WellK: 1.5, Shards: *shards,
 		},
 		Plan:     plan,
 		Watchdog: *watchdog,
@@ -185,7 +187,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		hashes[i] = r.TraceHash
 		fmt.Fprintf(stdout, "%s: N=%d C=%d trace %016x in %v; invariants ok every step\n",
 			label, r.Info.N, r.Info.C, r.TraceHash, time.Since(t0).Round(time.Millisecond))
-		fmt.Fprintf(stdout, "  faults: %s\n", faultLine(r.Faults))
+		fmt.Fprintf(stdout, "  faults: %s\n", faultLine(r.Res.Faults))
 		if i == 1 && *eventsOut != "" {
 			err := checkpoint.WriteAtomic(*eventsOut, func(w io.Writer) error {
 				return trace.WriteFaultCSV(w, r.Res.FaultEvents)
@@ -238,7 +240,7 @@ func killResume(stdout, stderr io.Writer, spec experiments.ChaosSpec, killAt int
 		return failed(stderr, err)
 	}
 	fmt.Fprintf(stdout, "kill-resume: N=%d C=%d killed at step %d, recovered from %s in %v\n",
-		r.Info.N, r.Info.C, r.KillAt, r.CkptPath, time.Since(t0).Round(time.Millisecond))
+		r.Info.N, r.Info.C, killAt, r.CkptPath, time.Since(t0).Round(time.Millisecond))
 	fmt.Fprintf(stdout, "  golden faults: %s\n", faultLine(r.GoldenFaults))
 	fmt.Fprintf(stdout, "  resumed faults: %s\n", faultLine(r.ResumedFaults))
 	if !r.Match() {

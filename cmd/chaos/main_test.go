@@ -27,6 +27,8 @@ func TestScenarios(t *testing.T) {
 		{"shot past the horizon", []string{"-sabotage", "panic@99"}, 1, "", "DID NOT FIRE"},
 		{"two scenarios", []string{"-sabotage", "panic@9", "-kill-at", "6"}, 2, "", "different scenarios"},
 		{"tcp without a fault", []string{"-tcp-procs", "2"}, 2, "", "needs -sabotage"},
+		{"events without a replay: kill", []string{"-kill-at", "6", "-events", "f.csv"}, 2, "", "-events"},
+		{"events without a replay: sabotage", []string{"-sabotage", "panic@9", "-events", "f.csv"}, 2, "", "-events"},
 		{"malformed script", []string{"-sabotage", "panic"}, 2, "", "not kind@step"},
 		{"worker kind in-process", []string{"-sabotage", "worker-exit@9"}, 2, "", `"worker-exit"`},
 		{"rank outside the run", []string{"-sabotage", "panic@9", "-sabotage-rank", "4"}, 2, "", "rank 4"},

@@ -3,6 +3,7 @@ package permcell
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"permcell/internal/balance"
 	"permcell/internal/checkpoint"
@@ -129,7 +130,7 @@ func checkTransport(kind string, o Options) error {
 // continuation.
 func start(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine, error) {
 	ckpt := ckptWriter{every: o.ckptEvery, dir: o.ckptDir, meta: meta}
-	var eng coreEngine
+	e := &engine{ckpt: ckpt, onStep: o.onStep, discard: o.discard}
 	var err error
 	switch {
 	case meta.Kind == checkpoint.KindSerial:
@@ -140,36 +141,35 @@ func start(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine,
 		cfg.Metrics = o.metrics
 		var ser *mdserial.Engine
 		ser, err = mdserial.New(cfg, set)
-		eng = &serialCore{eng: ser, onStep: o.onStep, discard: o.discard, statsEvery: max(meta.StatsEvery, 1)}
+		e.eng = &serialCore{eng: ser, onStep: e.record, statsEvery: max(meta.StatsEvery, 1)}
 	case o.transport.Kind == TransportTCP: // launch admitted KindDLB only
-		eng, err = distrib.Start(distrib.WireSpec{
+		e.eng, err = distrib.Start(distrib.WireSpec{
 			Meta: meta, Metrics: o.metrics,
 			Watchdog: o.watchdog, Faults: o.faults, Guard: o.guard,
 			Sabotage: o.sabotage, Restore: st,
 		}, distrib.Config{
 			Procs: o.transport.Procs, Worker: o.transport.Worker, Addr: o.transport.Addr,
-			OnStep: o.onStep, DiscardStats: o.discard,
+			OnStep:          e.record,
 			HeartbeatEvery:  o.transport.HeartbeatEvery,
 			HeartbeatMisses: o.transport.HeartbeatMisses,
 		})
 	default:
-		cfg, sys, _, berr := runspec.Parallel(&meta, st)
+		cfg, sys, berr := runspec.Parallel(&meta, st)
 		if berr != nil {
 			return nil, fmt.Errorf("permcell: %w", berr)
 		}
-		cfg.OnStep = o.onStep
-		cfg.DiscardStats = o.discard
+		cfg.OnStep = e.record
 		cfg.Metrics = o.metrics
 		cfg.Faults = o.faults
 		cfg.Watchdog = o.watchdog
 		cfg.Guard = o.guard
 		cfg.Sabotage = o.sabotage
-		eng, err = core.NewEngine(cfg, sys)
+		e.eng, err = core.NewEngine(cfg, sys)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("permcell: %w", err)
 	}
-	return &engine{eng: eng, ckpt: ckpt}, nil
+	return e, nil
 }
 
 // Run executes steps time steps of the parallel engine and returns the
@@ -228,25 +228,30 @@ type coreEngine interface {
 	Step(n int) error
 	AbsStep() int
 	Snapshot() (*checkpoint.EngineState, error)
-	Stats() []StepStats
 	Finish() (*Result, error)
 }
 
 // engine adapts a backend to the facade interface: the Step contract, the
-// checkpoint cadence and the Stats copy are the same for every kind.
+// checkpoint cadence and the trace are the same for every kind. Backends
+// emit each record through record and keep none.
 type engine struct {
 	eng      coreEngine
 	ckpt     ckptWriter
+	stats    []StepStats
+	onStep   func(StepStats)
+	discard  bool
 	finished bool
 }
 
-// copyStats detaches a stats slice from the engine's internal accumulation
-// (see the Engine interface contract: Stats must not alias live state).
-func copyStats(s []StepStats) []StepStats {
-	if len(s) == 0 {
-		return nil
+// record is every backend's OnStep sink: it keeps the record unless
+// WithDiscardStats is set, then streams it to the WithOnStep hook.
+func (e *engine) record(st StepStats) {
+	if !e.discard {
+		e.stats = append(e.stats, st)
 	}
-	return append([]StepStats(nil), s...)
+	if e.onStep != nil {
+		e.onStep(st)
+	}
 }
 
 func (e *engine) Step(n int) error {
@@ -256,10 +261,9 @@ func (e *engine) Step(n int) error {
 	return e.ckpt.stepWithCheckpoints(e.eng, n)
 }
 
-// Stats returns a copy: every backend's Stats exposes the live slice it
-// appends to, so handing it out uncopied would let a caller alias (and
-// mutate) engine state mid-run.
-func (e *engine) Stats() []StepStats { return copyStats(e.eng.Stats()) }
+// Stats returns a copy, so a caller cannot alias (and mutate) the trace
+// record keeps appending to.
+func (e *engine) Stats() []StepStats { return slices.Clone(e.stats) }
 
 // TransportProcs reports the worker-process count of a tcp-backed engine
 // (0 in-process). The supervisor's rescale policy reads it to pick the
@@ -270,9 +274,15 @@ func (e *engine) TransportProcs() int {
 	}
 	return 0
 }
+
+// Result hands the trace over with the backend's outcome.
 func (e *engine) Result() (*Result, error) {
 	e.finished = true
-	return e.eng.Finish() // idempotent: memoizes its own outcome
+	res, err := e.eng.Finish() // idempotent: memoizes its own outcome
+	if res != nil {
+		res.Stats = e.stats
+	}
+	return res, err
 }
 
 // Checkpoint writes an immediate checkpoint at the current step boundary.
@@ -314,9 +324,7 @@ func NewSerial(nc int, rho float64, opts ...Option) (Engine, error) {
 type serialCore struct {
 	eng        *mdserial.Engine
 	onStep     func(StepStats)
-	discard    bool
 	statsEvery int
-	stats      []StepStats
 	res        *Result
 }
 
@@ -344,12 +352,7 @@ func (e *serialCore) Step(n int) error {
 		}
 		st.Phases.Fold(sample)
 		st.Phases.Finalize(1)
-		if !e.discard {
-			e.stats = append(e.stats, st)
-		}
-		if e.onStep != nil {
-			e.onStep(st)
-		}
+		e.onStep(st)
 	}
 	return nil
 }
@@ -369,14 +372,12 @@ func (e *serialCore) Snapshot() (*checkpoint.EngineState, error) {
 	}, nil
 }
 
-func (e *serialCore) Stats() []StepStats { return e.stats }
-
 func (e *serialCore) Finish() (*Result, error) {
 	if e.res == nil {
 		e.eng.Close()
 		final := e.eng.Set().Clone()
 		final.SortByID()
-		e.res = &Result{Stats: e.stats, Final: final}
+		e.res = &Result{Final: final}
 	}
 	return e.res, nil
 }

@@ -2,48 +2,11 @@ package permcell_test
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"permcell"
-	"permcell/internal/balance"
-	"permcell/internal/experiments"
 )
-
-// TestRunTraceParity pins the facade's Run to the experiments path the
-// figures are generated through: the equivalent experiments.RunSpec run
-// must produce bit-identical per-step statistics and final state.
-func TestRunTraceParity(t *testing.T) {
-	got, err := permcell.Run(context.Background(), 2, 4, 0.256, 20,
-		permcell.WithBalancer(permcell.PermanentCell(permcell.PermanentCellConfig{Hysteresis: 0.1})),
-		permcell.WithSeed(7), permcell.WithWells(3, 1.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, _, err := experiments.RunSpec{
-		M: 2, P: 4, Rho: 0.256, Steps: 20, Balancer: balance.PermanentCell{Hysteresis: 0.1},
-		Seed: 7, Wells: 3, WellK: 1.5, StatsEvery: 1,
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Stats) != len(ref.Stats) {
-		t.Fatalf("stats length %d vs %d", len(got.Stats), len(ref.Stats))
-	}
-	for i := range ref.Stats {
-		a, b := got.Stats[i], ref.Stats[i]
-		if a.Step != b.Step || a.WorkMax != b.WorkMax || a.WorkAve != b.WorkAve ||
-			a.WorkMin != b.WorkMin || a.Moved != b.Moved ||
-			a.TotalEnergy != b.TotalEnergy || a.Temperature != b.Temperature ||
-			a.Conc != b.Conc {
-			t.Fatalf("step %d stats diverged between facade and spec", b.Step)
-		}
-	}
-	for i := range ref.Final.Pos {
-		if got.Final.Pos[i] != ref.Final.Pos[i] || got.Final.Vel[i] != ref.Final.Vel[i] {
-			t.Fatalf("particle %d state differs between facade and spec", ref.Final.ID[i])
-		}
-	}
-}
 
 // TestEngineStepwise exercises the parallel Engine through the facade:
 // batch stepping, incremental stats, and a final Result identical to the
@@ -273,5 +236,23 @@ func TestStatsReturnsCopy(t *testing.T) {
 				t.Fatalf("Result stats corrupted: first step %d, len %d", res.Stats[0].Step, len(res.Stats))
 			}
 		})
+	}
+}
+
+// TestBadTimeStepRejected: a NaN, infinite or negative time step fails
+// construction on every engine kind instead of integrating to NaN.
+func TestBadTimeStepRejected(t *testing.T) {
+	for _, dt := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.005} {
+		opt := permcell.WithDt(dt)
+		for name, build := range map[string]func() (permcell.Engine, error){
+			"parallel": func() (permcell.Engine, error) { return permcell.New(2, 4, 0.2, opt) },
+			"static":   func() (permcell.Engine, error) { return permcell.NewStatic(permcell.ShapePlane, 4, 4, 0.2, opt) },
+			"serial":   func() (permcell.Engine, error) { return permcell.NewSerial(4, 0.2, opt) },
+		} {
+			if eng, err := build(); err == nil {
+				eng.Result()
+				t.Errorf("%s engine accepted dt=%g", name, dt)
+			}
+		}
 	}
 }

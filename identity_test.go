@@ -48,15 +48,21 @@ func builderTrace(t *testing.T, meta *checkpoint.Meta, st *checkpoint.EngineStat
 		}
 		return out
 	}
-	cfg, sys, _, err := runspec.Parallel(meta, st)
+	cfg, sys, err := runspec.Parallel(meta, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(cfg, sys, k)
+	var out []StepStats
+	cfg.OnStep = func(st StepStats) { out = append(out, st) }
+	eng, err := core.NewEngine(cfg, sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Stats
+	defer eng.Finish()
+	if err := eng.Step(k); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestRunIdentityIsOneThing pins the run identity to a single value with a

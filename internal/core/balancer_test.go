@@ -14,7 +14,6 @@ import (
 
 	"permcell/internal/balance"
 	"permcell/internal/space"
-	"permcell/internal/workload"
 )
 
 func coreZoo() map[string]balance.Balancer {
@@ -32,7 +31,7 @@ func TestBalancerZeroNetMomentum(t *testing.T) {
 	l := float64(nc) * 2.5
 	n := int(math.Round(0.3 * l * l * l))
 	rho := float64(n) / (l * l * l)
-	sys, err := workload.BlobGas(n, rho, 0.722, 0.7, 4.0, 31)
+	sys, err := blobGas(n, rho, 0.722, 0.7, 4.0, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +80,7 @@ func TestBalancerLedgerLegality(t *testing.T) {
 	l := float64(nc) * 2.5
 	n := int(math.Round(0.3 * l * l * l))
 	rho := float64(n) / (l * l * l)
-	sys, err := workload.BlobGas(n, rho, 0.722, 0.7, 4.0, 33)
+	sys, err := blobGas(n, rho, 0.722, 0.7, 4.0, 33)
 	if err != nil {
 		t.Fatal(err)
 	}

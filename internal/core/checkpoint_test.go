@@ -27,7 +27,7 @@ func blobSystem(t *testing.T, nc int) (workload.System, space.Grid) {
 	l := float64(nc) * 2.5
 	n := int(math.Round(0.3 * l * l * l))
 	rho := float64(n) / (l * l * l) // box side exactly nc cells
-	sys, err := workload.BlobGas(n, rho, 0.722, 0.5, 4.0, 31)
+	sys, err := blobGas(n, rho, 0.722, 0.5, 4.0, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestSnapshotResumeBitIdenticalDLB(t *testing.T) {
 	cfg.Verify = true
 	const b = 10 // snapshot point; total run is 2b
 
-	golden, err := NewEngine(cfg, sys)
+	golden, err := newTraced(cfg, sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestSnapshotResumeBitIdenticalDLB(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	first, err := NewEngine(cfg, sys)
+	first, err := newTraced(cfg, sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestSnapshotResumeBitIdenticalDLB(t *testing.T) {
 	// bit-identical to the golden run's tail.
 	rcfg := cfg
 	rcfg.Restore = st
-	resumed, err := NewEngine(rcfg, sys)
+	resumed, err := newTraced(rcfg, sys)
 	if err != nil {
 		t.Fatal(err)
 	}

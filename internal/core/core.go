@@ -47,7 +47,6 @@ import (
 	"permcell/internal/space"
 	"permcell/internal/supervise"
 	"permcell/internal/trace"
-	"permcell/internal/workload"
 )
 
 // Config describes one parallel run.
@@ -85,7 +84,8 @@ type Config struct {
 	// differ between shard counts, so the value is part of the run identity
 	// (trace headers record it).
 	Shards int
-	// OnStep, when non-nil, is invoked on rank 0 with each step's stats.
+	// OnStep, when non-nil, is invoked on rank 0 with each step's stats:
+	// the one way records leave the engine, which keeps none.
 	OnStep func(StepStats)
 	// StatsEvery controls how often concentration stats are computed
 	// (they cost one small allgather; default 1 = every step). Negative
@@ -96,10 +96,6 @@ type Config struct {
 	// reduced into StepStats.Phases. Off, the PEs carry a nil timer and
 	// pay one pointer test per phase boundary.
 	Metrics bool
-	// DiscardStats drops the per-step records from the Result after the
-	// OnStep hook has seen them, so long streaming runs stay O(1) in
-	// memory.
-	DiscardStats bool
 
 	// Faults, when non-nil, runs the whole exchange under the comm
 	// fault-injection plan (chaos testing): delivery is jittered and
@@ -112,7 +108,8 @@ type Config struct {
 	// Verify enables per-step protocol invariant checks: per-PE ledger
 	// invariants (permanent columns at home, hosts within the up-left
 	// set, C' bound) plus the global checks — every column hosted exactly
-	// once and the particle count conserved. Chaos runs set this.
+	// once and the particle count conserved. A ledger run under Faults
+	// turns it on by itself, so every fault-plan run is checked every step.
 	Verify bool
 	// Guard, when non-nil, runs the cheap runtime physics guards at the
 	// stats cadence: finite positions/velocities, particle conservation and
@@ -229,6 +226,7 @@ func (s StepStats) BoundResidual(m int) float64 {
 
 // Result is the outcome of a run.
 type Result struct {
+	// Stats is the trace a driver collected through Config.OnStep.
 	Stats []StepStats
 	// Final is the end state gathered from all PEs, sorted by particle ID.
 	Final *particle.Set
@@ -353,19 +351,4 @@ func restoreHosts(layout dlb.Layout, st *checkpoint.EngineState) (map[int]int, e
 		}
 	}
 	return hosts, nil
-}
-
-// Run executes steps time steps of the configured parallel simulation on
-// the given system and returns the per-step statistics and final state: one
-// Engine batch, torn down on failure. The input system is not modified.
-func Run(cfg Config, sys workload.System, steps int) (*Result, error) {
-	e, err := NewEngine(cfg, sys)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.Step(steps); err != nil {
-		e.Finish() // best-effort release of the ranks; the Step error is the outcome
-		return nil, err
-	}
-	return e.Finish()
 }

@@ -152,7 +152,7 @@ func TestDLBMovesColumnsUnderImbalance(t *testing.T) {
 	l := float64(nc) * 2.5
 	n := int(math.Round(0.3 * l * l * l))
 	rho := float64(n) / (l * l * l) // box side exactly nc cells
-	sys, err := workload.BlobGas(n, rho, 0.722, 0.7, 4.0, 23)
+	sys, err := blobGas(n, rho, 0.722, 0.7, 4.0, 23)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestHeadlineDLBBeatsDDM(t *testing.T) {
 	n := int(math.Round(0.3 * l * l * l))
 	rho := float64(n) / (l * l * l) // box side exactly nc cells
 	mk := func() workload.System {
-		sys, err := workload.BlobGas(n, rho, 0.722, 0.5, 4.0, 31)
+		sys, err := blobGas(n, rho, 0.722, 0.5, 4.0, 31)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,7 +35,6 @@ type Engine struct {
 	runDone chan struct{}
 	batch   chan struct{} // in-flight command completion (kept for salvage)
 	stepped int
-	taken   int // stats records already handed out by TakeStats
 	err     error
 	done    bool
 	finRes  *Result
@@ -66,7 +65,7 @@ func NewEngine(cfg Config, sys workload.System) (*Engine, error) {
 // local ranks are spawned, over a partial comm world whose other ranks are
 // reached through remote. The step-0 force computation already communicates
 // across blocks. Final is gathered on the block hosting rank 0, which is
-// also the only block whose TakeStats returns records.
+// also the only block whose OnStep fires.
 func NewPartial(cfg Config, sys workload.System, local []int, remote comm.Remote) (*Engine, error) {
 	return newEngine(cfg, sys, local, remote)
 }
@@ -81,6 +80,7 @@ func newEngine(cfg Config, sys workload.System, local []int, remote comm.Remote)
 	if cfg.StatsEvery <= 0 {
 		cfg.StatsEvery = 1
 	}
+	cfg.Verify = cfg.Verify || cfg.Faults != nil && cfg.Decomp == nil
 	var layout dlb.Layout
 	var hosts map[int]int
 	if cfg.Decomp == nil {
@@ -285,21 +285,6 @@ func (e *Engine) Snapshot() (*checkpoint.EngineState, error) {
 	return st, nil
 }
 
-// Stats returns the per-step records collected so far (empty when
-// cfg.DiscardStats is set). The slice is live: it must only be read
-// between Step calls, while the PEs are idle, and grows with each batch.
-func (e *Engine) Stats() []StepStats { return e.res.Stats }
-
-// TakeStats returns a copy of the step records appended since the last
-// call. Only the block hosting rank 0 ever returns records (rank 0 folds
-// the census); a multi-process coordinator stitches them into the global
-// trace.
-func (e *Engine) TakeStats() []StepStats {
-	out := append([]StepStats(nil), e.res.Stats[e.taken:]...)
-	e.taken = len(e.res.Stats)
-	return out
-}
-
 // Finish releases the PE goroutines, gathers the final global state and
 // returns the completed Result. Finish is idempotent: repeated calls return
 // the same (Result, error) pair.
@@ -309,9 +294,9 @@ func (e *Engine) TakeStats() []StepStats {
 // outlasted one watchdog period, and the ranks usually drain the batch once
 // the stall clears. Finish waits for the in-flight batch and the shutdown
 // under an extended grace (10x the watchdog); on recovery it returns the
-// partial Result together with the original Step error, so callers can keep
-// the statistics collected before the failure. Only a true deadlock (the
-// grace also expires) returns a nil Result, leaving the rank goroutines
+// partial Result together with the original Step error, so callers keep the
+// final state and counters next to the records OnStep delivered. Only a true
+// deadlock (the grace also expires) returns a nil Result, leaving the rank goroutines
 // blocked — they cannot be preempted, exactly as after MPI_Abort.
 func (e *Engine) Finish() (*Result, error) {
 	if e.done {

@@ -74,7 +74,7 @@ func TestEngineStatsBetweenBatches(t *testing.T) {
 	sys, g := testSystem(t, 4, 0.256, 42)
 	cfg := baseConfig(g, 4)
 	cfg.Watchdog = time.Minute // exercise the batch-scoped watchdog path
-	eng, err := NewEngine(cfg, sys)
+	eng, err := newTraced(cfg, sys)
 	if err != nil {
 		t.Fatal(err)
 	}

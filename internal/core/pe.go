@@ -212,7 +212,7 @@ func (p *pe) init() {
 // is attributed to one metrics phase, so the phase breakdown sums to the
 // whole-step wall time; the census gather itself and the Verify
 // collectives run after the wall snapshot and stay outside the taxonomy.
-func (p *pe) oneStep(step int, res *Result) {
+func (p *pe) oneStep(step int) {
 	if s := p.cfg.Sabotage; s != nil && s.Kind == supervise.SabotagePanic && s.TryFire(step, p.c.Rank()) {
 		panic(fmt.Sprintf("core: rank %d: injected sabotage panic at step %d", p.c.Rank(), step))
 	}
@@ -251,7 +251,7 @@ func (p *pe) oneStep(step int, res *Result) {
 		s.TryFire(step, p.c.Rank()) && p.set.Len() > 0 {
 		p.set.Vel[0].X = math.NaN()
 	}
-	p.collectStats(step, time.Since(t0).Seconds(), res)
+	p.collectStats(step, time.Since(t0).Seconds())
 	if p.cfg.Verify {
 		p.verifyStep(step)
 	}
@@ -278,7 +278,7 @@ func (p *pe) runStepwise(cmd <-chan int, ack chan<- struct{}, res *Result, snap 
 		}
 		for i := 0; i < n; i++ {
 			step++
-			p.oneStep(step, res)
+			p.oneStep(step)
 		}
 		// Deliver anything the fault layer held back before going idle: a
 		// message held across the ack would strand a peer still receiving
@@ -633,10 +633,10 @@ func (p *pe) rescale() {
 }
 
 // collectStats gathers the per-PE census and, on rank 0, folds it into the
-// run result. The phase sample is taken (and the timer reset) every step so
+// step's record and hands that to Config.OnStep. The phase sample is taken (and the timer reset) every step so
 // a sample never spans steps; on skipped steps it is simply dropped, like
 // the rest of the per-step snapshot quantities.
-func (p *pe) collectStats(step int, stepWall float64, res *Result) {
+func (p *pe) collectStats(step int, stepWall float64) {
 	sample := p.tm.TakeSample()
 	if step%p.cfg.StatsEvery != 0 {
 		return
@@ -711,9 +711,6 @@ func (p *pe) collectStats(step int, stepWall float64, res *Result) {
 	st.SentFrames, st.SentBytes = ts.Frames, ts.Bytes
 	if p.cfg.Guard != nil {
 		p.guardGlobal(step, st.TotalEnergy, totalN)
-	}
-	if !p.cfg.DiscardStats {
-		res.Stats = append(res.Stats, st)
 	}
 	if p.cfg.OnStep != nil {
 		p.cfg.OnStep(st)

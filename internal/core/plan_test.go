@@ -350,7 +350,6 @@ func TestStepAllocsSteadyState(t *testing.T) {
 	const bound = 60
 	sys, g := testSystem(t, 4, 0.3, 7)
 	cfg := staticConfig(t, decomp.SquarePillar, 4, g)
-	cfg.DiscardStats = true
 	e, err := NewEngine(cfg, sys)
 	if err != nil {
 		t.Fatal(err)

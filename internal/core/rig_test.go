@@ -103,22 +103,80 @@ func (r *memRemote) Flush() error { return nil } // Deliver holds nothing back
 
 func (r *memRemote) Stats() (frames, bytes int64) { return r.frames.Load(), 0 }
 
+// collect chains a recorder of the step records into cfg.OnStep, the way
+// the facade keeps the trace: the engines keep none.
+func collect(cfg *Config, into *[]StepStats) {
+	hook := cfg.OnStep
+	cfg.OnStep = func(st StepStats) {
+		*into = append(*into, st)
+		if hook != nil {
+			hook(st)
+		}
+	}
+}
+
+// traced is an all-ranks Engine whose records are collected through
+// OnStep and handed back in the Result on Finish.
+type traced struct {
+	*Engine
+	stats []StepStats
+}
+
+func newTraced(cfg Config, sys workload.System) (*traced, error) {
+	e := &traced{}
+	collect(&cfg, &e.stats)
+	var err error
+	if e.Engine, err = NewEngine(cfg, sys); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// Stats returns the records collected so far.
+func (e *traced) Stats() []StepStats { return e.stats }
+
+func (e *traced) Finish() (*Result, error) {
+	res, err := e.Engine.Finish()
+	if res != nil {
+		res.Stats = e.stats
+	}
+	return res, err
+}
+
+// Run executes steps time steps as one traced batch, torn down on failure.
+// The input system is not modified.
+func Run(cfg Config, sys workload.System, steps int) (*Result, error) {
+	e, err := newTraced(cfg, sys)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.Step(steps); err != nil {
+		e.Finish() // best-effort release of the ranks; the Step error is the outcome
+		return nil, err
+	}
+	return e.Finish()
+}
+
 // rig drives the blocks of one instantiation in lockstep, as the distrib
-// coordinator drives its workers.
+// coordinator drives its workers, and collects the records rank 0 emits.
 type rig struct {
 	blocks  []*Engine
 	remotes []*memRemote // one per block of a split run
+	stats   []StepStats
 }
 
 // start stands the instantiation up on sys.
 func (in instantiation) start(t *testing.T, cfg Config, sys workload.System) *rig {
 	t.Helper()
+	r := &rig{}
+	collect(&cfg, &r.stats)
 	if in.split == 0 {
 		e, err := NewEngine(cfg, sys)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &rig{blocks: []*Engine{e}}
+		r.blocks = []*Engine{e}
+		return r
 	}
 	var lo, hi []int
 	for r := 0; r < in.p; r++ {
@@ -141,7 +199,8 @@ func (in instantiation) start(t *testing.T, cfg Config, sys workload.System) *ri
 	ra.peer, rb.peer = b.World(), a.World()
 	close(ra.attached)
 	close(rb.attached)
-	return &rig{blocks: []*Engine{a, b}, remotes: []*memRemote{ra, rb}}
+	r.blocks, r.remotes = []*Engine{a, b}, []*memRemote{ra, rb}
+	return r
 }
 
 // each runs fn on every block concurrently — the blocks of a split run wait
@@ -188,15 +247,19 @@ func (r *rig) Snapshot() (*checkpoint.EngineState, error) {
 	return st, nil
 }
 
-// Stats returns the records of the block hosting rank 0.
-func (r *rig) Stats() []StepStats { return r.blocks[0].Stats() }
+// Stats returns the records collected so far.
+func (r *rig) Stats() []StepStats { return r.stats }
 
-// Finish finishes every block and returns the rank-0 block's Result.
+// Finish finishes every block and returns the rank-0 block's Result with
+// the collected records.
 func (r *rig) Finish() (*Result, error) {
 	results := make([]*Result, len(r.blocks))
 	err := r.each(func(i int, e *Engine) (err error) {
 		results[i], err = e.Finish()
 		return err
 	})
+	if results[0] != nil {
+		results[0].Stats = r.stats
+	}
 	return results[0], err
 }

@@ -162,7 +162,7 @@ func TestSnapshotResumeBitIdenticalStatic(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			eng, err := NewEngine(cfg, sys)
+			eng, err := newTraced(cfg, sys)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,7 +193,7 @@ func TestSnapshotResumeBitIdenticalStatic(t *testing.T) {
 
 			rcfg := cfg
 			rcfg.Restore = st
-			resumed, err := NewEngine(rcfg, sys)
+			resumed, err := newTraced(rcfg, sys)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,7 +16,6 @@ import (
 	"permcell/internal/space"
 	"permcell/internal/transport"
 	"permcell/internal/vec"
-	"permcell/internal/workload"
 )
 
 // The data plane used to cross the tcp transport inside a gob envelope.
@@ -252,7 +251,7 @@ func TestPayloadCodecCoversProtocol(t *testing.T) {
 	nc := 9
 	l := float64(nc) * 2.5
 	n := int(math.Round(0.3 * l * l * l))
-	sys, err := workload.BlobGas(n, float64(n)/(l*l*l), 0.722, 0.7, 4.0, 31)
+	sys, err := blobGas(n, float64(n)/(l*l*l), 0.722, 0.7, 4.0, 31)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,10 +28,9 @@ type Config struct {
 	Worker string
 	// Addr is the coordinator listen address; default "127.0.0.1:0".
 	Addr string
-	// OnStep streams each assembled step record; DiscardStats drops them
-	// after streaming instead of accumulating the trace.
-	OnStep       func(core.StepStats)
-	DiscardStats bool
+	// OnStep receives each assembled step record (required); the engine
+	// keeps none.
+	OnStep func(core.StepStats)
 
 	// HeartbeatEvery is the heartbeat send interval on every
 	// coordinator<->worker link; HeartbeatMisses is the miss budget. A
@@ -61,24 +60,21 @@ const (
 const shutdownGrace = 2 * time.Second
 
 // Engine drives W worker processes in lockstep and presents the same
-// stepwise surface as core.Engine: Step, AbsStep, Snapshot, Stats,
-// Finish. Data frames between workers are forwarded through the
-// coordinator by header only (star topology, payloads opaque). Not safe
-// for concurrent use.
+// stepwise surface as core.Engine: Step, AbsStep, Snapshot, Finish. Data
+// frames between workers are forwarded through the coordinator by header
+// only (star topology, payloads opaque). Not safe for concurrent use.
 type Engine struct {
-	spec    WireSpec
-	peers   []*transport.Peer
-	acks    []*controlIn // proc -> its link's control stream, read by collect
-	procOf  []int        // rank -> hosting proc
-	ranks   [][]int      // proc -> hosted rank block
-	last    []frameLog
-	ctrl    chan ctrlFrame
-	fatal   chan error
-	cmds    []*exec.Cmd
-	reaped  []chan error // closed by the exit watcher once cmd.Wait returns
-	stats   []core.StepStats
-	onStep  func(core.StepStats)
-	discard bool
+	spec   WireSpec
+	peers  []*transport.Peer
+	acks   []*controlIn // proc -> its link's control stream, read by collect
+	procOf []int        // rank -> hosting proc
+	ranks  [][]int      // proc -> hosted rank block
+	last   []frameLog
+	ctrl   chan ctrlFrame
+	fatal  chan error
+	cmds   []*exec.Cmd
+	reaped []chan error // closed by the exit watcher once cmd.Wait returns
+	onStep func(core.StepStats)
 
 	hbEvery time.Duration
 	hbStop  chan struct{}
@@ -140,7 +136,6 @@ func Start(spec WireSpec, cfg Config) (*Engine, error) {
 		ctrl:    make(chan ctrlFrame, 4*w),
 		fatal:   make(chan error, w),
 		onStep:  cfg.OnStep,
-		discard: cfg.DiscardStats,
 		hbEvery: hbEvery,
 		hbStop:  make(chan struct{}),
 	}
@@ -408,11 +403,11 @@ func collect[A any](e *Engine, kind byte, fold func(*A) error) error {
 	return nil
 }
 
-// Step advances every worker by n steps in lockstep, stitches the new
-// rank-0 records into the global trace, and overwrites their transport
-// counters with the sum over all processes — making the trace identical
-// to a single-process run of the same seed (transport counters excluded;
-// they are transport-dependent by construction).
+// Step advances every worker by n steps in lockstep and hands the new
+// rank-0 records to OnStep with their transport counters overwritten by the
+// sum over all processes — making the trace identical to a single-process
+// run of the same seed (transport counters excluded; they are
+// transport-dependent by construction).
 func (e *Engine) Step(n int) error {
 	if e.err != nil {
 		return e.err
@@ -449,12 +444,7 @@ func (e *Engine) Step(n int) error {
 	for _, st := range records {
 		st.SentFrames = sum.Frames
 		st.SentBytes = sum.Bytes
-		if e.onStep != nil {
-			e.onStep(st)
-		}
-		if !e.discard {
-			e.stats = append(e.stats, st)
-		}
+		e.onStep(st)
 	}
 	e.stepped += n
 	return nil
@@ -466,14 +456,6 @@ func (e *Engine) AbsStep() int { return e.base + e.stepped }
 // Procs returns the number of worker processes the engine is running on.
 // The supervisor's rescale policy reads it to pick the survivor count.
 func (e *Engine) Procs() int { return len(e.peers) }
-
-// Stats returns a copy of the accumulated step records; mutating it does
-// not affect the engine's trace.
-func (e *Engine) Stats() []core.StepStats {
-	out := make([]core.StepStats, len(e.stats))
-	copy(out, e.stats)
-	return out
-}
 
 // Snapshot assembles a full checkpoint from the per-worker frame sets at
 // the current batch boundary. The comm counters continue the restored
@@ -537,7 +519,7 @@ func (e *Engine) Finish() (*core.Result, error) {
 		e.finErr = err
 		return nil, err
 	}
-	res := &core.Result{M: e.spec.Meta.M, Stats: e.stats}
+	res := &core.Result{M: e.spec.Meta.M}
 	res.CommMsgs, res.CommBytes = e.baseMsgs, e.baseBytes
 	e.finErr = collect(e, transport.KindResultAck, func(ack *ResultAck) error {
 		if ack.Err != "" {

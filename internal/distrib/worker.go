@@ -118,7 +118,10 @@ func RunWorker(conn net.Conn) error {
 		return peer.Send(transport.Frame{Kind: kind, Payload: payload})
 	}
 
-	part, err := newPartialFromSpec(&spec, peer)
+	// The rank-0 process buffers one batch's records for its step ack;
+	// OnStep fires inside part.Step, so the buffer is read after it.
+	var batch []core.StepStats
+	part, err := newPartialFromSpec(&spec, peer, func(st core.StepStats) { batch = append(batch, st) })
 	if err != nil {
 		// Report the construction failure as the ready ack; the
 		// coordinator fails Start with this message.
@@ -194,12 +197,16 @@ func RunWorker(conn net.Conn) error {
 					}
 				}
 				serr := part.Step(n)
+				// A failed batch ships no records (the coordinator drops
+				// them): a rank may still be appending to the buffer.
+				var records []core.StepStats
 				if serr == nil {
 					done += n
+					records, batch = batch, batch[:0]
 				}
 				ack := StepAck{
 					Proc:      spec.Proc,
-					Stats:     part.TakeStats(),
+					Stats:     records,
 					Transport: world.TransportStats(),
 					Failure:   wireFailure(serr),
 					Err:       errString(serr),
@@ -271,17 +278,17 @@ func fireProcessFault(s *supervise.Sabotage, proc int, conn net.Conn, peer *tran
 
 // newPartialFromSpec builds this process's share of the engine from the
 // shipped run identity, through the same builder the in-process path uses.
-// OnStep and DiscardStats stay unset: step records accumulate in the rank-0
-// process's Result and are shipped to the coordinator, which owns the
-// streaming hooks. The remote must exist before NewPartial so the spawned
-// PEs can send during step-0 force construction; incoming frames buffer in
-// the kernel until the caller's reader goroutine starts draining, moments
-// later.
-func newPartialFromSpec(spec *WireSpec, peer *transport.Peer) (*core.Engine, error) {
-	cfg, sys, _, err := runspec.Parallel(&spec.Meta, spec.Restore)
+// onStep receives the step records (only the process hosting rank 0 emits
+// any); the worker ships them to the coordinator, which owns the trace. The
+// remote must exist before NewPartial so the spawned PEs can send during
+// step-0 force construction; incoming frames buffer in the kernel until the
+// caller's reader goroutine starts draining, moments later.
+func newPartialFromSpec(spec *WireSpec, peer *transport.Peer, onStep func(core.StepStats)) (*core.Engine, error) {
+	cfg, sys, err := runspec.Parallel(&spec.Meta, spec.Restore)
 	if err != nil {
 		return nil, fmt.Errorf("distrib: %w", err)
 	}
+	cfg.OnStep = onStep
 	cfg.Metrics = spec.Metrics
 	cfg.Watchdog = spec.Watchdog
 	cfg.Faults = spec.Faults

@@ -1,15 +1,16 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"path/filepath"
 	"time"
 
+	"permcell"
 	"permcell/internal/checkpoint"
 	"permcell/internal/comm"
-	"permcell/internal/core"
-	"permcell/internal/runspec"
 )
 
 // ChaosSpec runs one condensing DLB-DDM simulation under a comm
@@ -21,50 +22,34 @@ type ChaosSpec struct {
 	RunSpec
 	// Plan is the fault-injection plan (see comm.FaultPlan). Its Seed
 	// drives every injected fault; the RunSpec Seed drives the physics.
-	Plan comm.FaultPlan
+	Plan permcell.FaultPlan
 	// Watchdog is the deadlock-detection timeout (0 = no watchdog).
 	Watchdog time.Duration
 }
 
 // ChaosResult is the outcome of a chaos run.
 type ChaosResult struct {
-	Res  *core.Result
+	Res  *permcell.Result
 	Info SysInfo
-	// Faults counts the faults actually injected.
-	Faults comm.FaultStats
 	// TraceHash fingerprints the deterministic per-step trace.
 	TraceHash uint64
 }
 
-// arm threads the spec's runtime through a built configuration: a private
-// copy of the fault plan, the watchdog, the metrics switch, and Verify
-// asserting the DESIGN.md Section 6 invariants after every step.
-func (s ChaosSpec) arm(cfg *core.Config) {
-	plan := s.Plan
-	cfg.Metrics = s.Metrics
-	cfg.Faults = &plan
-	cfg.Watchdog = s.Watchdog
-	cfg.Verify = true
+// options is the spec's facade options plus the chaos runtime: a private
+// copy of the fault plan (which also arms the per-step protocol check of
+// DESIGN.md Section 6) and the watchdog.
+func (s ChaosSpec) options() []permcell.Option {
+	return append(s.RunSpec.options(), permcell.WithFaultPlan(s.Plan), permcell.WithWatchdog(s.Watchdog))
 }
 
 // Run executes the chaos spec: the full parallel engine with the fault
 // plan threaded through the comm substrate and every step verified.
 func (s ChaosSpec) Run() (*ChaosResult, error) {
-	cfg, sys, info, err := s.Build()
+	res, info, err := s.run(s.options())
 	if err != nil {
 		return nil, err
 	}
-	s.arm(&cfg)
-	res, err := core.Run(cfg, sys, s.Steps)
-	if err != nil {
-		return nil, err
-	}
-	return &ChaosResult{
-		Res:       res,
-		Info:      info,
-		Faults:    res.Faults,
-		TraceHash: TraceHash(res.Stats),
-	}, nil
+	return &ChaosResult{Res: res, Info: info, TraceHash: TraceHash(res.Stats)}, nil
 }
 
 // TraceHash fingerprints the deterministic fields of a per-step trace with
@@ -72,7 +57,7 @@ func (s ChaosSpec) Run() (*ChaosResult, error) {
 // observables and the concentration census. Wall-clock fields are excluded
 // — they vary run to run (and chaos runs perturb them on purpose), while
 // everything hashed here must replay exactly from the seeds.
-func TraceHash(stats []core.StepStats) uint64 {
+func TraceHash(stats []permcell.StepStats) uint64 {
 	h := fnv.New64a()
 	buf := make([]byte, 8)
 	wi := func(v uint64) {
@@ -101,8 +86,6 @@ func TraceHash(stats []core.StepStats) uint64 {
 // KillResumeResult is the outcome of the kill-and-recover scenario.
 type KillResumeResult struct {
 	Info SysInfo
-	// KillAt is the step the run was hard-stopped at.
-	KillAt int
 	// CkptPath is the checkpoint file the recovery loaded.
 	CkptPath string
 	// GoldenHash fingerprints the uninterrupted run's full trace;
@@ -112,6 +95,8 @@ type KillResumeResult struct {
 	// GoldenFaults/ResumedFaults count the faults injected into the golden
 	// run and into the two interrupted sessions combined.
 	GoldenFaults, ResumedFaults comm.FaultStats
+	// Resumed is the interrupted prefix followed by the recovered tail.
+	Resumed []permcell.StepStats
 }
 
 // Match reports whether the recovered trace equals the uninterrupted one.
@@ -135,62 +120,44 @@ func (s ChaosSpec) KillResume(killAt int, dir string) (*KillResumeResult, error)
 	}
 
 	// Interrupted session: killAt steps, one checkpoint, hard stop.
-	cfg, sys, info, err := s.Build()
-	if err != nil {
-		return nil, err
-	}
-	s.arm(&cfg)
-	eng, err := core.NewEngine(cfg, sys)
+	eng, err := permcell.New(s.M, s.P, s.Rho, append(s.options(), permcell.WithCheckpoint(0, dir))...)
 	if err != nil {
 		return nil, err
 	}
 	if err := eng.Step(killAt); err != nil {
-		eng.Finish()
+		eng.Result()
 		return nil, fmt.Errorf("experiments: interrupted run: %w", err)
 	}
-	st, err := eng.Snapshot()
-	if err != nil {
-		eng.Finish()
-		return nil, fmt.Errorf("experiments: snapshot: %w", err)
-	}
-	prefix := append([]core.StepStats(nil), eng.Stats()...)
-	meta := s.Meta()
-	meta.Step, meta.CommMsgs, meta.CommBytes = st.Step, st.CommMsgs, st.CommBytes
-	path, err := checkpoint.Save(dir, &meta, st.Frames)
-	if err != nil {
-		eng.Finish()
+	if err := permcell.CheckpointNow(eng); err != nil {
+		eng.Result()
 		return nil, err
 	}
-	res1, err := eng.Finish() // release the goroutines; state is discarded
+	res1, err := eng.Result() // release the goroutines; state is discarded
 	if err != nil {
 		return nil, fmt.Errorf("experiments: interrupted teardown: %w", err)
 	}
 
 	// Recovery: everything the resumed session knows about the run comes
 	// from the file — the identity in its header, the state in its frames.
-	// Only the chaos runtime (plan, watchdog, Verify) is the spec's.
-	meta2, frames, err := checkpoint.Load(path)
+	// Restore ignores the spec's physics options and applies its runtime
+	// (plan, watchdog, metrics); the balancer it checks against the header.
+	eng, err = permcell.Restore(dir, s.options()...)
 	if err != nil {
 		return nil, err
 	}
-	cfg2, sys2, _, err := runspec.Parallel(meta2, meta2.State(frames))
-	if err != nil {
-		return nil, err
-	}
-	s.arm(&cfg2)
-	res2, err := core.Run(cfg2, sys2, s.Steps-killAt)
+	res2, err := permcell.RunEngine(context.Background(), eng, s.Steps-killAt)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: recovered run: %w", err)
 	}
 
-	combined := append(prefix, res2.Stats...)
+	combined := append(res1.Stats, res2.Stats...)
 	faults := res1.Faults
 	faults.Delays += res2.Faults.Delays
 	faults.Reorders += res2.Faults.Reorders
 	faults.Stalls += res2.Faults.Stalls
 	return &KillResumeResult{
-		Info: info, KillAt: killAt, CkptPath: path,
+		Info: golden.Info, CkptPath: filepath.Join(dir, checkpoint.LatestName),
 		GoldenHash: golden.TraceHash, ResumedHash: TraceHash(combined),
-		GoldenFaults: golden.Faults, ResumedFaults: faults,
+		GoldenFaults: golden.Res.Faults, ResumedFaults: faults, Resumed: combined,
 	}, nil
 }

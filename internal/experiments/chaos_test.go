@@ -4,16 +4,16 @@ import (
 	"testing"
 	"time"
 
+	"permcell"
 	"permcell/internal/balance"
 	"permcell/internal/comm"
-	"permcell/internal/core"
 )
 
 func tinyChaosSpec() ChaosSpec {
 	return ChaosSpec{
 		RunSpec: RunSpec{
 			M: 2, P: 4, Rho: 0.256, Steps: 30, Balancer: balance.PermanentCell{}, Seed: 1,
-			WellK: 1.5, BlobFrac: 0.5,
+			WellK: 1.5,
 		},
 		Plan: comm.FaultPlan{
 			Seed:         42,
@@ -43,8 +43,11 @@ func TestChaosReplaySameTrace(t *testing.T) {
 	if a.TraceHash != b.TraceHash {
 		t.Fatalf("trace hashes differ across replays: %x vs %x", a.TraceHash, b.TraceHash)
 	}
-	if a.Faults == (comm.FaultStats{}) {
+	if a.Res.Faults == (comm.FaultStats{}) {
 		t.Error("chaos plan injected no faults")
+	}
+	if movedCols(a.Res.Stats) == 0 {
+		t.Error("chaos run moved no columns: no transfer ran under faults")
 	}
 }
 
@@ -88,8 +91,8 @@ func TestChaosFaultFreeMatchesPlainRun(t *testing.T) {
 	if info != chaos.Info {
 		t.Errorf("system info differs: %+v vs %+v", info, chaos.Info)
 	}
-	if chaos.Faults != (comm.FaultStats{}) {
-		t.Errorf("fault-free plan injected faults: %+v", chaos.Faults)
+	if chaos.Res.Faults != (comm.FaultStats{}) {
+		t.Errorf("fault-free plan injected faults: %+v", chaos.Res.Faults)
 	}
 	if got, want := chaos.TraceHash, TraceHash(plain.Stats); got != want {
 		t.Fatalf("fault-free chaos trace differs from plain run: %x vs %x", got, want)
@@ -99,13 +102,23 @@ func TestChaosFaultFreeMatchesPlainRun(t *testing.T) {
 // TestTraceHashIgnoresWallTime pins the contract that lets chaos replays
 // compare equal: wall-clock fields do not contribute to the hash.
 func TestTraceHashIgnoresWallTime(t *testing.T) {
-	stats := []core.StepStats{{Step: 1, WorkMax: 10, WallMax: 1.5, StepWallMax: 2}}
-	perturbed := []core.StepStats{{Step: 1, WorkMax: 10, WallMax: 9.9, StepWallMax: 7}}
+	stats := []permcell.StepStats{{Step: 1, WorkMax: 10, WallMax: 1.5, StepWallMax: 2}}
+	perturbed := []permcell.StepStats{{Step: 1, WorkMax: 10, WallMax: 9.9, StepWallMax: 7}}
 	if TraceHash(stats) != TraceHash(perturbed) {
 		t.Error("wall-time fields leak into the trace hash")
 	}
-	changed := []core.StepStats{{Step: 1, WorkMax: 11, WallMax: 1.5, StepWallMax: 2}}
+	changed := []permcell.StepStats{{Step: 1, WorkMax: 11, WallMax: 1.5, StepWallMax: 2}}
 	if TraceHash(stats) == TraceHash(changed) {
 		t.Error("work fields do not affect the trace hash")
 	}
+}
+
+// movedCols sums the columns a trace's balancer moved: a chaos scenario
+// that moves none never runs a transfer under faults.
+func movedCols(stats []permcell.StepStats) int {
+	n := 0
+	for _, st := range stats {
+		n += st.Moved
+	}
+	return n
 }

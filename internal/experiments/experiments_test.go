@@ -19,7 +19,7 @@ func TestRunSpecValidation(t *testing.T) {
 }
 
 func TestRunSpecSizes(t *testing.T) {
-	_, _, info, err := (RunSpec{M: 2, P: 16, Rho: 0.256, Steps: 1}).Build()
+	info, err := (RunSpec{M: 2, P: 16, Rho: 0.256, Steps: 1}).info()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestRunSpecSizes(t *testing.T) {
 	// C=1728 and N=8000 at rho=0.256... rho*L^3 = 0.256*(12*2.5)^3 = 6912.
 	// (The paper's N=8000 corresponds to its own lattice setup; our density
 	// fixes N = rho*V.) Verify the geometric part only.
-	_, _, info36, err := (RunSpec{M: 2, P: 36, Rho: 0.256, Steps: 1}).Build()
+	info36, err := (RunSpec{M: 2, P: 36, Rho: 0.256, Steps: 1}).info()
 	if err != nil {
 		t.Fatal(err)
 	}

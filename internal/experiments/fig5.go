@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"permcell/internal/core"
+	"permcell"
 	"permcell/internal/trace"
 )
 
@@ -24,7 +24,7 @@ type Fig5Result struct {
 
 // condensePair runs the same condensing system once without and once with
 // DLB.
-func condensePair(pr Preset, m, p int, rho float64, steps int, seed uint64) (ddm, dlbRes *core.Result, info SysInfo, err error) {
+func condensePair(pr Preset, m, p int, rho float64, steps int, seed uint64) (ddm, dlbRes *permcell.Result, info SysInfo, err error) {
 	ddm, info, err = pr.spec(m, p, rho, steps, nil, seed).Run()
 	if err != nil {
 		return nil, nil, info, err

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"permcell/internal/core"
+	"permcell"
 	"permcell/internal/trace"
 )
 
@@ -15,7 +15,7 @@ type ForceSeries struct {
 	Tt, Fmax, Fave, Fmin []float64
 }
 
-func forceSeries(res *core.Result) ForceSeries {
+func forceSeries(res *permcell.Result) ForceSeries {
 	var s ForceSeries
 	for _, st := range res.Stats {
 		s.Steps = append(s.Steps, st.Step)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"permcell/internal/core"
+	"permcell"
 	"permcell/internal/trace"
 )
 
@@ -26,7 +26,7 @@ type Fig9Result struct {
 
 // detectBoundary applies the Section 4.2 criterion to a DLB run: the step
 // at which the (Fmax-Fmin)/Fave imbalance begins a sustained rise.
-func detectBoundary(stats []core.StepStats) int {
+func detectBoundary(stats []permcell.StepStats) int {
 	imb := make([]float64, len(stats))
 	for i, st := range stats {
 		imb[i] = st.Imbalance()

@@ -28,6 +28,9 @@ func TestKillResumeIdenticalTrace(t *testing.T) {
 			if r.ResumedFaults.Delays+r.ResumedFaults.Reorders == 0 {
 				t.Error("kill-resume sessions saw no injected faults")
 			}
+			if movedCols(r.Resumed) == 0 {
+				t.Error("kill-resume sessions moved no columns: no transfer ran under faults")
+			}
 			meta, _, err := checkpoint.Load(r.CkptPath)
 			if err != nil {
 				t.Fatal(err)

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
+	"permcell"
 	"permcell/internal/balance"
-	"permcell/internal/core"
 	"permcell/internal/metrics"
 	"permcell/internal/trace"
 )
@@ -14,7 +14,7 @@ import (
 // per-step imbalance gauges (max/ave load ratio and parallel efficiency)
 // for plain DDM vs DLB-DDM on the same condensing system, plus each run's
 // per-phase wall-time breakdown averaged over the trace. It is built from
-// the metrics layer (core.Config.Metrics) rather than the deterministic
+// the metrics layer (permcell.WithMetrics) rather than the deterministic
 // work census alone, so the phase shares reflect measured time.
 type PhasesResult struct {
 	M, P int
@@ -36,7 +36,7 @@ type PhasesResult struct {
 // imbalance curves and phase breakdowns.
 func Phases(pr Preset, m int, seed uint64) (*PhasesResult, error) {
 	const rho = 0.256
-	run := func(b balance.Balancer) (*core.Result, SysInfo, error) {
+	run := func(b balance.Balancer) (*permcell.Result, SysInfo, error) {
 		spec := pr.spec(m, pr.P, rho, pr.FigSteps, b, seed)
 		spec.Metrics = true
 		return spec.Run()

@@ -123,6 +123,5 @@ func (pr Preset) spec(m, p int, rho float64, steps int, b balance.Balancer, seed
 	return RunSpec{
 		M: m, P: p, Rho: rho, Steps: steps, Balancer: b, Seed: seed,
 		WellK: pr.WellK, Wells: pr.wells(p),
-		StatsEvery: 1,
 	}
 }

@@ -1,24 +1,27 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section (Figs. 5, 6, 9, 10 and Table 1). Each experiment is a
 // function returning a typed result plus a Render method that prints the
-// same rows/series the paper reports.
+// same rows/series the paper reports. Every run goes through the permcell
+// facade, the entry point mdrun, mdserve and the examples use.
 //
 // Substitution note (see DESIGN.md): the paper lets a supercooled Argon gas
 // condense over ~10^4 T3E time steps. Reproducing that wall-clock budget is
 // pointless on a simulated machine, so the condensation is accelerated with
-// a central harmonic well, which produces the same monotone growth of the
-// concentration state (n, C_0/C) that drives every evaluated quantity while
-// exercising the identical DDM/DLB code paths. The pure-physics path (no
-// well) remains available by setting WellK = 0.
+// harmonic attractor wells — the presets scatter 0.75 per PE, at least 3 —
+// that pull the gas into droplets within O(10^2-10^3) steps while
+// exercising the identical DDM/DLB code paths. The wells do not reproduce
+// the pure-physics (n, C_0/C) state: they reach higher C_0/C at larger n
+// than the gas alone does (DESIGN.md, EXPERIMENTS.md), so the figures
+// measure the driver's trajectory. The pure-physics path remains available
+// by setting WellK = 0.
 package experiments
 
 import (
+	"context"
+
+	"permcell"
 	"permcell/internal/balance"
-	"permcell/internal/checkpoint"
-	"permcell/internal/core"
 	"permcell/internal/runspec"
-	"permcell/internal/units"
-	"permcell/internal/workload"
 )
 
 // RunSpec describes one condensing parallel MD run in paper coordinates:
@@ -39,60 +42,42 @@ type RunSpec struct {
 	// Wells is the number of attractor sites scattered through the box
 	// (the droplet nuclei). 0 or 1 places a single central well.
 	Wells int
-	// StatsEvery thins the per-step statistics (default 1).
-	StatsEvery int
 	// Shards is the per-PE force-kernel worker count (<= 1 = serial
 	// kernel). Traces are bit-deterministic per shard count.
 	Shards int
-	// Metrics enables the per-phase timing layer (core.Config.Metrics).
+	// Metrics enables the per-phase timing layer (permcell.WithMetrics).
 	Metrics bool
-	// Dt overrides the integration time step. Zero selects
-	// runspec.DefaultDt; set to units.PaperTimeStep for the literal setup.
-	Dt float64
-	// BlobFrac optionally pre-concentrates a fraction of the particles in
-	// a central blob of width box/6 (0 = uniform lattice start).
-	BlobFrac float64
 }
 
 // SysInfo reports the concrete sizes a spec resolved to.
 type SysInfo = runspec.Info
 
-// Meta writes the spec down as the run identity every engine path builds
-// from and every checkpoint of the run carries. The blob start is not part
-// of it: an identity names the system, not where the particles began.
-func (s RunSpec) Meta() checkpoint.Meta {
-	return checkpoint.Meta{
-		Kind: checkpoint.KindDLB, M: s.M, P: s.P, Rho: s.Rho,
-		Balancer: balance.Encode(s.Balancer), Wells: s.Wells, WellK: s.WellK,
-		Seed: s.Seed, Dt: s.Dt, Shards: s.Shards, StatsEvery: s.StatsEvery,
-	}
+// info resolves the spec's sizes.
+func (s RunSpec) info() (SysInfo, error) {
+	nc, err := runspec.Side(s.M, s.P)
+	return runspec.Sizes(nc, s.Rho), err
 }
 
-// Build constructs the system and engine configuration for the spec: the
-// shared builder's, with the lattice start swapped for the pre-concentrated
-// blob when the spec asks for one.
-func (s RunSpec) Build() (core.Config, workload.System, SysInfo, error) {
-	meta := s.Meta()
-	cfg, sys, info, err := runspec.Parallel(&meta, nil)
-	if err != nil {
-		return core.Config{}, workload.System{}, SysInfo{}, err
+// options translates the spec into facade options.
+func (s RunSpec) options() []permcell.Option {
+	opts := []permcell.Option{
+		permcell.WithBalancer(s.Balancer), permcell.WithSeed(s.Seed),
+		permcell.WithWells(s.Wells, s.WellK), permcell.WithShards(s.Shards),
 	}
-	cfg.Metrics = s.Metrics
-	if s.BlobFrac > 0 {
-		sys, err = workload.BlobGas(info.N, info.RhoUsed, units.PaperTref, s.BlobFrac, info.Box/6, s.Seed)
-		if err != nil {
-			return core.Config{}, workload.System{}, SysInfo{}, err
-		}
+	if s.Metrics {
+		opts = append(opts, permcell.WithMetrics())
 	}
-	return cfg, sys, info, nil
+	return opts
 }
 
-// Run builds and executes the spec.
-func (s RunSpec) Run() (*core.Result, SysInfo, error) {
-	cfg, sys, info, err := s.Build()
+// Run executes the spec through the facade.
+func (s RunSpec) Run() (*permcell.Result, SysInfo, error) { return s.run(s.options()) }
+
+func (s RunSpec) run(opts []permcell.Option) (*permcell.Result, SysInfo, error) {
+	info, err := s.info()
 	if err != nil {
 		return nil, info, err
 	}
-	res, err := core.Run(cfg, sys, s.Steps)
+	res, err := permcell.Run(context.Background(), s.M, s.P, s.Rho, s.Steps, opts...)
 	return res, info, err
 }

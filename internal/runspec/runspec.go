@@ -69,6 +69,18 @@ func Wells(n int, k float64) error {
 	return nil
 }
 
+// TimeStep resolves an identity's integration step: 0 selects DefaultDt;
+// any other value must be positive and finite (NaN integrates silently).
+func TimeStep(dt float64) (float64, error) {
+	if dt == 0 {
+		return DefaultDt, nil
+	}
+	if !(dt > 0) || math.IsInf(dt, 1) {
+		return 0, fmt.Errorf("runspec: time step must be positive and finite, got %g", dt)
+	}
+	return dt, nil
+}
+
 // Sizes resolves a box of nc cells of side r_c per dimension at reduced
 // density rho: N = round(rho * (nc r_c)^3), and the density those N
 // particles actually have.
@@ -114,13 +126,14 @@ func resolve(meta *checkpoint.Meta, st *checkpoint.EngineState) (system, error) 
 	if err == nil {
 		err = Wells(meta.Wells, meta.WellK)
 	}
+	var dt float64
+	if err == nil {
+		dt, err = TimeStep(meta.Dt)
+	}
 	if err != nil {
 		return system{}, err
 	}
-	s := system{info: Sizes(nc, meta.Rho), dt: meta.Dt}
-	if s.dt == 0 {
-		s.dt = DefaultDt
-	}
+	s := system{info: Sizes(nc, meta.Rho), dt: dt}
 	if st == nil {
 		s.sys, err = workload.LatticeGas(s.info.N, s.info.RhoUsed, units.PaperTref, meta.Seed)
 	} else {
@@ -153,10 +166,10 @@ func resolve(meta *checkpoint.Meta, st *checkpoint.EngineState) (system, error) 
 // KindStatic one (a fixed plane/pillar/cube ownership map, no balancer).
 // With st the run resumes from the snapshot and the returned system carries
 // the box only.
-func Parallel(meta *checkpoint.Meta, st *checkpoint.EngineState) (core.Config, workload.System, Info, error) {
+func Parallel(meta *checkpoint.Meta, st *checkpoint.EngineState) (core.Config, workload.System, error) {
 	s, err := resolve(meta, st)
 	if err != nil {
-		return core.Config{}, workload.System{}, Info{}, err
+		return core.Config{}, workload.System{}, err
 	}
 	cfg := core.Config{
 		P: meta.P, Grid: s.grid,
@@ -174,9 +187,9 @@ func Parallel(meta *checkpoint.Meta, st *checkpoint.EngineState) (core.Config, w
 		err = fmt.Errorf("runspec: no parallel engine of kind %q", meta.Kind)
 	}
 	if err != nil {
-		return core.Config{}, workload.System{}, Info{}, err
+		return core.Config{}, workload.System{}, err
 	}
-	return cfg, s.sys, s.info, nil
+	return cfg, s.sys, nil
 }
 
 // Serial builds the serial reference engine of a KindSerial identity: the

@@ -1,6 +1,7 @@
 package runspec
 
 import (
+	"math"
 	"testing"
 
 	"permcell/internal/balance"
@@ -46,12 +47,21 @@ func TestCoordinatesRejected(t *testing.T) {
 		{Kind: checkpoint.KindDLB, M: 2, P: 4, Rho: 0},
 		{Kind: "quantum", NC: 4, P: 4, Rho: 0.256},
 	} {
-		if _, _, _, err := Parallel(&meta, nil); err == nil {
+		if _, _, err := Parallel(&meta, nil); err == nil {
 			t.Errorf("Parallel accepted %+v", meta)
 		}
 	}
 	if _, _, err := Serial(&checkpoint.Meta{Kind: checkpoint.KindSerial, NC: 0, Rho: 0.3}, nil); err == nil {
 		t.Error("Serial accepted nc=0")
+	}
+	for _, dt := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.005} {
+		meta := checkpoint.Meta{Kind: checkpoint.KindDLB, M: 2, P: 4, Rho: 0.256, Dt: dt}
+		if _, _, err := Parallel(&meta, nil); err == nil {
+			t.Errorf("Parallel accepted dt=%g", dt)
+		}
+	}
+	if dt, err := TimeStep(0); err != nil || dt != DefaultDt {
+		t.Errorf("TimeStep(0) = %g, %v; want the default", dt, err)
 	}
 	if nc, err := Side(3, 16); err != nil || nc != 12 {
 		t.Errorf("Side(3, 16) = %d, %v", nc, err)

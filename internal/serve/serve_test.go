@@ -326,6 +326,10 @@ func TestAdmissionControl(t *testing.T) {
 			t.Fatalf("wells=%d well_k=%g: status %d, want 400", bad.Wells, bad.WellK, code)
 		}
 	}
+	// So is a negative time step: it must not reach a worker.
+	if _, code, _ := tryPostRun(t, hs, RunSpec{Kind: KindSerial, NC: 3, Rho: 0.4, Steps: 1, Dt: -0.005}); code != http.StatusBadRequest {
+		t.Fatalf("dt=-0.005: status %d, want 400", code)
+	}
 	// Over the particle cap: 413.
 	if _, code, _ := tryPostRun(t, hs, RunSpec{Kind: KindSerial, NC: 8, Rho: 0.4, Steps: 1}); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized spec: status %d, want 413", code)

@@ -149,6 +149,9 @@ func (s *RunSpec) Validate() error {
 	if err := runspec.Wells(s.Wells, s.WellK); err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
+	if _, err := runspec.TimeStep(s.Dt); err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
 	if s.Balancer != "" {
 		if _, err := permcell.BalancerByName(s.Balancer); err != nil {
 			return fmt.Errorf("serve: %w", err)

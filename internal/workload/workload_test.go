@@ -65,56 +65,6 @@ func TestLatticeGasRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestBlobGasConcentration(t *testing.T) {
-	sys, err := BlobGas(512, 0.256, 0.722, 0.5, 3.0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.Set.Len() != 512 {
-		t.Fatalf("N = %d, want 512", sys.Set.Len())
-	}
-	if err := sys.Set.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Count particles within 1/4 box of the center: must exceed the uniform
-	// expectation (a sphere of radius L/4 holds ~ (4/3)pi/64 ~ 6.5% of the
-	// volume) by a wide margin.
-	center := sys.Box.L.Scale(0.5)
-	rad2 := sys.Box.L.X / 4 * sys.Box.L.X / 4
-	in := 0
-	for _, p := range sys.Set.Pos {
-		if sys.Box.Displacement(p, center).Norm2() < rad2 {
-			in++
-		}
-	}
-	// A uniform gas would put ~(4/3)pi(L/4)^3 / L^3 ~ 6.5% of particles in
-	// that sphere; the blob must at least double that.
-	if frac := float64(in) / 512; frac < 0.13 {
-		t.Errorf("central fraction = %v, want >= 0.13 (~2x uniform)", frac)
-	}
-}
-
-func TestBlobGasRejectsBadFraction(t *testing.T) {
-	if _, err := BlobGas(10, 0.1, 1, 1.5, 1, 1); err == nil {
-		t.Error("concFrac > 1 accepted")
-	}
-}
-
-func TestBlobGasMinimumSpacing(t *testing.T) {
-	sys, err := BlobGas(216, 0.256, 0.722, 1.0, 2.0, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := sys.Set
-	for i := 0; i < s.Len(); i++ {
-		for j := i + 1; j < s.Len(); j++ {
-			if d := sys.Box.Displacement(s.Pos[i], s.Pos[j]).Norm2(); d < 0.9*0.9 {
-				t.Fatalf("blob particles %d,%d too close: %v", i, j, math.Sqrt(d))
-			}
-		}
-	}
-}
-
 func TestDeterministicAcrossSeeds(t *testing.T) {
 	a, _ := LatticeGas(64, 0.3, 0.722, 42)
 	b, _ := LatticeGas(64, 0.3, 0.722, 42)

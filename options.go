@@ -216,7 +216,9 @@ func WithOnStep(fn func(StepStats)) Option { return func(o *Options) { o.onStep 
 func WithDiscardStats() Option { return func(o *Options) { o.discard = true } }
 
 // WithFaultPlan runs all communication under the given deterministic
-// fault-injection plan. Serial engines ignore it.
+// fault-injection plan. On New's column ledger it also verifies the
+// protocol invariants (DESIGN.md section 6) after every step, on either
+// transport. Serial engines ignore it.
 func WithFaultPlan(plan FaultPlan) Option {
 	return func(o *Options) { o.faults = &plan }
 }

@@ -25,8 +25,10 @@ var reachAllow = map[string]string{
 	"internal/mdserial.Engine.Run":         "test driver: core's tests step the serial reference engine with it",
 	"internal/mdserial.Engine.TotalEnergy": "oracle: core's and the facade's tests compare the parallel engines' energy against it",
 	"internal/particle.Set.Temperature":    "oracle: the integrator, workload and facade identity tests check rescaling with it",
+	"internal/space.Box.Displacement":      "oracle: the kernel and mdserial reference force loops and core's blob fixture take minimum-image separations with it",
 	"internal/space.Box.Volume":            "oracle: the space and workload tests and mdserial's pressure oracle read densities with it",
 	"internal/vec.V.Dist":                  "test helper: the kernel, core, integrator and potential tests compare vectors with it",
+	"internal/vec.V.Norm":                  "oracle: the kernel, integrator and particle tests check lengths and momenta with it, core's blob fixture radii",
 }
 
 // TestReachability is the dead-code gate. It type-checks every package of
@@ -36,8 +38,9 @@ var reachAllow = map[string]string{
 // and bench/, init functions, `_` initializers, and the methods of internal
 // types the facade re-exports by alias. A method of a live type is live
 // when any interface declared in the loaded packages, std included, names
-// it. It also holds the one layering rule: the figures package builds on
-// the runtime and never under it.
+// it. It also holds the layering rule: the figures package builds on the
+// runtime and never under it, and reaches the engines only through the
+// facade.
 func TestReachability(t *testing.T) {
 	t.Parallel()
 	pkgs, mod, err := loadModule(".")
@@ -48,10 +51,18 @@ func TestReachability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, below := range []string{"", "/internal/core", "/internal/distrib", "/internal/serve"} {
-		for _, p := range pkgs {
+	for _, p := range pkgs {
+		for _, below := range []string{"", "/internal/core", "/internal/distrib", "/internal/serve"} {
 			if p.ImportPath == mod+below && slices.Contains(p.Deps, mod+"/internal/experiments") {
 				problems = append(problems, fmt.Sprintf("layering: %s imports internal/experiments; only cmd/ and tests may", p.ImportPath))
+			}
+		}
+		if p.ImportPath != mod+"/internal/experiments" {
+			continue
+		}
+		for _, engine := range []string{"/internal/core", "/internal/distrib", "/internal/workload"} {
+			if slices.Contains(p.Imports, mod+engine) {
+				problems = append(problems, fmt.Sprintf("layering: internal/experiments imports %s; the figures run through the facade", engine[1:]))
 			}
 		}
 	}
@@ -134,6 +145,7 @@ type goPackage struct {
 	Dir        string
 	GoFiles    []string
 	Standard   bool
+	Imports    []string
 	Deps       []string
 	ImportMap  map[string]string
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -341,7 +342,7 @@ func abandon(eng Engine) {
 func (s *supervisedEngine) Stats() []StepStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return copyStats(s.stats)
+	return slices.Clone(s.stats)
 }
 
 func (s *supervisedEngine) Result() (*Result, error) {

@@ -1,4 +1,4 @@
-package permcell
+package permcell_test
 
 import (
 	"errors"
@@ -7,19 +7,20 @@ import (
 	"testing"
 	"time"
 
+	"permcell"
 	"permcell/internal/checkpoint"
 	"permcell/internal/experiments"
 )
 
 // fastPolicy is the test supervision policy: a real retry budget with a
 // negligible backoff so recovery tests stay fast.
-func fastPolicy(retries int) SupervisorPolicy {
-	return SupervisorPolicy{MaxRetries: retries, Backoff: time.Millisecond}
+func fastPolicy(retries int) permcell.SupervisorPolicy {
+	return permcell.SupervisorPolicy{MaxRetries: retries, Backoff: time.Millisecond}
 }
 
 // goldenTrace runs the given engine constructor uninterrupted and returns
 // its trace hash (the deterministic per-step fingerprint).
-func goldenTrace(t *testing.T, mk func(opts ...Option) (Engine, error), steps int) uint64 {
+func goldenTrace(t *testing.T, mk func(opts ...permcell.Option) (permcell.Engine, error), steps int) uint64 {
 	t.Helper()
 	eng, err := mk()
 	if err != nil {
@@ -39,15 +40,15 @@ func goldenTrace(t *testing.T, mk func(opts ...Option) (Engine, error), steps in
 // static-decomposition backend.
 func TestSupervisorStaticEngine(t *testing.T) {
 	const steps = 18
-	mk := func(opts ...Option) (Engine, error) {
-		return NewStatic(ShapeSquarePillar, 4, 4, 0.3, append([]Option{WithSeed(5)}, opts...)...)
+	mk := func(opts ...permcell.Option) (permcell.Engine, error) {
+		return permcell.NewStatic(permcell.ShapeSquarePillar, 4, 4, 0.3, append([]permcell.Option{permcell.WithSeed(5)}, opts...)...)
 	}
 	golden := goldenTrace(t, mk, steps)
 
 	eng, err := mk(
-		WithCheckpoint(6, t.TempDir()),
-		WithSupervisor(fastPolicy(3)),
-		WithSabotage(&Sabotage{Kind: SabotagePanic, Step: 10, Rank: 3}),
+		permcell.WithCheckpoint(6, t.TempDir()),
+		permcell.WithSupervisor(fastPolicy(3)),
+		permcell.WithSabotage(&permcell.Sabotage{Kind: permcell.SabotagePanic, Step: 10, Rank: 3}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +63,7 @@ func TestSupervisorStaticEngine(t *testing.T) {
 	if got := experiments.TraceHash(res.Stats); got != golden {
 		t.Fatalf("recovered trace hash %#x != golden %#x", got, golden)
 	}
-	if rep := SupervisionReport(eng); rep.Rollbacks < 1 {
+	if rep := permcell.SupervisionReport(eng); rep.Rollbacks < 1 {
 		t.Fatalf("no rollback recorded: %+v", rep)
 	}
 }
@@ -71,23 +72,23 @@ func TestSupervisorStaticEngine(t *testing.T) {
 // must degrade the run to a partial Result plus a *RetryBudgetError carrying
 // the structured report — never a process crash.
 func TestSupervisorBudgetExhausted(t *testing.T) {
-	eng, err := New(2, 4, 0.3, WithBalancer(PermanentCell(PermanentCellConfig{})), WithSeed(5),
-		WithCheckpoint(8, t.TempDir()),
-		WithSupervisor(fastPolicy(0)),
-		WithSabotage(&Sabotage{Kind: SabotagePanic, Step: 13, Rank: 1}),
+	eng, err := permcell.New(2, 4, 0.3, permcell.WithBalancer(permcell.PermanentCell(permcell.PermanentCellConfig{})), permcell.WithSeed(5),
+		permcell.WithCheckpoint(8, t.TempDir()),
+		permcell.WithSupervisor(fastPolicy(0)),
+		permcell.WithSabotage(&permcell.Sabotage{Kind: permcell.SabotagePanic, Step: 13, Rank: 1}),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	serr := eng.Step(24)
-	var rbe *RetryBudgetError
+	var rbe *permcell.RetryBudgetError
 	if !errors.As(serr, &rbe) {
 		t.Fatalf("Step error = %v, want *RetryBudgetError", serr)
 	}
 	if !rbe.Report.Exhausted || rbe.Report.RankFailures < 1 {
 		t.Fatalf("report incomplete: %+v", rbe.Report)
 	}
-	var rf *RankFailure
+	var rf *permcell.RankFailure
 	if !errors.As(serr, &rf) {
 		t.Fatalf("budget error does not unwrap to the rank failure: %v", serr)
 	}
@@ -109,23 +110,23 @@ func TestSupervisorBudgetExhausted(t *testing.T) {
 // and still converge to the golden trace.
 func TestSupervisorFallsBackToPrevious(t *testing.T) {
 	const steps = 24
-	mk := func(opts ...Option) (Engine, error) {
-		return New(2, 4, 0.3, append([]Option{WithBalancer(PermanentCell(PermanentCellConfig{})), WithSeed(5)}, opts...)...)
+	mk := func(opts ...permcell.Option) (permcell.Engine, error) {
+		return permcell.New(2, 4, 0.3, append([]permcell.Option{permcell.WithBalancer(permcell.PermanentCell(permcell.PermanentCellConfig{})), permcell.WithSeed(5)}, opts...)...)
 	}
 	golden := goldenTrace(t, mk, steps)
 
 	dir := t.TempDir()
 	var restoredFrom []string
 	pol := fastPolicy(3)
-	pol.OnEvent = func(ev SupervisorEvent) {
+	pol.OnEvent = func(ev permcell.SupervisorEvent) {
 		if ev.Kind == "rollback" {
 			restoredFrom = append(restoredFrom, filepath.Base(ev.Checkpoint))
 		}
 	}
 	eng, err := mk(
-		WithCheckpoint(6, dir),
-		WithSupervisor(pol),
-		WithSabotage(&Sabotage{Kind: SabotagePanic, Step: 15, Rank: 0}),
+		permcell.WithCheckpoint(6, dir),
+		permcell.WithSupervisor(pol),
+		permcell.WithSabotage(&permcell.Sabotage{Kind: permcell.SabotagePanic, Step: 15, Rank: 0}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -162,10 +163,10 @@ func TestSupervisorFallsBackToPrevious(t *testing.T) {
 // TestSupervisorRequiresCheckpointDir: supervision without a rollback target
 // is a configuration error, reported at construction.
 func TestSupervisorRequiresCheckpointDir(t *testing.T) {
-	if _, err := New(2, 4, 0.3, WithSupervisor(fastPolicy(1))); err == nil {
+	if _, err := permcell.New(2, 4, 0.3, permcell.WithSupervisor(fastPolicy(1))); err == nil {
 		t.Fatal("WithSupervisor without WithCheckpoint accepted")
 	}
-	if SupervisionReport(nil) != nil {
+	if permcell.SupervisionReport(nil) != nil {
 		t.Fatal("SupervisionReport(nil) != nil")
 	}
 }
@@ -175,13 +176,13 @@ func TestSupervisorRequiresCheckpointDir(t *testing.T) {
 // matches the golden run.
 func TestRestoreUnderSupervisor(t *testing.T) {
 	const b = 8
-	mk := func(opts ...Option) (Engine, error) {
-		return New(2, 4, 0.3, append([]Option{WithBalancer(PermanentCell(PermanentCellConfig{})), WithSeed(5)}, opts...)...)
+	mk := func(opts ...permcell.Option) (permcell.Engine, error) {
+		return permcell.New(2, 4, 0.3, append([]permcell.Option{permcell.WithBalancer(permcell.PermanentCell(permcell.PermanentCellConfig{})), permcell.WithSeed(5)}, opts...)...)
 	}
 	golden := goldenTrace(t, mk, 2*b)
 
 	dir := t.TempDir()
-	first, err := mk(WithCheckpoint(b, dir))
+	first, err := mk(permcell.WithCheckpoint(b, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,10 +194,10 @@ func TestRestoreUnderSupervisor(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resumed, err := Restore(dir,
-		WithCheckpoint(b, dir),
-		WithSupervisor(fastPolicy(3)),
-		WithSabotage(&Sabotage{Kind: SabotagePanic, Step: b + 3, Rank: 1}),
+	resumed, err := permcell.Restore(dir,
+		permcell.WithCheckpoint(b, dir),
+		permcell.WithSupervisor(fastPolicy(3)),
+		permcell.WithSabotage(&permcell.Sabotage{Kind: permcell.SabotagePanic, Step: b + 3, Rank: 1}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -208,11 +209,11 @@ func TestRestoreUnderSupervisor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	combined := append(append([]StepStats(nil), fRes.Stats...), rRes.Stats...)
+	combined := append(append([]permcell.StepStats(nil), fRes.Stats...), rRes.Stats...)
 	if got := experiments.TraceHash(combined); got != golden {
 		t.Fatalf("combined trace hash %#x != golden %#x", got, golden)
 	}
-	if rep := SupervisionReport(resumed); rep.Rollbacks < 1 {
+	if rep := permcell.SupervisionReport(resumed); rep.Rollbacks < 1 {
 		t.Fatalf("no rollback recorded on resumed run: %+v", rep)
 	}
 }
@@ -222,12 +223,12 @@ func TestRestoreUnderSupervisor(t *testing.T) {
 // unsupervised run (plus an all-zero report).
 func TestSupervisorHealthyRunIsTransparent(t *testing.T) {
 	const steps = 12
-	mk := func(opts ...Option) (Engine, error) {
-		return New(2, 4, 0.3, append([]Option{WithBalancer(PermanentCell(PermanentCellConfig{})), WithSeed(5)}, opts...)...)
+	mk := func(opts ...permcell.Option) (permcell.Engine, error) {
+		return permcell.New(2, 4, 0.3, append([]permcell.Option{permcell.WithBalancer(permcell.PermanentCell(permcell.PermanentCellConfig{})), permcell.WithSeed(5)}, opts...)...)
 	}
 	golden := goldenTrace(t, mk, steps)
 
-	eng, err := mk(WithCheckpoint(6, t.TempDir()), WithSupervisor(fastPolicy(2)))
+	eng, err := mk(permcell.WithCheckpoint(6, t.TempDir()), permcell.WithSupervisor(fastPolicy(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestSupervisorHealthyRunIsTransparent(t *testing.T) {
 	if res.Final == nil {
 		t.Fatal("healthy supervised run lost the final state")
 	}
-	rep := SupervisionReport(eng)
+	rep := permcell.SupervisionReport(eng)
 	if rep.Rollbacks != 0 || rep.RankFailures != 0 || rep.GuardViolations != 0 ||
 		rep.Deadlocks != 0 || rep.Retries != 0 || len(rep.Events) != 0 {
 		t.Fatalf("healthy run has non-zero report: %+v", rep)
