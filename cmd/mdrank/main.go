@@ -9,26 +9,37 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 
 	"permcell/internal/distrib"
 )
 
-func main() {
-	connect := flag.String("connect", "", "coordinator address to dial (host:port)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
+
+// run is mdrank behind a testable seam: it parses args, serves one
+// coordinator connection and returns the process exit code — 2 for a usage
+// error, 1 when the coordinator cannot be reached or the run fails.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mdrank", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	connect := fs.String("connect", "", "coordinator address to dial (host:port)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *connect == "" {
-		fmt.Fprintln(os.Stderr, "mdrank: -connect is required (mdrank is spawned by a coordinator, e.g. mdrun -transport=tcp)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "mdrank: -connect is required (mdrank is spawned by a coordinator, e.g. mdrun -transport=tcp)")
+		return 2
 	}
 	conn, err := net.Dial("tcp", *connect)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mdrank: dial %s: %v\n", *connect, err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "mdrank: dial %s: %v\n", *connect, err)
+		return 1
 	}
 	if err := distrib.RunWorker(conn); err != nil {
-		fmt.Fprintf(os.Stderr, "mdrank: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "mdrank: %v\n", err)
+		return 1
 	}
+	return 0
 }

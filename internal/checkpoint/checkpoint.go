@@ -15,9 +15,9 @@
 // version bump; every Frame section is the fixed little-endian layout of
 // codec.go, which is also the only form a Frame is ever serialised in — gob
 // defers to Frame's MarshalBinary, so the frames inside the tcp control
-// plane's SnapAck and WireSpec are the same bytes. The writer emits the
-// current version only; the reader also takes version 1, whose frame
-// sections were gob. Files are written atomically (tmp + rename) with a
+// plane's SnapAck, WireSpec and ResultAck are the same bytes. The writer
+// emits the current version only; the reader also takes version 1, whose
+// frame sections were gob. Files are written atomically (tmp + rename) with a
 // retained latest/previous pair, so a process crash mid-write or a
 // corrupted latest file never loses the run: the previous checkpoint still
 // loads. Nothing is fsynced: that guarantee does not extend to power loss.

@@ -8,7 +8,9 @@ import (
 	"permcell/internal/comm"
 	"permcell/internal/dlb"
 	"permcell/internal/potential"
+	"permcell/internal/space"
 	"permcell/internal/supervise"
+	"permcell/internal/vec"
 	"permcell/internal/workload"
 )
 
@@ -132,17 +134,33 @@ func newEngine(cfg Config, sys workload.System, local []int, remote comm.Remote)
 	for _, r := range e.local {
 		e.cmd[r] = make(chan int, 1)
 	}
-	// The step-0 force computation communicates, but nothing waits for it
-	// here: the PEs only touch cmd after init, so the first command queues
-	// behind it and its watch covers a hang there too.
+	// The initial cell pass and the step-0 force computation run here, but
+	// nothing waits for them: the PEs only touch cmd after init, so the
+	// first command queues behind both and its watch covers a hang there too.
 	go func() {
 		defer close(e.runDone)
+		var cells []int32
+		if e.cfg.Restore == nil {
+			cells = cellsOf(e.cfg.Grid, sys.Set.Pos)
+		}
 		world.Run(func(c *comm.Comm) {
 			defer e.trap.Catch(c.Rank())
-			newPE(c, &e.cfg, layout, sys, hosts).runStepwise(e.cmd[c.Rank()], e.ack, e.res, e.snap)
+			newPE(c, &e.cfg, layout, sys, cells, hosts).runStepwise(e.cmd[c.Rank()], e.ack, e.res, e.snap)
 		})
 	}()
 	return e, nil
+}
+
+// cellsOf returns the cell of every position, looked up once per engine
+// with one Locator: each rank then deals itself its initial particles by
+// reading this table instead of locating all N positions again.
+func cellsOf(g space.Grid, pos []vec.V) []int32 {
+	loc := g.Locator()
+	cells := make([]int32, len(pos))
+	for i := range pos {
+		cells[i] = int32(loc.Cell(pos[i]))
+	}
+	return cells
 }
 
 // World exposes the comm world for message injection and traffic accounting

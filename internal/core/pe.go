@@ -123,12 +123,14 @@ func (p *pe) send(ph metrics.Phase, dst, tag int, data any, size int64) {
 
 // newPE builds one PE. Ownership is the fixed cfg.Decomp when set, else
 // this rank's column ledger — fresh, or rebuilt from hosts, the pre-validated
-// global column→host map of a restore. The particles come from the initial
-// distribution of sys (each PE takes those in its own cells) or, with a
-// restore in cfg, from the PE's checkpoint frame in their recorded order —
-// array order drives force summation order, so preserving it is what makes
-// the resumed trajectory bit-identical.
-func newPE(c *comm.Comm, cfg *Config, layout dlb.Layout, sys workload.System, hosts map[int]int) *pe {
+// global column→host map of a restore. Without a restore the particles are
+// the initial system's in the cells this PE hosts, in ascending index order;
+// cells holds each particle's cell, looked up once for all ranks by the
+// engine. With a restore in cfg (cells is then nil) they come from the PE's
+// checkpoint frame in their recorded order — array order drives force
+// summation order, so preserving it is what makes the resumed trajectory
+// bit-identical.
+func newPE(c *comm.Comm, cfg *Config, layout dlb.Layout, sys workload.System, cells []int32, hosts map[int]int) *pe {
 	p := &pe{
 		c:      c,
 		cfg:    cfg,
@@ -174,16 +176,16 @@ func newPE(c *comm.Comm, cfg *Config, layout dlb.Layout, sys workload.System, ho
 		return p
 	}
 	// Initial distribution: each PE takes the particles in the cells it
-	// hosts. The shared input system is only read, never written. The set
-	// is sized for an even share, which is what a lattice start deals.
-	g := cfg.Grid
+	// hosts. The shared input system and cell table are only read, never
+	// written. The set is sized for an even share, which is what a lattice
+	// start deals.
 	p.set.Grow(sys.Set.Len()/cfg.P + 1)
-	hosted := make([]bool, g.NumCells())
+	hosted := make([]bool, cfg.Grid.NumCells())
 	for _, cell := range p.own.hostedCells(nil) {
 		hosted[cell] = true
 	}
-	for i := range sys.Set.Pos {
-		if hosted[g.CellOf(sys.Set.Pos[i])] {
+	for i, cell := range cells {
+		if hosted[cell] {
 			p.set.Add(sys.Set.ID[i], sys.Set.Pos[i], sys.Set.Vel[i])
 		}
 	}
@@ -486,9 +488,10 @@ type colTransfer struct {
 // in column col, together with their last-step forces.
 func (p *pe) extractColumn(col int) colTransfer {
 	g := p.cfg.Grid
+	loc := g.Locator()
 	var out colTransfer
 	for i := 0; i < p.set.Len(); {
-		if g.ColumnOf(g.CellOf(p.set.Pos[i])) == col {
+		if g.ColumnOf(loc.Cell(p.set.Pos[i])) == col {
 			out.Ps = append(out.Ps, p.set.Extract(i))
 			out.Frc = append(out.Frc, p.set.Frc[i])
 			p.set.RemoveSwap(i)

@@ -526,7 +526,11 @@ func (e *Engine) Finish() (*core.Result, error) {
 			return fmt.Errorf("distrib: worker %d: %s", ack.Proc, ack.Err)
 		}
 		if ack.Final != nil {
-			res.Final = ack.Final
+			final, err := ack.Final.SetOf()
+			if err != nil {
+				return fmt.Errorf("distrib: worker %d: final state: %w", ack.Proc, err)
+			}
+			res.Final = final
 		}
 		res.CommMsgs += ack.Msgs
 		res.CommBytes += ack.Bytes

@@ -42,7 +42,6 @@ import (
 	"permcell/internal/checkpoint"
 	"permcell/internal/comm"
 	"permcell/internal/core"
-	"permcell/internal/particle"
 	"permcell/internal/supervise"
 )
 
@@ -174,12 +173,15 @@ type SnapAck struct {
 }
 
 // ResultAck is the final handshake: the rank-0 process carries the
-// gathered Final set, every process its comm counters and fault stats.
-// FaultEvents are not gathered across processes (the per-event log is a
-// single-process debugging aid; the counters are exact either way).
+// gathered final particles, every process its comm counters and fault
+// stats. Final is a checkpoint.Frame, not the particle.Set it rebuilds, so
+// it crosses as the frame's fixed binary layout rather than gob's
+// per-float encoding. FaultEvents are not gathered across processes (the
+// per-event log is a single-process debugging aid; the counters are exact
+// either way).
 type ResultAck struct {
 	Proc   int
-	Final  *particle.Set
+	Final  *checkpoint.Frame
 	Msgs   int64
 	Bytes  int64
 	Faults comm.FaultStats

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"permcell/internal/checkpoint"
 	"permcell/internal/core"
 	"permcell/internal/runspec"
 	"permcell/internal/supervise"
@@ -228,7 +229,9 @@ func RunWorker(conn net.Conn) error {
 				if res != nil {
 					// This block's own traffic: the coordinator owns the
 					// restored run's counter continuation.
-					ack.Final = res.Final
+					if f := res.Final; f != nil {
+						ack.Final = &checkpoint.Frame{ID: f.ID, Pos: f.Pos, Vel: f.Vel}
+					}
 					ack.Msgs, ack.Bytes = world.Stats()
 					ack.Faults = res.Faults
 				}
