@@ -94,8 +94,12 @@ func (w *ckptWriter) write(eng coreEngine) error {
 // under, otherwise Restore refuses — resuming a trajectory under a
 // different balancer would silently change the continuation's physics.
 // Runtime options (WithOnStep, WithDiscardStats, WithMetrics,
-// WithFaultPlan, WithWatchdog, WithCheckpoint) apply normally, so a
-// restored run can keep checkpointing into the same directory. The restored
+// WithFaultPlan, WithWatchdog, WithCheckpoint, WithSabotage, WithTransport,
+// WithSupervisor) apply normally and are validated against the loaded
+// identity once, here, so a restored run can keep checkpointing into the
+// same directory, move between transports, or run supervised — its
+// rollbacks then rebuild from the supervisor's own copy of the identity
+// without coming back through Restore. The restored
 // engine's subsequent trace is bit-identical to the uninterrupted run's:
 // step counters continue from the snapshot point, per-PE particle order and
 // DLB cell ownership are reinstated exactly, and cumulative communication
@@ -105,14 +109,7 @@ func Restore(path string, opts ...Option) (Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("permcell: %w", err)
 	}
-	return restoreState(meta, frames, buildOptions(opts))
-}
-
-// restoreState rebuilds an engine from loaded checkpoint contents. The
-// supervisor calls it directly after vetting a specific file (so its
-// latest-vs-previous preference is not overridden by LoadPath's own
-// fallback).
-func restoreState(meta *checkpoint.Meta, frames []checkpoint.Frame, o Options) (Engine, error) {
+	o := buildOptions(opts)
 	// The loaded Meta is the run identity; the caller's physics options are
 	// not consulted (see doc comment) — with one hard check: resuming a
 	// trajectory under a different balancer would silently change the

@@ -27,156 +27,143 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 
 	"permcell/internal/experiments"
 	"permcell/internal/theory"
 )
 
-func main() {
-	id := flag.String("id", "all", "experiment id: fig5a, fig5b, fig6, fig9, fig10, table1, phases, balancers, theory, all")
-	scale := flag.String("scale", "small", "preset scale: tiny, small, full")
-	seed := flag.Uint64("seed", 1, "base RNG seed")
-	csv := flag.Bool("csv", false, "emit CSV instead of rendered text (fig9, table1, phases, balancers)")
-	flag.Parse()
+// experimentIDs is what "all" runs, in order.
+var experimentIDs = []string{"fig5a", "fig5b", "fig6", "fig9", "fig10", "table1", "phases", "balancers"}
 
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is figures behind a testable seam: it parses args, writes the
+// requested tables to stdout and returns the process exit code — 2 for a
+// usage error (a stray argument, a bad flag, an unknown -id or -scale),
+// found before anything is printed; 1 when an experiment fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	id := fs.String("id", "all", "experiment id: fig5a, fig5b, fig6, fig9, fig10, table1, phases, balancers, theory, all")
+	scale := fs.String("scale", "small", "preset scale: tiny, small, full")
+	seed := fs.Uint64("seed", 1, "base RNG seed")
+	csv := fs.Bool("csv", false, "emit CSV instead of rendered text (fig9, table1, phases, balancers)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "figures: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
 	pr, ok := experiments.PresetByName(*scale)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "figures: unknown scale %q\n", *scale)
+		return 2
+	}
+	ids := []string{*id}
+	switch {
+	case *id == "all":
+		ids = experimentIDs
+	case *id != "theory" && !slices.Contains(experimentIDs, *id):
+		fmt.Fprintf(stderr, "figures: unknown experiment id %q\n", *id)
+		return 2
 	}
 
-	run := func(name string) error {
+	// emit writes one experiment's table: CSV under -csv when it has a CSV
+	// form (fig9, table1, phases, balancers), else the rendered text.
+	emit := func(r interface{ Render(io.Writer) error }, err error) error {
+		if err != nil {
+			return err
+		}
+		if c, ok := r.(interface{ WriteCSV(io.Writer) error }); ok && *csv {
+			return c.WriteCSV(stdout)
+		}
+		return r.Render(stdout)
+	}
+	experiment := func(name string) error {
 		switch name {
 		case "fig5a":
-			m := pr.Ms[len(pr.Ms)-1]
-			r, err := experiments.Fig5(pr, m, *seed)
-			if err != nil {
-				return err
-			}
-			return r.Render(os.Stdout)
+			return emit(experiments.Fig5(pr, pr.Ms[len(pr.Ms)-1], *seed))
 		case "fig5b":
-			r, err := experiments.Fig5(pr, 2, *seed)
-			if err != nil {
-				return err
-			}
-			return r.Render(os.Stdout)
+			return emit(experiments.Fig5(pr, 2, *seed))
 		case "fig6":
-			r, err := experiments.Fig6(pr, *seed)
-			if err != nil {
-				return err
-			}
-			return r.Render(os.Stdout)
+			return emit(experiments.Fig6(pr, *seed))
 		case "fig9":
-			r, err := experiments.Fig9(pr, *seed)
-			if err != nil {
-				return err
-			}
-			if *csv {
-				return r.WriteCSV(os.Stdout)
-			}
-			return r.Render(os.Stdout)
+			return emit(experiments.Fig9(pr, *seed))
 		case "fig10":
 			for _, m := range pr.Ms {
-				r, err := experiments.Fig10(pr, m, pr.P, *seed)
-				if err != nil {
+				if err := emit(experiments.Fig10(pr, m, pr.P, *seed)); err != nil {
 					return err
 				}
-				if err := r.Render(os.Stdout); err != nil {
-					return err
-				}
-				fmt.Println()
+				fmt.Fprintln(stdout)
 			}
 			return nil
 		case "table1":
-			r, err := experiments.Table1(pr, *seed)
-			if err != nil {
-				return err
-			}
-			if *csv {
-				return r.WriteCSV(os.Stdout)
-			}
-			return r.Render(os.Stdout)
+			return emit(experiments.Table1(pr, *seed))
 		case "phases":
-			r, err := experiments.Phases(pr, pr.Ms[len(pr.Ms)-1], *seed)
-			if err != nil {
-				return err
-			}
-			if *csv {
-				return r.WriteCSV(os.Stdout)
-			}
-			return r.Render(os.Stdout)
+			return emit(experiments.Phases(pr, pr.Ms[len(pr.Ms)-1], *seed))
 		case "balancers":
-			r, err := experiments.Balancers(pr, 0, *seed)
-			if err != nil {
-				return err
-			}
-			if *csv {
-				return r.WriteCSV(os.Stdout)
-			}
-			return r.Render(os.Stdout)
-		case "theory":
-			theoryTables()
+			return emit(experiments.Balancers(pr, 0, *seed))
+		default: // theory
+			theoryTables(stdout)
 			return nil
-		default:
-			return fmt.Errorf("unknown experiment id %q", name)
 		}
 	}
 
-	ids := []string{*id}
-	if *id == "all" {
-		ids = []string{"fig5a", "fig5b", "fig6", "fig9", "fig10", "table1", "phases", "balancers"}
-	}
 	for _, name := range ids {
 		if !*csv {
-			fmt.Printf("==== %s (scale %s) ====\n", name, pr.Name)
+			fmt.Fprintf(stdout, "==== %s (scale %s) ====\n", name, pr.Name)
 		}
-		if err := run(name); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
+		if err := experiment(name); err != nil {
+			fmt.Fprintf(stderr, "figures: %s: %v\n", name, err)
+			return 1
 		}
 		if !*csv {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
+	return 0
 }
 
 // theoryTables prints the paper's effective-range bounds for m = 2, 3, 4
 // over n = 1 .. 3 in steps of 0.25, and the cube-domain analogue.
-func theoryTables() {
+func theoryTables(w io.Writer) {
 	ms := []int{2, 3, 4}
 	const nmax, dn = 3.0, 0.25
 	curves := func(label string, f func(m int, n float64) float64) {
-		fmt.Printf("%8s", "n")
+		fmt.Fprintf(w, "%8s", "n")
 		for _, m := range ms {
-			fmt.Printf(" %12s", fmt.Sprintf(label, m))
+			fmt.Fprintf(w, " %12s", fmt.Sprintf(label, m))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		for n := 1.0; n <= nmax+1e-9; n += dn {
-			fmt.Printf("%8.2f", n)
+			fmt.Fprintf(w, "%8.2f", n)
 			for _, m := range ms {
-				fmt.Printf(" %12.4f", f(m, n))
+				fmt.Fprintf(w, " %12.4f", f(m, n))
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
 
-	fmt.Println("Theoretical upper bounds f(m, n) of the particle concentration ratio C0/C")
-	fmt.Println("(eq. 8; DLB balances uniformly while C0/C <= f(m, n))")
-	fmt.Println()
+	fmt.Fprintln(w, "Theoretical upper bounds f(m, n) of the particle concentration ratio C0/C")
+	fmt.Fprintln(w, "(eq. 8; DLB balances uniformly while C0/C <= f(m, n))")
+	fmt.Fprintln(w)
 	curves("f(%d,n)", theory.MustF)
-	fmt.Println("\nMaximum domain C' (columns) and ratio to the initial m^2:")
-	fmt.Printf("%8s %12s %12s\n", "m", "C' cols", "C'/m^2")
+	fmt.Fprintln(w, "\nMaximum domain C' (columns) and ratio to the initial m^2:")
+	fmt.Fprintf(w, "%8s %12s %12s\n", "m", "C' cols", "C'/m^2")
 	for _, m := range ms {
 		cp := theory.CPrimeColumns(m)
-		fmt.Printf("%8d %12d %12.3f\n", m, cp, float64(cp)/float64(m*m))
+		fmt.Fprintf(w, "%8d %12d %12.3f\n", m, cp, float64(cp)/float64(m*m))
 	}
 
-	fmt.Println("\nCube-domain extension (this repository's generalization, theory.FCube):")
+	fmt.Fprintln(w, "\nCube-domain extension (this repository's generalization, theory.FCube):")
 	curves("fcube(%d,n)", theory.MustFCube)
-	fmt.Printf("\n%8s %12s %12s\n", "m", "Q cells", "Q/m^3")
+	fmt.Fprintf(w, "\n%8s %12s %12s\n", "m", "Q cells", "Q/m^3")
 	for _, m := range ms {
 		q := theory.QCubeCells(m)
-		fmt.Printf("%8d %12d %12.3f\n", m, q, float64(q)/float64(m*m*m))
+		fmt.Fprintf(w, "%8d %12d %12.3f\n", m, q, float64(q)/float64(m*m*m))
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"permcell/internal/mdserial"
 	"permcell/internal/particle"
 	"permcell/internal/runspec"
+	"permcell/internal/supervise"
 )
 
 // Engine is a stepwise MD simulation: the DLB/DDM parallel engine (New),
@@ -80,7 +81,11 @@ func (o Options) identity(kind string) checkpoint.Meta {
 // launch is the one way an engine comes up, fresh (st == nil) or resumed
 // from a snapshot: validate the transport and the sabotage script against
 // the identity — engine kind and rank count are only known here for a
-// Restore — then start it, under the supervisor when one is configured.
+// Restore — then put the facade adapter over its backend: the bare engine,
+// or under WithSupervisor the supervisor, which builds bare engines of its
+// own across rollbacks. A supervised engine's anchor checkpoint is written
+// here, so a rollback target exists before the first cadence boundary and
+// a failure on step 1 is already recoverable.
 func launch(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine, error) {
 	if err := checkTransport(meta.Kind, o); err != nil {
 		return nil, err
@@ -90,10 +95,26 @@ func launch(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine
 			return nil, fmt.Errorf("permcell: %w", err)
 		}
 	}
-	if o.supervisor != nil {
-		return supervised(meta, st, o)
+	e := &engine{
+		ckpt:   ckptWriter{every: o.ckptEvery, dir: o.ckptDir, meta: meta},
+		onStep: o.onStep, discard: o.discard,
 	}
-	return start(meta, st, o)
+	var err error
+	if o.supervisor == nil {
+		e.eng, err = backend(meta, st, o, nil, o.transport.Procs, e.record)
+	} else {
+		e.eng, err = supervised(meta, st, o, e)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if o.supervisor != nil {
+		if err := e.ckpt.write(e.eng); err != nil {
+			abandon(e.eng)
+			return nil, fmt.Errorf("permcell: writing anchor checkpoint: %w", err)
+		}
+	}
+	return e, nil
 }
 
 // checkTransport validates the WithTransport selection against the engine
@@ -114,12 +135,14 @@ func checkTransport(kind string, o Options) error {
 	}
 }
 
-// start builds the engine for the run identity in meta (the supervisor
-// rebuilds engines through it across rollbacks): fresh when st is nil, else
-// resumed from the snapshot. Physics comes from meta alone, through the one
-// builder in internal/runspec; o contributes only runtime policy — hooks,
-// metrics, fault plan, watchdog, guards, sabotage, transport and the
-// checkpoint cadence.
+// backend builds the bare engine for the run identity in meta (the
+// supervisor builds each incarnation through it): fresh when st is nil,
+// else resumed from the snapshot, emitting every step record through
+// onStep. Physics comes from meta alone, through the one builder in
+// internal/runspec; o contributes only runtime policy — metrics, fault
+// plan, watchdog, sabotage and transport. guard arms the physics guards
+// (nil unsupervised) and procs is the tcp worker-process count, which the
+// supervisor's rescale policy lowers below the configured one.
 //
 // On the tcp transport an in-process coordinator deals rank blocks to
 // TCP-connected worker processes (or goroutine-hosted workers), each
@@ -128,9 +151,9 @@ func checkTransport(kind string, o Options) error {
 // rescaling: the logical rank count P is fixed by the run identity, only
 // the hosting changes), or move between transports, with a bit-identical
 // continuation.
-func start(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine, error) {
-	ckpt := ckptWriter{every: o.ckptEvery, dir: o.ckptDir, meta: meta}
-	e := &engine{ckpt: ckpt, onStep: o.onStep, discard: o.discard}
+func backend(meta checkpoint.Meta, st *checkpoint.EngineState, o Options,
+	guard *supervise.GuardConfig, procs int, onStep func(StepStats)) (coreEngine, error) {
+	var eng coreEngine
 	var err error
 	switch {
 	case meta.Kind == checkpoint.KindSerial:
@@ -141,15 +164,15 @@ func start(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine,
 		cfg.Metrics = o.metrics
 		var ser *mdserial.Engine
 		ser, err = mdserial.New(cfg, set)
-		e.eng = &serialCore{eng: ser, onStep: e.record, statsEvery: max(meta.StatsEvery, 1)}
+		eng = &serialCore{eng: ser, onStep: onStep, statsEvery: max(meta.StatsEvery, 1)}
 	case o.transport.Kind == TransportTCP: // launch admitted KindDLB only
-		e.eng, err = distrib.Start(distrib.WireSpec{
+		eng, err = distrib.Start(distrib.WireSpec{
 			Meta: meta, Metrics: o.metrics,
-			Watchdog: o.watchdog, Faults: o.faults, Guard: o.guard,
+			Watchdog: o.watchdog, Faults: o.faults, Guard: guard,
 			Sabotage: o.sabotage, Restore: st,
 		}, distrib.Config{
-			Procs: o.transport.Procs, Worker: o.transport.Worker, Addr: o.transport.Addr,
-			OnStep:          e.record,
+			Procs: procs, Worker: o.transport.Worker, Addr: o.transport.Addr,
+			OnStep:          onStep,
 			HeartbeatEvery:  o.transport.HeartbeatEvery,
 			HeartbeatMisses: o.transport.HeartbeatMisses,
 		})
@@ -158,18 +181,18 @@ func start(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine,
 		if berr != nil {
 			return nil, fmt.Errorf("permcell: %w", berr)
 		}
-		cfg.OnStep = e.record
+		cfg.OnStep = onStep
 		cfg.Metrics = o.metrics
 		cfg.Faults = o.faults
 		cfg.Watchdog = o.watchdog
-		cfg.Guard = o.guard
+		cfg.Guard = guard
 		cfg.Sabotage = o.sabotage
-		e.eng, err = core.NewEngine(cfg, sys)
+		eng, err = core.NewEngine(cfg, sys)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("permcell: %w", err)
 	}
-	return e, nil
+	return eng, nil
 }
 
 // Run executes steps time steps of the parallel engine and returns the
@@ -207,33 +230,26 @@ func RunEngine(ctx context.Context, eng Engine, steps int) (*Result, error) {
 	return eng.Result()
 }
 
-// guardStep is the facade-wide Step argument contract shared by every
-// engine, so misuse reports identically regardless of backend.
-func guardStep(finished bool, n int) error {
-	if finished {
-		return fmt.Errorf("permcell: Step after Result")
-	}
-	if n < 0 {
-		return fmt.Errorf("permcell: negative step count %d", n)
-	}
-	return nil
-}
-
 // coreEngine is the stepwise backend surface shared by the in-process
-// core.Engine, the multi-process distrib.Engine and the serial reference
-// engine (serialCore); engine adapts any of them to the facade interface
-// without knowing which transport hosts the ranks, which ownership map
-// they step over, or whether there are ranks at all.
+// core.Engine, the multi-process distrib.Engine, the serial reference
+// engine (serialCore) and the supervisor over any of those; engine adapts
+// each to the facade interface without knowing which transport hosts the
+// ranks, which ownership map they step over, whether there are ranks at
+// all, or whether a failure is healed beneath it. Procs is the count of
+// worker processes hosting the ranks (0 in-process), which the
+// supervisor's rescale policy shrinks.
 type coreEngine interface {
 	Step(n int) error
 	AbsStep() int
 	Snapshot() (*checkpoint.EngineState, error)
 	Finish() (*Result, error)
+	Procs() int
 }
 
 // engine adapts a backend to the facade interface: the Step contract, the
-// checkpoint cadence and the trace are the same for every kind. Backends
-// emit each record through record and keep none.
+// checkpoint cadence and the trace are the same for every kind, supervised
+// or not. Backends emit each record through record (the supervisor through
+// keep) and keep none.
 type engine struct {
 	eng      coreEngine
 	ckpt     ckptWriter
@@ -243,20 +259,30 @@ type engine struct {
 	finished bool
 }
 
-// record is every backend's OnStep sink: it keeps the record unless
-// WithDiscardStats is set, then streams it to the WithOnStep hook.
+// record is every unsupervised backend's OnStep sink: it keeps the record,
+// then streams it to the WithOnStep hook. (The supervisor's admit does the
+// same in two halves, keeping under its mutex and streaming outside it.)
 func (e *engine) record(st StepStats) {
-	if !e.discard {
-		e.stats = append(e.stats, st)
-	}
+	e.keep(st)
 	if e.onStep != nil {
 		e.onStep(st)
 	}
 }
 
+// keep appends st to the trace unless WithDiscardStats is set.
+func (e *engine) keep(st StepStats) {
+	if !e.discard {
+		e.stats = append(e.stats, st)
+	}
+}
+
+// Step is the facade-wide Step contract, the same for every backend.
 func (e *engine) Step(n int) error {
-	if err := guardStep(e.finished, n); err != nil {
-		return err
+	if e.finished {
+		return fmt.Errorf("permcell: Step after Result")
+	}
+	if n < 0 {
+		return fmt.Errorf("permcell: negative step count %d", n)
 	}
 	return e.ckpt.stepWithCheckpoints(e.eng, n)
 }
@@ -264,16 +290,6 @@ func (e *engine) Step(n int) error {
 // Stats returns a copy, so a caller cannot alias (and mutate) the trace
 // record keeps appending to.
 func (e *engine) Stats() []StepStats { return slices.Clone(e.stats) }
-
-// TransportProcs reports the worker-process count of a tcp-backed engine
-// (0 in-process). The supervisor's rescale policy reads it to pick the
-// survivor count after a worker failure.
-func (e *engine) TransportProcs() int {
-	if p, ok := e.eng.(interface{ Procs() int }); ok {
-		return p.Procs()
-	}
-	return 0
-}
 
 // Result hands the trace over with the backend's outcome.
 func (e *engine) Result() (*Result, error) {
@@ -358,6 +374,8 @@ func (e *serialCore) Step(n int) error {
 }
 
 func (e *serialCore) AbsStep() int { return e.eng.StepCount() }
+
+func (e *serialCore) Procs() int { return 0 }
 
 // Snapshot returns a frame that aliases the live arrays instead of copying
 // them: the facade writes the frame on the driver goroutine before the next

@@ -255,6 +255,10 @@ func (e *Engine) Step(n int) error {
 // steps advanced this session.
 func (e *Engine) AbsStep() int { return e.base + e.stepped }
 
+// Procs returns the number of worker processes hosting the ranks: none,
+// they are goroutines of this process.
+func (e *Engine) Procs() int { return 0 }
+
 // SnapshotLocal captures the local ranks' checkpoint frames at the current
 // batch boundary: every PE receives the snapshot command, asserts its own
 // communication state is quiesced, serializes its shard — particle arrays

@@ -769,28 +769,31 @@ func (p *pe) guardGlobal(step int, energy float64, totalN int) {
 	}
 }
 
-// gatherFinal assembles the global final state on rank 0.
+// gatherFinal assembles the global final state on rank 0: ranks send
+// their particles in live order, and rank 0 sorts the gathered whole once
+// by ID.
 func (p *pe) gatherFinal(res *Result) {
 	mine := make([]particle.One, p.set.Len())
 	for i := range mine {
 		mine[i] = particle.One{ID: p.set.ID[i], Pos: p.set.Pos[i], Vel: p.set.Vel[i]}
 	}
-	sort.Slice(mine, func(a, b int) bool { return mine[a].ID < mine[b].ID })
 	all := p.c.Gather(mine)
 	if p.c.Rank() != 0 {
 		return
 	}
-	final := &particle.Set{}
 	total := 0
 	for _, a := range all {
 		total += len(a.([]particle.One))
 	}
-	final.Grow(total)
+	ones := make([]particle.One, 0, total)
 	for _, a := range all {
-		for _, one := range a.([]particle.One) {
-			final.AddOne(one)
-		}
+		ones = append(ones, a.([]particle.One)...)
 	}
-	final.SortByID()
+	slices.SortFunc(ones, func(a, b particle.One) int { return cmp.Compare(a.ID, b.ID) })
+	final := &particle.Set{}
+	final.Grow(total)
+	for _, one := range ones {
+		final.AddOne(one)
+	}
 	res.Final = final
 }

@@ -558,3 +558,26 @@ func TestStreamSSE(t *testing.T) {
 		t.Fatalf("sse events = %d, want 5", events)
 	}
 }
+
+// TestShutdownWaitsForEveryCaller: a later Shutdown waits for the same
+// drain as the first, under its own deadline, instead of reporting nil
+// while the workers are still tearing runs down.
+func TestShutdownWaitsForEveryCaller(t *testing.T) {
+	s, err := New(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.wg.Add(1) // a worker still draining
+	for i := 1; i <= 2; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		err := s.Shutdown(ctx)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Shutdown %d during the drain returned %v, want %v", i, err, context.DeadlineExceeded)
+		}
+	}
+	s.wg.Done()
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown after the drain: %v", err)
+	}
+}

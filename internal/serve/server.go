@@ -190,18 +190,18 @@ func (s *Server) sweep(now time.Time) int {
 }
 
 // Shutdown stops admission, cancels every live run and waits (bounded by
-// ctx) for the workers to finish tearing them down.
+// ctx) for the workers to finish tearing them down. Every caller waits for
+// the same drain under its own ctx; only the first stops admission.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
+	first := !s.closed
 	s.closed = true
 	s.mu.Unlock()
 
-	s.cancel()     // every run context is a child: running engines stop at the next batch
-	close(s.queue) // workers drain the queue (canceled runs fall through) and exit
+	if first {
+		s.cancel()     // every run context is a child: running engines stop at the next batch
+		close(s.queue) // workers drain the queue (canceled runs fall through) and exit
+	}
 
 	done := make(chan struct{})
 	go func() {

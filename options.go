@@ -105,11 +105,7 @@ type Options struct {
 	ckptDir    string
 	supervisor *supervise.Policy
 	sabotage   *supervise.Sabotage
-	// guard is set internally by the supervisor when building inner
-	// engines (normalized from the policy's GuardConfig); there is no
-	// standalone option for it.
-	guard     *supervise.GuardConfig
-	transport Transport
+	transport  Transport
 }
 
 // Transport selects where the parallel engine's PE ranks live. The zero
@@ -229,14 +225,18 @@ func WithFaultPlan(plan FaultPlan) Option {
 func WithWatchdog(d time.Duration) Option { return func(o *Options) { o.watchdog = d } }
 
 // WithSupervisor runs the engine under the self-healing supervisor: PE
-// panics, physics-guard violations and watchdog deadlocks roll the run back
-// to the latest valid checkpoint (falling back to the retained previous one
-// when the latest is suspect) and resume with exponential backoff, up to
-// p.MaxRetries attempts. When the budget is exhausted the run degrades to a
-// partial Result plus a *RetryBudgetError carrying the structured failure
-// report. Requires WithCheckpoint (the rollback targets); the supervisor
-// writes an anchor checkpoint at construction so a rollback target exists
-// before the first cadence boundary. Replayed steps are suppressed from
+// panics, physics-guard violations, watchdog deadlocks and (on tcp) worker
+// failures roll the run back to the latest valid checkpoint (falling back
+// to the retained previous one when the latest is suspect) and resume with
+// exponential backoff, up to p.MaxRetries attempts — during a Step, and
+// during the snapshot of a cadence or explicit checkpoint alike. When the
+// budget is exhausted the run degrades to a partial Result plus a
+// *RetryBudgetError carrying the structured failure report. Requires
+// WithCheckpoint (the rollback targets); an anchor checkpoint is written at
+// construction so a rollback target exists before the first cadence
+// boundary. The replay after a rollback writes no checkpoints, and a
+// checkpoint that fails to write is returned from its Step without ending
+// the run, as on an unsupervised engine. Replayed steps are suppressed from
 // Stats and the OnStep stream, so a recovered run's trace is bit-identical
 // to the uninterrupted one's.
 func WithSupervisor(p SupervisorPolicy) Option {

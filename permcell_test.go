@@ -99,18 +99,26 @@ func TestCadenceCheckpointFailureKeepsRecord(t *testing.T) {
 		{"serial", func(o ...permcell.Option) (permcell.Engine, error) {
 			return permcell.NewSerial(3, 0.3, o...)
 		}},
+		{"supervised", func(o ...permcell.Option) (permcell.Engine, error) {
+			return permcell.New(2, 4, 0.3, append(o, pc, permcell.WithSupervisor(permcell.SupervisorPolicy{MaxRetries: 1}))...)
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			// A directory under a regular file: every write fails in MkdirAll.
-			file := filepath.Join(t.TempDir(), "file")
-			if err := os.WriteFile(file, nil, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			eng, err := c.mk(permcell.WithCheckpoint(2, filepath.Join(file, "ckpt")))
+			dir := filepath.Join(t.TempDir(), "ckpt")
+			eng, err := c.mk(permcell.WithCheckpoint(2, dir))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer eng.Result()
+			// A regular file in the directory's place, put there after
+			// construction so the supervisor's anchor write succeeds:
+			// every later write fails in MkdirAll.
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(dir, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
 			for i := 1; i <= 3; i++ {
 				if err := eng.Step(1); (err != nil) != (i == 2) {
 					t.Fatalf("Step %d returned %v; want an error from the cadence step 2 only", i, err)

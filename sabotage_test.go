@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"permcell"
+	"permcell/internal/checkpoint"
 	"permcell/internal/serve"
 )
 
@@ -316,6 +317,60 @@ func TestTCPRankFailureDoesNotHang(t *testing.T) {
 				return ""
 			})
 		})
+	}
+}
+
+// TestCheckpointHealsDeadWorker: an explicit checkpoint of a supervised
+// engine whose worker process died between two Steps meets the failure in
+// its snapshot, and heals it like a Step would — roll back, replay to the
+// same step, snapshot again — instead of returning it. The run then goes
+// on to the golden trace.
+func TestCheckpointHealsDeadWorker(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("finds the worker process through /proc")
+	}
+	bin := filepath.Join(t.TempDir(), "mdrank")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/mdrank").CombinedOutput(); err != nil {
+		t.Fatalf("building mdrank: %v\n%s", err, out)
+	}
+	golden := runTransport(t, faultSteps)
+	dir := t.TempDir()
+	eng := faulty(t, hosting{procs: 2, worker: bin}, supervisedWith(dir, "", 3, nil)...)
+	defer eng.Result()
+	if err := stepWithin(t, eng, faultStep, 30*time.Second); err != nil {
+		t.Fatalf("Step: %v", err)
+	}
+	exes, _ := filepath.Glob("/proc/[0-9]*/exe")
+	killed := false
+	for _, exe := range exes {
+		if target, err := os.Readlink(exe); err == nil && target == bin {
+			var pid int
+			fmt.Sscanf(filepath.Base(filepath.Dir(exe)), "%d", &pid)
+			if p, err := os.FindProcess(pid); err == nil && p.Kill() == nil {
+				killed = true
+				break
+			}
+		}
+	}
+	if !killed {
+		t.Fatal("no worker process to kill")
+	}
+	if err := permcell.CheckpointNow(eng); err != nil {
+		t.Fatalf("Checkpoint after a worker died: %v", err)
+	}
+	if meta, err := checkpoint.LoadMeta(filepath.Join(dir, checkpoint.LatestName)); err != nil || meta.Step != faultStep {
+		t.Fatalf("latest checkpoint %+v, %v; want step %d", meta, err, faultStep)
+	}
+	if err := stepWithin(t, eng, faultSteps-faultStep, 30*time.Second); err != nil {
+		t.Fatalf("Step after the healed checkpoint: %v", err)
+	}
+	res, err := eng.Result()
+	if err != nil {
+		t.Fatalf("Result: %v", err)
+	}
+	sameTrace(t, "healed", golden.Stats, res.Stats)
+	if rep := permcell.SupervisionReport(eng); rep.WorkerFailures != 1 || rep.Rollbacks != 1 {
+		t.Errorf("report = %+v, want one worker failure healed by one rollback", rep)
 	}
 }
 

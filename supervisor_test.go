@@ -145,7 +145,16 @@ func TestSupervisorFallsBackToPrevious(t *testing.T) {
 	if err := os.WriteFile(latest, raw, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Step(steps - 14); err != nil {
+	if err := eng.Step(1); err != nil {
+		t.Fatalf("supervised Step: %v", err)
+	}
+	// The replay from step 6 past the step-12 boundary wrote nothing, so
+	// the rollback target it came from is still there.
+	prev, err := checkpoint.LoadMeta(filepath.Join(dir, checkpoint.PreviousName))
+	if err != nil || prev.Step != 6 {
+		t.Fatalf("previous.ckpt after the heal at step 15: %+v, %v; want step 6", prev, err)
+	}
+	if err := eng.Step(steps - 15); err != nil {
 		t.Fatalf("supervised Step: %v", err)
 	}
 	res, err := eng.Result()
