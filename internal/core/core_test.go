@@ -79,6 +79,7 @@ func serialRun(t *testing.T, sys workload.System, g space.Grid, steps int) *mdse
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(e.Close)
 	e.Run(steps)
 	return e
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"permcell/internal/checkpoint"
@@ -143,9 +144,12 @@ func newEngine(cfg Config, sys workload.System, local []int, remote comm.Remote)
 		if e.cfg.Restore == nil {
 			cells = cellsOf(e.cfg.Grid, sys.Set.Pos)
 		}
+		// The cores left over beyond one per local rank search for pairs
+		// beside the ranks' force passes; a count that moves no bit.
+		workers := max(1, runtime.GOMAXPROCS(0)/len(e.local))
 		world.Run(func(c *comm.Comm) {
 			defer e.trap.Catch(c.Rank())
-			newPE(c, &e.cfg, layout, sys, cells, hosts).runStepwise(e.cmd[c.Rank()], e.ack, e.res, e.snap)
+			newPE(c, &e.cfg, layout, sys, cells, hosts, workers).runStepwise(e.cmd[c.Rank()], e.ack, e.res, e.snap)
 		})
 	}()
 	return e, nil

@@ -130,7 +130,7 @@ func (p *pe) send(ph metrics.Phase, dst, tag int, data any, size int64) {
 // checkpoint frame in their recorded order — array order drives force
 // summation order, so preserving it is what makes the resumed trajectory
 // bit-identical.
-func newPE(c *comm.Comm, cfg *Config, layout dlb.Layout, sys workload.System, cells []int32, hosts map[int]int) *pe {
+func newPE(c *comm.Comm, cfg *Config, layout dlb.Layout, sys workload.System, cells []int32, hosts map[int]int, searchWorkers int) *pe {
 	p := &pe{
 		c:      c,
 		cfg:    cfg,
@@ -138,6 +138,7 @@ func newPE(c *comm.Comm, cfg *Config, layout dlb.Layout, sys workload.System, ce
 		cl:     kernel.NewCellLists(cfg.Grid, cfg.Shards),
 		dirty:  true,
 	}
+	p.cl.SetSearchWorkers(searchWorkers)
 	if cfg.Metrics {
 		p.tm = &metrics.Timer{}
 	}

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"permcell/internal/potential"
@@ -84,12 +85,23 @@ func BenchmarkKernelFlat(b *testing.B)        { benchmarkKernelFlat(b, 1) }
 func BenchmarkKernelFlatShards2(b *testing.B) { benchmarkKernelFlat(b, 2) }
 func BenchmarkKernelFlatShards8(b *testing.B) { benchmarkKernelFlat(b, 8) }
 
+// searchWorkerAxis is the search-worker counts the kernel benchmarks run
+// at: one, and one per core when that is more (run with -cpu 2 to see what
+// a second core buys).
+func searchWorkerAxis() []int {
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		return []int{1, n}
+	}
+	return []int{1}
+}
+
 // BenchmarkKernelPresets runs the full bench matrix (kernelPresets:
 // tiny plus the 50k/100k/200k paper-density systems) against the flat
-// kernel at shard counts 1, 2 and 8. The large presets are where the force
-// array no longer fits in cache and shard parallelism has work to amortize
-// against. A developer tool (go test -run '^$' -bench BenchmarkKernel
-// ./internal/kernel): changes are judged by bench/, not by these numbers.
+// kernel at shard counts 1, 2 and 8, each with one search worker and with
+// one per core. The large presets are where the force array no longer fits
+// in cache and shard parallelism has work to amortize against. A developer
+// tool (go test -run '^$' -bench BenchmarkKernel ./internal/kernel):
+// changes are judged by bench/, not by these numbers.
 func BenchmarkKernelPresets(b *testing.B) {
 	for _, pr := range kernelPresets() {
 		sys, g, err := pr.Build()
@@ -101,21 +113,24 @@ func BenchmarkKernelPresets(b *testing.B) {
 			cells[c] = c
 		}
 		for _, shards := range []int{1, 2, 8} {
-			b.Run(fmt.Sprintf("%s/shards=%d", pr.Name, shards), func(b *testing.B) {
-				cl := NewCellLists(g, shards)
-				defer cl.Close()
-				cl.SetHosted(cells)
-				cl.SealGhosts()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for n := 0; n < b.N; n++ {
-					if bad := cl.Bin(sys.Set.Pos); bad >= 0 {
-						b.Fatal("bin failed")
+			for _, workers := range searchWorkerAxis() {
+				b.Run(fmt.Sprintf("%s/shards=%d/workers=%d", pr.Name, shards, workers), func(b *testing.B) {
+					cl := NewCellLists(g, shards)
+					defer cl.Close()
+					cl.SetSearchWorkers(workers)
+					cl.SetHosted(cells)
+					cl.SealGhosts()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for n := 0; n < b.N; n++ {
+						if bad := cl.Bin(sys.Set.Pos); bad >= 0 {
+							b.Fatal("bin failed")
+						}
+						sys.Set.ZeroForces()
+						cl.Compute(ljBench, sys.Set)
 					}
-					sys.Set.ZeroForces()
-					cl.Compute(ljBench, sys.Set)
-				}
-			})
+				})
+			}
 		}
 	}
 }
@@ -154,7 +169,8 @@ var setHostedSink *CellLists
 
 // BenchmarkKernelDisordered times the force pass alone on the 50k preset
 // with every coordinate moved by up to ±1.0 — a fluid-like state in which
-// the pairs inside the cut-off arrive at random among the rejected ones.
+// the pairs inside the cut-off arrive at random among the rejected ones —
+// at one search worker and at one per core.
 // BenchmarkKernelPresets times the initial lattice, whose hit pattern
 // repeats from cell to cell and flatters any branch predictor.
 func BenchmarkKernelDisordered(b *testing.B) {
@@ -174,18 +190,24 @@ func BenchmarkKernelDisordered(b *testing.B) {
 	for c := range cells {
 		cells[c] = c
 	}
-	cl := NewCellLists(g, 1)
-	cl.SetHosted(cells)
-	cl.SealGhosts()
-	if bad := cl.Bin(sys.Set.Pos); bad >= 0 {
-		b.Fatal("bin failed")
+	for _, workers := range searchWorkerAxis() {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cl := NewCellLists(g, 1)
+			defer cl.Close()
+			cl.SetSearchWorkers(workers)
+			cl.SetHosted(cells)
+			cl.SealGhosts()
+			if bad := cl.Bin(sys.Set.Pos); bad >= 0 {
+				b.Fatal("bin failed")
+			}
+			var pairs int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				sys.Set.ZeroForces()
+				_, _, pairs = cl.Compute(ljBench, sys.Set)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
+		})
 	}
-	var pairs int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		sys.Set.ZeroForces()
-		_, _, pairs = cl.Compute(ljBench, sys.Set)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
 }

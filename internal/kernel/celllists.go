@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"permcell/internal/particle"
 	"permcell/internal/potential"
@@ -34,9 +36,9 @@ import (
 //     imported positions are staged at the cell's own slot, in whatever
 //     order the halo replies arrive, and sealed into one slice, CSR-indexed
 //     by ghost slot, by a linear copy;
-//   - per-shard slot lists (CSR over the shard partition): each worker
-//     walks exactly its own cells instead of filtering the full hosted
-//     list every step;
+//   - per-shard slot lists (CSR over the shard partition): each shard's
+//     owner walks exactly its own cells instead of filtering the full
+//     hosted list every step;
 //   - per shard, a fixed hit buffer and force accumulators in part order
 //     (the same index as the positions, no particle-id indirection) and,
 //     for imported particles, in ghost-arena order: zeroed and reduced — into
@@ -46,27 +48,43 @@ import (
 // The force pass (computeShard) is two phases over one visiting order. The
 // search phase computes every candidate pair's squared distance in a small
 // leaf loop with no distance-dependent branch and appends the pairs inside
-// the cut-off, packed as (a, stencil code, neighbour index), to the hit
+// the cut-off, packed as (a, stencil code, neighbour index), to a hit
 // buffer; the accumulate phase walks the hits in order, recomputes the
 // displacement with the same expression, evaluates the potential and adds
-// into the accumulators. The buffer holds hitCap entries: a cell pair is
+// into the accumulators. A buffer holds hitCap entries: a cell pair is
 // searched only when all its candidates fit the free space, after a flush
 // if need be, and a pair larger than the whole buffer goes row by row.
 //
+// Who searches, who accumulates. Each shard's slot list is cut into chunks
+// of chunkSlots slots. The shard's owner accumulates every chunk, strictly
+// in chunk order, into the shard's buffers; the search of a chunk may be
+// done by the owner itself (into its own hit buffer, flushing as it goes)
+// or by any of the search workers (SetSearchWorkers), which search a chunk
+// into a segment of the shard's ring and stop at the first cell pair that
+// does not fit it — the owner accumulates the segment and searches the rest
+// of the chunk itself. A searcher only reads positions and writes its own
+// segment, so whoever searched a chunk, the owner adds the same hits in the
+// same order. With one search worker the owner claims every chunk in turn:
+// the pass is the plain search-then-flush loop.
+//
 // Determinism contract: hosted cells are visited in ascending cell index
 // order, each cell's stencil preserves the Neighbors26 order, and hits are
-// buffered and flushed in that same order, so every accumulator sees the
-// additions a single fused loop would make, in its order: for a given
-// hosted set, particle assignment and shard count the floating-point
-// summation order — and therefore every bit of the result — is fixed. With
-// Shards == 1 the summation order is exactly that of the historical
-// map-based kernel, so single-shard results are bit-identical to it. With
-// S > 1 shards, hosted columns are dealt round-robin (in ascending column
-// order) to S workers; each shard accumulates forces and energy into its
-// own buffers, and the shard results are reduced in fixed shard order, so
-// runs are bit-reproducible for a given shard count (but differ between
-// shard counts, which is why the shard count is part of the run config and
-// the trace header).
+// accumulated in that same order, so every accumulator sees the additions a
+// single fused loop would make, in its order: for a given hosted set,
+// particle assignment and shard count the floating-point summation order —
+// and therefore every bit of the result — is fixed, and the census (pairs,
+// Evaluated) is integer arithmetic on the cell populations. The search
+// worker count is therefore not part of a run's identity: it is a runtime
+// fact the engines derive from GOMAXPROCS, and the results are bit-identical
+// at every count. With Shards == 1 the summation order is exactly that of
+// the historical map-based kernel, so single-shard results are
+// bit-identical to it. With S > 1 shards, hosted columns are dealt
+// round-robin (in ascending column order) to S owners; each shard
+// accumulates forces and energy into its own buffers, and the shard results
+// are reduced in fixed shard order, so runs are bit-reproducible for a given
+// shard count (but differ between shard counts, which is why the shard
+// count, unlike the search worker count, is part of the run config and the
+// trace header).
 type CellLists struct {
 	g      space.Grid
 	shards int
@@ -103,24 +121,38 @@ type CellLists struct {
 
 	// Per-shard state of the force pass, reduced in fixed shard order.
 	acc       []shardAcc
-	hits      [][hitCap]uint64 // search-phase output, flushed whenever it fills
+	hits      [][hitCap]uint64 // the owner's search output, flushed whenever it fills
 	pfrc      [][]vec.V        // force accumulators in part order, sized by Bin
 	gfrc      [][]vec.V        // ghost force accumulators in ghostPos order, sized by SealGhosts
+	feeds     []feed           // per shard: its chunks and, with search workers, its ring
 	evaluated int64            // the last Compute's pairs less its count-only candidates
 
-	// Bounded worker pool (started lazily, only when shards > 1).
-	pair   potential.Pair // current Compute target
-	phase  int            // worker dispatch mode: phaseForce or phaseReduce
-	frcDst []vec.V        // reduce-phase target (s.Frc), set by Compute
+	// Bounded worker pool, started lazily when shards > 1 or workers > 1:
+	// one owner per shard (when shards > 1; else the caller owns shard 0)
+	// and workers-1 search helpers.
+	workers int            // search workers: the helpers plus the owner
+	pair    potential.Pair // current Compute target
+	rc2     float64        // its squared cut-off
+	phase   int            // owner dispatch mode: phaseForce or phaseReduce
+	frcDst  []vec.V        // reduce-phase target (s.Frc), set by Compute
 
 	running bool
 	startCh []chan struct{}
 	doneCh  chan struct{}
+	pool    sync.WaitGroup // the pool's goroutines, until they exit
+	quit    atomic.Bool    // set by Close: helpers stop claiming
+
+	// Where a searcher with nothing to claim sleeps: an owner waiting for
+	// a helper's chunk, a helper waiting for a ring segment. moved is
+	// broadcast, under mu, whenever a segment is filled, a ring head moves
+	// or Close begins, but only while parked says someone sleeps.
+	mu     sync.Mutex
+	moved  sync.Cond
+	parked atomic.Int32
 }
 
-// Worker dispatch phases. Both are set by Compute before the channel sends
-// that release the workers, so no atomics are needed (channel
-// happens-before).
+// Owner dispatch phases. Both are set by Compute before the channel sends
+// that release the pool, so no atomics are needed (channel happens-before).
 const (
 	phaseForce = iota
 	phaseReduce
@@ -162,13 +194,15 @@ func wrapCoord(u, n int) (int, uint8) {
 func wrapTerms(l float64) [3]float64 { return [3]float64{wrapNone: 0, wrapBelow: -l, wrapAbove: l} }
 
 // NewCellLists returns scratch state for grids of g's size using the given
-// worker shard count (values < 1 mean 1: the serial kernel). Call Close
-// when done if shards > 1, to stop the worker pool.
+// shard count (values < 1 mean 1: the serial kernel) and one search worker.
+// Call Close when done, to stop the worker pool the first Compute starts
+// when shards > 1 or SetSearchWorkers raised the worker count.
 func NewCellLists(g space.Grid, shards int) *CellLists {
 	if shards < 1 {
 		shards = 1
 	}
-	cl := &CellLists{g: g, shards: shards}
+	cl := &CellLists{g: g, shards: shards, workers: 1}
+	cl.moved.L = &cl.mu
 	// With at least 4 cells per dimension, whether a neighbor-cell pair wraps
 	// around the box — and so the min-image round term Round(d/L)*L, exactly
 	// 0 or +-L — is fixed by the cell pair alone (particles live in half-open
@@ -188,7 +222,21 @@ func NewCellLists(g space.Grid, shards int) *CellLists {
 	cl.hits = make([][hitCap]uint64, shards)
 	cl.pfrc = make([][]vec.V, shards)
 	cl.gfrc = make([][]vec.V, shards)
+	cl.feeds = make([]feed, shards)
 	return cl
+}
+
+// SetSearchWorkers sets how many goroutines search for pairs in each force
+// pass (values < 1 mean 1): the shard owners and n-1 helpers that claim
+// chunks of any shard. The count moves no bit of any result, only the
+// wall time; a change takes effect at the next Compute, which starts the
+// pool afresh.
+func (cl *CellLists) SetSearchWorkers(n int) {
+	n = max(n, 1)
+	if n != cl.workers {
+		cl.Close()
+		cl.workers = n
+	}
 }
 
 // SetHosted rebuilds the hosted topology: the ascending hosted cell list,
@@ -519,26 +567,51 @@ func (cl *CellLists) GhostForces(cell int) []vec.V {
 //
 // Every shard accumulates into its own buffers, held in part order (next to
 // the positions the inner loops read) and in ghost-arena order; the buffers
-// are zeroed by their shards and then added up particle by particle, shards
-// ascending, so the bits never depend on worker timing.
+// are zeroed by their owners and then added up particle by particle, shards
+// ascending, so the bits never depend on worker timing. The search helpers
+// only search; every helper is idle again when Compute returns.
 func (cl *CellLists) Compute(pair potential.Pair, s *particle.Set) (potE, virial float64, pairs int64) {
-	cl.pair, cl.frcDst = pair, s.Frc
-	if cl.shards == 1 {
+	cl.begin(pair, s)
+	if cl.shards == 1 && cl.workers == 1 {
 		cl.computeShard(0)
 		cl.reduceRange(0)
 	} else {
-		// Two dispatch rounds: every worker clears its own buffer and runs
-		// the force pass over its cells, then — after the barrier — reduces
-		// a disjoint range of particles across all shard buffers into s.Frc.
-		// Both the buffer zeroing and the O(shards*N) reduction run inside
-		// the parallel section, so the serial fraction of a sharded step is
-		// only the dispatch itself.
+		// The force round releases the whole pool: the owners clear their
+		// own buffers and run the force pass over their cells while the
+		// helpers search chunks of any shard. Then — after the barrier —
+		// the reduce round has every owner add a disjoint range of
+		// particles across all shard buffers into s.Frc. Both the buffer
+		// zeroing and the O(shards*N) reduction run inside the parallel
+		// section, so the serial fraction of a sharded step is only the
+		// dispatch itself. With one shard the caller is its owner.
 		cl.ensurePool()
 		cl.phase = phaseForce
-		cl.dispatch()
-		cl.phase = phaseReduce
-		cl.dispatch()
+		cl.release(len(cl.startCh))
+		if cl.shards == 1 {
+			cl.computeShard(0)
+			cl.reduceRange(0)
+		}
+		cl.wait(len(cl.startCh))
+		if cl.shards > 1 {
+			cl.phase = phaseReduce
+			cl.release(cl.shards)
+			cl.wait(cl.shards)
+		}
 	}
+	return cl.end()
+}
+
+// begin sets up a force pass: its target and every shard's chunk queue.
+func (cl *CellLists) begin(pair potential.Pair, s *particle.Set) {
+	rc := pair.Cutoff()
+	cl.pair, cl.rc2, cl.frcDst = pair, rc*rc, s.Frc
+	for sh := range cl.feeds {
+		cl.feeds[sh].reset(cl.shardSlot[cl.shardStart[sh]:cl.shardStart[sh+1]])
+	}
+}
+
+// end sums the shards' scalars, in shard order, once every owner is done.
+func (cl *CellLists) end() (potE, virial float64, pairs int64) {
 	cl.pair, cl.frcDst = nil, nil
 	cl.evaluated = 0
 	for _, a := range cl.acc {
@@ -550,13 +623,16 @@ func (cl *CellLists) Compute(pair potential.Pair, s *particle.Set) (potE, virial
 	return potE, virial, pairs
 }
 
-// dispatch releases every worker and waits for all of them to finish one
-// phase.
-func (cl *CellLists) dispatch() {
-	for sh := 0; sh < cl.shards; sh++ {
-		cl.startCh[sh] <- struct{}{}
+// release starts the first n pool goroutines on one round (the owners come
+// first in startCh); wait collects n of them.
+func (cl *CellLists) release(n int) {
+	for _, ch := range cl.startCh[:n] {
+		ch <- struct{}{}
 	}
-	for sh := 0; sh < cl.shards; sh++ {
+}
+
+func (cl *CellLists) wait(n int) {
+	for range n {
 		<-cl.doneCh
 	}
 }
@@ -659,29 +735,181 @@ func countHit(n uint64, r2, rc2 float64) uint64 {
 	return n
 }
 
-// pass is one shard's state during a force pass.
+// Sizes of the search pipeline. A chunk is the unit a searcher claims:
+// small enough that the helpers and the owner share a pass evenly, large
+// enough that claiming one costs nothing beside its search (about 30 hits a
+// cell on the 50k preset, so a chunk's hits fill a quarter of a segment).
+// The ring bounds how far the searchers run ahead of the owner, and so the
+// memory a shard's pipeline holds: ringLen segments of hitCap hits.
+const (
+	chunkSlots = 32
+	ringLen    = 16
+)
+
+// feed is one shard's chunk queue for a force pass. Chunks are claimed in
+// ascending order, by the owner or by any searcher. The owner searches a
+// chunk it claims itself in place; any other claim searches chunk c into
+// ring segment c%ringLen, which is free once the owner has accumulated
+// chunk c-ringLen, so a claim waits for c < head+ringLen.
+type feed struct {
+	slots  []int32      // the shard's hosted slots, ascending
+	chunks int32        // chunks of chunkSlots slots in slots
+	next   atomic.Int32 // chunks claimed
+	head   atomic.Int32 // chunks the owner has taken in
+	ring   []segment    // ringLen segments; nil with one search worker
+}
+
+// segment is one chunk searched ahead of the owner: the hits, the census of
+// the cell pairs searched, and where the search stopped.
+type segment struct {
+	done        atomic.Int32 // chunk number + 1, stored once the fields below are
+	hits        [hitCap]uint64
+	n           uint64
+	stop        cursor // the rest of the chunk is the owner's to search
+	pairs, lent int64
+}
+
+// cursor is a place in a chunk's visiting order: the chunk's slot i and,
+// within that cell of n particles, unit u — row u of its own pairs for
+// u < n-1, else stencil entry u-(n-1).
+type cursor struct{ i, u int }
+
+// reset points the feed at the shard's slots for a new force pass.
+func (f *feed) reset(slots []int32) {
+	f.slots = slots
+	f.chunks = int32((len(slots) + chunkSlots - 1) / chunkSlots)
+	f.next.Store(0)
+	f.head.Store(0)
+	for i := range f.ring {
+		f.ring[i].done.Store(0)
+	}
+}
+
+// chunk returns the slots of chunk c.
+func (f *feed) chunk(c int32) []int32 {
+	lo := int(c) * chunkSlots
+	return f.slots[lo:min(lo+chunkSlots, len(f.slots))]
+}
+
+// claim takes the next chunk for a ring segment, or returns -1 when every
+// chunk is claimed or the segment it needs is still the owner's to take in.
+func (f *feed) claim() int32 {
+	for {
+		c := f.next.Load()
+		if c >= f.chunks || c >= f.head.Load()+ringLen {
+			return -1
+		}
+		if f.next.CompareAndSwap(c, c+1) {
+			return c
+		}
+	}
+}
+
+// searchAhead searches chunk c of f into its ring segment with a pass that
+// cannot flush: it stops at the first cell pair that does not fit.
+func (cl *CellLists) searchAhead(f *feed, c int32) {
+	seg := &f.ring[c%ringLen]
+	ps := pass{cl: cl, hits: &seg.hits}
+	seg.stop = ps.walk(f.chunk(c), cursor{})
+	seg.n, seg.pairs, seg.lent = ps.n, ps.pairs, ps.lent
+	seg.done.Store(c + 1)
+	cl.wake()
+}
+
+// wake rouses the sleeping searchers, if any, after a change one of them
+// may wait for. It is one atomic load when nobody sleeps: the sleeper
+// counts itself in parked before it tests its condition, and the waker
+// changes the state before it reads parked, so one of the two sees the
+// other.
+func (cl *CellLists) wake() {
+	if cl.parked.Load() > 0 {
+		cl.mu.Lock()
+		cl.moved.Broadcast()
+		cl.mu.Unlock()
+	}
+}
+
+// help is a search helper's share of one force pass: it claims chunks of
+// any shard until none is left unclaimed. While the only chunks left wait
+// for a ring segment, it sleeps until an owner frees one.
+func (cl *CellLists) help() {
+	for !cl.quit.Load() {
+		claimed, pending := false, false
+		for sh := range cl.feeds {
+			f := &cl.feeds[sh]
+			if c := f.claim(); c >= 0 {
+				cl.searchAhead(f, c)
+				claimed = true
+			} else if f.next.Load() < f.chunks {
+				pending = true
+			}
+		}
+		switch {
+		case claimed:
+		case !pending:
+			return
+		default:
+			cl.mu.Lock()
+			cl.parked.Add(1)
+			for cl.stalled() {
+				cl.moved.Wait()
+			}
+			cl.parked.Add(-1)
+			cl.mu.Unlock()
+		}
+	}
+}
+
+// stalled reports whether a helper must wait: chunks are left unclaimed,
+// but none of them has a free ring segment, and Close has not begun.
+func (cl *CellLists) stalled() bool {
+	if cl.quit.Load() {
+		return false
+	}
+	left := false
+	for sh := range cl.feeds {
+		f := &cl.feeds[sh]
+		if c := f.next.Load(); c < f.chunks {
+			if c < f.head.Load()+ringLen {
+				return false
+			}
+			left = true
+		}
+	}
+	return left
+}
+
+// pass is one searcher's state during a force pass: the buffer it searches
+// into and the census of what it searched, and for the owner (flushes set)
+// the shard's accumulators.
 type pass struct {
-	cl       *CellLists
-	hits     *[hitCap]uint64
-	n        uint64  // hits buffered
+	cl          *CellLists
+	hits        *[hitCap]uint64
+	n           uint64 // hits buffered
+	pairs, lent int64  // candidate pairs counted; of those, left to a lower ghost's host
+
+	flushes  bool    // the owner: a full buffer is accumulated, not a stop
 	frc      []vec.V // force accumulators in part order
 	gfrc     []vec.V // ghost force accumulators in ghostPos order
 	pot, vir float64
-	rc2      float64
 }
 
 // search runs the search phase over the cell pair lpos x q, whose hits are
-// named key + a<<hitAShift + b. A pair that does not fit the buffer's free
-// space waits for a flush; a crowded one, larger than the whole buffer, goes
+// named key + a<<hitAShift + b, and reports whether it did. A pair that does
+// not fit the buffer's free space stops a pass that cannot flush; the owner
+// flushes and searches it, and a crowded one, larger than the whole buffer,
 // row by row, and a row longer than the buffer in pieces.
-func (ps *pass) search(key uint64, lpos, q []vec.V) {
+func (ps *pass) search(key uint64, lpos, q []vec.V) bool {
+	cl := ps.cl
 	switch need := len(lpos) * len(q); {
 	case ps.n+uint64(need) <= hitCap:
-		if cl := ps.cl; cl.useShift {
-			ps.n = searchShift(ps.hits, ps.n, key, lpos, q, cl.shift[key>>hitCodeShift%32], ps.rc2)
+		if cl.useShift {
+			ps.n = searchShift(ps.hits, ps.n, key, lpos, q, cl.shift[key>>hitCodeShift%32], cl.rc2)
 		} else {
-			ps.n = searchMinImage(ps.hits, ps.n, key, lpos, q, cl.g.Box.L, ps.rc2)
+			ps.n = searchMinImage(ps.hits, ps.n, key, lpos, q, cl.g.Box.L, cl.rc2)
 		}
+	case !ps.flushes:
+		return false
 	case need <= hitCap:
 		ps.flush()
 		ps.search(key, lpos, q)
@@ -692,20 +920,89 @@ func (ps *pass) search(key uint64, lpos, q []vec.V) {
 			}
 		}
 	}
+	return true
 }
 
-// flush is the accumulate phase: it walks the buffered hits in the order
-// the search found them, recomputes each displacement with the search's own
+// walk runs the search phase over a chunk's slots from cursor from on, in
+// visiting order — slot, then the cell's own pairs, then its stencil
+// entries in Neighbors26 order, then a, then b — counting the census of
+// every unit it gets through. It returns where it stopped: past the last
+// slot, unless a pass that cannot flush found a unit that does not fit.
+func (ps *pass) walk(slots []int32, from cursor) cursor {
+	cl := ps.cl
+	for i := from.i; i < len(slots); i++ {
+		slot := slots[i]
+		lo, hi := cl.start[slot], cl.start[slot+1]
+		if lo == hi {
+			continue // empty cell owns no pairs
+		}
+		lpos := cl.ppos[lo:hi]
+		nl := len(lpos)
+		u := 0
+		if i == from.i {
+			u = from.u
+		}
+		// Intra-cell pairs, each row a against the cell mates after it: the
+		// round term is code 0, exactly +0.
+		for a := u; a < nl-1; a++ {
+			row := uint64(lo) + uint64(a)
+			if !ps.search(row<<hitAShift+row+1, lpos[a:a+1], lpos[a+1:]) {
+				return cursor{i, a}
+			}
+			ps.pairs += int64(nl - 1 - a)
+		}
+		// Half-stencil neighbors, in Neighbors26 order: the higher-id cells,
+		// hosted or ghost (pair owned here, force scattered to both sides),
+		// and the lower-id ghosts, counted and left to their host.
+		st := cl.stencil[cl.stStart[slot]:cl.stStart[slot+1]]
+		codes := cl.stCode[cl.stStart[slot]:cl.stStart[slot+1]]
+		for k := max(u-(nl-1), 0); k < len(st); k++ {
+			e := st[k]
+			key := uint64(lo)<<hitAShift + uint64(codes[k])<<hitCodeShift
+			var q []vec.V
+			if e >= 0 {
+				q = cl.ppos[cl.start[e]:cl.start[e+1]]
+				key += uint64(cl.start[e])
+			} else {
+				q = cl.ghostPos[cl.ghostStart[-1-e]:cl.ghostStart[-e]]
+				key += hitGhost + uint64(cl.ghostStart[-1-e])
+			}
+			if len(q) == 0 {
+				continue // empty neighbor
+			}
+			cand := int64(nl * len(q))
+			if codes[k] == countOnly {
+				ps.pairs += cand
+				ps.lent += cand
+				continue
+			}
+			if !ps.search(key, lpos, q) {
+				return cursor{i, nl - 1 + k}
+			}
+			ps.pairs += cand
+		}
+	}
+	return cursor{len(slots), 0}
+}
+
+// flush accumulates the owner's buffered hits and empties the buffer.
+func (ps *pass) flush() {
+	ps.accumulate(ps.hits[:ps.n])
+	ps.n = 0
+}
+
+// accumulate is the accumulate phase: it walks hits in the order the search
+// found them, recomputes each displacement with the search's own
 // expression, evaluates the potential and adds into the accumulators. The
 // Lennard-Jones evaluation is devirtualized via the concrete-type assertion
 // so the compiler inlines it; any other Pair goes through the interface.
-func (ps *pass) flush() {
+func (ps *pass) accumulate(hits []uint64) {
 	cl := ps.cl
 	pair := cl.pair
 	lj, ljOK := pair.(*potential.LJ)
 	ppos, frc := cl.ppos, ps.frc
 	pot, vir := ps.pot, ps.vir
-	for _, h := range ps.hits[:ps.n] {
+	for _, h := range hits {
 		a, b := h>>hitAShift, h%hitGhost
 		ghost, from := h&hitGhost != 0, ppos
 		if ghost {
@@ -736,97 +1033,121 @@ func (ps *pass) flush() {
 			frc[b] = frc[b].Sub(fv)
 		}
 	}
-	ps.pot, ps.vir, ps.n = pot, vir, 0
+	ps.pot, ps.vir = pot, vir
 }
 
-// computeShard runs the force pass over the cells of one shard: the search
-// phase in visiting order — slot, then the cell's own pairs, then its
-// stencil entries in Neighbors26 order, then a, then b — and the accumulate
-// phase whenever the hit buffer fills and once at the end.
+// computeShard is the owner's force pass over the cells of one shard: chunk
+// by chunk, in order, it claims the chunk and searches it in place, flushing
+// whenever its buffer fills — or, when a searcher claimed it first, waits
+// for that search, accumulates its own buffered hits and then the
+// segment's, and searches what the segment left of the chunk. Every hit is
+// thereby accumulated in visiting order.
 func (cl *CellLists) computeShard(sh int) {
 	clear(cl.pfrc[sh])
 	clear(cl.gfrc[sh])
-	rc := cl.pair.Cutoff()
-	ps := pass{cl: cl, hits: &cl.hits[sh], frc: cl.pfrc[sh], gfrc: cl.gfrc[sh], rc2: rc * rc}
-	var pairs, lent int64
-	for _, slot := range cl.shardSlot[cl.shardStart[sh]:cl.shardStart[sh+1]] {
-		lo, hi := cl.start[slot], cl.start[slot+1]
-		if lo == hi {
-			continue // empty cell owns no pairs
+	f := &cl.feeds[sh]
+	ps := pass{cl: cl, hits: &cl.hits[sh], flushes: true, frc: cl.pfrc[sh], gfrc: cl.gfrc[sh]}
+	for c := int32(0); c < f.chunks; c++ {
+		from := cursor{}
+		if !f.next.CompareAndSwap(c, c+1) {
+			seg := cl.await(f, c)
+			ps.flush()
+			ps.accumulate(seg.hits[:seg.n])
+			ps.pairs += seg.pairs
+			ps.lent += seg.lent
+			from = seg.stop
 		}
-		lpos := cl.ppos[lo:hi]
-		nl := int64(len(lpos))
-		// Intra-cell pairs, each row a against the cell mates after it: the
-		// round term is code 0, exactly +0.
-		pairs += nl * (nl - 1) / 2
-		for a := range lpos[1:] {
-			row := uint64(lo) + uint64(a)
-			ps.search(row<<hitAShift+row+1, lpos[a:a+1], lpos[a+1:])
-		}
-		// Half-stencil neighbors, in Neighbors26 order: the higher-id cells,
-		// hosted or ghost (pair owned here, force scattered to both sides),
-		// and the lower-id ghosts, counted and left to their host.
-		st := cl.stencil[cl.stStart[slot]:cl.stStart[slot+1]]
-		codes := cl.stCode[cl.stStart[slot]:cl.stStart[slot+1]]
-		for k, e := range st {
-			key := uint64(lo)<<hitAShift + uint64(codes[k])<<hitCodeShift
-			var q []vec.V
-			if e >= 0 {
-				q = cl.ppos[cl.start[e]:cl.start[e+1]]
-				key += uint64(cl.start[e])
-			} else {
-				q = cl.ghostPos[cl.ghostStart[-1-e]:cl.ghostStart[-e]]
-				key += hitGhost + uint64(cl.ghostStart[-1-e])
-			}
-			if len(q) == 0 {
-				continue // empty neighbor
-			}
-			pairs += nl * int64(len(q))
-			if codes[k] == countOnly {
-				lent += nl * int64(len(q))
-				continue
-			}
-			ps.search(key, lpos, q)
-		}
+		f.head.Store(c + 1) // chunk c's segment, if it had one, is free
+		cl.wake()
+		ps.walk(f.chunk(c), from)
 	}
 	ps.flush()
-	cl.acc[sh] = shardAcc{pot: ps.pot, vir: ps.vir, prs: pairs, lent: lent}
+	cl.acc[sh] = shardAcc{pot: ps.pot, vir: ps.vir, prs: ps.pairs, lent: ps.lent}
 }
 
-// ensurePool starts the bounded worker pool (one goroutine per shard). The
-// pool is bounded by the shard count, lives for the CellLists' lifetime and
-// is fed over per-shard channels, so a Compute call performs no allocation.
+// await returns the segment of chunk c, which a searcher claimed, once its
+// search is done. Meanwhile the owner searches chunks ahead itself; with
+// none left to claim it sleeps until a segment is filled.
+func (cl *CellLists) await(f *feed, c int32) *segment {
+	seg := &f.ring[c%ringLen]
+	for seg.done.Load() != c+1 {
+		if a := f.claim(); a >= 0 {
+			cl.searchAhead(f, a)
+			continue
+		}
+		cl.mu.Lock()
+		cl.parked.Add(1)
+		for seg.done.Load() != c+1 {
+			cl.moved.Wait()
+		}
+		cl.parked.Add(-1)
+		cl.mu.Unlock()
+	}
+	return seg
+}
+
+// ensurePool starts the bounded worker pool: an owner per shard when
+// shards > 1, then workers-1 search helpers, each with a ring per shard.
+// The pool lives until Close and is fed over per-goroutine channels, so a
+// Compute call performs no allocation.
 func (cl *CellLists) ensurePool() {
 	if cl.running {
 		return
 	}
-	cl.startCh = make([]chan struct{}, cl.shards)
-	cl.doneCh = make(chan struct{}, cl.shards)
-	for sh := range cl.startCh {
+	owners := 0
+	if cl.shards > 1 {
+		owners = cl.shards
+	}
+	if cl.workers > 1 {
+		for sh := range cl.feeds {
+			cl.feeds[sh].ring = make([]segment, ringLen)
+		}
+	}
+	n := owners + cl.workers - 1
+	cl.quit.Store(false)
+	cl.startCh = make([]chan struct{}, n)
+	done := make(chan struct{}, n) // one token per goroutine and round: a send never blocks
+	cl.doneCh = done
+	cl.pool.Add(n)
+	for i := range cl.startCh {
 		ch := make(chan struct{})
-		cl.startCh[sh] = ch
-		go func(sh int, ch chan struct{}) {
+		cl.startCh[i] = ch
+		go func() {
+			defer cl.pool.Done()
 			for range ch {
-				if cl.phase == phaseForce {
-					cl.computeShard(sh)
-				} else {
-					cl.reduceRange(sh)
+				switch {
+				case i >= owners:
+					cl.help()
+				case cl.phase == phaseForce:
+					cl.computeShard(i)
+				default:
+					cl.reduceRange(i)
 				}
-				cl.doneCh <- struct{}{}
+				done <- struct{}{}
 			}
-		}(sh, ch)
+		}()
 	}
 	cl.running = true
 }
 
-// Close stops the worker pool. It is a no-op for shards == 1 or if the pool
-// was never started; the CellLists must not be used after Close.
+// Close stops the worker pool, returns once every goroutine of it has
+// exited — also when a panic left a force pass unfinished, its helpers
+// waiting on segments no owner will free — and lets go of the search
+// rings. It is a no-op if the pool was never started; the CellLists must
+// not be used after Close.
 func (cl *CellLists) Close() {
 	if !cl.running {
 		return
 	}
+	cl.quit.Store(true)
+	cl.wake()
 	for _, ch := range cl.startCh {
 		close(ch)
+	}
+	cl.pool.Wait()
+	cl.startCh, cl.doneCh = nil, nil
+	for sh := range cl.feeds {
+		cl.feeds[sh].ring = nil
 	}
 	cl.running = false
 }

@@ -333,7 +333,7 @@ func crowd(pos []vec.V, g space.Grid, ix, iy, iz, n int, r *rng.Source) []vec.V 
 // TestZeroAllocSteadyState is the CI gate for the kernel's allocation
 // contract: after warm-up, a full per-step cycle — Bin, ghost staging and
 // sealing, Compute — performs zero heap allocations, for the serial kernel
-// and for sharded ones. The domain is the tiny preset's western half plus
+// and for sharded ones, with one search worker and with helpers. The domain is the tiny preset's western half plus
 // one crowded corner — 320 particles in a cell, 320 in its hosted neighbour
 // and 320 in a ghost one — so the hit buffer is flushed mid-pass (a row of
 // 319 cell mates after rows that filled it) and cell pairs larger than the
@@ -367,8 +367,10 @@ func TestZeroAllocSteadyState(t *testing.T) {
 			local.Add(int64(i), p, vec.Zero)
 		}
 	}
-	for _, shards := range []int{1, 2, 8} {
+	for _, sw := range [][2]int{{1, 1}, {1, 3}, {2, 1}, {2, 2}, {8, 1}, {8, 3}} {
+		shards, workers := sw[0], sw[1]
 		cl := buildFlat(t, g, shards, local, global, pred)
+		cl.SetSearchWorkers(workers)
 		step := func() {
 			if bad := cl.Bin(local.Pos); bad >= 0 {
 				t.Fatal("bin failed")
@@ -385,7 +387,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 			step() // warm-up: buffer growth, worker pool start
 		}
 		if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
-			t.Errorf("shards=%d: %v allocs per step, want 0", shards, allocs)
+			t.Errorf("shards=%d workers=%d: %v allocs per step, want 0", shards, workers, allocs)
 		}
 	}
 }

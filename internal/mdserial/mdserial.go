@@ -11,6 +11,7 @@ package mdserial
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"permcell/internal/integrator"
@@ -38,9 +39,10 @@ type Config struct {
 	// Grid optionally fixes the cell grid. When zero-valued, the finest
 	// grid with cell side >= the pair cut-off is used.
 	Grid space.Grid
-	// Shards is the force-kernel worker count (<= 1 = serial kernel).
-	// Results are bit-deterministic per shard count. Engines with
-	// Shards > 1 must be Closed to stop the worker pool.
+	// Shards is the force-kernel shard count (<= 1 = serial kernel).
+	// Results are bit-deterministic per shard count. Engines must be
+	// Closed to stop the kernel's worker pool: the shard owners and the
+	// pair-search helpers (one per core beyond the first, whatever Shards).
 	Shards int
 	// Metrics enables the per-step phase timing layer (internal/metrics).
 	// Off, the engine carries a nil timer and the hot path pays one
@@ -99,6 +101,9 @@ func New(cfg Config, set *particle.Set) (*Engine, error) {
 		e.tm = &metrics.Timer{}
 	}
 	e.cl = kernel.NewCellLists(g, cfg.Shards)
+	// One rank: every core may search for pairs. The count is no part of
+	// the run's identity (the kernel's results do not depend on it).
+	e.cl.SetSearchWorkers(runtime.GOMAXPROCS(0))
 	// Serial engine: every cell is hosted, no ghosts.
 	all := make([]int, g.NumCells())
 	for c := range all {
@@ -111,7 +116,8 @@ func New(cfg Config, set *particle.Set) (*Engine, error) {
 	return e, nil
 }
 
-// Close stops the force-kernel worker pool (a no-op for Shards <= 1). The
+// Close stops the force-kernel worker pool: the shard owners (Shards > 1)
+// and the pair-search helpers the engine runs when GOMAXPROCS > 1. The
 // engine must not be stepped after Close.
 func (e *Engine) Close() { e.cl.Close() }
 

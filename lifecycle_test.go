@@ -97,8 +97,10 @@ func TestStatsEveryZeroSafe(t *testing.T) {
 // TestRunEngineCancelReleasesGoroutines cancels a run mid-flight and
 // demands both a usable partial result and full teardown of the PE
 // goroutines — the regression test for RunEngine returning without
-// finalizing the engine.
+// finalizing the engine. At GOMAXPROCS 8 each of the 4 ranks runs a
+// pair-search helper beside its force pass, which teardown must stop too.
 func TestRunEngineCancelReleasesGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -128,8 +130,10 @@ func TestRunEngineCancelReleasesGoroutines(t *testing.T) {
 // finalize the engine anyway: the stall eventually clears, the best-effort
 // teardown drains the batch under its extended grace, and the caller gets
 // the statistics collected before the failure plus the original error —
-// with no goroutines left behind.
+// with no goroutines left behind — the ranks' pair-search helpers, which
+// GOMAXPROCS 8 gives them, included.
 func TestRunEngineStepErrorSalvage(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	base := runtime.NumGoroutine()
 	eng, err := permcell.New(2, 4, 0.2,
 		permcell.WithFaultPlan(permcell.FaultPlan{
