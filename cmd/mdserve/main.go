@@ -1,6 +1,8 @@
 // Command mdserve exposes the permcell simulation engines as an HTTP
 // service: submit runs, stream their step records live, pause/resume them
 // via checkpoints, and scrape Prometheus metrics for the whole fleet.
+// Workers advance every run one step at a time, so a pause or a cancel
+// lands after the step in flight.
 //
 //	mdserve -addr :8080 -data /var/lib/mdserve -workers 4
 //
@@ -45,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "admission queue depth (0 = 64)")
 	maxParticles := fs.Int("max-particles", 0, "per-run particle cap (0 = 200000)")
-	batch := fs.Int("batch", 0, "steps per control-check batch (0 = 8)")
 	retention := fs.Duration("retention", 0, "reap terminal runs (and their checkpoints) this long after they finish (0 = keep forever)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful shutdown budget")
 	if err := fs.Parse(args); err != nil {
@@ -68,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{"workers", *workers < 0},
 		{"queue", *queue < 0},
 		{"max-particles", *maxParticles < 0},
-		{"batch", *batch < 0},
 		{"retention", *retention < 0},
 		{"drain", *drain < 0},
 	} {
@@ -92,7 +92,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Workers:      *workers,
 		QueueDepth:   *queue,
 		MaxParticles: *maxParticles,
-		StepBatch:    *batch,
 		Retention:    *retention,
 	})
 	if err != nil {

@@ -21,7 +21,6 @@ func TestNegativeFlagsAreUsageErrors(t *testing.T) {
 		{"workers", "-1"},
 		{"queue", "-1"},
 		{"max-particles", "-1"},
-		{"batch", "-1"},
 		{"retention", "-1s"},
 		{"drain", "-1s"},
 	} {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -103,6 +105,42 @@ func TestEngineStatsBetweenBatches(t *testing.T) {
 	}
 	if err := eng.Step(1); err == nil {
 		t.Error("Step after Finish accepted")
+	}
+}
+
+// TestStepStartsNoGoroutine: a Step runs on the rank goroutines the engine
+// already has, and the driver collects their acks on its own goroutine, so
+// OnStep, sampling from inside the step, counts exactly the goroutines of
+// the idle engine between steps — with and without the watchdog's ticker.
+// A goroutine that exits meanwhile (another test's residue) only lowers
+// the inside count.
+func TestStepStartsNoGoroutine(t *testing.T) {
+	for _, watchdog := range []time.Duration{0, time.Minute} {
+		t.Run(fmt.Sprint("watchdog=", watchdog), func(t *testing.T) {
+			sys, g := testSystem(t, 4, 0.256, 42)
+			cfg := baseConfig(g, 4)
+			cfg.Balancer = balance.PermanentCell{}
+			cfg.Watchdog = watchdog
+			inside := 0 // written by rank 0 in OnStep; Step's acks order the read
+			cfg.OnStep = func(StepStats) { inside = runtime.NumGoroutine() }
+			e, err := NewEngine(cfg, sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Finish()
+			if err := e.Step(2); err != nil { // past init and the kernel's lazy pool
+				t.Fatal(err)
+			}
+			for range 10 {
+				idle := runtime.NumGoroutine()
+				if err := e.Step(1); err != nil {
+					t.Fatal(err)
+				}
+				if inside > idle {
+					t.Fatalf("%d goroutines inside Step(1), %d between steps", inside, idle)
+				}
+			}
+		})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"permcell/internal/balance"
@@ -263,32 +264,34 @@ func (p *pe) oneStep(step int) {
 // runStepwise executes the simulation in driver-commanded batches: each
 // value received on cmd is a batch size to advance by (cmdFinish ends the
 // run, cmdSnapshot serializes this PE's shard into snap); after each
-// command the PE reports on ack and goes idle. All ranks receive the same
-// command sequence, so the collectives inside a batch stay aligned. Step
-// numbering continues from the restore point (step0 = 0 on a fresh start).
-func (p *pe) runStepwise(cmd <-chan int, ack chan<- struct{}, res *Result, snap []checkpoint.Frame) {
+// command the PE counts itself off left, and the last local rank to finish
+// reports on ack (one wake-up of the driver per command) before all go
+// idle. All ranks receive the same command sequence, so the collectives
+// inside a batch stay aligned. Step numbering continues from the restore
+// point (step0 = 0 on a fresh start).
+func (p *pe) runStepwise(cmd <-chan int, ack chan<- struct{}, left *atomic.Int32, res *Result, snap []checkpoint.Frame) {
 	defer p.cl.Close()
 	p.init()
 	step := p.step0
 	for n := range cmd {
 		if n == cmdSnapshot {
 			p.snapshot(snap)
-			ack <- struct{}{}
-			continue
-		}
-		if n < 0 {
+		} else if n < 0 {
 			break
+		} else {
+			for i := 0; i < n; i++ {
+				step++
+				p.oneStep(step)
+			}
+			// Deliver anything the fault layer held back before going idle:
+			// a message held across the ack would strand a peer still
+			// receiving inside the batch, deadlocking the world (peers ack
+			// only once their own protocol drains).
+			p.c.FlushFaults()
 		}
-		for i := 0; i < n; i++ {
-			step++
-			p.oneStep(step)
+		if left.Add(-1) == 0 {
+			ack <- struct{}{}
 		}
-		// Deliver anything the fault layer held back before going idle: a
-		// message held across the ack would strand a peer still receiving
-		// inside the batch, deadlocking the world (peers ack only once
-		// their own protocol drains).
-		p.c.FlushFaults()
-		ack <- struct{}{}
 	}
 	p.gatherFinal(res)
 }

@@ -340,9 +340,10 @@ func TestForceReturnTamperPanics(t *testing.T) {
 // TestStepAllocsSteadyState bounds what one Step(1) of a static pillar run
 // at P=4 allocates, over all four rank goroutines and the driver. What is
 // left is the census (a gather of boxed records and what rank 0 folds them
-// into), one interface box per non-empty message, and the driver's
-// per-command channels and goroutines: 39 objects, 28 before the force
-// return gave every neighbor link a third (boxed) message a step.
+// into) and one interface box per non-empty message: 35 objects. The
+// driver's per-command channels and goroutines made it 39 until the driver
+// collected the acks itself; 28 before the force return gave every
+// neighbor link a third (boxed) message a step.
 // With the need-list round — a map, its lists, fresh reply blocks and
 // positions, eight boxed messages per rank — the same step allocated 299,
 // so a per-step map or list coming back fails here, not in a benchmark.

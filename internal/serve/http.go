@@ -18,7 +18,7 @@ import (
 //	GET    /runs/{id}/stream live step records, JSONL by default,
 //	                         text/event-stream with Accept: text/event-stream
 //	                         or ?sse=1; ?from=N skips the first N records
-//	POST   /runs/{id}/pause  checkpoint and park at the next batch boundary
+//	POST   /runs/{id}/pause  checkpoint and park after the step in flight
 //	POST   /runs/{id}/resume restore from checkpoint and re-queue
 //	DELETE /runs/{id}        cancel
 //	GET    /metrics          Prometheus exposition, service + per-run series

@@ -47,6 +47,8 @@ type Run struct {
 	ctx    context.Context // canceled by DELETE or server shutdown
 	cancel context.CancelFunc
 
+	sink func(permcell.StepStats) // WithOnStep target: onStep, or a test's wrapper of it
+
 	// sab is the run-owned one-shot sabotage script: the same pointer is
 	// threaded through every engine incarnation (supervisor rollbacks and
 	// pause/resume restores), so the fault fires exactly once per run.
@@ -56,10 +58,10 @@ type Run struct {
 	state   State
 	err     string
 	doneAt  time.Time // when the run entered a terminal state (janitor clock)
-	pauseRq bool      // pause requested; worker parks at the next batch boundary
+	pauseRq bool      // pause requested; worker parks after the step in flight
 	done    int       // completed simulation steps
 	recs    []metrics.StepRecord
-	changed chan struct{} // closed and replaced on every observable change
+	changed chan struct{} // closed and replaced on every new record and state change
 
 	// Per-run exposition state (GET /metrics).
 	cum        metrics.Cumulative
@@ -76,6 +78,7 @@ func newRun(id string, spec RunSpec, dir string, parent context.Context) *Run {
 		state:   StateQueued,
 		changed: make(chan struct{}),
 	}
+	r.sink = r.onStep
 	if sb := spec.Sabotage; sb != nil {
 		r.sab = sb.script()
 	}
@@ -107,8 +110,8 @@ func (r *Run) setState(s State, err error) {
 }
 
 // onStep is the engine's WithOnStep sink: it folds the step into the
-// run's record log and counters. It runs on rank 0's goroutine mid-batch,
-// so it must not call back into the engine; it only touches Run state
+// run's record log and counters. It runs on rank 0's goroutine inside a
+// Step, so it must not call back into the engine; it only touches Run state
 // under mu.
 func (r *Run) onStep(st permcell.StepStats) {
 	rec := stepRecord(&r.Spec, st)

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -258,12 +259,12 @@ func TestServeParallelMatchesSolo(t *testing.T) {
 }
 
 func TestPauseResumeBitIdentical(t *testing.T) {
-	s, hs := newTestService(t, Config{Workers: 1, StepBatch: 1})
+	s, hs := newTestService(t, Config{Workers: 1})
 	spec := serialSpec(300)
 	id := postRun(t, hs, spec)
 
-	// Pause as soon as the run is actually running. With StepBatch=1 the
-	// worker honors the request at the next step boundary.
+	// Pause as soon as the run is actually running. The worker honors the
+	// request at the next step boundary.
 	waitState(t, s, id, StateRunning)
 	if err := s.Pause(id); err != nil {
 		t.Fatalf("Pause: %v", err)
@@ -290,8 +291,106 @@ func TestPauseResumeBitIdentical(t *testing.T) {
 	assertSameTrace(t, recs, solo, fmt.Sprintf("pause@%d/resume vs solo", paused))
 }
 
+// hookedRun registers a run of spec with s as Submit would, but leaves it
+// off the queue and wraps its step sink so that hook sees each record's
+// step from inside that step. The caller drives it with s.execute.
+func hookedRun(t *testing.T, s *Server, spec RunSpec, hook func(id string, step int)) *Run {
+	t.Helper()
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.seq++
+	id := fmt.Sprintf("r%06d", s.seq)
+	r := newRun(id, spec, filepath.Join(s.cfg.Dir, id), s.ctx)
+	r.sink = func(st permcell.StepStats) {
+		r.onStep(st)
+		hook(id, st.Step)
+	}
+	s.runs[id] = r
+	return r
+}
+
+// TestControlLandsAtItsStep raises a pause or a cancel from inside step k:
+// the run must stop with exactly k steps done and k records, not at a later
+// batch boundary, and the paused run, resumed, must stream the solo trace.
+func TestControlLandsAtItsStep(t *testing.T) {
+	const k = 5
+	for _, c := range []struct {
+		name string
+		spec RunSpec
+	}{
+		{"serial", serialSpec(20)},
+		{"parallel", RunSpec{Kind: KindParallel, M: 2, P: 4, Rho: 0.4, Steps: 20, Balancer: "permcell"}},
+	} {
+		t.Run(c.name+"/pause", func(t *testing.T) {
+			s, hs := newTestService(t, Config{Workers: 1})
+			r := hookedRun(t, s, c.spec, func(id string, step int) {
+				if step == k {
+					if err := s.Pause(id); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+			s.execute(r)
+			if st := getStatus(t, hs, r.ID); st.State != StatePaused || st.Done != k || st.Records != k {
+				t.Fatalf("paused from inside step %d: status %+v", k, st)
+			}
+			if err := s.Resume(r.ID); err != nil {
+				t.Fatalf("Resume: %v", err)
+			}
+			if fin := waitTerminal(t, s, r.ID); fin != StateCompleted {
+				t.Fatalf("state after resume = %s, want completed", fin)
+			}
+			assertSameTrace(t, streamRecords(t, hs, r.ID), soloTrace(t, c.spec, t.TempDir()),
+				fmt.Sprintf("pause@%d/resume vs solo", k))
+		})
+		t.Run(c.name+"/cancel", func(t *testing.T) {
+			s, hs := newTestService(t, Config{Workers: 1})
+			r := hookedRun(t, s, c.spec, func(id string, step int) {
+				if step == k {
+					if err := s.Cancel(id); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+			s.execute(r)
+			if st := getStatus(t, hs, r.ID); st.State != StateCanceled || st.Done != k || st.Records != k {
+				t.Fatalf("canceled from inside step %d: status %+v", k, st)
+			}
+		})
+	}
+}
+
+// TestPauseAfterLastStepCompletes: a pause that arrives once the last step
+// is done is still accepted (202), but there is nothing left to park, so
+// the run completes instead of checkpointing and waiting for a resume.
+func TestPauseAfterLastStepCompletes(t *testing.T) {
+	s, hs := newTestService(t, Config{Workers: 1})
+	spec := serialSpec(6)
+	r := hookedRun(t, s, spec, func(id string, step int) {
+		if step != spec.Steps {
+			return
+		}
+		resp, err := hs.Client().Post(hs.URL+"/runs/"+id+"/pause", "application/json", nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Errorf("pause after the last step: status %d, want 202", resp.StatusCode)
+		}
+	})
+	s.execute(r)
+	if st := getStatus(t, hs, r.ID); st.State != StateCompleted || st.Done != spec.Steps {
+		t.Fatalf("status %+v, want completed after %d steps", st, spec.Steps)
+	}
+}
+
 func TestCancel(t *testing.T) {
-	s, hs := newTestService(t, Config{Workers: 1, StepBatch: 1})
+	s, hs := newTestService(t, Config{Workers: 1})
 	spec := serialSpec(100_000)
 	id := postRun(t, hs, spec)
 	waitState(t, s, id, StateRunning)
@@ -311,7 +410,7 @@ func TestCancel(t *testing.T) {
 }
 
 func TestAdmissionControl(t *testing.T) {
-	s, hs := newTestService(t, Config{Workers: 1, QueueDepth: 1, MaxParticles: 500, StepBatch: 1})
+	s, hs := newTestService(t, Config{Workers: 1, QueueDepth: 1, MaxParticles: 500})
 
 	// Invalid spec: 400.
 	if _, code, _ := tryPostRun(t, hs, RunSpec{Kind: KindParallel, M: 0, P: 3, Rho: 0.4, Steps: 1}); code != http.StatusBadRequest {

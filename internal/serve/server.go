@@ -33,9 +33,6 @@ type Config struct {
 	// proxy: per-run state is O(N)); larger specs are rejected with 413.
 	// 0 = 200_000.
 	MaxParticles int
-	// StepBatch is the number of simulation steps a worker advances
-	// between control checks (pause/cancel latency, in steps). 0 = 8.
-	StepBatch int
 	// Retention is how long a terminal run (completed, failed or canceled)
 	// stays addressable after finishing. Once it expires, the janitor
 	// removes the run — its record log, status, and private checkpoint
@@ -55,9 +52,6 @@ func (c *Config) normalize() {
 	}
 	if c.MaxParticles <= 0 {
 		c.MaxParticles = 200_000
-	}
-	if c.StepBatch <= 0 {
-		c.StepBatch = 8
 	}
 	if c.Retention > 0 && c.SweepEvery <= 0 {
 		c.SweepEvery = c.Retention / 4
@@ -199,7 +193,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Unlock()
 
 	if first {
-		s.cancel()     // every run context is a child: running engines stop at the next batch
+		s.cancel()     // every run context is a child: running engines stop at the next step
 		close(s.queue) // workers drain the queue (canceled runs fall through) and exit
 	}
 
@@ -286,9 +280,10 @@ func (s *Server) List() []RunStatus {
 	return out
 }
 
-// Pause asks a running run to checkpoint and park at the next batch
-// boundary. The transition is asynchronous: the run reports StatePaused
-// once the checkpoint is written and the engine released.
+// Pause asks a running run to checkpoint and park after the step in
+// flight. The transition is asynchronous: the run reports StatePaused once
+// the checkpoint is written and the engine released. A run whose last step
+// is already done completes instead: there is nothing left to resume.
 func (s *Server) Pause(id string) error {
 	r, err := s.Get(id)
 	if err != nil {
@@ -334,7 +329,7 @@ func (s *Server) Resume(id string) error {
 }
 
 // Cancel terminates a run in any non-terminal state. Queued runs are
-// skipped by the workers; running runs stop at the next batch boundary;
+// skipped by the workers; running runs stop after the step in flight;
 // paused runs just flip to canceled.
 func (s *Server) Cancel(id string) error {
 	r, err := s.Get(id)
@@ -382,7 +377,7 @@ func (s *Server) execute(r *Run) {
 	resuming := r.snapshotDone() > 0 || r.hasCheckpoint()
 	var eng permcell.Engine
 	var err error
-	opts, err := r.Spec.options(r.dir, r.sab, r.onStep, nil)
+	opts, err := r.Spec.options(r.dir, r.sab, r.sink, nil)
 	if err != nil {
 		r.setState(StateFailed, err)
 		return
@@ -408,15 +403,20 @@ func (s *Server) execute(r *Run) {
 		r.setState(final, ferr)
 	}
 
-	for {
+	for done := r.snapshotDone(); ; done++ {
+		// One lock per step publishes the count and reads the pause
+		// request; no waiter blocks on Done, so nothing is notified.
 		r.mu.Lock()
-		done := r.done
-		pause := r.pauseRq
-		r.pauseRq = false
+		r.done = done
+		pause := r.pauseRq // Resume clears it
 		r.mu.Unlock()
 
 		if r.ctx.Err() != nil {
 			finish(StateCanceled, nil)
+			return
+		}
+		if done >= r.Spec.Steps {
+			finish(StateCompleted, nil)
 			return
 		}
 		if pause {
@@ -426,33 +426,14 @@ func (s *Server) execute(r *Run) {
 			}
 			// Park: release the engine (and its PE goroutines); the
 			// supervision totals so far stay with the run.
-			if rep := permcell.SupervisionReport(eng); rep != nil {
-				r.recordSupervision(rep)
-			}
-			if _, rerr := eng.Result(); rerr != nil {
-				r.setState(StateFailed, rerr)
-				return
-			}
-			r.setState(StatePaused, nil)
+			finish(StatePaused, nil)
 			return
 		}
-		if done >= r.Spec.Steps {
-			finish(StateCompleted, nil)
-			return
-		}
-
-		batch := s.cfg.StepBatch
-		if rest := r.Spec.Steps - done; rest < batch {
-			batch = rest
-		}
-		if err := eng.Step(batch); err != nil {
+		// One step at a time: pause and cancel land at the next step.
+		if err := eng.Step(1); err != nil {
 			finish(StateFailed, err)
 			return
 		}
-		r.mu.Lock()
-		r.done += batch
-		r.notify()
-		r.mu.Unlock()
 	}
 }
 

@@ -139,7 +139,6 @@ func TestSoakConcurrentRuns(t *testing.T) {
 	s, hs := newTestService(t, Config{
 		Workers:    runtime.GOMAXPROCS(0),
 		QueueDepth: total,
-		StepBatch:  4,
 	})
 	ids, traces := runFleet(t, s, hs, variants, total)
 
@@ -186,8 +185,8 @@ func TestSoakConcurrentRuns(t *testing.T) {
 	}
 
 	// Bounded residue: every abandoned world (one per doomed run, one per
-	// healed run's rollback) parks at most its P ranks plus their comm and
-	// batch helpers. Anything beyond that allowance is a real leak.
+	// healed run's rollback) parks at most its P ranks plus their comm
+	// helpers. Anything beyond that allowance is a real leak.
 	sabotaged := 2 * (total / len(variants))
 	settled := shutdownAndSettle(t, s, hs, baseline+12*sabotaged)
 
@@ -196,7 +195,6 @@ func TestSoakConcurrentRuns(t *testing.T) {
 	s2, hs2 := newTestService(t, Config{
 		Workers:    runtime.GOMAXPROCS(0),
 		QueueDepth: total,
-		StepBatch:  4,
 	})
 	hv := healthyVariants()
 	ids2, traces2 := runFleet(t, s2, hs2, hv, total)

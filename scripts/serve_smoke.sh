@@ -26,7 +26,7 @@ die() {
 }
 
 go build -o "$DATA/mdserve" ./cmd/mdserve
-"$DATA/mdserve" -addr "$ADDR" -data "$DATA/runs" -workers 2 -batch 1 >"$LOG" 2>&1 &
+"$DATA/mdserve" -addr "$ADDR" -data "$DATA/runs" -workers 2 >"$LOG" 2>&1 &
 SRV_PID=$!
 
 for i in $(seq 1 50); do
