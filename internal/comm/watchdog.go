@@ -188,11 +188,13 @@ func allStacks() string {
 }
 
 // WatchSection watches one bounded section of communication for progress:
-// it returns nil once done is closed, or a *DeadlockError if no rank
-// completes a communication operation for timeout while the section is in
-// flight. It scopes the watchdog to a single batch of work — a stepwise
-// engine's ranks sit idle between Step calls, which must not count as a
-// stall.
+// it returns nil once done delivers (a value or its close) or abort does, or
+// a *DeadlockError if no rank completes a communication operation for
+// timeout while the section is in flight. It scopes the watchdog to a single
+// batch of work — a stepwise engine's ranks sit idle between Step calls,
+// which must not count as a stall. abort lets a caller's own failure signal
+// (a nil channel never fires) end the wait; the caller tells the two nil
+// returns apart.
 //
 // The timeout must comfortably exceed the longest injected stall or delay
 // of the world's fault plan. On a deadlock the rank goroutines are left
@@ -200,10 +202,13 @@ func allStacks() string {
 // the run or exit the process, exactly as MPI_Abort would.
 //
 // Tracking must have been armed at construction (WithTracking); without it
-// the call just waits for done. A timeout <= 0 also just waits.
-func (w *World) WatchSection(timeout time.Duration, done <-chan struct{}) error {
+// the call just waits for done or abort. A timeout <= 0 also just waits.
+func (w *World) WatchSection(timeout time.Duration, done, abort <-chan struct{}) error {
 	if timeout <= 0 || w.track == nil {
-		<-done
+		select {
+		case <-done:
+		case <-abort:
+		}
 		return nil
 	}
 	poll := timeout / 8
@@ -217,6 +222,8 @@ func (w *World) WatchSection(timeout time.Duration, done <-chan struct{}) error 
 	for {
 		select {
 		case <-done:
+			return nil
+		case <-abort:
 			return nil
 		case <-ticker.C:
 			cur := w.track.ops.Load()

@@ -15,7 +15,7 @@ func watched(w *World, timeout time.Duration, fn func(c *Comm)) error {
 		w.Run(fn)
 		close(done)
 	}()
-	return w.WatchSection(timeout, done)
+	return w.WatchSection(timeout, done, nil)
 }
 
 // TestWatchdogConvertsDeadlockToError is the headline watchdog property: a
