@@ -147,7 +147,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	wellK := fs.Float64("wellk", 1.5, "attractor strength")
 	dt := fs.Float64("dt", 0.005, "time step (reduced units; paper uses 1e-4)")
 	seed := fs.Uint64("seed", 1, "RNG seed")
-	shards := fs.Int("shards", 1, "per-PE force-kernel worker count")
+	shards := fs.Int("shards", 1, "per-PE force-kernel worker count (0 to one per grid column)")
 	out := fs.String("o", "", "CSV output path (default stdout)")
 	metricsOut := fs.String("metrics", "", "per-phase JSONL output path (enables the observability layer; \"-\" = stdout)")
 	promOut := fs.String("prom", "", "Prometheus text snapshot path, written at exit (implies -metrics collection)")

@@ -114,6 +114,7 @@ func TestFlagErrorsExitNonZero(t *testing.T) {
 		{"-wells", "-3", "-steps", "1"},
 		{"-wellk", "-1", "-steps", "1"},
 		{"-transport", "carrier-pigeon", "-steps", "1"},
+		{"-m", "2", "-p", "4", "-shards", "17", "-steps", "1"},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(args, &out, &errb); code == 0 {

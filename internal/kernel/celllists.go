@@ -49,7 +49,11 @@ import (
 // search phase computes every candidate pair's squared distance in a small
 // leaf loop with no distance-dependent branch and appends the pairs inside
 // the cut-off, packed as (a, stencil code, neighbour index), to a hit
-// buffer; the accumulate phase walks the hits in order, recomputes the
+// buffer. The leaf is searchShift, or on an amd64 CPU with AVX2 (CPUID and
+// XGETBV, checked once at init) searchShiftAVX2, which tests four
+// candidates at a time by the same IEEE operations in the same order, with
+// no fused multiply-add, and the same two rejection tests, so it stores the
+// same hits; the accumulate phase walks the hits in order, recomputes the
 // displacement with the same expression, evaluates the potential and adds
 // into the accumulators. A buffer holds hitCap entries: a cell pair is
 // searched only when all its candidates fit the free space, after a flush
@@ -686,6 +690,11 @@ const (
 // + b when the pair is inside the cut-off. The entry is always written and
 // the count advances by a flag, so the loop carries no branch that depends
 // on the distance. The caller guarantees n + len(lpos)*len(q) <= hitCap.
+// searchShiftAVX2 (search_amd64.s) implements the same contract four
+// candidates at a time; where the CPU lacks AVX2, and on every other
+// GOARCH, this leaf runs, and it is the vector leaf's test oracle. Both
+// round r2 the same way: (p - q) - t per axis, (dx*dx + dy*dy) + dz*dz, no
+// fused multiply-add (gc on amd64 fuses only an explicit math.FMA).
 func searchShift(hits *[hitCap]uint64, n uint64, key uint64, lpos, q []vec.V, t vec.V, rc2 float64) uint64 {
 	buf := hits[:] // a slice of constant length: nil-checked here, once, and never out of range
 	for _, p := range lpos {
@@ -703,6 +712,12 @@ func searchShift(hits *[hitCap]uint64, n uint64, key uint64, lpos, q []vec.V, t 
 	}
 	return n
 }
+
+// searchLeaf is the search phase's leaf on a shift grid: searchShift, or the
+// vector leaf the CPU runs, set once at package init (searchShiftAVX2 where
+// the CPU has AVX2 and the operating system saves its registers). Both make
+// the same decisions and store the same hits, so the choice moves no bit.
+var searchLeaf = searchShift
 
 // searchMinImage is searchShift for a grid with a dimension below 4, where
 // the round term depends on the pair: the minimum image in a box of edges l.
@@ -904,7 +919,7 @@ func (ps *pass) search(key uint64, lpos, q []vec.V) bool {
 	switch need := len(lpos) * len(q); {
 	case ps.n+uint64(need) <= hitCap:
 		if cl.useShift {
-			ps.n = searchShift(ps.hits, ps.n, key, lpos, q, cl.shift[key>>hitCodeShift%32], cl.rc2)
+			ps.n = searchLeaf(ps.hits, ps.n, key, lpos, q, cl.shift[key>>hitCodeShift%32], cl.rc2)
 		} else {
 			ps.n = searchMinImage(ps.hits, ps.n, key, lpos, q, cl.g.Box.L, cl.rc2)
 		}

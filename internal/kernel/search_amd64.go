@@ -1,0 +1,116 @@
+package kernel
+
+import "permcell/internal/vec"
+
+// searchShiftAVX2 is searchShift four candidates at a time (search_amd64.s):
+// the same arguments, contract and result. For each row it loads the
+// neighbours four at a time as three 32-byte words, transposes them to
+// X, Y and Z vectors, and computes each lane's squared distance with the
+// Go leaf's operations in its order, (p - q) - t per axis and
+// (dx*dx + dy*dy) + dz*dz, with no fused multiply-add. A lane is kept by
+// countHit's two tests, !(r2 >= rc2) (so a NaN distance is a hit) and a
+// non-zero bit pattern (so a coincident pair is not); the kept keys are
+// left-packed in lane order and n advances by their count. The last
+// len(q) mod 4 neighbours of a row take one more step over the row's last
+// four neighbours, or, in a row shorter than four, over one group loaded
+// under masks, so nothing past q's end is read, and no store passes the
+// room the caller made for len(lpos)*len(q) hits. Each decision is one
+// IEEE operation chain a lane computes exactly as the scalar code does, so
+// both leaves store the same hits in the same order.
+//
+//go:noescape
+func searchShiftAVX2(hits *[hitCap]uint64, n uint64, key uint64, lpos, q []vec.V, t vec.V, rc2 float64) uint64
+
+// cpuid executes CPUID with the given leaf and sub-leaf.
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+
+// xgetbv returns the low word of extended control register 0: the state
+// components the operating system saves across context switches.
+func xgetbv() uint32
+
+func init() {
+	buildLeafTables(&leafTab)
+	if hasAVX2() {
+		searchLeaf = searchShiftAVX2
+	}
+}
+
+// hasAVX2 reports whether the CPU runs searchShiftAVX2: AVX2 and POPCNT
+// present, and YMM state saved by the operating system (OSXSAVE, and XCR0
+// enabling both the XMM and the YMM state).
+func hasAVX2() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const popcnt, osxsave, avx = 1 << 23, 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(popcnt|osxsave|avx) != popcnt|osxsave|avx {
+		return false
+	}
+	if xgetbv()&6 != 6 {
+		return false
+	}
+	const avx2 = 1 << 5
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx2 != 0
+}
+
+// leafTables are searchShiftAVX2's constants, laid out for its vector
+// loads (the assembly reads the fields by the offsets go_asm.h gives).
+type leafTables struct {
+	lane, four, row [4]uint64 // the lane numbers; the key step of a group and of a row
+	pack            [16][8]uint32
+	short           [3]shortTail
+	long            [3]longTail
+	first           [4][4]uint64 // first[c]: lanes below c, the stores of c kept keys
+}
+
+// shortTail is a row of k = len(q) < 4 neighbours, at short[k-1]: one group
+// of k lanes, loaded under masks that stop at q's end.
+type shortTail struct {
+	load [3][4]uint64 // VMASKMOVPD masks of the group's three 32-byte loads
+	keep [4]uint64    // lanes 0 to k-1
+}
+
+// longTail ends a row of at least four neighbours whose count is k mod 4,
+// k > 0, at long[k-1]: the row's last four neighbours, overlapping its last
+// full group, of which only the k new lanes are kept.
+type longTail struct {
+	keep  [4]uint64 // lanes 4-k to 3
+	delta [4]uint64 // k-4: from the keys past the full groups to those of the last four
+}
+
+var leafTab leafTables
+
+// buildLeafTables fills t. pack[m] holds the VPERMD dword indices that move
+// the lanes set in the 4-bit mask m, in lane order, to the front.
+func buildLeafTables(t *leafTables) {
+	lanes := func(lo, hi int) (m [4]uint64) {
+		for l := lo; l < hi; l++ {
+			m[l] = ^uint64(0)
+		}
+		return m
+	}
+	for l := range 4 {
+		t.lane[l], t.four[l], t.row[l] = uint64(l), 4, 1<<hitAShift
+		t.first[l] = lanes(0, l)
+	}
+	for m := range t.pack {
+		i := 0
+		for l := range 4 {
+			if m&(1<<l) != 0 {
+				t.pack[m][2*i], t.pack[m][2*i+1] = uint32(2*l), uint32(2*l+1)
+				i++
+			}
+		}
+	}
+	for k := 1; k < 4; k++ {
+		short, long := &t.short[k-1], &t.long[k-1]
+		for w := range short.load { // word w holds coordinates 4w to 4w+3 of the group's 3k
+			short.load[w] = lanes(0, min(max(3*k-4*w, 0), 4))
+		}
+		short.keep, long.keep = lanes(0, k), lanes(4-k, 4)
+		for l := range long.delta {
+			long.delta[l] = uint64(k - 4)
+		}
+	}
+}

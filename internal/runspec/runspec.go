@@ -81,6 +81,17 @@ func TimeStep(dt float64) (float64, error) {
 	return dt, nil
 }
 
+// Shards checks an identity's force-kernel shard count against its grid of
+// nc cells per dimension: 0 and 1 are the serial kernel, and at most one
+// shard per column of the nc*nc (a shard beyond that would own no column,
+// yet cost a hit buffer and a pool goroutine on every rank).
+func Shards(n, nc int) error {
+	if n < 0 || n > nc*nc {
+		return fmt.Errorf("runspec: shards must be in [0, %d] (one per column of the %d^2), got %d", nc*nc, nc, n)
+	}
+	return nil
+}
+
 // Sizes resolves a box of nc cells of side r_c per dimension at reduced
 // density rho: N = round(rho * (nc r_c)^3), and the density those N
 // particles actually have.
@@ -125,6 +136,9 @@ func resolve(meta *checkpoint.Meta, st *checkpoint.EngineState) (system, error) 
 	}
 	if err == nil {
 		err = Wells(meta.Wells, meta.WellK)
+	}
+	if err == nil {
+		err = Shards(meta.Shards, nc)
 	}
 	var dt float64
 	if err == nil {

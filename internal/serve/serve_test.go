@@ -429,6 +429,13 @@ func TestAdmissionControl(t *testing.T) {
 	if _, code, _ := tryPostRun(t, hs, RunSpec{Kind: KindSerial, NC: 3, Rho: 0.4, Steps: 1, Dt: -0.005}); code != http.StatusBadRequest {
 		t.Fatalf("dt=-0.005: status %d, want 400", code)
 	}
+	// So is a shard count below 0 or above the grid's columns (16 at m=2,
+	// P=4): each shard costs a hit buffer and a goroutine per rank.
+	for _, shards := range []int{-1, 17} {
+		if _, code, _ := tryPostRun(t, hs, RunSpec{Kind: KindParallel, M: 2, P: 4, Rho: 0.3, Steps: 1, Shards: shards}); code != http.StatusBadRequest {
+			t.Fatalf("shards=%d: status %d, want 400", shards, code)
+		}
+	}
 	// Over the particle cap: 413.
 	if _, code, _ := tryPostRun(t, hs, RunSpec{Kind: KindSerial, NC: 8, Rho: 0.4, Steps: 1}); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized spec: status %d, want 413", code)

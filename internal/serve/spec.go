@@ -118,9 +118,11 @@ func (s *RunSpec) Particles() int {
 // slot or worker is committed to them. Deep engine validation still runs
 // at construction; this pass catches the shapes a 400 should explain.
 func (s *RunSpec) Validate() error {
+	side := s.NC
 	switch s.kind() {
 	case KindParallel:
-		if _, err := runspec.Side(s.M, s.P); err != nil {
+		var err error
+		if side, err = runspec.Side(s.M, s.P); err != nil {
 			return fmt.Errorf("serve: %w", err)
 		}
 	case KindStatic:
@@ -150,6 +152,9 @@ func (s *RunSpec) Validate() error {
 		return fmt.Errorf("serve: %w", err)
 	}
 	if _, err := runspec.TimeStep(s.Dt); err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
+	if err := runspec.Shards(s.Shards, side); err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
 	if s.Balancer != "" {

@@ -176,9 +176,10 @@ func WithWells(n int, k float64) Option {
 	return func(o *Options) { o.wells, o.wellK = n, k }
 }
 
-// WithShards sets the per-PE force-kernel worker count (<= 1 = serial
-// kernel). Results are bit-deterministic for a given shard count but
-// differ between shard counts, so the value is part of the run identity.
+// WithShards sets the per-PE force-kernel worker count (0 or 1 = serial
+// kernel; at most one per grid column, else construction fails). Results
+// are bit-deterministic for a given shard count but differ between shard
+// counts, so the value is part of the run identity.
 func WithShards(n int) Option { return func(o *Options) { o.shards = n } }
 
 // WithSeed seeds the initial condition (and the fault plan derivations).

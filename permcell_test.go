@@ -31,6 +31,14 @@ func TestNewValidatesCoordinates(t *testing.T) {
 	if _, err := permcell.New(2, 4, 0.256, permcell.WithWells(2, -1)); err == nil {
 		t.Error("negative well strength accepted")
 	}
+	// A shard count is at least 0 and at most one per column: 16 on the
+	// 4x4 columns of m=2, P=4; a 4^3 serial grid has 16 as well.
+	if _, err := permcell.NewSerial(4, 0.3, permcell.WithShards(-1)); err == nil {
+		t.Error("negative shard count accepted by the serial engine")
+	}
+	if _, err := permcell.New(2, 4, 0.256, permcell.WithShards(17)); err == nil {
+		t.Error("17 shards accepted on 16 columns")
+	}
 }
 
 func TestRunFacade(t *testing.T) {
