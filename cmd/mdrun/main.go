@@ -58,6 +58,9 @@
 // and the f(m,n) bound residual; "-" = stdout). -prom writes a cumulative
 // Prometheus text snapshot at exit. -cpuprofile and -trace capture pprof
 // and runtime/trace data over the whole run.
+//
+// A bad flag exits 2 before anything starts, and so does a negative -steps,
+// -checkpoint-every, -backoff or -ranks, or a -max-retries below -1 (off).
 package main
 
 import (
@@ -163,6 +166,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	traceOut := fs.String("trace", "", "write a runtime execution trace to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	// A negative count or duration would silently mean something else — no
+	// steps, no cadence, no supervisor, the default backoff, one worker per
+	// PE — so it is refused before anything starts, as mdserve refuses its
+	// own. -max-retries -1 is the documented "off".
+	for _, f := range []struct {
+		bad bool
+		msg string
+	}{
+		{*steps < 0, "-steps must not be negative"},
+		{*ckptEvery < 0, "-checkpoint-every must not be negative"},
+		{*maxRetries < -1, "-max-retries must be -1 (off) or at least 0"},
+		{*backoff < 0, "-backoff must not be negative"},
+		{*ranks < 0, "-ranks must not be negative"},
+	} {
+		if f.bad {
+			fmt.Fprintln(stderr, "mdrun:", f.msg)
+			return 2
+		}
 	}
 
 	if *ckptEvery > 0 && *ckptDir == "" {

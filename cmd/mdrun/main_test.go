@@ -121,6 +121,27 @@ func TestFlagErrorsExitNonZero(t *testing.T) {
 			t.Errorf("mdrun %v exited 0", args)
 		}
 	}
+	// A negative count or duration is a usage error, refused with exit 2
+	// before any engine or worker starts; -max-retries -1 means "off".
+	ckpt := t.TempDir()
+	for _, args := range [][]string{
+		{"-steps", "-5"},
+		{"-checkpoint-every", "-1", "-checkpoint-dir", ckpt, "-steps", "1"},
+		{"-max-retries", "-5", "-checkpoint-dir", ckpt, "-steps", "1"},
+		{"-max-retries", "-2", "-steps", "1"},
+		{"-backoff", "-1s", "-max-retries", "1", "-checkpoint-dir", ckpt, "-steps", "1"},
+		{"-ranks", "-1", "-steps", "1"},
+		{"-ranks", "-1", "-transport", "tcp", "-steps", "1"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 2 || out.Len() > 0 {
+			t.Errorf("mdrun %v exited %d with %d bytes of CSV, want 2 and none (stderr %q)", args, code, out.Len(), errb.String())
+		}
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-m", "2", "-p", "4", "-steps", "1", "-max-retries", "-1"}, &out, &errb); code != 0 {
+		t.Errorf("mdrun -max-retries -1 exited %d: %s", code, errb.String())
+	}
 }
 
 // TestResumeReadsHeaderOnlyThenRestoreVerifies: -resume takes the run

@@ -53,11 +53,17 @@ import (
 // XGETBV, checked once at init) searchShiftAVX2, which tests four
 // candidates at a time by the same IEEE operations in the same order, with
 // no fused multiply-add, and the same two rejection tests, so it stores the
-// same hits; the accumulate phase walks the hits in order, recomputes the
-// displacement with the same expression, evaluates the potential and adds
-// into the accumulators. A buffer holds hitCap entries: a cell pair is
-// searched only when all its candidates fit the free space, after a flush
-// if need be, and a pair larger than the whole buffer goes row by row.
+// same hits (a call of fewer than four candidates takes searchShift, which
+// costs less to enter); the accumulate phase walks the hits in order,
+// recomputes the displacement with the same expression, evaluates the
+// potential and adds into the accumulators. For *potential.LJ on a shift
+// grid, on the same CPUs, accumulateLJAVX2 evaluates four hits at a time by
+// the Go loop's IEEE operations and adds them one at a time in its order,
+// so it leaves the same bits; the Go loop finishes the last len mod 4 hits
+// and runs for every other pair, grid and CPU. A buffer holds hitCap
+// entries: a cell pair is searched only when all its candidates fit the
+// free space, after a flush if need be, and a pair larger than the whole
+// buffer goes row by row.
 //
 // Who searches, who accumulates. Each shard's slot list is cut into chunks
 // of chunkSlots slots. The shard's owner accumulates every chunk, strictly
@@ -919,7 +925,14 @@ func (ps *pass) search(key uint64, lpos, q []vec.V) bool {
 	switch need := len(lpos) * len(q); {
 	case ps.n+uint64(need) <= hitCap:
 		if cl.useShift {
-			ps.n = searchLeaf(ps.hits, ps.n, key, lpos, q, cl.shift[key>>hitCodeShift%32], cl.rc2)
+			// Fewer than four candidates — most often a short row of a
+			// cell's own pairs — cost the vector leaf more to set up than
+			// the Go leaf takes to test; both store the same hits.
+			leaf := searchLeaf
+			if need < 4 {
+				leaf = searchShift
+			}
+			ps.n = leaf(ps.hits, ps.n, key, lpos, q, cl.shift[key>>hitCodeShift%32], cl.rc2)
 		} else {
 			ps.n = searchMinImage(ps.hits, ps.n, key, lpos, q, cl.g.Box.L, cl.rc2)
 		}
@@ -1006,15 +1019,36 @@ func (ps *pass) flush() {
 	ps.n = 0
 }
 
+// ljCoef is the Lennard-Jones evaluation's coefficients, as
+// potential.LJ.Coefficients returns them.
+type ljCoef struct{ sig2, eps4, eps24, shiftE float64 }
+
+// accumulateLJ is the accumulate phase's vector leaf for *potential.LJ on a
+// shift grid, set once at package init (accumulateLJAVX2 where the CPU runs
+// searchShiftAVX2), else nil. It accumulates a prefix of the hits, a
+// multiple of four long, exactly as the Go loop would, and returns its
+// length; the Go loop finishes the rest, so the choice moves no bit.
+var accumulateLJ func(hits []uint64, ppos, ghostPos, frc, gfrc []vec.V, shift *[32]vec.V, c ljCoef, pot, vir float64) (k int, potOut, virOut float64)
+
 // accumulate is the accumulate phase: it walks hits in the order the search
 // found them, recomputes each displacement with the search's own
-// expression, evaluates the potential and adds into the accumulators. The
-// Lennard-Jones evaluation is devirtualized via the concrete-type assertion
-// so the compiler inlines it; any other Pair goes through the interface.
+// expression, evaluates the potential and adds into the accumulators. For
+// Lennard-Jones on a shift grid the vector leaf, where there is one, takes
+// the hits four at a time and leaves this loop the last len(hits) mod 4.
+// The loop devirtualizes the Lennard-Jones evaluation via the concrete-type
+// assertion so the compiler inlines it; any other Pair goes through the
+// interface.
 func (ps *pass) accumulate(hits []uint64) {
 	cl := ps.cl
 	pair := cl.pair
 	lj, ljOK := pair.(*potential.LJ)
+	if ljOK && cl.useShift && accumulateLJ != nil {
+		var c ljCoef
+		c.sig2, c.eps4, c.eps24, c.shiftE = lj.Coefficients()
+		var k int
+		k, ps.pot, ps.vir = accumulateLJ(hits, cl.ppos, cl.ghostPos, ps.frc, ps.gfrc, &cl.shift, c, ps.pot, ps.vir)
+		hits = hits[k:]
+	}
 	ppos, frc := cl.ppos, ps.frc
 	pot, vir := ps.pot, ps.vir
 	for _, h := range hits {

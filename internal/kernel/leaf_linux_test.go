@@ -1,12 +1,15 @@
 package kernel
 
 import (
+	"fmt"
 	"os"
 	"runtime/debug"
+	"strings"
 	"syscall"
 	"testing"
 	"unsafe"
 
+	"permcell/internal/potential"
 	"permcell/internal/rng"
 	"permcell/internal/vec"
 )
@@ -70,6 +73,72 @@ func TestSearchLeafStaysInBounds(t *testing.T) {
 					}()
 					compareLeaves(t, vector, hits, n, 5<<hitAShift, lpos, q, vec.Zero, 6.25)
 				}()
+			}
+		}
+	}
+}
+
+// TestAccumulateLeafStaysInBounds: with ppos, ghostPos, frc, gfrc and the
+// hit list each ending flush against an inaccessible page, and hits naming
+// the last element of each, the vector accumulate leaf reads and writes
+// nothing past any of them, for 0 to 13 hits (every tail), and leaves the
+// Go loop's bits. A hit naming an index one past its slice ends in the Go
+// loop's index panic, not in a fault. A stray access faults, and the fault
+// fails the test.
+func TestAccumulateLeafStaysInBounds(t *testing.T) {
+	vector, ok := vectorAccumulate()
+	if !ok {
+		t.Skip("no AVX2 on this CPU (or no vector leaf on this GOARCH): nothing to test")
+	}
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	const nh, ng = 6, 5
+	v := int(unsafe.Sizeof(vec.V{}))
+	ppos, ghostPos := atEnd(guarded(t, nh*v), nh), atEnd(guarded(t, ng*v), ng)
+	frc, gfrc := atEnd(guarded(t, nh*v), nh), atEnd(guarded(t, ng*v), ng)
+	hitMem := guarded(t, 14*8)
+	lj, err := potential.NewLJ(1, 1, 2.5, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shift := shiftTable(vec.New(10, 10, 10))
+	r := rng.New(6)
+	for i := range ppos {
+		ppos[i] = r.InBox(vec.New(2.5, 2.5, 2.5))
+	}
+	for i := range ghostPos {
+		ghostPos[i] = r.InBox(vec.New(2.5, 2.5, 2.5)).Add(vec.New(2.5, 0, 0))
+	}
+	// The last hosted a, the last hosted b, the last ghost b, by turns.
+	pattern := []uint64{hitOf(nh-1, 0, false, 0), hitOf(nh-2, 0, false, nh-1), hitOf(0, 0, true, ng-1)}
+	for n := range 14 {
+		for _, past := range []bool{false, true} {
+			if past && n == 0 {
+				continue
+			}
+			var hits []uint64
+			if n > 0 {
+				hits = unsafe.Slice((*uint64)(unsafe.Pointer(&hitMem[len(hitMem)-8*n])), n)
+			}
+			for i := range hits {
+				hits[i] = pattern[i%len(pattern)]
+			}
+			if past {
+				hits[n-1] = hitOf(0, 0, true, ng) // one past ghostPos's end
+			}
+			clear(frc)
+			clear(gfrc)
+			st := accState{ppos: ppos, ghostPos: ghostPos, frc: frc, gfrc: gfrc}
+			want := st.clone()
+			wantPanic := runAccumulate(nil, lj, shift, hits, &want)
+			gotPanic := runAccumulate(vector, lj, shift, hits, &st)
+			if past != (wantPanic != nil) {
+				t.Fatalf("%d hits, past=%v: the Go loop panicked with %v", n, past, wantPanic)
+			}
+			if msg := fmt.Sprint(gotPanic); past != (gotPanic != nil) || past && !strings.Contains(msg, "index out of range") {
+				t.Fatalf("%d hits, past=%v: the vector leaf panicked with %v", n, past, gotPanic)
+			}
+			if msg := st.diff(want, !past); msg != "" {
+				t.Fatalf("%d hits, past=%v: %s", n, past, msg)
 			}
 		}
 	}

@@ -21,6 +21,26 @@ import "permcell/internal/vec"
 //go:noescape
 func searchShiftAVX2(hits *[hitCap]uint64, n uint64, key uint64, lpos, q []vec.V, t vec.V, rc2 float64) uint64
 
+// accumulateLJAVX2 is the accumulate phase for *potential.LJ on a shift
+// grid, four hits at a time (accumulate_amd64.s). It accumulates the longest
+// prefix of hits whose length is a multiple of four, into frc, gfrc and the
+// running sums pot and vir, exactly as pass.accumulate would, and returns
+// that length k with the new sums; the caller finishes hits[k:] in Go. Per
+// group of four it decodes each hit, computes d = (p - q) - t one hit per
+// 128-bit register, transposes to four-lane X, Y and Z vectors and evaluates
+// r2 = (dx*dx + dy*dy) + dz*dz, the potential from c (see
+// potential.LJ.Coefficients), f*r2 and fv = f*d with VSUBPD, VMULPD, VADDPD
+// and VDIVPD, no fused multiply-add; then, hit by hit in order, it adds
+// frc[a] += fv, pot += e, vir += f*r2 and frc[b] or gfrc[b] -= fv, each
+// force a read-modify-write of memory. So every accumulator sees the Go
+// loop's additions in its order. Every load and store is of one element's
+// 16 and 8 bytes, and a group naming an index past the shorter of the
+// slice it reads and the one it writes is left to the Go loop, whole, with
+// nothing of it stored.
+//
+//go:noescape
+func accumulateLJAVX2(hits []uint64, ppos, ghostPos, frc, gfrc []vec.V, shift *[32]vec.V, c ljCoef, pot, vir float64) (k int, potOut, virOut float64)
+
 // cpuid executes CPUID with the given leaf and sub-leaf.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -32,12 +52,14 @@ func init() {
 	buildLeafTables(&leafTab)
 	if hasAVX2() {
 		searchLeaf = searchShiftAVX2
+		accumulateLJ = accumulateLJAVX2
 	}
 }
 
-// hasAVX2 reports whether the CPU runs searchShiftAVX2: AVX2 and POPCNT
-// present, and YMM state saved by the operating system (OSXSAVE, and XCR0
-// enabling both the XMM and the YMM state).
+// hasAVX2 reports whether the CPU runs searchShiftAVX2 and
+// accumulateLJAVX2: AVX2 and POPCNT present, and YMM state saved by the
+// operating system (OSXSAVE, and XCR0 enabling both the XMM and the YMM
+// state).
 func hasAVX2() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false

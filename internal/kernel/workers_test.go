@@ -137,36 +137,40 @@ func workerDomains(t *testing.T) []workerDomain {
 
 // TestSearchWorkersBitIdentical: forces, returned ghost forces, energy,
 // virial and both counts carry the same bits with the Go search leaf and
-// with the vector one, at 1, 2, 3 and 8 search workers, for every shard
+// with the vector one, each with the Go accumulate loop forced and with the
+// vector accumulate leaf, at 1, 2, 3 and 8 search workers, for every shard
 // count, over several passes each (the workers split each pass
 // differently), and a NaN coordinate still reaches the forces.
 func TestSearchWorkersBitIdentical(t *testing.T) {
 	lj := potential.NewPaperLJ()
-	selected := searchLeaf
-	t.Cleanup(func() { searchLeaf = selected })
-	under := leaves(t)
+	selected, selectedAcc := searchLeaf, accumulateLJ
+	t.Cleanup(func() { searchLeaf, accumulateLJ = selected, selectedAcc })
+	under, accs := leaves(t), accumulates(t)
 	for _, d := range workerDomains(t) {
 		local := localOf(d.g, d.global, d.pred)
 		for _, shards := range d.shards {
 			t.Run(fmt.Sprintf("%s/shards=%d", d.name, shards), func(t *testing.T) {
 				var want kernelOut
-				for i, l := range under {
-					searchLeaf = l.leaf
-					for _, workers := range []int{1, 2, 3, 8} {
-						s := local.Clone()
-						cl := buildFlat(t, d.g, shards, s, d.global, d.pred)
-						cl.SetSearchWorkers(workers)
-						for pass := range 3 {
-							s.ZeroForces()
-							pot, vir, pairs := cl.Compute(lj, s)
-							got := outputOf(cl, s, pot, vir, pairs)
-							if i == 0 && workers == 1 && pass == 0 {
-								want = got
-							} else if msg := got.diff(want); msg != "" {
-								t.Fatalf("%s leaf, workers=%d pass %d: %s", l.name, workers, pass, msg)
+				first := true
+				for _, l := range under {
+					for _, acc := range accs {
+						searchLeaf, accumulateLJ = l.leaf, acc.leaf
+						for _, workers := range []int{1, 2, 3, 8} {
+							s := local.Clone()
+							cl := buildFlat(t, d.g, shards, s, d.global, d.pred)
+							cl.SetSearchWorkers(workers)
+							for pass := range 3 {
+								s.ZeroForces()
+								pot, vir, pairs := cl.Compute(lj, s)
+								got := outputOf(cl, s, pot, vir, pairs)
+								if first {
+									want, first = got, false
+								} else if msg := got.diff(want); msg != "" {
+									t.Fatalf("%s search leaf, %s accumulate, workers=%d pass %d: %s", l.name, acc.name, workers, pass, msg)
+								}
 							}
+							cl.Close()
 						}
-						cl.Close()
 					}
 				}
 				if d.name == "NaN" {

@@ -76,6 +76,16 @@ func (lj *LJ) EnergyForce(r2 float64) (e, f float64) {
 	return e - lj.shiftE, f
 }
 
+// Coefficients returns the four numbers EnergyForce is built from, each
+// rounded by raw's own expression: sig2 = Sigma*Sigma, eps4 = 4*Eps,
+// eps24 = 24*Eps and the energy shift. With sr2 = sig2/r2,
+// sr6 = (sr2*sr2)*sr2 and sr12 = sr6*sr6, EnergyForce is exactly
+// e = eps4*(sr12-sr6) - shiftE and f = (eps24*(2*sr12-sr6))/r2, so a
+// vectorised evaluation from these reproduces its bits.
+func (lj *LJ) Coefficients() (sig2, eps4, eps24, shiftE float64) {
+	return lj.Sigma * lj.Sigma, 4 * lj.Eps, 24 * lj.Eps, lj.shiftE
+}
+
 // External is a one-body field. Implementations must be safe for concurrent
 // use.
 type External interface {

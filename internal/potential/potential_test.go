@@ -94,6 +94,31 @@ func TestLJShifted(t *testing.T) {
 	}
 }
 
+// TestLJCoefficientsRebuildEnergyForce: the documented formula over
+// Coefficients gives EnergyForce's bits, shifted and unshifted, at odd
+// parameters and at squared distances from deep in the core to the cut-off.
+func TestLJCoefficientsRebuildEnergyForce(t *testing.T) {
+	for _, shift := range []bool{false, true} {
+		lj, err := NewLJ(1.3, 0.9, 2.2, shift)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sig2, eps4, eps24, shiftE := lj.Coefficients()
+		if (shiftE != 0) != shift {
+			t.Fatalf("shift %v: shiftE = %v", shift, shiftE)
+		}
+		for r2 := 1e-3; r2 <= 2.2*2.2; r2 *= 1.01 {
+			sr2 := sig2 / r2
+			sr6 := sr2 * sr2 * sr2
+			sr12 := sr6 * sr6
+			e, f := eps4*(sr12-sr6)-shiftE, eps24*(2*sr12-sr6)/r2
+			if we, wf := lj.EnergyForce(r2); e != we || f != wf {
+				t.Fatalf("shift %v, r2 %v: (%v, %v), EnergyForce (%v, %v)", shift, r2, e, f, we, wf)
+			}
+		}
+	}
+}
+
 func TestHarmonicWell(t *testing.T) {
 	l := vec.New(10, 10, 10)
 	w := HarmonicWell{Center: vec.New(5, 5, 5), K: 2, L: l}
