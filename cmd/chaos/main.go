@@ -28,7 +28,9 @@
 // supervisor must classify the typed failure, roll back, heal — respawning
 // the worker or, with -recover rescale, shedding it — and converge to the
 // golden trace. Exit status 1 if the shot never fired, nothing rolled back,
-// recovery diverges or the supervisor gives up; 2 on contradictory flags.
+// recovery diverges or the supervisor gives up; 2 on contradictory flags or
+// an out-of-range value (a negative count or duration, a probability outside
+// [0, 1], -steps below 1), before anything runs.
 package main
 
 import (
@@ -89,6 +91,38 @@ func run(args []string, stdout, stderr io.Writer) int {
 	usage := func(format string, a ...any) int {
 		fmt.Fprintf(stderr, "chaos: "+format+"\n", a...)
 		return 2
+	}
+	// An out-of-range count, duration or probability would silently mean
+	// something else — an empty run that "passes", the replay scenario in
+	// place of a kill, the default cadence or heartbeat, a fault plan that
+	// never fires — so it is refused before anything runs, as mdrun refuses
+	// its own.
+	for _, f := range []struct {
+		bad bool
+		msg string
+	}{
+		{*p < 1, "-p must be at least 1"},
+		{*steps < 1, "-steps must be at least 1"},
+		{*shards < 0, "-shards must not be negative"},
+		{*killAt < 0, "-kill-at must not be negative"},
+		{*ckptEvery < 0, "-checkpoint-every must not be negative"},
+		{!(*delayProb >= 0 && *delayProb <= 1), "-delay-prob must be in [0, 1]"},
+		{!(*reorderProb >= 0 && *reorderProb <= 1), "-reorder-prob must be in [0, 1]"},
+		{*maxDelay < 0, "-max-delay must not be negative"},
+		{*reorderDepth < 0, "-reorder-depth must not be negative"},
+		{*stalls < 0, "-stalls must not be negative"},
+		{*stallDur < 0, "-stall-dur must not be negative"},
+		{*watchdog < 0, "-watchdog must not be negative"},
+		{*maxRetries < 0, "-max-retries must not be negative"},
+		{*retryBackoff < 0, "-retry-backoff must not be negative"},
+		{*sabotageStall < 0, "-sabotage-stall must not be negative"},
+		{*tcpProcs < 0, "-tcp-procs must not be negative"},
+		{*hbEvery < 0, "-heartbeat-every must not be negative"},
+		{*hbMisses < 0, "-heartbeat-misses must not be negative"},
+	} {
+		if f.bad {
+			return usage("%s", f.msg)
+		}
 	}
 	switch {
 	case *sabotage != "" && *killAt > 0:
@@ -162,6 +196,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			AfterOps: int64(200 + 400*i),
 			Duration: *stallDur,
 		})
+	}
+	if err := plan.Validate(*p); err != nil {
+		return usage("%v", err)
 	}
 	spec := experiments.ChaosSpec{
 		RunSpec: experiments.RunSpec{

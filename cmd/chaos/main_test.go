@@ -51,3 +51,51 @@ func TestScenarios(t *testing.T) {
 		})
 	}
 }
+
+// TestOutOfRangeFlagsRunNothing: a negative count or duration, a
+// probability outside [0, 1] (NaN included), no steps or no PEs exit 2
+// with a message naming the flag, before anything runs or prints — each of
+// them used to run something else, or nothing, and could report success.
+func TestOutOfRangeFlagsRunNothing(t *testing.T) {
+	tiny := []string{"-p", "4", "-m", "2", "-rho", "0.3", "-steps", "12"}
+	cases := []struct {
+		name string
+		args []string
+		flag string // named by the complaint
+	}{
+		{"negative steps", []string{"-steps", "-5"}, "-steps"},
+		{"no steps", []string{"-steps", "0"}, "-steps"},
+		{"no PEs", []string{"-p", "0"}, "-p "},
+		{"negative shards", []string{"-shards", "-1"}, "-shards"},
+		{"negative kill step", []string{"-kill-at", "-3"}, "-kill-at"},
+		{"negative cadence", []string{"-sabotage", "panic@9", "-checkpoint-every", "-4"}, "-checkpoint-every"},
+		{"delay probability above 1", []string{"-delay-prob", "1.5"}, "-delay-prob"},
+		{"delay probability NaN", []string{"-delay-prob", "NaN"}, "-delay-prob"},
+		{"negative reorder probability", []string{"-reorder-prob", "-0.1"}, "-reorder-prob"},
+		{"negative reorder depth", []string{"-reorder-depth", "-2"}, "-reorder-depth"},
+		{"negative stall count", []string{"-stalls", "-1"}, "-stalls"},
+		{"negative stall", []string{"-stall-dur", "-1s"}, "-stall-dur"},
+		{"negative jitter", []string{"-max-delay", "-1ms"}, "-max-delay"},
+		{"negative watchdog", []string{"-watchdog", "-1s"}, "-watchdog"},
+		{"negative retry budget", []string{"-sabotage", "panic@9", "-max-retries", "-1"}, "-max-retries"},
+		{"negative backoff", []string{"-sabotage", "panic@9", "-retry-backoff", "-1ms"}, "-retry-backoff"},
+		{"negative worker stall", []string{"-sabotage", "worker-stall@9", "-tcp-procs", "2", "-sabotage-stall", "-1s"}, "-sabotage-stall"},
+		{"negative worker count", []string{"-tcp-procs", "-1"}, "-tcp-procs"},
+		{"negative heartbeat", []string{"-sabotage", "panic@9", "-tcp-procs", "2", "-heartbeat-every", "-1ms"}, "-heartbeat-every"},
+		{"negative heartbeat budget", []string{"-sabotage", "panic@9", "-tcp-procs", "2", "-heartbeat-misses", "-1"}, "-heartbeat-misses"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(append(append([]string(nil), tiny...), c.args...), &stdout, &stderr); code != 2 {
+				t.Fatalf("exit %d, want 2\nstdout: %s\nstderr: %s", code, &stdout, &stderr)
+			}
+			if !strings.Contains(stderr.String(), c.flag) {
+				t.Errorf("stderr lacks %q:\n%s", c.flag, &stderr)
+			}
+			if stdout.Len() > 0 {
+				t.Errorf("printed before refusing:\n%s", &stdout)
+			}
+		})
+	}
+}

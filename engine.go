@@ -79,11 +79,11 @@ func (o Options) identity(kind string) checkpoint.Meta {
 }
 
 // launch is the one way an engine comes up, fresh (st == nil) or resumed
-// from a snapshot: validate the transport and the sabotage script against
-// the identity — engine kind and rank count are only known here for a
-// Restore — then put the facade adapter over its backend: the bare engine,
-// or under WithSupervisor the supervisor, which builds bare engines of its
-// own across rollbacks. A supervised engine's anchor checkpoint is written
+// from a snapshot: validate the transport, the sabotage script and the
+// fault plan against the identity — engine kind and rank count are only
+// known here for a Restore — then put the facade adapter over its backend:
+// the bare engine, or under WithSupervisor the supervisor, which builds
+// bare engines of its own across rollbacks. A supervised engine's anchor checkpoint is written
 // here, so a rollback target exists before the first cadence boundary and
 // a failure on step 1 is already recoverable.
 func launch(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine, error) {
@@ -92,6 +92,11 @@ func launch(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine
 	}
 	if s := o.sabotage; s != nil && meta.Kind != checkpoint.KindSerial { // serial engines ignore it
 		if err := s.Validate(meta.P, o.transport.Kind == TransportTCP); err != nil {
+			return nil, fmt.Errorf("permcell: %w", err)
+		}
+	}
+	if f := o.faults; f != nil && meta.Kind != checkpoint.KindSerial { // serial engines ignore it
+		if err := f.Validate(meta.P); err != nil {
 			return nil, fmt.Errorf("permcell: %w", err)
 		}
 	}

@@ -58,6 +58,36 @@ type Stall struct {
 	Duration time.Duration
 }
 
+// Validate checks the plan against a world of p ranks: DelayProb and
+// ReorderProb in [0, 1] (NaN is not), MaxDelay, ReorderDepth and every
+// stall's Duration not negative, and every stall's Rank in [0, p) — a stall
+// on a rank the world does not have would never fire.
+func (plan FaultPlan) Validate(p int) error {
+	for _, pr := range []struct {
+		name string
+		v    float64
+	}{{"DelayProb", plan.DelayProb}, {"ReorderProb", plan.ReorderProb}} {
+		if !(pr.v >= 0 && pr.v <= 1) {
+			return fmt.Errorf("fault plan: %s %v outside [0, 1]", pr.name, pr.v)
+		}
+	}
+	switch {
+	case plan.MaxDelay < 0:
+		return fmt.Errorf("fault plan: negative MaxDelay %v", plan.MaxDelay)
+	case plan.ReorderDepth < 0:
+		return fmt.Errorf("fault plan: negative ReorderDepth %d", plan.ReorderDepth)
+	}
+	for i, st := range plan.Stalls {
+		switch {
+		case st.Rank < 0 || st.Rank >= p:
+			return fmt.Errorf("fault plan: stall %d on rank %d outside the world's ranks 0..%d", i, st.Rank, p-1)
+		case st.Duration < 0:
+			return fmt.Errorf("fault plan: stall %d has negative Duration %v", i, st.Duration)
+		}
+	}
+	return nil
+}
+
 // FaultStats counts injected faults over a world's lifetime.
 type FaultStats struct {
 	Delays   int64 // messages delayed by latency jitter

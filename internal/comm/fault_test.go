@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -250,4 +251,43 @@ func TestChaosCollectivesCorrect(t *testing.T) {
 			c.AllreduceInt64(0, SumI)
 		}
 	})
+}
+
+// TestFaultPlanValidate: a probability outside [0, 1] (NaN included), a
+// negative MaxDelay, ReorderDepth or stall Duration, and a stall on a rank
+// outside [0, p) are refused, each named in the error; the reference plan,
+// the zero plan and the boundary values pass.
+func TestFaultPlanValidate(t *testing.T) {
+	const p = 4
+	ok := []FaultPlan{
+		{},
+		chaosPlan(1),
+		{DelayProb: 1, ReorderProb: 1, ReorderDepth: 0, Stalls: []Stall{{Rank: 0}, {Rank: p - 1}}},
+	}
+	for i, plan := range ok {
+		if err := plan.Validate(p); err != nil {
+			t.Errorf("plan %d: %v", i, err)
+		}
+	}
+	bad := []struct {
+		plan FaultPlan
+		want string
+	}{
+		{FaultPlan{DelayProb: 1.5}, "DelayProb"},
+		{FaultPlan{DelayProb: -0.1}, "DelayProb"},
+		{FaultPlan{DelayProb: math.NaN()}, "DelayProb"},
+		{FaultPlan{ReorderProb: 2}, "ReorderProb"},
+		{FaultPlan{ReorderProb: math.NaN()}, "ReorderProb"},
+		{FaultPlan{MaxDelay: -time.Millisecond}, "MaxDelay"},
+		{FaultPlan{ReorderDepth: -2}, "ReorderDepth"},
+		{FaultPlan{Stalls: []Stall{{Rank: p}}}, "rank 4"},
+		{FaultPlan{Stalls: []Stall{{Rank: 1}, {Rank: -1}}}, "stall 1 on rank -1"},
+		{FaultPlan{Stalls: []Stall{{Rank: 1, Duration: -time.Second}}}, "Duration"},
+	}
+	for _, c := range bad {
+		err := c.plan.Validate(p)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: got %v, want an error naming %q", c.plan, err, c.want)
+		}
+	}
 }

@@ -49,21 +49,27 @@ import (
 // search phase computes every candidate pair's squared distance in a small
 // leaf loop with no distance-dependent branch and appends the pairs inside
 // the cut-off, packed as (a, stencil code, neighbour index), to a hit
-// buffer. The leaf is searchShift, or on an amd64 CPU with AVX2 (CPUID and
-// XGETBV, checked once at init) searchShiftAVX2, which tests four
+// buffer. The per-unit leaf — one call per row of a cell's own pairs and
+// per stencil entry — is searchShift, or on an amd64 CPU with AVX2 (CPUID
+// and XGETBV, checked once at init) searchShiftAVX2, which tests four
 // candidates at a time by the same IEEE operations in the same order, with
 // no fused multiply-add, and the same two rejection tests, so it stores the
 // same hits (a call of fewer than four candidates takes searchShift, which
-// costs less to enter); the accumulate phase walks the hits in order,
-// recomputes the displacement with the same expression, evaluates the
-// potential and adds into the accumulators. For *potential.LJ on a shift
-// grid, on the same CPUs, accumulateLJAVX2 evaluates four hits at a time by
-// the Go loop's IEEE operations and adds them one at a time in its order,
-// so it leaves the same bits; the Go loop finishes the last len mod 4 hits
-// and runs for every other pair, grid and CPU. A buffer holds hitCap
-// entries: a cell pair is searched only when all its candidates fit the
-// free space, after a flush if need be, and a pair larger than the whole
-// buffer goes row by row.
+// costs less to enter). On those CPUs a shift grid's cell goes to the cell
+// leaf instead, searchCellAVX2: one call for its own pairs and its whole
+// half stencil (pass.searchCell), which runs the same tests unit after
+// unit and stores the same hits in the same order; a cell whose candidates
+// exceed the buffer or a searcher's free room, or with more than cellCols
+// particles in one unit, goes unit by unit. The accumulate phase walks the
+// hits in order, recomputes the displacement with the same expression,
+// evaluates the potential and adds into the accumulators. For
+// *potential.LJ on a shift grid, on the same CPUs, accumulateLJAVX2
+// evaluates four hits at a time by the Go loop's IEEE operations and adds
+// them one at a time in its order, so it leaves the same bits; the Go loop
+// finishes the last len mod 4 hits and runs for every other pair, grid and
+// CPU. A buffer holds hitCap entries: a cell, or a cell pair, is searched
+// only when all its candidates fit the free space, after a flush if need
+// be, and a pair larger than the whole buffer goes row by row.
 //
 // Who searches, who accumulates. Each shard's slot list is cut into chunks
 // of chunkSlots slots. The shard's owner accumulates every chunk, strictly
@@ -725,6 +731,35 @@ func searchShift(hits *[hitCap]uint64, n uint64, key uint64, lpos, q []vec.V, t 
 // the same decisions and store the same hits, so the choice moves no bit.
 var searchLeaf = searchShift
 
+// Bounds of the cell leaf. It stores four entries at every step, whatever
+// it keeps of them, so it needs cellSlack entries of room past its last
+// candidate. It copies each unit's neighbours, transposed, into its frame,
+// which holds cellCols of them: a cell with more in one unit, or more than
+// cellCols+1 particles, is taken unit by unit.
+const (
+	cellSlack  = 3
+	cellCols   = 64
+	cellStride = 8 * (cellCols + 4) // bytes per coordinate array, padded for a last group of four
+)
+
+// cellUnit is one unit of a whole cell's search (pass.searchCell): the
+// cell's own triangle, or one half-stencil neighbour that owns pairs here.
+type cellUnit struct {
+	key uint64 // the hit of row 0's first candidate: its code names the round term, its b the neighbour
+	n   int32  // the neighbour's particle count: it is ppos or ghostPos[b : b+n]
+	tri bool   // the cell's own pairs instead: row a against the cell mates after it, code 0
+}
+
+// wholeCells reports whether the walk hands whole cells to searchCellAVX2,
+// the cell leaf: set once at package init where the CPU runs
+// searchShiftAVX2. The leaf stores the hits searchShift would, called unit
+// by unit — the triangle row by row, each row a against lpos[a+1:] with
+// key + a*(1<<hitAShift + 1) — in the same order, so the choice moves no
+// bit. It is called directly, not through a function value, so the pass
+// whose units it reads stays on its searcher's stack. Where wholeCells is
+// false the walk takes every cell unit by unit.
+var wholeCells bool
+
 // searchMinImage is searchShift for a grid with a dimension below 4, where
 // the round term depends on the pair: the minimum image in a box of edges l.
 func searchMinImage(hits *[hitCap]uint64, n uint64, key uint64, lpos, q []vec.V, l vec.V, rc2 float64) uint64 {
@@ -909,6 +944,8 @@ type pass struct {
 	n           uint64 // hits buffered
 	pairs, lent int64  // candidate pairs counted; of those, left to a lower ghost's host
 
+	units [27]cellUnit // searchCell's units: a triangle and 26 neighbours at most
+
 	flushes  bool    // the owner: a full buffer is accumulated, not a stop
 	frc      []vec.V // force accumulators in part order
 	gfrc     []vec.V // ghost force accumulators in ghostPos order
@@ -951,25 +988,95 @@ func (ps *pass) search(key uint64, lpos, q []vec.V) bool {
 	return true
 }
 
+// searchCell searches the whole of a hosted cell — its own pairs and every
+// half-stencil neighbour that owns pairs here — in one call of the cell
+// leaf, counts its census and reports true. When a unit holds more than
+// cellCols particles, or the cell's candidates do not fit the buffer's
+// free room and the pass cannot flush, or exceed the whole buffer, it
+// leaves the cell untouched and reports false, for walk to take unit by
+// unit. The owner flushes first when the cell fits only an empty buffer.
+func (ps *pass) searchCell(slot int32) bool {
+	cl := ps.cl
+	// The loop reads these through locals: its stores to ps.units would
+	// make the compiler load them from cl again at every entry.
+	start, ppos := cl.start, cl.ppos
+	ghostStart, ghostPos := cl.ghostStart, cl.ghostPos
+	lo, hi := start[slot], start[slot+1]
+	lpos := ppos[lo:hi]
+	nl := int64(len(lpos))
+	base := uint64(lo) << hitAShift
+	nu := 0
+	if nl > 1 {
+		ps.units[0] = cellUnit{key: base + uint64(lo) + 1, tri: true}
+		nu = 1
+	}
+	pairs, lent, cols := nl*(nl-1)/2, int64(0), nl-1
+	st := cl.stencil[cl.stStart[slot]:cl.stStart[slot+1]]
+	codes := cl.stCode[cl.stStart[slot]:cl.stStart[slot+1]]
+	for k, e := range st {
+		code := codes[k]
+		key := base + uint64(code)<<hitCodeShift
+		var q []vec.V
+		if e >= 0 {
+			q = ppos[start[e]:start[e+1]]
+			key += uint64(start[e])
+		} else {
+			q = ghostPos[ghostStart[-1-e]:ghostStart[-e]]
+			key += hitGhost + uint64(ghostStart[-1-e])
+		}
+		cand := nl * int64(len(q))
+		pairs += cand
+		if code == countOnly {
+			lent += cand
+		} else if cand > 0 {
+			ps.units[nu] = cellUnit{key: key, n: int32(len(q))}
+			nu++
+			cols = max(cols, int64(len(q)))
+		}
+	}
+	if cols > cellCols {
+		return false
+	}
+	if nu > 0 {
+		if need := uint64(pairs-lent) + cellSlack; ps.n+need > hitCap {
+			if !ps.flushes || need > hitCap {
+				return false
+			}
+			ps.flush()
+		}
+		ps.n = searchCellAVX2(ps.hits, ps.n, lpos, ppos, ghostPos, ps.units[:nu], &cl.shift, cl.rc2)
+	}
+	ps.pairs += pairs
+	ps.lent += lent
+	return true
+}
+
 // walk runs the search phase over a chunk's slots from cursor from on, in
 // visiting order — slot, then the cell's own pairs, then its stencil
 // entries in Neighbors26 order, then a, then b — counting the census of
-// every unit it gets through. It returns where it stopped: past the last
-// slot, unless a pass that cannot flush found a unit that does not fit.
+// every unit it gets through. A cell begun afresh goes whole to
+// searchCell, where there is a cell leaf and a shift grid; a cell that
+// does not fit there, or one a searcher stopped in, is taken unit by unit.
+// It returns where it stopped: past the last slot, unless a pass that
+// cannot flush found a unit that does not fit.
 func (ps *pass) walk(slots []int32, from cursor) cursor {
 	cl := ps.cl
+	whole := wholeCells && cl.useShift
 	for i := from.i; i < len(slots); i++ {
 		slot := slots[i]
 		lo, hi := cl.start[slot], cl.start[slot+1]
 		if lo == hi {
 			continue // empty cell owns no pairs
 		}
-		lpos := cl.ppos[lo:hi]
-		nl := len(lpos)
 		u := 0
 		if i == from.i {
 			u = from.u
 		}
+		if whole && u == 0 && ps.searchCell(slot) {
+			continue
+		}
+		lpos := cl.ppos[lo:hi]
+		nl := len(lpos)
 		// Intra-cell pairs, each row a against the cell mates after it: the
 		// round term is code 0, exactly +0.
 		for a := u; a < nl-1; a++ {

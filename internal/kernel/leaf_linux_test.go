@@ -143,3 +143,51 @@ func TestAccumulateLeafStaysInBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestSearchCellStaysInBounds: with lpos, a hosted unit's neighbours at the
+// end of ppos, a ghost unit's at the end of ghostPos and the hit buffer's
+// last entry each flush against an inaccessible page, the cell leaf reads
+// nothing past any of them and stores nothing past the buffer — the call
+// filled to its last entry, the four stores of its last step included —
+// for cells of 1 to 5 rows (their triangles) and units of 0 to 13, and
+// still agrees with the Go leaves. A stray access faults, and the fault
+// fails the test.
+func TestSearchCellStaysInBounds(t *testing.T) {
+	cell, ok := vectorCellLeaf()
+	if !ok {
+		t.Skip("no AVX2 on this CPU (or no vector leaf on this GOARCH): nothing to test")
+	}
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	rowMem, hostMem, ghostMem := guarded(t, 1), guarded(t, 1), guarded(t, 1)
+	hitMem := guarded(t, hitCap*8)
+	hits := (*[hitCap]uint64)(unsafe.Pointer(&hitMem[len(hitMem)-hitCap*8]))
+	shift := shiftTable(vec.New(10, 10, 10))
+	r := rng.New(5)
+	for rows := 1; rows <= 5; rows++ {
+		for cols := range 14 {
+			lpos, ppos, ghostPos := atEnd(rowMem, rows), atEnd(hostMem, cols), atEnd(ghostMem, cols)
+			for i := range lpos {
+				lpos[i] = r.InBox(vec.New(2.5, 2.5, 2.5))
+			}
+			for i := range ppos {
+				ppos[i] = r.InBox(vec.New(2.5, 2.5, 2.5)).Add(vec.New(2.5, 0, 0))
+				ghostPos[i] = r.InBox(vec.New(2.5, 2.5, 2.5)).Add(vec.New(0, 2.5, 0))
+			}
+			in := cellInput{lpos: lpos, ppos: ppos, ghostPos: ghostPos, shift: shift, rc2: 6.25, units: []cellUnit{
+				{key: 5<<hitAShift + 6, tri: true},
+				{key: 5 << hitAShift, n: int32(cols)},
+				{key: 5<<hitAShift + 13<<hitCodeShift + hitGhost, n: int32(cols)},
+			}}
+			for _, n := range []uint64{0, uint64(hitCap - in.need())} {
+				func() {
+					defer func() {
+						if err := recover(); err != nil {
+							t.Fatalf("%d rows, %d neighbours from n=%d: %v", rows, cols, n, err)
+						}
+					}()
+					compareCell(t, cell, hits, n, in)
+				}()
+			}
+		}
+	}
+}

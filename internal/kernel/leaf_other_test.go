@@ -8,3 +8,6 @@ func vectorLeaf() (leafFunc, bool) { return nil, false }
 // vectorAccumulate reports that no vector accumulate leaf exists on this
 // GOARCH.
 func vectorAccumulate() (accLeaf, bool) { return nil, false }
+
+// vectorCellLeaf reports that no cell leaf exists on this GOARCH.
+func vectorCellLeaf() (cellLeafFunc, bool) { return nil, false }

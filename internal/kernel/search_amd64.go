@@ -21,6 +21,39 @@ import "permcell/internal/vec"
 //go:noescape
 func searchShiftAVX2(hits *[hitCap]uint64, n uint64, key uint64, lpos, q []vec.V, t vec.V, rc2 float64) uint64
 
+// searchCellAVX2 is the cell leaf (search_amd64.s): pass.searchCell's one
+// call for a whole cell — lpos against each of units in turn — returning
+// the new count. A triangle unit runs row a of lpos against lpos[a+1:],
+// its keys stepping by one row and one neighbour from row to row; any
+// other unit runs every row of lpos against its n neighbours, in ppos or,
+// flagged, in ghostPos from the key's b. Each unit takes its round term
+// from shift by the code in its key and runs searchShiftAVX2's tests four
+// candidates at a time, so the call stores the hits searchShift, called
+// unit by unit and row by row over the triangle, would store, in the same
+// order. A unit of up to four neighbours, or of five to eight with the
+// round term +0, keeps them transposed in registers for all its rows; any
+// other, and the triangle, is first copied to the frame transposed, at
+// most cellCols neighbours (the tail of a unit read under VMASKMOVPD masks
+// that stop at its end), and every row loads any four consecutive
+// neighbours from the copy, the lanes past the count dropped. Code 0's
+// round term, shift[0], is +0 (no wrap on any axis) and is not subtracted:
+// (p - q) - 0 is p - q, bit for bit.
+// Every step stores four entries, so the caller makes room for them all:
+// n plus the call's candidates — len(lpos)*(len(lpos)-1)/2 for a triangle,
+// len(lpos)*n per other unit — plus cellSlack is at most hitCap. An empty
+// lpos, a unit without neighbours or a triangle of one row stores nothing.
+//
+//go:noescape
+func searchCellAVX2(hits *[hitCap]uint64, n uint64, lpos, ppos, ghostPos []vec.V, units []cellUnit, shift *[32]vec.V, rc2 float64) uint64
+
+// cellFrame is searchCellAVX2's frame size, which its TEXT line spells out
+// as a number: the three coordinate arrays of the copy, then the ends of
+// units and of lpos. The blank index below stops the build when a new
+// cellCols leaves the two apart.
+const cellFrame = 3*cellStride + 16
+
+var _ = [1]struct{}{}[cellFrame-1648]
+
 // accumulateLJAVX2 is the accumulate phase for *potential.LJ on a shift
 // grid, four hits at a time (accumulate_amd64.s). It accumulates the longest
 // prefix of hits whose length is a multiple of four, into frc, gfrc and the
@@ -52,11 +85,12 @@ func init() {
 	buildLeafTables(&leafTab)
 	if hasAVX2() {
 		searchLeaf = searchShiftAVX2
+		wholeCells = true
 		accumulateLJ = accumulateLJAVX2
 	}
 }
 
-// hasAVX2 reports whether the CPU runs searchShiftAVX2 and
+// hasAVX2 reports whether the CPU runs searchShiftAVX2, searchCellAVX2 and
 // accumulateLJAVX2: AVX2 and POPCNT present, and YMM state saved by the
 // operating system (OSXSAVE, and XCR0 enabling both the XMM and the YMM
 // state).
@@ -76,18 +110,20 @@ func hasAVX2() bool {
 	return ebx&avx2 != 0
 }
 
-// leafTables are searchShiftAVX2's constants, laid out for its vector
+// leafTables are the search leaves' constants, laid out for their vector
 // loads (the assembly reads the fields by the offsets go_asm.h gives).
 type leafTables struct {
 	lane, four, row [4]uint64 // the lane numbers; the key step of a group and of a row
+	tri             [4]uint64 // the key step of a triangle's row: one row and one neighbour
 	pack            [16][8]uint32
-	short           [3]shortTail
+	short           [4]shortTail
 	long            [3]longTail
 	first           [4][4]uint64 // first[c]: lanes below c, the stores of c kept keys
 }
 
-// shortTail is a row of k = len(q) < 4 neighbours, at short[k-1]: one group
-// of k lanes, loaded under masks that stop at q's end.
+// shortTail is a row of k = len(q) <= 4 neighbours, at short[k-1]: one
+// group of k lanes, loaded under masks that stop at q's end (the cell leaf
+// loads four through short[3] too, to spare a branch).
 type shortTail struct {
 	load [3][4]uint64 // VMASKMOVPD masks of the group's three 32-byte loads
 	keep [4]uint64    // lanes 0 to k-1
@@ -113,7 +149,7 @@ func buildLeafTables(t *leafTables) {
 		return m
 	}
 	for l := range 4 {
-		t.lane[l], t.four[l], t.row[l] = uint64(l), 4, 1<<hitAShift
+		t.lane[l], t.four[l], t.row[l], t.tri[l] = uint64(l), 4, 1<<hitAShift, 1<<hitAShift+1
 		t.first[l] = lanes(0, l)
 	}
 	for m := range t.pack {
@@ -125,14 +161,18 @@ func buildLeafTables(t *leafTables) {
 			}
 		}
 	}
-	for k := 1; k < 4; k++ {
-		short, long := &t.short[k-1], &t.long[k-1]
+	for k := 1; k <= 4; k++ {
+		short := &t.short[k-1]
 		for w := range short.load { // word w holds coordinates 4w to 4w+3 of the group's 3k
 			short.load[w] = lanes(0, min(max(3*k-4*w, 0), 4))
 		}
-		short.keep, long.keep = lanes(0, k), lanes(4-k, 4)
-		for l := range long.delta {
-			long.delta[l] = uint64(k - 4)
+		short.keep = lanes(0, k)
+		if k < 4 {
+			long := &t.long[k-1]
+			long.keep = lanes(4-k, 4)
+			for l := range long.delta {
+				long.delta[l] = uint64(k - 4)
+			}
 		}
 	}
 }

@@ -152,7 +152,12 @@ func FuzzSearchLeaf(f *testing.F) {
 // at a mean of 4 (the 50k preset), 40 and 320 particles per cell (the
 // condensation's crowded cells), and reports the time per candidate pair.
 // A cell pair larger than the hit buffer is searched row by row, as the
-// force pass does.
+// force pass does. The cell axis searches each cell's own pairs and its
+// pairs with the next cell: units calls a leaf per unit as pass.search
+// does — the triangle row by row, a call of fewer than four candidates on
+// the Go leaf — and whole calls the cell leaf once per cell where the cell
+// fits the buffer and its bounds, else units' calls, as pass.walk does (at
+// 320 per cell no cell fits).
 func BenchmarkKernelSearchLeaf(b *testing.B) {
 	for _, ppc := range []int{4, 40, 320} {
 		cells := leafBenchCells(ppc, max(4096/ppc, 16))
@@ -160,6 +165,7 @@ func BenchmarkKernelSearchLeaf(b *testing.B) {
 		for c := 1; c < len(cells); c++ {
 			cand += len(cells[c-1]) * len(cells[c])
 		}
+		benchmarkCellAxis(b, ppc, cells)
 		for _, l := range leaves(b) {
 			b.Run(fmt.Sprintf("ppc=%d/%s", ppc, l.name), func(b *testing.B) {
 				hits := new([hitCap]uint64)
@@ -182,6 +188,93 @@ func BenchmarkKernelSearchLeaf(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cand), "ns/candidate")
 			})
 		}
+	}
+}
+
+// benchmarkCellAxis is BenchmarkKernelSearchLeaf's cell axis on cells.
+func benchmarkCellAxis(b *testing.B, ppc int, cells [][]vec.V) {
+	cell, ok := vectorCellLeaf()
+	if !ok {
+		return
+	}
+	var ppos []vec.V
+	start := []int{0}
+	for _, c := range cells {
+		ppos = append(ppos, c...)
+		start = append(start, len(ppos))
+	}
+	shift := shiftTable(vec.New(10, 10, 10))
+	const rc2 = 6.25
+	cand := 0
+	for c := 0; c+1 < len(cells); c++ {
+		nl := len(cells[c])
+		cand += nl*(nl-1)/2 + nl*len(cells[c+1])
+	}
+	// units searches cell c unit by unit into hits from n, flushing (here:
+	// starting over) when a unit does not fit, as pass.search does.
+	units := func(hits *[hitCap]uint64, n uint64, c int) uint64 {
+		lpos, q := ppos[start[c]:start[c+1]], ppos[start[c+1]:start[c+2]]
+		search := func(key uint64, lpos, q []vec.V) {
+			need := uint64(len(lpos) * len(q))
+			if n+need > hitCap {
+				n = 0
+			}
+			leaf := searchLeaf
+			if need < 4 {
+				leaf = searchShift
+			}
+			n = leaf(hits, n, key, lpos, q, vec.Zero, rc2)
+		}
+		for a := 0; a+1 < len(lpos); a++ {
+			row := uint64(start[c] + a)
+			search(row<<hitAShift+row+1, lpos[a:a+1], lpos[a+1:])
+		}
+		if len(q) > 0 {
+			if len(lpos)*len(q) > hitCap {
+				for a := range lpos {
+					search(uint64(start[c]+a)<<hitAShift+uint64(start[c+1]), lpos[a:a+1], q)
+				}
+			} else {
+				search(uint64(start[c])<<hitAShift+uint64(start[c+1]), lpos, q)
+			}
+		}
+		return n
+	}
+	for _, whole := range []bool{false, true} {
+		name := "units"
+		if whole {
+			name = "whole"
+		}
+		b.Run(fmt.Sprintf("ppc=%d/cell/%s", ppc, name), func(b *testing.B) {
+			hits := new([hitCap]uint64)
+			var us [2]cellUnit
+			var n uint64
+			b.ResetTimer()
+			for range b.N {
+				for c := 0; c+1 < len(cells); c++ {
+					lo, nl, nq := start[c], start[c+1]-start[c], start[c+2]-start[c+1]
+					need := uint64(nl*(nl-1)/2+nl*nq) + cellSlack
+					if !whole || need > hitCap || max(nl-1, nq) > cellCols {
+						n = units(hits, n, c)
+						continue
+					}
+					if n+need > hitCap {
+						n = 0
+					}
+					k := 0
+					if nl > 1 {
+						us[k] = cellUnit{key: uint64(lo)<<hitAShift + uint64(lo) + 1, tri: true}
+						k++
+					}
+					if nl > 0 && nq > 0 {
+						us[k] = cellUnit{key: uint64(lo)<<hitAShift + uint64(start[c+1]), n: int32(nq)}
+						k++
+					}
+					n = cell(hits, n, ppos[lo:start[c+1]], ppos, nil, us[:k], shift, rc2)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cand), "ns/candidate")
+		})
 	}
 }
 

@@ -137,15 +137,24 @@ func workerDomains(t *testing.T) []workerDomain {
 
 // TestSearchWorkersBitIdentical: forces, returned ghost forces, energy,
 // virial and both counts carry the same bits with the Go search leaf and
-// with the vector one, each with the Go accumulate loop forced and with the
-// vector accumulate leaf, at 1, 2, 3 and 8 search workers, for every shard
-// count, over several passes each (the workers split each pass
-// differently), and a NaN coordinate still reaches the forces.
+// with the vector one, each cell unit by unit and, where the CPU has the
+// cell leaf, whole cells in one call, each with the Go accumulate loop
+// forced and with the vector accumulate leaf, at 1, 2, 3 and 8 search
+// workers, for every shard count, over several passes each (the workers
+// split each pass differently), and a NaN coordinate still reaches the
+// forces.
 func TestSearchWorkersBitIdentical(t *testing.T) {
 	lj := potential.NewPaperLJ()
-	selected, selectedAcc := searchLeaf, accumulateLJ
-	t.Cleanup(func() { searchLeaf, accumulateLJ = selected, selectedAcc })
+	selected, selectedAcc, selectedWhole := searchLeaf, accumulateLJ, wholeCells
+	t.Cleanup(func() { searchLeaf, accumulateLJ, wholeCells = selected, selectedAcc, selectedWhole })
 	under, accs := leaves(t), accumulates(t)
+	for _, l := range under {
+		if l.name == "vector" {
+			if _, ok := vectorCellLeaf(); ok {
+				under = append(under, namedLeaf{"vector per-cell", l.leaf})
+			}
+		}
+	}
 	for _, d := range workerDomains(t) {
 		local := localOf(d.g, d.global, d.pred)
 		for _, shards := range d.shards {
@@ -155,6 +164,7 @@ func TestSearchWorkersBitIdentical(t *testing.T) {
 				for _, l := range under {
 					for _, acc := range accs {
 						searchLeaf, accumulateLJ = l.leaf, acc.leaf
+						wholeCells = l.name == "vector per-cell"
 						for _, workers := range []int{1, 2, 3, 8} {
 							s := local.Clone()
 							cl := buildFlat(t, d.g, shards, s, d.global, d.pred)

@@ -215,7 +215,8 @@ func WithDiscardStats() Option { return func(o *Options) { o.discard = true } }
 // WithFaultPlan runs all communication under the given deterministic
 // fault-injection plan. On New's column ledger it also verifies the
 // protocol invariants (DESIGN.md section 6) after every step, on either
-// transport. Serial engines ignore it.
+// transport. New and Restore reject a plan FaultPlan.Validate refuses for
+// the run's rank count. Serial engines ignore it.
 func WithFaultPlan(plan FaultPlan) Option {
 	return func(o *Options) { o.faults = &plan }
 }

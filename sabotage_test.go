@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -508,6 +509,59 @@ func TestSabotageValidation(t *testing.T) {
 	}
 	if err := svc.Shutdown(t.Context()); err != nil {
 		t.Errorf("Shutdown: %v", err)
+	}
+}
+
+// TestFaultPlanValidation: New, NewStatic and Restore refuse a fault plan
+// FaultPlan.Validate rejects for the run's rank count — a probability
+// outside [0, 1], a negative delay, depth or stall, a stall on a rank the
+// run does not have, which would never fire — and accept a valid one, on
+// either transport. The serial engine ignores the plan and accepts it.
+func TestFaultPlanValidation(t *testing.T) {
+	constructors := map[string]func(...permcell.Option) (permcell.Engine, error){
+		"New": func(o ...permcell.Option) (permcell.Engine, error) { return permcell.New(2, 4, 0.3, o...) },
+		"New over tcp": func(o ...permcell.Option) (permcell.Engine, error) {
+			return permcell.New(2, 4, 0.3, append(o, tcp(2))...)
+		},
+		"NewStatic": func(o ...permcell.Option) (permcell.Engine, error) {
+			return permcell.NewStatic(permcell.ShapeSquarePillar, 4, 4, 0.3, o...)
+		},
+		"Restore": func(o ...permcell.Option) (permcell.Engine, error) {
+			return permcell.Restore(filepath.Join("testdata", "ckpt", "dlb.ckpt"), o...)
+		},
+	}
+	stall := func(rank int, d time.Duration) []permcell.Stall {
+		return []permcell.Stall{{Rank: rank, AfterOps: 10, Duration: d}}
+	}
+	cases := []struct {
+		name string
+		plan permcell.FaultPlan
+		want string // "" = a valid plan; else what the refusal must name
+	}{
+		{"valid", permcell.FaultPlan{Seed: 1, DelayProb: 0.1, MaxDelay: time.Microsecond, ReorderProb: 0.2, ReorderDepth: 2, Stalls: stall(3, time.Millisecond)}, ""},
+		{"delay probability above 1", permcell.FaultPlan{DelayProb: 1.5}, "DelayProb"},
+		{"NaN reorder probability", permcell.FaultPlan{ReorderProb: math.NaN()}, "ReorderProb"},
+		{"negative delay", permcell.FaultPlan{MaxDelay: -time.Millisecond}, "MaxDelay"},
+		{"negative depth", permcell.FaultPlan{ReorderDepth: -1}, "ReorderDepth"},
+		{"stall past P", permcell.FaultPlan{Stalls: stall(99, time.Millisecond)}, "rank 99"},
+		{"negative stall", permcell.FaultPlan{Stalls: stall(1, -time.Millisecond)}, "Duration"},
+	}
+	for _, c := range cases {
+		for name, mk := range constructors {
+			eng, err := mk(permcell.WithFaultPlan(c.plan))
+			if err == nil {
+				eng.Result()
+			}
+			if ok := err == nil; ok != (c.want == "") || !ok && !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: %s returned %v, want %s", c.name, name, err, verdict(c.want))
+			}
+		}
+		eng, err := permcell.NewSerial(3, 0.3, permcell.WithFaultPlan(c.plan))
+		if err != nil {
+			t.Errorf("%s: NewSerial returned %v, want it to ignore the plan", c.name, err)
+		} else {
+			eng.Result()
+		}
 	}
 }
 
