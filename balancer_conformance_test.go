@@ -2,14 +2,13 @@ package permcell
 
 // Balancer-conformance suite: every strategy of the zoo must satisfy the
 // contracts the engine's correctness rests on, regardless of how it picks
-// its moves — bit-reproducibility (for each shard count, identical runs
-// produce identical traces and final states), particle conservation, zero
+// its moves — bit-reproducibility (identical runs produce identical traces
+// and final states), particle conservation, zero
 // net momentum after the transfer step (forces travel with migrated
 // columns, see DESIGN.md section 11), and checkpoint/kill-resume
 // equivalence.
 
 import (
-	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -28,10 +27,10 @@ func conformanceZoo() map[string]Balancer {
 }
 
 // conformanceRun executes one condensing m=2, P=4 run under b.
-func conformanceRun(t *testing.T, b Balancer, shards, steps int) *Result {
+func conformanceRun(t *testing.T, b Balancer, steps int) *Result {
 	t.Helper()
 	eng, err := New(2, 4, 0.3,
-		WithBalancer(b), WithSeed(7), WithShards(shards), WithWells(1, 1.5))
+		WithBalancer(b), WithSeed(7), WithWells(1, 1.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,51 +47,49 @@ func conformanceRun(t *testing.T, b Balancer, shards, steps int) *Result {
 func TestBalancerConformance(t *testing.T) {
 	const steps = 30
 	// Reference particle count from a static run of the same system.
-	ref := conformanceRun(t, nil, 1, 1)
+	ref := conformanceRun(t, nil, 1)
 	wantN := ref.Final.Len()
 
 	for name, b := range conformanceZoo() {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
-				r1 := conformanceRun(t, b, shards, steps)
-				r2 := conformanceRun(t, b, shards, steps)
+		t.Run(name, func(t *testing.T) {
+			r1 := conformanceRun(t, b, steps)
+			r2 := conformanceRun(t, b, steps)
 
-				// Bit-reproducibility: trace and final state.
-				if len(r1.Stats) != len(r2.Stats) {
-					t.Fatalf("stats length %d vs %d", len(r1.Stats), len(r2.Stats))
+			// Bit-reproducibility: trace and final state.
+			if len(r1.Stats) != len(r2.Stats) {
+				t.Fatalf("stats length %d vs %d", len(r1.Stats), len(r2.Stats))
+			}
+			for i := range r1.Stats {
+				if !sameTrace(r1.Stats[i], r2.Stats[i]) {
+					t.Fatalf("trace diverged between identical runs at step %d", r1.Stats[i].Step)
 				}
-				for i := range r1.Stats {
-					if !sameTrace(r1.Stats[i], r2.Stats[i]) {
-						t.Fatalf("trace diverged between identical runs at step %d", r1.Stats[i].Step)
-					}
+			}
+			for i := range r1.Final.ID {
+				if r1.Final.ID[i] != r2.Final.ID[i] ||
+					r1.Final.Pos[i] != r2.Final.Pos[i] ||
+					r1.Final.Vel[i] != r2.Final.Vel[i] {
+					t.Fatalf("final state not bit-identical at particle %d", i)
 				}
-				for i := range r1.Final.ID {
-					if r1.Final.ID[i] != r2.Final.ID[i] ||
-						r1.Final.Pos[i] != r2.Final.Pos[i] ||
-						r1.Final.Vel[i] != r2.Final.Vel[i] {
-						t.Fatalf("final state not bit-identical at particle %d", i)
-					}
-				}
+			}
 
-				// Identity recorded in every step record.
-				if got := r1.Stats[0].Balancer; got != name {
-					t.Fatalf("StepStats.Balancer = %q, want %q", got, name)
-				}
+			// Identity recorded in every step record.
+			if got := r1.Stats[0].Balancer; got != name {
+				t.Fatalf("StepStats.Balancer = %q, want %q", got, name)
+			}
 
-				// Particle conservation across all migrations.
-				if r1.Final.Len() != wantN {
-					t.Fatalf("particle count %d, want %d", r1.Final.Len(), wantN)
-				}
-				if err := r1.Final.Validate(); err != nil {
-					t.Fatal(err)
-				}
+			// Particle conservation across all migrations.
+			if r1.Final.Len() != wantN {
+				t.Fatalf("particle count %d, want %d", r1.Final.Len(), wantN)
+			}
+			if err := r1.Final.Validate(); err != nil {
+				t.Fatal(err)
+			}
 
-				// The zero-net-momentum contract is asserted in
-				// internal/core's TestBalancerZeroNetMomentum, on a
-				// blob-driven run with no external forces — the wells here
-				// legitimately inject momentum.
-			})
-		}
+			// The zero-net-momentum contract is asserted in
+			// internal/core's TestBalancerZeroNetMomentum, on a
+			// blob-driven run with no external forces — the wells here
+			// legitimately inject momentum.
+		})
 	}
 }
 

@@ -86,13 +86,15 @@ func (w *ckptWriter) write(eng coreEngine) error {
 // and, should it fail its integrity checks, the retained previous one.
 //
 // The run identity — engine kind, paper coordinates, physics options, seed,
-// time step, shard count, balancer — travels inside the checkpoint and is
-// restored from it; options that would change the physics (WithSeed,
-// WithDt, WithShards, WithWells, WithStatsEvery) are ignored. The balancer
-// is checked rather than ignored: a caller that explicitly requests one
-// with WithBalancer must name the same strategy the checkpoint was written
-// under, otherwise Restore refuses — resuming a trajectory under a
-// different balancer would silently change the continuation's physics.
+// time step, balancer — travels inside the checkpoint and is restored from
+// it; options that would change the physics (WithSeed, WithDt, WithWells,
+// WithStatsEvery) are ignored. A header that records more than one
+// intra-rank shard is refused: that run's summation order no longer
+// exists. The balancer is checked rather than ignored: a caller that
+// explicitly requests one with WithBalancer must name the same strategy the
+// checkpoint was written under, otherwise Restore refuses — resuming a
+// trajectory under a different balancer would silently change the
+// continuation's physics.
 // Runtime options (WithOnStep, WithDiscardStats, WithMetrics,
 // WithFaultPlan, WithWatchdog, WithCheckpoint, WithSabotage, WithTransport,
 // WithSupervisor) apply normally and are validated against the loaded

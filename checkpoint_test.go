@@ -1,9 +1,9 @@
 package permcell
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"permcell/internal/checkpoint"
@@ -20,9 +20,9 @@ func sameTrace(a, b StepStats) bool {
 }
 
 // TestResumeEquivalence is the subsystem's acceptance test: for every engine
-// kind and shard count, running 2b steps straight must be bit-identical to
-// running b steps, checkpointing, restoring from the file, and running the
-// remaining b — per-step trace and final particle state both.
+// kind, running 2b steps straight must be bit-identical to running b steps,
+// checkpointing, restoring from the file, and running the remaining b —
+// per-step trace and final particle state both.
 func TestResumeEquivalence(t *testing.T) {
 	const b = 6
 	kinds := []struct {
@@ -38,74 +38,112 @@ func TestResumeEquivalence(t *testing.T) {
 		}},
 	}
 	for _, k := range kinds {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/shards=%d", k.name, shards), func(t *testing.T) {
-				base := []Option{WithSeed(5), WithShards(shards)}
+		t.Run(k.name, func(t *testing.T) {
+			base := []Option{WithSeed(5)}
 
-				golden, err := k.mk(base...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := golden.Step(2 * b); err != nil {
-					t.Fatal(err)
-				}
-				gRes, err := golden.Result()
-				if err != nil {
-					t.Fatal(err)
-				}
+			golden, err := k.mk(base...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := golden.Step(2 * b); err != nil {
+				t.Fatal(err)
+			}
+			gRes, err := golden.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
 
-				// Interrupted run: checkpoint at step b, then abandon.
-				dir := t.TempDir()
-				first, err := k.mk(append([]Option{WithCheckpoint(b, dir)}, base...)...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := first.Step(b); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := first.Result(); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := os.Stat(filepath.Join(dir, checkpoint.LatestName)); err != nil {
-					t.Fatalf("no checkpoint written: %v", err)
-				}
+			// Interrupted run: checkpoint at step b, then abandon.
+			dir := t.TempDir()
+			first, err := k.mk(append([]Option{WithCheckpoint(b, dir)}, base...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := first.Step(b); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := first.Result(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, checkpoint.LatestName)); err != nil {
+				t.Fatalf("no checkpoint written: %v", err)
+			}
 
-				// Restore from the directory (latest + previous fallback path)
-				// and finish the run.
-				resumed, err := Restore(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := resumed.Step(b); err != nil {
-					t.Fatal(err)
-				}
-				rRes, err := resumed.Result()
-				if err != nil {
-					t.Fatal(err)
-				}
+			// Restore from the directory (latest + previous fallback path)
+			// and finish the run.
+			resumed, err := Restore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := resumed.Step(b); err != nil {
+				t.Fatal(err)
+			}
+			rRes, err := resumed.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
 
-				tail := gRes.Stats[len(gRes.Stats)-len(rRes.Stats):]
-				if len(tail) == 0 {
-					t.Fatal("no resumed stats to compare")
+			tail := gRes.Stats[len(gRes.Stats)-len(rRes.Stats):]
+			if len(tail) == 0 {
+				t.Fatal("no resumed stats to compare")
+			}
+			for i := range tail {
+				if !sameTrace(rRes.Stats[i], tail[i]) {
+					t.Fatalf("resumed trace diverged at record %d (step %d):\n got %+v\nwant %+v",
+						i, rRes.Stats[i].Step, rRes.Stats[i], tail[i])
 				}
-				for i := range tail {
-					if !sameTrace(rRes.Stats[i], tail[i]) {
-						t.Fatalf("resumed trace diverged at record %d (step %d):\n got %+v\nwant %+v",
-							i, rRes.Stats[i].Step, rRes.Stats[i], tail[i])
-					}
+			}
+			if rRes.Final.Len() != gRes.Final.Len() {
+				t.Fatalf("final count %d vs %d", rRes.Final.Len(), gRes.Final.Len())
+			}
+			for i := range gRes.Final.ID {
+				if rRes.Final.ID[i] != gRes.Final.ID[i] ||
+					rRes.Final.Pos[i] != gRes.Final.Pos[i] ||
+					rRes.Final.Vel[i] != gRes.Final.Vel[i] {
+					t.Fatalf("final state not bit-identical at particle %d", i)
 				}
-				if rRes.Final.Len() != gRes.Final.Len() {
-					t.Fatalf("final count %d vs %d", rRes.Final.Len(), gRes.Final.Len())
-				}
-				for i := range gRes.Final.ID {
-					if rRes.Final.ID[i] != gRes.Final.ID[i] ||
-						rRes.Final.Pos[i] != gRes.Final.Pos[i] ||
-						rRes.Final.Vel[i] != gRes.Final.Vel[i] {
-						t.Fatalf("final state not bit-identical at particle %d", i)
-					}
-				}
-			})
-		}
+			}
+		})
+	}
+}
+
+// TestRestoreRefusesShardedHeader: Meta.Shards is a legacy field. A run
+// that still passes WithShards(1) writes it as 0, as every fixture under
+// testdata/ckpt carries it; a header that records two intra-rank shards
+// names a summation order no engine has any more, so Restore refuses it.
+func TestRestoreRefusesShardedHeader(t *testing.T) {
+	dir := t.TempDir()
+	eng, err := NewSerial(3, 0.3, WithSeed(5), WithShards(1), WithCheckpoint(2, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Step(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Result(); err != nil {
+		t.Fatal(err)
+	}
+	meta, frames, err := checkpoint.Load(filepath.Join(dir, checkpoint.LatestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Shards != 0 {
+		t.Fatalf("WithShards(1) wrote Shards=%d, want 0", meta.Shards)
+	}
+	if _, err := Restore(dir); err != nil {
+		t.Fatalf("the unsharded header does not restore: %v", err)
+	}
+
+	meta.Shards = 2
+	sharded := t.TempDir()
+	if _, err := checkpoint.Save(sharded, meta, frames); err != nil {
+		t.Fatal(err)
+	}
+	if eng, err := Restore(sharded); err == nil {
+		eng.Result()
+		t.Fatal("Restore accepted a header with two shards")
+	} else if !strings.Contains(err.Error(), "retired") {
+		t.Fatalf("Restore: %v, want an error naming the retirement", err)
 	}
 }
 

@@ -63,7 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	m := fs.Int("m", 2, "square-pillar cross-section size")
 	steps := fs.Int("steps", 200, "time steps per run")
 	rho := fs.Float64("rho", 0.256, "reduced density")
-	shards := fs.Int("shards", 1, "per-PE force-kernel worker count")
 	delayProb := fs.Float64("delay-prob", 0.1, "per-send latency jitter probability")
 	maxDelay := fs.Duration("max-delay", 200*time.Microsecond, "jitter upper bound")
 	reorderProb := fs.Float64("reorder-prob", 0.2, "per-send reorder (hold-back) probability")
@@ -103,7 +102,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}{
 		{*p < 1, "-p must be at least 1"},
 		{*steps < 1, "-steps must be at least 1"},
-		{*shards < 0, "-shards must not be negative"},
 		{*killAt < 0, "-kill-at must not be negative"},
 		{*ckptEvery < 0, "-checkpoint-every must not be negative"},
 		{!(*delayProb >= 0 && *delayProb <= 1), "-delay-prob must be in [0, 1]"},
@@ -133,7 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-events writes the replay scenario's fault log; -kill-at and -sabotage do not replay")
 	}
 
-	fmt.Fprintf(stdout, "chaos: P=%d m=%d rho=%g steps=%d seed=%d shards=%d\n", *p, *m, *rho, *steps, *seed, *shards)
+	fmt.Fprintf(stdout, "chaos: P=%d m=%d rho=%g steps=%d seed=%d\n", *p, *m, *rho, *steps, *seed)
 	if *sabotage != "" {
 		kind, at, ok := strings.Cut(*sabotage, "@")
 		step, err := strconv.Atoi(at)
@@ -177,7 +175,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return heal(stdout, stderr, *m, *p, *rho, *steps, sab, []permcell.Option{
 			permcell.WithBalancer(permcell.PermanentCell(permcell.PermanentCellConfig{})),
 			permcell.WithSeed(*seed),
-			permcell.WithWells(1, 1.5), permcell.WithShards(*shards),
+			permcell.WithWells(1, 1.5),
 		}, faulty)
 	}
 
@@ -203,7 +201,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	spec := experiments.ChaosSpec{
 		RunSpec: experiments.RunSpec{
 			M: *m, P: *p, Rho: *rho, Steps: *steps, Balancer: balance.PermanentCell{}, Seed: *seed,
-			WellK: 1.5, Shards: *shards,
+			WellK: 1.5,
 		},
 		Plan:     plan,
 		Watchdog: *watchdog,

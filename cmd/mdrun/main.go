@@ -7,7 +7,7 @@
 //
 //	mdrun [-m 3] [-p 16] [-rho 0.256] [-steps 600]
 //	      [-balancer 'permcell(h=0.1)'] [-wells 12]
-//	      [-wellk 1.5] [-dt 0.005] [-seed 1] [-shards 1]
+//	      [-wellk 1.5] [-dt 0.005] [-seed 1]
 //	      [-o out.csv] [-metrics phases.jsonl] [-prom metrics.prom]
 //	      [-checkpoint-every 500] [-checkpoint-dir ckpt] [-resume ckpt]
 //	      [-max-retries 3] [-backoff 50ms]
@@ -150,7 +150,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	wellK := fs.Float64("wellk", 1.5, "attractor strength")
 	dt := fs.Float64("dt", 0.005, "time step (reduced units; paper uses 1e-4)")
 	seed := fs.Uint64("seed", 1, "RNG seed")
-	shards := fs.Int("shards", 1, "per-PE force-kernel worker count (0 to one per grid column)")
 	out := fs.String("o", "", "CSV output path (default stdout)")
 	metricsOut := fs.String("metrics", "", "per-phase JSONL output path (enables the observability layer; \"-\" = stdout)")
 	promOut := fs.String("prom", "", "Prometheus text snapshot path, written at exit (implies -metrics collection)")
@@ -304,11 +303,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		headerDone = true
 		if *resume != "" {
-			fmt.Fprintf(w, "# mdrun resume=%s seed=%d shards=%d balancer=%s\n",
-				*resume, *seed, *shards, balancer)
+			fmt.Fprintf(w, "# mdrun resume=%s seed=%d balancer=%s\n",
+				*resume, *seed, balancer)
 		} else {
-			fmt.Fprintf(w, "# mdrun m=%d p=%d rho=%g seed=%d dt=%g shards=%d balancer=%s\n",
-				*m, *p, *rho, *seed, *dt, *shards, balancer)
+			fmt.Fprintf(w, "# mdrun m=%d p=%d rho=%g seed=%d dt=%g balancer=%s\n",
+				*m, *p, *rho, *seed, *dt, balancer)
 		}
 		fmt.Fprintln(w, strings.Join(header, ","))
 	}
@@ -344,7 +343,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	opts := []permcell.Option{
 		permcell.WithSeed(*seed), permcell.WithDt(*dt),
-		permcell.WithWells(*wells, wk), permcell.WithShards(*shards),
+		permcell.WithWells(*wells, wk),
 		permcell.WithOnStep(row), permcell.WithDiscardStats(),
 	}
 	if bal != nil {
@@ -376,7 +375,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}))
 	}
 
-	// balSpec, with m, seed and shards, is the identity the header, the
+	// balSpec, with m and seed, is the identity the header, the
 	// f(m, n) bound and the closing summary report: the flags' for a fresh
 	// run, the checkpoint's on -resume.
 	balSpec := permcell.BalancerSpec(bal)
@@ -386,7 +385,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Physics flags are ignored: the run identity travels in the file.
 		var meta *checkpoint.Meta
 		if meta, err = checkpoint.LoadMeta(*resume); err == nil {
-			*m, *seed, *shards = meta.M, meta.Seed, meta.Shards
+			*m, *seed = meta.M, meta.Seed
 			if b, berr := runspec.Balancer(meta); berr == nil {
 				balSpec = permcell.BalancerSpec(b)
 			}
@@ -443,8 +442,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	fmt.Fprintf(stderr, "mdrun: N=%d balancer=%s shards=%d msgs=%d bytes=%d\n",
-		res.Final.Len(), balSpec, *shards, res.CommMsgs, res.CommBytes)
+	fmt.Fprintf(stderr, "mdrun: N=%d balancer=%s msgs=%d bytes=%d\n",
+		res.Final.Len(), balSpec, res.CommMsgs, res.CommBytes)
 	return 0
 }
 

@@ -14,17 +14,17 @@ import (
 	"permcell/internal/theory"
 )
 
-// TestResumeReportsRestoredIdentity checkpoints a run whose m, seed, shard
-// count and balancer all differ from the flag defaults, resumes it with none
-// of those flags, and demands that everything mdrun reports — the CSV run
-// header, the JSONL f(m, n) bound and the closing summary — describes the
-// restored run rather than the defaults.
+// TestResumeReportsRestoredIdentity checkpoints a run whose m, seed and
+// balancer all differ from the flag defaults, resumes it with none of those
+// flags, and demands that everything mdrun reports — the CSV run header,
+// the JSONL f(m, n) bound and the closing summary — describes the restored
+// run rather than the defaults.
 func TestResumeReportsRestoredIdentity(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "ckpt")
 	var out, errb bytes.Buffer
 	if code := run([]string{
-		"-m", "2", "-p", "4", "-steps", "6", "-seed", "9", "-shards", "2",
+		"-m", "2", "-p", "4", "-steps", "6", "-seed", "9",
 		"-balancer", "sfc(h=0,moves=2)", "-wells", "3",
 		"-checkpoint-dir", ckpt, "-checkpoint-every", "6",
 	}, &out, &errb); code != 0 {
@@ -39,12 +39,12 @@ func TestResumeReportsRestoredIdentity(t *testing.T) {
 	}
 
 	header, _, _ := strings.Cut(out.String(), "\n")
-	for _, want := range []string{"seed=9", "shards=2", "balancer=sfc"} {
+	for _, want := range []string{"seed=9", "balancer=sfc"} {
 		if !strings.Contains(header, want) {
 			t.Errorf("resume header %q lacks %q", header, want)
 		}
 	}
-	if want := "balancer=sfc(h=0,moves=2) shards=2"; !strings.Contains(errb.String(), want) {
+	if want := "balancer=sfc(h=0,moves=2) "; !strings.Contains(errb.String(), want) {
 		t.Errorf("closing summary %q lacks %q", errb.String(), want)
 	}
 
@@ -114,7 +114,6 @@ func TestFlagErrorsExitNonZero(t *testing.T) {
 		{"-wells", "-3", "-steps", "1"},
 		{"-wellk", "-1", "-steps", "1"},
 		{"-transport", "carrier-pigeon", "-steps", "1"},
-		{"-m", "2", "-p", "4", "-shards", "17", "-steps", "1"},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(args, &out, &errb); code == 0 {
@@ -122,9 +121,11 @@ func TestFlagErrorsExitNonZero(t *testing.T) {
 		}
 	}
 	// A negative count or duration is a usage error, refused with exit 2
-	// before any engine or worker starts; -max-retries -1 means "off".
+	// before any engine or worker starts; -max-retries -1 means "off". So is
+	// the retired -shards flag.
 	ckpt := t.TempDir()
 	for _, args := range [][]string{
+		{"-shards", "2", "-m", "2", "-p", "4", "-steps", "1"},
 		{"-steps", "-5"},
 		{"-checkpoint-every", "-1", "-checkpoint-dir", ckpt, "-steps", "1"},
 		{"-max-retries", "-5", "-checkpoint-dir", ckpt, "-steps", "1"},
@@ -153,7 +154,7 @@ func TestResumeReadsHeaderOnlyThenRestoreVerifies(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "ckpt")
 	var out, errb bytes.Buffer
 	if code := run([]string{
-		"-m", "2", "-p", "4", "-steps", "6", "-seed", "9", "-shards", "2",
+		"-m", "2", "-p", "4", "-steps", "6", "-seed", "9",
 		"-checkpoint-dir", ckpt, "-checkpoint-every", "6",
 	}, &out, &errb); code != 0 {
 		t.Fatalf("first session exited %d: %s", code, errb.String())
@@ -169,7 +170,7 @@ func TestResumeReadsHeaderOnlyThenRestoreVerifies(t *testing.T) {
 	}
 
 	meta, err := checkpoint.LoadMeta(file)
-	if err != nil || meta.M != 2 || meta.Seed != 9 || meta.Shards != 2 || meta.Step != 6 {
+	if err != nil || meta.M != 2 || meta.Seed != 9 || meta.Step != 6 {
 		t.Fatalf("LoadMeta of a file with a corrupt frame = %+v, %v", meta, err)
 	}
 	out.Reset()

@@ -74,7 +74,7 @@ func (o Options) identity(kind string) checkpoint.Meta {
 	}
 	return checkpoint.Meta{
 		Kind: kind, Wells: o.wells, WellK: o.wellK,
-		Seed: o.seed, Dt: dt, Shards: o.shards, StatsEvery: o.statsEvery,
+		Seed: o.seed, Dt: dt, StatsEvery: o.statsEvery,
 	}
 }
 
@@ -87,6 +87,9 @@ func (o Options) identity(kind string) checkpoint.Meta {
 // here, so a rollback target exists before the first cadence boundary and
 // a failure on step 1 is already recoverable.
 func launch(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine, error) {
+	if o.shards != 0 && o.shards != 1 {
+		return nil, fmt.Errorf("permcell: WithShards(%d): intra-rank shards were retired; only 0 and 1 are accepted", o.shards)
+	}
 	if err := checkTransport(meta.Kind, o); err != nil {
 		return nil, err
 	}

@@ -87,34 +87,10 @@ func TestRunCancellation(t *testing.T) {
 	}
 }
 
-// TestShardedRunDeterminism runs the facade twice at shards=2 and demands
-// bit-identical trajectories.
-func TestShardedRunDeterminism(t *testing.T) {
-	run := func() *permcell.Result {
-		res, err := permcell.Run(context.Background(), 2, 4, 0.256, 10,
-			permcell.WithBalancer(permcell.PermanentCell(permcell.PermanentCellConfig{})), permcell.WithShards(2), permcell.WithSeed(11))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(), run()
-	for i := range a.Final.Pos {
-		if a.Final.Pos[i] != b.Final.Pos[i] {
-			t.Fatalf("particle %d differs between identical sharded runs", a.Final.ID[i])
-		}
-	}
-	for i := range a.Stats {
-		if a.Stats[i].WorkMax != b.Stats[i].WorkMax || a.Stats[i].TotalEnergy != b.Stats[i].TotalEnergy {
-			t.Fatalf("step %d stats differ between identical sharded runs", a.Stats[i].Step)
-		}
-	}
-}
-
 // TestSerialEngineFacade drives the serial engine through the shared
 // interface and sanity-checks its synthesized census.
 func TestSerialEngineFacade(t *testing.T) {
-	eng, err := permcell.NewSerial(4, 0.3, permcell.WithSeed(5), permcell.WithShards(2))
+	eng, err := permcell.NewSerial(4, 0.3, permcell.WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}

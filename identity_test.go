@@ -72,7 +72,7 @@ func builderTrace(t *testing.T, meta *checkpoint.Meta, st *checkpoint.EngineStat
 // and resumed from the checkpoint's frames.
 func TestRunIdentityIsOneThing(t *testing.T) {
 	const k = 8
-	common := []Option{WithSeed(5), WithWells(3, 1.5), WithShards(2), WithStatsEvery(1)}
+	common := []Option{WithSeed(5), WithWells(3, 1.5), WithStatsEvery(1)}
 	cases := []struct {
 		name string
 		mk   func(opts ...Option) (Engine, error)

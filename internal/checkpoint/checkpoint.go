@@ -71,8 +71,12 @@ type Meta struct {
 	Hysteresis float64
 	Seed       uint64
 	Dt         float64
-	Shards     int
 	StatsEvery int
+	// Shards is a legacy field, written as 0: nothing sets it. Runs from
+	// before intra-rank shards were retired recorded their shard count
+	// here; runspec refuses a header with more than one, whose summation
+	// order no longer exists.
+	Shards int
 	// Balancer is the encoded load-balancing strategy (balance.Encode):
 	// "permcell(...)", "sfc(...)", "diffusive(...)", "none" (static DDM),
 	// or "" in checkpoints predating the pluggable-balancer format. Restore
@@ -85,7 +89,7 @@ type Meta struct {
 	CommMsgs, CommBytes int64
 }
 
-// Frame is one PE's shard of the distributed state.
+// Frame is one PE's part of the distributed state.
 type Frame struct {
 	// Rank is the owning PE (0 for the serial engine).
 	Rank int

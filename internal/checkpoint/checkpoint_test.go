@@ -19,7 +19,7 @@ func testMeta(step int) *Meta {
 		Version: FormatVersion, Kind: KindDLB, Step: step,
 		M: 3, P: 4, Rho: 0.256,
 		DLB: true, Wells: 12, WellK: 1.5, Hysteresis: 0.1,
-		Seed: 7, Dt: 0.005, Shards: 2, StatsEvery: 1,
+		Seed: 7, Dt: 0.005, StatsEvery: 1,
 		CommMsgs: 123, CommBytes: 4567,
 	}
 }

@@ -59,7 +59,7 @@ const (
 
 const (
 	// maxSection bounds a single section to guard length fields corrupted
-	// into absurd allocations (1 GiB is far above any realistic shard).
+	// into absurd allocations (1 GiB is far above any realistic frame).
 	maxSection = 1 << 30
 	// maxFrames bounds the header's frame count the same way.
 	maxFrames = 1 << 20

@@ -79,11 +79,6 @@ type Config struct {
 	// exchange pattern and the transfer invariants (forces carried,
 	// conservation, C' bound) hold for every implementation.
 	Balancer balance.Balancer
-	// Shards is the per-PE force-kernel worker count (<= 1 = serial
-	// kernel). Results are bit-deterministic for a given shard count but
-	// differ between shard counts, so the value is part of the run identity
-	// (trace headers record it).
-	Shards int
 	// OnStep, when non-nil, is invoked on rank 0 with each step's stats:
 	// the one way records leave the engine, which keeps none.
 	OnStep func(StepStats)
@@ -283,15 +278,12 @@ func (cfg *Config) validate() error {
 	if sx < rc || sy < rc || sz < rc {
 		return fmt.Errorf("core: cell size (%g,%g,%g) below cut-off %g", sx, sy, sz, cfg.Pair.Cutoff())
 	}
-	// Cadence and worker counts: zero means "default" (normalized by the
-	// constructors), but negative values from callers that bypass the
-	// facade defaults would reach modulo operations and worker-pool sizing,
-	// so they are rejected here rather than panicking mid-run.
+	// Cadence: zero means "default" (normalized by the constructors), but a
+	// negative value from a caller that bypasses the facade defaults would
+	// reach modulo operations, so it is rejected here rather than
+	// panicking mid-run.
 	if cfg.StatsEvery < 0 {
 		return fmt.Errorf("core: StatsEvery must be >= 0, got %d", cfg.StatsEvery)
-	}
-	if cfg.Shards < 0 {
-		return fmt.Errorf("core: Shards must be >= 0, got %d", cfg.Shards)
 	}
 	if d := cfg.Decomp; d != nil {
 		if cfg.Balancer != nil {

@@ -253,7 +253,7 @@ func (e *Engine) Procs() int { return 0 }
 
 // SnapshotLocal captures the local ranks' checkpoint frames at the current
 // batch boundary: every PE receives the snapshot command, asserts its own
-// communication state is quiesced, serializes its shard — particle arrays
+// communication state is quiesced, serializes its part — particle arrays
 // in live in-memory order plus its hosted-column set — and acknowledges;
 // the driver then asserts no message is in flight in any local inbox. The
 // engine remains usable: a snapshot does not advance time and a following

@@ -136,7 +136,7 @@ func newPE(c *comm.Comm, cfg *Config, layout dlb.Layout, sys workload.System, ce
 		c:      c,
 		cfg:    cfg,
 		layout: layout,
-		cl:     kernel.NewCellLists(cfg.Grid, cfg.Shards),
+		cl:     kernel.NewCellLists(cfg.Grid, 1),
 		dirty:  true,
 	}
 	p.cl.SetSearchWorkers(searchWorkers)
@@ -263,7 +263,7 @@ func (p *pe) oneStep(step int) {
 
 // runStepwise executes the simulation in driver-commanded batches: each
 // value received on cmd is a batch size to advance by (cmdFinish ends the
-// run, cmdSnapshot serializes this PE's shard into snap); after each
+// run, cmdSnapshot serializes this PE's part into snap); after each
 // command the PE counts itself off left, and the last local rank to finish
 // reports on ack (one wake-up of the driver per command) before all go
 // idle. All ranks receive the same command sequence, so the collectives
@@ -296,7 +296,7 @@ func (p *pe) runStepwise(cmd <-chan int, ack chan<- struct{}, left *atomic.Int32
 	p.gatherFinal(res)
 }
 
-// snapshot serializes this PE's shard — particle arrays in live order plus
+// snapshot serializes this PE's part — particle arrays in live order plus
 // the hosted-column set — into its slot of the shared frame slice. The ack
 // that follows is the happens-before edge to the driver's read. A PE with
 // communication still pending at a batch boundary is an engine bug: the

@@ -460,52 +460,50 @@ func TestPlanPackReusesItsArena(t *testing.T) {
 // later — the force return's blocks are windows of the kernel's own ghost
 // accumulator, which the next Compute clears — so under the race detector
 // (the CI step that runs this) a refill that could overlap a neighbor still
-// reading is a reported race, not a rare wrong bit. A second fault seed and
-// a sharded kernel (the accumulator is then reduced by the worker pool)
-// widen the interleavings the force return is seen under.
+// reading is a reported race, not a rare wrong bit. A second fault seed
+// widens the interleavings the force return is seen under.
 func TestSendBufferReuseUnderReordering(t *testing.T) {
 	sys, g := blobSystem(t, 6)
-	for _, shards := range []int{1, 2} {
-		run := func(faults *comm.FaultPlan) *Result {
-			cfg := baseConfig(g, 9)
-			cfg.Dt = 0.004
-			cfg.Balancer = balance.PermanentCell{}
-			cfg.StatsEvery = 7
-			cfg.Shards = shards
-			cfg.Faults = faults
-			res, err := Run(cfg, sys, 42)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
+	run := func(faults *comm.FaultPlan) *Result {
+		cfg := baseConfig(g, 9)
+		cfg.Dt = 0.004
+		cfg.Balancer = balance.PermanentCell{}
+		cfg.StatsEvery = 7
+		cfg.Faults = faults
+		res, err := Run(cfg, sys, 42)
+		if err != nil {
+			t.Fatal(err)
 		}
-		clean := run(nil)
-		moved := 0
-		for _, st := range clean.Stats {
-			moved += st.Moved
-		}
-		if moved == 0 {
-			t.Fatal("no column moved: the plan was never rebuilt mid-run")
-		}
+		return res
+	}
+	clean := run(nil)
+	moved := 0
+	for _, st := range clean.Stats {
+		moved += st.Moved
+	}
+	if moved == 0 {
+		t.Fatal("no column moved: the plan was never rebuilt mid-run")
+	}
+	for _, seed := range []uint64{11, 12} {
 		chaos := run(&comm.FaultPlan{
-			Seed:      uint64(10 + shards),
+			Seed:      seed,
 			DelayProb: 0.05, MaxDelay: 200 * time.Microsecond,
 			ReorderProb: 0.3, ReorderDepth: 3,
 		})
 		if chaos.Faults.Reorders == 0 || chaos.Faults.Delays == 0 {
-			t.Fatalf("shards=%d: fault plan injected too little: %+v", shards, chaos.Faults)
+			t.Fatalf("fault seed %d: injected too little: %+v", seed, chaos.Faults)
 		}
 		if len(chaos.Stats) != len(clean.Stats) {
-			t.Fatalf("shards=%d: %d records under faults, %d without", shards, len(chaos.Stats), len(clean.Stats))
+			t.Fatalf("fault seed %d: %d records under faults, %d without", seed, len(chaos.Stats), len(clean.Stats))
 		}
 		for i := range clean.Stats {
 			if !stepsEqualDeterministic(chaos.Stats[i], clean.Stats[i]) {
-				t.Fatalf("shards=%d: record %d differs under the fault plan", shards, i)
+				t.Fatalf("fault seed %d: record %d differs under the fault plan", seed, i)
 			}
 		}
 		for i := range clean.Final.ID {
 			if chaos.Final.ID[i] != clean.Final.ID[i] || chaos.Final.Pos[i] != clean.Final.Pos[i] || chaos.Final.Vel[i] != clean.Final.Vel[i] {
-				t.Fatalf("shards=%d: particle %d differs under the fault plan", shards, clean.Final.ID[i])
+				t.Fatalf("fault seed %d: particle %d differs under the fault plan", seed, clean.Final.ID[i])
 			}
 		}
 	}

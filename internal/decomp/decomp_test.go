@@ -73,7 +73,7 @@ func TestSquarePillarPartition(t *testing.T) {
 		}
 	}
 	// Each PE's cells form whole columns: all z-cells of a column share owner.
-	for col := 0; col < g.NumColumns(); col++ {
+	for col := 0; col < g.Nx*g.Ny; col++ {
 		cells := g.CellsInColumn(col, nil)
 		for _, c := range cells[1:] {
 			if d.OwnerOf(c) != d.OwnerOf(cells[0]) {

@@ -51,28 +51,6 @@ func TestChaosReplaySameTrace(t *testing.T) {
 	}
 }
 
-// TestChaosReplaySameTraceSharded is the replay property with the sharded
-// force kernel: for a fixed shard count the chaos trace is bit-identical
-// across replays (shard count is part of the run identity, so different
-// shard counts may differ — but a given one must reproduce).
-func TestChaosReplaySameTraceSharded(t *testing.T) {
-	for _, shards := range []int{2, 8} {
-		spec := tinyChaosSpec()
-		spec.Shards = shards
-		a, err := spec.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := spec.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.TraceHash != b.TraceHash {
-			t.Fatalf("shards=%d: trace hashes differ across replays: %x vs %x", shards, a.TraceHash, b.TraceHash)
-		}
-	}
-}
-
 // TestChaosFaultFreeMatchesPlainRun asserts a zero plan leaves the engine
 // byte-identical on the deterministic trace fields: chaos plumbing off the
 // hot path changes nothing.

@@ -42,9 +42,6 @@ type RunSpec struct {
 	// Wells is the number of attractor sites scattered through the box
 	// (the droplet nuclei). 0 or 1 places a single central well.
 	Wells int
-	// Shards is the per-PE force-kernel worker count (<= 1 = serial
-	// kernel). Traces are bit-deterministic per shard count.
-	Shards int
 	// Metrics enables the per-phase timing layer (permcell.WithMetrics).
 	Metrics bool
 }
@@ -62,7 +59,7 @@ func (s RunSpec) info() (SysInfo, error) {
 func (s RunSpec) options() []permcell.Option {
 	opts := []permcell.Option{
 		permcell.WithBalancer(s.Balancer), permcell.WithSeed(s.Seed),
-		permcell.WithWells(s.Wells, s.WellK), permcell.WithShards(s.Shards),
+		permcell.WithWells(s.Wells, s.WellK),
 	}
 	if s.Metrics {
 		opts = append(opts, permcell.WithMetrics())

@@ -247,16 +247,16 @@ func FuzzAccumulateLeaf(f *testing.F) {
 	})
 }
 
-// searchedHits returns the hits of one whole force pass over cl's cells
-// (one shard), in visiting order, found by passes that cannot flush: each
-// resumes where the last one stopped.
+// searchedHits returns the hits of one whole force pass over cl's cells,
+// in visiting order, found by passes that cannot flush: each resumes where
+// the last one stopped.
 func searchedHits(tb testing.TB, cl *CellLists) []uint64 {
 	tb.Helper()
 	var all []uint64
-	slots := cl.shardSlot
-	for from := (cursor{}); from.i < len(slots); {
+	end := cl.NumHosted()
+	for from := (cursor{}); from.i < end; {
 		ps := pass{cl: cl, hits: new([hitCap]uint64)}
-		next := ps.walk(slots, from)
+		next := ps.walk(from, end)
 		if next == from {
 			tb.Fatal("a cell pair larger than the hit buffer")
 		}

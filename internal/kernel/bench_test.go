@@ -60,14 +60,14 @@ func BenchmarkKernelMap(b *testing.B) {
 	}
 }
 
-func benchmarkKernelFlat(b *testing.B, shards int) {
+func BenchmarkKernelFlat(b *testing.B) {
 	sys, g := benchSystem(b)
 	lj := potential.NewPaperLJ()
 	cells := make([]int, g.NumCells())
 	for c := range cells {
 		cells[c] = c
 	}
-	cl := NewCellLists(g, shards)
+	cl := NewCellLists(g, 1)
 	defer cl.Close()
 	cl.SetHosted(cells)
 	b.ReportAllocs()
@@ -81,10 +81,6 @@ func benchmarkKernelFlat(b *testing.B, shards int) {
 	}
 }
 
-func BenchmarkKernelFlat(b *testing.B)        { benchmarkKernelFlat(b, 1) }
-func BenchmarkKernelFlatShards2(b *testing.B) { benchmarkKernelFlat(b, 2) }
-func BenchmarkKernelFlatShards8(b *testing.B) { benchmarkKernelFlat(b, 8) }
-
 // searchWorkerAxis is the search-worker counts the kernel benchmarks run
 // at: one, and one per core when that is more (run with -cpu 2 to see what
 // a second core buys).
@@ -97,11 +93,10 @@ func searchWorkerAxis() []int {
 
 // BenchmarkKernelPresets runs the full bench matrix (kernelPresets:
 // tiny plus the 50k/100k/200k paper-density systems) against the flat
-// kernel at shard counts 1, 2 and 8, each with one search worker and with
-// one per core. The large presets are where the force array no longer fits
-// in cache and shard parallelism has work to amortize against. A developer
-// tool (go test -run '^$' -bench BenchmarkKernel ./internal/kernel):
-// changes are judged by bench/, not by these numbers.
+// kernel, with one search worker and with one per core. The large presets
+// are where the force array no longer fits in cache. A developer tool
+// (go test -run '^$' -bench BenchmarkKernel ./internal/kernel): changes are
+// judged by bench/, not by these numbers.
 func BenchmarkKernelPresets(b *testing.B) {
 	for _, pr := range kernelPresets() {
 		sys, g, err := pr.Build()
@@ -112,25 +107,23 @@ func BenchmarkKernelPresets(b *testing.B) {
 		for c := range cells {
 			cells[c] = c
 		}
-		for _, shards := range []int{1, 2, 8} {
-			for _, workers := range searchWorkerAxis() {
-				b.Run(fmt.Sprintf("%s/shards=%d/workers=%d", pr.Name, shards, workers), func(b *testing.B) {
-					cl := NewCellLists(g, shards)
-					defer cl.Close()
-					cl.SetSearchWorkers(workers)
-					cl.SetHosted(cells)
-					cl.SealGhosts()
-					b.ReportAllocs()
-					b.ResetTimer()
-					for n := 0; n < b.N; n++ {
-						if bad := cl.Bin(sys.Set.Pos); bad >= 0 {
-							b.Fatal("bin failed")
-						}
-						sys.Set.ZeroForces()
-						cl.Compute(ljBench, sys.Set)
+		for _, workers := range searchWorkerAxis() {
+			b.Run(fmt.Sprintf("%s/workers=%d", pr.Name, workers), func(b *testing.B) {
+				cl := NewCellLists(g, 1)
+				defer cl.Close()
+				cl.SetSearchWorkers(workers)
+				cl.SetHosted(cells)
+				cl.SealGhosts()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for n := 0; n < b.N; n++ {
+					if bad := cl.Bin(sys.Set.Pos); bad >= 0 {
+						b.Fatal("bin failed")
 					}
-				})
-			}
+					sys.Set.ZeroForces()
+					cl.Compute(ljBench, sys.Set)
+				}
+			})
 		}
 	}
 }

@@ -36,16 +36,11 @@ import (
 //     imported positions are staged at the cell's own slot, in whatever
 //     order the halo replies arrive, and sealed into one slice, CSR-indexed
 //     by ghost slot, by a linear copy;
-//   - per-shard slot lists (CSR over the shard partition): each shard's
-//     owner walks exactly its own cells instead of filtering the full
-//     hosted list every step;
-//   - per shard, a fixed hit buffer and force accumulators in part order
-//     (the same index as the positions, no particle-id indirection) and,
-//     for imported particles, in ghost-arena order: zeroed and reduced — into
-//     the caller's force array and shard 0's ghost accumulator — inside the
-//     parallel section (fixed order, so bits do not depend on worker timing).
+//   - a fixed hit buffer and force accumulators in part order (the same
+//     index as the positions, no particle-id indirection) and, for imported
+//     particles, in ghost-arena order, zeroed at the start of every pass.
 //
-// The force pass (computeShard) is two phases over one visiting order. The
+// The force pass (Compute) is two phases over one visiting order. The
 // search phase computes every candidate pair's squared distance in a small
 // leaf loop with no distance-dependent branch and appends the pairs inside
 // the cut-off, packed as (a, stencil code, neighbour index), to a hit
@@ -71,53 +66,45 @@ import (
 // only when all its candidates fit the free space, after a flush if need
 // be, and a pair larger than the whole buffer goes row by row.
 //
-// Who searches, who accumulates. Each shard's slot list is cut into chunks
-// of chunkSlots slots. The shard's owner accumulates every chunk, strictly
-// in chunk order, into the shard's buffers; the search of a chunk may be
-// done by the owner itself (into its own hit buffer, flushing as it goes)
-// or by any of the search workers (SetSearchWorkers), which search a chunk
-// into a segment of the shard's ring and stop at the first cell pair that
-// does not fit it — the owner accumulates the segment and searches the rest
-// of the chunk itself. A searcher only reads positions and writes its own
-// segment, so whoever searched a chunk, the owner adds the same hits in the
-// same order. With one search worker the owner claims every chunk in turn:
-// the pass is the plain search-then-flush loop.
+// Who searches, who accumulates. The hosted slots are cut into chunks of
+// chunkSlots consecutive slots. The caller of Compute is the pass's one
+// owner: it accumulates every chunk, strictly in chunk order, into the one
+// set of accumulators. The search of a chunk may be done by the owner
+// itself (into its own hit buffer, flushing as it goes) or by any of the
+// search workers (SetSearchWorkers), which search a chunk into a segment of
+// a ring and stop at the first cell pair that does not fit it — the owner
+// accumulates the segment and searches the rest of the chunk itself. A
+// searcher only reads positions and writes its own segment, so whoever
+// searched a chunk, the owner adds the same hits in the same order. With
+// one search worker the owner claims every chunk in turn: the pass is the
+// plain search-then-flush loop.
 //
-// Determinism contract: hosted cells are visited in ascending cell index
-// order, each cell's stencil preserves the Neighbors26 order, and hits are
-// accumulated in that same order, so every accumulator sees the additions a
-// single fused loop would make, in its order: for a given hosted set,
-// particle assignment and shard count the floating-point summation order —
-// and therefore every bit of the result — is fixed, and the census (pairs,
-// Evaluated) is integer arithmetic on the cell populations. The search
-// worker count is therefore not part of a run's identity: it is a runtime
-// fact the engines derive from GOMAXPROCS, and the results are bit-identical
-// at every count. With Shards == 1 the summation order is exactly that of
-// the historical map-based kernel, so single-shard results are
-// bit-identical to it. With S > 1 shards, hosted columns are dealt
-// round-robin (in ascending column order) to S owners; each shard
-// accumulates forces and energy into its own buffers, and the shard results
-// are reduced in fixed shard order, so runs are bit-reproducible for a given
-// shard count (but differ between shard counts, which is why the shard
-// count, unlike the search worker count, is part of the run config and the
-// trace header).
+// Determinism contract: one owner, one order. Hosted cells are visited in
+// ascending cell index order, each cell's stencil preserves the
+// Neighbors26 order, and hits are accumulated in that same order, so every
+// accumulator sees the additions a single fused loop would make, in its
+// order, and the accumulators are added to the caller's forces particle by
+// particle in part order: for a given hosted set and particle assignment
+// the floating-point summation order — and therefore every bit of the
+// result — is fixed, and the census (pairs, Evaluated) is integer
+// arithmetic on the cell populations. That order is exactly the historical
+// map-based kernel's, so the results are bit-identical to it. Search
+// workers move no bit: the worker count is not part of a run's identity
+// but a runtime fact the engines derive from GOMAXPROCS, and the results
+// are bit-identical at every count.
 type CellLists struct {
-	g      space.Grid
-	shards int
+	g space.Grid
 
 	// Hosted topology, rebuilt by SetHosted only. The per-slot int32 arrays
-	// (stStart, shardSlot, shardStart, count, start) are windows of
-	// slotBlock, so a rebuild sizes them with one allocation at most.
+	// (stStart, count, start) are windows of slotBlock, so a rebuild sizes
+	// them with one allocation at most.
 	cells      []int     // hosted cell ids, ascending
 	slotOf     []int32   // per grid cell: hosted slot s >= 0, ghost -2-gs, else -1
 	stencil    []int32   // >= 0: hosted slot (higher cell id); < 0: -1-ghostSlot
 	stCode     []uint8   // per stencil entry: index of its round term in shift, or countOnly
 	stStart    []int32   // CSR offsets into stencil, len(cells)+1
 	ghostCells []int     // unhosted neighbor cell ids, ascending
-	shardSlot  []int32   // hosted slots grouped by shard (CSR), ascending per shard
-	shardStart []int32   // CSR offsets into shardSlot, len shards+1
 	slotBlock  []int32   // backing store of the per-slot arrays
-	colRank    []int32   // per column scratch of the shard partition (shards > 1)
 	shift      [32]vec.V // min-image round terms by code: cx + 3*cy + 9*cz < 27
 	useShift   bool      // all grid dims >= 4: shift is exact, skip per-pair rounding
 
@@ -135,22 +122,18 @@ type CellLists struct {
 	ghostStart []int32 // CSR offsets into ghostPos, len(ghostCells)+1
 	ghostPos   []vec.V
 
-	// Per-shard state of the force pass, reduced in fixed shard order.
-	acc       []shardAcc
-	hits      [][hitCap]uint64 // the owner's search output, flushed whenever it fills
-	pfrc      [][]vec.V        // force accumulators in part order, sized by Bin
-	gfrc      [][]vec.V        // ghost force accumulators in ghostPos order, sized by SealGhosts
-	feeds     []feed           // per shard: its chunks and, with search workers, its ring
-	evaluated int64            // the last Compute's pairs less its count-only candidates
+	// State of the force pass.
+	hits      *[hitCap]uint64 // the owner's search output, flushed whenever it fills
+	pfrc      []vec.V         // force accumulators in part order, sized by Bin
+	gfrc      []vec.V         // ghost force accumulators in ghostPos order, sized by SealGhosts
+	feed      feed            // the pass's chunks and, with search workers, its ring
+	evaluated int64           // the last Compute's pairs less its count-only candidates
 
-	// Bounded worker pool, started lazily when shards > 1 or workers > 1:
-	// one owner per shard (when shards > 1; else the caller owns shard 0)
-	// and workers-1 search helpers.
+	// Search helpers, started lazily when workers > 1: workers-1 goroutines
+	// that search chunks ahead of the owner.
 	workers int            // search workers: the helpers plus the owner
 	pair    potential.Pair // current Compute target
 	rc2     float64        // its squared cut-off
-	phase   int            // owner dispatch mode: phaseForce or phaseReduce
-	frcDst  []vec.V        // reduce-phase target (s.Frc), set by Compute
 
 	running bool
 	startCh []chan struct{}
@@ -158,26 +141,13 @@ type CellLists struct {
 	pool    sync.WaitGroup // the pool's goroutines, until they exit
 	quit    atomic.Bool    // set by Close: helpers stop claiming
 
-	// Where a searcher with nothing to claim sleeps: an owner waiting for
+	// Where a searcher with nothing to claim sleeps: the owner waiting for
 	// a helper's chunk, a helper waiting for a ring segment. moved is
-	// broadcast, under mu, whenever a segment is filled, a ring head moves
+	// broadcast, under mu, whenever a segment is filled, the ring head moves
 	// or Close begins, but only while parked says someone sleeps.
 	mu     sync.Mutex
 	moved  sync.Cond
 	parked atomic.Int32
-}
-
-// Owner dispatch phases. Both are set by Compute before the channel sends
-// that release the pool, so no atomics are needed (channel happens-before).
-const (
-	phaseForce = iota
-	phaseReduce
-)
-
-// shardAcc is one shard's share of the scalars Compute returns.
-type shardAcc struct {
-	pot, vir  float64
-	prs, lent int64 // candidate pairs counted; of those, left to a lower ghost's host
 }
 
 // Codes of the min-image round term along one axis: none, -L (the neighbor
@@ -209,15 +179,19 @@ func wrapCoord(u, n int) (int, uint8) {
 // wrapTerms are one axis's three round terms, indexed by wrap code.
 func wrapTerms(l float64) [3]float64 { return [3]float64{wrapNone: 0, wrapBelow: -l, wrapAbove: l} }
 
-// NewCellLists returns scratch state for grids of g's size using the given
-// shard count (values < 1 mean 1: the serial kernel) and one search worker.
-// Call Close when done, to stop the worker pool the first Compute starts
-// when shards > 1 or SetSearchWorkers raised the worker count.
+// NewCellLists returns scratch state for grids of g's size with one search
+// worker. Call Close when done, to stop the search helpers the first
+// Compute starts when SetSearchWorkers raised the worker count.
+//
+// Deprecated parameter: shards is what is left of the retired intra-rank
+// shards. It stays only because bench/ still passes 1, and a value above 1
+// panics. The next change allowed to edit bench/ — the measurement change
+// ROADMAP lists first — deletes it.
 func NewCellLists(g space.Grid, shards int) *CellLists {
-	if shards < 1 {
-		shards = 1
+	if shards > 1 {
+		panic(fmt.Sprintf("kernel: %d shards asked for; intra-rank shards were retired, pass 1", shards))
 	}
-	cl := &CellLists{g: g, shards: shards, workers: 1}
+	cl := &CellLists{g: g, workers: 1, hits: new([hitCap]uint64)}
 	cl.moved.L = &cl.mu
 	// With at least 4 cells per dimension, whether a neighbor-cell pair wraps
 	// around the box — and so the min-image round term Round(d/L)*L, exactly
@@ -234,19 +208,13 @@ func NewCellLists(g space.Grid, shards int) *CellLists {
 	for i := range cl.slotOf {
 		cl.slotOf[i] = -1
 	}
-	cl.acc = make([]shardAcc, shards)
-	cl.hits = make([][hitCap]uint64, shards)
-	cl.pfrc = make([][]vec.V, shards)
-	cl.gfrc = make([][]vec.V, shards)
-	cl.feeds = make([]feed, shards)
 	return cl
 }
 
 // SetSearchWorkers sets how many goroutines search for pairs in each force
-// pass (values < 1 mean 1): the shard owners and n-1 helpers that claim
-// chunks of any shard. The count moves no bit of any result, only the
-// wall time; a change takes effect at the next Compute, which starts the
-// pool afresh.
+// pass (values < 1 mean 1): the owner and n-1 helpers that search chunks
+// ahead of it. The count moves no bit of any result, only the wall time; a
+// change takes effect at the next Compute, which starts the helpers afresh.
 func (cl *CellLists) SetSearchWorkers(n int) {
 	n = max(n, 1)
 	if n != cl.workers {
@@ -256,8 +224,7 @@ func (cl *CellLists) SetSearchWorkers(n int) {
 }
 
 // SetHosted rebuilds the hosted topology: the ascending hosted cell list,
-// the per-cell neighbor stencils, the ghost slot assignment and the shard
-// partition. Call it only when the hosted set changes (initialization or a
+// the per-cell neighbor stencils and the ghost slot assignment. Call it only when the hosted set changes (initialization or a
 // DLB column move); Bin and Compute reuse the result every step. It is one
 // pass over the hosted cells that looks nothing up in a map, and it sizes
 // its storage before the pass, so a rebuild into a CellLists that has seen
@@ -285,7 +252,7 @@ func (cl *CellLists) SetHosted(cells []int) {
 	cl.stencil = slices.Grow(cl.stencil[:0], 26*n)
 	cl.stCode = slices.Grow(cl.stCode[:0], 26*n)
 	cl.ghostCells = slices.Grow(cl.ghostCells[:0], min(26*n, g.NumCells()-n))
-	if need := 5*n + 2 + 2*cl.shards + 1; cap(cl.slotBlock) < need {
+	if need := 3*n + 2; cap(cl.slotBlock) < need {
 		cl.slotBlock = make([]int32, need)
 	}
 	block := cl.slotBlock[:cap(cl.slotBlock)]
@@ -295,12 +262,7 @@ func (cl *CellLists) SetHosted(cells []int) {
 		block = block[k:]
 		return w
 	}
-	cl.stStart, cl.start = carve(n+1), carve(n+1)
-	cl.count, cl.shardSlot = carve(n), carve(n)
-	cl.shardStart = carve(cl.shards + 1)
-	// Scratch of the shard partition below: each slot's shard, and the
-	// cursor of the per-shard list fill.
-	shardOf, fill := carve(n), carve(cl.shards)
+	cl.stStart, cl.start, cl.count = carve(n+1), carve(n+1), carve(n)
 
 	// Stencils and ghost cells in one walk: the 26 offsets of every hosted
 	// cell in dz, dy, dx ascending order, each neighbor encoded as a hosted
@@ -371,43 +333,6 @@ func (cl *CellLists) SetHosted(cells []int) {
 				cl.stencil[k] = -1 - (-2 - cl.slotOf[-1-e]) // ghost slot gs encoded as -1-gs
 			}
 		}
-	}
-
-	// Shard partition: hosted columns ascending, dealt round-robin. All
-	// cells of a column land on the same shard so a shard's work tracks the
-	// DLB's unit of transfer. A column's shard is its rank among the hosted
-	// columns, found by marking them in a per-column array and counting up.
-	if cl.shards > 1 {
-		if cl.colRank == nil {
-			cl.colRank = make([]int32, g.NumColumns())
-		}
-		clear(cl.colRank)
-		for _, c := range cl.cells {
-			cl.colRank[g.ColumnOf(c)] = 1
-		}
-		rank := int32(0)
-		for col, hosted := range cl.colRank {
-			cl.colRank[col] = rank
-			rank += hosted
-		}
-		for i, c := range cl.cells {
-			shardOf[i] = cl.colRank[g.ColumnOf(c)] % int32(cl.shards)
-		}
-	}
-	// Flatten the partition into per-shard slot lists (CSR, slots ascending
-	// within a shard — the same visit order the shard test used to produce),
-	// so each worker walks only its own cells instead of filtering all of
-	// them every step.
-	for _, sh := range shardOf {
-		cl.shardStart[sh+1]++
-	}
-	for sh := 0; sh < cl.shards; sh++ {
-		cl.shardStart[sh+1] += cl.shardStart[sh]
-	}
-	copy(fill, cl.shardStart[:cl.shards])
-	for slot, sh := range shardOf {
-		cl.shardSlot[fill[sh]] = int32(slot)
-		fill[sh]++
 	}
 
 	// Size the ghost arena's heads for the new topology.
@@ -481,9 +406,7 @@ func (cl *CellLists) Bin(pos []vec.V) int {
 	cl.pslot = slices.Grow(cl.pslot[:0], n)[:n]
 	cl.part = slices.Grow(cl.part[:0], n)[:n]
 	cl.ppos = slices.Grow(cl.ppos[:0], n)[:n]
-	for sh := range cl.pfrc {
-		cl.pfrc[sh] = slices.Grow(cl.pfrc[sh][:0], n)[:n]
-	}
+	cl.pfrc = slices.Grow(cl.pfrc[:0], n)[:n]
 	clear(cl.count)
 	loc := cl.g.Locator()
 	for i := range pos {
@@ -554,9 +477,7 @@ func (cl *CellLists) SealGhosts() {
 	if n > maxIndex {
 		panic(fmt.Sprintf("kernel: %d ghost positions, the hit encoding holds %d", n, maxIndex))
 	}
-	for sh := range cl.gfrc {
-		cl.gfrc[sh] = slices.Grow(cl.gfrc[sh][:0], n)[:n]
-	}
+	cl.gfrc = slices.Grow(cl.gfrc[:0], n)[:n]
 }
 
 // GhostForces returns what the last Compute put on the imported particles of
@@ -565,7 +486,7 @@ func (cl *CellLists) SealGhosts() {
 func (cl *CellLists) GhostForces(cell int) []vec.V {
 	gs := -2 - cl.slotOf[cell]
 	lo, hi := cl.ghostStart[gs], cl.ghostStart[gs+1]
-	return cl.gfrc[0][lo:hi:hi]
+	return cl.gfrc[lo:hi:hi]
 }
 
 // Compute accumulates short-range pair forces into s.Frc (which must be
@@ -581,106 +502,34 @@ func (cl *CellLists) GhostForces(cell int) []vec.V {
 // ghost — a cross-boundary pair is counted on both sides and evaluated on
 // one (see Evaluated).
 //
-// Every shard accumulates into its own buffers, held in part order (next to
-// the positions the inner loops read) and in ghost-arena order; the buffers
-// are zeroed by their owners and then added up particle by particle, shards
-// ascending, so the bits never depend on worker timing. The search helpers
-// only search; every helper is idle again when Compute returns.
+// The caller owns the pass: it accumulates into buffers held in part order
+// (next to the positions the inner loops read) and in ghost-arena order,
+// then adds the part-order buffer into s.Frc particle by particle. The
+// search helpers only search; every helper is idle again when Compute
+// returns.
 func (cl *CellLists) Compute(pair potential.Pair, s *particle.Set) (potE, virial float64, pairs int64) {
-	cl.begin(pair, s)
-	if cl.shards == 1 && cl.workers == 1 {
-		cl.computeShard(0)
-		cl.reduceRange(0)
-	} else {
-		// The force round releases the whole pool: the owners clear their
-		// own buffers and run the force pass over their cells while the
-		// helpers search chunks of any shard. Then — after the barrier —
-		// the reduce round has every owner add a disjoint range of
-		// particles across all shard buffers into s.Frc. Both the buffer
-		// zeroing and the O(shards*N) reduction run inside the parallel
-		// section, so the serial fraction of a sharded step is only the
-		// dispatch itself. With one shard the caller is its owner.
+	cl.begin(pair)
+	if cl.workers > 1 {
 		cl.ensurePool()
-		cl.phase = phaseForce
-		cl.release(len(cl.startCh))
-		if cl.shards == 1 {
-			cl.computeShard(0)
-			cl.reduceRange(0)
-		}
-		cl.wait(len(cl.startCh))
-		if cl.shards > 1 {
-			cl.phase = phaseReduce
-			cl.release(cl.shards)
-			cl.wait(cl.shards)
+		for _, ch := range cl.startCh {
+			ch <- struct{}{}
 		}
 	}
-	return cl.end()
-}
-
-// begin sets up a force pass: its target and every shard's chunk queue.
-func (cl *CellLists) begin(pair potential.Pair, s *particle.Set) {
-	rc := pair.Cutoff()
-	cl.pair, cl.rc2, cl.frcDst = pair, rc*rc, s.Frc
-	for sh := range cl.feeds {
-		cl.feeds[sh].reset(cl.shardSlot[cl.shardStart[sh]:cl.shardStart[sh+1]])
+	potE, virial, pairs = cl.force(s.Frc)
+	if cl.workers > 1 {
+		for range cl.startCh {
+			<-cl.doneCh
+		}
 	}
-}
-
-// end sums the shards' scalars, in shard order, once every owner is done.
-func (cl *CellLists) end() (potE, virial float64, pairs int64) {
-	cl.pair, cl.frcDst = nil, nil
-	cl.evaluated = 0
-	for _, a := range cl.acc {
-		potE += a.pot
-		virial += a.vir
-		pairs += a.prs
-		cl.evaluated += a.prs - a.lent
-	}
+	cl.pair = nil
 	return potE, virial, pairs
 }
 
-// release starts the first n pool goroutines on one round (the owners come
-// first in startCh); wait collects n of them.
-func (cl *CellLists) release(n int) {
-	for _, ch := range cl.startCh[:n] {
-		ch <- struct{}{}
-	}
-}
-
-func (cl *CellLists) wait(n int) {
-	for range n {
-		<-cl.doneCh
-	}
-}
-
-// reduceRange scatters the worker's share of the part-order accumulators
-// into frcDst: for each particle, the shard buffers added in fixed shard
-// order (0, 1, 2, ...). The per-particle sums are independent, so the
-// result is bit-identical to a serial fixed-order reduction regardless of
-// how the range is divided among workers. The ghost accumulators are summed
-// the same way, into shard 0's.
-func (cl *CellLists) reduceRange(sh int) {
-	dst := cl.frcDst
-	n := len(cl.part)
-	lo := sh * n / cl.shards
-	hi := (sh + 1) * n / cl.shards
-	for k := lo; k < hi; k++ {
-		i := cl.part[k]
-		f := dst[i]
-		for _, ff := range cl.pfrc {
-			f = f.Add(ff[k])
-		}
-		dst[i] = f
-	}
-	if cl.shards == 1 {
-		return // shard 0's ghost accumulator is the sum
-	}
-	g0 := cl.gfrc[0]
-	for k := sh * len(g0) / cl.shards; k < (sh+1)*len(g0)/cl.shards; k++ {
-		for _, gg := range cl.gfrc[1:] {
-			g0[k] = g0[k].Add(gg[k])
-		}
-	}
+// begin sets up a force pass: its target and its chunk queue.
+func (cl *CellLists) begin(pair potential.Pair) {
+	rc := pair.Cutoff()
+	cl.pair, cl.rc2 = pair, rc*rc
+	cl.feed.reset(len(cl.cells))
 }
 
 // A hit is one pair inside the cut-off, packed by the search phase for the
@@ -688,7 +537,7 @@ func (cl *CellLists) reduceRange(sh int) {
 // entry's round term, and the index of the neighbour b — into ppos, or into
 // ghostPos when hitGhost is set.
 const (
-	hitCap       = 4096 // entries per shard buffer: 32 KiB, L1-resident
+	hitCap       = 4096 // entries per buffer: 32 KiB, L1-resident
 	hitIndexBits = 29
 	hitGhost     = 1 << hitIndexBits
 	hitCodeShift = hitIndexBits + 1
@@ -796,20 +645,20 @@ func countHit(n uint64, r2, rc2 float64) uint64 {
 // enough that claiming one costs nothing beside its search (about 30 hits a
 // cell on the 50k preset, so a chunk's hits fill a quarter of a segment).
 // The ring bounds how far the searchers run ahead of the owner, and so the
-// memory a shard's pipeline holds: ringLen segments of hitCap hits.
+// memory the pipeline holds: ringLen segments of hitCap hits.
 const (
 	chunkSlots = 32
 	ringLen    = 16
 )
 
-// feed is one shard's chunk queue for a force pass. Chunks are claimed in
-// ascending order, by the owner or by any searcher. The owner searches a
-// chunk it claims itself in place; any other claim searches chunk c into
-// ring segment c%ringLen, which is free once the owner has accumulated
-// chunk c-ringLen, so a claim waits for c < head+ringLen.
+// feed is the chunk queue of a force pass. Chunks are claimed in ascending
+// order, by the owner or by any searcher. The owner searches a chunk it
+// claims itself in place; any other claim searches chunk c into ring
+// segment c%ringLen, which is free once the owner has accumulated chunk
+// c-ringLen, so a claim waits for c < head+ringLen.
 type feed struct {
-	slots  []int32      // the shard's hosted slots, ascending
-	chunks int32        // chunks of chunkSlots slots in slots
+	slots  int          // hosted slots in the pass
+	chunks int32        // chunks of chunkSlots consecutive slots
 	next   atomic.Int32 // chunks claimed
 	head   atomic.Int32 // chunks the owner has taken in
 	ring   []segment    // ringLen segments; nil with one search worker
@@ -825,15 +674,15 @@ type segment struct {
 	pairs, lent int64
 }
 
-// cursor is a place in a chunk's visiting order: the chunk's slot i and,
-// within that cell of n particles, unit u — row u of its own pairs for
-// u < n-1, else stencil entry u-(n-1).
+// cursor is a place in the visiting order: hosted slot i and, within that
+// cell of n particles, unit u — row u of its own pairs for u < n-1, else
+// stencil entry u-(n-1).
 type cursor struct{ i, u int }
 
-// reset points the feed at the shard's slots for a new force pass.
-func (f *feed) reset(slots []int32) {
+// reset points the feed at a pass over the given number of hosted slots.
+func (f *feed) reset(slots int) {
 	f.slots = slots
-	f.chunks = int32((len(slots) + chunkSlots - 1) / chunkSlots)
+	f.chunks = int32((slots + chunkSlots - 1) / chunkSlots)
 	f.next.Store(0)
 	f.head.Store(0)
 	for i := range f.ring {
@@ -841,10 +690,10 @@ func (f *feed) reset(slots []int32) {
 	}
 }
 
-// chunk returns the slots of chunk c.
-func (f *feed) chunk(c int32) []int32 {
-	lo := int(c) * chunkSlots
-	return f.slots[lo:min(lo+chunkSlots, len(f.slots))]
+// chunk returns the slot range [lo, hi) of chunk c.
+func (f *feed) chunk(c int32) (lo, hi int) {
+	lo = int(c) * chunkSlots
+	return lo, min(lo+chunkSlots, f.slots)
 }
 
 // claim takes the next chunk for a ring segment, or returns -1 when every
@@ -861,12 +710,13 @@ func (f *feed) claim() int32 {
 	}
 }
 
-// searchAhead searches chunk c of f into its ring segment with a pass that
+// searchAhead searches chunk c into its ring segment with a pass that
 // cannot flush: it stops at the first cell pair that does not fit.
-func (cl *CellLists) searchAhead(f *feed, c int32) {
-	seg := &f.ring[c%ringLen]
+func (cl *CellLists) searchAhead(c int32) {
+	seg := &cl.feed.ring[c%ringLen]
 	ps := pass{cl: cl, hits: &seg.hits}
-	seg.stop = ps.walk(f.chunk(c), cursor{})
+	lo, hi := cl.feed.chunk(c)
+	seg.stop = ps.walk(cursor{i: lo}, hi)
 	seg.n, seg.pairs, seg.lent = ps.n, ps.pairs, ps.lent
 	seg.done.Store(c + 1)
 	cl.wake()
@@ -885,59 +735,40 @@ func (cl *CellLists) wake() {
 	}
 }
 
-// help is a search helper's share of one force pass: it claims chunks of
-// any shard until none is left unclaimed. While the only chunks left wait
-// for a ring segment, it sleeps until an owner frees one.
+// help is a search helper's share of one force pass: it claims chunks
+// until none is left unclaimed. While the only chunks left wait for a ring
+// segment, it sleeps until the owner frees one.
 func (cl *CellLists) help() {
+	f := &cl.feed
 	for !cl.quit.Load() {
-		claimed, pending := false, false
-		for sh := range cl.feeds {
-			f := &cl.feeds[sh]
-			if c := f.claim(); c >= 0 {
-				cl.searchAhead(f, c)
-				claimed = true
-			} else if f.next.Load() < f.chunks {
-				pending = true
-			}
+		if c := f.claim(); c >= 0 {
+			cl.searchAhead(c)
+			continue
 		}
-		switch {
-		case claimed:
-		case !pending:
+		if f.next.Load() >= f.chunks {
 			return
-		default:
-			cl.mu.Lock()
-			cl.parked.Add(1)
-			for cl.stalled() {
-				cl.moved.Wait()
-			}
-			cl.parked.Add(-1)
-			cl.mu.Unlock()
 		}
+		cl.mu.Lock()
+		cl.parked.Add(1)
+		for cl.stalled() {
+			cl.moved.Wait()
+		}
+		cl.parked.Add(-1)
+		cl.mu.Unlock()
 	}
 }
 
 // stalled reports whether a helper must wait: chunks are left unclaimed,
-// but none of them has a free ring segment, and Close has not begun.
+// but the next of them has no free ring segment, and Close has not begun.
 func (cl *CellLists) stalled() bool {
-	if cl.quit.Load() {
-		return false
-	}
-	left := false
-	for sh := range cl.feeds {
-		f := &cl.feeds[sh]
-		if c := f.next.Load(); c < f.chunks {
-			if c < f.head.Load()+ringLen {
-				return false
-			}
-			left = true
-		}
-	}
-	return left
+	f := &cl.feed
+	c := f.next.Load()
+	return !cl.quit.Load() && c < f.chunks && c >= f.head.Load()+ringLen
 }
 
 // pass is one searcher's state during a force pass: the buffer it searches
 // into and the census of what it searched, and for the owner (flushes set)
-// the shard's accumulators.
+// the accumulators.
 type pass struct {
 	cl          *CellLists
 	hits        *[hitCap]uint64
@@ -995,7 +826,7 @@ func (ps *pass) search(key uint64, lpos, q []vec.V) bool {
 // free room and the pass cannot flush, or exceed the whole buffer, it
 // leaves the cell untouched and reports false, for walk to take unit by
 // unit. The owner flushes first when the cell fits only an empty buffer.
-func (ps *pass) searchCell(slot int32) bool {
+func (ps *pass) searchCell(slot int) bool {
 	cl := ps.cl
 	// The loop reads these through locals: its stores to ps.units would
 	// make the compiler load them from cl again at every entry.
@@ -1051,25 +882,24 @@ func (ps *pass) searchCell(slot int32) bool {
 	return true
 }
 
-// walk runs the search phase over a chunk's slots from cursor from on, in
-// visiting order — slot, then the cell's own pairs, then its stencil
-// entries in Neighbors26 order, then a, then b — counting the census of
-// every unit it gets through. A cell begun afresh goes whole to
+// walk runs the search phase over the hosted slots from cursor from up to
+// slot end, in visiting order — slot, then the cell's own pairs, then its
+// stencil entries in Neighbors26 order, then a, then b — counting the
+// census of every unit it gets through. A cell begun afresh goes whole to
 // searchCell, where there is a cell leaf and a shift grid; a cell that
 // does not fit there, or one a searcher stopped in, is taken unit by unit.
-// It returns where it stopped: past the last slot, unless a pass that
-// cannot flush found a unit that does not fit.
-func (ps *pass) walk(slots []int32, from cursor) cursor {
+// It returns where it stopped: at end, unless a pass that cannot flush
+// found a unit that does not fit.
+func (ps *pass) walk(from cursor, end int) cursor {
 	cl := ps.cl
 	whole := wholeCells && cl.useShift
-	for i := from.i; i < len(slots); i++ {
-		slot := slots[i]
+	for slot := from.i; slot < end; slot++ {
 		lo, hi := cl.start[slot], cl.start[slot+1]
 		if lo == hi {
 			continue // empty cell owns no pairs
 		}
 		u := 0
-		if i == from.i {
+		if slot == from.i {
 			u = from.u
 		}
 		if whole && u == 0 && ps.searchCell(slot) {
@@ -1082,7 +912,7 @@ func (ps *pass) walk(slots []int32, from cursor) cursor {
 		for a := u; a < nl-1; a++ {
 			row := uint64(lo) + uint64(a)
 			if !ps.search(row<<hitAShift+row+1, lpos[a:a+1], lpos[a+1:]) {
-				return cursor{i, a}
+				return cursor{slot, a}
 			}
 			ps.pairs += int64(nl - 1 - a)
 		}
@@ -1112,12 +942,12 @@ func (ps *pass) walk(slots []int32, from cursor) cursor {
 				continue
 			}
 			if !ps.search(key, lpos, q) {
-				return cursor{i, nl - 1 + k}
+				return cursor{slot, nl - 1 + k}
 			}
 			ps.pairs += cand
 		}
 	}
-	return cursor{len(slots), 0}
+	return cursor{end, 0}
 }
 
 // flush accumulates the owner's buffered hits and empties the buffer.
@@ -1192,21 +1022,22 @@ func (ps *pass) accumulate(hits []uint64) {
 	ps.pot, ps.vir = pot, vir
 }
 
-// computeShard is the owner's force pass over the cells of one shard: chunk
-// by chunk, in order, it claims the chunk and searches it in place, flushing
-// whenever its buffer fills — or, when a searcher claimed it first, waits
-// for that search, accumulates its own buffered hits and then the
-// segment's, and searches what the segment left of the chunk. Every hit is
-// thereby accumulated in visiting order.
-func (cl *CellLists) computeShard(sh int) {
-	clear(cl.pfrc[sh])
-	clear(cl.gfrc[sh])
-	f := &cl.feeds[sh]
-	ps := pass{cl: cl, hits: &cl.hits[sh], flushes: true, frc: cl.pfrc[sh], gfrc: cl.gfrc[sh]}
+// force is the owner's force pass: chunk by chunk, in order, it claims the
+// chunk and searches it in place, flushing whenever its buffer fills — or,
+// when a searcher claimed it first, waits for that search, accumulates its
+// own buffered hits and then the segment's, and searches what the segment
+// left of the chunk. Every hit is thereby accumulated in visiting order.
+// The part-order accumulators are then added into dst.
+func (cl *CellLists) force(dst []vec.V) (potE, virial float64, pairs int64) {
+	clear(cl.pfrc)
+	clear(cl.gfrc)
+	f := &cl.feed
+	ps := pass{cl: cl, hits: cl.hits, flushes: true, frc: cl.pfrc, gfrc: cl.gfrc}
 	for c := int32(0); c < f.chunks; c++ {
-		from := cursor{}
+		lo, hi := f.chunk(c)
+		from := cursor{i: lo}
 		if !f.next.CompareAndSwap(c, c+1) {
-			seg := cl.await(f, c)
+			seg := cl.await(c)
 			ps.flush()
 			ps.accumulate(seg.hits[:seg.n])
 			ps.pairs += seg.pairs
@@ -1215,20 +1046,27 @@ func (cl *CellLists) computeShard(sh int) {
 		}
 		f.head.Store(c + 1) // chunk c's segment, if it had one, is free
 		cl.wake()
-		ps.walk(f.chunk(c), from)
+		ps.walk(from, hi)
 	}
 	ps.flush()
-	cl.acc[sh] = shardAcc{pot: ps.pot, vir: ps.vir, prs: ps.pairs, lent: ps.lent}
+	// An addition, not a copy: dst is zeroed, and +0 + -0 is +0, so a
+	// -0 component of a sum leaves +0 in dst.
+	for k, i := range cl.part {
+		dst[i] = dst[i].Add(cl.pfrc[k])
+	}
+	cl.evaluated = ps.pairs - ps.lent
+	return ps.pot, ps.vir, ps.pairs
 }
 
 // await returns the segment of chunk c, which a searcher claimed, once its
 // search is done. Meanwhile the owner searches chunks ahead itself; with
 // none left to claim it sleeps until a segment is filled.
-func (cl *CellLists) await(f *feed, c int32) *segment {
+func (cl *CellLists) await(c int32) *segment {
+	f := &cl.feed
 	seg := &f.ring[c%ringLen]
 	for seg.done.Load() != c+1 {
 		if a := f.claim(); a >= 0 {
-			cl.searchAhead(f, a)
+			cl.searchAhead(a)
 			continue
 		}
 		cl.mu.Lock()
@@ -1242,24 +1080,15 @@ func (cl *CellLists) await(f *feed, c int32) *segment {
 	return seg
 }
 
-// ensurePool starts the bounded worker pool: an owner per shard when
-// shards > 1, then workers-1 search helpers, each with a ring per shard.
-// The pool lives until Close and is fed over per-goroutine channels, so a
-// Compute call performs no allocation.
+// ensurePool starts the workers-1 search helpers and the ring they search
+// into. The helpers live until Close and are fed over per-goroutine
+// channels, so a Compute call performs no allocation.
 func (cl *CellLists) ensurePool() {
 	if cl.running {
 		return
 	}
-	owners := 0
-	if cl.shards > 1 {
-		owners = cl.shards
-	}
-	if cl.workers > 1 {
-		for sh := range cl.feeds {
-			cl.feeds[sh].ring = make([]segment, ringLen)
-		}
-	}
-	n := owners + cl.workers - 1
+	cl.feed.ring = make([]segment, ringLen)
+	n := cl.workers - 1
 	cl.quit.Store(false)
 	cl.startCh = make([]chan struct{}, n)
 	done := make(chan struct{}, n) // one token per goroutine and round: a send never blocks
@@ -1271,14 +1100,7 @@ func (cl *CellLists) ensurePool() {
 		go func() {
 			defer cl.pool.Done()
 			for range ch {
-				switch {
-				case i >= owners:
-					cl.help()
-				case cl.phase == phaseForce:
-					cl.computeShard(i)
-				default:
-					cl.reduceRange(i)
-				}
+				cl.help()
 				done <- struct{}{}
 			}
 		}()
@@ -1286,10 +1108,10 @@ func (cl *CellLists) ensurePool() {
 	cl.running = true
 }
 
-// Close stops the worker pool, returns once every goroutine of it has
+// Close stops the search helpers, returns once every one of them has
 // exited — also when a panic left a force pass unfinished, its helpers
 // waiting on segments no owner will free — and lets go of the search
-// rings. It is a no-op if the pool was never started; the CellLists must
+// ring. It is a no-op if the pool was never started; the CellLists must
 // not be used after Close.
 func (cl *CellLists) Close() {
 	if !cl.running {
@@ -1302,8 +1124,6 @@ func (cl *CellLists) Close() {
 	}
 	cl.pool.Wait()
 	cl.startCh, cl.doneCh = nil, nil
-	for sh := range cl.feeds {
-		cl.feeds[sh].ring = nil
-	}
+	cl.feed.ring = nil
 	cl.running = false
 }

@@ -19,8 +19,7 @@ import (
 // wrap terms in all of them. Each input drives the single-walk SetHosted and
 // the map-based construction it replaced (topology_oracle_test.go) and
 // compares everything they build, is checked for the CSR invariants, and is
-// then cross-checked bit-for-bit against the historical map kernel at
-// shards=1 and to rounding at shards=2.
+// then cross-checked bit-for-bit against the historical map kernel.
 func FuzzCellListsConstruction(f *testing.F) {
 	f.Add(uint64(1), uint16(0), uint16(40), uint64(^uint64(0)), uint8(0)) // 1x1x1, all hosted
 	f.Add(uint64(2), uint16(31), uint16(120), uint64(0x5), uint8(3))      // 2x2x2, ragged columns, snapped
@@ -58,13 +57,13 @@ func FuzzCellListsConstruction(f *testing.F) {
 
 		// Hosted columns from the mask bits, at least one.
 		hostedCols := make(map[int]bool)
-		for col := 0; col < g.NumColumns(); col++ {
+		for col := 0; col < g.Nx*g.Ny; col++ {
 			if hostMask&(1<<(col%64)) != 0 {
 				hostedCols[col] = true
 			}
 		}
 		if len(hostedCols) == 0 {
-			hostedCols[int(seed)%g.NumColumns()] = true
+			hostedCols[int(seed)%(g.Nx*g.Ny)] = true
 		}
 		pred := func(cell int) bool { return hostedCols[g.ColumnOf(cell)] }
 
@@ -76,86 +75,73 @@ func FuzzCellListsConstruction(f *testing.F) {
 		}
 		lj := potential.NewPaperLJ()
 
-		for _, shards := range []int{1, 2} {
-			got := local.Clone()
-			got.ZeroForces()
-			cl := buildFlat(t, g, shards, got, global, pred)
+		got := local.Clone()
+		got.ZeroForces()
+		cl := buildFlat(t, g, got, global, pred)
 
-			// The topology itself, list for list and round term for round
-			// term, against the map-based construction.
-			var cells []int
-			for c := 0; c < g.NumCells(); c++ {
-				if pred(c) {
-					cells = append(cells, c)
-				}
+		// The topology itself, list for list and round term for round
+		// term, against the map-based construction.
+		var cells []int
+		for c := 0; c < g.NumCells(); c++ {
+			if pred(c) {
+				cells = append(cells, c)
 			}
-			if d := diffTopology(cl, setHostedMap(g, shards, cells)); d != "" {
-				t.Fatalf("shards=%d: %s", shards, d)
-			}
+		}
+		if d := diffTopology(cl, setHostedMap(g, cells)); d != "" {
+			t.Fatal(d)
+		}
 
-			// CSR invariants: offsets monotone, part a permutation of the
-			// local indices, every particle binned into a hosted cell it
-			// actually occupies.
-			seen := make([]bool, got.Len())
-			for s := 0; s < cl.NumHosted(); s++ {
-				cell := cl.SlotCell(s)
-				if !pred(cell) {
-					t.Fatalf("hosted slot %d maps to unhosted cell %d", s, cell)
+		// CSR invariants: offsets monotone, part a permutation of the
+		// local indices, every particle binned into a hosted cell it
+		// actually occupies.
+		seen := make([]bool, got.Len())
+		for s := 0; s < cl.NumHosted(); s++ {
+			cell := cl.SlotCell(s)
+			if !pred(cell) {
+				t.Fatalf("hosted slot %d maps to unhosted cell %d", s, cell)
+			}
+			for _, i := range cl.SlotParticles(s) {
+				if seen[i] {
+					t.Fatalf("particle %d binned twice", i)
 				}
-				for _, i := range cl.SlotParticles(s) {
-					if seen[i] {
-						t.Fatalf("particle %d binned twice", i)
-					}
-					seen[i] = true
-					if g.CellOf(got.Pos[i]) != cell {
-						t.Fatalf("particle %d binned into cell %d but positioned in %d",
-							i, cell, g.CellOf(got.Pos[i]))
-					}
+				seen[i] = true
+				if g.CellOf(got.Pos[i]) != cell {
+					t.Fatalf("particle %d binned into cell %d but positioned in %d",
+						i, cell, g.CellOf(got.Pos[i]))
 				}
 			}
-			for i, ok := range seen {
-				if !ok {
-					t.Fatalf("particle %d missing from the CSR", i)
-				}
+		}
+		for i, ok := range seen {
+			if !ok {
+				t.Fatalf("particle %d missing from the CSR", i)
 			}
+		}
 
-			pot, _, pairs := cl.Compute(lj, got)
+		pot, _, pairs := cl.Compute(lj, got)
 
-			ref := local.Clone()
-			ref.ZeroForces()
-			cellMap, hosted := buildMaps(g, ref, pred)
-			ghost := make(map[int][]vec.V)
-			for _, p := range global {
-				if c := g.CellOf(p); !hosted[c] {
-					ghost[c] = append(ghost[c], p)
-				}
+		ref := local.Clone()
+		ref.ZeroForces()
+		cellMap, hosted := buildMaps(g, ref, pred)
+		ghost := make(map[int][]vec.V)
+		for _, p := range global {
+			if c := g.CellOf(p); !hosted[c] {
+				ghost[c] = append(ghost[c], p)
 			}
-			want := mapPairForces(g, lj, ref, cellMap, hosted, ghost)
-			wantPot := want.pot
-			if pairs != want.pairs || cl.Evaluated() != want.evaluated {
-				t.Fatalf("shards=%d: pairs %d evaluated %d, map kernel %d %d", shards, pairs, cl.Evaluated(), want.pairs, want.evaluated)
-			}
-			if d := diffGhostForces(cl, want.ghost, float64(shards-1)*1e-9); d != "" {
-				t.Fatalf("shards=%d: %s", shards, d)
-			}
-			if shards == 1 {
-				if math.Float64bits(pot) != math.Float64bits(wantPot) {
-					t.Fatalf("pot bits %v differ from map kernel %v", pot, wantPot)
-				}
-				for i := range ref.Frc {
-					if got.Frc[i] != ref.Frc[i] {
-						t.Fatalf("force %d bits differ from map kernel", i)
-					}
-				}
-			} else {
-				if math.Abs(pot-wantPot) > 1e-9*(1+math.Abs(wantPot)) {
-					t.Fatalf("shards=%d: pot %v, map kernel %v", shards, pot, wantPot)
-				}
-				for i := range ref.Frc {
-					if got.Frc[i].Dist(ref.Frc[i]) > 1e-9*(1+ref.Frc[i].Norm()) {
-						t.Fatalf("shards=%d: force %d mismatch vs map kernel", shards, i)
-					}
-				}
+		}
+		want := mapPairForces(g, lj, ref, cellMap, hosted, ghost)
+		wantPot := want.pot
+		if pairs != want.pairs || cl.Evaluated() != want.evaluated {
+			t.Fatalf("pairs %d evaluated %d, map kernel %d %d", pairs, cl.Evaluated(), want.pairs, want.evaluated)
+		}
+		if d := diffGhostForces(cl, want.ghost); d != "" {
+			t.Fatal(d)
+		}
+		if math.Float64bits(pot) != math.Float64bits(wantPot) {
+			t.Fatalf("pot bits %v differ from map kernel %v", pot, wantPot)
+		}
+		for i := range ref.Frc {
+			if got.Frc[i] != ref.Frc[i] {
+				t.Fatalf("force %d bits differ from map kernel", i)
 			}
 		}
 	})

@@ -4,8 +4,8 @@ package kernel
 // CellLists kernel. It is the implementation the engines used before
 // CellLists existed: map[int][]int cell lists rebuilt and sorted on every
 // call, ghost positions behind two map lookups per neighbor, one fused loop
-// that tests and evaluates each pair in place. For shard count 1 the flat
-// kernel must reproduce it bit for bit (same summation order), which is
+// that tests and evaluates each pair in place. The flat kernel must
+// reproduce it bit for bit (same summation order), which is
 // what keeps the golden experiment traces stable across every change of
 // the kernel's data layout and loop structure.
 
@@ -131,9 +131,9 @@ func mapPairForces(
 }
 
 // diffGhostForces compares the ghost forces cl's last Compute returned with
-// the oracle's, cell by cell — bit for bit when tol is 0, else to tol
-// relative — and returns the first difference, or "".
-func diffGhostForces(cl *CellLists, want map[int][]vec.V, tol float64) string {
+// the oracle's, cell by cell and bit for bit, and returns the first
+// difference, or "".
+func diffGhostForces(cl *CellLists, want map[int][]vec.V) string {
 	for _, c := range cl.GhostCells() {
 		got := cl.GhostForces(c)
 		if len(got) != len(want[c]) {
@@ -141,7 +141,7 @@ func diffGhostForces(cl *CellLists, want map[int][]vec.V, tol float64) string {
 		}
 		for j, f := range got {
 			w := want[c][j]
-			if tol == 0 && !sameOrNaN(f, w) || tol > 0 && f.Dist(w) > tol*(1+w.Norm()) {
+			if !sameOrNaN(f, w) {
 				return fmt.Sprintf("ghost cell %d particle %d: returned force %v, oracle %v", c, j, f, w)
 			}
 		}

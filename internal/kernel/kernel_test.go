@@ -72,7 +72,7 @@ func buildMaps(g space.Grid, s *particle.Set, hostedPred func(cell int) bool) (c
 
 // buildFlat assembles a ready-to-Compute CellLists for the hosted subset,
 // importing every ghost cell's positions from the global system.
-func buildFlat(t *testing.T, g space.Grid, shards int, local *particle.Set, global []vec.V, hostedPred func(cell int) bool) *CellLists {
+func buildFlat(t *testing.T, g space.Grid, local *particle.Set, global []vec.V, hostedPred func(cell int) bool) *CellLists {
 	t.Helper()
 	var cells []int
 	for c := 0; c < g.NumCells(); c++ {
@@ -80,7 +80,7 @@ func buildFlat(t *testing.T, g space.Grid, shards int, local *particle.Set, glob
 			cells = append(cells, c)
 		}
 	}
-	cl := NewCellLists(g, shards)
+	cl := NewCellLists(g, 1)
 	t.Cleanup(cl.Close)
 	cl.SetHosted(cells)
 	if bad := cl.Bin(local.Pos); bad >= 0 {
@@ -120,21 +120,19 @@ func TestFlatAllHostedMatchesBruteForce(t *testing.T) {
 			sys.Set.Pos[i] = g.Box.Wrap(sys.Set.Pos[i].Add(vec.New(0.1, -0.07, 0.05)))
 		}
 	}
-	for _, shards := range []int{1, 2, 8} {
-		cl := buildFlat(t, g, shards, sys.Set, nil, func(int) bool { return true })
-		sys.Set.ZeroForces()
-		pot, _, pairs := cl.Compute(lj, sys.Set)
-		if pairs <= 0 {
-			t.Fatal("no pairs evaluated")
-		}
-		wantFrc, wantPot := bruteForce(g.Box, lj, sys.Set.Pos)
-		if math.Abs(pot-wantPot) > 1e-9*(1+math.Abs(wantPot)) {
-			t.Errorf("shards=%d: pot = %v, want %v", shards, pot, wantPot)
-		}
-		for i := range wantFrc {
-			if wantFrc[i].Dist(sys.Set.Frc[i]) > 1e-9*(1+wantFrc[i].Norm()) {
-				t.Fatalf("shards=%d: force %d mismatch", shards, i)
-			}
+	cl := buildFlat(t, g, sys.Set, nil, func(int) bool { return true })
+	sys.Set.ZeroForces()
+	pot, _, pairs := cl.Compute(lj, sys.Set)
+	if pairs <= 0 {
+		t.Fatal("no pairs evaluated")
+	}
+	wantFrc, wantPot := bruteForce(g.Box, lj, sys.Set.Pos)
+	if math.Abs(pot-wantPot) > 1e-9*(1+math.Abs(wantPot)) {
+		t.Errorf("pot = %v, want %v", pot, wantPot)
+	}
+	for i := range wantFrc {
+		if wantFrc[i].Dist(sys.Set.Frc[i]) > 1e-9*(1+wantFrc[i].Norm()) {
+			t.Fatalf("force %d mismatch", i)
 		}
 	}
 }
@@ -142,11 +140,11 @@ func TestFlatAllHostedMatchesBruteForce(t *testing.T) {
 // TestFlatMatchesMapKernel cross-checks the flat kernel against the
 // historical map-based kernel on randomized configurations — random hosted
 // column subsets (so hosted regions have ragged ghost boundaries and empty
-// cells) with the rest of the system imported as ghosts. Shard count 1 must
-// reproduce the map kernel bit for bit (identical summation order, the
+// cells) with the rest of the system imported as ghosts. The flat kernel
+// must reproduce the map kernel bit for bit (identical summation order, the
 // property the golden experiment traces rely on), the forces it returns for
-// the ghost cells included; shard counts 2 and 8 must agree to rounding and
-// produce the identical pair and evaluated counts.
+// the ghost cells included, and produce the identical pair and evaluated
+// counts.
 func TestFlatMatchesMapKernel(t *testing.T) {
 	sys, g := setup(t)
 	lj := potential.NewPaperLJ()
@@ -159,12 +157,12 @@ func TestFlatMatchesMapKernel(t *testing.T) {
 		}
 		// Random hosted column subset (always at least one column).
 		hostedCols := make(map[int]bool)
-		for col := 0; col < g.NumColumns(); col++ {
+		for col := 0; col < g.Nx*g.Ny; col++ {
 			if r.Float64() < 0.4 {
 				hostedCols[col] = true
 			}
 		}
-		hostedCols[r.Intn(g.NumColumns())] = true
+		hostedCols[r.Intn(g.Nx*g.Ny)] = true
 		pred := func(cell int) bool { return hostedCols[g.ColumnOf(cell)] }
 
 		local, _ := localSubset(g, sys.Set, pred)
@@ -181,68 +179,37 @@ func TestFlatMatchesMapKernel(t *testing.T) {
 		want := mapPairForces(g, lj, ref, cellMap, hosted, ghost)
 		wantPot, wantPairs := want.pot, want.pairs
 
-		for _, shards := range []int{1, 2, 8} {
-			got := local.Clone()
-			got.ZeroForces()
-			cl := buildFlat(t, g, shards, got, sys.Set.Pos, pred)
-			pot, _, pairs := cl.Compute(lj, got)
-			if pairs != wantPairs || cl.Evaluated() != want.evaluated {
-				t.Fatalf("trial %d shards=%d: pairs = %d evaluated = %d, want %d %d", trial, shards, pairs, cl.Evaluated(), wantPairs, want.evaluated)
-			}
-			if d := diffGhostForces(cl, want.ghost, float64(min(shards-1, 1))*1e-9); d != "" {
-				t.Fatalf("trial %d shards=%d: %s", trial, shards, d)
-			}
-			if shards == 1 {
-				// Bit-exact: identical summation order by construction.
-				if math.Float64bits(pot) != math.Float64bits(wantPot) {
-					t.Fatalf("trial %d: pot bits differ: %v vs %v", trial, pot, wantPot)
-				}
-				for i := range ref.Frc {
-					if got.Frc[i] != ref.Frc[i] {
-						t.Fatalf("trial %d: force %d bits differ: %v vs %v", trial, i, got.Frc[i], ref.Frc[i])
-					}
-				}
-			} else {
-				if math.Abs(pot-wantPot) > 1e-9*(1+math.Abs(wantPot)) {
-					t.Fatalf("trial %d shards=%d: pot = %v, want %v", trial, shards, pot, wantPot)
-				}
-				for i := range ref.Frc {
-					if got.Frc[i].Dist(ref.Frc[i]) > 1e-9*(1+ref.Frc[i].Norm()) {
-						t.Fatalf("trial %d shards=%d: force %d mismatch", trial, shards, i)
-					}
-				}
+		got := local.Clone()
+		got.ZeroForces()
+		cl := buildFlat(t, g, got, sys.Set.Pos, pred)
+		pot, _, pairs := cl.Compute(lj, got)
+		if pairs != wantPairs || cl.Evaluated() != want.evaluated {
+			t.Fatalf("trial %d: pairs = %d evaluated = %d, want %d %d", trial, pairs, cl.Evaluated(), wantPairs, want.evaluated)
+		}
+		if d := diffGhostForces(cl, want.ghost); d != "" {
+			t.Fatalf("trial %d: %s", trial, d)
+		}
+		// Bit-exact: identical summation order by construction.
+		if math.Float64bits(pot) != math.Float64bits(wantPot) {
+			t.Fatalf("trial %d: pot bits differ: %v vs %v", trial, pot, wantPot)
+		}
+		for i := range ref.Frc {
+			if got.Frc[i] != ref.Frc[i] {
+				t.Fatalf("trial %d: force %d bits differ: %v vs %v", trial, i, got.Frc[i], ref.Frc[i])
 			}
 		}
 	}
 }
 
-// TestFlatShardDeterminism pins the determinism contract: the same shard
-// count twice gives bit-identical results.
-func TestFlatShardDeterminism(t *testing.T) {
-	sys, g := setup(t)
-	lj := potential.NewPaperLJ()
-	for i := range sys.Set.Pos {
-		sys.Set.Pos[i] = g.Box.Wrap(sys.Set.Pos[i].Add(vec.New(0.11, -0.03, 0.07)))
-	}
-	for _, shards := range []int{2, 8} {
-		var pots [2]float64
-		var frcs [2][]vec.V
-		for rep := 0; rep < 2; rep++ {
-			s := sys.Set.Clone()
-			s.ZeroForces()
-			cl := buildFlat(t, g, shards, s, nil, func(int) bool { return true })
-			pots[rep], _, _ = cl.Compute(lj, s)
-			frcs[rep] = append([]vec.V(nil), s.Frc...)
+// TestNewCellListsRefusesTwo: the count NewCellLists still takes is 0 or 1,
+// and any other value panics instead of running a retired partition.
+func TestNewCellListsRefusesTwo(t *testing.T) {
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "retired") {
+			t.Errorf("NewCellLists(g, 2): panic %q, want one naming the retirement", msg)
 		}
-		if math.Float64bits(pots[0]) != math.Float64bits(pots[1]) {
-			t.Fatalf("shards=%d: energy not reproducible", shards)
-		}
-		for i := range frcs[0] {
-			if frcs[0][i] != frcs[1][i] {
-				t.Fatalf("shards=%d: force %d not reproducible", shards, i)
-			}
-		}
-	}
+	}()
+	NewCellLists(gridOf(t, 4, 4, 4), 2)
 }
 
 // TestFlatEmpty covers empty-cell and empty-system edge cases.
@@ -250,7 +217,7 @@ func TestFlatEmpty(t *testing.T) {
 	sys, g := setup(t)
 	lj := potential.NewPaperLJ()
 	empty := &particle.Set{}
-	cl := buildFlat(t, g, 2, empty, sys.Set.Pos, func(cell int) bool {
+	cl := buildFlat(t, g, empty, sys.Set.Pos, func(cell int) bool {
 		ix, _, _ := g.Coords(cell)
 		return ix == 0
 	})
@@ -271,7 +238,7 @@ func TestGhostStagingContract(t *testing.T) {
 	sys, g := setup(t)
 	pred := func(cell int) bool { ix, _, _ := g.Coords(cell); return ix == 0 }
 	local, _ := localSubset(g, sys.Set, pred)
-	cl := buildFlat(t, g, 1, local, sys.Set.Pos, pred)
+	cl := buildFlat(t, g, local, sys.Set.Pos, pred)
 	ghosts := cl.GhostCells()
 	if len(ghosts) < 2 {
 		t.Fatalf("%d ghost cells, need two", len(ghosts))
@@ -332,8 +299,8 @@ func crowd(pos []vec.V, g space.Grid, ix, iy, iz, n int, r *rng.Source) []vec.V 
 
 // TestZeroAllocSteadyState is the CI gate for the kernel's allocation
 // contract: after warm-up, a full per-step cycle — Bin, ghost staging and
-// sealing, Compute — performs zero heap allocations, for the serial kernel
-// and for sharded ones, with one search worker and with helpers. The domain is the tiny preset's western half plus
+// sealing, Compute — performs zero heap allocations, with one search worker
+// and with helpers. The domain is the tiny preset's western half plus
 // one crowded corner — 320 particles in a cell, 320 in its hosted neighbour
 // and 320 in a ghost one — so the hit buffer is flushed mid-pass (a row of
 // 319 cell mates after rows that filled it) and cell pairs larger than the
@@ -367,9 +334,8 @@ func TestZeroAllocSteadyState(t *testing.T) {
 			local.Add(int64(i), p, vec.Zero)
 		}
 	}
-	for _, sw := range [][2]int{{1, 1}, {1, 3}, {2, 1}, {2, 2}, {8, 1}, {8, 3}} {
-		shards, workers := sw[0], sw[1]
-		cl := buildFlat(t, g, shards, local, global, pred)
+	for _, workers := range []int{1, 2, 3} {
+		cl := buildFlat(t, g, local, global, pred)
 		cl.SetSearchWorkers(workers)
 		step := func() {
 			if bad := cl.Bin(local.Pos); bad >= 0 {
@@ -387,7 +353,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 			step() // warm-up: buffer growth, worker pool start
 		}
 		if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
-			t.Errorf("shards=%d workers=%d: %v allocs per step, want 0", shards, workers, allocs)
+			t.Errorf("workers=%d: %v allocs per step, want 0", workers, allocs)
 		}
 	}
 }
@@ -402,28 +368,26 @@ func TestBinGrowsWithHeadroom(t *testing.T) {
 		cells[c] = c
 	}
 	pos := randomGas(g, 1000+64, 5)
-	for _, shards := range []int{1, 2} {
-		cl := NewCellLists(g, shards)
-		cl.SetHosted(cells)
-		growths, last := 0, [4]int{}
-		for n := 1000; n <= len(pos); n++ {
-			if bad := cl.Bin(pos[:n]); bad >= 0 {
-				t.Fatalf("particle %d not binned", bad)
-			}
-			caps := [4]int{cap(cl.pslot), cap(cl.part), cap(cl.ppos), cap(cl.pfrc[shards-1])}
-			for k, c := range caps {
-				if c < n {
-					t.Fatalf("array %d holds %d of %d particles", k, c, n)
-				}
-			}
-			if caps != last {
-				growths++
-				last = caps
+	cl := NewCellLists(g, 1)
+	cl.SetHosted(cells)
+	growths, last := 0, [4]int{}
+	for n := 1000; n <= len(pos); n++ {
+		if bad := cl.Bin(pos[:n]); bad >= 0 {
+			t.Fatalf("particle %d not binned", bad)
+		}
+		caps := [4]int{cap(cl.pslot), cap(cl.part), cap(cl.ppos), cap(cl.pfrc)}
+		for k, c := range caps {
+			if c < n {
+				t.Fatalf("array %d holds %d of %d particles", k, c, n)
 			}
 		}
-		if growths > 2 {
-			t.Errorf("shards=%d: 65 bins of a creeping population grew the arrays %d times, want at most 2", shards, growths)
+		if caps != last {
+			growths++
+			last = caps
 		}
+	}
+	if growths > 2 {
+		t.Errorf("65 bins of a creeping population grew the arrays %d times, want at most 2", growths)
 	}
 }
 

@@ -113,10 +113,9 @@ func TestFullStencilOracleMatchesBruteForce(t *testing.T) {
 // kernel: randomized configurations spanning grid geometries from the
 // degenerate 1x1x1 (every neighbor is the cell itself) through 2x2x2 and
 // 3x3x3 (wrap-collision territory, the MinImage slow path) up to >= 4
-// cells per side (the precomputed-shift fast path), each checked at shard
-// counts 1, 2 and 8 against three independent oracles: the brute-force
-// O(N^2) sum, the retired full-stencil kernel, and — bit-for-bit at
-// shards=1 — the historical map kernel.
+// cells per side (the precomputed-shift fast path), each checked against
+// three independent oracles: the brute-force O(N^2) sum, the retired
+// full-stencil kernel, and — bit for bit — the historical map kernel.
 func TestPropertyRandomizedConfigs(t *testing.T) {
 	lj := potential.NewPaperLJ()
 	cases := []struct {
@@ -160,36 +159,32 @@ func TestPropertyRandomizedConfigs(t *testing.T) {
 			if math.Abs(fsPot-wantPot) > 1e-9*(1+math.Abs(wantPot)) {
 				t.Fatalf("N=%d trial %d: full-stencil pot %v vs brute %v", tc.n, trial, fsPot, wantPot)
 			}
-			for _, shards := range []int{1, 2, 8} {
-				got := sys.Set.Clone()
-				got.ZeroForces()
-				cl := buildFlat(t, g, shards, got, nil, func(int) bool { return true })
-				pot, _, pairs := cl.Compute(lj, got)
-				// The full stencil visits every hosted pair from both sides.
-				if fsPairs != 2*pairs {
-					t.Fatalf("N=%d trial %d shards=%d: full-stencil pairs %d != 2*%d",
-						tc.n, trial, shards, fsPairs, pairs)
+			got := sys.Set.Clone()
+			got.ZeroForces()
+			cl := buildFlat(t, g, got, nil, func(int) bool { return true })
+			pot, _, pairs := cl.Compute(lj, got)
+			// The full stencil visits every hosted pair from both sides.
+			if fsPairs != 2*pairs {
+				t.Fatalf("N=%d trial %d: full-stencil pairs %d != 2*%d",
+					tc.n, trial, fsPairs, pairs)
+			}
+			if math.Abs(pot-wantPot) > 1e-9*(1+math.Abs(wantPot)) {
+				t.Fatalf("N=%d trial %d: pot %v vs brute %v", tc.n, trial, pot, wantPot)
+			}
+			for i := range wantFrc {
+				if got.Frc[i].Dist(wantFrc[i]) > 1e-9*(1+wantFrc[i].Norm()) {
+					t.Fatalf("N=%d trial %d: force %d vs brute", tc.n, trial, i)
 				}
-				if math.Abs(pot-wantPot) > 1e-9*(1+math.Abs(wantPot)) {
-					t.Fatalf("N=%d trial %d shards=%d: pot %v vs brute %v", tc.n, trial, shards, pot, wantPot)
+				if got.Frc[i].Dist(fsFrc[i]) > 1e-9*(1+fsFrc[i].Norm()) {
+					t.Fatalf("N=%d trial %d: force %d vs full stencil", tc.n, trial, i)
 				}
-				for i := range wantFrc {
-					if got.Frc[i].Dist(wantFrc[i]) > 1e-9*(1+wantFrc[i].Norm()) {
-						t.Fatalf("N=%d trial %d shards=%d: force %d vs brute", tc.n, trial, shards, i)
-					}
-					if got.Frc[i].Dist(fsFrc[i]) > 1e-9*(1+fsFrc[i].Norm()) {
-						t.Fatalf("N=%d trial %d shards=%d: force %d vs full stencil", tc.n, trial, shards, i)
-					}
-				}
-				if shards == 1 {
-					if math.Float64bits(pot) != math.Float64bits(mapPot) {
-						t.Fatalf("N=%d trial %d: pot bits differ from map kernel", tc.n, trial)
-					}
-					for i := range ref.Frc {
-						if got.Frc[i] != ref.Frc[i] {
-							t.Fatalf("N=%d trial %d: force %d bits differ from map kernel", tc.n, trial, i)
-						}
-					}
+			}
+			if math.Float64bits(pot) != math.Float64bits(mapPot) {
+				t.Fatalf("N=%d trial %d: pot bits differ from map kernel", tc.n, trial)
+			}
+			for i := range ref.Frc {
+				if got.Frc[i] != ref.Frc[i] {
+					t.Fatalf("N=%d trial %d: force %d bits differ from map kernel", tc.n, trial, i)
 				}
 			}
 		}

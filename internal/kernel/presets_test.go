@@ -31,12 +31,12 @@ type kernelPreset struct {
 // kernelPresets returns the benchmark matrix, smallest first:
 //
 //   - tiny: the original acceptance-gate geometry (Tiny experiment preset,
-//     m=3: grid 6x6x6, N=1296 at rho=0.384) — TestShardPin's hashes are
+//     m=3: grid 6x6x6, N=1296 at rho=0.384) — TestShardPin's hash is
 //     taken on it;
 //   - 50k/100k/200k: cubic boxes at the paper's headline density 0.256
 //     whose edge is an exact multiple of the cut-off 2.5, large enough
-//     that the force pass no longer fits in cache and intra-PE shard
-//     parallelism has real work to amortize against.
+//     that the force pass no longer fits in cache and the search workers
+//     have real work to share.
 func kernelPresets() []kernelPreset {
 	return []kernelPreset{
 		{Name: "tiny", N: 1296, Rho: 0.384, NC: 6, Tref: 0.722, Seed: 1},

@@ -31,11 +31,11 @@ func sameOrNaN(a, b vec.V) bool {
 }
 
 // exactVsMap computes the domain selected by pred with the map oracle and
-// with the flat kernel, and requires every output of the flat kernel at
-// shards=1 — each force component, hosted or returned to a ghost cell, the
-// energy, the virial, the pair count and the evaluated count — to carry the
-// oracle's bits, and the two counts to hold at shards 2 and 8. It returns
-// the forces and the pair count for the caller's own assertions.
+// with the flat kernel, and requires every output of the flat kernel —
+// each force component, hosted or returned to a ghost cell, the energy, the
+// virial, the pair count and the evaluated count — to carry the oracle's
+// bits. It returns the forces and the pair count for the caller's own
+// assertions.
 func exactVsMap(t *testing.T, g space.Grid, pair potential.Pair, global []vec.V, pred func(cell int) bool) ([]vec.V, int64) {
 	t.Helper()
 	local := &particle.Set{}
@@ -55,28 +55,23 @@ func exactVsMap(t *testing.T, g space.Grid, pair potential.Pair, global []vec.V,
 	ref.ZeroForces()
 	want := mapPairForces(g, pair, ref, cellMap, hosted, ghost)
 
-	for _, shards := range []int{1, 2, 8} {
-		got := local.Clone()
-		got.ZeroForces()
-		cl := buildFlat(t, g, shards, got, global, pred)
-		pot, vir, pairs := cl.Compute(pair, got)
-		if pairs != want.pairs || cl.Evaluated() != want.evaluated {
-			t.Fatalf("shards=%d: pairs %d evaluated %d, oracle %d %d", shards, pairs, cl.Evaluated(), want.pairs, want.evaluated)
+	got := local.Clone()
+	got.ZeroForces()
+	cl := buildFlat(t, g, got, global, pred)
+	pot, vir, pairs := cl.Compute(pair, got)
+	if pairs != want.pairs || cl.Evaluated() != want.evaluated {
+		t.Fatalf("pairs %d evaluated %d, oracle %d %d", pairs, cl.Evaluated(), want.pairs, want.evaluated)
+	}
+	if !sameOrNaN(vec.New(pot, vir, 0), vec.New(want.pot, want.vir, 0)) {
+		t.Fatalf("pot %v vir %v, oracle %v %v", pot, vir, want.pot, want.vir)
+	}
+	for i, f := range got.Frc {
+		if !sameOrNaN(f, ref.Frc[i]) {
+			t.Fatalf("force %d: %v, oracle %v", i, f, ref.Frc[i])
 		}
-		if shards > 1 {
-			continue
-		}
-		if !sameOrNaN(vec.New(pot, vir, 0), vec.New(want.pot, want.vir, 0)) {
-			t.Fatalf("pot %v vir %v, oracle %v %v", pot, vir, want.pot, want.vir)
-		}
-		for i, f := range got.Frc {
-			if !sameOrNaN(f, ref.Frc[i]) {
-				t.Fatalf("force %d: %v, oracle %v", i, f, ref.Frc[i])
-			}
-		}
-		if d := diffGhostForces(cl, want.ghost, 0); d != "" {
-			t.Fatal(d)
-		}
+	}
+	if d := diffGhostForces(cl, want.ghost); d != "" {
+		t.Fatal(d)
 	}
 	return ref.Frc, want.pairs
 }

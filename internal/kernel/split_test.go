@@ -24,7 +24,7 @@ type splitResult struct {
 // computeSplit deals the cells of g to nDom domains by owner, computes every
 // domain with the rest of the system imported as ghosts, and assembles the
 // result. visit, when set, sees each domain's CellLists after its Compute.
-func computeSplit(t *testing.T, g space.Grid, shards int, pair potential.Pair, global []vec.V, nDom int, owner func(cell int) int, visit func(dom int, cl *CellLists)) splitResult {
+func computeSplit(t *testing.T, g space.Grid, pair potential.Pair, global []vec.V, nDom int, owner func(cell int) int, visit func(dom int, cl *CellLists)) splitResult {
 	t.Helper()
 	res := splitResult{frc: make([]vec.V, len(global))}
 	byCell := make(map[int][]int) // global indices in global order: the order buildFlat stages a cell in
@@ -41,7 +41,7 @@ func computeSplit(t *testing.T, g space.Grid, shards int, pair potential.Pair, g
 				globalOf = append(globalOf, i)
 			}
 		}
-		cl := buildFlat(t, g, shards, local, global, pred)
+		cl := buildFlat(t, g, local, global, pred)
 		pot, vir, pairs := cl.Compute(pair, local)
 		res.pot += pot
 		res.vir += vir
@@ -86,28 +86,26 @@ func TestFlatGhostSplitMatchesBruteForce(t *testing.T) {
 		}
 		return 1
 	}
-	for _, shards := range []int{1, 2, 8} {
-		res := computeSplit(t, g, shards, lj, sys.Set.Pos, 2, side, func(dom int, cl *CellLists) {
-			returned := 0
-			for _, gc := range cl.GhostCells() {
-				for _, f := range cl.GhostForces(gc) {
-					if f != vec.Zero {
-						returned++
-					}
+	res := computeSplit(t, g, lj, sys.Set.Pos, 2, side, func(dom int, cl *CellLists) {
+		returned := 0
+		for _, gc := range cl.GhostCells() {
+			for _, f := range cl.GhostForces(gc) {
+				if f != vec.Zero {
+					returned++
 				}
 			}
-			if returned == 0 {
-				t.Errorf("shards=%d side %d returns no ghost force: the split evaluates nothing across the boundary", shards, dom)
-			}
-		})
-		for i := range wantFrc {
-			if wantFrc[i].Dist(res.frc[i]) > 1e-9*(1+wantFrc[i].Norm()) {
-				t.Fatalf("shards=%d: particle %d force %v, brute force %v", shards, i, res.frc[i], wantFrc[i])
-			}
 		}
-		if math.Abs(res.pot-wantPot) > 1e-9*(1+math.Abs(wantPot)) {
-			t.Errorf("shards=%d: summed pot = %v, want %v", shards, res.pot, wantPot)
+		if returned == 0 {
+			t.Errorf("side %d returns no ghost force: the split evaluates nothing across the boundary", dom)
 		}
+	})
+	for i := range wantFrc {
+		if wantFrc[i].Dist(res.frc[i]) > 1e-9*(1+wantFrc[i].Norm()) {
+			t.Fatalf("particle %d force %v, brute force %v", i, res.frc[i], wantFrc[i])
+		}
+	}
+	if math.Abs(res.pot-wantPot) > 1e-9*(1+math.Abs(wantPot)) {
+		t.Errorf("summed pot = %v, want %v", res.pot, wantPot)
 	}
 }
 
@@ -136,7 +134,7 @@ func censusOf(g space.Grid, pop []int64, owner func(cell int) int, dom int) (n i
 // rule — the host of the lower cell id evaluates the pair — over random
 // ownership maps: 2 to 6 domains dealt by column or cell by cell, on grids
 // down to one and two cells a side (deduplicated stencils, per-pair minimum
-// image) and with a dimension of three, at shard counts 1 and 3. For every
+// image) and with a dimension of three. For every
 // map, over all domains: each pair of neighboring cells hosted by two
 // different domains is evaluated by exactly the lower cell's (the other
 // keeps a count-only entry), so the evaluated pairs add up exactly to the
@@ -168,52 +166,50 @@ func TestSplitDomainsEvaluateEachPairOnce(t *testing.T) {
 			if trial%2 == 0 { // whole columns, the balancer's unit
 				owner = func(cell int) int { return deal[g.ColumnOf(cell)] }
 			}
-			for _, shards := range []int{1, 3} {
-				one := computeSplit(t, g, shards, lj, pos, 1, all, nil)
-				if one.evaluated != one.pairs || one.pairs != censusOf(g, pop, all, 0) {
-					t.Fatalf("%s shards=%d: one domain evaluates %d of %d pairs, census %d", name, shards, one.evaluated, one.pairs, censusOf(g, pop, all, 0))
-				}
-				var census int64
-				for dom := 0; dom < nDom; dom++ {
-					census += censusOf(g, pop, owner, dom)
-				}
-				split := computeSplit(t, g, shards, lj, pos, nDom, owner, func(dom int, cl *CellLists) {
-					// The rule itself, entry by entry.
-					for s, c := range cl.HostedCells() {
-						for k := cl.stStart[s]; k < cl.stStart[s+1]; k++ {
-							if e := cl.stencil[k]; e < 0 {
-								gc := cl.ghostCells[-1-e]
-								if (cl.stCode[k] == countOnly) != (gc < c) {
-									t.Fatalf("%s shards=%d domain %d: cell %d x ghost %d has code %d", name, shards, dom, c, gc, cl.stCode[k])
-								}
+			one := computeSplit(t, g, lj, pos, 1, all, nil)
+			if one.evaluated != one.pairs || one.pairs != censusOf(g, pop, all, 0) {
+				t.Fatalf("%s: one domain evaluates %d of %d pairs, census %d", name, one.evaluated, one.pairs, censusOf(g, pop, all, 0))
+			}
+			var census int64
+			for dom := 0; dom < nDom; dom++ {
+				census += censusOf(g, pop, owner, dom)
+			}
+			split := computeSplit(t, g, lj, pos, nDom, owner, func(dom int, cl *CellLists) {
+				// The rule itself, entry by entry.
+				for s, c := range cl.HostedCells() {
+					for k := cl.stStart[s]; k < cl.stStart[s+1]; k++ {
+						if e := cl.stencil[k]; e < 0 {
+							gc := cl.ghostCells[-1-e]
+							if (cl.stCode[k] == countOnly) != (gc < c) {
+								t.Fatalf("%s domain %d: cell %d x ghost %d has code %d", name, dom, c, gc, cl.stCode[k])
 							}
 						}
 					}
-				})
-				if split.evaluated != one.pairs {
-					t.Errorf("%s shards=%d: %d domains evaluate %d pairs, one domain %d", name, shards, nDom, split.evaluated, one.pairs)
 				}
-				if split.pairs != census {
-					t.Errorf("%s shards=%d: pair counts sum to %d, census %d", name, shards, split.pairs, census)
+			})
+			if split.evaluated != one.pairs {
+				t.Errorf("%s: %d domains evaluate %d pairs, one domain %d", name, nDom, split.evaluated, one.pairs)
+			}
+			if split.pairs != census {
+				t.Errorf("%s: pair counts sum to %d, census %d", name, split.pairs, census)
+			}
+			if split.pairs <= split.evaluated {
+				t.Errorf("%s: no cross-boundary pair was counted twice (%d pairs, %d evaluated)", name, split.pairs, split.evaluated)
+			}
+			var total vec.V
+			var scale float64
+			for i, f := range split.frc {
+				total = total.Add(f)
+				scale = max(scale, f.Norm())
+				if f.Dist(one.frc[i]) > 1e-9*(1+one.frc[i].Norm()) {
+					t.Fatalf("%s: particle %d force %v, one domain %v", name, i, f, one.frc[i])
 				}
-				if split.pairs <= split.evaluated {
-					t.Errorf("%s shards=%d: no cross-boundary pair was counted twice (%d pairs, %d evaluated)", name, shards, split.pairs, split.evaluated)
-				}
-				var total vec.V
-				var scale float64
-				for i, f := range split.frc {
-					total = total.Add(f)
-					scale = max(scale, f.Norm())
-					if f.Dist(one.frc[i]) > 1e-9*(1+one.frc[i].Norm()) {
-						t.Fatalf("%s shards=%d: particle %d force %v, one domain %v", name, shards, i, f, one.frc[i])
-					}
-				}
-				if total.Norm() > 1e-10*scale {
-					t.Errorf("%s shards=%d: total force %v (largest %g)", name, shards, total, scale)
-				}
-				if math.Abs(split.pot-one.pot) > 1e-12*math.Abs(one.pot) || math.Abs(split.vir-one.vir) > 1e-12*math.Abs(one.vir) {
-					t.Errorf("%s shards=%d: energy %v virial %v, one domain %v %v", name, shards, split.pot, split.vir, one.pot, one.vir)
-				}
+			}
+			if total.Norm() > 1e-10*scale {
+				t.Errorf("%s: total force %v (largest %g)", name, total, scale)
+			}
+			if math.Abs(split.pot-one.pot) > 1e-12*math.Abs(one.pot) || math.Abs(split.vir-one.vir) > 1e-12*math.Abs(one.vir) {
+				t.Errorf("%s: energy %v virial %v, one domain %v %v", name, split.pot, split.vir, one.pot, one.vir)
 			}
 		}
 	}

@@ -61,11 +61,9 @@ type topologyMap struct {
 	stShift    []vec.V
 	stCount    []bool // count-only: a ghost cell below the hosted one, its host's pair
 	stStart    []int32
-	shardSlot  []int32
-	shardStart []int32
 }
 
-func setHostedMap(g space.Grid, shards int, hostedCells []int) topologyMap {
+func setHostedMap(g space.Grid, hostedCells []int) topologyMap {
 	var tp topologyMap
 	slotOf := make([]int32, g.NumCells())
 	for i := range slotOf {
@@ -129,33 +127,6 @@ func setHostedMap(g space.Grid, shards int, hostedCells []int) topologyMap {
 		tp.stStart = append(tp.stStart, int32(len(tp.stencil)))
 	}
 
-	shardOf := make([]int32, len(tp.cells))
-	if shards > 1 {
-		var uniq []int
-		for _, c := range tp.cells {
-			uniq = append(uniq, g.ColumnOf(c))
-		}
-		slices.Sort(uniq)
-		uniq = slices.Compact(uniq)
-		for i, c := range tp.cells {
-			rank, _ := slices.BinarySearch(uniq, g.ColumnOf(c))
-			shardOf[i] = int32(rank % shards)
-		}
-	}
-	tp.shardStart = make([]int32, shards+1)
-	for _, sh := range shardOf {
-		tp.shardStart[sh+1]++
-	}
-	for sh := 0; sh < shards; sh++ {
-		tp.shardStart[sh+1] += tp.shardStart[sh]
-	}
-	tp.shardSlot = make([]int32, len(tp.cells))
-	fill := make([]int32, shards)
-	copy(fill, tp.shardStart[:shards])
-	for slot, sh := range shardOf {
-		tp.shardSlot[fill[sh]] = int32(slot)
-		fill[sh]++
-	}
 	return tp
 }
 
@@ -179,10 +150,6 @@ func diffTopology(cl *CellLists, want topologyMap) string {
 		return fmt.Sprintf("stencil offsets %v, oracle %v", cl.stStart, want.stStart)
 	case !slices.Equal(cl.stencil, want.stencil):
 		return fmt.Sprintf("stencil entries %v, oracle %v", cl.stencil, want.stencil)
-	case !slices.Equal(cl.shardStart, want.shardStart):
-		return fmt.Sprintf("shard offsets %v, oracle %v", cl.shardStart, want.shardStart)
-	case !slices.Equal(cl.shardSlot, want.shardSlot):
-		return fmt.Sprintf("shard slots %v, oracle %v", cl.shardSlot, want.shardSlot)
 	case len(cl.stCode) != len(want.stShift):
 		return fmt.Sprintf("%d shift codes, oracle has %d shifts", len(cl.stCode), len(want.stShift))
 	}
@@ -228,36 +195,34 @@ func gridOf(t testing.TB, nx, ny, nz int) space.Grid {
 // TestSetHostedMatchesMapOracle holds the single walk to the map-based
 // construction over random hosted sets, each CellLists rebuilt several times
 // so that what one topology leaves behind (slot marks, ghost marks, buffer
-// lengths) cannot leak into the next, at shard counts 1 and 3.
+// lengths) cannot leak into the next.
 func TestSetHostedMatchesMapOracle(t *testing.T) {
 	dims := [][3]int{{1, 1, 1}, {2, 2, 2}, {2, 3, 4}, {3, 3, 3}, {4, 4, 4}, {6, 6, 6}}
 	r := rng.New(20240918)
 	for _, d := range dims {
 		g := gridOf(t, d[0], d[1], d[2])
-		for _, shards := range []int{1, 3} {
-			cl := NewCellLists(g, shards)
-			for trial := 0; trial < 12; trial++ {
-				// Hosted fraction sweeps from sparse to everything; the
-				// last trial hosts every cell (no ghosts at all).
-				var cells []int
-				for c := 0; c < g.NumCells(); c++ {
-					if trial == 11 || r.Intn(12) <= trial {
-						cells = append(cells, c)
-					}
-				}
-				// SetHosted sorts: hand it the cells out of order.
-				for i := len(cells) - 1; i > 0; i-- {
-					j := r.Intn(i + 1)
-					cells[i], cells[j] = cells[j], cells[i]
-				}
-				cl.SetHosted(cells)
-				if d := diffTopology(cl, setHostedMap(g, shards, cells)); d != "" {
-					t.Fatalf("%dx%dx%d shards=%d trial %d (%d hosted): %s",
-						g.Nx, g.Ny, g.Nz, shards, trial, len(cells), d)
+		cl := NewCellLists(g, 1)
+		for trial := 0; trial < 12; trial++ {
+			// Hosted fraction sweeps from sparse to everything; the
+			// last trial hosts every cell (no ghosts at all).
+			var cells []int
+			for c := 0; c < g.NumCells(); c++ {
+				if trial == 11 || r.Intn(12) <= trial {
+					cells = append(cells, c)
 				}
 			}
-			cl.Close()
+			// SetHosted sorts: hand it the cells out of order.
+			for i := len(cells) - 1; i > 0; i-- {
+				j := r.Intn(i + 1)
+				cells[i], cells[j] = cells[j], cells[i]
+			}
+			cl.SetHosted(cells)
+			if d := diffTopology(cl, setHostedMap(g, cells)); d != "" {
+				t.Fatalf("%dx%dx%d trial %d (%d hosted): %s",
+					g.Nx, g.Ny, g.Nz, trial, len(cells), d)
+			}
 		}
+		cl.Close()
 	}
 }
 
@@ -270,15 +235,13 @@ func TestSetHostedAllHosted24(t *testing.T) {
 	for c := range cells {
 		cells[c] = c
 	}
-	for _, shards := range []int{1, 2} {
-		cl := NewCellLists(g, shards)
-		cl.SetHosted(cells)
-		if d := diffTopology(cl, setHostedMap(g, shards, cells)); d != "" {
-			t.Fatalf("shards=%d: %s", shards, d)
-		}
-		if n := len(cl.stencil); n != 13*len(cells) {
-			t.Errorf("shards=%d: %d stencil entries, want 13 per cell", shards, n)
-		}
-		cl.Close()
+	cl := NewCellLists(g, 1)
+	cl.SetHosted(cells)
+	if d := diffTopology(cl, setHostedMap(g, cells)); d != "" {
+		t.Fatal(d)
 	}
+	if n := len(cl.stencil); n != 13*len(cells) {
+		t.Errorf("%d stencil entries, want 13 per cell", n)
+	}
+	cl.Close()
 }

@@ -71,7 +71,6 @@ type workerDomain struct {
 	g      space.Grid
 	global []vec.V
 	pred   func(cell int) bool
-	shards []int
 }
 
 // workerDomains returns the lattice and disordered 50k states the kernel
@@ -91,12 +90,12 @@ func workerDomains(t *testing.T) []workerDomain {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out = append(out, workerDomain{"lattice", g, slices.Clone(sys.Set.Pos), all, []int{1}})
+	out = append(out, workerDomain{"lattice", g, slices.Clone(sys.Set.Pos), all})
 	r := rng.New(50) // BenchmarkKernelDisordered's state
 	for i, p := range sys.Set.Pos {
 		sys.Set.Pos[i] = g.Box.Wrap(p.Add(vec.New(r.Uniform(-1, 1), r.Uniform(-1, 1), r.Uniform(-1, 1))))
 	}
-	out = append(out, workerDomain{"disordered", g, sys.Set.Pos, all, []int{1, 2}})
+	out = append(out, workerDomain{"disordered", g, sys.Set.Pos, all})
 
 	pr, err = kernelPresetByName("tiny")
 	if err != nil {
@@ -115,23 +114,23 @@ func workerDomains(t *testing.T) []workerDomain {
 		t.Fatal("the crowded cell pair fits the hit buffer")
 	}
 	west := func(cell int) bool { ix, _, _ := g.Coords(cell); return ix < g.Nx/2 }
-	out = append(out, workerDomain{"condensed", g, crowded, west, []int{1, 3}})
+	out = append(out, workerDomain{"condensed", g, crowded, west})
 
 	r = rng.New(20)
 	jiggled := slices.Clone(sys.Set.Pos)
 	for i := range jiggled {
 		jiggled[i] = g.Box.Wrap(jiggled[i].Add(vec.New(r.Uniform(-0.3, 0.3), r.Uniform(-0.3, 0.3), r.Uniform(-0.3, 0.3))))
 	}
-	hostedCols := make([]bool, g.NumColumns())
+	hostedCols := make([]bool, g.Nx*g.Ny)
 	for col := range hostedCols {
 		hostedCols[col] = r.Float64() < 0.5
 	}
-	out = append(out, workerDomain{"split", g, jiggled, func(cell int) bool { return hostedCols[g.ColumnOf(cell)] }, []int{1, 2}})
+	out = append(out, workerDomain{"split", g, jiggled, func(cell int) bool { return hostedCols[g.ColumnOf(cell)] }})
 
 	g6 := gridOf(t, 6, 6, 6)
 	nan := randomGas(g6, 500, 11)
 	nan[17].Y = math.NaN()
-	out = append(out, workerDomain{"NaN", g6, nan, all, []int{1}})
+	out = append(out, workerDomain{"NaN", g6, nan, all})
 	return out
 }
 
@@ -140,9 +139,8 @@ func workerDomains(t *testing.T) []workerDomain {
 // with the vector one, each cell unit by unit and, where the CPU has the
 // cell leaf, whole cells in one call, each with the Go accumulate loop
 // forced and with the vector accumulate leaf, at 1, 2, 3 and 8 search
-// workers, for every shard count, over several passes each (the workers
-// split each pass differently), and a NaN coordinate still reaches the
-// forces.
+// workers, over several passes each (the workers split each pass
+// differently), and a NaN coordinate still reaches the forces.
 func TestSearchWorkersBitIdentical(t *testing.T) {
 	lj := potential.NewPaperLJ()
 	selected, selectedAcc, selectedWhole := searchLeaf, accumulateLJ, wholeCells
@@ -157,45 +155,43 @@ func TestSearchWorkersBitIdentical(t *testing.T) {
 	}
 	for _, d := range workerDomains(t) {
 		local := localOf(d.g, d.global, d.pred)
-		for _, shards := range d.shards {
-			t.Run(fmt.Sprintf("%s/shards=%d", d.name, shards), func(t *testing.T) {
-				var want kernelOut
-				first := true
-				for _, l := range under {
-					for _, acc := range accs {
-						searchLeaf, accumulateLJ = l.leaf, acc.leaf
-						wholeCells = l.name == "vector per-cell"
-						for _, workers := range []int{1, 2, 3, 8} {
-							s := local.Clone()
-							cl := buildFlat(t, d.g, shards, s, d.global, d.pred)
-							cl.SetSearchWorkers(workers)
-							for pass := range 3 {
-								s.ZeroForces()
-								pot, vir, pairs := cl.Compute(lj, s)
-								got := outputOf(cl, s, pot, vir, pairs)
-								if first {
-									want, first = got, false
-								} else if msg := got.diff(want); msg != "" {
-									t.Fatalf("%s search leaf, %s accumulate, workers=%d pass %d: %s", l.name, acc.name, workers, pass, msg)
-								}
+		t.Run(d.name, func(t *testing.T) {
+			var want kernelOut
+			first := true
+			for _, l := range under {
+				for _, acc := range accs {
+					searchLeaf, accumulateLJ = l.leaf, acc.leaf
+					wholeCells = l.name == "vector per-cell"
+					for _, workers := range []int{1, 2, 3, 8} {
+						s := local.Clone()
+						cl := buildFlat(t, d.g, s, d.global, d.pred)
+						cl.SetSearchWorkers(workers)
+						for pass := range 3 {
+							s.ZeroForces()
+							pot, vir, pairs := cl.Compute(lj, s)
+							got := outputOf(cl, s, pot, vir, pairs)
+							if first {
+								want, first = got, false
+							} else if msg := got.diff(want); msg != "" {
+								t.Fatalf("%s search leaf, %s accumulate, workers=%d pass %d: %s", l.name, acc.name, workers, pass, msg)
 							}
-							cl.Close()
 						}
+						cl.Close()
 					}
 				}
-				if d.name == "NaN" {
-					poisoned := 0
-					for _, f := range want.frc {
-						if !f.IsFinite() {
-							poisoned++
-						}
-					}
-					if poisoned < 2 {
-						t.Fatalf("%d forces poisoned: the NaN never reached the accumulators", poisoned)
+			}
+			if d.name == "NaN" {
+				poisoned := 0
+				for _, f := range want.frc {
+					if !f.IsFinite() {
+						poisoned++
 					}
 				}
-			})
-		}
+				if poisoned < 2 {
+					t.Fatalf("%d forces poisoned: the NaN never reached the accumulators", poisoned)
+				}
+			}
+		})
 	}
 }
 
@@ -216,7 +212,7 @@ func TestSegmentsResumeBitForBit(t *testing.T) {
 		t.Run(d.name, func(t *testing.T) {
 			s := local.Clone()
 			s.ZeroForces()
-			cl := buildFlat(t, d.g, 1, s, d.global, d.pred)
+			cl := buildFlat(t, d.g, s, d.global, d.pred)
 			pot, vir, pairs := cl.Compute(lj, s)
 			want := outputOf(cl, s, pot, vir, pairs)
 
@@ -225,19 +221,18 @@ func TestSegmentsResumeBitForBit(t *testing.T) {
 			stopped := false
 			for _, k := range []int{1, 3, ringLen, ringLen + 1} {
 				s.ZeroForces()
-				cl.begin(lj, s)
-				f := &cl.feeds[0]
+				cl.begin(lj)
+				f := &cl.feed
 				for range k {
 					c := f.claim()
 					if c < 0 {
 						break // the ring is full until the owner takes a chunk in
 					}
-					cl.searchAhead(f, c)
-					stopped = stopped || f.ring[c%ringLen].stop.i < len(f.chunk(c))
+					cl.searchAhead(c)
+					_, hi := f.chunk(c)
+					stopped = stopped || f.ring[c%ringLen].stop.i < hi
 				}
-				cl.computeShard(0)
-				cl.reduceRange(0)
-				pot, vir, pairs := cl.end()
+				pot, vir, pairs := cl.force(s.Frc)
 				got := outputOf(cl, s, pot, vir, pairs)
 				if msg := got.diff(want); msg != "" {
 					t.Fatalf("%d chunks searched ahead: %s", k, msg)

@@ -4,9 +4,9 @@
 // evaluated once via the kernel's half stencil with the force applied to
 // both particles (Newton's third law), the velocity form of the Verlet
 // algorithm, and a velocity-rescaling thermostat applied every
-// RescaleEvery steps — without cross-PE parallelism (intra-step force
-// sharding is available through Config.Shards). The parallel engine in
-// internal/core is validated against this one.
+// RescaleEvery steps — without cross-PE parallelism (the force pass's pair
+// search runs on every core, which moves no bit of the result). The
+// parallel engine in internal/core is validated against this one.
 package mdserial
 
 import (
@@ -39,11 +39,6 @@ type Config struct {
 	// Grid optionally fixes the cell grid. When zero-valued, the finest
 	// grid with cell side >= the pair cut-off is used.
 	Grid space.Grid
-	// Shards is the force-kernel shard count (<= 1 = serial kernel).
-	// Results are bit-deterministic per shard count. Engines must be
-	// Closed to stop the kernel's worker pool: the shard owners and the
-	// pair-search helpers (one per core beyond the first, whatever Shards).
-	Shards int
 	// Metrics enables the per-step phase timing layer (internal/metrics).
 	// Off, the engine carries a nil timer and the hot path pays one
 	// pointer test per phase boundary. The serial engine has no comm
@@ -100,7 +95,7 @@ func New(cfg Config, set *particle.Set) (*Engine, error) {
 	if cfg.Metrics {
 		e.tm = &metrics.Timer{}
 	}
-	e.cl = kernel.NewCellLists(g, cfg.Shards)
+	e.cl = kernel.NewCellLists(g, 1)
 	// One rank: every core may search for pairs. The count is no part of
 	// the run's identity (the kernel's results do not depend on it).
 	e.cl.SetSearchWorkers(runtime.GOMAXPROCS(0))
@@ -116,9 +111,8 @@ func New(cfg Config, set *particle.Set) (*Engine, error) {
 	return e, nil
 }
 
-// Close stops the force-kernel worker pool: the shard owners (Shards > 1)
-// and the pair-search helpers the engine runs when GOMAXPROCS > 1. The
-// engine must not be stepped after Close.
+// Close stops the pair-search helpers the force kernel runs when
+// GOMAXPROCS > 1. The engine must not be stepped after Close.
 func (e *Engine) Close() { e.cl.Close() }
 
 // Set returns the engine's particle set.

@@ -1,6 +1,6 @@
 // Package runspec turns a run identity into a runnable system. The identity
 // is checkpoint.Meta — engine kind, paper coordinates, condensation driver,
-// balancer, seed, time step, shard count — and this package is the one place
+// balancer, seed, time step — and this package is the one place
 // that knows how those coordinates become a box, a cell grid, a particle
 // count, attractor wells and an engine configuration. The facade, the TCP
 // workers and the experiments all build through it, fresh (st == nil: the
@@ -81,17 +81,6 @@ func TimeStep(dt float64) (float64, error) {
 	return dt, nil
 }
 
-// Shards checks an identity's force-kernel shard count against its grid of
-// nc cells per dimension: 0 and 1 are the serial kernel, and at most one
-// shard per column of the nc*nc (a shard beyond that would own no column,
-// yet cost a hit buffer and a pool goroutine on every rank).
-func Shards(n, nc int) error {
-	if n < 0 || n > nc*nc {
-		return fmt.Errorf("runspec: shards must be in [0, %d] (one per column of the %d^2), got %d", nc*nc, nc, n)
-	}
-	return nil
-}
-
 // Sizes resolves a box of nc cells of side r_c per dimension at reduced
 // density rho: N = round(rho * (nc r_c)^3), and the density those N
 // particles actually have.
@@ -122,6 +111,11 @@ type system struct {
 }
 
 func resolve(meta *checkpoint.Meta, st *checkpoint.EngineState) (system, error) {
+	if meta.Shards > 1 {
+		// The legacy field: the run summed its forces in an order no engine
+		// reproduces any more, so resuming it would change its trace.
+		return system{}, fmt.Errorf("runspec: the header records %d intra-rank shards; shards were retired, and only unsharded runs can be resumed", meta.Shards)
+	}
 	nc := meta.NC
 	var err error
 	switch meta.Kind {
@@ -136,9 +130,6 @@ func resolve(meta *checkpoint.Meta, st *checkpoint.EngineState) (system, error) 
 	}
 	if err == nil {
 		err = Wells(meta.Wells, meta.WellK)
-	}
-	if err == nil {
-		err = Shards(meta.Shards, nc)
 	}
 	var dt float64
 	if err == nil {
@@ -189,8 +180,8 @@ func Parallel(meta *checkpoint.Meta, st *checkpoint.EngineState) (core.Config, w
 		P: meta.P, Grid: s.grid,
 		Pair: potential.NewPaperLJ(), Ext: s.ext,
 		Dt: s.dt, Tref: units.PaperTref, RescaleEvery: units.PaperRescaleInterval,
-		Shards: meta.Shards, StatsEvery: meta.StatsEvery,
-		Restore: st,
+		StatsEvery: meta.StatsEvery,
+		Restore:    st,
 	}
 	switch meta.Kind {
 	case checkpoint.KindDLB:
@@ -221,7 +212,7 @@ func Serial(meta *checkpoint.Meta, st *checkpoint.EngineState) (mdserial.Config,
 	}
 	cfg := mdserial.Config{
 		Box: s.sys.Box, Pair: lj, Ext: s.ext,
-		Dt: s.dt, Grid: s.grid, Shards: meta.Shards,
+		Dt: s.dt, Grid: s.grid,
 	}
 	set := s.sys.Set
 	if st != nil {

@@ -70,7 +70,6 @@ type RunSpec struct {
 	Dt         float64 `json:"dt,omitempty"`
 	Wells      int     `json:"wells,omitempty"`
 	WellK      float64 `json:"well_k,omitempty"`
-	Shards     int     `json:"shards,omitempty"`
 	StatsEvery int     `json:"stats_every,omitempty"`
 
 	// CheckpointEvery adds an automatic checkpoint cadence in simulation
@@ -118,11 +117,9 @@ func (s *RunSpec) Particles() int {
 // slot or worker is committed to them. Deep engine validation still runs
 // at construction; this pass catches the shapes a 400 should explain.
 func (s *RunSpec) Validate() error {
-	side := s.NC
 	switch s.kind() {
 	case KindParallel:
-		var err error
-		if side, err = runspec.Side(s.M, s.P); err != nil {
+		if _, err := runspec.Side(s.M, s.P); err != nil {
 			return fmt.Errorf("serve: %w", err)
 		}
 	case KindStatic:
@@ -152,9 +149,6 @@ func (s *RunSpec) Validate() error {
 		return fmt.Errorf("serve: %w", err)
 	}
 	if _, err := runspec.TimeStep(s.Dt); err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	if err := runspec.Shards(s.Shards, side); err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
 	if s.Balancer != "" {
@@ -200,7 +194,6 @@ func (s *RunSpec) options(ckptDir string, sab *permcell.Sabotage, onStep func(pe
 		permcell.WithSeed(s.seedOrDefault()),
 		permcell.WithDt(s.Dt),
 		permcell.WithWells(s.Wells, s.WellK),
-		permcell.WithShards(s.Shards),
 		permcell.WithStatsEvery(s.StatsEvery),
 		permcell.WithMetrics(),
 		permcell.WithOnStep(onStep),

@@ -166,9 +166,6 @@ func (g Grid) Neighbors26(idx int, dst []int) []int {
 	return dst
 }
 
-// NumColumns returns the number of square-pillar columns Nx*Ny.
-func (g Grid) NumColumns() int { return g.Nx * g.Ny }
-
 // ColumnIndex flattens column coordinates (ix, iy).
 func (g Grid) ColumnIndex(ix, iy int) int { return ix + g.Nx*iy }
 

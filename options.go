@@ -176,10 +176,14 @@ func WithWells(n int, k float64) Option {
 	return func(o *Options) { o.wells, o.wellK = n, k }
 }
 
-// WithShards sets the per-PE force-kernel worker count (0 or 1 = serial
-// kernel; at most one per grid column, else construction fails). Results
-// are bit-deterministic for a given shard count but differ between shard
-// counts, so the value is part of the run identity.
+// WithShards is what is left of the retired intra-rank shards: every PE
+// computes its own forces in one summation order, and its pair search runs
+// on every core it is given without moving a bit. Construction accepts 0
+// and 1, which change nothing, and fails on any other value.
+//
+// Deprecated: it stays only because bench/ still passes 1. The next change
+// allowed to edit bench/ — the measurement change ROADMAP lists first —
+// deletes it.
 func WithShards(n int) Option { return func(o *Options) { o.shards = n } }
 
 // WithSeed seeds the initial condition (and the fault plan derivations).

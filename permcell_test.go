@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"permcell"
@@ -31,13 +32,39 @@ func TestNewValidatesCoordinates(t *testing.T) {
 	if _, err := permcell.New(2, 4, 0.256, permcell.WithWells(2, -1)); err == nil {
 		t.Error("negative well strength accepted")
 	}
-	// A shard count is at least 0 and at most one per column: 16 on the
-	// 4x4 columns of m=2, P=4; a 4^3 serial grid has 16 as well.
-	if _, err := permcell.NewSerial(4, 0.3, permcell.WithShards(-1)); err == nil {
-		t.Error("negative shard count accepted by the serial engine")
+}
+
+// TestWithShardsAcceptsOnlyOne: intra-rank shards were retired, so the
+// deprecated option is refused by every constructor and by Restore at any
+// value but 0 and 1, and WithShards(1) runs.
+func TestWithShardsAcceptsOnlyOne(t *testing.T) {
+	two := permcell.WithShards(2)
+	refused := map[string]func() (permcell.Engine, error){
+		"New":       func() (permcell.Engine, error) { return permcell.New(2, 4, 0.256, two) },
+		"NewStatic": func() (permcell.Engine, error) { return permcell.NewStatic(permcell.ShapePlane, 4, 2, 0.256, two) },
+		"NewSerial": func() (permcell.Engine, error) { return permcell.NewSerial(4, 0.3, two) },
+		"Restore": func() (permcell.Engine, error) {
+			return permcell.Restore(filepath.Join("testdata", "ckpt", "serial.ckpt"), two)
+		},
 	}
-	if _, err := permcell.New(2, 4, 0.256, permcell.WithShards(17)); err == nil {
-		t.Error("17 shards accepted on 16 columns")
+	for name, mk := range refused {
+		eng, err := mk()
+		if err == nil {
+			eng.Result()
+			t.Errorf("%s accepted WithShards(2)", name)
+		} else if !strings.Contains(err.Error(), "retired") {
+			t.Errorf("%s: %v, want an error naming the retirement", name, err)
+		}
+	}
+	eng, err := permcell.NewSerial(4, 0.3, permcell.WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Step(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Result(); err != nil {
+		t.Fatal(err)
 	}
 }
 
