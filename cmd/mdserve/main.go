@@ -46,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	data := fs.String("data", "", "data directory for per-run checkpoints (default: a temp dir)")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "admission queue depth (0 = 64)")
-	maxParticles := fs.Int("max-particles", 0, "per-run particle cap (0 = 200000)")
+	maxParticles := fs.Int("max-particles", 0, "per-run cap on particles and on cells (0 = 200000)")
 	retention := fs.Duration("retention", 0, "reap terminal runs (and their checkpoints) this long after they finish (0 = keep forever)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful shutdown budget")
 	if err := fs.Parse(args); err != nil {

@@ -59,7 +59,7 @@ func oddFrames() []Frame {
 		math.Float64frombits(0x7ff8_0000_dead_beef), math.Float64frombits(0xfff0_0000_0000_0001),
 		math.Inf(1), math.Inf(-1), math.Copysign(0, -1), math.SmallestNonzeroFloat64,
 	}
-	f := Frame{Rank: 1, Cols: []int{-3, 0, math.MaxInt64}}
+	f := Frame{Rank: 1, Cols: []int{-3, 0, math.MaxInt}}
 	for i, x := range odd {
 		f.ID = append(f.ID, int64(-1-i))
 		f.Pos = append(f.Pos, vec.New(x, odd[(i+1)%len(odd)], 1.5))

@@ -128,7 +128,7 @@ func TestPayloadInventory(t *testing.T) {
 				Bytes: [metrics.NumPhases]int64{0, 0, 720, 96, 4096, 0, 0},
 			},
 		}
-		recOdd = peRecord{Work: nan, Wall: inf, Step: negZero, Cells: -1, MovedBytes: math.MinInt64, PotE: -inf, KinE: negZero, N: math.MaxInt64}
+		recOdd = peRecord{Work: nan, Wall: inf, Step: negZero, Cells: -1, MovedBytes: math.MinInt64, PotE: -inf, KinE: negZero, N: math.MaxInt}
 	)
 	// gobLosesSign marks the entries where the envelope was the unfaithful
 	// one: gob omits struct fields that compare equal to zero, so a -0
@@ -145,7 +145,7 @@ func TestPayloadInventory(t *testing.T) {
 		{name: "float64 -0", v: negZero},
 		{name: "int64", v: int64(6912)},
 		{name: "int64 min", v: int64(math.MinInt64)},
-		{name: "[]int", v: []int{0, 5, 17, -1, math.MaxInt64}},
+		{name: "[]int", v: []int{0, 5, 17, -1, math.MaxInt}},
 		{name: "[]int nil", v: []int(nil)},
 		{name: "[]int empty", v: []int{}},
 		{name: "[]float64", v: []float64{1, nan, inf, negZero}},

@@ -12,37 +12,15 @@ import (
 // cellLeafFunc is the cell leaf's signature.
 type cellLeafFunc = func(hits *[hitCap]uint64, n uint64, lpos, ppos, ghostPos []vec.V, units []cellUnit, shift *[32]vec.V, rc2 float64) uint64
 
-// searchCellGo is the cell leaf's oracle: searchShift unit by unit, the
-// triangle row by row, with the keys and windows walk's per-unit path
-// gives them.
-func searchCellGo(hits *[hitCap]uint64, n uint64, lpos, ppos, ghostPos []vec.V, units []cellUnit, shift *[32]vec.V, rc2 float64) uint64 {
-	for _, u := range units {
-		t := shift[u.key>>hitCodeShift%32]
-		if u.tri {
-			for a := 0; a+1 < len(lpos); a++ {
-				n = searchShift(hits, n, u.key+uint64(a)*(1<<hitAShift+1), lpos[a:a+1], lpos[a+1:], t, rc2)
-			}
-			continue
-		}
-		from, b := ppos, u.key%hitGhost
-		if u.key&hitGhost != 0 {
-			from = ghostPos
-		}
-		n = searchShift(hits, n, u.key, lpos, from[b:b+uint64(u.n)], t, rc2)
-	}
-	return n
-}
-
 // BenchmarkKernelSearchShape times the search leaves on three shapes of
 // the same 16 groups of four candidates — calls x rows x groups per row:
 // 1x4x4, 4x4x1 and 1x16x1 — and splits their cost into a fixed part per
 // call, per row and per group: 4x4x1 less 1x16x1 is three calls, 1x16x1
-// less 1x4x4 twelve rows. The unit leaves are called through a function
-// value, as pass.search calls them. The cell leaf takes 4x4x1's four calls
-// as four units of one call, so its fixed part is per unit (ns/unit): what
-// is left of a unit's cost once the call is shared by a whole cell. The Go
-// around each call — pass.walk and pass.search for a unit, pass.searchCell
-// for a cell — is not in these numbers.
+// less 1x4x4 twelve rows. The Go unit leaf, searchShift, is called
+// directly. The vector cell leaf takes 4x4x1's four calls as four units of
+// one call, so its fixed part is per unit (ns/unit): what is left of a
+// unit's cost once the call is shared by a whole cell. The Go around each
+// call — pass.walk and pass.searchCell — is not in these numbers.
 func BenchmarkKernelSearchShape(b *testing.B) {
 	r := rng.New(7)
 	ppos := make([]vec.V, 32) // 16 rows, then 16 neighbours in the next cell
@@ -57,32 +35,20 @@ func BenchmarkKernelSearchShape(b *testing.B) {
 		name string
 		run  func() uint64
 	}
-	unit := func(leaf leafFunc) []shape {
-		return []shape{
-			{"1x4x4", func() uint64 { return leaf(hits, 0, 0, lpos[:4], q, vec.Zero, rc2) }},
-			{"4x4x1", func() uint64 {
-				n := leaf(hits, 0, 0, lpos[:4], q[:4], vec.Zero, rc2)
-				n = leaf(hits, n, 0, lpos[:4], q[4:8], vec.Zero, rc2)
-				n = leaf(hits, n, 0, lpos[:4], q[8:12], vec.Zero, rc2)
-				return leaf(hits, n, 0, lpos[:4], q[12:], vec.Zero, rc2)
-			}},
-			{"1x16x1", func() uint64 { return leaf(hits, 0, 0, lpos, q[:4], vec.Zero, rc2) }},
-		}
-	}
 	type leafRun struct {
 		name, fixed string // the leaf; what its fixed part is per
 		shapes      []shape
 	}
-	var runs []leafRun
-	for _, l := range leaves(b) {
-		leaf := l.leaf
-		if l.name == "vector" {
-			leaf = func(hits *[hitCap]uint64, n, key uint64, lpos, q []vec.V, t vec.V, rc2 float64) uint64 {
-				return searchLeaf(hits, n, key, lpos, q, t, rc2) // a function value, as pass.search calls it
-			}
-		}
-		runs = append(runs, leafRun{"unit-" + l.name, "call", unit(leaf)})
-	}
+	runs := []leafRun{{"unit-go", "call", []shape{
+		{"1x4x4", func() uint64 { return searchShift(hits, 0, 0, lpos[:4], q, vec.Zero, rc2) }},
+		{"4x4x1", func() uint64 {
+			n := searchShift(hits, 0, 0, lpos[:4], q[:4], vec.Zero, rc2)
+			n = searchShift(hits, n, 0, lpos[:4], q[4:8], vec.Zero, rc2)
+			n = searchShift(hits, n, 0, lpos[:4], q[8:12], vec.Zero, rc2)
+			return searchShift(hits, n, 0, lpos[:4], q[12:], vec.Zero, rc2)
+		}},
+		{"1x16x1", func() uint64 { return searchShift(hits, 0, 0, lpos, q[:4], vec.Zero, rc2) }},
+	}}}
 	if cell, ok := vectorCellLeaf(); ok {
 		four := []cellUnit{{key: 16, n: 4}, {key: 20, n: 4}, {key: 24, n: 4}, {key: 28, n: 4}}
 		whole := []cellUnit{{key: 16, n: 16}}
@@ -145,26 +111,43 @@ func (in cellInput) need() int {
 	return need
 }
 
+// Shapes of a FuzzSearchCell call: a whole cell, or one of the pieces
+// pass.pieces makes of a cell that does not fit whole.
+const (
+	cellWhole   = iota // the cell's rows, its triangle and its units
+	cellWindows        // one row; its first neighbour run 2*cellCols + len long, as windows of cellCols with key offsets
+	cellTriRow         // one row of the cell; its triangle row as a unit of code 0, then the units
+	cellShapes
+)
+
 // newCellInput draws a cell in [0, 2.5)^3 and each unit's neighbours in the
 // next cell along x, moved by minus the unit's round term so that about
-// one candidate in six is a hit whatever the code, then plants the special
-// (leafNaN and friends): in a random row, or in the first unit's first
-// neighbour — for the last three given code 0, or, with no neighbour there,
-// in another row of the triangle.
-func newCellInput(seed uint64, rows int, tri bool, lens []int, ghosts uint8, special uint8, rc2 float64) cellInput {
+// one candidate in six is a hit whatever the code, cuts the call to shape,
+// then plants the special (leafNaN and friends): in a random row, or in
+// the first neighbour unit's first neighbour — for the last three given
+// code 0, or, with no neighbour there, in another row of the triangle.
+func newCellInput(seed uint64, rows int, tri bool, lens []int, ghosts uint8, special uint8, rc2 float64, shape uint8) cellInput {
 	r := rng.New(seed)
 	special %= leafSpecials
+	shape %= cellShapes
 	exact := special == leafCoincident || special == leafAtCutoff || special == leafUlpBelow
 	in := cellInput{shift: shiftTable(vec.New(10, 10, 10)), rc2: rc2}
 	lo := r.Intn(5) // hosted particles before the cell
 	for range lo + rows {
 		in.ppos = append(in.ppos, r.InBox(vec.New(2.5, 2.5, 2.5)))
 	}
-	base := uint64(lo) << hitAShift
+	row, nrows := 0, rows // the rows the call searches
+	if shape != cellWhole && rows > 0 {
+		row, nrows, tri = r.Intn(rows), 1, false
+	}
+	base := uint64(lo+row) << hitAShift
 	if tri {
 		in.units = append(in.units, cellUnit{key: base + uint64(lo) + 1, tri: true})
 	}
-	var first *vec.V // the first unit's first neighbour
+	if shape == cellTriRow && row+1 < rows {
+		in.units = append(in.units, cellUnit{key: base + uint64(lo+row+1), n: int32(rows - 1 - row)})
+	}
+	nbr := len(in.units) // the first neighbour unit
 	for i, n := range lens {
 		code := uint8(r.Intn(27))
 		if i == 0 && exact {
@@ -175,38 +158,45 @@ func newCellInput(seed uint64, rows int, tri bool, lens []int, ghosts uint8, spe
 		if ghost {
 			from = &in.ghostPos
 		}
+		windows := shape == cellWindows && i == 0
+		if windows {
+			n += 2 * cellCols
+		}
 		b := len(*from)
 		for range n {
 			*from = append(*from, r.InBox(vec.New(2.5, 2.5, 2.5)).Add(vec.New(2.5, 0, 0)).Sub(in.shift[code]))
-		}
-		if i == 0 && n > 0 {
-			first = &(*from)[b]
 		}
 		key := base + uint64(code)<<hitCodeShift + uint64(b)
 		if ghost {
 			key += hitGhost
 		}
-		in.units = append(in.units, cellUnit{key: key, n: int32(n)})
+		if !windows {
+			in.units = append(in.units, cellUnit{key: key, n: int32(n)})
+			continue
+		}
+		for off := 0; off < n; off += cellCols {
+			in.units = append(in.units, cellUnit{key: key + uint64(off), n: int32(min(cellCols, n-off))})
+		}
 	}
-	if first != nil {
-		// Appends may have moved the slice first pointed into.
-		u := in.units[len(in.units)-len(lens)]
+	var first *vec.V // the first neighbour unit's first neighbour
+	if nbr < len(in.units) && in.units[nbr].n > 0 {
+		u := in.units[nbr]
 		from := in.ppos
 		if u.key&hitGhost != 0 {
 			from = in.ghostPos
 		}
 		first = &from[u.key%hitGhost]
 	}
-	in.lpos = in.ppos[lo : lo+rows]
-	if rows == 0 {
+	in.lpos = in.ppos[lo+row : lo+row+nrows]
+	if nrows == 0 {
 		return in
 	}
-	a := r.Intn(rows)
+	a := r.Intn(nrows)
 	if exact && first == nil {
-		if rows < 2 {
+		if nrows < 2 {
 			return in
 		}
-		first = &in.lpos[(a+1)%rows] // a pair of the triangle, t = 0
+		first = &in.lpos[(a+1)%nrows] // a pair of the triangle, t = 0
 	}
 	switch special {
 	case leafNaN:
@@ -239,7 +229,7 @@ func compareCell(t *testing.T, cell cellLeafFunc, hits *[hitCap]uint64, n uint64
 	for i := range want {
 		want[i], hits[i] = hitMarker, hitMarker
 	}
-	nw := searchCellGo(want, n, in.lpos, in.ppos, in.ghostPos, in.units, in.shift, in.rc2)
+	nw := searchCellGo(want, n, in.lpos, in.ppos, in.ghostPos, in.units, in.shift, in.rc2, nil)
 	ng := cell(hits, n, in.lpos, in.ppos, in.ghostPos, in.units, in.shift, in.rc2)
 	if ng != nw {
 		t.Fatalf("%d rows, units %+v from n=%d: the cell leaf counts %d hits, the Go leaves %d", len(in.lpos), in.units, n, ng-n, nw-n)
@@ -251,43 +241,55 @@ func compareCell(t *testing.T, cell cellLeafFunc, hits *[hitCap]uint64, n uint64
 	}
 }
 
-// FuzzSearchCell: the cell leaf returns the count of searchShift called unit
-// by unit, the triangle row by row, and stores its hits in its order, on
-// every input — triangles of 0 to 9 rows (or 60 to 65), units of every
-// length mod 4 and empty ones, hosted and ghost, round terms of every code,
-// NaN and infinite coordinates, coincident pairs, distances exactly at and
-// one ulp inside the cut-off, any cut-off (NaN included), and any starting
-// count up to a buffer the call leaves cellSlack entries of — and leaves
-// every entry below the starting count alone. lens packs up to eight unit
-// lengths of four bits; long makes the first unit cellCols - (long mod 8)
-// long. Without AVX2 there is nothing to compare, and it says so.
+// FuzzSearchCell: the vector cell leaf returns the Go cell leaf's count
+// and stores its hits, in its order, on every input — whole cells
+// (triangles of 0 to 9 rows, or 60 to 65, and units of every length mod 4
+// and empty ones, hosted and ghost, round terms of every code) and the
+// pieces pass.pieces makes of a cell that does not fit whole (one row
+// against a neighbour run cut into windows of cellCols with key offsets,
+// one row of a triangle as a unit of code 0, then units), NaN and infinite
+// coordinates, coincident pairs, distances exactly at and one ulp inside
+// the cut-off, any cut-off (NaN included), and any starting count up to a
+// buffer the call leaves cellSlack entries of — and leaves every entry
+// below the starting count alone. lens packs up to eight unit lengths of
+// four bits; long makes the first unit cellCols - (long mod 8) long, or
+// its windows' run that much past 2*cellCols. Without AVX2 there is
+// nothing to compare, and it says so.
 func FuzzSearchCell(f *testing.F) {
 	seed := uint64(1)
 	for rows := range uint8(10) {
 		for _, lens := range []uint64{0, 0x1, 0x4321, 0x0f0e0d0c, 0x87654321, 0x05000b00} {
-			f.Add(seed, rows, rows%3 != 0, lens, uint8(seed*37), uint8(0), uint16(seed*53), seed%4 == 0, 6.25, uint8(leafPlain))
+			f.Add(seed, rows, rows%3 != 0, lens, uint8(seed*37), uint8(0), uint16(seed*53), seed%4 == 0, 6.25, uint8(leafPlain), uint8(cellWhole))
 			seed++
 		}
 	}
 	for special := range uint8(leafSpecials) {
 		for _, rows := range []uint8{1, 2, 3, 4, 5, 7} {
-			f.Add(seed, rows, true, uint64(0x3521), uint8(seed), uint8(0), uint16(seed*91), false, 6.25, special)
-			f.Add(seed+1, rows, false, uint64(0x7), uint8(0), uint8(0), uint16(0), true, 6.25, special)
+			f.Add(seed, rows, true, uint64(0x3521), uint8(seed), uint8(0), uint16(seed*91), false, 6.25, special, uint8(cellWhole))
+			f.Add(seed+1, rows, false, uint64(0x7), uint8(0), uint8(0), uint16(0), true, 6.25, special, uint8(cellWhole))
 			seed += 2
 		}
 	}
 	for first := range uint64(13) { // a first unit of every count to 12 on code 0: each register path and the copy
-		f.Add(seed, uint8(3+first%3), first%2 == 0, 0x40+first, uint8(first), uint8(0), uint16(first*17), false, 6.25, uint8(leafCoincident))
+		f.Add(seed, uint8(3+first%3), first%2 == 0, 0x40+first, uint8(first), uint8(0), uint16(first*17), false, 6.25, uint8(leafCoincident), uint8(cellWhole))
 		seed++
 	}
 	for long := range uint8(8) {
-		f.Add(seed, uint8(10+long), true, uint64(0x21), uint8(2), long+8, uint16(7), long%2 == 0, 6.25, uint8(leafPlain))
+		f.Add(seed, uint8(10+long), true, uint64(0x21), uint8(2), long+8, uint16(7), long%2 == 0, 6.25, uint8(leafPlain), uint8(cellWhole))
 		seed++
 	}
-	f.Add(uint64(99), uint8(6), true, uint64(0x5432), uint8(3), uint8(0), uint16(1000), true, math.NaN(), uint8(leafPlain))
-	f.Add(uint64(98), uint8(4), true, uint64(0x3), uint8(1), uint8(0), uint16(3), false, -1.0, uint8(leafPlain))
-	f.Add(uint64(97), uint8(9), true, uint64(0xfff), uint8(0), uint8(0), uint16(0), false, 1e300, uint8(leafPlain))
-	f.Fuzz(func(t *testing.T, seed uint64, rows uint8, tri bool, lens uint64, ghosts uint8, long uint8, n0 uint16, atEnd bool, rc2 float64, special uint8) {
+	f.Add(uint64(99), uint8(6), true, uint64(0x5432), uint8(3), uint8(0), uint16(1000), true, math.NaN(), uint8(leafPlain), uint8(cellWhole))
+	f.Add(uint64(98), uint8(4), true, uint64(0x3), uint8(1), uint8(0), uint16(3), false, -1.0, uint8(leafPlain), uint8(cellWhole))
+	f.Add(uint64(97), uint8(9), true, uint64(0xfff), uint8(0), uint8(0), uint16(0), false, 1e300, uint8(leafPlain), uint8(cellWhole))
+	for shape := uint8(cellWindows); shape < cellShapes; shape++ { // the pieces, rows 1 to 64 wide
+		for _, rows := range []uint8{1, 2, 5, 9, 10, 15} {
+			for _, special := range []uint8{leafPlain, leafCoincident} {
+				f.Add(seed, rows, true, uint64(0x0b05), uint8(seed), 8+rows%2*7, uint16(seed*29), seed%3 == 0, 6.25, special, shape)
+				seed++
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, rows uint8, tri bool, lens uint64, ghosts uint8, long uint8, n0 uint16, atEnd bool, rc2 float64, special, shape uint8) {
 		cell, ok := vectorCellLeaf()
 		if !ok {
 			t.Skip("no AVX2 on this CPU (or no vector leaf on this GOARCH): nothing to compare")
@@ -303,9 +305,9 @@ func FuzzSearchCell(f *testing.F) {
 		if long >= 8 && len(ls) > 0 {
 			ls[0] = cellCols - int(long%8)
 		}
-		in := newCellInput(seed, nl, tri, ls, ghosts, special, rc2)
+		in := newCellInput(seed, nl, tri, ls, ghosts, special, rc2, shape)
 		for in.need() > hitCap {
-			in.units = in.units[:len(in.units)-1] // a cell the walk would take unit by unit
+			in.units = in.units[:len(in.units)-1] // a cell the walk would cut into pieces
 		}
 		room := uint64(hitCap - in.need())
 		n := uint64(n0) % (room + 1)

@@ -44,27 +44,23 @@ import (
 // search phase computes every candidate pair's squared distance in a small
 // leaf loop with no distance-dependent branch and appends the pairs inside
 // the cut-off, packed as (a, stencil code, neighbour index), to a hit
-// buffer. The per-unit leaf — one call per row of a cell's own pairs and
-// per stencil entry — is searchShift, or on an amd64 CPU with AVX2 (CPUID
-// and XGETBV, checked once at init) searchShiftAVX2, which tests four
-// candidates at a time by the same IEEE operations in the same order, with
-// no fused multiply-add, and the same two rejection tests, so it stores the
-// same hits (a call of fewer than four candidates takes searchShift, which
-// costs less to enter). On those CPUs a shift grid's cell goes to the cell
-// leaf instead, searchCellAVX2: one call for its own pairs and its whole
-// half stencil (pass.searchCell), which runs the same tests unit after
-// unit and stores the same hits in the same order; a cell whose candidates
-// exceed the buffer or a searcher's free room, or with more than cellCols
-// particles in one unit, goes unit by unit. The accumulate phase walks the
-// hits in order, recomputes the displacement with the same expression,
-// evaluates the potential and adds into the accumulators. For
-// *potential.LJ on a shift grid, on the same CPUs, accumulateLJAVX2
-// evaluates four hits at a time by the Go loop's IEEE operations and adds
-// them one at a time in its order, so it leaves the same bits; the Go loop
-// finishes the last len mod 4 hits and runs for every other pair, grid and
-// CPU. A buffer holds hitCap entries: a cell, or a cell pair, is searched
-// only when all its candidates fit the free space, after a flush if need
-// be, and a pair larger than the whole buffer goes row by row.
+// buffer. Every cell goes to one leaf contract, the cell leaf
+// (pass.searchCell): its own pairs and its whole half stencil, as a list of
+// units, in one call where they fit the buffer's free room, else in pieces
+// that each fit it (pass.pieces) — a run of whole units, a block of a
+// unit's rows, windows of one row — with a flush, or a searcher's stop,
+// between them. The leaf is searchCellGo, which calls searchShift unit by
+// unit, or on an amd64 CPU with AVX2 (CPUID and XGETBV, checked once at
+// init) and a shift grid searchCellAVX2, which tests four candidates at a
+// time by the same IEEE operations in the same order, with no fused
+// multiply-add, and the same two rejection tests, so it stores the same
+// hits in the same order. The accumulate phase walks the hits in order,
+// recomputes the displacement with the same expression, evaluates the
+// potential and adds into the accumulators. For *potential.LJ on a shift
+// grid, on the same CPUs, accumulateLJAVX2 evaluates four hits at a time
+// by the Go loop's IEEE operations and adds them one at a time in its
+// order, so it leaves the same bits; the Go loop finishes the last len mod
+// 4 hits and runs for every other pair, grid and CPU.
 //
 // Who searches, who accumulates. The hosted slots are cut into chunks of
 // chunkSlots consecutive slots. The caller of Compute is the pass's one
@@ -72,7 +68,7 @@ import (
 // set of accumulators. The search of a chunk may be done by the owner
 // itself (into its own hit buffer, flushing as it goes) or by any of the
 // search workers (SetSearchWorkers), which search a chunk into a segment of
-// a ring and stop at the first cell pair that does not fit it — the owner
+// a ring and stop at the first piece that does not fit it — the owner
 // accumulates the segment and searches the rest of the chunk itself. A
 // searcher only reads positions and writes its own segment, so whoever
 // searched a chunk, the owner adds the same hits in the same order. With
@@ -551,11 +547,9 @@ const (
 // + b when the pair is inside the cut-off. The entry is always written and
 // the count advances by a flag, so the loop carries no branch that depends
 // on the distance. The caller guarantees n + len(lpos)*len(q) <= hitCap.
-// searchShiftAVX2 (search_amd64.s) implements the same contract four
-// candidates at a time; where the CPU lacks AVX2, and on every other
-// GOARCH, this leaf runs, and it is the vector leaf's test oracle. Both
-// round r2 the same way: (p - q) - t per axis, (dx*dx + dy*dy) + dz*dz, no
-// fused multiply-add (gc on amd64 fuses only an explicit math.FMA).
+// It rounds r2 as the vector cell leaf does: (p - q) - t per axis,
+// (dx*dx + dy*dy) + dz*dz, no fused multiply-add (gc on amd64 fuses only an
+// explicit math.FMA).
 func searchShift(hits *[hitCap]uint64, n uint64, key uint64, lpos, q []vec.V, t vec.V, rc2 float64) uint64 {
 	buf := hits[:] // a slice of constant length: nil-checked here, once, and never out of range
 	for _, p := range lpos {
@@ -574,41 +568,6 @@ func searchShift(hits *[hitCap]uint64, n uint64, key uint64, lpos, q []vec.V, t 
 	return n
 }
 
-// searchLeaf is the search phase's leaf on a shift grid: searchShift, or the
-// vector leaf the CPU runs, set once at package init (searchShiftAVX2 where
-// the CPU has AVX2 and the operating system saves its registers). Both make
-// the same decisions and store the same hits, so the choice moves no bit.
-var searchLeaf = searchShift
-
-// Bounds of the cell leaf. It stores four entries at every step, whatever
-// it keeps of them, so it needs cellSlack entries of room past its last
-// candidate. It copies each unit's neighbours, transposed, into its frame,
-// which holds cellCols of them: a cell with more in one unit, or more than
-// cellCols+1 particles, is taken unit by unit.
-const (
-	cellSlack  = 3
-	cellCols   = 64
-	cellStride = 8 * (cellCols + 4) // bytes per coordinate array, padded for a last group of four
-)
-
-// cellUnit is one unit of a whole cell's search (pass.searchCell): the
-// cell's own triangle, or one half-stencil neighbour that owns pairs here.
-type cellUnit struct {
-	key uint64 // the hit of row 0's first candidate: its code names the round term, its b the neighbour
-	n   int32  // the neighbour's particle count: it is ppos or ghostPos[b : b+n]
-	tri bool   // the cell's own pairs instead: row a against the cell mates after it, code 0
-}
-
-// wholeCells reports whether the walk hands whole cells to searchCellAVX2,
-// the cell leaf: set once at package init where the CPU runs
-// searchShiftAVX2. The leaf stores the hits searchShift would, called unit
-// by unit — the triangle row by row, each row a against lpos[a+1:] with
-// key + a*(1<<hitAShift + 1) — in the same order, so the choice moves no
-// bit. It is called directly, not through a function value, so the pass
-// whose units it reads stays on its searcher's stack. Where wholeCells is
-// false the walk takes every cell unit by unit.
-var wholeCells bool
-
 // searchMinImage is searchShift for a grid with a dimension below 4, where
 // the round term depends on the pair: the minimum image in a box of edges l.
 func searchMinImage(hits *[hitCap]uint64, n uint64, key uint64, lpos, q []vec.V, l vec.V, rc2 float64) uint64 {
@@ -622,6 +581,62 @@ func searchMinImage(hits *[hitCap]uint64, n uint64, key uint64, lpos, q []vec.V,
 			n = countHit(n, r2, rc2)
 		}
 		key += 1 << hitAShift
+	}
+	return n
+}
+
+// Bounds of the cell leaf. The vector leaf stores four entries at every
+// step, whatever it keeps of them, so every call leaves cellSlack entries
+// of room past its last candidate. It copies each unit's neighbours,
+// transposed, into its frame, which holds cellCols of them: no unit is
+// wider, and a triangle has at most cellCols+1 rows.
+const (
+	cellSlack = 3
+	cellCols  = 64
+)
+
+// cellUnit is one unit of a cell leaf call: the cell's own triangle, or a
+// block of neighbours — a half-stencil neighbour that owns pairs here, or a
+// window of one.
+type cellUnit struct {
+	key uint64 // the hit of row 0's first candidate: its code names the round term, its b the neighbour
+	n   int32  // the neighbour count: they are ppos or ghostPos[b : b+n]
+	tri bool   // the cell's own pairs instead: row a against the cell mates after it, code 0
+}
+
+// vectorCells reports whether the cell leaf on a shift grid is
+// searchCellAVX2, set once at package init where the CPU runs it; else,
+// and on every grid with a dimension below 4, it is searchCellGo. Both
+// store the same hits in the same order, so the choice moves no bit.
+var vectorCells bool
+
+// searchCellGo is the Go cell leaf, searchCellAVX2's contract in Go: lpos
+// against each of units in turn, a triangle row by row — row a against
+// lpos[a+1:], its key stepping by one row and one neighbour — and any
+// other unit every row of lpos against its n neighbours, in ppos or,
+// flagged, in ghostPos from the key's b. Each unit runs searchShift with
+// the round term its code names, or, when box is not nil (a grid with a
+// dimension below 4), searchMinImage in the box of those edges. It needs
+// no slack past the call's last candidate.
+func searchCellGo(hits *[hitCap]uint64, n uint64, lpos, ppos, ghostPos []vec.V, units []cellUnit, shift *[32]vec.V, rc2 float64, box *vec.V) uint64 {
+	search := func(key uint64, lpos, q []vec.V) {
+		if box != nil {
+			n = searchMinImage(hits, n, key, lpos, q, *box, rc2)
+		} else {
+			n = searchShift(hits, n, key, lpos, q, shift[key>>hitCodeShift%32], rc2)
+		}
+	}
+	for _, u := range units {
+		for a := 0; u.tri && a+1 < len(lpos); a++ {
+			search(u.key+uint64(a)*(1<<hitAShift+1), lpos[a:a+1], lpos[a+1:])
+		}
+		if !u.tri {
+			from, b := ppos, u.key%hitGhost
+			if u.key&hitGhost != 0 {
+				from = ghostPos
+			}
+			search(u.key, lpos, from[b:b+uint64(u.n)])
+		}
 	}
 	return n
 }
@@ -665,7 +680,7 @@ type feed struct {
 }
 
 // segment is one chunk searched ahead of the owner: the hits, the census of
-// the cell pairs searched, and where the search stopped.
+// the cells begun, and where the search stopped.
 type segment struct {
 	done        atomic.Int32 // chunk number + 1, stored once the fields below are
 	hits        [hitCap]uint64
@@ -675,9 +690,9 @@ type segment struct {
 }
 
 // cursor is a place in the visiting order: hosted slot i and, within that
-// cell of n particles, unit u — row u of its own pairs for u < n-1, else
-// stencil entry u-(n-1).
-type cursor struct{ i, u int }
+// cell, unit u of those pass.searchCell lists for it, row a of that unit
+// and neighbour b of that row. A cell begun afresh is at u = a = b = 0.
+type cursor struct{ i, u, a, b int }
 
 // reset points the feed at a pass over the given number of hosted slots.
 func (f *feed) reset(slots int) {
@@ -711,7 +726,7 @@ func (f *feed) claim() int32 {
 }
 
 // searchAhead searches chunk c into its ring segment with a pass that
-// cannot flush: it stops at the first cell pair that does not fit.
+// cannot flush: it stops at the first piece that does not fit.
 func (cl *CellLists) searchAhead(c int32) {
 	seg := &cl.feed.ring[c%ringLen]
 	ps := pass{cl: cl, hits: &seg.hits}
@@ -775,7 +790,8 @@ type pass struct {
 	n           uint64 // hits buffered
 	pairs, lent int64  // candidate pairs counted; of those, left to a lower ghost's host
 
-	units [27]cellUnit // searchCell's units: a triangle and 26 neighbours at most
+	units [27]cellUnit                // a cell's units: a triangle and 26 neighbours at most
+	wins  [hitCap / cellCols]cellUnit // a piece of one unit: a block of its rows, or windows of a row
 
 	flushes  bool    // the owner: a full buffer is accumulated, not a stop
 	frc      []vec.V // force accumulators in part order
@@ -783,56 +799,39 @@ type pass struct {
 	pot, vir float64
 }
 
-// search runs the search phase over the cell pair lpos x q, whose hits are
-// named key + a<<hitAShift + b, and reports whether it did. A pair that does
-// not fit the buffer's free space stops a pass that cannot flush; the owner
-// flushes and searches it, and a crowded one, larger than the whole buffer,
-// row by row, and a row longer than the buffer in pieces.
-func (ps *pass) search(key uint64, lpos, q []vec.V) bool {
-	cl := ps.cl
-	switch need := len(lpos) * len(q); {
-	case ps.n+uint64(need) <= hitCap:
-		if cl.useShift {
-			// Fewer than four candidates — most often a short row of a
-			// cell's own pairs — cost the vector leaf more to set up than
-			// the Go leaf takes to test; both store the same hits.
-			leaf := searchLeaf
-			if need < 4 {
-				leaf = searchShift
-			}
-			ps.n = leaf(ps.hits, ps.n, key, lpos, q, cl.shift[key>>hitCodeShift%32], cl.rc2)
-		} else {
-			ps.n = searchMinImage(ps.hits, ps.n, key, lpos, q, cl.g.Box.L, cl.rc2)
-		}
-	case !ps.flushes:
-		return false
-	case need <= hitCap:
-		ps.flush()
-		ps.search(key, lpos, q)
-	default:
-		for a := range lpos {
-			for off := 0; off < len(q); off += hitCap {
-				ps.search(key+uint64(a)<<hitAShift+uint64(off), lpos[a:a+1], q[off:min(off+hitCap, len(q))])
-			}
+// walk runs the search phase over the hosted slots from cursor from up to
+// slot end, in visiting order — slot, then the cell's own pairs, then its
+// stencil entries in Neighbors26 order, then a, then b — counting the
+// census of every cell it begins. It returns where it stopped: at end,
+// unless a pass that cannot flush found a piece that does not fit.
+func (ps *pass) walk(from cursor, end int) cursor {
+	for at := from; at.i < end; at = (cursor{i: at.i + 1}) {
+		if stop, done := ps.searchCell(at); !done {
+			return stop
 		}
 	}
-	return true
+	return cursor{i: end}
 }
 
-// searchCell searches the whole of a hosted cell — its own pairs and every
-// half-stencil neighbour that owns pairs here — in one call of the cell
-// leaf, counts its census and reports true. When a unit holds more than
-// cellCols particles, or the cell's candidates do not fit the buffer's
-// free room and the pass cannot flush, or exceed the whole buffer, it
-// leaves the cell untouched and reports false, for walk to take unit by
-// unit. The owner flushes first when the cell fits only an empty buffer.
-func (ps *pass) searchCell(slot int) bool {
+// searchCell searches hosted cell at.i from at on: its own pairs and every
+// half-stencil neighbour that owns pairs here, listed as units in visiting
+// order. A cell begun afresh that fits the buffer's free room, its units
+// no wider than the leaf's frame, goes to the cell leaf in one call; the
+// owner flushes first when it fits only an empty buffer. Any other goes in
+// pieces. The pass that begins the cell counts its census, unless it
+// stops before the first piece. It reports where it stopped and whether
+// it finished the cell.
+func (ps *pass) searchCell(at cursor) (cursor, bool) {
 	cl := ps.cl
 	// The loop reads these through locals: its stores to ps.units would
 	// make the compiler load them from cl again at every entry.
 	start, ppos := cl.start, cl.ppos
 	ghostStart, ghostPos := cl.ghostStart, cl.ghostPos
+	slot := at.i
 	lo, hi := start[slot], start[slot+1]
+	if lo == hi {
+		return at, true // an empty cell owns no pairs
+	}
 	lpos := ppos[lo:hi]
 	nl := int64(len(lpos))
 	base := uint64(lo) << hitAShift
@@ -865,89 +864,124 @@ func (ps *pass) searchCell(slot int) bool {
 			cols = max(cols, int64(len(q)))
 		}
 	}
-	if cols > cellCols {
-		return false
-	}
-	if nu > 0 {
-		if need := uint64(pairs-lent) + cellSlack; ps.n+need > hitCap {
-			if !ps.flushes || need > hitCap {
-				return false
-			}
+	fresh, need := at == cursor{i: slot}, uint64(pairs-lent)+cellSlack
+	stop, done := at, true
+	switch {
+	case !fresh || cols > cellCols || need > hitCap || ps.n+need > hitCap && !ps.flushes:
+		stop, done = ps.pieces(lpos, ps.units[:nu], at)
+	case nu > 0:
+		if ps.n+need > hitCap {
 			ps.flush()
 		}
-		ps.n = searchCellAVX2(ps.hits, ps.n, lpos, ppos, ghostPos, ps.units[:nu], &cl.shift, cl.rc2)
+		ps.leaf(lpos, ps.units[:nu])
 	}
-	ps.pairs += pairs
-	ps.lent += lent
-	return true
+	if fresh && (done || stop != at) {
+		ps.pairs += pairs
+		ps.lent += lent
+	}
+	return stop, done
 }
 
-// walk runs the search phase over the hosted slots from cursor from up to
-// slot end, in visiting order — slot, then the cell's own pairs, then its
-// stencil entries in Neighbors26 order, then a, then b — counting the
-// census of every unit it gets through. A cell begun afresh goes whole to
-// searchCell, where there is a cell leaf and a shift grid; a cell that
-// does not fit there, or one a searcher stopped in, is taken unit by unit.
-// It returns where it stopped: at end, unless a pass that cannot flush
-// found a unit that does not fit.
-func (ps *pass) walk(from cursor, end int) cursor {
-	cl := ps.cl
-	whole := wholeCells && cl.useShift
-	for slot := from.i; slot < end; slot++ {
-		lo, hi := cl.start[slot], cl.start[slot+1]
-		if lo == hi {
-			continue // empty cell owns no pairs
-		}
-		u := 0
-		if slot == from.i {
-			u = from.u
-		}
-		if whole && u == 0 && ps.searchCell(slot) {
+// pieces searches lpos against units from at on, piece by piece, each
+// piece one cell leaf call that fits the buffer's free room: a run of
+// whole units; else a block of the rows of a unit at most cellCols wide;
+// else, for a wider unit or a triangle of more than cellCols+1 rows, one
+// row, its neighbours as windows of at most cellCols. A block of rows runs
+// them against the same neighbours in the same order, and windows split
+// one row in order, so the pieces store the hits of the whole cell in its
+// order. Where no piece fits, the owner flushes and a pass that cannot
+// flush stops. It reports where it stopped and whether it got through
+// every unit.
+func (ps *pass) pieces(lpos []vec.V, units []cellUnit, at cursor) (cursor, bool) {
+	nl := len(lpos)
+	for at.u < len(units) {
+		un := units[at.u]
+		rows, width, _ := un.shape(nl)
+		room := hitCap - cellSlack - int(ps.n)
+		switch {
+		case at.a == rows:
+			at = cursor{i: at.i, u: at.u + 1}
 			continue
-		}
-		lpos := cl.ppos[lo:hi]
-		nl := len(lpos)
-		// Intra-cell pairs, each row a against the cell mates after it: the
-		// round term is code 0, exactly +0.
-		for a := u; a < nl-1; a++ {
-			row := uint64(lo) + uint64(a)
-			if !ps.search(row<<hitAShift+row+1, lpos[a:a+1], lpos[a+1:]) {
-				return cursor{slot, a}
+		case at.a == 0 && width <= cellCols:
+			k := at.u
+			for ; k < len(units); k++ {
+				_, w, cand := units[k].shape(nl)
+				if w > cellCols || cand > room {
+					break
+				}
+				room -= cand
 			}
-			ps.pairs += int64(nl - 1 - a)
-		}
-		// Half-stencil neighbors, in Neighbors26 order: the higher-id cells,
-		// hosted or ghost (pair owned here, force scattered to both sides),
-		// and the lower-id ghosts, counted and left to their host.
-		st := cl.stencil[cl.stStart[slot]:cl.stStart[slot+1]]
-		codes := cl.stCode[cl.stStart[slot]:cl.stStart[slot+1]]
-		for k := max(u-(nl-1), 0); k < len(st); k++ {
-			e := st[k]
-			key := uint64(lo)<<hitAShift + uint64(codes[k])<<hitCodeShift
-			var q []vec.V
-			if e >= 0 {
-				q = cl.ppos[cl.start[e]:cl.start[e+1]]
-				key += uint64(cl.start[e])
-			} else {
-				q = cl.ghostPos[cl.ghostStart[-1-e]:cl.ghostStart[-e]]
-				key += hitGhost + uint64(cl.ghostStart[-1-e])
-			}
-			if len(q) == 0 {
-				continue // empty neighbor
-			}
-			cand := int64(nl * len(q))
-			if codes[k] == countOnly {
-				ps.pairs += cand
-				ps.lent += cand
+			if k > at.u {
+				ps.leaf(lpos, units[at.u:k])
+				at.u = k
 				continue
 			}
-			if !ps.search(key, lpos, q) {
-				return cursor{slot, nl - 1 + k}
+			if un.tri {
+				break // a triangle this narrow fits an empty buffer
 			}
-			ps.pairs += cand
+			fallthrough
+		case width <= cellCols && !un.tri:
+			if r := min(rows-at.a, room/width); r > 0 {
+				ps.wins[0] = cellUnit{key: un.key + uint64(at.a)<<hitAShift, n: un.n}
+				ps.leaf(lpos[at.a:at.a+r], ps.wins[:1])
+				at.a += r
+				continue
+			}
+		default:
+			key, w := un.key+uint64(at.a)<<hitAShift, width
+			if un.tri {
+				key, w = un.key+uint64(at.a)*(1<<hitAShift+1), width-at.a
+			}
+			k := 0
+			for ; at.b < w && k < len(ps.wins); k++ {
+				win := min(cellCols, w-at.b)
+				if win > room {
+					break
+				}
+				ps.wins[k] = cellUnit{key: key + uint64(at.b), n: int32(win)}
+				room -= win
+				at.b += win
+			}
+			if k > 0 {
+				ps.leaf(lpos[at.a:at.a+1], ps.wins[:k])
+				if at.b == w {
+					at.a, at.b = at.a+1, 0
+				}
+				continue
+			}
 		}
+		if !ps.flushes {
+			return at, false
+		}
+		ps.flush()
 	}
-	return cursor{end, 0}
+	return at, true
+}
+
+// shape returns unit u's rows against a cell of nl particles, its width —
+// the most neighbours one row has — and its candidates.
+func (u cellUnit) shape(nl int) (rows, width, cand int) {
+	if u.tri {
+		return nl - 1, nl - 1, nl * (nl - 1) / 2
+	}
+	return nl, int(u.n), nl * int(u.n)
+}
+
+// leaf runs the cell leaf on lpos and units into the pass's buffer, whose
+// free room the caller made: searchCellAVX2 on a shift grid where the CPU
+// runs it, else searchCellGo. It is called directly, not through a
+// function value, so the pass whose units it reads stays on its
+// searcher's stack.
+func (ps *pass) leaf(lpos []vec.V, units []cellUnit) {
+	cl := ps.cl
+	switch {
+	case vectorCells && cl.useShift:
+		ps.n = searchCellAVX2(ps.hits, ps.n, lpos, cl.ppos, cl.ghostPos, units, &cl.shift, cl.rc2)
+	case cl.useShift:
+		ps.n = searchCellGo(ps.hits, ps.n, lpos, cl.ppos, cl.ghostPos, units, &cl.shift, cl.rc2, nil)
+	default:
+		ps.n = searchCellGo(ps.hits, ps.n, lpos, cl.ppos, cl.ghostPos, units, &cl.shift, cl.rc2, &cl.g.Box.L)
+	}
 }
 
 // flush accumulates the owner's buffered hits and empties the buffer.
@@ -962,7 +996,7 @@ type ljCoef struct{ sig2, eps4, eps24, shiftE float64 }
 
 // accumulateLJ is the accumulate phase's vector leaf for *potential.LJ on a
 // shift grid, set once at package init (accumulateLJAVX2 where the CPU runs
-// searchShiftAVX2), else nil. It accumulates a prefix of the hits, a
+// searchCellAVX2), else nil. It accumulates a prefix of the hits, a
 // multiple of four long, exactly as the Go loop would, and returns its
 // length; the Go loop finishes the rest, so the choice moves no bit.
 var accumulateLJ func(hits []uint64, ppos, ghostPos, frc, gfrc []vec.V, shift *[32]vec.V, c ljCoef, pot, vir float64) (k int, potOut, virOut float64)

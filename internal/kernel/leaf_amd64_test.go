@@ -1,8 +1,5 @@
 package kernel
 
-// vectorLeaf returns the vector search leaf, and whether this CPU runs it.
-func vectorLeaf() (leafFunc, bool) { return searchShiftAVX2, hasAVX2() }
-
 // vectorAccumulate returns the vector accumulate leaf, and whether this CPU
 // runs it.
 func vectorAccumulate() (accLeaf, bool) { return accumulateLJAVX2, hasAVX2() }

@@ -39,45 +39,6 @@ func atEnd(mem []byte, n int) []vec.V {
 	return unsafe.Slice((*vec.V)(unsafe.Pointer(&mem[len(mem)-n*int(unsafe.Sizeof(vec.V{}))])), n)
 }
 
-// TestSearchLeafStaysInBounds: with q's last element, the row block's last
-// element and the hit buffer's last entry each flush against an
-// inaccessible page, the vector leaf reads nothing past len(q) or len(lpos)
-// and stores nothing past the buffer, for row lengths 0 to 13 and a buffer
-// the search fills to its last entry, and still agrees with the Go leaf.
-// A stray access faults, and the fault fails the test.
-func TestSearchLeafStaysInBounds(t *testing.T) {
-	vector, ok := vectorLeaf()
-	if !ok {
-		t.Skip("no AVX2 on this CPU (or no vector leaf on this GOARCH): nothing to test")
-	}
-	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	qMem, rowMem := guarded(t, 1), guarded(t, 1)
-	hitMem := guarded(t, hitCap*8)
-	hits := (*[hitCap]uint64)(unsafe.Pointer(&hitMem[len(hitMem)-hitCap*8]))
-	r := rng.New(4)
-	for rows := 1; rows <= 3; rows++ {
-		for cols := range 14 {
-			lpos, q := atEnd(rowMem, rows), atEnd(qMem, cols)
-			for i := range lpos {
-				lpos[i] = r.InBox(vec.New(2.5, 2.5, 2.5))
-			}
-			for i := range q {
-				q[i] = r.InBox(vec.New(2.5, 2.5, 2.5)).Add(vec.New(1, 0, 0))
-			}
-			for _, n := range []uint64{0, uint64(hitCap - rows*cols)} {
-				func() {
-					defer func() {
-						if err := recover(); err != nil {
-							t.Fatalf("%dx%d from n=%d: %v", rows, cols, n, err)
-						}
-					}()
-					compareLeaves(t, vector, hits, n, 5<<hitAShift, lpos, q, vec.Zero, 6.25)
-				}()
-			}
-		}
-	}
-}
-
 // TestAccumulateLeafStaysInBounds: with ppos, ghostPos, frc, gfrc and the
 // hit list each ending flush against an inaccessible page, and hits naming
 // the last element of each, the vector accumulate leaf reads and writes
@@ -149,9 +110,9 @@ func TestAccumulateLeafStaysInBounds(t *testing.T) {
 // last entry each flush against an inaccessible page, the cell leaf reads
 // nothing past any of them and stores nothing past the buffer — the call
 // filled to its last entry, the four stores of its last step included —
-// for cells of 1 to 5 rows (their triangles) and units of 0 to 13, and
-// still agrees with the Go leaves. A stray access faults, and the fault
-// fails the test.
+// for cells of 1 to 5 rows (their triangles) and units of 0 to 13 and of
+// cellCols-1 and cellCols (a window), and still agrees with the Go leaf. A
+// stray access faults, and the fault fails the test.
 func TestSearchCellStaysInBounds(t *testing.T) {
 	cell, ok := vectorCellLeaf()
 	if !ok {
@@ -164,7 +125,7 @@ func TestSearchCellStaysInBounds(t *testing.T) {
 	shift := shiftTable(vec.New(10, 10, 10))
 	r := rng.New(5)
 	for rows := 1; rows <= 5; rows++ {
-		for cols := range 14 {
+		for _, cols := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, cellCols - 1, cellCols} {
 			lpos, ppos, ghostPos := atEnd(rowMem, rows), atEnd(hostMem, cols), atEnd(ghostMem, cols)
 			for i := range lpos {
 				lpos[i] = r.InBox(vec.New(2.5, 2.5, 2.5))

@@ -2,9 +2,6 @@
 
 package kernel
 
-// vectorLeaf reports that no vector search leaf exists on this GOARCH.
-func vectorLeaf() (leafFunc, bool) { return nil, false }
-
 // vectorAccumulate reports that no vector accumulate leaf exists on this
 // GOARCH.
 func vectorAccumulate() (accLeaf, bool) { return nil, false }

@@ -2,49 +2,31 @@ package kernel
 
 import "permcell/internal/vec"
 
-// searchShiftAVX2 is searchShift four candidates at a time (search_amd64.s):
-// the same arguments, contract and result. For each row it loads the
-// neighbours four at a time as three 32-byte words, transposes them to
-// X, Y and Z vectors, and computes each lane's squared distance with the
-// Go leaf's operations in its order, (p - q) - t per axis and
-// (dx*dx + dy*dy) + dz*dz, with no fused multiply-add. A lane is kept by
-// countHit's two tests, !(r2 >= rc2) (so a NaN distance is a hit) and a
+// searchCellAVX2 is the vector cell leaf (search_amd64.s), searchCellGo's
+// contract four candidates at a time. Each lane's squared distance is
+// computed with searchShift's operations in its order, (p - q) - t per
+// axis and (dx*dx + dy*dy) + dz*dz, with no fused multiply-add, and kept
+// by countHit's two tests, !(r2 >= rc2) (so a NaN distance is a hit) and a
 // non-zero bit pattern (so a coincident pair is not); the kept keys are
-// left-packed in lane order and n advances by their count. The last
-// len(q) mod 4 neighbours of a row take one more step over the row's last
-// four neighbours, or, in a row shorter than four, over one group loaded
-// under masks, so nothing past q's end is read, and no store passes the
-// room the caller made for len(lpos)*len(q) hits. Each decision is one
-// IEEE operation chain a lane computes exactly as the scalar code does, so
-// both leaves store the same hits in the same order.
-//
-//go:noescape
-func searchShiftAVX2(hits *[hitCap]uint64, n uint64, key uint64, lpos, q []vec.V, t vec.V, rc2 float64) uint64
-
-// searchCellAVX2 is the cell leaf (search_amd64.s): pass.searchCell's one
-// call for a whole cell — lpos against each of units in turn — returning
-// the new count. A triangle unit runs row a of lpos against lpos[a+1:],
-// its keys stepping by one row and one neighbour from row to row; any
-// other unit runs every row of lpos against its n neighbours, in ppos or,
-// flagged, in ghostPos from the key's b. Each unit takes its round term
-// from shift by the code in its key and runs searchShiftAVX2's tests four
-// candidates at a time, so the call stores the hits searchShift, called
-// unit by unit and row by row over the triangle, would store, in the same
-// order. A unit of up to four neighbours, or of five to eight with the
-// round term +0, keeps them transposed in registers for all its rows; any
-// other, and the triangle, is first copied to the frame transposed, at
-// most cellCols neighbours (the tail of a unit read under VMASKMOVPD masks
-// that stop at its end), and every row loads any four consecutive
-// neighbours from the copy, the lanes past the count dropped. Code 0's
-// round term, shift[0], is +0 (no wrap on any axis) and is not subtracted:
-// (p - q) - 0 is p - q, bit for bit.
-// Every step stores four entries, so the caller makes room for them all:
-// n plus the call's candidates — len(lpos)*(len(lpos)-1)/2 for a triangle,
-// len(lpos)*n per other unit — plus cellSlack is at most hitCap. An empty
-// lpos, a unit without neighbours or a triangle of one row stores nothing.
+// left-packed in lane order and n advances by their count. So the call
+// stores searchCellGo's hits in its order. A unit of up to four
+// neighbours, or of five to eight with the round term +0, keeps them
+// transposed in registers for all its rows; any other, and the triangle,
+// is first copied to the frame transposed, at most cellCols neighbours
+// (the tail of a unit read under VMASKMOVPD masks that stop at its end),
+// and every row loads any four consecutive neighbours from the copy, the
+// lanes past the count dropped. Code 0's round term, shift[0], is +0 and
+// is not subtracted: (p - q) - 0 is p - q, bit for bit. Every step stores
+// four entries, so the caller makes room for them all: n plus the call's
+// candidates — len(lpos)*(len(lpos)-1)/2 for a triangle, len(lpos)*n per
+// other unit — plus cellSlack is at most hitCap.
 //
 //go:noescape
 func searchCellAVX2(hits *[hitCap]uint64, n uint64, lpos, ppos, ghostPos []vec.V, units []cellUnit, shift *[32]vec.V, rc2 float64) uint64
+
+// cellStride is the bytes of one coordinate array of searchCellAVX2's
+// copy, padded for a last group of four.
+const cellStride = 8 * (cellCols + 4)
 
 // cellFrame is searchCellAVX2's frame size, which its TEXT line spells out
 // as a number: the three coordinate arrays of the copy, then the ends of
@@ -84,13 +66,12 @@ func xgetbv() uint32
 func init() {
 	buildLeafTables(&leafTab)
 	if hasAVX2() {
-		searchLeaf = searchShiftAVX2
-		wholeCells = true
+		vectorCells = true
 		accumulateLJ = accumulateLJAVX2
 	}
 }
 
-// hasAVX2 reports whether the CPU runs searchShiftAVX2, searchCellAVX2 and
+// hasAVX2 reports whether the CPU runs searchCellAVX2 and
 // accumulateLJAVX2: AVX2 and POPCNT present, and YMM state saved by the
 // operating system (OSXSAVE, and XCR0 enabling both the XMM and the YMM
 // state).
@@ -110,31 +91,22 @@ func hasAVX2() bool {
 	return ebx&avx2 != 0
 }
 
-// leafTables are the search leaves' constants, laid out for their vector
+// leafTables are the vector leaves' constants, laid out for their vector
 // loads (the assembly reads the fields by the offsets go_asm.h gives).
 type leafTables struct {
 	lane, four, row [4]uint64 // the lane numbers; the key step of a group and of a row
 	tri             [4]uint64 // the key step of a triangle's row: one row and one neighbour
 	pack            [16][8]uint32
 	short           [4]shortTail
-	long            [3]longTail
 	first           [4][4]uint64 // first[c]: lanes below c, the stores of c kept keys
 }
 
-// shortTail is a row of k = len(q) <= 4 neighbours, at short[k-1]: one
-// group of k lanes, loaded under masks that stop at q's end (the cell leaf
-// loads four through short[3] too, to spare a branch).
+// shortTail is a group of k <= 4 neighbours, at short[k-1]: k lanes,
+// loaded under masks that stop at the group's end (a unit of four loads
+// through short[3] too, to spare a branch).
 type shortTail struct {
 	load [3][4]uint64 // VMASKMOVPD masks of the group's three 32-byte loads
 	keep [4]uint64    // lanes 0 to k-1
-}
-
-// longTail ends a row of at least four neighbours whose count is k mod 4,
-// k > 0, at long[k-1]: the row's last four neighbours, overlapping its last
-// full group, of which only the k new lanes are kept.
-type longTail struct {
-	keep  [4]uint64 // lanes 4-k to 3
-	delta [4]uint64 // k-4: from the keys past the full groups to those of the last four
 }
 
 var leafTab leafTables
@@ -167,12 +139,5 @@ func buildLeafTables(t *leafTables) {
 			short.load[w] = lanes(0, min(max(3*k-4*w, 0), 4))
 		}
 		short.keep = lanes(0, k)
-		if k < 4 {
-			long := &t.long[k-1]
-			long.keep = lanes(4-k, 4)
-			for l := range long.delta {
-				long.delta[l] = uint64(k - 4)
-			}
-		}
 	}
 }

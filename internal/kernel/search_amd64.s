@@ -1,16 +1,6 @@
 #include "textflag.h"
 #include "go_asm.h"
 
-// Register use of searchShiftAVX2:
-//
-//	DI  hits        BX  n           R8  row a         R9  end of lpos
-//	R10 q           R11 full groups R12 last four q   R13 the tail (leafTab.long/short), or 0
-//	R14 leafTab     SI  group's q   CX  groups left   AX, DX  kept lanes, count
-//
-//	Y0-Y2   p.X, p.Y, p.Z of row a        Y3-Y5  t.X, t.Y, t.Z    Y6  rc2
-//	Y7      keys of the row's lanes 0-3   Y8     keys of the group
-//	Y12-Y14 the group's q.X, q.Y, q.Z     Y9-Y11 scratch          Y15 zero
-
 // TRANSPOSE takes a group of four neighbours as three 32-byte words,
 // Y9 = [x0 y0 z0 x1], Y11 = [y1 z1 x2 y2], Y13 = [z2 x3 y3 z3], and leaves
 // their X, Y and Z in Y12, Y13 and Y14.
@@ -68,22 +58,6 @@
 	VMOVDQU leafTables_pack(R14)(AX*1), Y11; \
 	VPERMD  keys, Y11, Y11
 
-// STORE stores the packed keys Y11 at hits[n] and adds their count DX to n.
-// Four entries are written, unless fewer than four are left, which only a
-// row's last step can meet: then just the kept ones, under a mask (the JA
-// takes that path, the JMP skips it).
-#define STORE \
-	LEAQ       4(BX), AX;                         \
-	CMPQ       AX, $const_hitCap;                 \
-	JA         3(PC);                             \
-	VMOVDQU    Y11, (DI)(BX*8);                   \
-	JMP        5(PC);                             \
-	MOVQ       DX, AX;                            \
-	SHLQ       $5, AX;                            \
-	VMOVDQU    leafTables_first(R14)(AX*1), Y10;  \
-	VPMASKMOVQ Y11, Y10, (DI)(BX*8);              \
-	ADDQ       DX, BX
-
 // STOREALL stores the four packed keys Y11 at hits[n], whatever their count
 // DX, and adds DX to n: the caller made room for three entries past the
 // call's last candidate.
@@ -98,33 +72,8 @@
 	VMOVUPD 64(q), Y13; \
 	TRANSPOSE
 
-// GROUP searches the four neighbours at SI, whose keys are Y8, against row
-// a, stores the kept keys at hits[n] — at least four candidates are left in
-// the call, so n+4 <= hitCap — and steps SI and Y8 to the next group.
-#define GROUP \
-	LOADFOUR(SI);                          \
-	KEEP;                                  \
-	VMOVMSKPD Y10, AX;                     \
-	PACK(Y8);                              \
-	VMOVDQU   Y11, (DI)(BX*8);             \
-	ADDQ      DX, BX;                      \
-	VPADDQ    leafTables_four(R14), Y8, Y8; \
-	ADDQ      $96, SI
-
-// LONGTAIL ends a row of at least four neighbours whose count is k mod 4,
-// k > 0: the row's last four neighbours at R12, the keys past the full
-// groups in Y8 and the tail's table entry leafTab.long[k-1] at R13; only
-// the k new lanes are kept, and PACKed for a store.
-#define LONGTAIL \
-	LOADFOUR(R12);                          \
-	VPADDQ    longTail_delta(R13), Y8, Y8;  \
-	KEEP;                                   \
-	VPAND     longTail_keep(R13), Y10, Y10; \
-	VMOVMSKPD Y10, AX;                      \
-	PACK(Y8)
-
-// SHORTLOAD loads and TRANSPOSEs the k < 4 neighbours at q, under the masks
-// of leafTab.short[k-1] at tab, which stop at q's end.
+// SHORTLOAD loads and TRANSPOSEs the k <= 4 neighbours at q, under the
+// masks of leafTab.short[k-1] at tab, which stop at their end.
 #define SHORTLOAD(q, tab) \
 	VMOVDQU    shortTail_load+0(tab), Y12;  \
 	VMASKMOVPD 0(q), Y12, Y9;               \
@@ -133,104 +82,6 @@
 	VMOVDQU    shortTail_load+64(tab), Y12; \
 	VMASKMOVPD 64(q), Y12, Y13;             \
 	TRANSPOSE
-
-// SHORTROW searches the SHORTLOADed neighbours, whose keys are keys,
-// against row a and PACKs the kept keys for a store.
-#define SHORTROW(keys) \
-	KEEP;                                   \
-	VPAND     shortTail_keep(R13), Y10, Y10; \
-	VMOVMSKPD Y10, AX;                      \
-	PACK(keys)
-
-// func searchShiftAVX2(hits *[hitCap]uint64, n uint64, key uint64, lpos, q []vec.V, t vec.V, rc2 float64) uint64
-TEXT ·searchShiftAVX2(SB), NOSPLIT, $0-112
-	MOVQ  hits+0(FP), DI
-	MOVQ  n+8(FP), BX
-	MOVQ  lpos_base+24(FP), R8
-	MOVQ  lpos_len+32(FP), R9
-	MOVQ  q_base+48(FP), R10
-	MOVQ  q_len+56(FP), R11
-	TESTQ R9, R9
-	JZ    done
-	TESTQ R11, R11
-	JZ    done
-	IMUL3Q $24, R9, R9
-	ADDQ  R8, R9
-
-	LEAQ         ·leafTab(SB), R14
-	VBROADCASTSD t_X+72(FP), Y3
-	VBROADCASTSD t_Y+80(FP), Y4
-	VBROADCASTSD t_Z+88(FP), Y5
-	VBROADCASTSD rc2+96(FP), Y6
-	VPBROADCASTQ key+16(FP), Y7
-	VPADDQ       leafTables_lane(R14), Y7, Y7
-	VPXOR        Y15, Y15, Y15
-	MOVQ         R11, AX
-	ANDQ         $3, AX // k = len(q) mod 4
-	SHRQ         $2, R11
-	TESTQ        R11, R11
-	JZ           short
-
-	// Rows of at least four neighbours: the full groups, then, when k > 0,
-	// the last four neighbours with only their k new lanes kept.
-	XORQ  R13, R13
-	TESTQ AX, AX
-	JZ    long
-	MOVQ  q_len+56(FP), R12
-	IMUL3Q $24, R12, R12
-	LEAQ  -96(R10)(R12*1), R12
-	DECQ  AX
-	IMUL3Q $longTail__size, AX, AX
-	LEAQ  leafTables_long(R14)(AX*1), R13
-
-long:
-	VBROADCASTSD 0(R8), Y0
-	VBROADCASTSD 8(R8), Y1
-	VBROADCASTSD 16(R8), Y2
-	VMOVDQU      Y7, Y8
-	MOVQ         R10, SI
-	MOVQ         R11, CX
-
-group:
-	GROUP
-	DECQ  CX
-	JNZ   group
-
-	TESTQ R13, R13
-	JZ    longNext
-	LONGTAIL
-	STORE
-
-longNext:
-	VPADDQ leafTables_row(R14), Y7, Y7
-	ADDQ   $24, R8
-	CMPQ   R8, R9
-	JNE    long
-	JMP    done
-
-	// Rows of k < 4 neighbours: one group, loaded under masks that stop at
-	// q's end and transposed once for every row.
-short:
-	DECQ       AX
-	IMUL3Q     $shortTail__size, AX, AX
-	LEAQ       leafTables_short(R14)(AX*1), R13
-	SHORTLOAD(R10, R13)
-
-shortRow:
-	VBROADCASTSD 0(R8), Y0
-	VBROADCASTSD 8(R8), Y1
-	VBROADCASTSD 16(R8), Y2
-	SHORTROW(Y7)
-	STORE
-	VPADDQ       leafTables_row(R14), Y7, Y7
-	ADDQ         $24, R8
-	CMPQ         R8, R9
-	JNE          shortRow
-
-done:
-	VZEROUPPER
-	MOVQ BX, ret+104(FP)
-	RET
 
 // Register use of searchCellAVX2:
 //
@@ -241,9 +92,10 @@ done:
 //	SI  q, then the group's q in the copy   CX  groups left
 //	AX, DX  kept lanes, count
 //
-//	Y0-Y2, Y3-Y6, Y9-Y11 and Y15 as in searchShiftAVX2
+//	Y0-Y2   p.X, p.Y, p.Z of row a        Y3-Y5  t.X, t.Y, t.Z    Y6  rc2
 //	Y7      keys of the row's lanes 0-3   Y8     keys of the group, or the
 //	Y12-Y14 the group's q.X, q.Y, q.Z            lanes a unit's group keeps
+//	Y9-Y11  scratch                       Y15    zero
 //
 // A unit of up to four neighbours keeps them, transposed, in Y12-Y14 for
 // all its rows, and one of five to eight with the round term +0 in Y12-Y14

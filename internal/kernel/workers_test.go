@@ -134,34 +134,38 @@ func workerDomains(t *testing.T) []workerDomain {
 	return out
 }
 
+// cellLeaves names the cell leaves to run a pass on, by the value of
+// vectorCells that selects each: the Go cell leaf and, when this CPU runs
+// it, the vector one; without it, tb says so.
+func cellLeaves(tb testing.TB) map[string]bool {
+	out := map[string]bool{"go": false}
+	if _, ok := vectorCellLeaf(); ok {
+		out["vector"] = true
+	} else {
+		tb.Log("no AVX2 on this CPU (or no vector leaf on this GOARCH): the vector cell leaf is not run")
+	}
+	return out
+}
+
 // TestSearchWorkersBitIdentical: forces, returned ghost forces, energy,
-// virial and both counts carry the same bits with the Go search leaf and
-// with the vector one, each cell unit by unit and, where the CPU has the
-// cell leaf, whole cells in one call, each with the Go accumulate loop
+// virial and both counts carry the same bits with the Go cell leaf and,
+// where the CPU has it, the vector one, each with the Go accumulate loop
 // forced and with the vector accumulate leaf, at 1, 2, 3 and 8 search
 // workers, over several passes each (the workers split each pass
 // differently), and a NaN coordinate still reaches the forces.
 func TestSearchWorkersBitIdentical(t *testing.T) {
 	lj := potential.NewPaperLJ()
-	selected, selectedAcc, selectedWhole := searchLeaf, accumulateLJ, wholeCells
-	t.Cleanup(func() { searchLeaf, accumulateLJ, wholeCells = selected, selectedAcc, selectedWhole })
-	under, accs := leaves(t), accumulates(t)
-	for _, l := range under {
-		if l.name == "vector" {
-			if _, ok := vectorCellLeaf(); ok {
-				under = append(under, namedLeaf{"vector per-cell", l.leaf})
-			}
-		}
-	}
+	selected, selectedAcc := vectorCells, accumulateLJ
+	t.Cleanup(func() { vectorCells, accumulateLJ = selected, selectedAcc })
+	under, accs := cellLeaves(t), accumulates(t)
 	for _, d := range workerDomains(t) {
 		local := localOf(d.g, d.global, d.pred)
 		t.Run(d.name, func(t *testing.T) {
 			var want kernelOut
 			first := true
-			for _, l := range under {
+			for name, vector := range under {
 				for _, acc := range accs {
-					searchLeaf, accumulateLJ = l.leaf, acc.leaf
-					wholeCells = l.name == "vector per-cell"
+					vectorCells, accumulateLJ = vector, acc.leaf
 					for _, workers := range []int{1, 2, 3, 8} {
 						s := local.Clone()
 						cl := buildFlat(t, d.g, s, d.global, d.pred)
@@ -173,7 +177,7 @@ func TestSearchWorkersBitIdentical(t *testing.T) {
 							if first {
 								want, first = got, false
 							} else if msg := got.diff(want); msg != "" {
-								t.Fatalf("%s search leaf, %s accumulate, workers=%d pass %d: %s", l.name, acc.name, workers, pass, msg)
+								t.Fatalf("%s cell leaf, %s accumulate, workers=%d pass %d: %s", name, acc.name, workers, pass, msg)
 							}
 						}
 						cl.Close()

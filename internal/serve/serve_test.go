@@ -409,6 +409,37 @@ func TestCancel(t *testing.T) {
 	}
 }
 
+// TestAdmissionRefusesOversizedSpecs: a spec whose particle or cell count
+// overflows int, or whose grid alone is past the cap however thin it is,
+// gets 413 and reaches no worker: rho 1e20, nc and m of 2^40 (of MaxInt on
+// a 32-bit int), and nc 100 000 at rho 1e-12 — N = 15 625 in 10^15 cells.
+// A NaN density is refused as invalid.
+func TestAdmissionRefusesOversizedSpecs(t *testing.T) {
+	huge := int(min(1<<40, math.MaxInt))
+	s, hs := newTestService(t, Config{Workers: 1, QueueDepth: 1})
+	for _, spec := range []RunSpec{
+		{Kind: KindParallel, M: 2, P: 4, Rho: 1e20, Steps: 1},
+		{Kind: KindSerial, NC: huge, Rho: 0.4, Steps: 1},
+		{Kind: KindParallel, M: huge, P: 4, Rho: 0.4, Steps: 1},
+		{Kind: KindSerial, NC: 100_000, Rho: 1e-12, Steps: 1},
+	} {
+		if spec.Particles() < 0 || spec.cells() < 0 {
+			t.Errorf("%s m=%d nc=%d rho=%g: %d particles in %d cells", spec.kind(), spec.M, spec.NC, spec.Rho, spec.Particles(), spec.cells())
+		}
+		if _, code, body := tryPostRun(t, hs, spec); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s m=%d nc=%d rho=%g: status %d (%s), want 413", spec.kind(), spec.M, spec.NC, spec.Rho, code, strings.TrimSpace(body))
+		}
+	}
+	// JSON carries no NaN, but Submit does: a NaN density is invalid, not
+	// too large.
+	if _, err := s.Submit(RunSpec{Kind: KindSerial, NC: 3, Rho: math.NaN(), Steps: 1}); err == nil || errors.Is(err, ErrTooLarge) {
+		t.Errorf("rho=NaN: %v, want a validation error", err)
+	}
+	if n := len(s.List()); n != 0 {
+		t.Errorf("%d runs admitted, want none", n)
+	}
+}
+
 func TestAdmissionControl(t *testing.T) {
 	s, hs := newTestService(t, Config{Workers: 1, QueueDepth: 1, MaxParticles: 500})
 

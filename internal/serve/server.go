@@ -29,9 +29,9 @@ type Config struct {
 	// QueueDepth bounds the admission FIFO; a POST /runs beyond it is
 	// rejected with 429 rather than queued unboundedly. 0 = 64.
 	QueueDepth int
-	// MaxParticles caps one run's estimated particle count N (the memory
-	// proxy: per-run state is O(N)); larger specs are rejected with 413.
-	// 0 = 200_000.
+	// MaxParticles caps one run's estimated particle count N and, the same
+	// cap, its cell count (the memory proxies: per-run state is O(N) plus
+	// O(cells)); larger specs are rejected with 413. 0 = 200_000.
 	MaxParticles int
 	// Retention is how long a terminal run (completed, failed or canceled)
 	// stays addressable after finishing. Once it expires, the janitor
@@ -217,9 +217,9 @@ func (s *Server) Submit(spec RunSpec) (string, error) {
 		s.countReject("invalid")
 		return "", err
 	}
-	if n := spec.Particles(); n > s.cfg.MaxParticles {
+	if n, c := spec.Particles(), spec.cells(); max(n, c) > s.cfg.MaxParticles {
 		s.countReject("too_large")
-		return "", fmt.Errorf("%w: %d particles > cap %d", ErrTooLarge, n, s.cfg.MaxParticles)
+		return "", fmt.Errorf("%w: %d particles in %d cells, cap %d on each", ErrTooLarge, n, c, s.cfg.MaxParticles)
 	}
 
 	s.mu.Lock()

@@ -10,10 +10,12 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"permcell"
 	"permcell/internal/runspec"
+	"permcell/internal/units"
 )
 
 // Engine kinds a RunSpec can request.
@@ -98,19 +100,45 @@ func (s *RunSpec) kind() string {
 	return s.Kind
 }
 
-// Particles is the particle count N the run's engine will hold, resolved by
-// the same builder that constructs it (0 for coordinates no engine accepts).
-// It is the admission-control memory proxy: per-run state is O(N), so the
-// service caps N rather than guessing at bytes.
+// Particles is the particle count N the run's engine will hold, by the
+// formula of runspec.Sizes, which builds it (0 for coordinates no engine
+// accepts). It is the admission-control memory proxy: per-run state is
+// O(N), so the service caps N rather than guessing at bytes. A count
+// beyond int, or not a number, reads math.MaxInt: no spec wraps past the
+// cap.
 func (s *RunSpec) Particles() int {
-	side := s.NC
-	if s.kind() == KindParallel {
-		var err error
-		if side, err = runspec.Side(s.M, s.P); err != nil {
-			return 0
-		}
+	l := s.side() * units.PaperCutoff
+	return saturate(math.Round(s.Rho * l * l * l))
+}
+
+// cells is the run's cell count, side^3, read as Particles reads N. The
+// grid's per-cell arrays are O(cells) whatever the density, so admission
+// caps it as it caps N.
+func (s *RunSpec) cells() int {
+	side := s.side()
+	return saturate(side * side * side)
+}
+
+// side is the box's cells per dimension (0 for coordinates no engine
+// accepts), in floating point so that no coordinate overflows it; it is
+// exact below 2^53, as runspec.Sizes computes it.
+func (s *RunSpec) side() float64 {
+	if s.kind() != KindParallel {
+		return float64(s.NC)
 	}
-	return runspec.Sizes(side, s.Rho).N
+	if _, err := runspec.Side(s.M, s.P); err != nil {
+		return 0
+	}
+	return float64(s.M) * math.Round(math.Sqrt(float64(s.P)))
+}
+
+// saturate converts a count computed in floating point to int, or to
+// math.MaxInt when it does not fit or is not a number.
+func saturate(x float64) int {
+	if !(x < math.MaxInt) {
+		return math.MaxInt
+	}
+	return int(x)
 }
 
 // Validate rejects specs that cannot construct an engine, before any queue
@@ -139,7 +167,7 @@ func (s *RunSpec) Validate() error {
 	default:
 		return fmt.Errorf("serve: unknown engine kind %q", s.Kind)
 	}
-	if s.Rho <= 0 {
+	if !(s.Rho > 0) { // NaN too
 		return fmt.Errorf("serve: rho must be positive, got %g", s.Rho)
 	}
 	if s.Steps < 1 {

@@ -33,7 +33,7 @@ func TestPayloadRoundTrip(t *testing.T) {
 	for _, v := range []any{
 		3.14, math.Inf(-1), math.Copysign(0, -1),
 		int64(math.MinInt64), int64(42),
-		[]int{-1, 0, math.MaxInt64}, []int(nil),
+		[]int{-1, 0, math.MaxInt}, []int(nil),
 		[]float64{1.5, math.Inf(1)}, []float64(nil),
 		testPoint{ID: -7, X: 1, Y: -2},
 		[]any{1.0, int64(2), []int{3}, testPoint{ID: 4}, []any{[]float64{5}}},
