@@ -144,10 +144,10 @@ func writeCompatCheckpoints(t *testing.T, dir string) {
 // it, a matching WithBalancer is accepted and a different one refused.
 func TestRestoreKillResumeCheckpoint(t *testing.T) {
 	spec := experiments.ChaosSpec{
-		RunSpec: experiments.RunSpec{
-			M: 2, P: 4, Rho: 0.256, Steps: 12, Balancer: balance.SFC{Moves: 2}, Seed: 1,
+		RunSpec: experiments.RunSpec{Spec: permcell.Spec{
+			Kind: permcell.KindDLB, M: 2, P: 4, Rho: 0.256, Balancer: balance.Encode(balance.SFC{Moves: 2}), Seed: 1,
 			WellK: 1.5,
-		},
+		}, Steps: 12},
 		Watchdog: 30 * time.Second,
 	}
 	r, err := spec.KillResume(6, t.TempDir())

@@ -30,7 +30,8 @@
 // golden trace. Exit status 1 if the shot never fired, nothing rolled back,
 // recovery diverges or the supervisor gives up; 2 on contradictory flags or
 // an out-of-range value (a negative count or duration, a probability outside
-// [0, 1], -steps below 1), before anything runs.
+// [0, 1], -steps below 1, or -m, -p and -rho that Spec.Validate refuses),
+// before anything runs.
 package main
 
 import (
@@ -44,7 +45,6 @@ import (
 	"time"
 
 	"permcell"
-	"permcell/internal/balance"
 	"permcell/internal/checkpoint"
 	"permcell/internal/comm"
 	"permcell/internal/experiments"
@@ -91,6 +91,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "chaos: "+format+"\n", a...)
 		return 2
 	}
+	// Every scenario runs this one identity: the paper's permanent-cell
+	// balancer on a condensing gas pulled to one central well.
+	spec := permcell.Spec{
+		Kind: permcell.KindDLB, M: *m, P: *p, Rho: *rho, Seed: *seed,
+		Balancer: permcell.BalancerSpec(permcell.PermanentCell(permcell.PermanentCellConfig{})),
+		Wells:    1, WellK: 1.5,
+	}
+	if err := spec.Validate(); err != nil {
+		return usage("-m %d -p %d -rho %g: %v", *m, *p, *rho, err)
+	}
 	// An out-of-range count, duration or probability would silently mean
 	// something else — an empty run that "passes", the replay scenario in
 	// place of a kill, the default cadence or heartbeat, a fault plan that
@@ -100,7 +110,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		bad bool
 		msg string
 	}{
-		{*p < 1, "-p must be at least 1"},
 		{*steps < 1, "-steps must be at least 1"},
 		{*killAt < 0, "-kill-at must not be negative"},
 		{*ckptEvery < 0, "-checkpoint-every must not be negative"},
@@ -172,11 +181,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				HeartbeatEvery: *hbEvery, HeartbeatMisses: *hbMisses,
 			}))
 		}
-		return heal(stdout, stderr, *m, *p, *rho, *steps, sab, []permcell.Option{
-			permcell.WithBalancer(permcell.PermanentCell(permcell.PermanentCellConfig{})),
-			permcell.WithSeed(*seed),
-			permcell.WithWells(1, 1.5),
-		}, faulty)
+		return heal(stdout, stderr, spec, *steps, sab, faulty)
 	}
 
 	plan := comm.FaultPlan{
@@ -198,24 +203,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := plan.Validate(*p); err != nil {
 		return usage("%v", err)
 	}
-	spec := experiments.ChaosSpec{
-		RunSpec: experiments.RunSpec{
-			M: *m, P: *p, Rho: *rho, Steps: *steps, Balancer: balance.PermanentCell{}, Seed: *seed,
-			WellK: 1.5,
-		},
+	chaos := experiments.ChaosSpec{
+		RunSpec:  experiments.RunSpec{Spec: spec, Steps: *steps},
 		Plan:     plan,
 		Watchdog: *watchdog,
 	}
 	fmt.Fprintf(stdout, "plan: delay %.2g<=%v reorder %.2g(depth %d) stalls %d x %v watchdog %v\n",
 		*delayProb, *maxDelay, *reorderProb, *reorderDepth, *stalls, *stallDur, *watchdog)
 	if *killAt > 0 {
-		return killResume(stdout, stderr, spec, *killAt, *ckptDir)
+		return killResume(stdout, stderr, chaos, *killAt, *ckptDir)
 	}
 
 	var hashes [2]uint64
 	for i, label := range []string{"run", "replay"} {
 		t0 := time.Now()
-		r, err := spec.Run()
+		r, err := chaos.Run()
 		if err != nil {
 			return failed(stderr, label+":", err)
 		}
@@ -285,14 +287,18 @@ func killResume(stdout, stderr io.Writer, spec experiments.ChaosSpec, killAt int
 	return 0
 }
 
-// heal runs the self-healing scenario: a golden run of base on the
-// in-process transport, then base plus faulty — the sabotage, the supervisor
-// and whichever transport hosts the ranks — which must fire the shot, roll
-// back and converge to the golden trace. On tcp that also proves the
-// cross-transport determinism contract straight through a failure.
-func heal(stdout, stderr io.Writer, m, p int, rho float64, steps int, sab *permcell.Sabotage, base, faulty []permcell.Option) int {
+// heal runs the self-healing scenario: a golden run of spec on the
+// in-process transport, then spec under faulty — the sabotage, the
+// supervisor and whichever transport hosts the ranks — which must fire the
+// shot, roll back and converge to the golden trace. On tcp that also proves
+// the cross-transport determinism contract straight through a failure.
+func heal(stdout, stderr io.Writer, spec permcell.Spec, steps int, sab *permcell.Sabotage, faulty []permcell.Option) int {
 	t0 := time.Now()
-	golden, err := permcell.Run(context.Background(), m, p, rho, steps, base...)
+	eng, err := permcell.Build(spec)
+	if err != nil {
+		return failed(stderr, "golden run:", err)
+	}
+	golden, err := permcell.RunEngine(context.Background(), eng, steps)
 	if err != nil {
 		return failed(stderr, "golden run:", err)
 	}
@@ -301,7 +307,7 @@ func heal(stdout, stderr io.Writer, m, p int, rho float64, steps int, sab *permc
 		golden.Final.Len(), goldenHash, time.Since(t0).Round(time.Millisecond))
 
 	t0 = time.Now()
-	eng, err := permcell.New(m, p, rho, append(base, faulty...)...)
+	eng, err = permcell.Build(spec, faulty...)
 	if err != nil {
 		return failed(stderr, "supervised run:", err)
 	}

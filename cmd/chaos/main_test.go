@@ -53,7 +53,8 @@ func TestScenarios(t *testing.T) {
 }
 
 // TestOutOfRangeFlagsRunNothing: a negative count or duration, a
-// probability outside [0, 1] (NaN included), no steps or no PEs exit 2
+// probability outside [0, 1] (NaN included), no steps, or coordinates that
+// name no run (P not a square >= 4, m below 2, no density) exit 2
 // with a message naming the flag, before anything runs or prints — each of
 // them used to run something else, or nothing, and could report success.
 func TestOutOfRangeFlagsRunNothing(t *testing.T) {
@@ -66,6 +67,9 @@ func TestOutOfRangeFlagsRunNothing(t *testing.T) {
 		{"negative steps", []string{"-steps", "-5"}, "-steps"},
 		{"no steps", []string{"-steps", "0"}, "-steps"},
 		{"no PEs", []string{"-p", "0"}, "-p "},
+		{"PEs not a square", []string{"-p", "5"}, "-p "},
+		{"no movable cells", []string{"-m", "1"}, "-m "},
+		{"no particles", []string{"-rho", "0"}, "-rho "},
 		{"negative shards", []string{"-shards", "-1"}, "-shards"},
 		{"negative kill step", []string{"-kill-at", "-3"}, "-kill-at"},
 		{"negative cadence", []string{"-sabotage", "panic@9", "-checkpoint-every", "-4"}, "-checkpoint-every"},

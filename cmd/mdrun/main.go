@@ -60,7 +60,9 @@
 // and runtime/trace data over the whole run.
 //
 // A bad flag exits 2 before anything starts, and so does a negative -steps,
-// -checkpoint-every, -backoff or -ranks, or a -max-retries below -1 (off).
+// -checkpoint-every, -backoff or -ranks, a -max-retries below -1 (off), or
+// a run identity (-m, -p, -rho, -balancer, -wells, -wellk, -dt) that
+// permcell.Spec.Validate refuses.
 package main
 
 import (
@@ -166,6 +168,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	wk := *wellK
+	if *wells == 0 {
+		wk = 0
+	}
+	// The run identity the flags name; on -resume the checkpoint's header
+	// names it instead, and these flags are ignored.
+	spec := permcell.Spec{
+		Kind: permcell.KindDLB, M: *m, P: *p, Rho: *rho, Balancer: *balancerSpec,
+		Seed: *seed, Dt: *dt, Wells: *wells, WellK: wk,
+	}
+	if *resume == "" {
+		if err := spec.Validate(); err != nil {
+			fmt.Fprintln(stderr, "mdrun:", err)
+			return 2
+		}
+	}
 	// A negative count or duration would silently mean something else — no
 	// steps, no cadence, no supervisor, the default backoff, one worker per
 	// PE — so it is refused before anything starts, as mdserve refuses its
@@ -192,8 +210,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *maxRetries >= 0 && *ckptDir == "" {
 		return fail("-max-retries requires -checkpoint-dir (the supervisor rolls back to checkpoints)")
 	}
-
-	bal, berr := permcell.BalancerByName(*balancerSpec)
+	bal, berr := permcell.BalancerByName(*balancerSpec) // fails only on -resume: Validate parsed it
 	if berr != nil {
 		return fail(berr)
 	}
@@ -337,16 +354,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	wk := *wellK
-	if *wells == 0 {
-		wk = 0
-	}
-	opts := []permcell.Option{
-		permcell.WithSeed(*seed), permcell.WithDt(*dt),
-		permcell.WithWells(*wells, wk),
-		permcell.WithOnStep(row), permcell.WithDiscardStats(),
-	}
-	if bal != nil {
+	opts := []permcell.Option{permcell.WithOnStep(row), permcell.WithDiscardStats()}
+	if bal != nil { // Build records it from the spec; Restore checks it against the file
 		opts = append(opts, permcell.WithBalancer(bal))
 	}
 	if collect {
@@ -395,7 +404,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "mdrun: resumed from %s\n", *resume)
 		}
 	} else {
-		eng, err = permcell.New(*m, *p, *rho, opts...)
+		eng, err = permcell.Build(spec, opts...)
 	}
 	if err != nil {
 		return fail(err)

@@ -103,6 +103,28 @@ func TestBareBalancerParsesLikeBalancerByName(t *testing.T) {
 	}
 }
 
+// TestSeedZeroIsSeedOne: -seed 0 selects the default seed, 1, as the
+// facade and POST /runs do, so both flags stream the same rows.
+func TestSeedZeroIsSeedOne(t *testing.T) {
+	var rows [2]string
+	for i, seed := range []string{"0", "1"} {
+		var out, errb bytes.Buffer
+		if code := run([]string{"-m", "2", "-p", "4", "-steps", "3", "-seed", seed}, &out, &errb); code != 0 {
+			t.Fatalf("mdrun -seed %s exited %d: %s", seed, code, errb.String())
+		}
+		// Drop the run header, which echoes the flag, and the wall columns.
+		for _, line := range strings.Split(out.String(), "\n")[1:] {
+			f := strings.Split(line, ",")
+			if len(f) > 8 {
+				rows[i] += strings.Join(append(f[1:4:4], f[8:]...), ",") + "\n"
+			}
+		}
+	}
+	if rows[0] != rows[1] || rows[0] == "" {
+		t.Errorf("-seed 0 rows differ from -seed 1:\n%s\nvs\n%s", rows[0], rows[1])
+	}
+}
+
 // TestFlagErrorsExitNonZero covers the argument guards that never reach an
 // engine.
 func TestFlagErrorsExitNonZero(t *testing.T) {
@@ -122,9 +144,16 @@ func TestFlagErrorsExitNonZero(t *testing.T) {
 	}
 	// A negative count or duration is a usage error, refused with exit 2
 	// before any engine or worker starts; -max-retries -1 means "off". So is
-	// the retired -shards flag.
+	// the retired -shards flag, and so is a run identity Spec.Validate
+	// refuses — before the -o file is created.
 	ckpt := t.TempDir()
+	csv := filepath.Join(t.TempDir(), "out.csv")
 	for _, args := range [][]string{
+		{"-p", "5", "-steps", "2", "-o", csv},
+		{"-m", "2", "-p", "4", "-rho", "0", "-o", csv},
+		{"-m", "1", "-p", "4", "-steps", "1", "-o", csv},
+		{"-m", "2", "-p", "4", "-dt", "-0.005", "-o", csv},
+		{"-balancer", "roundrobin", "-o", csv},
 		{"-shards", "2", "-m", "2", "-p", "4", "-steps", "1"},
 		{"-steps", "-5"},
 		{"-checkpoint-every", "-1", "-checkpoint-dir", ckpt, "-steps", "1"},
@@ -137,6 +166,9 @@ func TestFlagErrorsExitNonZero(t *testing.T) {
 		var out, errb bytes.Buffer
 		if code := run(args, &out, &errb); code != 2 || out.Len() > 0 {
 			t.Errorf("mdrun %v exited %d with %d bytes of CSV, want 2 and none (stderr %q)", args, code, out.Len(), errb.String())
+		}
+		if _, err := os.Stat(csv); !os.IsNotExist(err) {
+			t.Fatalf("mdrun %v left %s behind (%v)", args, csv, err)
 		}
 	}
 	var out, errb bytes.Buffer

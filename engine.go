@@ -1,6 +1,7 @@
 package permcell
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -48,34 +49,62 @@ const (
 	ShapeCube         = decomp.Cube
 )
 
+// Spec is the run identity: engine kind, paper coordinates, condensation
+// driver, balancer spec string, seed, time step and stats cadence. Build
+// starts an engine from one, and every checkpoint header embeds the one its
+// engine was built from. Spec.Validate refuses any identity no engine can
+// be built from.
+type Spec = checkpoint.Spec
+
+// Engine kinds a Spec names.
+const (
+	KindDLB    = checkpoint.KindDLB    // the parallel engine (New)
+	KindStatic = checkpoint.KindStatic // the static-decomposition engine (NewStatic)
+	KindSerial = checkpoint.KindSerial // the serial reference engine (NewSerial)
+)
+
+// Build starts a fresh engine of the run identity spec, after
+// spec.Validate. It normalises the identity once and records it so: dt 0
+// becomes 0.005, seed 0 becomes 1, a stats cadence below 1 becomes 1, and a
+// KindDLB balancer its canonical spec ("" and "none" both read "none").
+// Every checkpoint of the run carries that Spec. opts supply the runtime
+// only; the identity options (WithSeed, WithDt, WithWells, WithStatsEvery,
+// WithBalancer) are not consulted — the spec is the identity.
+func Build(spec Spec, opts ...Option) (Engine, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, fmt.Errorf("permcell: %w", err)
+	}
+	spec.Dt = cmp.Or(spec.Dt, checkpoint.DefaultDt)
+	spec.Seed = cmp.Or(spec.Seed, 1)
+	spec.StatsEvery = max(spec.StatsEvery, 1)
+	if spec.Kind == KindDLB {
+		b, _ := balance.Decode(spec.Balancer) // Validate decoded it
+		spec.Balancer = balance.Encode(b)
+	}
+	return launch(checkpoint.Meta{Spec: spec}, nil, buildOptions(opts))
+}
+
+// identity completes a constructor's coordinates with the identity
+// options: seed, time step, wells, stats cadence and, for KindDLB, the
+// balancer.
+func identity(coords Spec, opts []Option) Spec {
+	o := Options{id: coords}
+	for _, fn := range opts {
+		fn(&o)
+	}
+	if coords.Kind == KindDLB {
+		o.id.Balancer = balance.Encode(o.balancer)
+	}
+	return o.id
+}
+
 // New starts the parallel engine in paper coordinates: P PEs (perfect
 // square) over a grid of (m*sqrt(P))^3 cells of side r_c = 2.5 sigma, at
 // reduced density rho (N = round(rho * volume)), with the paper's LJ fluid
 // and thermostat. WithBalancer selects the load balancer (static DDM
 // without one). The PE goroutines idle awaiting the first Step.
 func New(m, p int, rho float64, opts ...Option) (Engine, error) {
-	o := buildOptions(opts)
-	meta := o.identity(checkpoint.KindDLB)
-	meta.M, meta.P, meta.Rho = m, p, rho
-	meta.Balancer = balance.Encode(o.balancer)
-	return launch(meta, nil, o)
-}
-
-// identity writes down the physics options as the run identity of a fresh
-// engine of the given kind; the constructor adds its coordinates. From here
-// on the Meta is the spec: start reads physics from it alone, every
-// checkpoint carries it, and Restore hands the loaded one straight back.
-// The time step is recorded resolved, so a file keeps pinning the step it
-// ran at even if the default ever moves.
-func (o Options) identity(kind string) checkpoint.Meta {
-	dt := o.dt
-	if dt == 0 {
-		dt = runspec.DefaultDt
-	}
-	return checkpoint.Meta{
-		Kind: kind, Wells: o.wells, WellK: o.wellK,
-		Seed: o.seed, Dt: dt, StatsEvery: o.statsEvery,
-	}
+	return Build(identity(Spec{Kind: KindDLB, M: m, P: p, Rho: rho}, opts), opts...)
 }
 
 // launch is the one way an engine comes up, fresh (st == nil) or resumed
@@ -323,10 +352,7 @@ func (e *engine) Checkpoint() error {
 // ownership map, so every StepStats field is filled as for New; Moved stays
 // zero and Balancer reads "none".
 func NewStatic(shape Shape, nc, p int, rho float64, opts ...Option) (Engine, error) {
-	o := buildOptions(opts)
-	meta := o.identity(checkpoint.KindStatic)
-	meta.Shape, meta.NC, meta.P, meta.Rho = int(shape), nc, p, rho
-	return launch(meta, nil, o)
+	return Build(identity(Spec{Kind: KindStatic, Shape: shape, NC: nc, P: p, Rho: rho}, opts), opts...)
 }
 
 // NewSerial starts the serial reference engine on a box of nc cells of
@@ -337,10 +363,7 @@ func NewStatic(shape Shape, nc, p int, rho float64, opts ...Option) (Engine, err
 // the paper's thermostatted truncated LJ.) Fault-plan and watchdog options
 // are ignored.
 func NewSerial(nc int, rho float64, opts ...Option) (Engine, error) {
-	o := buildOptions(opts)
-	meta := o.identity(checkpoint.KindSerial)
-	meta.NC, meta.Rho = nc, rho
-	return launch(meta, nil, o)
+	return Build(identity(Spec{Kind: KindSerial, NC: nc, Rho: rho}, opts), opts...)
 }
 
 // serialCore gives mdserial.Engine the coreEngine surface, synthesizing

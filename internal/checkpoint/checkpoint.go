@@ -1,10 +1,11 @@
 // Package checkpoint is the distributed checkpoint/restart layer shared by
 // every engine (internal/core over the column ledger or a static
 // decomposition, internal/mdserial via the facade). A checkpoint is one
-// file holding a Meta section — the run's identity: engine kind, paper
-// coordinates, physics options, step counter, cumulative communication
-// counters — followed by one Frame per PE: that PE's particle arrays *in
-// their live in-memory order* plus the columns it currently hosts.
+// file holding a Meta section — the run's identity (Spec: engine kind,
+// paper coordinates, physics options), step counter, cumulative
+// communication counters — followed by one Frame per PE: that PE's
+// particle arrays *in their live in-memory order* plus the columns it
+// currently hosts.
 // Preserving the per-PE array order is what makes a restored run
 // bit-identical to the uninterrupted one: cell-list binning and force
 // accumulation follow array order, so a reordered restore would change
@@ -16,11 +17,11 @@
 // codec.go, which is also the only form a Frame is ever serialised in — gob
 // defers to Frame's MarshalBinary, so the frames inside the tcp control
 // plane's SnapAck, WireSpec and ResultAck are the same bytes. The writer
-// emits the current version only; the reader also takes version 1, whose
-// frame sections were gob. Files are written atomically (tmp + rename) with a
-// retained latest/previous pair, so a process crash mid-write or a
-// corrupted latest file never loses the run: the previous checkpoint still
-// loads. Nothing is fsynced: that guarantee does not extend to power loss.
+// emits the current version only; the reader also takes versions 1 and 2,
+// whose headers are flat (version 1's frame sections were gob too). Files
+// are written atomically (tmp + rename) with a retained latest/previous
+// pair, so a process crash mid-write or a corrupted latest file never loses
+// the run: the previous checkpoint still loads. Nothing is fsynced: that guarantee does not extend to power loss.
 package checkpoint
 
 import (
@@ -31,58 +32,37 @@ import (
 	"permcell/internal/vec"
 )
 
-// Engine kinds recorded in Meta.Kind.
+// Engine kinds recorded in Spec.Kind.
 const (
 	KindDLB    = "dlb"    // internal/core: DDM / DLB-DDM parallel engine
 	KindStatic = "static" // internal/core over a static decomposition (core.Config.Decomp)
 	KindSerial = "serial" // internal/mdserial: serial reference engine
 )
 
-// Meta is the run identity — and therefore the checkpoint header. It is the
-// one spec every engine is built from (internal/runspec reads it, the facade
-// constructors and experiments.RunSpec write it, the TCP WireSpec ships it),
-// so a file does not describe its run, it carries the run's own spec, plus
-// the counters that continue across a restart. New fields may be appended
-// without a version bump; gob decodes older headers with them zero-valued.
+// Meta is the checkpoint header: the run identity (Spec, embedded) plus
+// the per-snapshot fields — the step and the communication counters that
+// continue across a restart — and the legacy fields older headers carry.
+// The facade's Build records the Spec, every checkpoint carries it, Restore
+// hands the loaded one back, and the TCP WireSpec ships it. New fields may
+// be appended without a version bump; gob decodes older headers with them
+// zero-valued.
 type Meta struct {
 	// Version is the format version of the file this header was read from;
 	// Encode ignores it and stamps FormatVersion.
 	Version int
-	// Kind is the engine kind (KindDLB, KindStatic, KindSerial).
-	Kind string
+	Spec
 	// Step is the absolute time step the snapshot was taken at.
 	Step int
 
-	// Constructor coordinates. KindDLB uses M/P/Rho (grid side m*sqrt(P));
-	// KindStatic uses Shape/NC/P/Rho; KindSerial uses NC/Rho.
-	M, P  int
-	NC    int
-	Shape int
-	Rho   float64
-
-	// Physics options — part of the run identity: restoring with different
-	// values would break bit-identical resume, so they travel in the file.
-	// Nothing writes DLB and Hysteresis: runspec.Balancer reads them only
-	// from headers that predate Balancer, where the DLB flag named the
-	// permanent-cell scheme at the stored hysteresis.
+	// Legacy fields, written as zero. runspec.Balancer reads DLB and
+	// Hysteresis only from headers that predate Spec.Balancer, where the
+	// DLB flag named the permanent-cell scheme at the stored hysteresis.
+	// Runs from before intra-rank shards were retired recorded their shard
+	// count in Shards; runspec refuses a header with more than one, whose
+	// summation order no longer exists.
 	DLB        bool
-	Wells      int
-	WellK      float64
 	Hysteresis float64
-	Seed       uint64
-	Dt         float64
-	StatsEvery int
-	// Shards is a legacy field, written as 0: nothing sets it. Runs from
-	// before intra-rank shards were retired recorded their shard count
-	// here; runspec refuses a header with more than one, whose summation
-	// order no longer exists.
-	Shards int
-	// Balancer is the encoded load-balancing strategy (balance.Encode):
-	// "permcell(...)", "sfc(...)", "diffusive(...)", "none" (static DDM),
-	// or "" in checkpoints predating the pluggable-balancer format. Restore
-	// refuses to resume a checkpoint under a different balancer than it
-	// was written with.
-	Balancer string
+	Shards     int
 
 	// Cumulative communication counters at snapshot time, so a resumed
 	// run's totals continue from the interrupted run's.

@@ -16,10 +16,12 @@ import (
 
 func testMeta(step int) *Meta {
 	return &Meta{
-		Version: FormatVersion, Kind: KindDLB, Step: step,
-		M: 3, P: 4, Rho: 0.256,
-		DLB: true, Wells: 12, WellK: 1.5, Hysteresis: 0.1,
-		Seed: 7, Dt: 0.005, StatsEvery: 1,
+		Version: FormatVersion, Step: step,
+		Spec: Spec{
+			Kind: KindDLB, M: 3, P: 4, Rho: 0.256,
+			Wells: 12, WellK: 1.5, Seed: 7, Dt: 0.005, StatsEvery: 1,
+		},
+		DLB: true, Hysteresis: 0.1,
 		CommMsgs: 123, CommBytes: 4567,
 	}
 }

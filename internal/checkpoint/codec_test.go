@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -16,33 +17,68 @@ import (
 	"permcell/internal/vec"
 )
 
-// encodeV1 is the writer this package no longer has: the version-1 stream,
-// every section a gob struct. Tests build old files with it instead of
+// flatMeta is the header as versions 1 and 2 wrote it: the identity fields
+// beside Step, where version 3 nests them in Meta's embedded Spec.
+type flatMeta struct {
+	Version             int
+	Kind                string
+	Step                int
+	M, P, NC, Shape     int
+	Rho                 float64
+	DLB                 bool
+	Wells               int
+	WellK, Hysteresis   float64
+	Seed                uint64
+	Dt                  float64
+	StatsEvery, Shards  int
+	Balancer            string
+	CommMsgs, CommBytes int64
+}
+
+// encodeOld is the writer this package no longer has: a version-1 or -2
+// stream, its header flat, its frame sections gob structs (version 1) or
+// the fixed layout (version 2). Tests build old files with it instead of
 // reaching into testdata.
-func encodeV1(tb testing.TB, meta *Meta, frames []Frame) []byte {
+func encodeOld(tb testing.TB, version uint32, meta *Meta, frames []Frame) []byte {
 	tb.Helper()
-	m := *meta
-	m.Version = 1
 	out := append([]byte(nil), magic[:]...)
-	out = le.AppendUint32(out, 1)
+	out = le.AppendUint32(out, version)
 	out = le.AppendUint32(out, uint32(len(frames)))
+	add := func(payload []byte) {
+		out = le.AppendUint32(out, uint32(len(payload)))
+		out = le.AppendUint32(out, crc32.ChecksumIEEE(payload))
+		out = append(out, payload...)
+	}
 	section := func(v any) {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 			tb.Fatalf("gob: %v", err)
 		}
-		out = le.AppendUint32(out, uint32(buf.Len()))
-		out = le.AppendUint32(out, crc32.ChecksumIEEE(buf.Bytes()))
-		out = append(out, buf.Bytes()...)
+		add(buf.Bytes())
 	}
-	section(&m)
+	m := meta
+	section(&flatMeta{
+		Version: int(version), Kind: m.Kind, Step: m.Step,
+		M: m.M, P: m.P, NC: m.NC, Shape: int(m.Shape), Rho: m.Rho,
+		DLB: m.DLB, Wells: m.Wells, WellK: m.WellK, Hysteresis: m.Hysteresis,
+		Seed: m.Seed, Dt: m.Dt, StatsEvery: m.StatsEvery, Shards: m.Shards,
+		Balancer: m.Balancer, CommMsgs: m.CommMsgs, CommBytes: m.CommBytes,
+	})
 	for i := range frames {
-		section(frameV1(frames[i]))
+		if version == 1 {
+			section(frameV1(frames[i]))
+			continue
+		}
+		b, err := frames[i].MarshalBinary()
+		if err != nil {
+			tb.Fatalf("frame %d: %v", i, err)
+		}
+		add(b)
 	}
 	return out
 }
 
-func encodeV2(tb testing.TB, meta *Meta, frames []Frame) []byte {
+func encodeNow(tb testing.TB, meta *Meta, frames []Frame) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
 	if err := Encode(&buf, meta, frames); err != nil {
@@ -99,7 +135,7 @@ func sameFrames(t *testing.T, what string, got, want []Frame) {
 
 func TestFileRoundTripPreservesBits(t *testing.T) {
 	want := oddFrames()
-	_, got, err := Decode(bytes.NewReader(encodeV2(t, testMeta(3), want)))
+	_, got, err := Decode(bytes.NewReader(encodeNow(t, testMeta(3), want)))
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
@@ -160,8 +196,9 @@ func TestRaggedFrameRefusesToEncode(t *testing.T) {
 }
 
 // TestV1StreamsStillDecode pins the reader's half of the version policy: a
-// version-1 stream decodes to the frames the version-2 round trip gives,
-// and saving what it decoded moves the file to version 2.
+// version-1 or version-2 stream, its header flat, decodes to the header
+// and frames the current round trip gives, and saving what it decoded moves
+// the file to the current version.
 func TestV1StreamsStillDecode(t *testing.T) {
 	// gob omits a zero-valued field and -0 counted as one, so version 1
 	// never held a -0 (it restored as +0); everything else odd it kept.
@@ -173,36 +210,40 @@ func TestV1StreamsStillDecode(t *testing.T) {
 	}
 	for name, frames := range map[string][]Frame{"plain": testFrames(4), "odd": odd, "none": nil} {
 		meta := testMeta(9)
-		m1, f1, err := Decode(bytes.NewReader(encodeV1(t, meta, frames)))
+		meta.Shape = 2 // a field per kind of value: a flat header holds them all
+		m2, f2, err := Decode(bytes.NewReader(encodeNow(t, meta, frames)))
 		if err != nil {
-			t.Fatalf("%s: Decode v1: %v", name, err)
+			t.Fatalf("%s: Decode: %v", name, err)
 		}
-		m2, f2, err := Decode(bytes.NewReader(encodeV2(t, meta, frames)))
-		if err != nil {
-			t.Fatalf("%s: Decode v2: %v", name, err)
-		}
-		if m1.Version != 1 || m2.Version != FormatVersion {
-			t.Fatalf("%s: versions %d and %d, want 1 and %d", name, m1.Version, m2.Version, FormatVersion)
-		}
-		sameFrames(t, name+": v1 against v2", f1, f2)
-		if name == "plain" && !reflect.DeepEqual(f1, f2) {
-			t.Errorf("plain: v1 and v2 decodes differ in shape (nil against empty?)")
-		}
-		// Encode stamps the version it writes, whatever the header says.
-		m3, f3, err := Decode(bytes.NewReader(encodeV2(t, m1, f1)))
-		if err != nil {
-			t.Fatalf("%s: re-encoded v1: %v", name, err)
-		}
-		sameFrames(t, name+": v1 re-encoded", f3, f2)
-		m1.Version = FormatVersion
-		if !reflect.DeepEqual(m1, m2) || !reflect.DeepEqual(m3, m2) {
-			t.Errorf("%s: headers differ beyond the version:\n v1 %+v\n v1 re-encoded %+v\n v2 %+v", name, m1, m3, m2)
+		for _, v := range []uint32{1, 2} {
+			label := fmt.Sprintf("%s v%d", name, v)
+			m1, f1, err := Decode(bytes.NewReader(encodeOld(t, v, meta, frames)))
+			if err != nil {
+				t.Fatalf("%s: Decode: %v", label, err)
+			}
+			if m1.Version != int(v) || m2.Version != FormatVersion {
+				t.Fatalf("%s: versions %d and %d, want %d and %d", label, m1.Version, m2.Version, v, FormatVersion)
+			}
+			sameFrames(t, label+" against current", f1, f2)
+			if name == "plain" && !reflect.DeepEqual(f1, f2) {
+				t.Errorf("%s: old and current decodes differ in shape (nil against empty?)", label)
+			}
+			// Encode stamps the version it writes, whatever the header says.
+			m3, f3, err := Decode(bytes.NewReader(encodeNow(t, m1, f1)))
+			if err != nil {
+				t.Fatalf("%s: re-encoded: %v", label, err)
+			}
+			sameFrames(t, label+" re-encoded", f3, f2)
+			m1.Version = FormatVersion
+			if !reflect.DeepEqual(m1, m2) || !reflect.DeepEqual(m3, m2) {
+				t.Errorf("%s: headers differ beyond the version:\n old %+v\n re-encoded %+v\n current %+v", label, m1, m3, m2)
+			}
 		}
 	}
 	// A ragged version-1 frame was representable; it is refused on the way in.
 	ragged := testFrames(2)
 	ragged[1].Pos = ragged[1].Pos[:1]
-	if _, _, err := Decode(bytes.NewReader(encodeV1(t, testMeta(1), ragged))); err == nil || !strings.Contains(err.Error(), "ragged") {
+	if _, _, err := Decode(bytes.NewReader(encodeOld(t, 1, testMeta(1), ragged))); err == nil || !strings.Contains(err.Error(), "ragged") {
 		t.Fatalf("ragged v1 frame: Decode returned %v", err)
 	}
 }
@@ -210,7 +251,7 @@ func TestV1StreamsStillDecode(t *testing.T) {
 // overcountedV2 is a version-2 stream whose frame section is intact by CRC
 // but claims more particles than its payload holds.
 func overcountedV2(tb testing.TB) []byte {
-	raw := encodeV2(tb, testMeta(1), testFrames(1))
+	raw := encodeNow(tb, testMeta(1), testFrames(1))
 	metaLen := int(le.Uint32(raw[fileHeaderBytes:]))
 	sec := fileHeaderBytes + sectionHeaderBytes + metaLen
 	payload := raw[sec+sectionHeaderBytes:]
@@ -231,7 +272,7 @@ func TestOvercountedFrameIsRefused(t *testing.T) {
 // must fail on truncation having allocated for the sections that arrived,
 // not for the count (1<<20 Frames would be ~109 MB).
 func TestHugeFrameCountDoesNotOverallocate(t *testing.T) {
-	raw := encodeV2(t, testMeta(1), testFrames(1))
+	raw := encodeNow(t, testMeta(1), testFrames(1))
 	le.PutUint32(raw[12:], maxFrames)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -340,7 +381,7 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 func BenchmarkCheckpointDecode(b *testing.B) {
 	for _, s := range benchShapes {
 		b.Run(s.name, func(b *testing.B) {
-			raw := encodeV2(b, testMeta(1), benchFrames(s.p, s.n))
+			raw := encodeNow(b, testMeta(1), benchFrames(s.p, s.n))
 			b.SetBytes(int64(len(raw)))
 			b.ReportAllocs()
 			for b.Loop() {

@@ -15,7 +15,7 @@ import (
 	"permcell/internal/vec"
 )
 
-// File layout (format version 2):
+// File layout (format version 3):
 //
 //	magic (8 bytes) | version uint32 | frameCount uint32 |
 //	section(Meta) | section(Frame) * frameCount
@@ -25,20 +25,23 @@ import (
 //	length uint32 | crc32(payload) uint32 | payload
 //
 // The Meta payload is gob, so the header keeps its additive-field policy;
-// a Frame payload is the fixed layout of codec.go. Version 1 differs only
-// in that its Frame payloads are gob structs too (frameV1); it is read,
-// never written. All integers are little-endian. Truncation surfaces as an
+// a Frame payload is the fixed layout of codec.go. Versions 1 and 2 are
+// read, never written. Their Meta is flat: the identity fields sit beside
+// Step where version 3 nests them in the embedded Spec, and gob's by-name
+// matching finds a flat field's promoted home, so they decode unchanged.
+// Version 1's Frame payloads are gob structs too (frameV1). All integers are little-endian. Truncation surfaces as an
 // unexpected-EOF error; any bit flip inside a payload fails that section's
 // CRC; a flipped length either fails the CRC of the misframed payload or
 // runs off the end of the file. Loading never panics on hostile input and
 // never allocates by a count it has not checked against bytes in hand.
 
-// FormatVersion is the frame-format version Encode writes; Decode reads it
-// and every earlier one. The policy is strictly additive within a version:
-// new Meta fields decode as zero from older files. A breaking layout change
-// bumps the version; Load rejects versions it does not know rather than
-// misreading them.
-const FormatVersion = 2
+// FormatVersion is the format version Encode writes; Decode reads it and
+// every earlier one. The policy is strictly additive within a version: new
+// Meta fields decode as zero from older files. A breaking layout change
+// bumps the version — 3 nested the identity in Meta's embedded Spec, which a
+// version-2 reader would decode as zeros — and Load rejects versions it
+// does not know rather than misreading them.
+const FormatVersion = 3
 
 var magic = [8]byte{'P', 'C', 'C', 'K', 'P', 'T', 0, '\n'}
 

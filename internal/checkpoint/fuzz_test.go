@@ -21,7 +21,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(overcountedV2(f))
 	var streams [][]byte
 	for _, frames := range [][]Frame{nil, testFrames(1), testFrames(2)} {
-		streams = append(streams, encodeV2(f, testMeta(7), frames), encodeV1(f, testMeta(7), frames))
+		streams = append(streams, encodeNow(f, testMeta(7), frames), encodeOld(f, 1, testMeta(7), frames))
 	}
 	for _, full := range streams {
 		f.Add(append([]byte(nil), full...))

@@ -15,11 +15,11 @@ import (
 // the step-0 forces and one step; the system is built once, outside the
 // loop, as every engine shares it read-only.
 func BenchmarkEngineStart(b *testing.B) {
-	meta := checkpoint.Meta{
+	meta := checkpoint.Meta{Spec: checkpoint.Spec{
 		Kind: checkpoint.KindDLB, M: 3, P: 16, Rho: 0.256,
-		Wells: 12, WellK: 1.5, Seed: 1, Dt: runspec.DefaultDt,
+		Wells: 12, WellK: 1.5, Seed: 1, Dt: checkpoint.DefaultDt,
 		Balancer: balance.Encode(balance.PermanentCell{Hysteresis: 0.1}),
-	}
+	}}
 	cfg, sys, err := runspec.Parallel(&meta, nil)
 	if err != nil {
 		b.Fatal(err)
@@ -44,11 +44,11 @@ func BenchmarkEngineStart(b *testing.B) {
 // time so a pause or cancel lands at the next step; the gap between the two
 // is what that costs.
 func BenchmarkStepBatch(b *testing.B) {
-	meta := checkpoint.Meta{
+	meta := checkpoint.Meta{Spec: checkpoint.Spec{
 		Kind: checkpoint.KindDLB, M: 3, P: 4, Rho: 0.256,
-		Wells: 3, WellK: 1.5, Seed: 1, Dt: runspec.DefaultDt,
+		Wells: 3, WellK: 1.5, Seed: 1, Dt: checkpoint.DefaultDt,
 		Balancer: "permcell",
-	}
+	}}
 	cfg, sys, err := runspec.Parallel(&meta, nil)
 	if err != nil {
 		b.Fatal(err)

@@ -44,81 +44,83 @@ type Decomposition struct {
 	owner []int // cell -> rank
 }
 
-// New builds the decomposition of the given shape over grid g and p PEs.
-func New(shape Shape, g space.Grid, p int) (*Decomposition, error) {
+// Check reports whether p PEs can take the given shape over an nx x ny x nz
+// grid: Plane slices Nx into P slabs (Nx divisible by P); SquarePillar
+// needs Nx == Ny, a perfect-square P and Nx divisible by sqrt(P); Cube
+// needs a cubic grid, a perfect-cube P and Nx divisible by cbrt(P). It is
+// the one copy of those rules — New applies it, and so does a run spec's
+// validation before any grid exists — and it allocates nothing on success.
+func Check(shape Shape, nx, ny, nz, p int) error {
 	switch shape {
 	case Plane:
-		return NewPlane(g, p)
+		if p < 1 || nx%p != 0 {
+			return fmt.Errorf("decomp: plane needs Nx (%d) divisible by P (%d)", nx, p)
+		}
 	case SquarePillar:
-		return NewSquarePillar(g, p)
+		tor, err := topology.NewSquareTorus(p)
+		if err != nil {
+			return fmt.Errorf("decomp: square pillar: %w", err)
+		}
+		if nx != ny {
+			return fmt.Errorf("decomp: square pillar needs Nx == Ny, got %dx%d", nx, ny)
+		}
+		if nx%tor.Px != 0 {
+			return fmt.Errorf("decomp: square pillar needs Nx (%d) divisible by sqrt(P) (%d)", nx, tor.Px)
+		}
 	case Cube:
-		return NewCube(g, p)
+		tor, err := topology.NewCubicTorus(p)
+		if err != nil {
+			return fmt.Errorf("decomp: cube: %w", err)
+		}
+		if nx != ny || ny != nz {
+			return fmt.Errorf("decomp: cube needs a cubic grid, got %dx%dx%d", nx, ny, nz)
+		}
+		if nx%tor.Px != 0 {
+			return fmt.Errorf("decomp: cube needs Nx (%d) divisible by cbrt(P) (%d)", nx, tor.Px)
+		}
 	default:
-		return nil, fmt.Errorf("decomp: unknown shape %v", shape)
+		return fmt.Errorf("decomp: unknown shape %v", shape)
 	}
+	return nil
 }
 
-// NewPlane slices the grid into P slabs along x; PEs form a virtual ring.
-// Grid.Nx must be divisible by P.
-func NewPlane(g space.Grid, p int) (*Decomposition, error) {
-	if p < 1 || g.Nx%p != 0 {
-		return nil, fmt.Errorf("decomp: plane needs Nx (%d) divisible by P (%d)", g.Nx, p)
+// New builds the decomposition of the given shape over grid g and p PEs,
+// which must pass Check. Plane PEs form a virtual ring; square-pillar PEs
+// own m x m blocks of cell columns, m = C^(1/3)/P^(1/2) (Fig. 7), on a
+// sqrt(P) x sqrt(P) torus; cube PEs own cubic blocks on a cbrt(P)^3 torus.
+func New(shape Shape, g space.Grid, p int) (*Decomposition, error) {
+	if err := Check(shape, g.Nx, g.Ny, g.Nz, p); err != nil {
+		return nil, err
 	}
-	t := g.Nx / p
-	d := &Decomposition{Shape: Plane, Grid: g, P: p, owner: make([]int, g.NumCells())}
+	var owner func(ix, iy, iz int) int
+	switch shape {
+	case Plane:
+		t := g.Nx / p
+		owner = func(ix, _, _ int) int { return ix / t }
+	case SquarePillar:
+		tor, _ := topology.NewSquareTorus(p) // Check passed
+		m := g.Nx / tor.Px
+		owner = func(ix, iy, _ int) int { return tor.Rank(ix/m, iy/m) }
+	default: // Cube
+		tor, _ := topology.NewCubicTorus(p)
+		m := g.Nx / tor.Px
+		owner = func(ix, iy, iz int) int { return tor.Rank(ix/m, iy/m, iz/m) }
+	}
+	d := &Decomposition{Shape: shape, Grid: g, P: p, owner: make([]int, g.NumCells())}
 	for c := range d.owner {
-		ix, _, _ := g.Coords(c)
-		d.owner[c] = ix / t
+		d.owner[c] = owner(g.Coords(c))
 	}
 	return d, nil
 }
 
-// NewSquarePillar assigns each PE an m x m block of cell columns, with
-// m = C^(1/3)/P^(1/2) (Fig. 7). It requires a cubic grid (Nx == Ny), a
-// perfect-square P, and Nx divisible by sqrt(P).
-func NewSquarePillar(g space.Grid, p int) (*Decomposition, error) {
-	tor, err := topology.NewSquareTorus(p)
-	if err != nil {
-		return nil, fmt.Errorf("decomp: square pillar: %w", err)
-	}
-	s := tor.Px
-	if g.Nx != g.Ny {
-		return nil, fmt.Errorf("decomp: square pillar needs Nx == Ny, got %dx%d", g.Nx, g.Ny)
-	}
-	if g.Nx%s != 0 {
-		return nil, fmt.Errorf("decomp: square pillar needs Nx (%d) divisible by sqrt(P) (%d)", g.Nx, s)
-	}
-	m := g.Nx / s
-	d := &Decomposition{Shape: SquarePillar, Grid: g, P: p, owner: make([]int, g.NumCells())}
-	for c := range d.owner {
-		ix, iy, _ := g.Coords(c)
-		d.owner[c] = tor.Rank(ix/m, iy/m)
-	}
-	return d, nil
-}
+// NewPlane is New(Plane, g, p).
+func NewPlane(g space.Grid, p int) (*Decomposition, error) { return New(Plane, g, p) }
 
-// NewCube assigns each PE a cubic block of cells; P must be a perfect cube
-// dividing the (cubic) grid evenly.
-func NewCube(g space.Grid, p int) (*Decomposition, error) {
-	tor, err := topology.NewCubicTorus(p)
-	if err != nil {
-		return nil, fmt.Errorf("decomp: cube: %w", err)
-	}
-	s := tor.Px
-	if g.Nx != g.Ny || g.Ny != g.Nz {
-		return nil, fmt.Errorf("decomp: cube needs a cubic grid, got %dx%dx%d", g.Nx, g.Ny, g.Nz)
-	}
-	if g.Nx%s != 0 {
-		return nil, fmt.Errorf("decomp: cube needs Nx (%d) divisible by cbrt(P) (%d)", g.Nx, s)
-	}
-	m := g.Nx / s
-	d := &Decomposition{Shape: Cube, Grid: g, P: p, owner: make([]int, g.NumCells())}
-	for c := range d.owner {
-		ix, iy, iz := g.Coords(c)
-		d.owner[c] = tor.Rank(ix/m, iy/m, iz/m)
-	}
-	return d, nil
-}
+// NewSquarePillar is New(SquarePillar, g, p).
+func NewSquarePillar(g space.Grid, p int) (*Decomposition, error) { return New(SquarePillar, g, p) }
+
+// NewCube is New(Cube, g, p).
+func NewCube(g space.Grid, p int) (*Decomposition, error) { return New(Cube, g, p) }
 
 // OwnerOf returns the rank owning cell c.
 func (d *Decomposition) OwnerOf(c int) int { return d.owner[c] }
@@ -187,34 +189,24 @@ type SurfaceAnalysis struct {
 }
 
 // AnalyzeSurface returns the closed-form communication surface for the
-// given shape with a cubic grid of side nc (C = nc^3) on p PEs. Errors
-// mirror the constructors' divisibility requirements. The analysis assumes
+// given shape with a cubic grid of side nc (C = nc^3) on p PEs; its errors
+// are Check's. The analysis assumes
 // each domain spans at least 3 cells in decomposed directions so that
 // opposite faces touch different neighbors (no double counting).
 func AnalyzeSurface(shape Shape, nc, p int) (SurfaceAnalysis, error) {
+	if err := Check(shape, nc, nc, nc, p); err != nil {
+		return SurfaceAnalysis{}, err
+	}
 	switch shape {
 	case Plane:
-		if nc%p != 0 {
-			return SurfaceAnalysis{}, fmt.Errorf("decomp: nc %% p != 0")
-		}
 		// Two faces of nc x nc cells; 2 ring neighbors.
 		return SurfaceAnalysis{Shape: shape, GhostCells: 2 * nc * nc, NeighborPEs: 2}, nil
 	case SquarePillar:
-		s := int(math.Round(math.Sqrt(float64(p))))
-		if s*s != p || nc%s != 0 {
-			return SurfaceAnalysis{}, fmt.Errorf("decomp: p not square or nc %% sqrt(p) != 0")
-		}
-		m := nc / s
+		m := nc / int(math.Round(math.Sqrt(float64(p))))
 		// Perimeter ring of columns: (m+2)^2 - m^2 = 4m+4 columns of nc cells.
 		return SurfaceAnalysis{Shape: shape, GhostCells: (4*m + 4) * nc, NeighborPEs: 8}, nil
-	case Cube:
-		s := int(math.Round(math.Cbrt(float64(p))))
-		if s*s*s != p || nc%s != 0 {
-			return SurfaceAnalysis{}, fmt.Errorf("decomp: p not cube or nc %% cbrt(p) != 0")
-		}
-		m := nc / s
+	default: // Cube
+		m := nc / int(math.Round(math.Cbrt(float64(p))))
 		return SurfaceAnalysis{Shape: shape, GhostCells: (m+2)*(m+2)*(m+2) - m*m*m, NeighborPEs: 26}, nil
-	default:
-		return SurfaceAnalysis{}, fmt.Errorf("decomp: unknown shape %v", shape)
 	}
 }

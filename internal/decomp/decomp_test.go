@@ -215,3 +215,26 @@ func TestShapeString(t *testing.T) {
 		t.Error("shape names wrong")
 	}
 }
+
+// TestCheckIsNewsRule: New refuses exactly what Check refuses, and Check,
+// which a run spec's validation calls before any grid exists, allocates
+// nothing on an accepted shape.
+func TestCheckIsNewsRule(t *testing.T) {
+	g := cubicGrid(t, 12)
+	for _, shape := range []Shape{Plane, SquarePillar, Cube, Shape(7)} {
+		for _, p := range []int{0, 1, 3, 4, 5, 8, 9, 16, 27} {
+			_, nerr := New(shape, g, p)
+			cerr := Check(shape, 12, 12, 12, p)
+			if (nerr == nil) != (cerr == nil) {
+				t.Errorf("%v p=%d: New %v, Check %v", shape, p, nerr, cerr)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if Check(SquarePillar, 12, 12, 12, 9) != nil || Check(Cube, 12, 12, 12, 8) != nil {
+			t.Fatal("accepted shapes refused")
+		}
+	}); n != 0 {
+		t.Errorf("Check allocates %v times", n)
+	}
+}

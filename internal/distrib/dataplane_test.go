@@ -161,7 +161,7 @@ func TestWorkerCorruptPayloadPoisons(t *testing.T) {
 	// Ranks 0 and 1 of 4 live in the worker; 2 and 3 are this test, which
 	// never answers, so the worker's ranks block in their first halo.
 	spec, err := newControlOut().encode(WireSpec{
-		Meta:  checkpoint.Meta{Kind: checkpoint.KindDLB, M: 2, P: 4, Rho: 0.256, DLB: true, Seed: 1, StatsEvery: 1},
+		Meta:  checkpoint.Meta{Spec: checkpoint.Spec{Kind: checkpoint.KindDLB, M: 2, P: 4, Rho: 0.256, Seed: 1, StatsEvery: 1}, DLB: true},
 		Ranks: []int{0, 1},
 	})
 	if err != nil {

@@ -71,7 +71,7 @@ func TestProcessFaultLandsBeforeItsBatch(t *testing.T) {
 			// The worker beats every 10ms; its own read window is wide
 			// because this coordinator never beats back.
 			spec, err := newControlOut().encode(WireSpec{
-				Meta:           checkpoint.Meta{Kind: checkpoint.KindDLB, M: 2, P: 4, Rho: 0.256, Seed: 1, StatsEvery: 1},
+				Meta:           checkpoint.Meta{Spec: checkpoint.Spec{Kind: checkpoint.KindDLB, M: 2, P: 4, Rho: 0.256, Seed: 1, StatsEvery: 1}},
 				Ranks:          []int{0, 1, 2, 3},
 				HeartbeatEvery: 10 * time.Millisecond, HeartbeatMisses: 3000,
 				Sabotage: sab,

@@ -120,7 +120,7 @@ func (s ChaosSpec) KillResume(killAt int, dir string) (*KillResumeResult, error)
 	}
 
 	// Interrupted session: killAt steps, one checkpoint, hard stop.
-	eng, err := permcell.New(s.M, s.P, s.Rho, append(s.options(), permcell.WithCheckpoint(0, dir))...)
+	eng, err := permcell.Build(s.Spec, append(s.options(), permcell.WithCheckpoint(0, dir))...)
 	if err != nil {
 		return nil, err
 	}
@@ -139,8 +139,7 @@ func (s ChaosSpec) KillResume(killAt int, dir string) (*KillResumeResult, error)
 
 	// Recovery: everything the resumed session knows about the run comes
 	// from the file — the identity in its header, the state in its frames.
-	// Restore ignores the spec's physics options and applies its runtime
-	// (plan, watchdog, metrics); the balancer it checks against the header.
+	// Restore applies the spec's runtime (plan, watchdog, metrics).
 	eng, err = permcell.Restore(dir, s.options()...)
 	if err != nil {
 		return nil, err

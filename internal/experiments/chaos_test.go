@@ -11,10 +11,10 @@ import (
 
 func tinyChaosSpec() ChaosSpec {
 	return ChaosSpec{
-		RunSpec: RunSpec{
-			M: 2, P: 4, Rho: 0.256, Steps: 30, Balancer: balance.PermanentCell{}, Seed: 1,
+		RunSpec: RunSpec{Spec: permcell.Spec{
+			Kind: permcell.KindDLB, M: 2, P: 4, Rho: 0.256, Balancer: balance.Encode(balance.PermanentCell{}), Seed: 1,
 			WellK: 1.5,
-		},
+		}, Steps: 30},
 		Plan: comm.FaultPlan{
 			Seed:         42,
 			DelayProb:    0.05,

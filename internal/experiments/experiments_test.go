@@ -3,26 +3,30 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"permcell"
 )
 
 // All experiment tests run at the Tiny preset (P=4, seconds per run); they
 // assert the *shape* of each result, which is what the reproduction
 // contract requires, not absolute numbers.
 
+// dlbSpec is a one-step KindDLB spec at (m, P, rho).
+func dlbSpec(m, p int, rho float64) RunSpec {
+	return RunSpec{Spec: permcell.Spec{Kind: permcell.KindDLB, M: m, P: p, Rho: rho}, Steps: 1}
+}
+
 func TestRunSpecValidation(t *testing.T) {
-	if _, _, err := (RunSpec{M: 2, P: 5, Rho: 0.2, Steps: 1}).Run(); err == nil {
+	if _, _, err := dlbSpec(2, 5, 0.2).Run(); err == nil {
 		t.Error("non-square P accepted")
 	}
-	if _, _, err := (RunSpec{M: 1, P: 4, Rho: 0.2, Steps: 1}).Run(); err == nil {
+	if _, _, err := dlbSpec(1, 4, 0.2).Run(); err == nil {
 		t.Error("m=1 accepted")
 	}
 }
 
 func TestRunSpecSizes(t *testing.T) {
-	info, err := (RunSpec{M: 2, P: 16, Rho: 0.256, Steps: 1}).info()
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := dlbSpec(2, 16, 0.256).Size()
 	// nc = m*sqrt(P) = 8; this is the paper's C=512-scale geometry.
 	if info.NC != 8 || info.C != 512 {
 		t.Errorf("nc=%d C=%d, want 8/512", info.NC, info.C)
@@ -31,10 +35,7 @@ func TestRunSpecSizes(t *testing.T) {
 	// C=1728 and N=8000 at rho=0.256... rho*L^3 = 0.256*(12*2.5)^3 = 6912.
 	// (The paper's N=8000 corresponds to its own lattice setup; our density
 	// fixes N = rho*V.) Verify the geometric part only.
-	info36, err := (RunSpec{M: 2, P: 36, Rho: 0.256, Steps: 1}).info()
-	if err != nil {
-		t.Fatal(err)
-	}
+	info36 := dlbSpec(2, 36, 0.256).Size()
 	if info36.C != 1728 {
 		t.Errorf("m=2 P=36: C = %d, want 1728 (paper Fig. 5b)", info36.C)
 	}

@@ -58,8 +58,12 @@ func boundaryOnce(pr Preset, m, p int, rho float64, seed uint64) (n, c0c float64
 
 // Fig10 regenerates one panel (one m) of Fig. 10 at PE count p.
 func Fig10(pr Preset, m, p int, seed uint64) (*Fig10Result, error) {
-	if m < 2 {
-		return nil, fmt.Errorf("experiments: Fig10 needs m >= 2")
+	// boundaryOnce reads a failed run as no crossing, so an identity no
+	// engine can be built from is refused here, not averaged away.
+	for _, rho := range pr.Densities {
+		if err := pr.spec(m, p, rho, 0, pr.dlb(), seed).Validate(); err != nil {
+			return nil, fmt.Errorf("experiments: Fig10: %w", err)
+		}
 	}
 	r := &Fig10Result{M: m, P: p}
 	var xs, ys []float64

@@ -16,7 +16,7 @@ func TestKillResumeIdenticalTrace(t *testing.T) {
 	for _, b := range []balance.Balancer{balance.PermanentCell{}, balance.SFC{Moves: 2}} {
 		t.Run(b.Name(), func(t *testing.T) {
 			spec := tinyChaosSpec()
-			spec.Balancer = b
+			spec.Balancer = balance.Encode(b)
 			r, err := spec.KillResume(11, t.TempDir())
 			if err != nil {
 				t.Fatal(err)

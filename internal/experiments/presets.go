@@ -1,6 +1,9 @@
 package experiments
 
-import "permcell/internal/balance"
+import (
+	"permcell"
+	"permcell/internal/balance"
+)
 
 // Preset bundles the run sizes for one reproduction scale. The paper's
 // exact sizes (Full) need hours on a laptop-class machine; Small keeps the
@@ -120,8 +123,8 @@ func (pr Preset) dlb() balance.Balancer {
 
 // spec builds the common condensing RunSpec under balancer b (nil = DDM).
 func (pr Preset) spec(m, p int, rho float64, steps int, b balance.Balancer, seed uint64) RunSpec {
-	return RunSpec{
-		M: m, P: p, Rho: rho, Steps: steps, Balancer: b, Seed: seed,
+	return RunSpec{Spec: permcell.Spec{
+		Kind: permcell.KindDLB, M: m, P: p, Rho: rho, Balancer: balance.Encode(b), Seed: seed,
 		WellK: pr.WellK, Wells: pr.wells(p),
-	}
+	}, Steps: steps}
 }

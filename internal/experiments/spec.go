@@ -20,61 +20,41 @@ import (
 	"context"
 
 	"permcell"
-	"permcell/internal/balance"
-	"permcell/internal/runspec"
+	"permcell/internal/checkpoint"
 )
 
-// RunSpec describes one condensing parallel MD run in paper coordinates:
-// the square-pillar cross-section size m, the PE count P (perfect square),
-// and the reduced density rho. The grid side is nc = m*sqrt(P) cells of
-// side r_c = 2.5, so C = nc^3 and N = round(rho * (2.5 nc)^3).
+// RunSpec is one condensing run: the run identity plus how many steps to
+// run it and whether to time its phases. The presets' runs are KindDLB:
+// the square-pillar cross-section size m, the PE count P (perfect square)
+// and the reduced density rho, on a grid of side nc = m*sqrt(P) cells of
+// side r_c = 2.5, so C = nc^3 and N = round(rho * (2.5 nc)^3). WellK 0
+// disables the condensation wells: pure supercooled-gas physics.
 type RunSpec struct {
-	M, P  int
-	Rho   float64
+	permcell.Spec
 	Steps int
-	// Balancer is the load-balancing strategy (nil = plain DDM;
-	// balance.PermanentCell is the paper's method).
-	Balancer balance.Balancer
-	Seed     uint64
-	// WellK is the harmonic well strength driving concentration
-	// (0 disables the wells: pure supercooled-gas physics).
-	WellK float64
-	// Wells is the number of attractor sites scattered through the box
-	// (the droplet nuclei). 0 or 1 places a single central well.
-	Wells int
 	// Metrics enables the per-phase timing layer (permcell.WithMetrics).
 	Metrics bool
 }
 
 // SysInfo reports the concrete sizes a spec resolved to.
-type SysInfo = runspec.Info
+type SysInfo = checkpoint.Size
 
-// info resolves the spec's sizes.
-func (s RunSpec) info() (SysInfo, error) {
-	nc, err := runspec.Side(s.M, s.P)
-	return runspec.Sizes(nc, s.Rho), err
-}
-
-// options translates the spec into facade options.
+// options is the spec's runtime: the identity travels in the Spec.
 func (s RunSpec) options() []permcell.Option {
-	opts := []permcell.Option{
-		permcell.WithBalancer(s.Balancer), permcell.WithSeed(s.Seed),
-		permcell.WithWells(s.Wells, s.WellK),
-	}
 	if s.Metrics {
-		opts = append(opts, permcell.WithMetrics())
+		return []permcell.Option{permcell.WithMetrics()}
 	}
-	return opts
+	return nil
 }
 
 // Run executes the spec through the facade.
 func (s RunSpec) Run() (*permcell.Result, SysInfo, error) { return s.run(s.options()) }
 
 func (s RunSpec) run(opts []permcell.Option) (*permcell.Result, SysInfo, error) {
-	info, err := s.info()
+	eng, err := permcell.Build(s.Spec, opts...)
 	if err != nil {
-		return nil, info, err
+		return nil, SysInfo{}, err
 	}
-	res, err := permcell.Run(context.Background(), s.M, s.P, s.Rho, s.Steps, opts...)
-	return res, info, err
+	res, err := permcell.RunEngine(context.Background(), eng, s.Steps)
+	return res, s.Size(), err
 }

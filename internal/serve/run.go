@@ -131,7 +131,7 @@ func (r *Run) onStep(st permcell.StepStats) {
 // test builds its solo reference traces through the same function, so a
 // served run and a direct facade run of the same spec compare bit-for-bit.
 func stepRecord(spec *RunSpec, st permcell.StepStats) metrics.StepRecord {
-	if spec.kind() == KindParallel {
+	if kinds[spec.Kind] == permcell.KindDLB {
 		return st.Record(spec.M)
 	}
 	return st.Record(0)

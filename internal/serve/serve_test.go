@@ -183,11 +183,7 @@ func soloTrace(t *testing.T, spec RunSpec, dir string) []metrics.StepRecord {
 	if sb := spec.Sabotage; sb != nil {
 		sab = sb.script()
 	}
-	opts, err := spec.options(dir, sab, onStep, nil)
-	if err != nil {
-		t.Fatalf("options: %v", err)
-	}
-	eng, err := spec.build(opts)
+	eng, err := permcell.Build(spec.spec(), spec.options(dir, sab, onStep, nil)...)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -423,11 +419,11 @@ func TestAdmissionRefusesOversizedSpecs(t *testing.T) {
 		{Kind: KindParallel, M: huge, P: 4, Rho: 0.4, Steps: 1},
 		{Kind: KindSerial, NC: 100_000, Rho: 1e-12, Steps: 1},
 	} {
-		if spec.Particles() < 0 || spec.cells() < 0 {
-			t.Errorf("%s m=%d nc=%d rho=%g: %d particles in %d cells", spec.kind(), spec.M, spec.NC, spec.Rho, spec.Particles(), spec.cells())
+		if sz := spec.spec().Size(); sz.N < 0 || sz.C < 0 {
+			t.Errorf("%s m=%d nc=%d rho=%g: %d particles in %d cells", spec.Kind, spec.M, spec.NC, spec.Rho, sz.N, sz.C)
 		}
 		if _, code, body := tryPostRun(t, hs, spec); code != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s m=%d nc=%d rho=%g: status %d (%s), want 413", spec.kind(), spec.M, spec.NC, spec.Rho, code, strings.TrimSpace(body))
+			t.Errorf("%s m=%d nc=%d rho=%g: status %d (%s), want 413", spec.Kind, spec.M, spec.NC, spec.Rho, code, strings.TrimSpace(body))
 		}
 	}
 	// JSON carries no NaN, but Submit does: a NaN density is invalid, not

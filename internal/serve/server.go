@@ -217,9 +217,9 @@ func (s *Server) Submit(spec RunSpec) (string, error) {
 		s.countReject("invalid")
 		return "", err
 	}
-	if n, c := spec.Particles(), spec.cells(); max(n, c) > s.cfg.MaxParticles {
+	if sz := spec.spec().Size(); max(sz.N, sz.C) > s.cfg.MaxParticles {
 		s.countReject("too_large")
-		return "", fmt.Errorf("%w: %d particles in %d cells, cap %d on each", ErrTooLarge, n, c, s.cfg.MaxParticles)
+		return "", fmt.Errorf("%w: %d particles in %d cells, cap %d on each", ErrTooLarge, sz.N, sz.C, s.cfg.MaxParticles)
 	}
 
 	s.mu.Lock()
@@ -377,15 +377,11 @@ func (s *Server) execute(r *Run) {
 	resuming := r.snapshotDone() > 0 || r.hasCheckpoint()
 	var eng permcell.Engine
 	var err error
-	opts, err := r.Spec.options(r.dir, r.sab, r.sink, nil)
-	if err != nil {
-		r.setState(StateFailed, err)
-		return
-	}
+	opts := r.Spec.options(r.dir, r.sab, r.sink, nil)
 	if resuming {
 		eng, err = permcell.Restore(r.dir, opts...)
 	} else {
-		eng, err = r.Spec.build(opts)
+		eng, err = permcell.Build(r.Spec.spec(), opts...)
 	}
 	if err != nil {
 		r.setState(StateFailed, err)

@@ -10,12 +10,9 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"permcell"
-	"permcell/internal/runspec"
-	"permcell/internal/units"
 )
 
 // Engine kinds a RunSpec can request.
@@ -44,9 +41,10 @@ func (sb *SabotageSpec) script() *permcell.Sabotage {
 }
 
 // RunSpec is the JSON body of POST /runs: one simulation in the paper's
-// coordinates plus its runtime policy. Zero-valued fields select the
-// documented defaults, matching the permcell Option defaults, so a spec
-// and the equivalent solo permcell.New call produce bit-identical traces.
+// coordinates plus its runtime policy. The identity fields are a flat
+// spelling of permcell.Spec (spec copies them); permcell.Build resolves
+// their zero values to the facade defaults, so a spec and the equivalent
+// solo permcell.New call produce bit-identical traces.
 type RunSpec struct {
 	// Kind selects the engine: "parallel" (default), "static" or "serial".
 	Kind string `json:"kind,omitempty"`
@@ -92,105 +90,57 @@ type RunSpec struct {
 	Sabotage *SabotageSpec `json:"sabotage,omitempty"`
 }
 
-// kind returns the normalized engine kind.
-func (s *RunSpec) kind() string {
-	if s.Kind == "" {
-		return KindParallel
+// kinds and shapes name the facade's engine kinds and static shapes in the
+// service's JSON spelling.
+var (
+	kinds = map[string]string{
+		"": permcell.KindDLB, KindParallel: permcell.KindDLB,
+		KindStatic: permcell.KindStatic, KindSerial: permcell.KindSerial,
 	}
-	return s.Kind
-}
-
-// Particles is the particle count N the run's engine will hold, by the
-// formula of runspec.Sizes, which builds it (0 for coordinates no engine
-// accepts). It is the admission-control memory proxy: per-run state is
-// O(N), so the service caps N rather than guessing at bytes. A count
-// beyond int, or not a number, reads math.MaxInt: no spec wraps past the
-// cap.
-func (s *RunSpec) Particles() int {
-	l := s.side() * units.PaperCutoff
-	return saturate(math.Round(s.Rho * l * l * l))
-}
-
-// cells is the run's cell count, side^3, read as Particles reads N. The
-// grid's per-cell arrays are O(cells) whatever the density, so admission
-// caps it as it caps N.
-func (s *RunSpec) cells() int {
-	side := s.side()
-	return saturate(side * side * side)
-}
-
-// side is the box's cells per dimension (0 for coordinates no engine
-// accepts), in floating point so that no coordinate overflows it; it is
-// exact below 2^53, as runspec.Sizes computes it.
-func (s *RunSpec) side() float64 {
-	if s.kind() != KindParallel {
-		return float64(s.NC)
+	shapes = map[string]permcell.Shape{
+		"": permcell.ShapeSquarePillar, "pillar": permcell.ShapeSquarePillar,
+		"plane": permcell.ShapePlane, "cube": permcell.ShapeCube,
 	}
-	if _, err := runspec.Side(s.M, s.P); err != nil {
-		return 0
-	}
-	return float64(s.M) * math.Round(math.Sqrt(float64(s.P)))
-}
+)
 
-// saturate converts a count computed in floating point to int, or to
-// math.MaxInt when it does not fit or is not a number.
-func saturate(x float64) int {
-	if !(x < math.MaxInt) {
-		return math.MaxInt
+// spec is the run identity the RunSpec names, field for field: the one copy
+// admission validates and sizes and the worker builds. A kind name outside
+// the service's spelling stays named in the Spec, so Validate refuses it by
+// that name; an unknown shape becomes one decomp.Check refuses.
+func (s *RunSpec) spec() permcell.Spec {
+	kind, ok := kinds[s.Kind]
+	if !ok {
+		kind = "serve:" + s.Kind
 	}
-	return int(x)
+	sp := permcell.Spec{
+		Kind: kind, M: s.M, P: s.P, NC: s.NC, Rho: s.Rho,
+		Balancer: s.Balancer, Seed: s.Seed, Dt: s.Dt,
+		Wells: s.Wells, WellK: s.WellK, StatsEvery: s.StatsEvery,
+	}
+	if kind == permcell.KindStatic {
+		if sp.Shape, ok = shapes[s.Shape]; !ok {
+			sp.Shape = -1 // no shape: decomp.Check refuses it
+		}
+	}
+	return sp
 }
 
 // Validate rejects specs that cannot construct an engine, before any queue
-// slot or worker is committed to them. Deep engine validation still runs
-// at construction; this pass catches the shapes a 400 should explain.
+// slot or worker is committed to them: the run identity by its own
+// Validate, then what only the service adds — a step count, a retry budget
+// and an in-process sabotage script.
 func (s *RunSpec) Validate() error {
-	switch s.kind() {
-	case KindParallel:
-		if _, err := runspec.Side(s.M, s.P); err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-	case KindStatic:
-		if s.NC < 1 {
-			return fmt.Errorf("serve: nc must be >= 1, got %d", s.NC)
-		}
-		if s.P < 1 {
-			return fmt.Errorf("serve: p must be >= 1, got %d", s.P)
-		}
-		if _, err := s.shape(); err != nil {
-			return err
-		}
-	case KindSerial:
-		if s.NC < 1 {
-			return fmt.Errorf("serve: nc must be >= 1, got %d", s.NC)
-		}
-	default:
-		return fmt.Errorf("serve: unknown engine kind %q", s.Kind)
-	}
-	if !(s.Rho > 0) { // NaN too
-		return fmt.Errorf("serve: rho must be positive, got %g", s.Rho)
+	sp := s.spec()
+	if err := sp.Validate(); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	if s.Steps < 1 {
 		return fmt.Errorf("serve: steps must be >= 1, got %d", s.Steps)
 	}
-	if err := runspec.Wells(s.Wells, s.WellK); err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	if _, err := runspec.TimeStep(s.Dt); err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	if s.Balancer != "" {
-		if _, err := permcell.BalancerByName(s.Balancer); err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-		if s.kind() != KindParallel {
-			return fmt.Errorf("serve: balancer %q requires the parallel engine", s.Balancer)
-		}
-	}
 	if s.MaxRetries != nil && *s.MaxRetries < 0 {
 		return fmt.Errorf("serve: max_retries must be >= 0, got %d", *s.MaxRetries)
 	}
-	if sb := s.Sabotage; sb != nil && s.kind() != KindSerial {
+	if sb := s.Sabotage; sb != nil && sp.Kind != permcell.KindSerial {
 		if err := sb.script().Validate(s.P, false); err != nil {
 			return fmt.Errorf("serve: %w", err)
 		}
@@ -198,44 +148,19 @@ func (s *RunSpec) Validate() error {
 	return nil
 }
 
-func (s *RunSpec) shape() (permcell.Shape, error) {
-	switch s.Shape {
-	case "", "pillar":
-		return permcell.ShapeSquarePillar, nil
-	case "plane":
-		return permcell.ShapePlane, nil
-	case "cube":
-		return permcell.ShapeCube, nil
-	default:
-		return 0, fmt.Errorf("serve: unknown shape %q (want plane, pillar or cube)", s.Shape)
-	}
-}
-
-// options derives the permcell Option set for this spec. ckptDir is the
-// run's private checkpoint directory; sab is the run-owned sabotage script
-// (shared across pause/resume restores so it stays one-shot); onStep
-// streams the records. The derivation is deterministic: the same spec
-// yields the same options every time, which is what makes a served run's
-// trace bit-identical to a solo run of the same spec.
-func (s *RunSpec) options(ckptDir string, sab *permcell.Sabotage, onStep func(permcell.StepStats), onEvent func(permcell.SupervisorEvent)) ([]permcell.Option, error) {
+// options derives the runtime Option set for this spec; the identity
+// travels in spec(). ckptDir is the run's private checkpoint directory; sab
+// is the run-owned sabotage script (shared across pause/resume restores so
+// it stays one-shot); onStep streams the records. The derivation is
+// deterministic: the same spec yields the same options every time, which is
+// what makes a served run's trace bit-identical to a solo run of the same
+// spec.
+func (s *RunSpec) options(ckptDir string, sab *permcell.Sabotage, onStep func(permcell.StepStats), onEvent func(permcell.SupervisorEvent)) []permcell.Option {
 	opts := []permcell.Option{
-		permcell.WithSeed(s.seedOrDefault()),
-		permcell.WithDt(s.Dt),
-		permcell.WithWells(s.Wells, s.WellK),
-		permcell.WithStatsEvery(s.StatsEvery),
 		permcell.WithMetrics(),
 		permcell.WithOnStep(onStep),
 		permcell.WithDiscardStats(),
 		permcell.WithCheckpoint(s.CheckpointEvery, ckptDir),
-	}
-	if s.Balancer != "" {
-		b, err := permcell.BalancerByName(s.Balancer)
-		if err != nil {
-			return nil, err
-		}
-		if b != nil {
-			opts = append(opts, permcell.WithBalancer(b))
-		}
 	}
 	if sab != nil {
 		opts = append(opts, permcell.WithSabotage(sab))
@@ -247,30 +172,5 @@ func (s *RunSpec) options(ckptDir string, sab *permcell.Sabotage, onStep func(pe
 			OnEvent:    onEvent,
 		}))
 	}
-	return opts, nil
-}
-
-func (s *RunSpec) seedOrDefault() uint64 {
-	if s.Seed == 0 {
-		return 1
-	}
-	return s.Seed
-}
-
-// build constructs a fresh engine for the spec.
-func (s *RunSpec) build(opts []permcell.Option) (permcell.Engine, error) {
-	switch s.kind() {
-	case KindParallel:
-		return permcell.New(s.M, s.P, s.Rho, opts...)
-	case KindStatic:
-		shape, err := s.shape()
-		if err != nil {
-			return nil, err
-		}
-		return permcell.NewStatic(shape, s.NC, s.P, s.Rho, opts...)
-	case KindSerial:
-		return permcell.NewSerial(s.NC, s.Rho, opts...)
-	default:
-		return nil, fmt.Errorf("serve: unknown engine kind %q", s.Kind)
-	}
+	return opts
 }

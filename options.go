@@ -89,13 +89,9 @@ const (
 // NewSerial, NewStatic or Run; the zero value of every field selects the
 // documented default.
 type Options struct {
+	id         Spec // the identity options' fields; see identity
 	balancer   Balancer
-	wells      int
-	wellK      float64
 	shards     int
-	seed       uint64
-	dt         float64
-	statsEvery int
 	metrics    bool
 	onStep     func(StepStats)
 	discard    bool
@@ -148,15 +144,9 @@ const (
 type Option func(*Options)
 
 func buildOptions(opts []Option) Options {
-	o := Options{seed: 1, statsEvery: 1}
+	var o Options
 	for _, fn := range opts {
 		fn(&o)
-	}
-	// The facade engines reduce step numbers modulo statsEvery; clamp
-	// WithStatsEvery(0) and negative values to "every step" instead of
-	// letting them reach a modulo-by-zero.
-	if o.statsEvery < 1 {
-		o.statsEvery = 1
 	}
 	return o
 }
@@ -173,7 +163,7 @@ func WithBalancer(b Balancer) Option { return func(o *Options) { o.balancer = b 
 // condensation (the experiments' accelerated-physics substitution; see
 // DESIGN.md). n <= 1 with k > 0 places a single central well.
 func WithWells(n int, k float64) Option {
-	return func(o *Options) { o.wells, o.wellK = n, k }
+	return func(o *Options) { o.id.Wells, o.id.WellK = n, k }
 }
 
 // WithShards is what is left of the retired intra-rank shards: every PE
@@ -187,17 +177,17 @@ func WithWells(n int, k float64) Option {
 func WithShards(n int) Option { return func(o *Options) { o.shards = n } }
 
 // WithSeed seeds the initial condition (and the fault plan derivations).
-// The default is 1.
-func WithSeed(seed uint64) Option { return func(o *Options) { o.seed = seed } }
+// The default is 1, and seed 0 selects it.
+func WithSeed(seed uint64) Option { return func(o *Options) { o.id.Seed = seed } }
 
 // WithDt overrides the integration time step. Zero keeps the default of
 // 0.005 reduced time units; PaperTimeStep selects the paper's literal 1e-4.
-func WithDt(dt float64) Option { return func(o *Options) { o.dt = dt } }
+func WithDt(dt float64) Option { return func(o *Options) { o.id.Dt = dt } }
 
 // WithStatsEvery thins the per-step statistics to every k-th step
 // (default 1; the global concentration census costs one small allgather).
 // Values below 1 select the default.
-func WithStatsEvery(k int) Option { return func(o *Options) { o.statsEvery = k } }
+func WithStatsEvery(k int) Option { return func(o *Options) { o.id.StatsEvery = k } }
 
 // WithMetrics enables the per-phase observability layer: every step's wall
 // time is attributed to the phase taxonomy (force, halo, migrate, DLB

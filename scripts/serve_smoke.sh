@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# End-to-end smoke for cmd/mdserve: boots the service, drives two runs
-# through submit/stream/pause/resume, and asserts the /metrics exposition
-# reports them. CI runs this after the unit/soak suites; it exists to
-# catch what only a real process + real HTTP round-trips can (flag
-# parsing, mux wiring, graceful drain).
+# End-to-end smoke for cmd/mdserve: boots the service, refuses one
+# unbuildable spec, drives two runs through submit/stream/pause/resume, and
+# asserts the /metrics exposition reports them. CI runs this after the
+# unit/soak suites; it exists to catch what only a real process + real HTTP
+# round-trips can (flag parsing, mux wiring, admission, graceful drain).
 set -euo pipefail
 
 ADDR="127.0.0.1:18080"
@@ -34,6 +34,13 @@ for i in $(seq 1 50); do
     [[ $i == 50 ]] && die "service never became healthy"
     sleep 0.2
 done
+
+# An unbuildable spec is refused at admission with 400, before it takes a
+# queue slot or a worker: 5 cells do not slice into planes over 4 PEs.
+CODE=$(curl -s -o "$DATA/bad.json" -w '%{http_code}' -X POST "$BASE/runs" -d '{
+  "kind": "static", "shape": "plane", "nc": 5, "p": 4, "rho": 0.3, "steps": 1
+}')
+[[ "$CODE" == 400 ]] || die "static plane nc=5 p=4: HTTP $CODE, want 400 ($(cat "$DATA/bad.json"))"
 
 # Run 1: a supervised parallel run, long enough to pause mid-flight.
 R1=$(curl -sf -X POST "$BASE/runs" -d '{
@@ -86,7 +93,8 @@ for want in \
     "permcell_run_steps_done{run=\"$R1\"} 400" \
     "permcell_run_steps_done{run=\"$R2\"} 30" \
     "permcell_steps_total{run=\"$R2\"} 30" \
-    'permcell_serve_admitted_total 2'; do
+    'permcell_serve_admitted_total 2' \
+    'permcell_serve_rejected_total{reason="invalid"} 1'; do
     grep -qF "$want" <<<"$METRICS" || die "/metrics missing: $want"
 done
 # One header block per family, even with two runs exporting it.
