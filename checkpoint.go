@@ -26,12 +26,14 @@ func CheckpointNow(eng Engine) error {
 }
 
 // ckptWriter holds a facade engine's checkpoint policy: the cadence, the
-// target directory, and the Meta template carrying the run identity. The
-// zero value is inert (no checkpointing).
+// target directory, and the Meta template carrying the run identity, plus
+// the Saver whose encode buffer every save of the run reuses. The zero
+// value is inert (no checkpointing).
 type ckptWriter struct {
 	every int
 	dir   string
 	meta  checkpoint.Meta
+	saver checkpoint.Saver
 }
 
 func (w *ckptWriter) active() bool { return w.dir != "" }
@@ -74,7 +76,7 @@ func (w *ckptWriter) write(eng coreEngine) error {
 	m := w.meta
 	m.Step = st.Step
 	m.CommMsgs, m.CommBytes = st.CommMsgs, st.CommBytes
-	if _, err := checkpoint.Save(w.dir, &m, st.Frames); err != nil {
+	if _, err := w.saver.Save(w.dir, &m, st.Frames); err != nil {
 		return fmt.Errorf("permcell: writing checkpoint: %w", err)
 	}
 	return nil

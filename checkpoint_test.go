@@ -136,7 +136,7 @@ func TestRestoreRefusesShardedHeader(t *testing.T) {
 
 	meta.Shards = 2
 	sharded := t.TempDir()
-	if _, err := checkpoint.Save(sharded, meta, frames); err != nil {
+	if _, err := new(checkpoint.Saver).Save(sharded, meta, frames); err != nil {
 		t.Fatal(err)
 	}
 	if eng, err := Restore(sharded); err == nil {

@@ -125,7 +125,7 @@ func writeCompatCheckpoints(t *testing.T, dir string) {
 	}
 	meta.Balancer = ""
 	tmp := t.TempDir()
-	path, err := checkpoint.Save(tmp, meta, frames)
+	path, err := new(checkpoint.Saver).Save(tmp, meta, frames)
 	if err != nil {
 		t.Fatal(err)
 	}

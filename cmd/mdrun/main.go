@@ -172,8 +172,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *wells == 0 {
 		wk = 0
 	}
-	// The run identity the flags name; on -resume the checkpoint's header
-	// names it instead, and these flags are ignored.
+	// The run identity the flags name, normalised as Build records it; on
+	// -resume the checkpoint's header names it instead, and these flags are
+	// ignored.
 	spec := permcell.Spec{
 		Kind: permcell.KindDLB, M: *m, P: *p, Rho: *rho, Balancer: *balancerSpec,
 		Seed: *seed, Dt: *dt, Wells: *wells, WellK: wk,
@@ -184,6 +185,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
+	spec = spec.Normalized()
 	// A negative count or duration would silently mean something else — no
 	// steps, no cadence, no supervisor, the default backoff, one worker per
 	// PE — so it is refused before anything starts, as mdserve refuses its
@@ -324,7 +326,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				*resume, *seed, balancer)
 		} else {
 			fmt.Fprintf(w, "# mdrun m=%d p=%d rho=%g seed=%d dt=%g balancer=%s\n",
-				*m, *p, *rho, *seed, *dt, balancer)
+				spec.M, spec.P, spec.Rho, spec.Seed, spec.Dt, balancer)
 		}
 		fmt.Fprintln(w, strings.Join(header, ","))
 	}

@@ -112,7 +112,8 @@ func TestSeedZeroIsSeedOne(t *testing.T) {
 		if code := run([]string{"-m", "2", "-p", "4", "-steps", "3", "-seed", seed}, &out, &errb); code != 0 {
 			t.Fatalf("mdrun -seed %s exited %d: %s", seed, code, errb.String())
 		}
-		// Drop the run header, which echoes the flag, and the wall columns.
+		// Drop the run header (TestFreshHeaderReportsBuiltIdentity reads
+		// it) and the wall columns.
 		for _, line := range strings.Split(out.String(), "\n")[1:] {
 			f := strings.Split(line, ",")
 			if len(f) > 8 {
@@ -122,6 +123,27 @@ func TestSeedZeroIsSeedOne(t *testing.T) {
 	}
 	if rows[0] != rows[1] || rows[0] == "" {
 		t.Errorf("-seed 0 rows differ from -seed 1:\n%s\nvs\n%s", rows[0], rows[1])
+	}
+}
+
+// TestFreshHeaderReportsBuiltIdentity: a fresh run's header reports the
+// identity Build records, defaults resolved, not the flags as typed.
+func TestFreshHeaderReportsBuiltIdentity(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-seed", "0", "-dt", "0"}, "seed=1 dt=0.005 balancer=none"},
+		{[]string{"-seed", "9", "-dt", "0.002"}, "seed=9 dt=0.002 balancer=none"},
+	} {
+		var out, errb bytes.Buffer
+		args := append([]string{"-m", "2", "-p", "4", "-steps", "1"}, c.args...)
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("mdrun %v exited %d: %s", args, code, errb.String())
+		}
+		if header, _, _ := strings.Cut(out.String(), "\n"); !strings.HasSuffix(header, c.want) {
+			t.Errorf("mdrun %v: header %q, want it to end %q", c.args, header, c.want)
+		}
 	}
 }
 

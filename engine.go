@@ -1,7 +1,6 @@
 package permcell
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -64,24 +63,17 @@ const (
 )
 
 // Build starts a fresh engine of the run identity spec, after
-// spec.Validate. It normalises the identity once and records it so: dt 0
+// spec.Validate. It normalises the identity once (Spec.Normalized: dt 0
 // becomes 0.005, seed 0 becomes 1, a stats cadence below 1 becomes 1, and a
-// KindDLB balancer its canonical spec ("" and "none" both read "none").
-// Every checkpoint of the run carries that Spec. opts supply the runtime
-// only; the identity options (WithSeed, WithDt, WithWells, WithStatsEvery,
-// WithBalancer) are not consulted — the spec is the identity.
+// KindDLB balancer its canonical spec) and records it so. Every checkpoint
+// of the run carries that Spec. opts supply the runtime only; the identity
+// options (WithSeed, WithDt, WithWells, WithStatsEvery, WithBalancer) are
+// not consulted — the spec is the identity.
 func Build(spec Spec, opts ...Option) (Engine, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("permcell: %w", err)
 	}
-	spec.Dt = cmp.Or(spec.Dt, checkpoint.DefaultDt)
-	spec.Seed = cmp.Or(spec.Seed, 1)
-	spec.StatsEvery = max(spec.StatsEvery, 1)
-	if spec.Kind == KindDLB {
-		b, _ := balance.Decode(spec.Balancer) // Validate decoded it
-		spec.Balancer = balance.Encode(b)
-	}
-	return launch(checkpoint.Meta{Spec: spec}, nil, buildOptions(opts))
+	return launch(checkpoint.Meta{Spec: spec.Normalized()}, nil, buildOptions(opts))
 }
 
 // identity completes a constructor's coordinates with the identity

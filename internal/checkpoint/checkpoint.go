@@ -21,7 +21,10 @@
 // whose headers are flat (version 1's frame sections were gob too). Files
 // are written atomically (tmp + rename) with a retained latest/previous
 // pair, so a process crash mid-write or a corrupted latest file never loses
-// the run: the previous checkpoint still loads. Nothing is fsynced: that guarantee does not extend to power loss.
+// the run: the previous checkpoint still loads. Saver.Save rotates by
+// removing previous and renaming into the vacated names, never over a live
+// file, and a Saver keeps its encode buffer across saves. Nothing is
+// fsynced: that guarantee does not extend to power loss.
 package checkpoint
 
 import (

@@ -4,15 +4,23 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"permcell/internal/particle"
 	"permcell/internal/vec"
 )
+
+// Save writes one checkpoint into dir through a Saver used once, as a
+// run's first save does.
+func Save(dir string, meta *Meta, frames []Frame) (string, error) {
+	return new(Saver).Save(dir, meta, frames)
+}
 
 func testMeta(step int) *Meta {
 	return &Meta{
@@ -297,5 +305,140 @@ func TestWriteAtomic(t *testing.T) {
 	}
 	if b, _ := os.ReadFile(path); string(b) != "second" {
 		t.Fatalf("content after overwrite = %q", b)
+	}
+}
+
+// TestSaveCrashPoints stops Save after every prefix of its filesystem
+// steps. From a directory holding latest (step 20) and previous (step 10),
+// LoadPath must find the old latest or the new file (step 30) after each
+// one, never nothing; from an empty directory and from a first save's
+// directory it must find what was there before or the new file. Running the
+// remaining steps then completes the rotation with no temporary file left.
+func TestSaveCrashPoints(t *testing.T) {
+	const fresh = 30
+	frames := testFrames(2)
+	for _, c := range []struct {
+		name    string
+		before  []int // steps saved into the directory first, oldest first
+		old     int   // the step LoadPath finds before the rotation, 0 for none
+		prevEnd int   // the step previous holds afterwards, 0 for none
+	}{
+		{"empty", nil, 0, 0},
+		{"after first save", []int{20}, 20, 20},
+		{"latest and previous", []int{10, 20}, 20, 20},
+	} {
+		n := len(new(rotation).steps("", nil))
+		for k := 0; k <= n; k++ {
+			dir := t.TempDir()
+			for _, step := range c.before {
+				if _, err := Save(dir, testMeta(step), frames); err != nil {
+					t.Fatal(err)
+				}
+			}
+			b, err := appendStream(nil, testMeta(fresh), frames)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var r rotation
+			steps := r.steps(dir, b)
+			for _, step := range steps[:k] {
+				if err := step(); err != nil {
+					t.Fatalf("%s, step %d: %v", c.name, k, err)
+				}
+			}
+			meta, _, err := LoadPath(dir)
+			switch {
+			case err == nil && (meta.Step == fresh || meta.Step == c.old):
+			case err != nil && c.old == 0 && k < n:
+			default:
+				t.Errorf("%s, stopped after %d of %d steps: LoadPath found %v (err %v), want step %d or %d",
+					c.name, k, n, meta, err, c.old, fresh)
+			}
+			for _, step := range steps[k:] {
+				if err := step(); err != nil {
+					t.Fatalf("%s, step after %d: %v", c.name, k, err)
+				}
+			}
+			if m, _, err := Load(filepath.Join(dir, LatestName)); err != nil || m.Step != fresh {
+				t.Errorf("%s, resumed after %d: latest %v (err %v), want step %d", c.name, k, m, err, fresh)
+			}
+			pm, _, err := Load(filepath.Join(dir, PreviousName))
+			if c.prevEnd == 0 && !errors.Is(err, fs.ErrNotExist) || c.prevEnd != 0 && (err != nil || pm.Step != c.prevEnd) {
+				t.Errorf("%s, resumed after %d: previous %v (err %v), want step %d", c.name, k, pm, err, c.prevEnd)
+			}
+			noTemporaries(t, dir)
+		}
+	}
+}
+
+// noTemporaries fails on any temporary file left in dir.
+func noTemporaries(t *testing.T, dir string) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if strings.Contains(e.Name(), ".tmp") {
+			t.Errorf("leftover temporary file %s", e.Name())
+		}
+	}
+}
+
+// TestSaverKeepsItsBuffer: once a Saver has written a file, a save of the
+// same shape allocates less than an eighth of the file's size — the encode
+// buffer is reused, not allocated and zeroed again — and writes the bytes a
+// fresh Encode writes.
+func TestSaverKeepsItsBuffer(t *testing.T) {
+	dir := t.TempDir()
+	meta, frames := testMeta(1), benchFrames(1, 55296)
+	var s Saver
+	for range 2 { // the second save rotates a live pair, as every later one does
+		if _, err := s.Save(dir, meta, frames); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const saves = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range saves {
+		if _, err := s.Save(dir, meta, frames); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	size := len(encodeNow(t, meta, frames))
+	if per := (after.TotalAlloc - before.TotalAlloc) / saves; per >= uint64(size/8) {
+		t.Errorf("a steady-state Save allocated %d bytes for a %d-byte file", per, size)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, LatestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, encodeNow(t, meta, frames)) {
+		t.Error("a Save through a kept buffer wrote other bytes than Encode")
+	}
+}
+
+// TestNormalizedResolvesDefaults: Normalized fills every default Build
+// records, canonicalises a dlb balancer, keeps what is set, leaves what it
+// cannot decode for Validate, and is idempotent.
+func TestNormalizedResolvesDefaults(t *testing.T) {
+	dlb := Spec{Kind: KindDLB, M: 2, P: 4, Rho: 0.256}
+	set := Spec{Kind: KindDLB, M: 2, P: 4, Rho: 0.256, Balancer: "none", Seed: 9, Dt: 0.002, StatsEvery: 3}
+	for _, c := range []struct {
+		in, want Spec
+	}{
+		{dlb, Spec{Kind: KindDLB, M: 2, P: 4, Rho: 0.256, Balancer: "none", Seed: 1, Dt: DefaultDt, StatsEvery: 1}},
+		{set, set},
+		{Spec{Kind: KindDLB, Balancer: "bogus", StatsEvery: -2}, Spec{Kind: KindDLB, Balancer: "bogus", Seed: 1, Dt: DefaultDt, StatsEvery: 1}},
+		{Spec{Kind: KindSerial, NC: 4, Rho: 0.3}, Spec{Kind: KindSerial, NC: 4, Rho: 0.3, Seed: 1, Dt: DefaultDt, StatsEvery: 1}},
+	} {
+		if got := c.in.Normalized(); got != c.want {
+			t.Errorf("Normalized(%+v) = %+v, want %+v", c.in, got, c.want)
+		}
+		if got := c.want.Normalized(); got != c.want {
+			t.Errorf("Normalized is not idempotent on %+v: %+v", c.want, got)
+		}
 	}
 }

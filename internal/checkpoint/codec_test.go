@@ -2,7 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
+	"encoding/hex"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -393,6 +395,30 @@ func BenchmarkCheckpointDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckpointSave times what a cadence checkpoint pays in this
+// package: encode into the Saver's kept buffer, write the temporary file
+// and rotate, into a directory that already holds latest and previous.
+func BenchmarkCheckpointSave(b *testing.B) {
+	for _, s := range benchShapes {
+		b.Run(s.name, func(b *testing.B) {
+			dir, meta, frames := b.TempDir(), testMeta(1), benchFrames(s.p, s.n)
+			var sv Saver
+			for range 2 {
+				if _, err := sv.Save(dir, meta, frames); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(len(sv.buf)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := sv.Save(dir, meta, frames); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestEncodeAllocatesConstantTimes is the benchmarks' hard half: a
 // steady-state Encode into a presized buffer allocates the same number of
 // times whatever the frame count and size — the header's gob encoder and
@@ -421,4 +447,31 @@ func TestEncodeAllocatesConstantTimes(t *testing.T) {
 		t.Errorf("%v allocations per Encode: the header's gob encoder alone should cost a few dozen", base)
 	}
 	t.Logf("%v allocations per Encode", base)
+}
+
+// pinnedEncodings are the SHA-256 sums of Encode's output on fixed inputs:
+// the two benchShapes and the odd values (−0, NaN payloads, ±Inf) of
+// oddFrames, whose math.MaxInt column is swapped for one every GOARCH
+// holds alike. Any change to how a checkpoint is encoded into bytes — buffer
+// handling included — must leave these as they are; a layout change is a
+// new FormatVersion and new sums.
+var pinnedEncodings = map[string]string{
+	"serial_50k": "6aa9558eb203e0f3a002835bddd228505e0983d7bfe6c2dc273fc11115724e8d",
+	"resilience": "7d823264d9543eccf4b480cf30dd079a5d6e2f5db9ac61409bb050b9885dd212",
+	"odd":        "11dfad306a57845c1f7e2cc325bdaaa9d73180c218975d6a698d094e3801bb90",
+}
+
+func TestEncodeBytesPinned(t *testing.T) {
+	odd := oddFrames()
+	odd[1].Cols[2] = math.MaxInt32
+	inputs := map[string][]Frame{"odd": odd}
+	for _, s := range benchShapes {
+		inputs[s.name] = benchFrames(s.p, s.n)
+	}
+	for name, frames := range inputs {
+		sum := sha256.Sum256(encodeNow(t, testMeta(1), frames))
+		if got := hex.EncodeToString(sum[:]); got != pinnedEncodings[name] {
+			t.Errorf("%s: Encode output hashes to %s, pinned %s", name, got, pinnedEncodings[name])
+		}
+	}
 }

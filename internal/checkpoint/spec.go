@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -51,6 +52,23 @@ type Spec struct {
 	WellK float64
 	// StatsEvery thins the per-step statistics to every k-th step.
 	StatsEvery int
+}
+
+// Normalized is the identity a fresh engine of s records: dt 0 becomes
+// DefaultDt, seed 0 becomes 1, a stats cadence below 1 becomes 1, and a
+// KindDLB balancer takes its canonical balance.Encode form ("" and "none"
+// both read "none"). A balancer that does not decode stays as written, for
+// Validate to refuse.
+func (s Spec) Normalized() Spec {
+	s.Dt = cmp.Or(s.Dt, DefaultDt)
+	s.Seed = cmp.Or(s.Seed, 1)
+	s.StatsEvery = max(s.StatsEvery, 1)
+	if s.Kind == KindDLB {
+		if b, err := balance.Decode(s.Balancer); err == nil {
+			s.Balancer = balance.Encode(b)
+		}
+	}
+	return s
 }
 
 // Size is what a spec's coordinates resolve to: NC cells per dimension, C
