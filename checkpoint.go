@@ -3,26 +3,24 @@ package permcell
 import (
 	"fmt"
 
+	"permcell/internal/balance"
 	"permcell/internal/checkpoint"
 	"permcell/internal/runspec"
 )
 
-// Checkpointer is implemented by every facade Engine. Checkpoint writes a
-// coordinated snapshot immediately, at the current step boundary, into the
-// directory configured with WithCheckpoint; it fails when no directory was
-// configured. The engine remains usable afterwards.
-type Checkpointer interface {
-	Checkpoint() error
-}
-
-// CheckpointNow writes an immediate checkpoint for any Engine that supports
-// it (all engines constructed by this package do).
+// CheckpointNow writes an immediate checkpoint at the current step
+// boundary into the directory configured with WithCheckpoint; it fails when
+// no directory was configured, after Result, and for an Engine this package
+// did not build. The engine remains usable afterwards.
 func CheckpointNow(eng Engine) error {
-	c, ok := eng.(Checkpointer)
+	e, ok := eng.(*engine)
 	if !ok {
 		return fmt.Errorf("permcell: engine does not support checkpointing")
 	}
-	return c.Checkpoint()
+	if e.finished {
+		return fmt.Errorf("permcell: Checkpoint after Result")
+	}
+	return e.ckpt.write(e.eng)
 }
 
 // ckptWriter holds a facade engine's checkpoint policy: the cadence, the
@@ -89,10 +87,10 @@ func (w *ckptWriter) write(eng coreEngine) error {
 //
 // The run identity — engine kind, paper coordinates, physics options, seed,
 // time step, balancer — travels inside the checkpoint and is restored from
-// it; options that would change the physics (WithSeed, WithDt, WithWells,
-// WithStatsEvery) are ignored. A header that records more than one
-// intra-rank shard is refused: that run's summation order no longer
-// exists. The balancer is checked rather than ignored: a caller that
+// it, and SpecOf reports it; options that would change the physics
+// (WithSeed, WithDt, WithWells, WithStatsEvery) are ignored. A header that
+// records more than one intra-rank shard is refused: that run's summation
+// order no longer exists. The balancer is checked rather than ignored: a caller that
 // explicitly requests one with WithBalancer must name the same strategy the
 // checkpoint was written under, otherwise Restore refuses — resuming a
 // trajectory under a different balancer would silently change the
@@ -128,8 +126,13 @@ func Restore(path string, opts ...Option) (Engine, error) {
 			BalancerName(fileB), BalancerName(o.balancer))
 	}
 	// The per-snapshot fields move into the engine state; what remains is
-	// the template the restored engine's own writer refills at each save.
+	// the template the restored engine's own writer refills at each save,
+	// and the identity SpecOf reports: a dlb header's balancer in canonical
+	// form, so a legacy header's DLB flag reads as the spec it stands for.
 	tmpl := *meta
 	tmpl.Step, tmpl.CommMsgs, tmpl.CommBytes = 0, 0, 0
+	if tmpl.Kind == checkpoint.KindDLB {
+		tmpl.Balancer, tmpl.DLB, tmpl.Hysteresis = balance.Encode(fileB), false, 0
+	}
 	return launch(tmpl, meta.State(frames), o)
 }

@@ -2,6 +2,7 @@ package permcell
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -225,8 +226,9 @@ func backend(meta checkpoint.Meta, st *checkpoint.EngineState, o Options,
 }
 
 // Run executes steps time steps of the parallel engine and returns the
-// outcome. Cancelling ctx stops the run at the next step boundary and
-// returns the partial result together with ctx.Err().
+// outcome, as RunEngine does: cancelling ctx stops the run at the next step
+// boundary, writes a checkpoint there under WithCheckpoint, and returns the
+// partial result together with ctx.Err().
 func Run(ctx context.Context, m, p int, rho float64, steps int, opts ...Option) (*Result, error) {
 	eng, err := New(m, p, rho, opts...)
 	if err != nil {
@@ -236,20 +238,30 @@ func Run(ctx context.Context, m, p int, rho float64, steps int, opts ...Option) 
 }
 
 // RunEngine drives any Engine for steps time steps, checking ctx between
-// steps. On cancellation it finalizes the engine and returns the partial
-// result together with ctx.Err(); otherwise the completed result. On a Step
-// error it also finalizes the engine — so the worker goroutines are
-// released (or at least given their best-effort teardown) rather than
-// leaked — and returns whatever partial result the teardown salvaged
-// together with the Step error.
+// steps. On cancellation an engine built with WithCheckpoint first writes a
+// checkpoint at the step boundary where it stopped, so the run resumes from
+// there rather than from the last cadence boundary; then RunEngine
+// finalizes the engine and returns the partial result together with
+// ctx.Err(), joined with the checkpoint's write error if it failed.
+// Otherwise it returns the completed result. On a Step error it also
+// finalizes the engine — so the worker goroutines are released (or at
+// least given their best-effort teardown) rather than leaked — and returns
+// whatever partial result the teardown salvaged together with the Step
+// error.
 func RunEngine(ctx context.Context, eng Engine, steps int) (*Result, error) {
 	for i := 0; i < steps; i++ {
 		if ctx.Err() != nil {
+			err := ctx.Err()
+			if e, ok := eng.(*engine); ok && e.ckpt.active() {
+				if cerr := CheckpointNow(e); cerr != nil {
+					err = errors.Join(err, cerr)
+				}
+			}
 			res, rerr := eng.Result()
 			if rerr != nil {
 				return res, rerr
 			}
-			return res, ctx.Err()
+			return res, err
 		}
 		if err := eng.Step(1); err != nil {
 			res, _ := eng.Result()
@@ -330,12 +342,16 @@ func (e *engine) Result() (*Result, error) {
 	return res, err
 }
 
-// Checkpoint writes an immediate checkpoint at the current step boundary.
-func (e *engine) Checkpoint() error {
-	if e.finished {
-		return fmt.Errorf("permcell: Checkpoint after Result")
+// SpecOf returns the run identity eng runs: for an engine from Build (and
+// so New, NewStatic and NewSerial) the normalised Spec it recorded, for one
+// from Restore the file's, its balancer in canonical form — the Spec every
+// checkpoint of the run carries. ok is false for an Engine this package did
+// not build.
+func SpecOf(eng Engine) (Spec, bool) {
+	if e, ok := eng.(*engine); ok {
+		return e.ckpt.meta.Spec, true
 	}
-	return e.ckpt.write(e.eng)
+	return Spec{}, false
 }
 
 // NewStatic starts the static-decomposition engine: the box is nc cells of

@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -289,48 +287,6 @@ func TestHugeFrameCountDoesNotOverallocate(t *testing.T) {
 	le.PutUint32(raw[12:], maxFrames+1)
 	if _, _, err := Decode(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "implausible") {
 		t.Fatalf("frame count over the limit: %v", err)
-	}
-}
-
-// TestLoadMetaSkipsFrames: the header of a file whose frame section is
-// corrupt still loads, from the file and from its directory, with the same
-// latest-then-previous fallback as LoadPath when the header itself is gone.
-func TestLoadMetaSkipsFrames(t *testing.T) {
-	dir := t.TempDir()
-	for _, step := range []int{100, 200} {
-		if _, err := Save(dir, testMeta(step), testFrames(2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	latest := filepath.Join(dir, LatestName)
-	raw, err := os.ReadFile(latest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)-1] ^= 0x01 // last byte of the last frame
-	if err := os.WriteFile(latest, raw, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Load(latest); err == nil || !strings.Contains(err.Error(), "CRC") {
-		t.Fatalf("Load of the corrupt file: %v", err)
-	}
-	for _, path := range []string{latest, dir} {
-		meta, err := LoadMeta(path)
-		if err != nil || meta.Step != 200 || meta.Seed != 7 {
-			t.Fatalf("LoadMeta(%s) = %+v, %v; want step 200", path, meta, err)
-		}
-	}
-	if err := os.Truncate(latest, fileHeaderBytes+4); err != nil {
-		t.Fatal(err)
-	}
-	if meta, err := LoadMeta(dir); err != nil || meta.Step != 100 {
-		t.Fatalf("LoadMeta fallback = %+v, %v; want step 100 from previous", meta, err)
-	}
-	if _, err := LoadMeta(latest); err == nil {
-		t.Fatal("LoadMeta accepted a truncated header")
-	}
-	if _, err := LoadMeta(filepath.Join(dir, "absent")); err == nil {
-		t.Fatal("LoadMeta accepted a missing path")
 	}
 }
 

@@ -342,7 +342,13 @@ func (r *rotation) steps(dir string, b []byte) []func() error {
 	latest, previous := filepath.Join(dir, LatestName), filepath.Join(dir, PreviousName)
 	return []func() error{
 		func() (err error) {
-			r.tmp, err = writeTemp(dir, b)
+			if err := os.MkdirAll(dir, 0o777); err != nil {
+				return err
+			}
+			r.tmp, err = writeTemp(dir, tmpPattern, func(w io.Writer) error {
+				_, err := w.Write(b)
+				return err
+			})
 			return err
 		},
 		func() error { return absentOK(os.Remove(previous)) },
@@ -351,17 +357,15 @@ func (r *rotation) steps(dir string, b []byte) []func() error {
 	}
 }
 
-// writeTemp writes b to a new, uniquely named temporary file in dir
-// (created if need be) and returns its name; on failure nothing is left.
-func writeTemp(dir string, b []byte) (string, error) {
-	if err := os.MkdirAll(dir, 0o777); err != nil {
-		return "", err
-	}
-	f, err := os.CreateTemp(dir, tmpPattern)
+// writeTemp creates a new, uniquely named file in dir from the
+// os.CreateTemp pattern, fills it through write, closes it and returns its
+// name; on failure nothing is left.
+func writeTemp(dir, pattern string, write func(io.Writer) error) (string, error) {
+	f, err := os.CreateTemp(dir, pattern)
 	if err != nil {
 		return "", err
 	}
-	_, err = f.Write(b)
+	err = write(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -390,18 +394,8 @@ func absentOK(err error) error {
 // contract is that the one name always exists, which rules out vacating it
 // first.
 func WriteAtomic(path string, write func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	tmp, err := writeTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*", write)
 	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	err = write(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
@@ -421,63 +415,25 @@ func Load(path string) (*Meta, []Frame, error) {
 	return Decode(f)
 }
 
-// LoadMeta reads only the header of a checkpoint named either way LoadPath
-// takes: magic, version and the CRC-checked Meta section, the frames left
-// unread — for a caller that wants the run identity before (or without)
-// paying for the state. In a directory it answers from the first file of
-// the latest-then-previous pair whose header verifies, which is the file
-// LoadPath would use unless that file's frames are corrupt; the pair shares
-// one run identity and differs in Step and the comm counters only.
-func LoadMeta(path string) (*Meta, error) {
-	var meta *Meta
-	err := loadPath(path, func(file string) error {
-		f, err := os.Open(file)
-		if err != nil {
-			return fmt.Errorf("checkpoint: %w", err)
-		}
-		defer f.Close()
-		meta, _, err = decodeHeader(f)
-		return err
-	})
-	return meta, err
-}
-
 // LoadPath loads a checkpoint named either way a caller may hold one: the
 // file itself, or its directory, where latest.ckpt is tried first and
-// previous.ckpt when latest is missing or corrupt; the error then reports
-// both failures.
-func LoadPath(path string) (meta *Meta, frames []Frame, err error) {
-	err = loadPath(path, func(file string) error {
-		meta, frames, err = Load(file)
-		return err
-	})
-	return meta, frames, err
-}
-
-// loadPath applies load to path itself when it is a file, and by loadDir's
-// policy when it is a directory.
-func loadPath(path string, load func(file string) error) error {
+// previous.ckpt when latest is missing or corrupt — the retained pair's
+// whole point; the error then reports both failures.
+func LoadPath(path string) (*Meta, []Frame, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
+		return nil, nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	if fi.IsDir() {
-		return loadDir(path, load)
+	if !fi.IsDir() {
+		return Load(path)
 	}
-	return load(path)
-}
-
-// loadDir applies load to dir's latest file, then to its previous one: the
-// retained pair's whole point is that a missing or corrupt latest falls back
-// to previous. The error reports both failures when neither loads.
-func loadDir(dir string, load func(file string) error) error {
-	lerr := load(filepath.Join(dir, LatestName))
+	meta, frames, lerr := Load(filepath.Join(path, LatestName))
 	if lerr == nil {
-		return nil
+		return meta, frames, nil
 	}
-	perr := load(filepath.Join(dir, PreviousName))
+	meta, frames, perr := Load(filepath.Join(path, PreviousName))
 	if perr == nil {
-		return nil
+		return meta, frames, nil
 	}
-	return fmt.Errorf("checkpoint: no loadable checkpoint in %s: latest: %v; previous: %v", dir, lerr, perr)
+	return nil, nil, fmt.Errorf("checkpoint: no loadable checkpoint in %s: latest: %v; previous: %v", path, lerr, perr)
 }

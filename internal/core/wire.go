@@ -27,7 +27,6 @@ import (
 //	 1  float64          AllreduceFloat64                  bits                                 8
 //	 2  int64            AllreduceInt64                    value                                8
 //	 3  []int            verifyStep's Gather               n, n x int                           4 + 8n
-//	 4  []float64        (registered, unused per step)     n, n x bits                          4 + 8n
 //	 5  []any            Allgather's broadcast leg         n, n x (id + body), nested           4 + ...
 //	16  []dlb.Decision   tagDecision                       n, n x {Col, Dest}                   4 + 16n
 //	17  []particle.One   tagMigrate, gatherFinal           n, n x {ID, Pos, Vel}                4 + 56n
@@ -37,8 +36,8 @@ import (
 //	21  peRecord         collectStats' Gather              11 scalars, Phases (3 x 7)           256
 //	22  forceReturn      tagForce                          Load, then as []cellBlock (forces)   16 + 12nb + 24np
 //
-// A vec is three float64 (24 bytes). Ids 1..5 are registered by
-// internal/transport itself.
+// A vec is three float64 (24 bytes). Ids 1, 2, 3 and 5 are registered by
+// internal/transport itself; 4 is retired.
 const (
 	idDecisions  byte = 16
 	idOnes       byte = 17

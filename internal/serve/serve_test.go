@@ -183,7 +183,7 @@ func soloTrace(t *testing.T, spec RunSpec, dir string) []metrics.StepRecord {
 	if sb := spec.Sabotage; sb != nil {
 		sab = sb.script()
 	}
-	eng, err := permcell.Build(spec.spec(), spec.options(dir, sab, onStep, nil)...)
+	eng, err := permcell.Build(spec.spec(), spec.options(dir, sab, onStep)...)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}

@@ -377,7 +377,7 @@ func (s *Server) execute(r *Run) {
 	resuming := r.snapshotDone() > 0 || r.hasCheckpoint()
 	var eng permcell.Engine
 	var err error
-	opts := r.Spec.options(r.dir, r.sab, r.sink, nil)
+	opts := r.Spec.options(r.dir, r.sab, r.sink)
 	if resuming {
 		eng, err = permcell.Restore(r.dir, opts...)
 	} else {

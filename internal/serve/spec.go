@@ -155,7 +155,7 @@ func (s *RunSpec) Validate() error {
 // deterministic: the same spec yields the same options every time, which is
 // what makes a served run's trace bit-identical to a solo run of the same
 // spec.
-func (s *RunSpec) options(ckptDir string, sab *permcell.Sabotage, onStep func(permcell.StepStats), onEvent func(permcell.SupervisorEvent)) []permcell.Option {
+func (s *RunSpec) options(ckptDir string, sab *permcell.Sabotage, onStep func(permcell.StepStats)) []permcell.Option {
 	opts := []permcell.Option{
 		permcell.WithMetrics(),
 		permcell.WithOnStep(onStep),
@@ -169,7 +169,6 @@ func (s *RunSpec) options(ckptDir string, sab *permcell.Sabotage, onStep func(pe
 		opts = append(opts, permcell.WithSupervisor(permcell.SupervisorPolicy{
 			MaxRetries: *s.MaxRetries,
 			Backoff:    time.Duration(s.BackoffMS) * time.Millisecond,
-			OnEvent:    onEvent,
 		}))
 	}
 	return opts

@@ -152,7 +152,7 @@ func TestSpecRoundTrip(t *testing.T) {
 			}
 			dir = t.TempDir()
 			served := specOf(t, dir, func() (permcell.Engine, error) {
-				return permcell.Build(zero.spec(), zero.options(dir, nil, func(permcell.StepStats) {}, nil)...)
+				return permcell.Build(zero.spec(), zero.options(dir, nil, func(permcell.StepStats) {})...)
 			})
 			dir = t.TempDir()
 			constructed := specOf(t, dir, func() (permcell.Engine, error) {
@@ -177,7 +177,7 @@ func specOf(t *testing.T, dir string, mk func() (permcell.Engine, error)) permce
 	if err := permcell.CheckpointNow(eng); err != nil {
 		t.Fatal(err)
 	}
-	meta, err := checkpoint.LoadMeta(filepath.Join(dir, checkpoint.LatestName))
+	meta, _, err := checkpoint.Load(filepath.Join(dir, checkpoint.LatestName))
 	if err != nil {
 		t.Fatal(err)
 	}

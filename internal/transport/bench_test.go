@@ -12,7 +12,7 @@ import (
 // that neither allocates.
 func BenchmarkPeerBurst(b *testing.B) {
 	const burst = 24
-	var halo any = make([]float64, 225) // ~1.8 kB on the wire, a condensation halo frame; boxed once
+	var halo any = make([]int, 225) // ~1.8 kB on the wire, a condensation halo frame; boxed once
 	for _, mode := range []struct {
 		name     string
 		perFrame bool

@@ -22,11 +22,10 @@ import (
 // struct payloads register theirs from 16 up (internal/core/wire.go holds
 // the table).
 const (
-	idFloat64  byte = 1 // 8 B
-	idInt64    byte = 2 // 8 B
-	idInts     byte = 3 // uint32 n, n x 8 B
-	idFloat64s byte = 4 // uint32 n, n x 8 B
-	idAnys     byte = 5 // uint32 n, n x (type byte + body), nested
+	idFloat64 byte = 1 // 8 B
+	idInt64   byte = 2 // 8 B
+	idInts    byte = 3 // uint32 n, n x 8 B
+	idAnys    byte = 5 // uint32 n, n x (type byte + body), nested (4 is retired)
 )
 
 // maxNesting bounds how deep []any may nest inside []any. The protocol
@@ -250,26 +249,6 @@ func init() {
 	RegisterPayload(idFloat64, AppendFloat64, (*Reader).Float64)
 	RegisterPayload(idInt64, AppendInt64, (*Reader).Int64)
 	RegisterPayload(idInts, AppendInts, (*Reader).Ints)
-	RegisterPayload(idFloat64s,
-		func(b []byte, v []float64) []byte {
-			b = AppendCount(slices.Grow(b, 4+8*len(v)), len(v))
-			for _, x := range v {
-				b = AppendFloat64(b, x)
-			}
-			return b
-		},
-		func(r *Reader) []float64 {
-			n := r.Count(8)
-			w := r.Bytes(n * 8)
-			if len(w) == 0 {
-				return nil
-			}
-			out := make([]float64, n)
-			for i := range out {
-				out[i] = math.Float64frombits(binary.LittleEndian.Uint64(w[i*8:]))
-			}
-			return out
-		})
 	// []any nests the other codecs, so its encoder can fail (an element of
 	// an unregistered type) and takes the internal signature.
 	register(&codec{

@@ -34,9 +34,8 @@ func TestPayloadRoundTrip(t *testing.T) {
 		3.14, math.Inf(-1), math.Copysign(0, -1),
 		int64(math.MinInt64), int64(42),
 		[]int{-1, 0, math.MaxInt}, []int(nil),
-		[]float64{1.5, math.Inf(1)}, []float64(nil),
 		testPoint{ID: -7, X: 1, Y: -2},
-		[]any{1.0, int64(2), []int{3}, testPoint{ID: 4}, []any{[]float64{5}}},
+		[]any{1.0, int64(2), []int{3}, testPoint{ID: 4}, []any{5.0, math.Inf(1)}},
 		[]any(nil),
 	} {
 		b, err := EncodePayload(v)
@@ -56,13 +55,13 @@ func TestPayloadRoundTrip(t *testing.T) {
 		}
 	}
 	// reflect.DeepEqual calls no NaN equal to itself: compare the bits.
-	b, _ := EncodePayload([]float64{nan, -nan})
+	b, _ := EncodePayload([]any{nan, -nan})
 	got, err := DecodePayload(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range []float64{nan, -nan} {
-		if g := got.([]float64)[i]; math.Float64bits(g) != math.Float64bits(want) {
+		if g := got.([]any)[i].(float64); math.Float64bits(g) != math.Float64bits(want) {
 			t.Errorf("NaN %d: bits %#x, want %#x", i, math.Float64bits(g), math.Float64bits(want))
 		}
 	}
@@ -121,7 +120,7 @@ func TestPayloadDecodeRejects(t *testing.T) {
 		"trailing byte":   append(append([]byte(nil), valid...), 0),
 		"short scalar":    {idFloat64, 1, 2, 3},
 		"lying count":     {idInts, 0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3},
-		"count over body": {idFloat64s, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		"count over body": {idInts, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
 		"nested unknown":  {idAnys, 1, 0, 0, 0, 77},
 		"nested too deep": bytes.Repeat([]byte{idAnys, 1, 0, 0, 0}, maxNesting+1),
 	}

@@ -35,7 +35,7 @@ func payloadSeeds() map[string][]byte {
 		"int64":          wire{2}.i64(-6912),
 		"[]int":          wire{3}.u32(3).i64(1).i64(-2).i64(3),
 		"[]int empty":    wire{3}.u32(0),
-		"[]float64":      wire{4}.u32(2).f64(math.Inf(-1)).f64(math.Copysign(0, -1)),
+		"[]any floats":   wire{5}.u32(2).u8(1).f64(math.Inf(-1)).u8(1).f64(math.Copysign(0, -1)),
 		"[]any":          append(append(wire{5}.u32(3), peRecord...), append(census, wire{3}.u32(1).i64(9)...)...),
 		"[]any nested":   wire{5}.u32(1).u8(5).u32(1).u8(1).f64(1),
 		"[]dlb.Decision": wire{16}.u32(2).i64(3).i64(7).i64(-1).i64(0),

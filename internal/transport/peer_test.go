@@ -160,7 +160,7 @@ func TestPeerCombinesWrites(t *testing.T) {
 	const k = 24
 	wire := 0
 	for i := range k {
-		n, err := p.SendData(1, 2, i, []float64{float64(i), 2, 3})
+		n, err := p.SendData(1, 2, i, []int{i, 2, 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +268,7 @@ func TestPeerSendData(t *testing.T) {
 	defer pa.Close()
 	defer pb.Close()
 
-	vals := []any{2.5, []int{7, 8, 9}, []any{int64(1), []float64{2}}}
+	vals := []any{2.5, []int{7, 8, 9}, []any{int64(1), []any{2.0}}}
 	type sent struct {
 		wire int
 		err  error

@@ -359,7 +359,7 @@ func TestCheckpointHealsDeadWorker(t *testing.T) {
 	if err := permcell.CheckpointNow(eng); err != nil {
 		t.Fatalf("Checkpoint after a worker died: %v", err)
 	}
-	if meta, err := checkpoint.LoadMeta(filepath.Join(dir, checkpoint.LatestName)); err != nil || meta.Step != faultStep {
+	if meta, _, err := checkpoint.Load(filepath.Join(dir, checkpoint.LatestName)); err != nil || meta.Step != faultStep {
 		t.Fatalf("latest checkpoint %+v, %v; want step %d", meta, err, faultStep)
 	}
 	if err := stepWithin(t, eng, faultSteps-faultStep, 30*time.Second); err != nil {

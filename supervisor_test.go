@@ -150,7 +150,7 @@ func TestSupervisorFallsBackToPrevious(t *testing.T) {
 	}
 	// The replay from step 6 past the step-12 boundary wrote nothing, so
 	// the rollback target it came from is still there.
-	prev, err := checkpoint.LoadMeta(filepath.Join(dir, checkpoint.PreviousName))
+	prev, _, err := checkpoint.Load(filepath.Join(dir, checkpoint.PreviousName))
 	if err != nil || prev.Step != 6 {
 		t.Fatalf("previous.ckpt after the heal at step 15: %+v, %v; want step 6", prev, err)
 	}
