@@ -22,59 +22,46 @@ type Balancer = balance.Balancer
 // over when several are eligible.
 type Pick = balance.Pick
 
-// PermanentCellConfig parameterizes the paper's permanent-cell balancer.
-type PermanentCellConfig struct {
-	// Hysteresis is the relative load gap a neighbor must trail by before
-	// a column moves (0 = paper-literal: any strictly faster neighbor
-	// triggers a move).
-	Hysteresis float64
-	// Pick selects among candidate columns (default PickMostLoaded).
-	Pick Pick
-}
+// The balancers' parameter types are the balancers themselves, and each
+// constructor below returns its argument as a Balancer.
+type (
+	// PermanentCellConfig parameterizes the paper's permanent-cell
+	// balancer: Hysteresis is the relative load gap a neighbor must trail
+	// by before a column moves (0 = paper-literal: any strictly faster
+	// neighbor triggers a move), Pick selects among candidate columns
+	// (default PickMostLoaded).
+	PermanentCellConfig = balance.PermanentCell
+	// SFCConfig parameterizes the space-filling-curve balancer: Hysteresis
+	// is the relative load surplus required before a move fires (0 = any
+	// strict improvement), Moves bounds the columns one PE sheds per epoch
+	// (0 = default 1).
+	SFCConfig = balance.SFC
+	// DiffusiveConfig parameterizes the diffusive balancer: Hysteresis is
+	// the relative load gap a neighbor must trail by before any flow is
+	// demanded toward it (0 = any gradient), Moves bounds the columns one
+	// PE sheds per epoch (0 = default 1).
+	DiffusiveConfig = balance.Diffusive
+)
 
 // PermanentCell returns the paper's permanent-cell balancer (Section 2.3):
 // each epoch a PE compares loads with its 8 torus neighbors and hands at
 // most one column toward the fastest one, following the three-case
 // redistribution protocol. This is the reference implementation; select it
 // with WithBalancer(PermanentCell(PermanentCellConfig{Hysteresis: h})).
-func PermanentCell(cfg PermanentCellConfig) Balancer {
-	return balance.PermanentCell{Hysteresis: cfg.Hysteresis, Pick: cfg.Pick}
-}
-
-// SFCConfig parameterizes the space-filling-curve balancer.
-type SFCConfig struct {
-	// Hysteresis is the relative load surplus required before a move fires
-	// (0 = any strict improvement).
-	Hysteresis float64
-	// Moves bounds the columns one PE sheds per epoch (0 = default 1).
-	Moves int
-}
+func PermanentCell(cfg PermanentCellConfig) Balancer { return cfg }
 
 // SFC returns a space-filling-curve repartitioner (Stijnman & Bisseling's
 // ORB-over-a-curve idiom): permanent-cell columns are linearized in Morton
 // order, the curve is cut into P near-equal-load segments each epoch, and
 // columns migrate toward their ideal segment — within the permanent-cell
 // legal move space, so the 8-neighbor exchange pattern is preserved.
-func SFC(cfg SFCConfig) Balancer {
-	return balance.SFC{Hysteresis: cfg.Hysteresis, Moves: cfg.Moves}
-}
-
-// DiffusiveConfig parameterizes the diffusive balancer.
-type DiffusiveConfig struct {
-	// Hysteresis is the relative load gap a neighbor must trail by before
-	// any flow is demanded toward it (0 = any gradient).
-	Hysteresis float64
-	// Moves bounds the columns one PE sheds per epoch (0 = default 1).
-	Moves int
-}
+func SFC(cfg SFCConfig) Balancer { return cfg }
 
 // Diffusive returns a nearest-neighbor diffusion balancer (Eibl & Rüde's
 // DIFF idiom): each PE sheds load only to its 8 torus neighbors,
 // proportionally to the pairwise cost gradient, realized with legal
 // permanent-cell moves.
-func Diffusive(cfg DiffusiveConfig) Balancer {
-	return balance.Diffusive{Hysteresis: cfg.Hysteresis, Moves: cfg.Moves}
-}
+func Diffusive(cfg DiffusiveConfig) Balancer { return cfg }
 
 // BalancerByName parses a balancer spec: a bare name ("permcell", "sfc",
 // "diffusive", "none") with default parameters, or a parameterized form

@@ -91,10 +91,10 @@ func (w *ckptWriter) write(eng coreEngine) error {
 // (WithSeed, WithDt, WithWells, WithStatsEvery) are ignored. A header that
 // records more than one intra-rank shard is refused: that run's summation
 // order no longer exists. The balancer is checked rather than ignored: a caller that
-// explicitly requests one with WithBalancer must name the same strategy the
-// checkpoint was written under, otherwise Restore refuses — resuming a
-// trajectory under a different balancer would silently change the
-// continuation's physics.
+// explicitly requests one with WithBalancer — WithBalancer(nil), static
+// DDM, included — must name the same strategy the checkpoint was written
+// under, otherwise Restore refuses — resuming a trajectory under a
+// different balancer would silently change the continuation's physics.
 // Runtime options (WithOnStep, WithDiscardStats, WithMetrics,
 // WithFaultPlan, WithWatchdog, WithCheckpoint, WithSabotage, WithTransport,
 // WithSupervisor) apply normally and are validated against the loaded
@@ -116,12 +116,12 @@ func Restore(path string, opts ...Option) (Engine, error) {
 	// not consulted (see doc comment) — with one hard check: resuming a
 	// trajectory under a different balancer would silently change the
 	// physics of the continuation, so a caller that explicitly requested
-	// one with WithBalancer must match the file.
+	// one with WithBalancer, nil included, must match the file.
 	fileB, err := runspec.Balancer(meta)
 	if err != nil {
 		return nil, fmt.Errorf("permcell: checkpoint balancer: %w", err)
 	}
-	if o.balancer != nil && BalancerName(o.balancer) != BalancerName(fileB) {
+	if o.balancerSet && BalancerName(o.balancer) != BalancerName(fileB) {
 		return nil, fmt.Errorf("permcell: checkpoint was written under balancer %q; refusing to resume under %q (drop WithBalancer to resume, or restore a matching checkpoint)",
 			BalancerName(fileB), BalancerName(o.balancer))
 	}

@@ -44,7 +44,8 @@
 // and runs -steps further steps; the run identity (m, p, rho, balancer, seed,
 // dt, ...) is restored from the checkpoint and the corresponding flags are
 // ignored, so the resumed trajectory is bit-identical to the uninterrupted
-// run.
+// run; only an explicitly given -balancer, "none" included, is checked, and
+// one that names another balancer than the checkpoint's exits 1.
 //
 // -transport selects where the PE ranks live: "chan" (goroutines in this
 // process, the default) or "tcp" (rank blocks spread over worker processes
@@ -336,9 +337,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opts := []permcell.Option{permcell.WithOnStep(row), permcell.WithDiscardStats()}
-	if bal != nil { // Build records it from the spec; Restore checks it against the file
-		opts = append(opts, permcell.WithBalancer(bal))
-	}
+	// Build records the balancer from the spec; Restore checks one given
+	// explicitly, "none" included, against the file.
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "balancer" {
+			opts = append(opts, permcell.WithBalancer(bal))
+		}
+	})
 	if collect {
 		opts = append(opts, permcell.WithMetrics())
 	}
@@ -396,8 +401,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				rep.RankFailures, rep.GuardViolations, rep.Deadlocks, rep.Exhausted)
 		}
 		if collect {
-			cum.Recovery = &metrics.Recovery{}
-			cum.Recovery.Add(rep)
+			cum.Recovery = rep
 		}
 	}
 	if err == context.Canceled { // a failed final checkpoint is joined to it

@@ -262,3 +262,53 @@ func TestResumeReadsHeaderOnlyThenRestoreVerifies(t *testing.T) {
 		t.Fatalf("a failed resume wrote %q", out.String())
 	}
 }
+
+// TestResumeBalancerFlag: on -resume an explicitly given -balancer, "none"
+// included, must name the checkpoint's balancer, or mdrun exits 1 naming
+// both and writes no CSV; an omitted -balancer resumes any checkpoint.
+func TestResumeBalancerFlag(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := map[string]string{}
+	for _, bal := range []string{"permcell(h=0.1)", "none"} {
+		ckpt[bal] = filepath.Join(dir, bal)
+		var out, errb bytes.Buffer
+		if code := run([]string{"-m", "2", "-p", "4", "-steps", "2", "-balancer", bal,
+			"-checkpoint-dir", ckpt[bal], "-checkpoint-every", "2"}, &out, &errb); code != 0 {
+			t.Fatalf("-balancer %s session exited %d: %s", bal, code, errb.String())
+		}
+	}
+	for _, c := range []struct {
+		from string
+		args []string
+		code int
+	}{
+		{"permcell(h=0.1)", nil, 0},
+		{"permcell(h=0.1)", []string{"-balancer", "permcell(h=0.1)"}, 0},
+		{"permcell(h=0.1)", []string{"-balancer", "sfc"}, 1},
+		{"permcell(h=0.1)", []string{"-balancer", "none"}, 1},
+		{"none", nil, 0},
+		{"none", []string{"-balancer", "none"}, 0},
+		{"none", []string{"-balancer", "permcell"}, 1},
+	} {
+		csv := filepath.Join(t.TempDir(), "out.csv")
+		args := append([]string{"-resume", ckpt[c.from], "-steps", "2", "-o", csv}, c.args...)
+		var out, errb bytes.Buffer
+		code := run(args, &out, &errb)
+		if code != c.code {
+			t.Errorf("mdrun %v on a %s checkpoint exited %d, want %d (stderr %q)", c.args, c.from, code, c.code, errb.String())
+			continue
+		}
+		if code == 0 {
+			continue
+		}
+		for _, spec := range []string{c.from, c.args[1]} {
+			b, _ := permcell.BalancerByName(spec)
+			if msg := errb.String(); !strings.Contains(msg, "refusing to resume") || !strings.Contains(msg, `"`+permcell.BalancerName(b)+`"`) {
+				t.Errorf("mdrun %v on a %s checkpoint: %q does not refuse naming %s", c.args, c.from, msg, permcell.BalancerName(b))
+			}
+		}
+		if b, err := os.ReadFile(csv); err != nil || len(b) > 0 {
+			t.Errorf("refused resume wrote %q to -o (%v)", b, err)
+		}
+	}
+}

@@ -15,7 +15,6 @@ import (
 	"permcell/internal/mdserial"
 	"permcell/internal/particle"
 	"permcell/internal/runspec"
-	"permcell/internal/supervise"
 )
 
 // Engine is a stepwise MD simulation: the DLB/DDM parallel engine (New),
@@ -115,12 +114,12 @@ func launch(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine
 	if err := checkTransport(meta.Kind, o); err != nil {
 		return nil, err
 	}
-	if s := o.sabotage; s != nil && meta.Kind != checkpoint.KindSerial { // serial engines ignore it
+	if s := o.rt.Sabotage; s != nil && meta.Kind != checkpoint.KindSerial { // serial engines ignore it
 		if err := s.Validate(meta.P, o.transport.Kind == TransportTCP); err != nil {
 			return nil, fmt.Errorf("permcell: %w", err)
 		}
 	}
-	if f := o.faults; f != nil && meta.Kind != checkpoint.KindSerial { // serial engines ignore it
+	if f := o.rt.Faults; f != nil && meta.Kind != checkpoint.KindSerial { // serial engines ignore it
 		if err := f.Validate(meta.P); err != nil {
 			return nil, fmt.Errorf("permcell: %w", err)
 		}
@@ -131,7 +130,7 @@ func launch(meta checkpoint.Meta, st *checkpoint.EngineState, o Options) (Engine
 	}
 	var err error
 	if o.supervisor == nil {
-		e.eng, err = backend(meta, st, o, nil, o.transport.Procs, e.record)
+		e.eng, err = backend(meta, st, o, o.transport.Procs, e.record)
 	} else {
 		e.eng, err = supervised(meta, st, o, e)
 	}
@@ -169,10 +168,10 @@ func checkTransport(kind string, o Options) error {
 // supervisor builds each incarnation through it): fresh when st is nil,
 // else resumed from the snapshot, emitting every step record through
 // onStep. Physics comes from meta alone, through the one builder in
-// internal/runspec; o contributes only runtime policy — metrics, fault
-// plan, watchdog, sabotage and transport. guard arms the physics guards
-// (nil unsupervised) and procs is the tcp worker-process count, which the
-// supervisor's rescale policy lowers below the configured one.
+// internal/runspec; o contributes only its runtime policy (o.rt, whose
+// physics guards a supervisor arms) and transport. procs is the tcp
+// worker-process count, which the supervisor's rescale policy lowers below
+// the configured one.
 //
 // On the tcp transport an in-process coordinator deals rank blocks to
 // TCP-connected worker processes (or goroutine-hosted workers), each
@@ -182,7 +181,7 @@ func checkTransport(kind string, o Options) error {
 // the hosting changes), or move between transports, with a bit-identical
 // continuation.
 func backend(meta checkpoint.Meta, st *checkpoint.EngineState, o Options,
-	guard *supervise.GuardConfig, procs int, onStep func(StepStats)) (coreEngine, error) {
+	procs int, onStep func(StepStats)) (coreEngine, error) {
 	var eng coreEngine
 	var err error
 	switch {
@@ -191,32 +190,22 @@ func backend(meta checkpoint.Meta, st *checkpoint.EngineState, o Options,
 		if berr != nil {
 			return nil, fmt.Errorf("permcell: %w", berr)
 		}
-		cfg.Metrics = o.metrics
+		cfg.Metrics = o.rt.Metrics
 		var ser *mdserial.Engine
 		ser, err = mdserial.New(cfg, set)
 		eng = &serialCore{eng: ser, onStep: onStep, statsEvery: max(meta.StatsEvery, 1)}
 	case o.transport.Kind == TransportTCP: // launch admitted KindDLB only
 		eng, err = distrib.Start(distrib.WireSpec{
-			Meta: meta, Metrics: o.metrics,
-			Watchdog: o.watchdog, Faults: o.faults, Guard: guard,
-			Sabotage: o.sabotage, Restore: st,
-		}, distrib.Config{
-			Procs: procs, Worker: o.transport.Worker, Addr: o.transport.Addr,
-			OnStep:          onStep,
+			Meta: meta, Runtime: o.rt, Restore: st,
 			HeartbeatEvery:  o.transport.HeartbeatEvery,
 			HeartbeatMisses: o.transport.HeartbeatMisses,
-		})
+		}, distrib.Config{Procs: procs, Worker: o.transport.Worker, Addr: o.transport.Addr, OnStep: onStep})
 	default:
 		cfg, sys, berr := runspec.Parallel(&meta, st)
 		if berr != nil {
 			return nil, fmt.Errorf("permcell: %w", berr)
 		}
-		cfg.OnStep = onStep
-		cfg.Metrics = o.metrics
-		cfg.Faults = o.faults
-		cfg.Watchdog = o.watchdog
-		cfg.Guard = guard
-		cfg.Sabotage = o.sabotage
+		cfg.OnStep, cfg.Runtime = onStep, o.rt
 		eng, err = core.NewEngine(cfg, sys)
 	}
 	if err != nil {

@@ -31,6 +31,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"time"
@@ -46,6 +47,7 @@ import (
 	"permcell/internal/potential"
 	"permcell/internal/space"
 	"permcell/internal/supervise"
+	"permcell/internal/theory"
 	"permcell/internal/trace"
 )
 
@@ -86,12 +88,36 @@ type Config struct {
 	// (they cost one small allgather; default 1 = every step). Negative
 	// values are rejected at validation; 0 selects the default.
 	StatsEvery int
+	// Runtime is how the machine runs what the fields above compute.
+	Runtime
+
+	// Verify enables per-step protocol invariant checks: per-PE ledger
+	// invariants (permanent columns at home, hosts within the up-left
+	// set, C' bound) plus the global checks — every column hosted exactly
+	// once and the particle count conserved. A ledger run under Faults
+	// turns it on by itself, so every fault-plan run is checked every step.
+	Verify bool
+	// Restore, when non-nil, starts the run from a distributed snapshot
+	// instead of distributing sys: each PE takes its frame's particles in
+	// their recorded order (array order determines force summation order,
+	// so this is what makes the resumed trajectory bit-identical), the
+	// ledgers are rebuilt from the frames' hosted-column sets, and step
+	// numbering continues from Restore.Step — keeping the thermostat, DLB
+	// and stats cadences aligned with the uninterrupted run. The physics
+	// Config fields must match the checkpointed run's exactly.
+	Restore *checkpoint.EngineState
+}
+
+// Runtime is a run's runtime policy: how the machine runs a run, never
+// what its PEs compute. Config embeds it, the tcp transport ships it to
+// every worker inside its spec, and the facade keeps one per engine; a
+// supervisor arms Guard on its own copy.
+type Runtime struct {
 	// Metrics enables the per-PE phase timing layer (internal/metrics):
 	// every step's wall time is attributed to the phase taxonomy and
 	// reduced into StepStats.Phases. Off, the PEs carry a nil timer and
 	// pay one pointer test per phase boundary.
 	Metrics bool
-
 	// Faults, when non-nil, runs the whole exchange under the comm
 	// fault-injection plan (chaos testing): delivery is jittered and
 	// reordered, never lost.
@@ -100,12 +126,6 @@ type Config struct {
 	// hang returns an error with a per-rank state dump after this much
 	// progress-less time instead of blocking forever.
 	Watchdog time.Duration
-	// Verify enables per-step protocol invariant checks: per-PE ledger
-	// invariants (permanent columns at home, hosts within the up-left
-	// set, C' bound) plus the global checks — every column hosted exactly
-	// once and the particle count conserved. A ledger run under Faults
-	// turns it on by itself, so every fault-plan run is checked every step.
-	Verify bool
 	// Guard, when non-nil, runs the cheap runtime physics guards at the
 	// stats cadence: finite positions/velocities, particle conservation and
 	// an energy-drift ceiling. A violation surfaces as a
@@ -118,16 +138,6 @@ type Config struct {
 	// across engine incarnations so a post-rollback replay does not
 	// re-fire it.
 	Sabotage *supervise.Sabotage
-
-	// Restore, when non-nil, starts the run from a distributed snapshot
-	// instead of distributing sys: each PE takes its frame's particles in
-	// their recorded order (array order determines force summation order,
-	// so this is what makes the resumed trajectory bit-identical), the
-	// ledgers are rebuilt from the frames' hosted-column sets, and step
-	// numbering continues from Restore.Step — keeping the thermostat, DLB
-	// and stats cadences aligned with the uninterrupted run. The physics
-	// Config fields must match the checkpointed run's exactly.
-	Restore *checkpoint.EngineState
 }
 
 // StepStats is the per-step record the paper's figures are built from.
@@ -182,17 +192,49 @@ type StepStats struct {
 
 // Record is the one translation of a step's statistics into the record
 // mdrun's JSONL stream and the run service both emit. m is the square-pillar
-// cross-section (0 when unknown: the bound fields are then omitted).
+// cross-section (0 when unknown, e.g. static decompositions: the bound
+// fields are then omitted); an empty Balancer is recorded as "none".
 func (st StepStats) Record(m int) metrics.StepRecord {
-	rec := metrics.NewStepRecord(st.Step, st.Phases,
-		st.StepWallMax, st.StepWallAve,
-		st.WorkMax, st.WorkAve, st.WorkMin,
-		st.Balancer, st.Moved, st.MovedBytes,
-		st.Conc.C0OverC, st.Conc.NFactor, m)
-	rec.TotalEnergy = st.TotalEnergy
-	rec.Temperature = st.Temperature
-	rec.SentFrames = st.SentFrames
-	rec.SentBytes = st.SentBytes
+	b := &st.Phases
+	rec := metrics.StepRecord{
+		Step:        st.Step,
+		StepWallMax: st.StepWallMax,
+		StepWallAve: st.StepWallAve,
+
+		PhaseSecsAve: make(map[string]float64, metrics.NumPhases),
+		PhaseSecsMax: make(map[string]float64, metrics.NumPhases),
+		PhaseMsgs:    make(map[string]int64, metrics.NumPhases),
+		PhaseBytes:   make(map[string]int64, metrics.NumPhases),
+
+		PhaseSecsSumAve: b.SumAveSecs(),
+
+		WorkMax: st.WorkMax, WorkAve: st.WorkAve, WorkMin: st.WorkMin,
+		LoadRatio:  st.LoadRatio(),
+		Efficiency: st.Efficiency(),
+		Imbalance:  st.Imbalance(),
+		Balancer:   cmp.Or(st.Balancer, "none"),
+		Moved:      st.Moved,
+		MovedBytes: st.MovedBytes,
+		C0OverC:    st.Conc.C0OverC, NFactor: st.Conc.NFactor,
+
+		TotalEnergy: st.TotalEnergy,
+		Temperature: st.Temperature,
+		SentFrames:  st.SentFrames,
+		SentBytes:   st.SentBytes,
+	}
+	for ph := metrics.Phase(0); ph < metrics.NumPhases; ph++ {
+		name := ph.String()
+		rec.PhaseSecsAve[name] = b.AveSecs[ph]
+		rec.PhaseSecsMax[name] = b.MaxSecs[ph]
+		rec.PhaseMsgs[name] = b.Msgs[ph]
+		rec.PhaseBytes[name] = b.Bytes[ph]
+	}
+	if m >= 2 {
+		if f, err := theory.F(m, st.Conc.NFactor); err == nil {
+			res := f - st.Conc.C0OverC
+			rec.Bound, rec.BoundResidual = &f, &res
+		}
+	}
 	return rec
 }
 

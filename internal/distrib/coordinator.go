@@ -31,13 +31,6 @@ type Config struct {
 	// OnStep receives each assembled step record (required); the engine
 	// keeps none.
 	OnStep func(core.StepStats)
-
-	// HeartbeatEvery is the heartbeat send interval on every
-	// coordinator<->worker link; HeartbeatMisses is the miss budget. A
-	// link with no frame for Every x Misses is declared dead
-	// (FailHeartbeat). Values <= 0 select the defaults.
-	HeartbeatEvery  time.Duration
-	HeartbeatMisses int
 }
 
 // HandshakeTimeout bounds the accept+hello+spec phase on both sides of
@@ -76,7 +69,6 @@ type Engine struct {
 	reaped []chan error // closed by the exit watcher once cmd.Wait returns
 	onStep func(core.StepStats)
 
-	hbEvery time.Duration
 	hbStop  chan struct{}
 	closing atomic.Bool
 
@@ -108,12 +100,11 @@ func Start(spec WireSpec, cfg Config) (*Engine, error) {
 	if w > p {
 		return nil, fmt.Errorf("distrib: %d worker processes for %d ranks", w, p)
 	}
-	hbEvery, hbMisses := cfg.HeartbeatEvery, cfg.HeartbeatMisses
-	if hbEvery <= 0 {
-		hbEvery = DefaultHeartbeatEvery
+	if spec.HeartbeatEvery <= 0 {
+		spec.HeartbeatEvery = DefaultHeartbeatEvery
 	}
-	if hbMisses <= 0 {
-		hbMisses = DefaultHeartbeatMisses
+	if spec.HeartbeatMisses <= 0 {
+		spec.HeartbeatMisses = DefaultHeartbeatMisses
 	}
 	addr := cfg.Addr
 	if addr == "" {
@@ -127,25 +118,22 @@ func Start(spec WireSpec, cfg Config) (*Engine, error) {
 	dialAddr := ln.Addr().String()
 
 	e := &Engine{
-		spec:    spec,
-		peers:   make([]*transport.Peer, w),
-		acks:    make([]*controlIn, w),
-		procOf:  make([]int, p),
-		ranks:   make([][]int, w),
-		last:    make([]frameLog, w),
-		ctrl:    make(chan ctrlFrame, 4*w),
-		fatal:   make(chan error, w),
-		onStep:  cfg.OnStep,
-		hbEvery: hbEvery,
-		hbStop:  make(chan struct{}),
+		spec:   spec,
+		peers:  make([]*transport.Peer, w),
+		acks:   make([]*controlIn, w),
+		procOf: make([]int, p),
+		ranks:  make([][]int, w),
+		last:   make([]frameLog, w),
+		ctrl:   make(chan ctrlFrame, 4*w),
+		fatal:  make(chan error, w),
+		onStep: cfg.OnStep,
+		hbStop: make(chan struct{}),
 	}
 	if spec.Restore != nil {
 		e.base = spec.Restore.Step
 		e.baseMsgs = spec.Restore.CommMsgs
 		e.baseBytes = spec.Restore.CommBytes
 	}
-	spec.HeartbeatEvery = hbEvery
-	spec.HeartbeatMisses = hbMisses
 
 	// Launch the workers. Process identity is assigned in accept order,
 	// which is safe because the delivery contract is placement
@@ -212,10 +200,10 @@ func Start(spec WireSpec, cfg Config) (*Engine, error) {
 		e.peers[i] = peer
 		e.acks[i] = newControlIn()
 		// The liveness window: a healthy peer's heartbeats arrive every
-		// hbEvery, so hbMisses consecutive losses trip the read deadline.
-		// The same window bounds writes, so a peer that stops draining its
-		// socket cannot wedge a flush.
-		window := hbEvery * time.Duration(hbMisses)
+		// HeartbeatEvery, so HeartbeatMisses consecutive losses trip the
+		// read deadline. The same window bounds writes, so a peer that
+		// stops draining its socket cannot wedge a flush.
+		window := spec.HeartbeatEvery * time.Duration(spec.HeartbeatMisses)
 		peer.SetTimeouts(window, window)
 
 		ws := spec
@@ -250,11 +238,11 @@ func Start(spec WireSpec, cfg Config) (*Engine, error) {
 	// even when the coordinator is idle between commands.
 	for i := 0; i < w; i++ {
 		go e.route(i)
-		go e.heartbeat(i)
+		go heartbeat(e.peers[i], spec.HeartbeatEvery, -1, e.hbStop, nil)
 	}
 
 	// Every worker reports construction (an empty StepAck).
-	if err := collect(e, transport.KindStepAck, (*StepAck).failure); err != nil {
+	if err := collect(e, transport.KindStepAck, func(ack *StepAck) error { return ack.Err }); err != nil {
 		e.shutdown()
 		return nil, fmt.Errorf("distrib: worker startup: %w", err)
 	}
@@ -282,18 +270,23 @@ func (e *Engine) linkFailure(proc int, kind FailureKind, err error) *WorkerFailu
 	}
 }
 
-// heartbeat keeps one worker link alive from the coordinator side. Runs
-// until shutdown or the first send error (a dead link is the router's
-// failure to report, not this goroutine's).
-func (e *Engine) heartbeat(proc int) {
-	t := time.NewTicker(e.hbEvery)
+// heartbeat keeps one link alive, from either end: a header-only
+// KindHeartbeat frame from src at each tick of every, skipped while pause
+// is set (only a worker passes one, for SabotageWorkerStall), until stop
+// closes or the first send error (a dead link is the reader's failure to
+// report, not this goroutine's).
+func heartbeat(peer *transport.Peer, every time.Duration, src int32, stop <-chan struct{}, pause *atomic.Bool) {
+	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
 		select {
-		case <-e.hbStop:
+		case <-stop:
 			return
 		case <-t.C:
-			if e.peers[proc].Send(transport.Frame{Kind: transport.KindHeartbeat, Src: -1, Dst: -1}) != nil {
+			if pause != nil && pause.Load() {
+				continue
+			}
+			if peer.Send(transport.Frame{Kind: transport.KindHeartbeat, Src: src, Dst: -1}) != nil {
 				return
 			}
 		}
@@ -436,7 +429,7 @@ func (e *Engine) Step(n int) error {
 		if len(ack.Stats) > 0 {
 			records = ack.Stats
 		}
-		return ack.failure()
+		return ack.Err
 	})
 	if e.err != nil {
 		return e.err
@@ -477,8 +470,8 @@ func (e *Engine) Snapshot() (*checkpoint.EngineState, error) {
 	}
 	var msgs, bytes int64
 	e.err = collect(e, transport.KindSnapAck, func(ack *SnapAck) error {
-		if ack.Err != "" {
-			return fmt.Errorf("distrib: worker %d: %s", ack.Proc, ack.Err)
+		if ack.Err != nil {
+			return ack.Err
 		}
 		msgs += ack.Msgs
 		bytes += ack.Bytes
@@ -522,8 +515,8 @@ func (e *Engine) Finish() (*core.Result, error) {
 	res := &core.Result{M: e.spec.Meta.M}
 	res.CommMsgs, res.CommBytes = e.baseMsgs, e.baseBytes
 	e.finErr = collect(e, transport.KindResultAck, func(ack *ResultAck) error {
-		if ack.Err != "" {
-			return fmt.Errorf("distrib: worker %d: %s", ack.Proc, ack.Err)
+		if ack.Err != nil {
+			return ack.Err
 		}
 		if ack.Final != nil {
 			final, err := ack.Final.SetOf()

@@ -15,6 +15,7 @@ import (
 	"permcell/internal/checkpoint"
 	"permcell/internal/comm"
 	"permcell/internal/core"
+	"permcell/internal/supervise"
 	"permcell/internal/transport"
 	"permcell/internal/vec"
 )
@@ -202,7 +203,7 @@ func TestWorkerCorruptPayloadPoisons(t *testing.T) {
 		}
 		panic("unreachable")
 	}
-	if ack := awaitAck("ready ack"); ack.Err != "" {
+	if ack := awaitAck("ready ack"); ack.Err != nil {
 		t.Fatalf("worker failed to build its engine: %s", ack.Err)
 	}
 	if err := coord.Send(transport.Frame{Kind: transport.KindStep, Tag: 1}); err != nil {
@@ -213,7 +214,7 @@ func TestWorkerCorruptPayloadPoisons(t *testing.T) {
 	if err := coord.Send(transport.Frame{Kind: transport.KindData, Src: 2, Dst: 0, Tag: 5, Payload: corrupt}); err != nil {
 		t.Fatal(err)
 	}
-	if ack := awaitAck("failed step's ack"); ack.Failure == nil && ack.Err == "" {
+	if ack := awaitAck("failed step's ack"); ack.Err == nil {
 		t.Error("the step the corrupt frame interrupted was acked as a success")
 	}
 	select {
@@ -295,7 +296,7 @@ func roundTrip[T any](t *testing.T, out *controlOut, in *controlIn, v T) T {
 // TestControlPlaneStaysGob: specs and acks round-trip through a link's gob
 // stream, and the data plane's codec wants nothing to do with them.
 func TestControlPlaneStaysGob(t *testing.T) {
-	ack := StepAck{Proc: 3, Msgs: 10, Bytes: 20, Failure: &WireFailure{Class: "rank", Rank: 2, Value: "boom"}}
+	ack := StepAck{Proc: 3, Msgs: 10, Bytes: 20, Err: &supervise.RankFailure{Rank: 2, Value: "boom"}}
 	out, in := newControlOut(), newControlIn()
 	b, err := out.encode(ack)
 	if err != nil {
@@ -303,7 +304,8 @@ func TestControlPlaneStaysGob(t *testing.T) {
 	}
 	b = bytes.Clone(b)
 	var got StepAck
-	if err := in.decode(b, &got); err != nil || got.Proc != 3 || got.Failure == nil || got.Failure.Value != "boom" {
+	var rf *supervise.RankFailure
+	if err := in.decode(b, &got); err != nil || got.Proc != 3 || !errors.As(got.Err, &rf) || rf.Value != "boom" {
 		t.Fatalf("control round trip: %#v, %v", got, err)
 	}
 	if err := newControlIn().decode([]byte("not gob"), &got); err == nil {
@@ -317,6 +319,49 @@ func TestControlPlaneStaysGob(t *testing.T) {
 	}
 }
 
+// TestTypedFailuresCrossControlPlane: a worker-side failure of a supervised
+// class reaches the coordinator's errors.As as itself, every exported field
+// intact — a deadlock's per-rank states included — and any other error as
+// its message.
+func TestTypedFailuresCrossControlPlane(t *testing.T) {
+	out, in := newControlOut(), newControlIn()
+	cross := func(err error) error {
+		t.Helper()
+		return roundTrip(t, out, in, StepAck{Proc: 1, Err: wireErr(1, fmt.Errorf("rank block: %w", err))}).Err
+	}
+	gv := &supervise.GuardViolation{Rank: 3, Step: 17, Check: "finite", Detail: "v[2] is NaN"}
+	var gotGV *supervise.GuardViolation
+	if err := cross(gv); !errors.As(err, &gotGV) || !reflect.DeepEqual(gotGV, gv) {
+		t.Errorf("guard violation crossed as %#v", err)
+	}
+	rf := &supervise.RankFailure{Rank: 2, Value: "boom", Stack: "goroutine 7 [running]:"}
+	var gotRF *supervise.RankFailure
+	if err := cross(rf); !errors.As(err, &gotRF) || !reflect.DeepEqual(gotRF, rf) {
+		t.Errorf("rank failure crossed as %#v", err)
+	}
+	de := &comm.DeadlockError{
+		Timeout: 30 * time.Millisecond,
+		Ranks: []comm.RankState{
+			{Rank: 0, LastOp: "recv", Detail: "tag 5 from 1", Ops: 12, Pending: []string{"src=2 tag=3"}, Blocked: true, For: time.Second},
+			{Rank: 1, LastOp: "done", Ops: 9, Held: []string{"dst=0 held=1"}},
+		},
+		Stacks: "goroutine 1 [chan receive]:",
+	}
+	var gotDE *comm.DeadlockError
+	if err := cross(de); !errors.As(err, &gotDE) || !reflect.DeepEqual(gotDE, de) || len(gotDE.Ranks) != 2 {
+		t.Errorf("deadlock crossed as %#v", err)
+	}
+	plain := fmt.Errorf("core: negative step count %d", -1)
+	var we *workerError
+	if err := roundTrip(t, out, in, StepAck{Err: wireErr(4, plain)}).Err; !errors.As(err, &we) || we.Msg != plain.Error() ||
+		err.Error() != "distrib: worker 4: "+plain.Error() {
+		t.Errorf("plain error crossed as %#v", err)
+	}
+	if ack := roundTrip(t, out, in, StepAck{Proc: 5, Err: wireErr(5, nil)}); ack.Err != nil || ack.Proc != 5 {
+		t.Errorf("clean ack crossed as %#v", ack)
+	}
+}
+
 // TestControlStreamSendsDescriptorsOnce: the first ack on a link carries
 // its types' descriptors, the second the value alone — shorter by at least
 // every type and field name the descriptors spell out, and without any of
@@ -327,7 +372,6 @@ func TestControlStreamSendsDescriptorsOnce(t *testing.T) {
 		Stats:     []core.StepStats{{Step: 7, WorkMax: 2.5, Balancer: "permcell"}},
 		Transport: comm.TransportStats{Frames: 3, Bytes: 51},
 		Msgs:      4,
-		Failure:   &WireFailure{Class: "guard", Check: "finite"},
 	}
 	out, in := newControlOut(), newControlIn()
 	first, err := out.encode(ack)
@@ -340,7 +384,7 @@ func TestControlStreamSendsDescriptorsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	names := 0
-	for _, typ := range []reflect.Type{reflect.TypeOf(ack), reflect.TypeOf(ack.Stats[0]), reflect.TypeOf(ack.Transport), reflect.TypeOf(*ack.Failure)} {
+	for _, typ := range []reflect.Type{reflect.TypeOf(ack), reflect.TypeOf(ack.Stats[0]), reflect.TypeOf(ack.Transport)} {
 		names += len(typ.Name())
 		for i := range typ.NumField() {
 			if typ.Field(i).IsExported() {
@@ -382,7 +426,7 @@ func TestCorruptAckMidStreamFailsFrameDecode(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	fold := func(a *StepAck) error { return a.failure() }
+	fold := func(a *StepAck) error { return a.Err }
 	go func() { ack(0, false); ack(1, false) }()
 	if err := collect(e, transport.KindStepAck, fold); err != nil {
 		t.Fatalf("clean round: %v", err)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"permcell/internal/checkpoint"
+	"permcell/internal/core"
 	"permcell/internal/supervise"
 	"permcell/internal/transport"
 )
@@ -54,7 +55,7 @@ func TestProcessFaultLandsBeforeItsBatch(t *testing.T) {
 					t.Fatalf("%s: frame kind %d, %v", what, f.Kind, err)
 				}
 				var ack StepAck
-				if err := acks.decode(f.Payload, &ack); err != nil || ack.failure() != nil {
+				if err := acks.decode(f.Payload, &ack); err != nil || ack.Err != nil {
 					t.Fatalf("%s: %#v, %v", what, ack, err)
 				}
 				return ack
@@ -74,7 +75,7 @@ func TestProcessFaultLandsBeforeItsBatch(t *testing.T) {
 				Meta:           checkpoint.Meta{Spec: checkpoint.Spec{Kind: checkpoint.KindDLB, M: 2, P: 4, Rho: 0.256, Seed: 1, StatsEvery: 1}},
 				Ranks:          []int{0, 1, 2, 3},
 				HeartbeatEvery: 10 * time.Millisecond, HeartbeatMisses: 3000,
-				Sabotage: sab,
+				Runtime: core.Runtime{Sabotage: sab},
 			})
 			if err != nil {
 				t.Fatal(err)

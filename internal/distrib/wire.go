@@ -16,7 +16,12 @@
 // the spec and the acks (Spec, StepAck, SnapAck, ResultAck): a few frames
 // per command, gob-encoded because their types are deep and cold, on one
 // gob stream per link direction (controlOut, controlIn), so a type's
-// descriptors cross once per connection rather than once per ack.
+// descriptors cross once per connection rather than once per ack. An ack's
+// failure is an error value: the supervised failure classes are registered
+// with gob and reach the coordinator's errors.As as themselves, anything
+// else crosses as its message (wireErr). A worker's reader queues control
+// frames and its own terminal error on one ordered channel, so a command
+// that arrived before the link failed is always served and acked first.
 //
 // A link pays per burst, not per frame. A worker's data frames queue in
 // its link's write buffer and leave when one of its ranks is about to
@@ -56,21 +61,19 @@ type WireSpec struct {
 	// the restore point travels in Restore).
 	Meta checkpoint.Meta
 
-	// Runtime policy threaded through core.Config.
-	Metrics  bool
-	Watchdog time.Duration
-	Faults   *comm.FaultPlan
-	Guard    *supervise.GuardConfig
+	// Runtime is the run's runtime policy, the core.Config half the
+	// worker's engine takes as is. Start ships Sabotage, the scripted
+	// one-shot fault, to the worker hosting Sabotage.Rank only, and only
+	// while the caller's script is unspent; the decoded copy starts armed.
+	core.Runtime
 
-	// Liveness parameters, mirrored from Config so the worker arms the
-	// same heartbeat cadence and read window as the coordinator.
+	// HeartbeatEvery and HeartbeatMisses are the liveness policy of every
+	// coordinator<->worker link, at both ends: a heartbeat every
+	// HeartbeatEvery, and a link with no frame for HeartbeatEvery x
+	// HeartbeatMisses is declared dead (FailHeartbeat). Start fills values
+	// <= 0 with the defaults.
 	HeartbeatEvery  time.Duration
 	HeartbeatMisses int
-
-	// Sabotage, when non-nil, is the scripted one-shot fault: Start takes
-	// the caller's pointer and ships it to the worker hosting Sabotage.Rank
-	// only, and only while unspent; the decoded copy starts armed.
-	Sabotage *supervise.Sabotage
 
 	// Restore, when non-nil, resumes from a distributed snapshot. Every
 	// worker receives the full state: rebuilding the global column->host
@@ -84,82 +87,17 @@ type WireSpec struct {
 }
 
 // StepAck is a worker's reply to a Step command (and, with zero stats,
-// the ready signal after engine construction). Supervised failure classes
-// (guard violations, rank panics, deadlocks) cross the boundary typed via
-// Failure so the coordinator-side supervisor classifies worker-internal
-// failures exactly like in-process ones; anything else flattens to Err.
+// the ready signal after engine construction). Err is the failure as
+// wireErr ships it: a supervised failure class (guard violation, rank
+// panic, deadlock) as itself, so the coordinator-side supervisor classifies
+// a worker-internal failure exactly like an in-process one.
 type StepAck struct {
 	Proc      int
 	Stats     []core.StepStats // new records since the last ack (rank-0 proc only)
 	Transport comm.TransportStats
 	Msgs      int64
 	Bytes     int64
-	Failure   *WireFailure
-	Err       string
-}
-
-// failure rebuilds the error a StepAck reports (nil for a clean ack).
-func (a *StepAck) failure() error {
-	switch {
-	case a.Failure != nil:
-		return a.Failure.rebuild(a.Proc)
-	case a.Err != "":
-		return fmt.Errorf("distrib: worker %d: %s", a.Proc, a.Err)
-	}
-	return nil
-}
-
-// WireFailure carries a supervised failure class across the process
-// boundary. Class selects which typed error the coordinator rebuilds;
-// only that class's fields are meaningful.
-type WireFailure struct {
-	Class string // "guard" | "rank" | "deadlock"
-
-	// guard (supervise.GuardViolation)
-	Rank   int
-	Step   int
-	Check  string
-	Detail string
-
-	// rank (supervise.RankFailure; Rank shared with guard)
-	Value string
-	Stack string
-
-	// deadlock (comm.DeadlockError; per-rank states stay worker-side,
-	// the stacks and timeout carry the diagnosis)
-	Timeout time.Duration
-	Stacks  string
-}
-
-// wireFailure flattens a worker-side engine error into its wire form, or
-// nil for error classes without one (the caller falls back to Err).
-func wireFailure(err error) *WireFailure {
-	var gv *supervise.GuardViolation
-	var rf *supervise.RankFailure
-	var de *comm.DeadlockError
-	switch {
-	case errors.As(err, &gv):
-		return &WireFailure{Class: "guard", Rank: gv.Rank, Step: gv.Step, Check: gv.Check, Detail: gv.Detail}
-	case errors.As(err, &rf):
-		return &WireFailure{Class: "rank", Rank: rf.Rank, Value: rf.Value, Stack: rf.Stack}
-	case errors.As(err, &de):
-		return &WireFailure{Class: "deadlock", Timeout: de.Timeout, Stacks: de.Stacks}
-	}
-	return nil
-}
-
-// rebuild reconstructs the typed error on the coordinator side.
-func (w *WireFailure) rebuild(proc int) error {
-	switch w.Class {
-	case "guard":
-		return &supervise.GuardViolation{Rank: w.Rank, Step: w.Step, Check: w.Check, Detail: w.Detail}
-	case "rank":
-		return &supervise.RankFailure{Rank: w.Rank, Value: w.Value, Stack: w.Stack}
-	case "deadlock":
-		return &comm.DeadlockError{Timeout: w.Timeout, Stacks: w.Stacks}
-	default:
-		return fmt.Errorf("distrib: worker %d: unknown failure class %q", proc, w.Class)
-	}
+	Err       error
 }
 
 // SnapAck carries one worker's checkpoint frames and its share of the
@@ -169,7 +107,7 @@ type SnapAck struct {
 	Frames []checkpoint.Frame
 	Msgs   int64
 	Bytes  int64
-	Err    string
+	Err    error
 }
 
 // ResultAck is the final handshake: the rank-0 process carries the
@@ -185,7 +123,54 @@ type ResultAck struct {
 	Msgs   int64
 	Bytes  int64
 	Faults comm.FaultStats
-	Err    string
+	Err    error
+}
+
+// wireClasses are the failure classes an ack's Err carries as themselves,
+// each gob-registered; any other error crosses as a *workerError.
+var wireClasses = []func(error) error{
+	wireClass[*supervise.GuardViolation](),
+	wireClass[*supervise.RankFailure](),
+	wireClass[*comm.DeadlockError](),
+}
+
+// wireClass registers T with gob and returns the matcher wireErr applies:
+// the T err is or wraps, else nil.
+func wireClass[T error]() func(error) error {
+	var zero T
+	gob.Register(zero)
+	return func(err error) error {
+		var t T
+		if errors.As(err, &t) {
+			return t
+		}
+		return nil
+	}
+}
+
+func init() { gob.Register(&workerError{}) }
+
+// workerError is a worker-side failure outside the supervised classes,
+// carried across the control plane by its message.
+type workerError struct {
+	Proc int
+	Msg  string
+}
+
+func (e *workerError) Error() string { return fmt.Sprintf("distrib: worker %d: %s", e.Proc, e.Msg) }
+
+// wireErr is err as worker proc's acks carry it: nil, the supervised
+// failure class it is or wraps, or its message.
+func wireErr(proc int, err error) error {
+	if err == nil {
+		return nil
+	}
+	for _, class := range wireClasses {
+		if typed := class(err); typed != nil {
+			return typed
+		}
+	}
+	return &workerError{Proc: proc, Msg: err.Error()}
 }
 
 // controlOut is the sending end of one link direction's control plane: a
@@ -241,14 +226,6 @@ func (c *controlIn) decode(payload []byte, v any) error {
 		return fmt.Errorf("distrib: decode control payload: %w", err)
 	}
 	return nil
-}
-
-// errString flattens an error for the wire.
-func errString(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
 }
 
 // RanksOf deals P ranks to W processes in contiguous blocks: process i

@@ -79,35 +79,16 @@ func RunWorker(conn net.Conn) error {
 	// window is already ticking, so heartbeats must flow while NewPartial
 	// builds (which can be slow for large systems). hbPause models a
 	// stalled process for SabotageWorkerStall — a SIGSTOP'd worker's
-	// heartbeat goroutine stops too. Start always fills the cadence; a spec
-	// dealt without one (a bare in-memory link) runs without liveness.
+	// heartbeat goroutine stops too. Start always fills the liveness
+	// policy; a spec dealt without one (a bare in-memory link) runs without
+	// liveness.
 	var hbPause atomic.Bool
 	hbStop := make(chan struct{})
 	defer close(hbStop)
 	if spec.HeartbeatEvery > 0 {
-		misses := spec.HeartbeatMisses
-		if misses <= 0 {
-			misses = DefaultHeartbeatMisses
-		}
-		window := spec.HeartbeatEvery * time.Duration(misses)
+		window := spec.HeartbeatEvery * time.Duration(spec.HeartbeatMisses)
 		peer.SetTimeouts(window, window)
-		go func() {
-			t := time.NewTicker(spec.HeartbeatEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-hbStop:
-					return
-				case <-t.C:
-					if hbPause.Load() {
-						continue
-					}
-					if peer.Send(transport.Frame{Kind: transport.KindHeartbeat, Src: int32(spec.Proc), Dst: -1}) != nil {
-						return
-					}
-				}
-			}
-		}()
+		go heartbeat(peer, spec.HeartbeatEvery, int32(spec.Proc), hbStop, &hbPause)
 	}
 
 	acks := newControlOut()
@@ -126,7 +107,7 @@ func RunWorker(conn net.Conn) error {
 	if err != nil {
 		// Report the construction failure as the ready ack; the
 		// coordinator fails Start with this message.
-		_ = sendAck(transport.KindStepAck, StepAck{Proc: spec.Proc, Err: errString(err)})
+		_ = sendAck(transport.KindStepAck, StepAck{Proc: spec.Proc, Err: wireErr(spec.Proc, err)})
 		return err
 	}
 	if err := sendAck(transport.KindStepAck, StepAck{Proc: spec.Proc}); err != nil {
@@ -139,17 +120,22 @@ func RunWorker(conn net.Conn) error {
 	// value is a copy, so the peer may take its read buffer back at the
 	// next Recv); heartbeats are dropped after proving liveness (the read
 	// deadline is armed per read from the connection); control frames own
-	// their payload and queue for the serve loop.
+	// their payload and queue for the serve loop, and so does the reader's
+	// terminal error, behind them: a command that arrived before the link
+	// failed is always served, and acked, first.
 	world := part.World()
-	ctrl := make(chan transport.Frame, 4)
-	readErr := make(chan error, 1)
+	// The coordinator has one command in flight at a time; the room past it
+	// keeps the reader, which data frames also wait on, off the serve loop.
+	in := make(chan inbound, 4)
 	// When the link dies the serve loop may be blocked inside part.Step
 	// waiting on halo data that will never arrive, so a read error must
 	// also poison the world: blocked ranks unwind through the trap, Step
-	// returns, and the process exits instead of orphaning itself.
+	// returns, and the process exits instead of orphaning itself. The
+	// poison comes first: the queue may be full of commands the serve loop
+	// can only take once its step returns.
 	fail := func(rerr error) {
 		world.Poison(rerr.Error())
-		readErr <- rerr
+		in <- inbound{err: rerr}
 	}
 	go func() {
 		for {
@@ -172,7 +158,7 @@ func RunWorker(conn net.Conn) error {
 					return
 				}
 			default:
-				ctrl <- f
+				in <- inbound{frame: f}
 			}
 		}
 	}()
@@ -185,70 +171,77 @@ func RunWorker(conn net.Conn) error {
 	}
 
 	for {
-		select {
-		case rerr := <-readErr:
-			return rerr
-		case f := <-ctrl:
-			switch f.Kind {
-			case transport.KindStep:
-				n := int(f.Tag)
-				if sab := spec.Sabotage; sab.ProcessLevel() && sab.FireIn(done, n) {
-					if err := fireProcessFault(sab, spec.Proc, conn, peer, &hbPause); err != nil {
-						return err
-					}
-				}
-				serr := part.Step(n)
-				// A failed batch ships no records (the coordinator drops
-				// them): a rank may still be appending to the buffer.
-				var records []core.StepStats
-				if serr == nil {
-					done += n
-					records, batch = batch, batch[:0]
-				}
-				ack := StepAck{
-					Proc:      spec.Proc,
-					Stats:     records,
-					Transport: world.TransportStats(),
-					Failure:   wireFailure(serr),
-					Err:       errString(serr),
-				}
-				ack.Msgs, ack.Bytes = world.Stats()
-				if err := sendAck(transport.KindStepAck, ack); err != nil {
+		m := <-in
+		if m.err != nil {
+			return m.err
+		}
+		switch f := m.frame; f.Kind {
+		case transport.KindStep:
+			n := int(f.Tag)
+			if sab := spec.Sabotage; sab.ProcessLevel() && sab.FireIn(done, n) {
+				if err := fireProcessFault(sab, spec.Proc, conn, peer, &hbPause); err != nil {
 					return err
 				}
-			case transport.KindSnapshot:
-				frames, serr := part.SnapshotLocal()
-				ack := SnapAck{Proc: spec.Proc, Frames: frames, Err: errString(serr)}
-				ack.Msgs, ack.Bytes = world.Stats()
-				if err := sendAck(transport.KindSnapAck, ack); err != nil {
-					return err
-				}
-			case transport.KindFinish:
-				res, ferr := part.Finish()
-				ack := ResultAck{Proc: spec.Proc, Err: errString(ferr)}
-				if res != nil {
-					// This block's own traffic: the coordinator owns the
-					// restored run's counter continuation.
-					if f := res.Final; f != nil {
-						ack.Final = &checkpoint.Frame{ID: f.ID, Pos: f.Pos, Vel: f.Vel}
-					}
-					ack.Msgs, ack.Bytes = world.Stats()
-					ack.Faults = res.Faults
-				}
-				if err := sendAck(transport.KindResultAck, ack); err != nil {
-					return err
-				}
-				// Hold the connection open until the coordinator closes
-				// it: tearing down first would race our final ack
-				// against the EOF on the coordinator's router, turning a
-				// clean shutdown into a spurious connection fault.
-				<-readErr
-				return nil
-			default:
-				return fmt.Errorf("distrib: unexpected control frame kind %d", f.Kind)
 			}
+			serr := part.Step(n)
+			// A failed batch ships no records (the coordinator drops
+			// them): a rank may still be appending to the buffer.
+			var records []core.StepStats
+			if serr == nil {
+				done += n
+				records, batch = batch, batch[:0]
+			}
+			ack := StepAck{
+				Proc:      spec.Proc,
+				Stats:     records,
+				Transport: world.TransportStats(),
+				Err:       wireErr(spec.Proc, serr),
+			}
+			ack.Msgs, ack.Bytes = world.Stats()
+			if err := sendAck(transport.KindStepAck, ack); err != nil {
+				return err
+			}
+		case transport.KindSnapshot:
+			frames, serr := part.SnapshotLocal()
+			ack := SnapAck{Proc: spec.Proc, Frames: frames, Err: wireErr(spec.Proc, serr)}
+			ack.Msgs, ack.Bytes = world.Stats()
+			if err := sendAck(transport.KindSnapAck, ack); err != nil {
+				return err
+			}
+		case transport.KindFinish:
+			res, ferr := part.Finish()
+			ack := ResultAck{Proc: spec.Proc, Err: wireErr(spec.Proc, ferr)}
+			if res != nil {
+				// This block's own traffic: the coordinator owns the
+				// restored run's counter continuation.
+				if f := res.Final; f != nil {
+					ack.Final = &checkpoint.Frame{ID: f.ID, Pos: f.Pos, Vel: f.Vel}
+				}
+				ack.Msgs, ack.Bytes = world.Stats()
+				ack.Faults = res.Faults
+			}
+			if err := sendAck(transport.KindResultAck, ack); err != nil {
+				return err
+			}
+			// Hold the connection open until the coordinator closes
+			// it: tearing down first would race our final ack
+			// against the EOF on the coordinator's router, turning a
+			// clean shutdown into a spurious connection fault.
+			for m.err == nil {
+				m = <-in
+			}
+			return nil
+		default:
+			return fmt.Errorf("distrib: unexpected control frame kind %d", f.Kind)
 		}
 	}
+}
+
+// inbound is what the worker's reader hands its serve loop, in arrival
+// order: a control frame, or the error that ended the link.
+type inbound struct {
+	frame transport.Frame
+	err   error
 }
 
 // fireProcessFault executes a process-level sabotage in worker proc. Exit
@@ -291,11 +284,6 @@ func newPartialFromSpec(spec *WireSpec, peer *transport.Peer, onStep func(core.S
 	if err != nil {
 		return nil, fmt.Errorf("distrib: %w", err)
 	}
-	cfg.OnStep = onStep
-	cfg.Metrics = spec.Metrics
-	cfg.Watchdog = spec.Watchdog
-	cfg.Faults = spec.Faults
-	cfg.Guard = spec.Guard
-	cfg.Sabotage = spec.Sabotage
+	cfg.OnStep, cfg.Runtime = onStep, spec.Runtime
 	return core.NewPartial(cfg, sys, spec.Ranks, &peerRemote{peer: peer})
 }

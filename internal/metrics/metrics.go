@@ -257,68 +257,17 @@ type StepRecord struct {
 	BoundResidual *float64 `json:"bound_residual,omitempty"`
 
 	// TotalEnergy and Temperature are the global observables of the step's
-	// census. They are not part of NewStepRecord's reduction (drivers fill
-	// them from StepStats); deterministic for a given run identity, they
-	// are what trace-equivalence checks compare.
+	// census; deterministic for a given run identity, they are what
+	// trace-equivalence checks compare.
 	TotalEnergy float64 `json:"total_energy"`
 	Temperature float64 `json:"temperature"`
 
 	// SentFrames/SentBytes are the cumulative transport traffic counters
 	// at this step (StepStats.SentFrames etc.): wire frames on the TCP
-	// transport, channel messages in-process. Driver-filled like
-	// TotalEnergy, and — being transport-dependent — excluded from
-	// trace-equivalence comparisons.
+	// transport, channel messages in-process. Being transport-dependent,
+	// they are excluded from trace-equivalence comparisons.
 	SentFrames int64 `json:"sent_frames"`
 	SentBytes  int64 `json:"sent_bytes"`
-}
-
-// NewStepRecord assembles the exportable record from the reduced step
-// quantities. balancer is the strategy name from StepStats.Balancer ("" is
-// normalized to "none"); m is the square-pillar cross-section (0 when
-// unknown, e.g. static decompositions — the bound fields are then omitted).
-func NewStepRecord(step int, b Breakdown, stepWallMax, stepWallAve,
-	workMax, workAve, workMin float64, balancer string, moved int,
-	movedBytes int64, c0OverC, nFactor float64, m int) StepRecord {
-	if balancer == "" {
-		balancer = "none"
-	}
-	rec := StepRecord{
-		Step:        step,
-		StepWallMax: stepWallMax,
-		StepWallAve: stepWallAve,
-
-		PhaseSecsAve: make(map[string]float64, NumPhases),
-		PhaseSecsMax: make(map[string]float64, NumPhases),
-		PhaseMsgs:    make(map[string]int64, NumPhases),
-		PhaseBytes:   make(map[string]int64, NumPhases),
-
-		PhaseSecsSumAve: b.SumAveSecs(),
-
-		WorkMax: workMax, WorkAve: workAve, WorkMin: workMin,
-		LoadRatio:  LoadRatio(workMax, workAve),
-		Efficiency: Efficiency(workMax, workAve),
-		Balancer:   balancer,
-		Moved:      moved,
-		MovedBytes: movedBytes,
-		C0OverC:    c0OverC, NFactor: nFactor,
-	}
-	if workAve > 0 {
-		rec.Imbalance = (workMax - workMin) / workAve
-	}
-	for ph := Phase(0); ph < NumPhases; ph++ {
-		name := ph.String()
-		rec.PhaseSecsAve[name] = b.AveSecs[ph]
-		rec.PhaseSecsMax[name] = b.MaxSecs[ph]
-		rec.PhaseMsgs[name] = b.Msgs[ph]
-		rec.PhaseBytes[name] = b.Bytes[ph]
-	}
-	if m >= 2 {
-		if f, err := theory.F(m, nFactor); err == nil {
-			res := f - c0OverC
-			rec.Bound, rec.BoundResidual = &f, &res
-		}
-	}
-	return rec
 }
 
 // JSONLWriter streams StepRecords as one JSON object per line.
@@ -336,30 +285,6 @@ func (jw *JSONLWriter) Write(rec StepRecord) error { return jw.enc.Encode(rec) }
 
 // ---- Prometheus exporter -----------------------------------------------
 
-// Recovery carries the self-healing supervisor's run totals (see
-// internal/supervise.Report) for export alongside the phase counters.
-type Recovery struct {
-	Panics          int64
-	GuardViolations int64
-	Deadlocks       int64
-	WorkerFailures  int64
-	Rollbacks       int64
-	Retries         int64
-	StepsReplayed   int64
-}
-
-// Add folds one engine incarnation's supervision report into the totals;
-// every incarnation reports from zero, so summation is exact.
-func (r *Recovery) Add(rep *supervise.Report) {
-	r.Panics += int64(rep.RankFailures)
-	r.GuardViolations += int64(rep.GuardViolations)
-	r.Deadlocks += int64(rep.Deadlocks)
-	r.WorkerFailures += int64(rep.WorkerFailures)
-	r.Rollbacks += int64(rep.Rollbacks)
-	r.Retries += int64(rep.Retries)
-	r.StepsReplayed += int64(rep.StepsReplayed)
-}
-
 // Cumulative accumulates per-step breakdowns into run-total counters for
 // Prometheus text-format export.
 type Cumulative struct {
@@ -375,7 +300,7 @@ type Cumulative struct {
 	SentBytes  int64
 	// Recovery, when non-nil, adds the supervisor's recovery counters to the
 	// exposition (drivers fill it from the supervision report).
-	Recovery *Recovery
+	Recovery *supervise.Report
 }
 
 // Add folds one finalized step breakdown and its PE-average wall time.
@@ -403,15 +328,15 @@ func (c *Cumulative) ObserveTransport(frames, bytes int64) {
 
 // recoveryFamilies enumerates the supervisor counter families in exposition
 // order.
-func recoveryFamilies(r *Recovery) []struct {
+func recoveryFamilies(r *supervise.Report) []struct {
 	name, help string
-	v          int64
+	v          int
 } {
 	return []struct {
 		name, help string
-		v          int64
+		v          int
 	}{
-		{"permcell_recovery_panics_total", "PE panics caught by the supervisor.", r.Panics},
+		{"permcell_recovery_panics_total", "PE panics caught by the supervisor.", r.RankFailures},
 		{"permcell_recovery_guard_violations_total", "Physics-guard violations caught by the supervisor.", r.GuardViolations},
 		{"permcell_recovery_deadlocks_total", "Watchdog deadlocks caught by the supervisor.", r.Deadlocks},
 		{"permcell_transport_worker_failures_total", "Distributed worker failures (exits, heartbeat timeouts, frame corruption, protocol violations) caught by the supervisor.", r.WorkerFailures},
@@ -479,7 +404,7 @@ func WritePrometheusHeaders(w io.Writer, recovery bool) error {
 	p("# HELP permcell_transport_sent_bytes_total Payload bytes that crossed the transport.\n")
 	p("# TYPE permcell_transport_sent_bytes_total counter\n")
 	if recovery {
-		for _, m := range recoveryFamilies(&Recovery{}) {
+		for _, m := range recoveryFamilies(&supervise.Report{}) {
 			p("# HELP %s %s\n", m.name, m.help)
 			p("# TYPE %s counter\n", m.name)
 		}

@@ -2,11 +2,12 @@ package metrics
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"permcell/internal/supervise"
 )
 
 func TestPhaseNames(t *testing.T) {
@@ -128,65 +129,6 @@ func TestGauges(t *testing.T) {
 	}
 }
 
-func TestStepRecordJSONL(t *testing.T) {
-	var b Breakdown
-	s := Sample{}
-	s.Secs[PhaseForce], s.Secs[PhaseHalo] = 0.6, 0.4
-	s.Msgs[PhaseHalo], s.Bytes[PhaseHalo] = 16, 1024
-	b.Fold(s)
-	b.Finalize(1)
-
-	rec := NewStepRecord(7, b, 1.1, 1.0, 300, 200, 100, "permcell", 1, 72, 0.5, 1.2, 2)
-	var buf bytes.Buffer
-	if err := NewJSONLWriter(&buf).Write(rec); err != nil {
-		t.Fatal(err)
-	}
-	line := buf.String()
-	if strings.Count(line, "\n") != 1 || !strings.HasSuffix(line, "\n") {
-		t.Fatalf("not one line: %q", line)
-	}
-	var back map[string]any
-	if err := json.Unmarshal([]byte(line), &back); err != nil {
-		t.Fatalf("record not valid JSON: %v", err)
-	}
-	if back["step"].(float64) != 7 {
-		t.Errorf("step = %v", back["step"])
-	}
-	if back["load_ratio"].(float64) != 1.5 {
-		t.Errorf("load_ratio = %v", back["load_ratio"])
-	}
-	if back["imbalance"].(float64) != 1 {
-		t.Errorf("imbalance = %v", back["imbalance"])
-	}
-	if back["balancer"].(string) != "permcell" || back["moved_bytes"].(float64) != 72 {
-		t.Errorf("balancer/moved_bytes = %v/%v", back["balancer"], back["moved_bytes"])
-	}
-	ps := back["phase_secs_ave"].(map[string]any)
-	if ps["force"].(float64) != 0.6 || ps["halo"].(float64) != 0.4 {
-		t.Errorf("phase_secs_ave = %v", ps)
-	}
-	if got := back["phase_secs_sum_ave"].(float64); math.Abs(got-1.0) > 1e-12 {
-		t.Errorf("phase_secs_sum_ave = %v", got)
-	}
-	if _, ok := back["bound_residual"]; !ok {
-		t.Error("bound_residual missing for m=2")
-	}
-
-	// Out-of-domain bound (n < 1) must omit the bound fields, keeping the
-	// record valid JSON (NaN would fail to encode).
-	rec = NewStepRecord(1, b, 1, 1, 1, 1, 1, "", 0, 0, 0.5, 0.2, 2)
-	buf.Reset()
-	if err := NewJSONLWriter(&buf).Write(rec); err != nil {
-		t.Fatalf("out-of-domain record: %v", err)
-	}
-	if strings.Contains(buf.String(), "bound") {
-		t.Errorf("bound fields present out of domain: %s", buf.String())
-	}
-	if !strings.Contains(buf.String(), `"balancer":"none"`) {
-		t.Errorf("empty balancer not normalized to none: %s", buf.String())
-	}
-}
-
 func TestCumulativePrometheus(t *testing.T) {
 	var b Breakdown
 	s := Sample{}
@@ -219,7 +161,7 @@ func TestCumulativePrometheus(t *testing.T) {
 	if strings.Contains(out, "permcell_recovery_") {
 		t.Errorf("recovery counters present without a Recovery block:\n%s", out)
 	}
-	c.Recovery = &Recovery{Panics: 1, Rollbacks: 2, Retries: 2, StepsReplayed: 9}
+	c.Recovery = &supervise.Report{RankFailures: 1, Rollbacks: 2, Retries: 2, StepsReplayed: 9}
 	buf.Reset()
 	if err := c.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -269,7 +211,7 @@ func TestLabelledExposition(t *testing.T) {
 	c1.Add(0.3, b)
 	c2.Add(0.4, b)
 	c2.Add(0.4, b)
-	c2.Recovery = &Recovery{Rollbacks: 3}
+	c2.Recovery = &supervise.Report{Rollbacks: 3}
 
 	var buf bytes.Buffer
 	if err := WritePrometheusHeaders(&buf, true); err != nil {

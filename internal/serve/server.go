@@ -13,7 +13,6 @@ import (
 
 	"permcell"
 	"permcell/internal/checkpoint"
-	"permcell/internal/metrics"
 )
 
 // Config sizes the service.
@@ -455,7 +454,7 @@ func (r *Run) recordSupervision(rep *permcell.SupervisorReport) {
 	defer r.mu.Unlock()
 	r.supervisor = rep
 	if r.cum.Recovery == nil {
-		r.cum.Recovery = &metrics.Recovery{}
+		r.cum.Recovery = &permcell.SupervisorReport{}
 	}
 	r.cum.Recovery.Add(rep)
 }

@@ -184,6 +184,19 @@ type Report struct {
 	Exhausted bool
 }
 
+// Add folds the counters of another engine incarnation's report into r:
+// each incarnation reports from zero, so the sum is exact. The event log
+// and Exhausted stay r's.
+func (r *Report) Add(o *Report) {
+	r.RankFailures += o.RankFailures
+	r.GuardViolations += o.GuardViolations
+	r.Deadlocks += o.Deadlocks
+	r.WorkerFailures += o.WorkerFailures
+	r.Rollbacks += o.Rollbacks
+	r.Retries += o.Retries
+	r.StepsReplayed += o.StepsReplayed
+}
+
 // RetryBudgetError is returned when the retry budget is exhausted: the run
 // ends with whatever statistics were collected (a partial Result) and this
 // error carrying the last failure and the full report.
@@ -218,31 +231,35 @@ func NewTrap() *Trap {
 	return &Trap{fired: make(chan struct{})}
 }
 
-// Catch recovers a panic on the calling goroutine and records it as a typed
-// failure: a *GuardViolation panic value passes through as-is, anything
-// else becomes a *RankFailure with the goroutine's stack. Must be invoked
-// via defer. A nil recover is a no-op, so Catch is safe on the normal
-// return path.
+// Catch recovers a panic on the calling goroutine and records its typed
+// Failure. Must be invoked via defer. A nil recover is a no-op, so Catch is
+// safe on the normal return path.
 func (t *Trap) Catch(rank int) {
 	r := recover()
 	if r == nil {
 		return
 	}
-	var err error
-	switch v := r.(type) {
-	case *GuardViolation:
-		err = v
-	case *RankFailure:
-		err = v
-	default:
-		err = &RankFailure{Rank: rank, Value: fmt.Sprint(r), Stack: string(debug.Stack())}
-	}
+	err := Failure(rank, r)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.err == nil {
 		t.err = err
 		close(t.fired)
 	}
+}
+
+// Failure is the typed failure a panic value r recovered on rank's
+// goroutine stands for: a *GuardViolation or *RankFailure as itself,
+// anything else a *RankFailure carrying the goroutine's stack. Call it from
+// the deferred function that recovered r.
+func Failure(rank int, r any) error {
+	switch v := r.(type) {
+	case *GuardViolation:
+		return v
+	case *RankFailure:
+		return v
+	}
+	return &RankFailure{Rank: rank, Value: fmt.Sprint(r), Stack: string(debug.Stack())}
 }
 
 // Failed returns a channel closed on the first recorded failure.

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"permcell/internal/comm"
+	"permcell/internal/core"
 	"permcell/internal/distrib"
 	"permcell/internal/supervise"
 )
@@ -89,19 +90,17 @@ const (
 // NewSerial, NewStatic or Run; the zero value of every field selects the
 // documented default.
 type Options struct {
-	id         Spec // the identity options' fields; see identity
-	balancer   Balancer
-	shards     int
-	metrics    bool
-	onStep     func(StepStats)
-	discard    bool
-	faults     *FaultPlan
-	watchdog   time.Duration
-	ckptEvery  int
-	ckptDir    string
-	supervisor *supervise.Policy
-	sabotage   *supervise.Sabotage
-	transport  Transport
+	id          Spec // the identity options' fields; see identity
+	balancer    Balancer
+	balancerSet bool // WithBalancer was given, nil or not
+	shards      int
+	rt          core.Runtime // metrics, fault plan, watchdog, sabotage; no guard
+	onStep      func(StepStats)
+	discard     bool
+	ckptEvery   int
+	ckptDir     string
+	supervisor  *supervise.Policy
+	transport   Transport
 }
 
 // Transport selects where the parallel engine's PE ranks live. The zero
@@ -153,11 +152,12 @@ func buildOptions(opts []Option) Options {
 
 // WithBalancer selects the load-balancing strategy the parallel engine
 // drives at the DLB cadence: PermanentCell (the paper's method), SFC or
-// Diffusive. nil (the default) runs static DDM. The balancer's parameters
-// — the hysteresis among them — are part of the run identity and are
-// validated at engine construction. Ignored by the serial and static
-// engines.
-func WithBalancer(b Balancer) Option { return func(o *Options) { o.balancer = b } }
+// Diffusive. nil, like the option's absence, runs static DDM. The
+// balancer's parameters — the hysteresis among them — are part of the run
+// identity and are validated at engine construction. Ignored by the serial
+// and static engines. Restore checks it, nil included, against the
+// checkpoint's balancer.
+func WithBalancer(b Balancer) Option { return func(o *Options) { o.balancer, o.balancerSet = b, true } }
 
 // WithWells adds n harmonic attractor sites of strength k to drive
 // condensation (the experiments' accelerated-physics substitution; see
@@ -195,7 +195,7 @@ func WithStatsEvery(k int) Option { return func(o *Options) { o.id.StatsEvery = 
 // StepStats.Phases, together with per-phase message and byte counts. Off
 // (the default), the engines carry a nil timer and the hot path pays one
 // pointer test per phase boundary; see DESIGN.md "Observability".
-func WithMetrics() Option { return func(o *Options) { o.metrics = true } }
+func WithMetrics() Option { return func(o *Options) { o.rt.Metrics = true } }
 
 // WithOnStep streams each step's statistics to fn as the run progresses.
 // For the parallel engines fn runs on rank 0's goroutine and must not call
@@ -212,13 +212,13 @@ func WithDiscardStats() Option { return func(o *Options) { o.discard = true } }
 // transport. New and Restore reject a plan FaultPlan.Validate refuses for
 // the run's rank count. Serial engines ignore it.
 func WithFaultPlan(plan FaultPlan) Option {
-	return func(o *Options) { o.faults = &plan }
+	return func(o *Options) { o.rt.Faults = &plan }
 }
 
 // WithWatchdog arms the deadlock watchdog: a communication stall longer
 // than d returns a *DeadlockError instead of hanging. Serial engines
 // ignore it.
-func WithWatchdog(d time.Duration) Option { return func(o *Options) { o.watchdog = d } }
+func WithWatchdog(d time.Duration) Option { return func(o *Options) { o.rt.Watchdog = d } }
 
 // WithSupervisor runs the engine under the self-healing supervisor: PE
 // panics, physics-guard violations, watchdog deadlocks and (on tcp) worker
@@ -248,7 +248,7 @@ func WithSupervisor(p SupervisorPolicy) Option {
 // replay after a rollback converges to the golden trace, and an incarnation
 // that ends before the step leaves s armed for the Restore handed the same
 // pointer. Serial engines ignore it.
-func WithSabotage(s *Sabotage) Option { return func(o *Options) { o.sabotage = s } }
+func WithSabotage(s *Sabotage) Option { return func(o *Options) { o.rt.Sabotage = s } }
 
 // WithTransport selects the parallel engine's transport (see Transport).
 // The serial and static engines support only the in-process transport.

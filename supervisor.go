@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"runtime/debug"
 	"sync"
 	"time"
 
@@ -79,6 +78,7 @@ func supervised(meta checkpoint.Meta, st *checkpoint.EngineState, o Options, e *
 		pol: *o.supervisor, meta: meta, o: o, e: e,
 		procs: o.transport.Procs, lastRollbackAbs: -1,
 	}
+	s.o.rt.Guard = &s.pol.Guard
 	if st != nil {
 		s.abs, s.high = st.Step, st.Step
 	}
@@ -89,11 +89,11 @@ func supervised(meta checkpoint.Meta, st *checkpoint.EngineState, o Options, e *
 }
 
 // build starts the current generation's incarnation from st through the
-// backend switch, with the policy's physics guards armed and admit as its
-// record sink.
+// backend switch, with the policy's physics guards armed (s.o.rt.Guard) and
+// admit as its record sink.
 func (s *supervisor) build(st *checkpoint.EngineState) error {
 	gen := s.gen
-	inner, err := backend(s.meta, st, s.o, &s.pol.Guard, s.procs,
+	inner, err := backend(s.meta, st, s.o, s.procs,
 		func(rec StepStats) { s.admit(gen, rec) })
 	if err != nil {
 		return err
@@ -247,14 +247,7 @@ func (s *supervisor) heal(op func() error) error {
 func safely(op func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			switch v := r.(type) {
-			case *supervise.GuardViolation:
-				err = v
-			case *supervise.RankFailure:
-				err = v
-			default:
-				err = &supervise.RankFailure{Rank: -1, Value: fmt.Sprint(r), Stack: string(debug.Stack())}
-			}
+			err = supervise.Failure(-1, r)
 		}
 	}()
 	return op()
